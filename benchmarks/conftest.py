@@ -9,7 +9,7 @@ Environment knobs (all optional):
 Command-line options (benchmark runs only):
 
 * ``--engine {sweep,levelized}`` — simulation engine (default: levelized,
-  the event-driven engine; ``sweep`` is the reference interpreter),
+  the scheduled strategy; ``sweep`` is the reference strategy),
 * ``--emit-json FILE`` — write per-kernel simulation throughput
   (cycles/sec) to FILE; multiple benchmark files merge into one JSON
   keyed by figure.
@@ -18,12 +18,15 @@ Command-line options (benchmark runs only):
 import json
 import os
 
+from repro.eval.common import DEFAULT_EVAL_ENGINE
+from repro.sim import ENGINES
+
 
 def pytest_addoption(parser):
     parser.addoption(
         "--engine",
-        default="levelized",
-        choices=["sweep", "levelized"],
+        default=DEFAULT_EVAL_ENGINE,
+        choices=sorted(ENGINES),
         help="simulation engine for benchmark runs",
     )
     parser.addoption(

@@ -33,10 +33,10 @@ class DesignMetrics:
     resources: Resources
     register_cells: int
     compile_seconds: float
+    #: The engine that produced ``cycles`` (see ``repro.sim.ENGINES``).
+    engine: str
     #: Wall-clock time of the simulation itself (0.0 when not simulated).
     sim_seconds: float = 0.0
-    #: The engine that produced ``cycles`` (see ``repro.sim.ENGINES``).
-    engine: str = "sweep"
 
     @property
     def luts(self) -> float:
@@ -76,9 +76,9 @@ def compile_with(program: Program, pipeline: str) -> tuple:
     return program, time.perf_counter() - start
 
 
-#: The evaluation harness simulates with the levelized engine by default:
+#: The evaluation harness simulates with the levelized strategy by default:
 #: it is the hot path of Figures 7-9, and the equivalence suite holds the
-#: engines bit-identical, so the reference sweep adds nothing here.
+#: strategies bit-identical, so the reference sweep adds nothing here.
 DEFAULT_EVAL_ENGINE = "levelized"
 
 

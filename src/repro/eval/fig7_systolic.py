@@ -39,8 +39,8 @@ class Fig7Row:
     insensitive_luts: float
     hls_cycles: int
     hls_luts: float
+    engine: str
     sim_seconds: float = 0.0
-    engine: str = "sweep"
 
     @property
     def cycles_per_second(self) -> float:

@@ -32,8 +32,8 @@ class Fig8Row:
     calyx_luts: float
     hls_cycles: int
     hls_luts: float
+    engine: str
     sim_seconds: float = 0.0
-    engine: str = "sweep"
 
     @property
     def slowdown(self) -> float:

@@ -26,7 +26,13 @@ from repro.ir.ast import Program
 from repro.ir.attributes import STATIC
 from repro.ir.validate import validate_program
 from repro.passes import PIPELINES, compile_program
-from repro.sim import DEFAULT_MAX_CYCLES, Testbench, Watchdog, run_program
+from repro.sim import (
+    DEFAULT_ENGINE,
+    DEFAULT_MAX_CYCLES,
+    Testbench,
+    Watchdog,
+    run_program,
+)
 from repro.workloads.common import Lcg
 
 #: Pipelines the oracle exercises by default: every registered pipeline
@@ -166,7 +172,7 @@ def difftest_program(
     check_latency: bool = True,
     checked_passes: bool = False,
     compiled_transform: Optional[Callable[[Program], None]] = None,
-    engine: str = "sweep",
+    engine: str = DEFAULT_ENGINE,
 ) -> DifftestReport:
     """Run the differential oracle over ``program``.
 
@@ -179,9 +185,9 @@ def difftest_program(
     reference stays pristine) — this is how the fault-injection harness
     models a miscompile the oracle must catch.
 
-    ``engine`` selects the simulation engine for *both* executions, so the
+    ``engine`` selects the settle strategy for *both* executions, so the
     oracle (and the fault-injection self-test built on it) exercises the
-    levelized engine's error detection exactly as it does the sweep's.
+    levelized strategy's error detection exactly as it does the sweep's.
     """
     validate_program(program)
     if memories is None:

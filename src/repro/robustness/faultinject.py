@@ -27,7 +27,7 @@ from repro.ir.ast import CellPort, Component, Program, ThisPort
 from repro.ir.guards import NotGuard
 from repro.lint.context import ComponentView
 from repro.robustness.difftest import DifftestReport, difftest_program
-from repro.sim.model import ComponentInstance
+from repro.sim import DEFAULT_ENGINE, ComponentInstance
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +239,15 @@ def run_selftest(
     pipelines: Sequence[str] = ("lower",),
     memories: Optional[Dict[str, List[int]]] = None,
     max_cycles: int = 50_000,
-    engine: str = "sweep",
+    engine: str = DEFAULT_ENGINE,
 ) -> List[SelfTestRecord]:
     """Inject one IR fault per seed into the compiled side of the oracle.
 
     Every fault must be caught by *some* layer; "escaped" records are
     expected only for semantics-preserving mutations (e.g. in dead code)
     and are reported so callers can eyeball the escape rate. ``engine``
-    selects the simulation engine under test, so the classification can be
-    asserted to hold for the levelized engine as well as the sweep.
+    selects the settle strategy under test, so the classification can be
+    asserted to hold for the levelized strategy as well as the sweep.
     """
     records: List[SelfTestRecord] = []
     for seed in seeds:

@@ -12,9 +12,13 @@ fixpoint (the *settle* phase), then stateful primitives latch their inputs
   with Verilator, and what the benchmark harness measures here.
 
 Differential testing between the two modes validates the compiler.
+
+One instance class, :class:`ComponentInstance`, evaluates both, under
+either of two settle strategies named in :data:`ENGINES`: ``sweep``, the
+reference (every node to fixpoint, guards interpreted), and
+``levelized`` (a dirty set drained in level order, guards compiled).
 """
 
-from repro.sim.fastmodel import FastComponentInstance
 from repro.sim.model import ComponentInstance, eval_guard
 from repro.sim.testbench import (
     Testbench,
@@ -30,7 +34,6 @@ from repro.sim.testbench import (
 
 __all__ = [
     "ComponentInstance",
-    "FastComponentInstance",
     "eval_guard",
     "Testbench",
     "SimulationResult",

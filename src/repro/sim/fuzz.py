@@ -1,8 +1,8 @@
-"""Property-based cross-checking of the two simulation engines.
+"""Property-based cross-checking of the two settle strategies.
 
 A seeded generator of small, well-formed Calyx components — registers,
 adders, comparators, and ``seq``/``par``/``if``/``while`` control — whose
-behavior under the sweep engine and the levelized engine is compared
+behavior under the sweep and levelized strategies is compared
 observable-for-observable: cycle count, final register values, and the
 structural done-net valuation.
 

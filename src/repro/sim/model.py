@@ -1,11 +1,39 @@
-"""The simulation model: component instances and the control executor.
+"""The simulation model: one netlist instance class and the control executor.
 
 A :class:`ComponentInstance` simulates one instantiation of a component.
 It exposes the same protocol as a primitive model — ``comb`` (combinational
 outputs from inputs) and ``tick`` (clock edge) — so hierarchy falls out
 naturally: a component's cells are primitive models or nested component
-instances, and a parent's settle loop iterates its children to a joint
-fixpoint.
+instances, each one node of its parent's netlist.
+
+Construction compiles the component into that netlist once:
+
+* every port reference is assigned an integer *slot* in a flat value
+  array, read and written through the dict-like :attr:`~ComponentInstance.nets`
+  view by the testbench, watchdog and fault hooks;
+* each destination port gets a *resolver* node over its drivers (guarded
+  assignments, plus invoke bindings synthesized from the control tree),
+  each cell a *child* node, and an unlowered component a *done* node;
+* a port-level dependency graph — guard and source reads plus the
+  primitive models' declared ``comb_deps`` — is condensed into strongly
+  connected components and topologically *levelized*.
+
+A :class:`SettleStrategy`, chosen once at construction and shared by every
+child instance, decides how one clock phase evaluates the netlist:
+
+* ``levelized`` drains a dirty set (seeded by input changes, clock edges
+  and control-state transitions) in level order, with guards compiled to
+  closures over slots. Acyclic regions evaluate at most once per phase;
+  genuine combinational cycles fall back to bounded fixpoint iteration
+  inside their SCC.
+* ``sweep``, the reference, fires every node in build order until no slot
+  changes, with guards interpreted by :func:`eval_guard`. It walks the same
+  unflattened hierarchy but uses none of the scheduling or guard
+  compilation, so it stays an independent oracle for both.
+
+Both raise :class:`~repro.errors.OscillationError` /
+:class:`~repro.errors.CombinationalLoopError` through one non-convergence
+diagnosis, and ``tests/test_engine_equivalence.py`` locks them together.
 
 Group activation follows the paper's semantics: a group's assignments are
 evaluated only while its ``go`` hole is high. The ``go`` hole is high when
@@ -16,11 +44,18 @@ assignment drives it — the latter is how programs behave after the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+import operator
+from collections.abc import MutableMapping
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from types import MethodType
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.errors import (
     CombinationalLoopError,
     MultipleDriverError,
+    OscillationError,
     SimulationError,
     UndefinedError,
 )
@@ -29,23 +64,12 @@ from repro.ir.ast import (
     CellPort,
     Component,
     ConstPort,
-    Group,
     HolePort,
     PortRef,
     Program,
     ThisPort,
 )
-from repro.ir.control import (
-    Control,
-    Empty,
-    Enable,
-    If,
-    Invoke,
-    Par,
-    Repeat,
-    Seq,
-    While,
-)
+from repro.ir.control import Invoke
 from repro.ir.guards import (
     AndGuard,
     CmpGuard,
@@ -57,6 +81,7 @@ from repro.ir.guards import (
 )
 from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction
+from repro.sim.control import ControlExecutor
 from repro.sim.structural import check_structural_drivers, static_drivers
 from repro.stdlib.behaviors import PrimitiveModel, make_model
 
@@ -94,9 +119,8 @@ def eval_guard(guard: Guard, read: ReadFn) -> bool:
 class PrimitiveInstance:
     """Adapter giving primitive models the child-instance protocol."""
 
-    def __init__(self, model: PrimitiveModel, input_ports: List[str]):
+    def __init__(self, model: PrimitiveModel):
         self.model = model
-        self.input_ports = input_ports
 
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         return self.model.comb(inputs)
@@ -108,26 +132,348 @@ class PrimitiveInstance:
         self.model.reset()
 
 
-class ComponentInstance:
-    """A simulated instantiation of a component (primitive protocol)."""
+_CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
-    def __init__(self, program: Program, comp: Component, path: str = "main"):
+_EMPTY: frozenset = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# Guard / source compilation to closures over integer slots
+# ---------------------------------------------------------------------------
+
+
+class _GuardCompiler:
+    """Compiles guard trees into ``fn(values) -> bool`` closures.
+
+    Also records every slot the compiled closure reads, which becomes the
+    dependency edges of the assignment's resolver node.
+    """
+
+    def __init__(self, slot_of: Callable[[PortRef], int]):
+        self.slot_of = slot_of
+        self.read_slots: Set[int] = set()
+
+    def _operand(self, ref: PortRef):
+        """(is_const, const_value_or_slot) for one guard operand."""
+        if isinstance(ref, ConstPort):
+            return True, ref.value
+        slot = self.slot_of(ref)
+        self.read_slots.add(slot)
+        return False, slot
+
+    def compile(self, guard: Guard) -> Optional[Callable[[List[int]], bool]]:
+        """``None`` means "always true" (the common unconditional case)."""
+        if isinstance(guard, TrueGuard):
+            return None
+        if isinstance(guard, PortGuard):
+            const, x = self._operand(guard.port)
+            if const:
+                return (lambda v: True) if x else (lambda v: False)
+            return lambda v, i=x: v[i] != 0
+        if isinstance(guard, NotGuard):
+            inner = self.compile(guard.inner)
+            if inner is None:
+                return lambda v: False
+            return lambda v, f=inner: not f(v)
+        if isinstance(guard, AndGuard):
+            left, right = self.compile(guard.left), self.compile(guard.right)
+            if left is None:
+                return right
+            if right is None:
+                return left
+            return lambda v, a=left, b=right: a(v) and b(v)
+        if isinstance(guard, OrGuard):
+            left, right = self.compile(guard.left), self.compile(guard.right)
+            if left is None or right is None:
+                return None
+            return lambda v, a=left, b=right: a(v) or b(v)
+        if isinstance(guard, CmpGuard):
+            fn = _CMP_FNS[guard.op]
+            lconst, left = self._operand(guard.left)
+            rconst, right = self._operand(guard.right)
+            if lconst and rconst:
+                result = fn(left, right)
+                return (lambda v: True) if result else (lambda v: False)
+            if lconst:
+                return lambda v, f=fn, c=left, i=right: f(c, v[i])
+            if rconst:
+                return lambda v, f=fn, i=left, c=right: f(v[i], c)
+            return lambda v, f=fn, i=left, j=right: f(v[i], v[j])
+        raise SimulationError(f"cannot compile guard {guard!r}")
+
+
+class _Driver:
+    """One assignment driving a destination slot, ready to evaluate."""
+
+    __slots__ = ("gate_slot", "flag", "guard_fn", "src_slot", "src_const", "assign")
+
+    def __init__(
+        self,
+        gate_slot: Optional[int],
+        flag: Optional[int],
+        guard_fn: Optional[Callable[[List[int]], bool]],
+        src_slot: Optional[int],
+        src_const: int,
+        assign: Assignment,
+    ):
+        self.gate_slot = gate_slot
+        self.flag = flag
+        self.guard_fn = guard_fn
+        self.src_slot = src_slot
+        self.src_const = src_const
+        self.assign = assign
+
+
+# ---------------------------------------------------------------------------
+# Evaluation nodes
+# ---------------------------------------------------------------------------
+
+
+class _ResolverNode:
+    """Computes the committed value of one destination slot.
+
+    Evaluates every driver of the destination: inactive gates and false
+    guards drop out, agreeing drivers coalesce, disagreeing drivers raise
+    :class:`MultipleDriverError`, and an undriven destination falls to 0.
+    Go holes additionally apply the executor's enable/force overrides: an
+    executor-enabled group's ``go`` is high only while its done hole is
+    low (preventing the double-commit hazard on registered ``done``
+    signals), and condition groups of ``if``/``while`` are forced active
+    during the condition phase regardless of their done value.
+    """
+
+    __slots__ = ("index", "slot", "drivers", "go_group", "done_slot", "in_slots", "path")
+
+    def __init__(self, index, slot, drivers, go_group, done_slot, in_slots, path):
+        self.index = index
+        self.slot = slot
+        self.drivers: List[_Driver] = drivers
+        self.go_group: Optional[str] = go_group
+        self.done_slot: Optional[int] = done_slot
+        self.in_slots: List[int] = in_slots
+        self.path = path
+
+    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+        v = inst._values
+        flags = inst._invoke_flags
+        value = 0
+        winner: Optional[_Driver] = None
+        for d in self.drivers:
+            gate = d.gate_slot
+            if gate is not None and not v[gate]:
+                continue
+            if d.flag is not None and not flags[d.flag]:
+                continue
+            guard = d.guard_fn
+            if guard is not None and not guard(v):
+                continue
+            val = v[d.src_slot] if d.src_slot is not None else d.src_const
+            if winner is None:
+                winner, value = d, val
+            elif val != value:
+                raise MultipleDriverError(
+                    f"{self.path}: port {d.assign.dst.to_string()} driven "
+                    f"to both {value} and {val} by\n  "
+                    f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
+                )
+        group = self.go_group
+        if group is not None:
+            if group in inst._forced:
+                value = 1
+            elif group in inst._active:
+                value = 0 if v[self.done_slot] else 1
+        if v[self.slot] != value:
+            v[self.slot] = value
+            return (self.slot,)
+        return ()
+
+
+class _ChildNode:
+    """Wraps one cell instance: inputs in, combinational outputs out."""
+
+    __slots__ = ("index", "child", "in_ports", "in_slots", "dep_slots", "out_slot_map")
+
+    def __init__(self, index, child, in_ports, in_slots, dep_slots, out_slot_map):
+        self.index = index
+        self.child = child
+        self.in_ports: List[str] = in_ports
+        self.in_slots: List[int] = in_slots
+        self.dep_slots: List[int] = dep_slots
+        self.out_slot_map: Dict[str, int] = out_slot_map
+
+    def fire(self, inst: "ComponentInstance") -> List[int]:
+        v = inst._values
+        ins = {p: v[s] for p, s in zip(self.in_ports, self.in_slots)}
+        changed: List[int] = []
+        for port, val in self.child.comb(ins).items():
+            slot = self.out_slot_map.get(port)
+            if slot is not None and v[slot] != val:
+                v[slot] = val
+                changed.append(slot)
+        return changed
+
+
+class _DoneNode:
+    """Drives ``this.done`` from latched executor state (unlowered form).
+
+    The value depends only on latched executor state — not on the current
+    go — mirroring a registered done and avoiding go/done oscillation when
+    a parent gates go with !done; it clears at the reset edge after go
+    falls.
+    """
+
+    __slots__ = ("index", "slot", "in_slots")
+
+    def __init__(self, index, slot):
+        self.index = index
+        self.slot = slot
+        self.in_slots: List[int] = []
+
+    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+        value = 1 if inst._finished else 0
+        if inst._values[self.slot] != value:
+            inst._values[self.slot] = value
+            return (self.slot,)
+        return ()
+
+
+# ---------------------------------------------------------------------------
+# The nets view (watchdog / fault-injection access)
+# ---------------------------------------------------------------------------
+
+
+class _SlotNets(MutableMapping):
+    """Dict-like view of the slot array, keyed by :class:`PortRef`.
+
+    External pokes — the testbench raises ``go`` and the fault-injection
+    hook writes ``inst.nets[ref] = value`` — land in the slot array and
+    dirty both the slot's fanout (so downstream logic sees the fault) and
+    its own producer (so the next settle recomputes the clean value).
+    Unknown refs are stored inertly: a write to a net nothing reads.
+    """
+
+    def __init__(self, inst: "ComponentInstance"):
+        self._inst = inst
+
+    def __getitem__(self, ref: PortRef) -> int:
+        slot = self._inst._slots.get(ref)
+        if slot is not None:
+            return self._inst._values[slot]
+        return self._inst._extra_nets[ref]
+
+    def __setitem__(self, ref: PortRef, value: int) -> None:
+        inst = self._inst
+        slot = inst._slots.get(ref)
+        if slot is None:
+            inst._extra_nets[ref] = value
+            return
+        if inst._values[slot] != value:
+            inst._values[slot] = value
+            inst._mark_slot(slot)
+            writer = inst._writer.get(slot)
+            if writer is not None:
+                inst._mark_node(writer)
+
+    def __delitem__(self, ref: PortRef) -> None:
+        inst = self._inst
+        slot = inst._slots.get(ref)
+        if slot is None:
+            del inst._extra_nets[ref]
+        else:
+            self[ref] = 0
+
+    def __iter__(self) -> Iterator[PortRef]:
+        yield from self._inst._slot_refs
+        yield from self._inst._extra_nets
+
+    def __len__(self) -> int:
+        return len(self._inst._slot_refs) + len(self._inst._extra_nets)
+
+    def clear(self) -> None:
+        inst = self._inst
+        inst._values[:] = [0] * len(inst._values)
+        inst._extra_nets.clear()
+        inst._mark_all()
+
+
+# ---------------------------------------------------------------------------
+# Settle strategies
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SettleStrategy:
+    """How a :class:`ComponentInstance` evaluates its netlist per phase.
+
+    ``settle(instance)`` brings one clock phase to its fixpoint;
+    ``compiled_guards`` chooses the resolvers' guard evaluation: the slot
+    closures of :class:`_GuardCompiler`, or :func:`eval_guard` over
+    :meth:`ComponentInstance.read`.
+    """
+
+    settle: Callable[["ComponentInstance"], None]
+    compiled_guards: bool
+
+
+def _settle_levelized(inst: "ComponentInstance") -> None:
+    """Drain the dirty set in level order."""
+    inst._begin_phase()
+    inst._drain()
+
+
+def _settle_sweep(inst: "ComponentInstance") -> None:
+    """Fire every node in build order until no slot changes."""
+    inst._begin_phase()
+    for _ in range(inst._max_iters):
+        if not inst._sweep():
+            return
+    inst._diagnose_nonconvergence(inst._max_iters)
+
+
+#: The scheduled strategy: compiled guards, dirty-set drain in level order.
+LEVELIZED = SettleStrategy(_settle_levelized, compiled_guards=True)
+#: The reference strategy: interpreted guards, whole-netlist sweeps.
+SWEEP = SettleStrategy(_settle_sweep, compiled_guards=False)
+
+
+# ---------------------------------------------------------------------------
+# The instance
+# ---------------------------------------------------------------------------
+
+
+class ComponentInstance:
+    """A simulated instantiation of a component (primitive protocol).
+
+    ``strategy`` (one of the values of :data:`repro.sim.ENGINES`) fixes
+    how every clock phase settles; nested instances share it.
+    """
+
+    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
+    OSCILLATION_PROBE_ITERS = 64
+
+    def __init__(
+        self,
+        program: Program,
+        comp: Component,
+        strategy: SettleStrategy,
+        path: str = "main",
+    ):
         self.program = program
         self.comp = comp
         self.path = path
-        self.nets: Dict[PortRef, int] = {}
-        self.children: Dict[str, object] = {}
-        self._child_inputs: Dict[str, List[str]] = {}
-        self.input_ports = [p.name for p in comp.inputs]
-
-        for cell in comp.cells.values():
-            child = self._make_child(cell)
-            self.children[cell.name] = child
-            sig = program.cell_signature(cell)
-            self._child_inputs[cell.name] = [
-                p.name for p in sig.values() if p.direction is Direction.INPUT
-            ]
-
+        self.strategy = strategy
+        # Bound once: no per-phase dispatch on the strategy.
+        self.settle = MethodType(strategy.settle, self)
+        self.children: Dict[str, object] = {
+            cell.name: self._make_child(cell) for cell in comp.cells.values()
+        }
         # True when wires drive this component's done port directly (the
         # lowered form); the executor then must not drive it.
         self._done_from_wires = any(
@@ -136,186 +482,455 @@ class ComponentInstance:
         )
         check_structural_drivers(comp, self.path)
         self.executor = ControlExecutor(self, comp.control)
-        # All destinations any assignment can drive: undriven ones read 0.
-        # Every group's go hole is included so that groups leaving the
-        # active set release their assignments.
-        self._all_dsts: Set[PortRef] = {
-            a.dst for _, a in comp.all_assignments()
-        } | set(self.executor.extra_dsts()) | {
-            HolePort(name, GO) for name in comp.groups
-        }
-        self._max_iters = 8 * (
-            len(list(comp.all_assignments())) + len(self.children) + 8
-        )
+        self._extra_nets: Dict[PortRef, int] = {}
+        self._io_deps: Optional[List[str]] = None
+        self._build()
+        self.nets = _SlotNets(self)
         self._go_was_high = False
+        self._reset_dynamic()
 
+    # -- construction -----------------------------------------------------
     def _make_child(self, cell) -> object:
         name = cell.comp_name
-        if self.program.has_component(name):
-            target = self.program.get_component(name)
-            # Extern components have no body; they need a registered model.
-            if target.cells or target.groups or target.continuous or not target.control.is_empty():
-                return ComponentInstance(self.program, target, f"{self.path}.{cell.name}")
-            is_extern = any(
-                any(c.name == name for c in e.components) for e in self.program.externs
+        program = self.program
+        if program.has_component(name):
+            target = program.get_component(name)
+            has_body = (
+                target.cells
+                or target.groups
+                or target.continuous
+                or not target.control.is_empty()
             )
-            if is_extern:
-                return PrimitiveInstance(
-                    make_model(name, cell.args),
-                    [p.name for p in target.inputs],
+            # Extern components have no body; they need a registered model.
+            if has_body or not any(
+                c.name == name for e in program.externs for c in e.components
+            ):
+                return ComponentInstance(
+                    program, target, self.strategy, f"{self.path}.{cell.name}"
                 )
-            return ComponentInstance(self.program, target, f"{self.path}.{cell.name}")
-        sig = self.program.cell_signature(cell)
-        inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
-        return PrimitiveInstance(make_model(name, cell.args), inputs)
+        return PrimitiveInstance(make_model(name, cell.args))
 
-    # -- net access -----------------------------------------------------
+    def _slot(self, ref: PortRef) -> int:
+        slot = self._slots.get(ref)
+        if slot is None:
+            slot = len(self._slot_refs)
+            self._slots[ref] = slot
+            self._slot_refs.append(ref)
+        return slot
+
+    def _compile_driver(
+        self,
+        gate: Optional[str],
+        flag: Optional[int],
+        assign: Assignment,
+    ) -> Tuple[_Driver, Set[int]]:
+        compiler = _GuardCompiler(self._slot)
+        guard_fn = compiler.compile(assign.guard)
+        if not self.strategy.compiled_guards:
+            # Compiling still records the guard's reads, the dependency
+            # edges of the shared netlist; only the evaluation is replaced.
+            guard_fn = (
+                None
+                if isinstance(assign.guard, TrueGuard)
+                else lambda v, g=assign.guard, read=self.read: eval_guard(g, read)
+            )
+        reads = set(compiler.read_slots)
+        if isinstance(assign.src, ConstPort):
+            src_slot, src_const = None, assign.src.value
+        else:
+            src_slot, src_const = self._slot(assign.src), 0
+            reads.add(src_slot)
+        gate_slot = None
+        if gate is not None:
+            gate_slot = self._slot(HolePort(gate, GO))
+            reads.add(gate_slot)
+        return _Driver(gate_slot, flag, guard_fn, src_slot, src_const, assign), reads
+
+    def _build(self) -> None:
+        comp = self.comp
+        self._slots: Dict[PortRef, int] = {}
+        self._slot_refs: List[PortRef] = []
+        for port in list(comp.inputs) + list(comp.outputs):
+            self._slot(ThisPort(port.name))
+        self._go_slot = self._slot(ThisPort(GO))
+        self._this_done_slot = self._slot(ThisPort(DONE))
+
+        # -- drivers per destination (deterministic first-seen order) ------
+        driver_map: Dict[PortRef, List[_Driver]] = {}
+        dep_map: Dict[PortRef, Set[int]] = {}
+
+        def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
+            driver_map.setdefault(dst, []).append(driver)
+            dep_map.setdefault(dst, set()).update(reads)
+
+        for gate, assign in static_drivers(comp):
+            driver, reads = self._compile_driver(gate, None, assign)
+            add_driver(assign.dst, driver, reads)
+
+        # Invoke-synthesized bindings, gated by per-phase flags keyed to
+        # the control-tree node (stable across executor resets).
+        self._invoke_flag_of: Dict[int, int] = {}
+        for node in comp.control.walk():
+            if not isinstance(node, Invoke):
+                continue
+            flag = len(self._invoke_flag_of)
+            self._invoke_flag_of[id(node)] = flag
+            synthesized: List[Assignment] = []
+            for port, src in node.in_binds.items():
+                synthesized.append(Assignment(CellPort(node.cell, port), src))
+            for port, dst in node.out_binds.items():
+                synthesized.append(Assignment(dst, CellPort(node.cell, port)))
+            # The go pulse is gated by !done, like a compiled enable, so the
+            # callee is not re-started during the done-observation cycle.
+            synthesized.append(
+                Assignment(
+                    CellPort(node.cell, GO),
+                    ConstPort(1, 1),
+                    NotGuard(PortGuard(CellPort(node.cell, DONE))),
+                )
+            )
+            for assign in synthesized:
+                driver, reads = self._compile_driver(None, flag, assign)
+                add_driver(assign.dst, driver, reads)
+
+        # Every group's go hole resolves even with no structural driver, so
+        # deactivating groups release their assignments.
+        for name in comp.groups:
+            hole = HolePort(name, GO)
+            driver_map.setdefault(hole, [])
+            dep_map.setdefault(hole, set())
+        all_dsts: List[PortRef] = list(driver_map)
+
+        # The executor owns this.done unless wires drive it (lowered form).
+        if not self._done_from_wires and ThisPort(DONE) in driver_map:
+            del driver_map[ThisPort(DONE)]
+            dep_map.pop(ThisPort(DONE), None)
+            all_dsts.remove(ThisPort(DONE))
+
+        # -- nodes, in build order (the sweep strategy's firing order) -----
+        self._nodes: List[object] = []
+        self._stateful_nodes: List[int] = []
+        self._go_resolver_of: Dict[str, int] = {}
+        self._flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
+
+        self._child_inputs: Dict[str, List[str]] = {}
+        for cell in comp.cells.values():
+            child = self.children[cell.name]
+            sig = self.program.cell_signature(cell)
+            in_ports = [p.name for p in sig.values() if p.direction is Direction.INPUT]
+            self._child_inputs[cell.name] = in_ports
+            in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
+            out_slot_map = {
+                p.name: self._slot(CellPort(cell.name, p.name))
+                for p in sig.values()
+                if p.direction is Direction.OUTPUT
+            }
+            if isinstance(child, PrimitiveInstance):
+                deps = child.model.comb_deps
+                if deps:
+                    dep_names = sorted({d for lst in deps.values() for d in lst})
+                else:
+                    # A model that declares nothing is treated as fully
+                    # combinational: safe for externs that predate comb_deps.
+                    dep_names = list(in_ports)
+                stateful = type(child.model).tick is not PrimitiveModel.tick
+            else:
+                dep_names = child.comb_input_deps()
+                stateful = True
+            dep_slots = [
+                self._slot(CellPort(cell.name, p)) for p in dep_names if p in in_ports
+            ]
+            index = len(self._nodes)
+            self._nodes.append(
+                _ChildNode(index, child, in_ports, in_slots, dep_slots, out_slot_map)
+            )
+            if stateful:
+                self._stateful_nodes.append(index)
+
+        for dst in all_dsts:
+            slot = self._slot(dst)
+            drivers = driver_map[dst]
+            in_slots = sorted(dep_map[dst])
+            go_group = done_slot = None
+            if isinstance(dst, HolePort) and dst.port == GO:
+                go_group = dst.group
+                done_slot = self._slot(HolePort(dst.group, DONE))
+                if done_slot not in in_slots:
+                    in_slots.append(done_slot)
+            index = len(self._nodes)
+            node = _ResolverNode(
+                index, slot, drivers, go_group, done_slot, in_slots, self.path
+            )
+            self._nodes.append(node)
+            for driver in drivers:
+                if driver.flag is not None:
+                    self._flag_nodes[driver.flag].add(index)
+            if go_group is not None:
+                self._go_resolver_of[go_group] = index
+
+        self._done_node: Optional[int] = None
+        if not self._done_from_wires:
+            index = len(self._nodes)
+            self._nodes.append(_DoneNode(index, self._this_done_slot))
+            self._done_node = index
+        self._max_iters = 8 * (len(self._nodes) + 8)
+
+        self._values: List[int] = [0] * len(self._slot_refs)
+        self._done_slots = [
+            i
+            for i, ref in enumerate(self._slot_refs)
+            if getattr(ref, "port", None) == DONE
+        ]
+
+        # -- fanout, writers, SCCs, levels ---------------------------------
+        n_slots = len(self._slot_refs)
+        self._fanout: List[List[int]] = [[] for _ in range(n_slots)]
+        self._writer: Dict[int, int] = {}
+        for node in self._nodes:
+            for slot in self._node_out_slots(node):
+                self._writer[slot] = node.index
+        for node in self._nodes:
+            for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
+                self._fanout[slot].append(node.index)
+        self._levelize()
+
+    def _node_out_slots(self, node) -> List[int]:
+        if isinstance(node, _ChildNode):
+            return list(node.out_slot_map.values())
+        return [node.slot]
+
+    def _levelize(self) -> None:
+        """Tarjan SCC condensation + longest-path levels over the DAG."""
+        n = len(self._nodes)
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for node in self._nodes:
+            for slot in self._node_out_slots(node):
+                adj[node.index].extend(self._fanout[slot])
+
+        scc_of, sccs = tarjan_scc(adj)
+        self._scc_of = scc_of
+        self._scc_nodes = sccs
+        self._scc_cyclic = cyclic_sccs(adj, scc_of, sccs)
+        # Tarjan emits SCCs in reverse topological order; walk forward.
+        levels = [0] * len(sccs)
+        for scc_id in range(len(sccs) - 1, -1, -1):
+            for member in sccs[scc_id]:
+                for succ in adj[member]:
+                    succ_scc = scc_of[succ]
+                    if succ_scc != scc_id and levels[succ_scc] <= levels[scc_id]:
+                        levels[succ_scc] = levels[scc_id] + 1
+        self._scc_level = levels
+
+    def comb_input_deps(self) -> List[str]:
+        """Input ports with a combinational path to some output.
+
+        Used by a parent instance to wire this child into its dependency
+        graph. ``go`` is always included when the component has control or
+        groups: group activation (and thereby outputs) can follow ``go``
+        combinationally through the phase configuration, which the slot
+        graph does not model as edges.
+        """
+        if self._io_deps is not None:
+            return self._io_deps
+        out_slots = {
+            self._slots[ThisPort(p.name)]
+            for p in self.comp.outputs
+            if ThisPort(p.name) in self._slots
+        }
+        deps: List[str] = []
+        for port in self.comp.inputs:
+            start = self._slots.get(ThisPort(port.name))
+            if start is None:
+                continue
+            if self._slot_reaches(start, out_slots):
+                deps.append(port.name)
+        if GO not in deps and (self.comp.groups or not self.comp.control.is_empty()):
+            deps.append(GO)
+        self._io_deps = deps
+        return deps
+
+    def _slot_reaches(self, start: int, targets: Set[int]) -> bool:
+        if start in targets:
+            return True
+        seen_nodes: Set[int] = set()
+        frontier = [start]
+        while frontier:
+            slot = frontier.pop()
+            for node_idx in self._fanout[slot]:
+                if node_idx in seen_nodes:
+                    continue
+                seen_nodes.add(node_idx)
+                for out in self._node_out_slots(self._nodes[node_idx]):
+                    if out in targets:
+                        return True
+                    frontier.append(out)
+        return False
+
+    # -- dirty-set bookkeeping --------------------------------------------
+    def _reset_dynamic(self) -> None:
+        self._values[:] = [0] * len(self._values)
+        self._extra_nets.clear()
+        self._invoke_flags: List[bool] = [False] * len(self._invoke_flag_of)
+        self._active: Set[str] = set()
+        self._forced: Set[str] = set()
+        self._finished = False
+        self._dirty_set: Set[int] = set()
+        self._dirty_heap: List[Tuple[int, int]] = []
+        self._mark_all()
+
+    def _mark_scc(self, scc: int) -> None:
+        if scc not in self._dirty_set:
+            self._dirty_set.add(scc)
+            heappush(self._dirty_heap, (self._scc_level[scc], scc))
+
+    def _mark_node(self, node_idx: int) -> None:
+        self._mark_scc(self._scc_of[node_idx])
+
+    def _mark_slot(self, slot: int) -> None:
+        for node_idx in self._fanout[slot]:
+            self._mark_scc(self._scc_of[node_idx])
+
+    def _mark_all(self) -> None:
+        for scc in range(len(self._scc_nodes)):
+            self._mark_scc(scc)
+
+    # -- net access --------------------------------------------------------
     def read(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
             return ref.value
-        return self.nets.get(ref, 0)
-
-    def _set(self, ref: PortRef, value: int) -> bool:
-        if self.nets.get(ref, 0) != value:
-            self.nets[ref] = value
-            return True
-        return False
+        slot = self._slots.get(ref)
+        if slot is not None:
+            return self._values[slot]
+        return self._extra_nets.get(ref, 0)
 
     # -- the primitive protocol --------------------------------------------
     def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        for name, value in inputs.items():
-            self.nets[ThisPort(name)] = value
+        self._apply_inputs(inputs)
         self.settle()
         return {p.name: self.read(ThisPort(p.name)) for p in self.comp.outputs}
 
     def tick(self, inputs: Dict[str, int]) -> None:
-        for name, value in inputs.items():
-            self.nets[ThisPort(name)] = value
+        self._apply_inputs(inputs)
         self.settle()
         self.step_edge()
 
+    def _apply_inputs(self, inputs: Dict[str, int]) -> None:
+        values = self._values
+        for name, value in inputs.items():
+            slot = self._slots.get(ThisPort(name))
+            if slot is None:
+                self._extra_nets[ThisPort(name)] = value
+            elif values[slot] != value:
+                values[slot] = value
+                self._mark_slot(slot)
+
     def reset(self) -> None:
-        self.nets.clear()
         self.executor.reset()
         for child in self.children.values():
             child.reset()
         self._go_was_high = False
+        self._reset_dynamic()
 
     # -- simulation core ----------------------------------------------------
     def _running(self) -> bool:
-        return self.read(ThisPort(GO)) != 0
+        return self._values[self._go_slot] != 0
 
-    def settle(self) -> None:
-        """Evaluate combinational logic to a fixpoint (one clock phase).
-
-        Group activation follows the semantics GoInsertion + CompileControl
-        realize structurally: a group's done-hole writes are always live,
-        and an executor-enabled group's ``go`` is high only while its done
-        hole is low (preventing the double-commit hazard on registered
-        ``done`` signals). Condition groups of ``if``/``while`` are forced
-        active during the condition phase regardless of their done value.
-        """
+    def _begin_phase(self) -> None:
+        """Diff the executor-derived configuration, dirtying what moved."""
+        executor = self.executor
         running = self._running()
-        active = self.executor.active_groups() if running else set()
-        forced = self.executor.forced_groups() if running else set()
-        assigns = self._collect_assignments(active)
-        read = self.read
-        for _ in range(self._max_iters):
-            if not self._settle_once(assigns, active, forced, read):
-                return
-        self._diagnose_nonconvergence(assigns, active, forced, read)
-
-    def _settle_once(
-        self,
-        assigns: List[Tuple[Optional[str], Assignment]],
-        active: Set[str],
-        forced: Set[str],
-        read: ReadFn,
-    ) -> bool:
-        """One sweep of the combinational fixpoint; True if any net changed."""
-        changed = False
-        # 1. Child combinational outputs from current input nets.
-        for name, child in self.children.items():
-            ins = {
-                port: self.nets.get(CellPort(name, port), 0)
-                for port in self._child_inputs[name]
+        active = executor.active_groups() if running else _EMPTY
+        forced = executor.forced_groups() if running else _EMPTY
+        self._finished = executor.finished()
+        changed = (set(active) ^ self._active) | (set(forced) ^ self._forced)
+        if changed:
+            for group in changed:
+                node_idx = self._go_resolver_of.get(group)
+                if node_idx is not None:
+                    self._mark_node(node_idx)
+            self._active = set(active)
+            self._forced = set(forced)
+        if self._invoke_flag_of:
+            live = {
+                self._invoke_flag_of[id(node)]
+                for node in executor.active_invoke_nodes()
+                if id(node) in self._invoke_flag_of
             }
-            for port, value in child.comb(ins).items():
-                changed |= self._set(CellPort(name, port), value)
-        # 2. Guarded assignments: compute the driven value per dst.
-        driven: Dict[PortRef, Tuple[int, Assignment]] = {}
-        for gate_group, assign in assigns:
-            if gate_group is not None and self.nets.get(
-                HolePort(gate_group, GO), 0
-            ) == 0:
+            flags = self._invoke_flags
+            for flag in range(len(flags)):
+                on = flag in live
+                if flags[flag] != on:
+                    flags[flag] = on
+                    for node_idx in self._flag_nodes[flag]:
+                        self._mark_node(node_idx)
+        if self._done_node is not None:
+            self._mark_node(self._done_node)
+
+    def _drain(self) -> None:
+        heap = self._dirty_heap
+        dirty = self._dirty_set
+        nodes = self._scc_nodes
+        while heap:
+            _, scc = heappop(heap)
+            if scc not in dirty:
                 continue
-            if eval_guard(assign.guard, read):
-                value = read(assign.src)
-                prev = driven.get(assign.dst)
-                if prev is not None and prev[0] != value:
-                    raise MultipleDriverError(
-                        f"{self.path}: port {assign.dst.to_string()} driven "
-                        f"to both {prev[0]} and {value} by\n  "
-                        f"{prev[1].to_string()}\n  {assign.to_string()}"
-                    )
-                driven[assign.dst] = (value, assign)
-        # 3. Commit: undriven destinations fall to 0; the executor
-        #    drives go holes of enabled groups (gated by their done).
-        for dst in self._all_dsts:
-            value = driven[dst][0] if dst in driven else 0
-            if isinstance(dst, HolePort) and dst.port == GO:
-                if dst.group in forced:
-                    value = 1
-                elif dst.group in active:
-                    done_now = self.nets.get(HolePort(dst.group, DONE), 0)
-                    value = 0 if done_now else 1
-            changed |= self._set(dst, value)
-        # 4. The executor drives done when control completes (unlowered
-        #    programs only). The value depends only on latched executor
-        #    state — not on the current go — mirroring a registered
-        #    done and avoiding go/done oscillation when a parent gates
-        #    go with !done; it clears at the reset edge after go falls.
-        if not self._done_from_wires:
-            done_value = 1 if self.executor.finished() else 0
-            changed |= self._set(ThisPort(DONE), done_value)
+            dirty.discard(scc)
+            if self._scc_cyclic[scc]:
+                self._run_cyclic_scc(scc)
+            else:
+                node = self._nodes[nodes[scc][0]]
+                for slot in node.fire(self):
+                    self._mark_slot(slot)
+
+    def _sweep(self) -> bool:
+        """Fire every node once, in build order; True if any slot changed."""
+        changed = False
+        for node in self._nodes:
+            if node.fire(self):
+                changed = True
         return changed
 
-    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
-    OSCILLATION_PROBE_ITERS = 64
+    def _run_cyclic_scc(self, scc: int) -> None:
+        """Bounded fixpoint iteration inside one combinational cycle."""
+        members = [self._nodes[i] for i in self._scc_nodes[scc]]
+        scc_of = self._scc_of
+        limit = 8 * (len(members) + 8)
+        for _ in range(limit):
+            any_change = False
+            for node in members:
+                for slot in node.fire(self):
+                    any_change = True
+                    for reader in self._fanout[slot]:
+                        if scc_of[reader] != scc:
+                            self._mark_scc(scc_of[reader])
+            if not any_change:
+                return
+        self._diagnose_nonconvergence(limit)
 
-    def _diagnose_nonconvergence(
-        self,
-        assigns: List[Tuple[Optional[str], Assignment]],
-        active: Set[str],
-        forced: Set[str],
-        read: ReadFn,
-    ) -> None:
-        """The settle loop ran out of iterations: classify the failure.
+    def _diagnose_nonconvergence(self, spent_iters: int) -> None:
+        """Out of iterations: classify limit cycle vs. divergence.
 
-        Keep sweeping for a bounded number of extra iterations while
-        fingerprinting the net state. A repeated fingerprint proves a true
-        combinational limit cycle (:class:`OscillationError`, reporting the
-        nets that toggle and the period); no repeat within the probe means
-        generic non-convergence (:class:`CombinationalLoopError`).
+        Keeps sweeping the whole netlist for a bounded number of extra
+        iterations while fingerprinting the slot array. A repeated
+        fingerprint proves a true combinational limit cycle
+        (:class:`OscillationError`, reporting the nets that toggle and the
+        period); no repeat within the probe means generic non-convergence
+        (:class:`CombinationalLoopError`).
         """
-        from repro.errors import OscillationError
-
-        seen: Dict[Tuple, int] = {}
-        history: List[Dict[PortRef, int]] = []
+        seen: Dict[Tuple[int, ...], int] = {}
+        history: List[List[int]] = []
         for i in range(self.OSCILLATION_PROBE_ITERS):
-            fingerprint = tuple(
-                sorted((ref.to_string(), val) for ref, val in self.nets.items())
-            )
+            fingerprint = tuple(self._values)
             if fingerprint in seen:
                 start = seen[fingerprint]
                 period = i - start
                 cycle_states = history[start:]
                 toggling = sorted(
                     {
-                        ref.to_string()
+                        self._slot_refs[slot].to_string()
                         for state in cycle_states
-                        for ref, val in state.items()
-                        if any(s.get(ref, 0) != val for s in cycle_states)
+                        for slot, val in enumerate(state)
+                        if any(s[slot] != val for s in cycle_states)
                     }
                 )
                 raise OscillationError(
@@ -327,41 +942,29 @@ class ComponentInstance:
                     period=period,
                 ).with_state(self.state_dump())
             seen[fingerprint] = i
-            history.append(dict(self.nets))
-            if not self._settle_once(assigns, active, forced, read):
-                return  # converged late after all
+            history.append(list(self._values))
+            if not self._sweep():
+                # Converged late: the probe visited every node, so the
+                # dirty bookkeeping is satisfied wholesale.
+                self._dirty_set.clear()
+                self._dirty_heap.clear()
+                return
         raise CombinationalLoopError(
             f"{self.path}: combinational logic did not converge after "
-            f"{self._max_iters + self.OSCILLATION_PROBE_ITERS} iterations "
+            f"{spent_iters + self.OSCILLATION_PROBE_ITERS} iterations "
             f"(values still changing; not a finite limit cycle)"
         ).with_state(self.state_dump())
 
-    def _collect_assignments(
-        self, active: Set[str]
-    ) -> List[Tuple[Optional[str], Assignment]]:
-        """All assignments that may fire this cycle, with their gate group.
-
-        Writes to a group's own done hole are ungated (gate ``None``): this
-        matches GoInsertion, which guards every assignment in a group with
-        the group's go *except* its done condition. The static part is the
-        shared :func:`~repro.sim.structural.static_drivers` enumeration, so
-        both simulation engines agree on the driver set.
-        """
-        result: List[Tuple[Optional[str], Assignment]] = list(
-            static_drivers(self.comp)
-        )
-        result.extend(self.executor.extra_assignments(active))
-        return result
-
     def step_edge(self) -> None:
         """The clock edge: latch children, advance control state."""
-        # Gather every child's final input values before mutating anything.
+        values = self._values
+        slots = self._slots
         pending: List[Tuple[object, Dict[str, int]]] = []
         for name, child in self.children.items():
-            ins = {
-                port: self.nets.get(CellPort(name, port), 0)
-                for port in self._child_inputs[name]
-            }
+            ins = {}
+            for port in self._child_inputs[name]:
+                slot = slots.get(CellPort(name, port))
+                ins[port] = values[slot] if slot is not None else 0
             pending.append((child, ins))
         if self._running():
             self.executor.step()
@@ -372,6 +975,8 @@ class ComponentInstance:
             self._go_was_high = False
         for child, ins in pending:
             child.tick(ins)
+        for node_idx in self._stateful_nodes:
+            self._mark_node(node_idx)
 
     # -- watchdog support ----------------------------------------------------
     def state_dump(self, max_nets: int = 48) -> str:
@@ -383,7 +988,8 @@ class ComponentInstance:
             )
             lines.append(f"  active groups: {', '.join(active) or '(none)'}")
         nets = sorted(
-            ((ref.to_string(), val) for ref, val in self.nets.items()),
+            (ref.to_string(), self._values[slot])
+            for ref, slot in self._slots.items()
         )
         for name, val in nets[:max_nets]:
             lines.append(f"  {name} = {val}")
@@ -395,17 +1001,8 @@ class ComponentInstance:
         return "\n".join(lines)
 
     def done_signature(self) -> Tuple:
-        """Values of every ``done``-like net, recursively.
-
-        The watchdog fingerprints this each cycle: in any design still
-        making progress some group, cell, or component ``done`` changes
-        within a bounded window; a frozen signature means deadlock.
-        """
-        values: List[object] = [
-            val
-            for ref, val in self.nets.items()
-            if getattr(ref, "port", None) == DONE
-        ]
+        """Values of every ``done``-like net, recursively (watchdog food)."""
+        values: List[object] = [self._values[slot] for slot in self._done_slots]
         for child in self.children.values():
             if isinstance(child, ComponentInstance):
                 values.append(child.done_signature())
@@ -471,450 +1068,3 @@ class ComponentInstance:
         if isinstance(node, PrimitiveInstance):
             return node.model
         raise UndefinedError(f"cell at {path!r} is not a primitive")
-
-
-# ---------------------------------------------------------------------------
-# Control execution (the interpreter for unlowered programs)
-# ---------------------------------------------------------------------------
-
-
-class _NodeState:
-    """Runtime state of one control-tree node."""
-
-    def __init__(self, owner: "ControlExecutor"):
-        self.owner = owner
-
-    def start(self) -> None:
-        """(Re-)enter this node."""
-
-    def is_done(self) -> bool:
-        raise NotImplementedError
-
-    def active_groups(self, out: Set[str]) -> None:
-        """Add the groups this node currently enables."""
-
-    def forced_groups(self, out: Set[str]) -> None:
-        """Add condition groups that must stay active regardless of done."""
-
-    def extra_assignments(self, out: List[Tuple[Optional[str], Assignment]]) -> None:
-        """Add invoke-synthesized assignments when active."""
-
-    def invoke_nodes(self, out: List[Invoke]) -> None:
-        """Add the :class:`Invoke` control nodes currently driving a cell.
-
-        The levelized engine precompiles each invoke's synthesized
-        assignments once (keyed by the control-tree node, which is stable
-        across executor resets) and uses this walk to know which are live.
-        """
-
-    def step(self) -> None:
-        """Advance at the clock edge using the settled net values."""
-
-
-class _EmptyState(_NodeState):
-    def is_done(self) -> bool:
-        return True
-
-    def step(self) -> None:
-        pass
-
-
-class _EnableState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Enable):
-        super().__init__(owner)
-        self.group = node.group
-        self._finished = False
-
-    def start(self) -> None:
-        self._finished = False
-
-    def is_done(self) -> bool:
-        return self._finished
-
-    def active_groups(self, out: Set[str]) -> None:
-        if not self._finished:
-            out.add(self.group)
-
-    def step(self) -> None:
-        if not self._finished and self.owner.value(HolePort(self.group, DONE)):
-            self._finished = True
-
-
-class _InvokeState(_NodeState):
-    """Drives a cell through go/done with the invoke's port bindings."""
-
-    def __init__(self, owner: "ControlExecutor", node: Invoke):
-        super().__init__(owner)
-        self.node = node
-        self._finished = False
-        self._assigns: List[Tuple[Optional[str], Assignment]] = []
-        cell = node.cell
-        for port, src in node.in_binds.items():
-            self._assigns.append((None, Assignment(CellPort(cell, port), src)))
-        for port, dst in node.out_binds.items():
-            self._assigns.append((None, Assignment(dst, CellPort(cell, port))))
-        # The go pulse is gated by !done, like a compiled enable, so the
-        # callee is not re-started during the done-observation cycle.
-        self._assigns.append(
-            (
-                None,
-                Assignment(
-                    CellPort(cell, GO),
-                    ConstPort(1, 1),
-                    NotGuard(PortGuard(CellPort(cell, DONE))),
-                ),
-            )
-        )
-
-    def start(self) -> None:
-        self._finished = False
-
-    def is_done(self) -> bool:
-        return self._finished
-
-    def extra_assignments(self, out: List[Tuple[Optional[str], Assignment]]) -> None:
-        if not self._finished:
-            out.extend(self._assigns)
-
-    def invoke_nodes(self, out: List[Invoke]) -> None:
-        if not self._finished:
-            out.append(self.node)
-
-    def step(self) -> None:
-        if not self._finished and self.owner.value(CellPort(self.node.cell, DONE)):
-            self._finished = True
-
-
-class _SeqState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Seq):
-        super().__init__(owner)
-        self.states = [owner.make_state(child) for child in node.stmts]
-        self.index = 0
-
-    def start(self) -> None:
-        self.index = 0
-        if self.states:
-            self.states[0].start()
-        self._skip_finished()
-
-    def _skip_finished(self) -> None:
-        while self.index < len(self.states) and self.states[self.index].is_done():
-            self.index += 1
-            if self.index < len(self.states):
-                self.states[self.index].start()
-
-    def is_done(self) -> bool:
-        return self.index >= len(self.states)
-
-    def active_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.states[self.index].active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.states[self.index].forced_groups(out)
-
-    def extra_assignments(self, out) -> None:
-        if not self.is_done():
-            self.states[self.index].extra_assignments(out)
-
-    def invoke_nodes(self, out) -> None:
-        if not self.is_done():
-            self.states[self.index].invoke_nodes(out)
-
-    def step(self) -> None:
-        if self.is_done():
-            return
-        self.states[self.index].step()
-        if self.states[self.index].is_done():
-            self.index += 1
-            if self.index < len(self.states):
-                self.states[self.index].start()
-                self._skip_finished()
-
-
-class _ParState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Par):
-        super().__init__(owner)
-        self.states = [owner.make_state(child) for child in node.stmts]
-
-    def start(self) -> None:
-        for state in self.states:
-            state.start()
-
-    def is_done(self) -> bool:
-        return all(state.is_done() for state in self.states)
-
-    def active_groups(self, out: Set[str]) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.forced_groups(out)
-
-    def extra_assignments(self, out) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.extra_assignments(out)
-
-    def invoke_nodes(self, out) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.invoke_nodes(out)
-
-    def step(self) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.step()
-
-
-class _CondMixin(_NodeState):
-    """Shared cond-group handling for if and while."""
-
-    cond_group: Optional[str]
-    port: PortRef
-
-    def cond_active_groups(self, out: Set[str]) -> None:
-        if self.cond_group is not None:
-            out.add(self.cond_group)
-
-    def cond_finished(self) -> bool:
-        """Has the condition value been computed this activation?"""
-        if self.cond_group is None:
-            return True  # continuously computed: read the port directly
-        group = self.owner.instance.comp.get_group(self.cond_group)
-        if group.comb:
-            return True  # one-cycle combinational evaluation
-        return bool(self.owner.value(HolePort(self.cond_group, DONE)))
-
-
-class _IfState(_CondMixin):
-    def __init__(self, owner: "ControlExecutor", node: If):
-        super().__init__(owner)
-        self.port = node.port
-        self.cond_group = node.cond_group
-        self.tstate = owner.make_state(node.tbranch)
-        self.fstate = owner.make_state(node.fbranch)
-        self.phase = "cond"
-        self.chosen: Optional[_NodeState] = None
-
-    def start(self) -> None:
-        self.phase = "cond"
-        self.chosen = None
-
-    def is_done(self) -> bool:
-        return self.phase == "done"
-
-    def active_groups(self, out: Set[str]) -> None:
-        if self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
-        if self.phase == "cond":
-            self.cond_active_groups(out)
-        elif self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.forced_groups(out)
-
-    def extra_assignments(self, out) -> None:
-        if self.phase == "branch" and self.chosen is not None:
-            self.chosen.extra_assignments(out)
-
-    def invoke_nodes(self, out) -> None:
-        if self.phase == "branch" and self.chosen is not None:
-            self.chosen.invoke_nodes(out)
-
-    def step(self) -> None:
-        if self.phase == "cond":
-            if self.cond_finished():
-                value = self.owner.value(self.port)
-                self.chosen = self.tstate if value else self.fstate
-                self.chosen.start()
-                self.phase = "done" if self.chosen.is_done() else "branch"
-        elif self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.step()
-            if self.chosen.is_done():
-                self.phase = "done"
-
-
-class _WhileState(_CondMixin):
-    def __init__(self, owner: "ControlExecutor", node: While):
-        super().__init__(owner)
-        self.port = node.port
-        self.cond_group = node.cond_group
-        self.body = owner.make_state(node.body)
-        self.phase = "cond"
-
-    def start(self) -> None:
-        self.phase = "cond"
-
-    def is_done(self) -> bool:
-        return self.phase == "done"
-
-    def active_groups(self, out: Set[str]) -> None:
-        if self.phase == "body":
-            self.body.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
-        if self.phase == "cond":
-            self.cond_active_groups(out)
-        elif self.phase == "body":
-            self.body.forced_groups(out)
-
-    def extra_assignments(self, out) -> None:
-        if self.phase == "body":
-            self.body.extra_assignments(out)
-
-    def invoke_nodes(self, out) -> None:
-        if self.phase == "body":
-            self.body.invoke_nodes(out)
-
-    def step(self) -> None:
-        if self.phase == "cond":
-            if self.cond_finished():
-                if self.owner.value(self.port):
-                    self.body.start()
-                    # An instantly-done body still re-evaluates the condition
-                    # next cycle, so loops always make progress.
-                    self.phase = "cond" if self.body.is_done() else "body"
-                else:
-                    self.phase = "done"
-        elif self.phase == "body":
-            self.body.step()
-            if self.body.is_done():
-                self.phase = "cond"
-
-
-class _RepeatState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Repeat):
-        super().__init__(owner)
-        self.times = node.times
-        self.body = owner.make_state(node.body)
-        self.remaining = node.times
-
-    def start(self) -> None:
-        self.remaining = self.times
-        if self.remaining:
-            self.body.start()
-            if self.body.is_done():
-                self.remaining = 0  # empty body: nothing to iterate
-
-    def is_done(self) -> bool:
-        return self.remaining == 0
-
-    def active_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.body.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.body.forced_groups(out)
-
-    def extra_assignments(self, out) -> None:
-        if not self.is_done():
-            self.body.extra_assignments(out)
-
-    def invoke_nodes(self, out) -> None:
-        if not self.is_done():
-            self.body.invoke_nodes(out)
-
-    def step(self) -> None:
-        if self.is_done():
-            return
-        self.body.step()
-        if self.body.is_done():
-            self.remaining -= 1
-            if self.remaining:
-                self.body.start()
-
-
-class ControlExecutor:
-    """Executes a component's control tree cycle-by-cycle."""
-
-    def __init__(self, instance: ComponentInstance, control: Control):
-        self.instance = instance
-        self.control = control
-        self.root = self.make_state(control)
-        self.root.start()
-        self._all_invoke_dsts: List[PortRef] = []
-        for node in control.walk():
-            if isinstance(node, Invoke):
-                self._all_invoke_dsts.append(CellPort(node.cell, GO))
-                for port in node.in_binds:
-                    self._all_invoke_dsts.append(CellPort(node.cell, port))
-                for dst in node.out_binds.values():
-                    self._all_invoke_dsts.append(dst)
-
-    def make_state(self, node: Control) -> _NodeState:
-        if isinstance(node, Empty):
-            return _EmptyState(self)
-        if isinstance(node, Enable):
-            return _EnableState(self, node)
-        if isinstance(node, Seq):
-            return _SeqState(self, node)
-        if isinstance(node, Par):
-            return _ParState(self, node)
-        if isinstance(node, If):
-            return _IfState(self, node)
-        if isinstance(node, While):
-            return _WhileState(self, node)
-        if isinstance(node, Invoke):
-            return _InvokeState(self, node)
-        if isinstance(node, Repeat):
-            return _RepeatState(self, node)
-        raise SimulationError(f"cannot execute control node {node!r}")
-
-    def value(self, ref: PortRef) -> int:
-        return self.instance.read(ref)
-
-    def active_groups(self) -> Set[str]:
-        out: Set[str] = set()
-        if not self.root.is_done():
-            self.root.active_groups(out)
-        return out
-
-    def forced_groups(self) -> Set[str]:
-        out: Set[str] = set()
-        if not self.root.is_done():
-            self.root.forced_groups(out)
-        return out
-
-    def extra_assignments(
-        self, active: Set[str]
-    ) -> List[Tuple[Optional[str], Assignment]]:
-        out: List[Tuple[Optional[str], Assignment]] = []
-        if not self.root.is_done():
-            self.root.extra_assignments(out)
-        return out
-
-    def active_invoke_nodes(self) -> List[Invoke]:
-        """The invoke control nodes whose bindings are currently live."""
-        out: List[Invoke] = []
-        if not self.root.is_done():
-            self.root.invoke_nodes(out)
-        return out
-
-    def extra_dsts(self) -> Iterable[PortRef]:
-        for node in self.control.walk():
-            if isinstance(node, Invoke):
-                yield CellPort(node.cell, GO)
-                for port in node.in_binds:
-                    yield CellPort(node.cell, port)
-                for dst in node.out_binds.values():
-                    yield dst
-
-    def finished(self) -> bool:
-        return self.root.is_done()
-
-    def step(self) -> None:
-        if not self.root.is_done():
-            self.root.step()
-
-    def reset(self) -> None:
-        self.root = self.make_state(self.control)
-        self.root.start()

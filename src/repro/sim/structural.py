@@ -1,19 +1,19 @@
-"""Structural analysis shared by both simulation engines.
+"""Structural analysis of the netlist both settle strategies evaluate.
 
 Two jobs live here:
 
 * :func:`static_drivers` enumerates every assignment a component can ever
   fire, tagged with its *gate group* (the group whose ``go`` hole must be
   high for the assignment to be live; ``None`` for continuous assignments
-  and a group's own ``done`` write). Both engines build their evaluation
-  structures from this one enumeration, so they cannot disagree about
-  which assignments exist.
+  and a group's own ``done`` write). The simulation instance and the
+  lint cycle rules build from this one enumeration, so they cannot
+  disagree about which assignments exist.
 * :func:`check_structural_drivers` rejects definite multiple-driver races
-  at engine-construction time. The sweep engine's per-sweep conflict check
-  compares *values*, so two always-active drivers of the same port were
+  at instance-construction time. The runtime conflict check compares
+  *values*, so two always-active drivers of the same port would be
   silently accepted whenever their values happened to agree (and which one
-  won depended on collection order) — an illegal netlist in RTL either
-  way. Both engines now refuse to construct such a design.
+  won would depend on collection order) — an illegal netlist in RTL either
+  way. The instance refuses to construct such a design.
 """
 
 from __future__ import annotations

@@ -21,27 +21,26 @@ from repro.errors import (
 )
 from repro.ir.ast import Program, ThisPort
 from repro.ir.ports import DONE, GO
-from repro.sim.fastmodel import FastComponentInstance
-from repro.sim.model import ComponentInstance
+from repro.sim.model import LEVELIZED, SWEEP, ComponentInstance, SettleStrategy
 from repro.stdlib.behaviors import MemD1Model, MemD2Model
 
 DEFAULT_MAX_CYCLES = 5_000_000
 
-#: The selectable simulation engines. ``sweep`` is the reference
-#: interpreter (Gauss-Seidel fixpoint over every assignment each phase);
-#: ``levelized`` is the event-driven engine that schedules the netlist
-#: once at construction. Both expose the same instance protocol, and
+#: The selectable simulation engines: settle strategies of the one
+#: :class:`~repro.sim.model.ComponentInstance` netlist. ``sweep`` is the
+#: reference (every node to fixpoint, guards interpreted); ``levelized``
+#: drains a dirty set in level order with compiled guards.
 #: ``tests/test_engine_equivalence.py`` holds them bit-identical.
-ENGINES: Dict[str, Callable] = {
-    "sweep": ComponentInstance,
-    "levelized": FastComponentInstance,
+ENGINES: Dict[str, SettleStrategy] = {
+    "sweep": SWEEP,
+    "levelized": LEVELIZED,
 }
 
 DEFAULT_ENGINE = "sweep"
 
 
-def resolve_engine(name: str) -> Callable:
-    """Look up an engine constructor by name (raising a helpful error)."""
+def resolve_engine(name: str) -> SettleStrategy:
+    """Look up an engine's settle strategy by name (raising a helpful error)."""
     try:
         return ENGINES[name]
     except KeyError:
@@ -111,8 +110,9 @@ class Testbench:
         self.program = program
         self.engine = engine
         name = entrypoint or program.entrypoint
-        make_instance = resolve_engine(engine)
-        self.instance = make_instance(program, program.get_component(name))
+        self.instance = ComponentInstance(
+            program, program.get_component(name), resolve_engine(engine)
+        )
 
     @staticmethod
     def _preflight(program: Program) -> None:

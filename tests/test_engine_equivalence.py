@@ -1,13 +1,13 @@
-"""The contract between the two simulation engines.
+"""The contract between the two settle strategies of the simulator.
 
 Every design the repo can produce — each ``examples/*.futil`` program and
 each PolyBench kernel, compiled through every registered pipeline plus the
 unlowered interpreter — must behave *bit-identically* under the reference
-sweep engine and the levelized event-driven engine: same final memories,
+``sweep`` strategy and the ``levelized`` strategy: same final memories,
 same cycle count, same done-net valuation. Any divergence here means the
-levelized engine's scheduling (levelization, dirty-set propagation, cycle
-fallback) changed observable semantics, and it is the levelized engine
-that is wrong.
+levelized strategy's scheduling (levelization, dirty-set propagation, cycle
+fallback) or guard compilation changed observable semantics, and it is the
+levelized strategy that is wrong.
 
 Problem sizes are kept small (``REPRO_EQUIV_N``, default 2) so the full
 kernel-by-pipeline matrix stays affordable; the cross-check is about
@@ -22,9 +22,12 @@ import pytest
 from repro.frontends.dahlia import compile_dahlia
 from repro.ir import parse_program
 from repro.passes import PIPELINES, compile_program
-from repro.sim import Testbench
+from repro.errors import CalyxError
+from repro.sim import Testbench, Watchdog, run_program
+from repro.sim.model import _GuardCompiler
 from repro.sim.fuzz import canonical_done_nets
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
+from tests.conftest import SUM_LOOP
 
 #: Every way this repo can lower a program before simulating it.
 #: ``interpret`` is the unlowered control-executor path; ``validate``
@@ -107,3 +110,35 @@ def test_example_cycle_counts_are_nontrivial():
     program = build_example(EXAMPLES[0], "interpret")
     outcome = run_both_engines(program)
     assert outcome["cycles"] > 0
+
+
+def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
+    """The oracle must stay independent of guard compilation.
+
+    With every compiled guard forced to "always true", the reference
+    strategy — which interprets guards with ``eval_guard`` — still computes
+    lowered SUM_LOOP exactly, while the levelized strategy, which runs the
+    compiled closures, does not.
+    """
+    program = parse_program(SUM_LOOP)
+    compile_program(program, "lower")
+    memories = {"mem": [1, 2, 3, 4]}
+    clean = run_program(program.copy(), memories=memories)
+    assert clean.mem("mem")[0] == 10
+    expected = (clean.cycles, clean.memories)
+    monkeypatch.setattr(_GuardCompiler, "compile", lambda self, guard: None)
+
+    def observe(engine):
+        try:
+            result = run_program(
+                program.copy(),
+                memories=memories,
+                watchdog=Watchdog(max_cycles=2_000),
+                engine=engine,
+            )
+        except CalyxError as err:  # e.g. two drivers now both active
+            return type(err)
+        return (result.cycles, result.memories)
+
+    assert observe("sweep") == expected
+    assert observe("levelized") != expected

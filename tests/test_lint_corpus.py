@@ -24,8 +24,7 @@ from repro.passes import make_pass_manager
 from repro.passes.pipeline import resolve_pipeline
 from repro.sim import run_program
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
-from tests.test_levelized_robustness import ADDER_FEEDBACK
-from tests.test_robustness import OSCILLATOR
+from tests.test_robustness import ADDER_FEEDBACK, OSCILLATOR
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((REPO / "examples").glob("*.futil"))

@@ -1,4 +1,11 @@
-"""Tests for the robustness layer: checked passes, watchdog, oracle, faults."""
+"""Tests for the robustness layer: checked passes, watchdog, oracle, faults.
+
+The watchdog, error-detector, net-fault and selftest tests run under every
+settle strategy in ``ENGINES``: the levelized strategy's scheduling and
+dirty set are exactly the kind of change that could silently weaken a
+detector — an oscillation that never re-enters the worklist is never
+reported, and a net fault written to a slot nobody re-reads escapes.
+"""
 
 from __future__ import annotations
 
@@ -28,11 +35,13 @@ from repro.robustness import (
     run_selftest,
 )
 from repro.robustness.difftest import difftest_kernel
-from repro.sim import Watchdog, run_program
+from repro.sim import ENGINES, Watchdog, run_program
 from repro.workloads.polybench import get_kernel
 from tests.conftest import SUM_LOOP
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+STRATEGIES = sorted(ENGINES)
 
 
 class _DropReferencedGroup(Pass):
@@ -69,6 +78,20 @@ component main(go: 1) -> (done: 1) {
   wires {
     n.in = n.out;
     group g { r.in = n.out; r.write_en = 1; g[done] = r.done; }
+  }
+  control { g; }
+}
+"""
+
+ADDER_FEEDBACK = """
+component main(go: 1) -> (done: 1) {
+  cells { a = std_add(8); b = std_add(8); r = std_reg(8); }
+  wires {
+    a.left = b.out;
+    b.left = a.out;
+    a.right = 8'd1;
+    b.right = 8'd1;
+    group g { r.in = a.out; r.write_en = 1; g[done] = r.done; }
   }
   control { g; }
 }
@@ -178,13 +201,15 @@ def compile_programs_for(pipeline: str):
     return resolve_pipeline(pipeline)
 
 
+@pytest.mark.parametrize("engine", STRATEGIES)
 class TestWatchdog:
-    def test_deadlock_detected_and_reported(self):
+    def test_deadlock_detected_and_reported(self, engine):
         program = parse_program(DEADLOCK)
         with pytest.raises(DeadlockError) as exc_info:
             run_program(
                 program,
                 watchdog=Watchdog(max_cycles=1_000_000, deadlock_window=64),
+                engine=engine,
             )
         err = exc_info.value
         assert err.stuck_groups == ["main.stuck"]
@@ -195,68 +220,64 @@ class TestWatchdog:
         # Terminated within the window, nowhere near the cycle budget.
         assert err.cycles < 200
 
-    def test_deadlock_detected_after_lowering(self):
+    def test_deadlock_detected_after_lowering(self, engine):
         program = parse_program(DEADLOCK)
         compile_program(program, "lower")
         with pytest.raises(DeadlockError):
             run_program(
                 program,
                 watchdog=Watchdog(max_cycles=1_000_000, deadlock_window=64),
+                engine=engine,
             )
 
-    def test_cycle_budget(self):
+    def test_cycle_budget(self, engine):
         program = parse_program(INFINITE_LOOP)
         with pytest.raises(CycleLimitError) as exc_info:
             run_program(
                 program,
                 watchdog=Watchdog(max_cycles=500, deadlock_window=0),
+                engine=engine,
             )
         assert exc_info.value.cycles == 500
         assert exc_info.value.state_dump
 
-    def test_wall_clock_budget(self):
+    def test_wall_clock_budget(self, engine):
         program = parse_program(INFINITE_LOOP)
         with pytest.raises(WallClockTimeoutError):
             run_program(
                 program,
                 watchdog=Watchdog(wall_clock_seconds=0.0, deadlock_window=0),
+                engine=engine,
             )
 
-    def test_healthy_long_loop_not_flagged(self):
+    def test_healthy_long_loop_not_flagged(self, engine):
         """A slow-but-progressing design must not trip the deadlock check."""
         program = parse_program(SUM_LOOP)
         result = run_program(
             program,
             memories={"mem": [1, 2, 3, 4]},
             watchdog=Watchdog(deadlock_window=8),
+            engine=engine,
         )
         assert result.mem("mem")[0] == 10
 
-    def test_oscillation_distinguished(self):
-        """A not-gate loop is a provable limit cycle, not mere divergence."""
+    def test_oscillation_distinguished(self, engine):
+        """A not-gate loop is a provable limit cycle, not mere divergence.
+
+        Under the levelized strategy the cyclic-SCC fixpoint must still run
+        the fingerprint probe and report the same limit cycle.
+        """
         with pytest.raises(OscillationError) as exc_info:
-            run_program(parse_program(OSCILLATOR))
+            run_program(parse_program(OSCILLATOR), engine=engine)
         err = exc_info.value
         assert err.period == 2
         assert any("n." in net for net in err.nets)
+        assert err.state_dump
 
-    def test_nonconvergence_still_reported(self):
+    def test_nonconvergence_still_reported(self, engine):
         """An adder feedback loop diverges (period >> probe): generic error."""
-        src = """
-component main(go: 1) -> (done: 1) {
-  cells { a = std_add(8); b = std_add(8); r = std_reg(8); }
-  wires {
-    a.left = b.out;
-    b.left = a.out;
-    a.right = 8'd1;
-    b.right = 8'd1;
-    group g { r.in = a.out; r.write_en = 1; g[done] = r.done; }
-  }
-  control { g; }
-}
-"""
         with pytest.raises(CombinationalLoopError):
-            run_program(parse_program(src))
+            run_program(parse_program(ADDER_FEEDBACK), engine=engine)
 
 
 class TestDifftest:
@@ -338,10 +359,14 @@ class TestFaultInjection:
         inject_ir_fault(mutated, seed=3)
         assert print_program(mutated) != print_program(base)
 
-    def test_selftest_every_fault_caught(self):
-        """The point of the harness: no injected fault goes unnoticed."""
+    @pytest.mark.parametrize("engine", STRATEGIES)
+    def test_selftest_every_fault_caught(self, engine):
+        """The point of the harness: no injected fault goes unnoticed, with
+        the engine under test simulating both sides of the oracle."""
         program = parse_program(SUM_LOOP)
-        records = run_selftest(program, seeds=range(10), max_cycles=20_000)
+        records = run_selftest(
+            program, seeds=range(10), max_cycles=20_000, engine=engine
+        )
         assert len(records) == 10
         layers = {r.caught_by for r in records}
         assert "escaped" not in layers, [
@@ -350,10 +375,12 @@ class TestFaultInjection:
         # Multiple independent layers contribute, proving each one works.
         assert len(layers) >= 2, layers
 
-    def test_net_fault_corrupts_result(self):
-        """A stuck-at-1 on the accumulator input changes the sum."""
+    @pytest.mark.parametrize("engine", STRATEGIES)
+    def test_net_fault_corrupts_result(self, engine):
+        """A stuck-at-1 on the accumulator input changes the sum: fault
+        hooks write nets directly and the dirty set must notice."""
         clean = run_program(
-            parse_program(SUM_LOOP), memories={"mem": [1, 2, 3, 4]}
+            parse_program(SUM_LOOP), memories={"mem": [1, 2, 3, 4]}, engine=engine
         )
         fault = NetFault("acc.in", "stuck1", start=0, end=200, bit=5)
         from repro.errors import SimulationError
@@ -365,20 +392,23 @@ class TestFaultInjection:
                 watchdog=Watchdog(
                     max_cycles=20_000, fault_hook=fault.hook()
                 ),
+                engine=engine,
             )
             assert faulty.mem("mem") != clean.mem("mem")
         except SimulationError:
             pass  # the corruption may also hang the control loop: caught too
 
-    def test_net_fault_window_respected(self):
+    @pytest.mark.parametrize("engine", STRATEGIES)
+    def test_net_fault_window_respected(self, engine):
         """A fault entirely after completion changes nothing."""
         clean = run_program(
-            parse_program(SUM_LOOP), memories={"mem": [1, 2, 3, 4]}
+            parse_program(SUM_LOOP), memories={"mem": [1, 2, 3, 4]}, engine=engine
         )
         fault = NetFault("acc.in", "stuck1", start=10_000, end=10_001)
         faulty = run_program(
             parse_program(SUM_LOOP),
             memories={"mem": [1, 2, 3, 4]},
             watchdog=Watchdog(fault_hook=fault.hook()),
+            engine=engine,
         )
         assert faulty.mem("mem") == clean.mem("mem")
