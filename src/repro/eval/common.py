@@ -8,7 +8,6 @@ it for a cycle count (the Verilator substitute), and estimate resources
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -62,17 +61,9 @@ def geomean(values: List[float]) -> float:
 
 
 def compile_with(program: Program, pipeline: str) -> tuple:
-    """Compile in place, returning (program, seconds).
-
-    Setting ``REPRO_LINT=1`` in the environment opts the whole evaluation
-    harness into inter-pass linting: every figure's every compile then
-    runs the full lint rule set after each pass and aborts (naming the
-    pass) on error-severity findings. Off by default — the checks cost
-    wall-clock time and the timing columns should measure compilation.
-    """
-    lint = os.environ.get("REPRO_LINT", "") not in ("", "0")
+    """Compile in place, returning (program, seconds)."""
     start = time.perf_counter()
-    compile_program(program, pipeline, lint=lint)
+    compile_program(program, pipeline)
     return program, time.perf_counter() - start
 
 

@@ -378,6 +378,10 @@ class Program:
         except UndefinedError:
             return False
 
+    def is_extern(self, name: str) -> bool:
+        """Whether ``name`` is declared by an extern (simulated by a model)."""
+        return any(c.name == name for e in self.externs for c in e.components)
+
     def add_component(self, comp: Component) -> Component:
         if self.has_component(comp.name):
             raise ValidationError(f"program already defines component {comp.name!r}")

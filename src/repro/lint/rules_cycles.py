@@ -2,8 +2,9 @@
 
 Builds, per component, a port-level dependency graph from the same two
 sources the levelized engine uses — :func:`static_drivers` for wires and
-``PrimitiveModel.comb_deps`` for primitive internals — and condenses it
-with the shared Tarjan implementation from :mod:`repro.analysis.graph`.
+:func:`~repro.stdlib.behaviors.comb_paths` for the internals of primitive
+and extern models — and condenses it with the shared Tarjan
+implementation from :mod:`repro.analysis.graph`.
 A cyclic SCC becomes:
 
 * ``comb-cycle`` (error) when some single activation scope (continuous,
@@ -100,36 +101,26 @@ class _GraphBuilder:
     def cell_paths(self, cell) -> List[Tuple[str, str, bool]]:
         """Combinational input→output paths through one cell instance."""
         name = cell.comp_name
-        if self.program.has_component(name):
+        if self.program.has_component(name) and not self.program.is_extern(name):
             paths = []
             for in_port, outs in self.comp_pairs(name).items():
                 for out_port in sorted(outs):
                     paths.append((in_port, out_port, False))
             return paths
-        return self._primitive_paths(cell)
+        return self._model_paths(cell)
 
-    def _primitive_paths(self, cell) -> List[Tuple[str, str, bool]]:
-        from repro.ir.types import Direction
-        from repro.stdlib.behaviors import make_model
+    def _model_paths(self, cell) -> List[Tuple[str, str, bool]]:
+        from repro.stdlib.behaviors import comb_paths, make_model
 
         try:
             model = make_model(cell.comp_name, cell.args)
             sig = self.program.cell_signature(cell)
         except Exception:
             return []  # unresolvable cell: unknown-name reports it
-        deps = model.comb_deps
-        if deps:
-            return [
-                (in_port, out_port, True)
-                for out_port, ins in sorted(deps.items())
-                for in_port in ins
-            ]
-        # A model declaring nothing is treated as fully combinational —
-        # the levelized engine does the same for externs that predate
-        # comb_deps — but only at warning strength.
-        inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
-        outputs = [p.name for p in sig.values() if p.direction is Direction.OUTPUT]
-        return [(i, o, False) for i in inputs for o in outputs]
+        # Paths a model did not declare are assumed, so they count only
+        # at warning strength.
+        paths, declared = comb_paths(model, sig)
+        return [(i, o, declared) for i, o in paths]
 
     def comp_pairs(self, comp_name: str) -> Dict[str, Set[str]]:
         """input port name → output port names reachable combinationally."""

@@ -10,7 +10,6 @@ from repro.passes.base import Pass, PassManager, get_pass, register_pass, all_pa
 from repro.passes.pipeline import (
     PIPELINES,
     compile_program,
-    lower_pipeline,
     make_pass_manager,
     resolve_pipeline,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "all_pass_names",
     "PIPELINES",
     "compile_program",
-    "lower_pipeline",
     "make_pass_manager",
     "resolve_pipeline",
 ]

@@ -61,25 +61,6 @@ PIPELINES: Dict[str, List[str]] = {
 }
 
 
-def lower_pipeline(
-    static: bool = True,
-    resource_share: bool = False,
-    register_share: bool = False,
-) -> List[str]:
-    """Compose a pipeline from feature flags (used by the evaluation)."""
-    passes = list(_FRONT)
-    if resource_share:
-        passes.append("resource-sharing")
-    if register_share:
-        passes.append("register-sharing")
-    if static:
-        passes.append("infer-latency")
-        passes += _BACK_STATIC
-    else:
-        passes += _BACK
-    return passes
-
-
 def resolve_pipeline(
     pipeline: str = "all", passes: Optional[List[str]] = None
 ) -> List[str]:

@@ -155,44 +155,32 @@ class CheckedPassManager(PassManager):
     keep_going:
         When true, a failing pass is rolled back and skipped instead of
         aborting; the diagnostic is appended to :attr:`degradations`.
-    validate:
-        Run full well-formedness validation after each pass (on by
-        default; post-conditions are always checked).
-    snapshot:
-        Deep-copy the program before each pass so diagnostics can show
-        the before-IR and ``keep_going`` can roll back. Disabling trades
-        diagnostics for speed.
     lint:
         Opt-in: run the *full* lint rule set (:func:`repro.lint.lint_program`)
         after each pass and fail on error-severity findings. Stricter than
-        ``validate`` — it also catches combinational cycles, contradicted
-        ``"static"`` claims, and the other non-core rules — and the
-        resulting :class:`PassDiagnostic` names the offending pass.
+        the always-on validation — it also catches combinational cycles,
+        contradicted ``"static"`` claims, and the other non-core rules —
+        and the resulting :class:`PassDiagnostic` names the offending pass.
     """
 
     def __init__(
         self,
         pass_names: List[str],
         keep_going: bool = False,
-        validate: bool = True,
-        snapshot: bool = True,
         lint: bool = False,
     ):
         super().__init__(pass_names)
         self.keep_going = keep_going
-        self.validate = validate
-        self.snapshot = snapshot
         self.lint = lint
         self.degradations: List[PassDiagnostic] = []
 
     def _run_one(
         self, index: int, name: str, pass_: Pass, program: Program
     ) -> None:
-        before = program.copy() if self.snapshot else None
+        before = program.copy()
         try:
             pass_.run(program)
-            if self.validate:
-                validate_program(program)
+            validate_program(program)
             check_post_conditions(name, program)
             if self.lint:
                 self._lint(name, program)
@@ -200,11 +188,11 @@ class CheckedPassManager(PassManager):
             diagnostic = PassDiagnostic(
                 name,
                 exc,
-                before_ir=_safe_print(before) if before is not None else "",
+                before_ir=_safe_print(before),
                 after_ir=_safe_print(program),
                 index=index,
             )
-            if self.keep_going and before is not None:
+            if self.keep_going:
                 _restore(program, before)
                 self.degradations.append(diagnostic)
             else:

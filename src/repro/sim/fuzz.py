@@ -32,6 +32,7 @@ from repro.ir import parse_program
 from repro.ir.ast import CellPort, HolePort, ThisPort
 from repro.ir.ports import DONE
 from repro.sim import Testbench
+from repro.stdlib.behaviors import RegModel
 
 WIDTH = 8
 
@@ -343,11 +344,11 @@ def _observe(source: str, engine: str, max_cycles: int = 100_000):
     program = parse_program(source)
     bench = Testbench(program, engine=engine)
     result = bench.run(max_cycles=max_cycles)
-    regs = {}
-    for name, child in bench.instance.children.items():
-        model = getattr(child, "model", None)
-        if model is not None and hasattr(model, "value"):
-            regs[name] = model.value
+    regs = {
+        name: child.value
+        for name, child in bench.instance.children.items()
+        if isinstance(child, RegModel)
+    }
     return {
         "cycles": result.cycles,
         "registers": regs,

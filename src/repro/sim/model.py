@@ -1,10 +1,12 @@
 """The simulation model: one netlist instance class and the control executor.
 
 A :class:`ComponentInstance` simulates one instantiation of a component.
-It exposes the same protocol as a primitive model — ``comb`` (combinational
-outputs from inputs) and ``tick`` (clock edge) — so hierarchy falls out
-naturally: a component's cells are primitive models or nested component
-instances, each one node of its parent's netlist.
+It exposes the same protocol as a primitive model — ``comb(ins) -> outs``
+(combinational outputs from inputs) and ``tick(ins)`` (clock edge), over
+port values in signature order — so hierarchy falls out naturally: a
+component's cells are primitive models or nested component instances,
+each one node of its parent's netlist, reading its input slots and
+writing its output slots.
 
 Construction compiles the component into that netlist once:
 
@@ -49,7 +51,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MethodType
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.errors import (
@@ -80,10 +82,9 @@ from repro.ir.guards import (
     TrueGuard,
 )
 from repro.ir.ports import DONE, GO
-from repro.ir.types import Direction
 from repro.sim.control import ControlExecutor
 from repro.sim.structural import check_structural_drivers, static_drivers
-from repro.stdlib.behaviors import PrimitiveModel, make_model
+from repro.stdlib.behaviors import PrimitiveModel, comb_paths, make_model, port_names
 
 ReadFn = Callable[[PortRef], int]
 
@@ -114,22 +115,6 @@ def eval_guard(guard: Guard, read: ReadFn) -> bool:
             return left <= right
         return left >= right
     raise SimulationError(f"cannot evaluate guard {guard!r}")
-
-
-class PrimitiveInstance:
-    """Adapter giving primitive models the child-instance protocol."""
-
-    def __init__(self, model: PrimitiveModel):
-        self.model = model
-
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return self.model.comb(inputs)
-
-    def tick(self, inputs: Dict[str, int]) -> None:
-        self.model.tick(inputs)
-
-    def reset(self) -> None:
-        self.model.reset()
 
 
 _CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
@@ -296,25 +281,27 @@ class _ResolverNode:
 
 
 class _ChildNode:
-    """Wraps one cell instance: inputs in, combinational outputs out."""
+    """One cell: reads its input slots, writes its output slots.
 
-    __slots__ = ("index", "child", "in_ports", "in_slots", "dep_slots", "out_slot_map")
+    ``in_slots`` and ``out_slots`` follow the cell signature's port order,
+    the order the child's ``comb``/``tick`` take and return values in.
+    """
 
-    def __init__(self, index, child, in_ports, in_slots, dep_slots, out_slot_map):
+    __slots__ = ("index", "child", "in_slots", "dep_slots", "out_slots")
+
+    def __init__(self, index, child, in_slots, dep_slots, out_slots):
         self.index = index
         self.child = child
-        self.in_ports: List[str] = in_ports
         self.in_slots: List[int] = in_slots
         self.dep_slots: List[int] = dep_slots
-        self.out_slot_map: Dict[str, int] = out_slot_map
+        self.out_slots: List[int] = out_slots
 
     def fire(self, inst: "ComponentInstance") -> List[int]:
         v = inst._values
-        ins = {p: v[s] for p, s in zip(self.in_ports, self.in_slots)}
         changed: List[int] = []
-        for port, val in self.child.comb(ins).items():
-            slot = self.out_slot_map.get(port)
-            if slot is not None and v[slot] != val:
+        outs = self.child.comb([v[s] for s in self.in_slots])
+        for slot, val in zip(self.out_slots, outs):
+            if v[slot] != val:
                 v[slot] = val
                 changed.append(slot)
         return changed
@@ -493,22 +480,15 @@ class ComponentInstance:
     def _make_child(self, cell) -> object:
         name = cell.comp_name
         program = self.program
-        if program.has_component(name):
-            target = program.get_component(name)
-            has_body = (
-                target.cells
-                or target.groups
-                or target.continuous
-                or not target.control.is_empty()
+        # Extern components have no body; they need a registered model.
+        if program.has_component(name) and not program.is_extern(name):
+            return ComponentInstance(
+                program,
+                program.get_component(name),
+                self.strategy,
+                f"{self.path}.{cell.name}",
             )
-            # Extern components have no body; they need a registered model.
-            if has_body or not any(
-                c.name == name for e in program.externs for c in e.components
-            ):
-                return ComponentInstance(
-                    program, target, self.strategy, f"{self.path}.{cell.name}"
-                )
-        return PrimitiveInstance(make_model(name, cell.args))
+        return make_model(name, cell.args)
 
     def _slot(self, ref: PortRef) -> int:
         slot = self._slots.get(ref)
@@ -550,8 +530,10 @@ class ComponentInstance:
         comp = self.comp
         self._slots: Dict[PortRef, int] = {}
         self._slot_refs: List[PortRef] = []
-        for port in list(comp.inputs) + list(comp.outputs):
-            self._slot(ThisPort(port.name))
+        # The declaration order is the signature order a parent passes
+        # inputs in and reads outputs back in.
+        self._in_slots = [self._slot(ThisPort(p.name)) for p in comp.inputs]
+        self._out_slots = [self._slot(ThisPort(p.name)) for p in comp.outputs]
         self._go_slot = self._slot(ThisPort(GO))
         self._this_done_slot = self._slot(ThisPort(DONE))
 
@@ -609,43 +591,25 @@ class ComponentInstance:
 
         # -- nodes, in build order (the sweep strategy's firing order) -----
         self._nodes: List[object] = []
-        self._stateful_nodes: List[int] = []
+        self._stateful_nodes: List[_ChildNode] = []
         self._go_resolver_of: Dict[str, int] = {}
         self._flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
 
-        self._child_inputs: Dict[str, List[str]] = {}
         for cell in comp.cells.values():
             child = self.children[cell.name]
             sig = self.program.cell_signature(cell)
-            in_ports = [p.name for p in sig.values() if p.direction is Direction.INPUT]
-            self._child_inputs[cell.name] = in_ports
+            in_ports, out_ports = port_names(sig)
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
-            out_slot_map = {
-                p.name: self._slot(CellPort(cell.name, p.name))
-                for p in sig.values()
-                if p.direction is Direction.OUTPUT
-            }
-            if isinstance(child, PrimitiveInstance):
-                deps = child.model.comb_deps
-                if deps:
-                    dep_names = sorted({d for lst in deps.values() for d in lst})
-                else:
-                    # A model that declares nothing is treated as fully
-                    # combinational: safe for externs that predate comb_deps.
-                    dep_names = list(in_ports)
-                stateful = type(child.model).tick is not PrimitiveModel.tick
+            out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
+            if isinstance(child, ComponentInstance):
+                dep_names = set(child.comb_input_deps())
             else:
-                dep_names = child.comb_input_deps()
-                stateful = True
-            dep_slots = [
-                self._slot(CellPort(cell.name, p)) for p in dep_names if p in in_ports
-            ]
-            index = len(self._nodes)
-            self._nodes.append(
-                _ChildNode(index, child, in_ports, in_slots, dep_slots, out_slot_map)
-            )
-            if stateful:
-                self._stateful_nodes.append(index)
+                dep_names = {i for i, _ in comb_paths(child, sig)[0]}
+            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
+            node = _ChildNode(len(self._nodes), child, in_slots, dep_slots, out_slots)
+            self._nodes.append(node)
+            if type(child).tick is not PrimitiveModel.tick:
+                self._stateful_nodes.append(node)
 
         for dst in all_dsts:
             slot = self._slot(dst)
@@ -696,7 +660,7 @@ class ComponentInstance:
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
-            return list(node.out_slot_map.values())
+            return node.out_slots
         return [node.slot]
 
     def _levelize(self) -> None:
@@ -803,24 +767,22 @@ class ComponentInstance:
             return self._values[slot]
         return self._extra_nets.get(ref, 0)
 
-    # -- the primitive protocol --------------------------------------------
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        self._apply_inputs(inputs)
+    # -- the child protocol --------------------------------------------------
+    def comb(self, ins: Sequence[int]) -> List[int]:
+        self._apply_inputs(ins)
         self.settle()
-        return {p.name: self.read(ThisPort(p.name)) for p in self.comp.outputs}
+        values = self._values
+        return [values[s] for s in self._out_slots]
 
-    def tick(self, inputs: Dict[str, int]) -> None:
-        self._apply_inputs(inputs)
+    def tick(self, ins: Sequence[int]) -> None:
+        self._apply_inputs(ins)
         self.settle()
         self.step_edge()
 
-    def _apply_inputs(self, inputs: Dict[str, int]) -> None:
+    def _apply_inputs(self, ins: Sequence[int]) -> None:
         values = self._values
-        for name, value in inputs.items():
-            slot = self._slots.get(ThisPort(name))
-            if slot is None:
-                self._extra_nets[ThisPort(name)] = value
-            elif values[slot] != value:
+        for slot, value in zip(self._in_slots, ins):
+            if values[slot] != value:
                 values[slot] = value
                 self._mark_slot(slot)
 
@@ -956,16 +918,11 @@ class ComponentInstance:
         ).with_state(self.state_dump())
 
     def step_edge(self) -> None:
-        """The clock edge: latch children, advance control state."""
-        values = self._values
-        slots = self._slots
-        pending: List[Tuple[object, Dict[str, int]]] = []
-        for name, child in self.children.items():
-            ins = {}
-            for port in self._child_inputs[name]:
-                slot = slots.get(CellPort(name, port))
-                ins[port] = values[slot] if slot is not None else 0
-            pending.append((child, ins))
+        """The clock edge: advance control state, latch stateful children.
+
+        Neither step writes this instance's slots, so each child reads
+        the settled values of its input slots.
+        """
         if self._running():
             self.executor.step()
             self._go_was_high = True
@@ -973,10 +930,10 @@ class ComponentInstance:
             # The calling convention: control state resets once go falls.
             self.executor.reset()
             self._go_was_high = False
-        for child, ins in pending:
-            child.tick(ins)
-        for node_idx in self._stateful_nodes:
-            self._mark_node(node_idx)
+        values = self._values
+        for node in self._stateful_nodes:
+            node.child.tick([values[s] for s in node.in_slots])
+            self._mark_node(node.index)
 
     # -- watchdog support ----------------------------------------------------
     def state_dump(self, max_nets: int = 48) -> str:
@@ -1065,6 +1022,6 @@ class ComponentInstance:
 
     def find_model(self, path: str) -> PrimitiveModel:
         node = self.find(path)
-        if isinstance(node, PrimitiveInstance):
-            return node.model
-        raise UndefinedError(f"cell at {path!r} is not a primitive")
+        if isinstance(node, ComponentInstance):
+            raise UndefinedError(f"cell at {path!r} is not a primitive")
+        return node

@@ -22,7 +22,7 @@ from repro.errors import (
 from repro.ir.ast import Program, ThisPort
 from repro.ir.ports import DONE, GO
 from repro.sim.model import LEVELIZED, SWEEP, ComponentInstance, SettleStrategy
-from repro.stdlib.behaviors import MemD1Model, MemD2Model
+from repro.stdlib.behaviors import MemModel, RegModel
 
 DEFAULT_MAX_CYCLES = 5_000_000
 
@@ -130,7 +130,7 @@ class Testbench:
     # -- memory poking ----------------------------------------------------
     def _memory(self, path: str):
         model = self.instance.find_model(path)
-        if not isinstance(model, (MemD1Model, MemD2Model)):
+        if not isinstance(model, MemModel):
             raise UndefinedError(f"cell {path!r} is not a memory")
         return model
 
@@ -148,16 +148,13 @@ class Testbench:
 
     def memory_paths(self) -> List[str]:
         """Dotted paths of all memories directly inside the main component."""
-        paths = []
-        for name, child in self.instance.children.items():
-            model = getattr(child, "model", None)
-            if isinstance(model, (MemD1Model, MemD2Model)):
-                paths.append(name)
-        return paths
+        return [
+            name
+            for name, child in self.instance.children.items()
+            if isinstance(child, MemModel)
+        ]
 
     def register_value(self, path: str) -> int:
-        from repro.stdlib.behaviors import RegModel
-
         model = self.instance.find_model(path)
         if not isinstance(model, RegModel):
             raise UndefinedError(f"cell {path!r} is not a register")

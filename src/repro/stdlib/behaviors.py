@@ -5,16 +5,25 @@ links against; the simulator (:mod:`repro.sim`) drives them with RTL
 semantics — a combinational settle phase (:meth:`PrimitiveModel.comb`)
 followed by a clock edge (:meth:`PrimitiveModel.tick`).
 
-Each model also reports its *combinational dependencies*: which output
-ports depend combinationally on which input ports. The simulator uses this
-to levelize netlists and to detect combinational cycles.
+Ports are positional, like the wires of an RTL module: ``ins`` holds the
+values of the cell signature's input ports and ``comb`` returns one value
+per output port, each in the order :func:`port_names` gives — for a
+primitive the order :mod:`repro.stdlib.primitives` declares, for an extern
+the order of its declaration.
+
+Each model also reports its *combinational dependencies* by port name:
+which output ports depend combinationally on which input ports. The
+simulator uses this to levelize netlists and the linter to find
+combinational cycles (:func:`comb_paths`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, UndefinedError
+from repro.ir.types import Direction, PortDef
 from repro.stdlib.primitives import DIV_LATENCY, MULT_LATENCY, get_primitive
 
 
@@ -23,32 +32,55 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
+def port_names(sig: Dict[str, PortDef]) -> Tuple[List[str], List[str]]:
+    """A signature's input and output port names, in protocol order."""
+    inputs = [p.name for p in sig.values() if p.direction is Direction.INPUT]
+    outputs = [p.name for p in sig.values() if p.direction is Direction.OUTPUT]
+    return inputs, outputs
+
+
 class PrimitiveModel:
     """Base class for primitive simulation models.
 
     Subclasses define:
 
-    * ``comb(inputs) -> outputs`` — combinational outputs as a function of
-      input port values and the current internal state,
-    * ``tick(inputs)`` — state update at the clock edge,
-    * ``comb_deps`` — dict mapping each output port to the input ports it
-      reads combinationally (empty list for registered outputs).
+    * ``comb(ins) -> outs`` — combinational output values as a function of
+      the input values and the current internal state,
+    * ``tick(ins)`` — state update at the clock edge,
+    * ``comb_deps`` — dict mapping each output port name to the input port
+      names it reads combinationally (empty list for registered outputs).
     """
 
-    #: class-level default overridden by instances where widths matter
+    #: class-level default overridden where a model's outputs are known
     comb_deps: Dict[str, List[str]] = {}
 
     def __init__(self, args: Sequence[int]):
         self.args = tuple(int(a) for a in args)
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
         raise NotImplementedError
 
-    def tick(self, inputs: Dict[str, int]) -> None:
+    def tick(self, ins: Sequence[int]) -> None:
         """Clock edge; combinational-only primitives do nothing."""
 
     def reset(self) -> None:
         """Return the model to its power-on state."""
+
+
+def comb_paths(
+    model: PrimitiveModel, sig: Dict[str, PortDef]
+) -> Tuple[List[Tuple[str, str]], bool]:
+    """A model's combinational ``(input, output)`` paths, and whether declared.
+
+    A model that declares no ``comb_deps`` is treated as fully
+    combinational — every input reaches every output — which is safe for
+    extern models written without them.
+    """
+    deps = model.comb_deps
+    if deps:
+        return [(i, o) for o, ins in sorted(deps.items()) for i in ins], True
+    inputs, outputs = port_names(sig)
+    return [(i, o) for i in inputs for o in outputs], False
 
 
 # ---------------------------------------------------------------------------
@@ -59,61 +91,53 @@ class PrimitiveModel:
 class BinOpModel(PrimitiveModel):
     """Two-input combinational operator with a Python function body."""
 
+    comb_deps = {"out": ["left", "right"]}
+
     def __init__(self, args: Sequence[int], fn: Callable[[int, int, int], int], out_width: Optional[int] = None):
         super().__init__(args)
         self.width = self.args[0]
-        self.out_width = self.width if out_width is None else out_width
+        self.out_mask = mask(self.width if out_width is None else out_width)
         self.fn = fn
-        self.comb_deps = {"out": ["left", "right"]}
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        left = inputs.get("left", 0)
-        right = inputs.get("right", 0)
-        return {"out": self.fn(left, right, self.width) & mask(self.out_width)}
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return (self.fn(ins[0], ins[1], self.width) & self.out_mask,)
 
 
-class WireModel(PrimitiveModel):
+class TruncModel(PrimitiveModel):
+    """``std_wire``, ``std_slice`` and ``std_pad``: the input masked to the
+    output width, which is the last parameter of each."""
+
+    comb_deps = {"out": ["in"]}
+
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
-        self.comb_deps = {"out": ["in"]}
+        self.out_mask = mask(self.args[-1])
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": inputs.get("in", 0) & mask(self.args[0])}
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return (ins[0] & self.out_mask,)
 
 
 class ConstModel(PrimitiveModel):
+    comb_deps = {"out": []}
+
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
-        self.comb_deps = {"out": []}
-
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
         width, value = self.args
-        return {"out": value & mask(width)}
+        self.outs = (value & mask(width),)
 
-
-class SliceModel(PrimitiveModel):
-    """Truncate to the low ``OUT_WIDTH`` bits."""
-
-    def __init__(self, args: Sequence[int]):
-        super().__init__(args)
-        self.comb_deps = {"out": ["in"]}
-
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": inputs.get("in", 0) & mask(self.args[1])}
-
-
-class PadModel(SliceModel):
-    """Zero-extend to ``OUT_WIDTH`` bits (same arithmetic as slice)."""
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return self.outs
 
 
 class NotModel(PrimitiveModel):
+    comb_deps = {"out": ["in"]}
+
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
-        self.comb_deps = {"out": ["in"]}
+        self.out_mask = mask(self.args[0])
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        width = self.args[0]
-        return {"out": (~inputs.get("in", 0)) & mask(width)}
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return (~ins[0] & self.out_mask,)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +152,21 @@ class RegModel(PrimitiveModel):
     matching the standard Calyx register implementation.
     """
 
+    comb_deps = {"out": [], "done": []}
+
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
         self.width = self.args[0]
         self.value = 0
         self.done = 0
-        self.comb_deps = {"out": [], "done": []}
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": self.value, "done": self.done}
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return (self.value, self.done)
 
-    def tick(self, inputs: Dict[str, int]) -> None:
-        if inputs.get("write_en", 0):
-            self.value = inputs.get("in", 0) & mask(self.width)
+    def tick(self, ins: Sequence[int]) -> None:
+        value, write_en = ins
+        if write_en:
+            self.value = value & mask(self.width)
             self.done = 1
         else:
             self.done = 0
@@ -150,160 +176,131 @@ class RegModel(PrimitiveModel):
         self.done = 0
 
 
-class MemD1Model(PrimitiveModel):
-    """``std_mem_d1``: combinational read, synchronous write."""
+class MemModel(PrimitiveModel):
+    """``std_mem_d1`` and ``std_mem_d2``: combinational read, synchronous
+    write, row-major storage.
+
+    The parameters are ``WIDTH``, one size per dimension, then one index
+    width per dimension; the inputs are one address per dimension, then
+    ``write_data`` and ``write_en``.
+    """
 
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
-        self.width, self.size, self.idx_size = self.args
-        self.data = [0] * self.size
+        self.width = self.args[0]
+        rank = (len(self.args) - 1) // 2
+        self.dims = self.args[1 : 1 + rank]
+        self.data = [0] * math.prod(self.dims)
         self.done = 0
-        self.comb_deps = {"read_data": ["addr0"], "done": []}
+        self.comb_deps = {
+            "read_data": [f"addr{i}" for i in range(rank)],
+            "done": [],
+        }
 
-    def _index(self, inputs: Dict[str, int]) -> int:
-        addr = inputs.get("addr0", 0)
-        if addr >= self.size:
-            # Out-of-bounds reads return 0 rather than crashing: lowered
-            # designs legitimately present don't-care addresses while a
-            # group is inactive.
-            return -1
-        return addr
+    def _index(self, ins: Sequence[int]) -> int:
+        """Row-major index of the leading address inputs; -1 if out of bounds."""
+        index = 0
+        for addr, size in zip(ins, self.dims):
+            if addr >= size:
+                # Out-of-bounds reads return 0 rather than crashing:
+                # lowered designs legitimately present don't-care
+                # addresses while a group is inactive.
+                return -1
+            index = index * size + addr
+        return index
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        idx = self._index(inputs)
-        value = self.data[idx] if idx >= 0 else 0
-        return {"read_data": value, "done": self.done}
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        idx = self._index(ins)
+        return (self.data[idx] if idx >= 0 else 0, self.done)
 
-    def tick(self, inputs: Dict[str, int]) -> None:
-        if inputs.get("write_en", 0):
-            idx = self._index(inputs)
+    def tick(self, ins: Sequence[int]) -> None:
+        if ins[-1]:
+            idx = self._index(ins)
             if idx < 0:
-                raise SimulationError(
-                    f"std_mem_d1 write out of bounds: addr={inputs.get('addr0')} "
-                    f"size={self.size}"
+                addrs = tuple(ins[: len(self.dims)])
+                where = (
+                    f"addr={addrs[0]} size={self.dims[0]}"
+                    if len(addrs) == 1
+                    else f"addr={addrs}"
                 )
-            self.data[idx] = inputs.get("write_data", 0) & mask(self.width)
+                raise SimulationError(
+                    f"std_mem_d{len(addrs)} write out of bounds: {where}"
+                )
+            self.data[idx] = ins[-2] & mask(self.width)
             self.done = 1
         else:
             self.done = 0
 
     def reset(self) -> None:
-        self.data = [0] * self.size
-        self.done = 0
-
-
-class MemD2Model(PrimitiveModel):
-    """``std_mem_d2``: row-major two-dimensional memory."""
-
-    def __init__(self, args: Sequence[int]):
-        super().__init__(args)
-        self.width, self.d0, self.d1, self.d0_idx, self.d1_idx = self.args
-        self.data = [0] * (self.d0 * self.d1)
-        self.done = 0
-        self.comb_deps = {"read_data": ["addr0", "addr1"], "done": []}
-
-    def _index(self, inputs: Dict[str, int]) -> int:
-        a0 = inputs.get("addr0", 0)
-        a1 = inputs.get("addr1", 0)
-        if a0 >= self.d0 or a1 >= self.d1:
-            return -1
-        return a0 * self.d1 + a1
-
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        idx = self._index(inputs)
-        value = self.data[idx] if idx >= 0 else 0
-        return {"read_data": value, "done": self.done}
-
-    def tick(self, inputs: Dict[str, int]) -> None:
-        if inputs.get("write_en", 0):
-            idx = self._index(inputs)
-            if idx < 0:
-                raise SimulationError(
-                    f"std_mem_d2 write out of bounds: addr=({inputs.get('addr0')}, "
-                    f"{inputs.get('addr1')})"
-                )
-            self.data[idx] = inputs.get("write_data", 0) & mask(self.width)
-            self.done = 1
-        else:
-            self.done = 0
-
-    def reset(self) -> None:
-        self.data = [0] * (self.d0 * self.d1)
+        self.data = [0] * len(self.data)
         self.done = 0
 
 
 class PipelinedOpModel(PrimitiveModel):
     """A fixed-latency sequential unit driven by the go/done convention.
 
-    While ``go`` is held high the unit counts cycles; after ``latency``
-    ticks it latches its result and raises ``done`` for one cycle.
-    Dropping ``go`` resets the pipeline.
+    While ``go`` (the last input) is held high the unit counts cycles;
+    after ``latency`` ticks it latches the values :meth:`compute` returns
+    and raises ``done`` (the last output) for one cycle. Dropping ``go``
+    resets the pipeline. Every output is registered, so ``comb_deps``
+    lists each with no inputs.
     """
 
     latency = MULT_LATENCY
-    out_ports = ("out",)
+    comb_deps = {"out": [], "done": []}
 
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
         self.width = self.args[0]
-        self.counter = 0
-        self.done = 0
-        self.results = {port: 0 for port in self.out_ports}
-        self.comb_deps = {port: [] for port in self.out_ports}
-        self.comb_deps["done"] = []
+        self.reset()
 
-    def compute(self, inputs: Dict[str, int]) -> Dict[str, int]:
+    def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
+        """The result outputs (every output but ``done``) for ``ins``."""
         raise NotImplementedError
 
-    def comb(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        outputs = dict(self.results)
-        outputs["done"] = self.done
-        return outputs
+    def comb(self, ins: Sequence[int]) -> Sequence[int]:
+        return self.latched + (self.done,)
 
-    def tick(self, inputs: Dict[str, int]) -> None:
+    def tick(self, ins: Sequence[int]) -> None:
         if self.done:
             self.done = 0
             self.counter = 0
             return
-        if inputs.get("go", 0):
+        if ins[-1]:
             self.counter += 1
-            if self.counter >= self._effective_latency(inputs):
-                self.results = {
-                    port: value & mask(self.width)
-                    for port, value in self.compute(inputs).items()
-                }
+            if self.counter >= self._effective_latency(ins):
+                out_mask = mask(self.width)
+                self.latched = tuple(v & out_mask for v in self.compute(ins))
                 self.done = 1
         else:
             self.counter = 0
 
-    def _effective_latency(self, inputs: Dict[str, int]) -> int:
+    def _effective_latency(self, ins: Sequence[int]) -> int:
         return self.latency
 
     def reset(self) -> None:
         self.counter = 0
         self.done = 0
-        self.results = {port: 0 for port in self.out_ports}
+        self.latched = (0,) * (len(self.comb_deps) - 1)
 
 
 class MultPipeModel(PipelinedOpModel):
     latency = MULT_LATENCY
-    out_ports = ("out",)
 
-    def compute(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": inputs.get("left", 0) * inputs.get("right", 0)}
+    def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
+        return (ins[0] * ins[1],)
 
 
 class DivPipeModel(PipelinedOpModel):
     latency = DIV_LATENCY
-    out_ports = ("out_quotient", "out_remainder")
+    comb_deps = {"out_quotient": [], "out_remainder": [], "done": []}
 
-    def compute(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        left = inputs.get("left", 0)
-        right = inputs.get("right", 0)
+    def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
+        left, right = ins[0], ins[1]
         if right == 0:
             # Divide-by-zero mirrors hardware: all-ones quotient.
-            return {"out_quotient": mask(self.width), "out_remainder": left}
-        return {"out_quotient": left // right, "out_remainder": left % right}
+            return (mask(self.width), left)
+        return (left // right, left % right)
 
 
 class SqrtModel(PipelinedOpModel):
@@ -315,13 +312,11 @@ class SqrtModel(PipelinedOpModel):
     latency-insensitive compilation (paper Section 6.2).
     """
 
-    out_ports = ("out",)
+    def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
+        return (math.isqrt(ins[0]),)
 
-    def compute(self, inputs: Dict[str, int]) -> Dict[str, int]:
-        return {"out": int(inputs.get("in", 0) ** 0.5)}
-
-    def _effective_latency(self, inputs: Dict[str, int]) -> int:
-        return max(1, inputs.get("in", 0).bit_length() // 2 + 1)
+    def _effective_latency(self, ins: Sequence[int]) -> int:
+        return max(1, ins[0].bit_length() // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +333,10 @@ def _cmp(fn: Callable[[int, int, int], int]) -> Callable[[Sequence[int]], BinOpM
 
 
 _MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {
-    "std_wire": WireModel,
+    "std_wire": TruncModel,
     "std_const": ConstModel,
-    "std_slice": SliceModel,
-    "std_pad": PadModel,
+    "std_slice": TruncModel,
+    "std_pad": TruncModel,
     "std_not": NotModel,
     "std_add": _arith(lambda l, r, w: l + r),
     "std_sub": _arith(lambda l, r, w: l - r),
@@ -358,15 +353,16 @@ _MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {
     "std_ge": _cmp(lambda l, r, w: int(l >= r)),
     "std_le": _cmp(lambda l, r, w: int(l <= r)),
     "std_reg": RegModel,
-    "std_mem_d1": MemD1Model,
-    "std_mem_d2": MemD2Model,
+    "std_mem_d1": MemModel,
+    "std_mem_d2": MemModel,
     "std_mult_pipe": MultPipeModel,
     "std_div_pipe": DivPipeModel,
     "std_sqrt": SqrtModel,
 }
 
 #: Behaviours registered for extern (black-box) components, keyed by the
-#: extern component's name. Tests and users may extend this.
+#: extern component's name. Tests and users may extend this; a model reads
+#: and returns ports in the extern declaration's order.
 EXTERN_MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {}
 
 

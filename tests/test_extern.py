@@ -13,7 +13,8 @@ from repro.ir import parse_program
 from repro.ir.attributes import STATIC
 from repro.passes import compile_program, get_pass
 from repro.sim import run_program
-from repro.stdlib.behaviors import EXTERN_MODELS, SqrtModel
+from repro.lint import lint_program
+from repro.stdlib.behaviors import EXTERN_MODELS, PrimitiveModel, SqrtModel
 
 SQRT_PROGRAM = """
 extern "sqrt.sv" {
@@ -91,3 +92,58 @@ class TestExternCodegen:
         text = emit_verilog(prog)
         assert "sqrt s (" in text
         assert "module sqrt" not in text  # linked from sqrt.sv
+
+
+INCR_PROGRAM = """
+extern "incr.sv" {
+  component incr(in: 8) -> (out: 8);
+}
+component main(go: 1) -> (done: 1) {
+  cells {
+    b = incr();
+    @external mem = std_mem_d1(8, 1, 1);
+  }
+  wires {
+    %s
+    group write {
+      b.in = 8'd41;
+      mem.addr0 = 1'd0;
+      mem.write_data = b.out;
+      mem.write_en = 1;
+      write[done] = mem.done;
+    }
+  }
+  control { write; }
+}
+"""
+
+
+class IncrModel(PrimitiveModel):
+    """An extern model written without ``comb_deps``.
+
+    Ports follow the extern declaration, which gains the implicit
+    interface: inputs ``(in, go)``, outputs ``(out, done)``.
+    """
+
+    def comb(self, ins):
+        return ((ins[0] + 1) & 0xFF, 0)
+
+
+class TestUndeclaredCombDeps:
+    """A model without ``comb_deps`` counts as fully combinational."""
+
+    @pytest.fixture(autouse=True)
+    def register_incr_model(self):
+        EXTERN_MODELS["incr"] = IncrModel
+        yield
+        EXTERN_MODELS.pop("incr", None)
+
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    def test_simulation_follows_inputs(self, engine):
+        result = run_program(parse_program(INCR_PROGRAM % ""), engine=engine)
+        assert result.mem("mem") == [42]
+
+    def test_lint_assumed_cycle_is_only_a_warning(self):
+        report = lint_program(parse_program(INCR_PROGRAM % "b.in = b.out;"))
+        assert "comb-cycle-maybe" in {d.rule for d in report.warnings}
+        assert "comb-cycle" not in {d.rule for d in report.errors}

@@ -191,7 +191,7 @@ component main(go: 1) -> (done: 1) {
         tb = Testbench(prog)
         tb.run()
         inner = tb.instance.find("d")
-        assert inner.children["r"].model.value == 42
+        assert inner.children["r"].value == 42
 
     def test_invoke_twice_reruns(self):
         src = self.SRC.replace(
@@ -200,7 +200,7 @@ component main(go: 1) -> (done: 1) {
         )
         tb = Testbench(parse_program(src))
         tb.run()
-        assert tb.instance.find("d").children["r"].model.value == 10
+        assert tb.instance.find("d").children["r"].value == 10
 
 
 class TestErrorDetection:

@@ -5,14 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import UndefinedError, ValidationError
 from repro.stdlib.behaviors import (
-    MemD1Model,
-    MemD2Model,
-    MultPipeModel,
-    DivPipeModel,
-    RegModel,
-    SqrtModel,
+    PrimitiveModel,
+    comb_paths,
     make_model,
-    mask,
+    port_names,
 )
 from repro.stdlib.costs import Resources, mux_cost, primitive_cost
 from repro.stdlib.primitives import all_primitives, get_primitive, is_primitive
@@ -55,106 +51,171 @@ class TestSignatures:
 
     def test_every_primitive_has_model_and_cost(self):
         for prim in all_primitives():
-            args = tuple(8 for _ in prim.params)
-            if prim.name == "std_mem_d2":
-                args = (8, 4, 4, 2, 2)
-            elif prim.name == "std_mem_d1":
-                args = (8, 4, 2)
-            elif prim.name in ("std_slice", "std_pad"):
-                args = (8, 4)
+            args = _args_for(prim)
             model = make_model(prim.name, args)
             assert model is not None
             primitive_cost(prim.name, args)  # must not raise
 
 
+def _args_for(prim):
+    """Small, valid parameters for any primitive."""
+    return {
+        "std_mem_d2": (8, 4, 4, 2, 2),
+        "std_mem_d1": (8, 4, 2),
+        "std_slice": (8, 4),
+        "std_pad": (8, 4),
+    }.get(prim.name, tuple(8 for _ in prim.params))
+
+
+class Ports:
+    """Drive a model by port name, through its primitive's signature.
+
+    ``comb``/``tick`` take ``{port: value}`` (unnamed inputs are 0) and
+    translate to and from the positional protocol the simulator uses.
+    """
+
+    def __init__(self, name, args):
+        self.model = make_model(name, args)
+        self.ins, self.outs = port_names(get_primitive(name).signature(args))
+
+    def _vector(self, values):
+        assert set(values) <= set(self.ins), f"unknown ports {set(values) - set(self.ins)}"
+        return [values.get(port, 0) for port in self.ins]
+
+    def comb(self, values=None):
+        outs = self.model.comb(self._vector(values or {}))
+        assert len(outs) == len(self.outs)
+        return dict(zip(self.outs, outs))
+
+    def tick(self, values=None):
+        self.model.tick(self._vector(values or {}))
+
+
+class TestChildProtocol:
+    @pytest.mark.parametrize("prim", all_primitives(), ids=lambda p: p.name)
+    def test_primitive_conformance(self, prim):
+        """From a signature-ordered input vector, comb returns one value per
+        output port (before and after a clock edge), and comb_deps names
+        only ports of the signature."""
+        args = _args_for(prim)
+        model = make_model(prim.name, args)
+        ins, outs = port_names(prim.signature(args))
+        vector = [1] * len(ins)
+        assert len(model.comb(vector)) == len(outs)
+        model.tick(vector)
+        assert len(model.comb(vector)) == len(outs)
+        assert set(model.comb_deps) <= set(outs)
+        for deps in model.comb_deps.values():
+            assert set(deps) <= set(ins)
+        assert comb_paths(model, prim.signature(args))[1]  # declared
+
+    def test_undeclared_comb_deps_mean_every_path(self):
+        class Opaque(PrimitiveModel):
+            def comb(self, ins):
+                return (0,)
+
+        sig = get_primitive("std_add").signature((8,))
+        paths, declared = comb_paths(Opaque((8,)), sig)
+        assert not declared
+        assert paths == [("left", "out"), ("right", "out")]
+
+
 class TestRegModel:
     def test_write_and_done_pulse(self):
-        reg = RegModel((8,))
+        reg = Ports("std_reg", (8,))
         reg.tick({"in": 5, "write_en": 1})
-        assert reg.comb({})["out"] == 5
-        assert reg.comb({})["done"] == 1
+        assert reg.comb()["out"] == 5
+        assert reg.comb()["done"] == 1
         reg.tick({"write_en": 0})
-        assert reg.comb({})["done"] == 0
-        assert reg.comb({})["out"] == 5
+        assert reg.comb()["done"] == 0
+        assert reg.comb()["out"] == 5
 
     def test_masks_to_width(self):
-        reg = RegModel((4,))
+        reg = Ports("std_reg", (4,))
         reg.tick({"in": 0x1F, "write_en": 1})
-        assert reg.comb({})["out"] == 0xF
+        assert reg.comb()["out"] == 0xF
 
     def test_no_write_without_enable(self):
-        reg = RegModel((8,))
+        reg = Ports("std_reg", (8,))
         reg.tick({"in": 5, "write_en": 0})
-        assert reg.comb({})["out"] == 0
+        assert reg.comb()["out"] == 0
 
 
 class TestMemModels:
     def test_d1_read_write(self):
-        mem = MemD1Model((8, 4, 2))
-        mem.data = [1, 2, 3, 4]
+        mem = Ports("std_mem_d1", (8, 4, 2))
+        mem.model.data = [1, 2, 3, 4]
         assert mem.comb({"addr0": 2})["read_data"] == 3
         mem.tick({"addr0": 1, "write_data": 9, "write_en": 1})
-        assert mem.data[1] == 9
+        assert mem.model.data[1] == 9
         assert mem.comb({"addr0": 1})["done"] == 1
 
     def test_d1_out_of_bounds_read_is_zero(self):
-        mem = MemD1Model((8, 2, 2))
+        mem = Ports("std_mem_d1", (8, 2, 2))
         assert mem.comb({"addr0": 3})["read_data"] == 0
 
     def test_d1_out_of_bounds_write_raises(self):
         from repro.errors import SimulationError
 
-        mem = MemD1Model((8, 2, 2))
+        mem = Ports("std_mem_d1", (8, 2, 2))
         with pytest.raises(SimulationError):
             mem.tick({"addr0": 3, "write_data": 1, "write_en": 1})
 
     def test_d2_row_major(self):
-        mem = MemD2Model((8, 2, 3, 1, 2))
+        mem = Ports("std_mem_d2", (8, 2, 3, 1, 2))
         mem.tick({"addr0": 1, "addr1": 2, "write_data": 7, "write_en": 1})
-        assert mem.data[1 * 3 + 2] == 7
+        assert mem.model.data[1 * 3 + 2] == 7
         assert mem.comb({"addr0": 1, "addr1": 2})["read_data"] == 7
 
 
 class TestPipelinedModels:
-    def run_unit(self, unit, inputs, max_cycles=64):
+    def run_unit(self, name, width, inputs, max_cycles=64):
         """Hold go high until done; return (cycles, outputs)."""
+        unit = Ports(name, (width,))
         for cycle in range(1, max_cycles):
             unit.tick(dict(inputs, go=1))
-            out = unit.comb({})
+            out = unit.comb()
             if out["done"]:
                 return cycle, out
         raise AssertionError("unit never finished")
 
     def test_mult_latency_and_result(self):
-        cycles, out = self.run_unit(MultPipeModel((32,)), {"left": 6, "right": 7})
+        cycles, out = self.run_unit("std_mult_pipe", 32, {"left": 6, "right": 7})
         assert out["out"] == 42
         assert cycles == 4
 
     def test_mult_wraps_at_width(self):
-        _, out = self.run_unit(MultPipeModel((8,)), {"left": 100, "right": 100})
+        _, out = self.run_unit("std_mult_pipe", 8, {"left": 100, "right": 100})
         assert out["out"] == (100 * 100) & 0xFF
 
     def test_div_and_rem(self):
-        cycles, out = self.run_unit(DivPipeModel((32,)), {"left": 17, "right": 5})
+        cycles, out = self.run_unit("std_div_pipe", 32, {"left": 17, "right": 5})
         assert out["out_quotient"] == 3
         assert out["out_remainder"] == 2
 
     def test_div_by_zero_all_ones(self):
-        _, out = self.run_unit(DivPipeModel((8,)), {"left": 9, "right": 0})
+        _, out = self.run_unit("std_div_pipe", 8, {"left": 9, "right": 0})
         assert out["out_quotient"] == 0xFF
 
     def test_go_drop_resets(self):
-        unit = MultPipeModel((32,))
+        unit = Ports("std_mult_pipe", (32,))
         unit.tick({"left": 3, "right": 3, "go": 1})
         unit.tick({"go": 0})
-        assert unit.counter == 0
+        assert unit.model.counter == 0
 
     def test_sqrt_data_dependent_latency(self):
-        small, out_small = self.run_unit(SqrtModel((32,)), {"in": 4})
-        big, out_big = self.run_unit(SqrtModel((32,)), {"in": 1 << 30})
+        small, out_small = self.run_unit("std_sqrt", 32, {"in": 4})
+        big, out_big = self.run_unit("std_sqrt", 32, {"in": 1 << 30})
         assert out_small["out"] == 2
         assert out_big["out"] == 1 << 15
         assert big > small  # latency grows with operand size
+
+    def test_sqrt_exact_at_width_64(self):
+        """Operands beyond a double's 53-bit mantissa still floor exactly."""
+        _, out = self.run_unit("std_sqrt", 64, {"in": 2**64 - 1})
+        assert out["out"] == 2**32 - 1
+        _, out = self.run_unit("std_sqrt", 64, {"in": (2**32 - 1) ** 2})
+        assert out["out"] == 2**32 - 1
 
 
 class TestArithModels:
@@ -165,8 +226,7 @@ class TestArithModels:
     )
     @settings(max_examples=60, deadline=None)
     def test_binops_match_python(self, name, left, right):
-        model = make_model(name, (8,))
-        out = model.comb({"left": left, "right": right})["out"]
+        out = Ports(name, (8,)).comb({"left": left, "right": right})["out"]
         expected = {
             "std_add": (left + right) & 0xFF,
             "std_sub": (left - right) & 0xFF,
@@ -183,8 +243,7 @@ class TestArithModels:
     )
     @settings(max_examples=60, deadline=None)
     def test_comparisons_match_python(self, name, left, right):
-        model = make_model(name, (8,))
-        out = model.comb({"left": left, "right": right})["out"]
+        out = Ports(name, (8,)).comb({"left": left, "right": right})["out"]
         expected = {
             "std_lt": left < right,
             "std_gt": left > right,
@@ -196,12 +255,10 @@ class TestArithModels:
         assert out == int(expected)
 
     def test_slice_truncates(self):
-        model = make_model("std_slice", (8, 4))
-        assert model.comb({"in": 0xAB})["out"] == 0xB
+        assert Ports("std_slice", (8, 4)).comb({"in": 0xAB})["out"] == 0xB
 
     def test_pad_passes_through(self):
-        model = make_model("std_pad", (4, 8))
-        assert model.comb({"in": 0xB})["out"] == 0xB
+        assert Ports("std_pad", (4, 8)).comb({"in": 0xB})["out"] == 0xB
 
 
 class TestCosts:
