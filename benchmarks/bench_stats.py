@@ -21,7 +21,8 @@ def test_compilation_statistics(benchmark):
     print(report(rows))
 
     gemver, systolic = rows
-    assert gemver.compile_seconds < 30  # paper: 0.06s (Rust); ours is Python
+    # Paper: 0.06 s. A loose ceiling, not a reproduction of the figure.
+    assert gemver.compile_seconds < 30
     if systolic_n == 8:
         # Same order of magnitude as the paper's structural counts.
         assert 150 <= systolic.cells <= 400

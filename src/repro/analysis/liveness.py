@@ -13,11 +13,15 @@ The result feeds an interference (conflict) graph over registers:
 * registers *written* in one arm of a ``par`` conflict with registers
   *accessed* in any sibling arm (arms run concurrently, so a merged
   register would be clobbered mid-flight).
+
+The graph is stored as one int bitmask of neighbours per register (bit
+``i`` is the ``i``-th register in sorted order), so a live set becomes a
+clique with one ``|=`` per member instead of one insertion per pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.ir.ast import Component
 from repro.analysis.pcfg import Pcfg, PcfgNode, build_pcfg
@@ -30,24 +34,52 @@ from repro.analysis.read_write import (
 )
 
 
+def _indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class LivenessResult:
     """Per-node live-in/live-out sets plus the register conflict graph."""
 
-    def __init__(self) -> None:
+    def __init__(self, registers: Iterable[str]) -> None:
         self.live_in: Dict[int, Set[str]] = {}
         self.live_out: Dict[int, Set[str]] = {}
-        self.conflicts: Set[FrozenSet[str]] = set()
+        self._names: List[str] = sorted(registers)
+        self._bit = {name: 1 << i for i, name in enumerate(self._names)}
+        #: ``_adj[i]``: neighbours of register ``i``; may hold bit ``i``.
+        self._adj: List[int] = [0] * len(self._names)
 
-    def add_conflict(self, a: str, b: str) -> None:
-        if a != b:
-            self.conflicts.add(frozenset((a, b)))
+    def mask(self, registers: Iterable[str]) -> int:
+        """The bitmask of a set of register names."""
+        bit = self._bit
+        return sum(bit[name] for name in registers)
+
+    def add_clique(self, mask: int) -> None:
+        """Make every pair of registers in ``mask`` conflict."""
+        adj = self._adj
+        for i in _indices(mask):
+            adj[i] |= mask
+
+    def add_conflicts(self, left: int, right: int) -> None:
+        """Make every register in ``left`` conflict with every one in ``right``."""
+        adj = self._adj
+        for i in _indices(left):
+            adj[i] |= right
+        for i in _indices(right):
+            adj[i] |= left
 
     def conflict_map(self) -> Dict[str, Set[str]]:
+        """Adjacency sets, keyed only by registers that have a conflict."""
+        names = self._names
         adj: Dict[str, Set[str]] = {}
-        for pair in self.conflicts:
-            a, b = tuple(pair)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+        for i, mask in enumerate(self._adj):
+            mask &= ~(1 << i)
+            if mask:
+                adj[names[i]] = {names[j] for j in _indices(mask)}
         return adj
 
 
@@ -60,7 +92,7 @@ class LivenessAnalysis:
         self.pinned = continuous_registers(comp)
         self.graph = build_pcfg(comp)
         self._accesses: Dict[int, AccessSets] = {}
-        self.result = LivenessResult()
+        self.result = LivenessResult(self.registers)
         self._run()
 
     # -- access sets ------------------------------------------------------
@@ -84,20 +116,20 @@ class LivenessAnalysis:
         self._collect_conflicts(self.graph)
 
     def _analyze(self, graph: Pcfg, exit_live: Set[str]) -> bool:
-        """One backward sweep; returns whether any live set changed."""
+        """One backward sweep; returns whether any live set changed,
+        including those of nested ``par`` arms."""
         changed = False
         for node in reversed(graph.nodes):
-            if node is graph.exit:
-                out = set(exit_live)
-            else:
-                out = set()
+            out = set(exit_live) if node is graph.exit else set()
             for succ in node.succs:
                 out |= self.result.live_in.get(succ.id, set())
-            if node is graph.exit:
-                out |= exit_live
             if out != self.result.live_out.get(node.id, set()):
                 self.result.live_out[node.id] = out
                 changed = True
+            # Paper rule: each par arm's exit live set is the p-node's
+            # live-out. Arms iterate inside the outer fixpoint loop.
+            for child in node.children:
+                changed |= self._analyze(child, exit_live=out)
             live_in = self._transfer(node, out)
             if live_in != self.result.live_in.get(node.id, set()):
                 self.result.live_in[node.id] = live_in
@@ -106,14 +138,11 @@ class LivenessAnalysis:
 
     def _transfer(self, node: PcfgNode, live_out: Set[str]) -> Set[str]:
         if node.kind == "par":
-            # Paper rule: each child's exit live set is the p-node's
-            # live-out; the p-node's live-in joins child entry live-ins
-            # with registers that survive every child.
+            # The p-node's live-in joins the arms' entry live-ins with
+            # registers that survive every arm.
             child_ins: Set[str] = set()
             killed_by_all: Set[str] = set(self.registers)
             for child in node.children:
-                # Children iterate inside the outer fixpoint loop.
-                self._analyze(child, exit_live=live_out)
                 child_ins |= self.result.live_in.get(child.entry.id, set())
                 killed_by_all &= self._must_writes(child)
             return child_ins | (live_out - killed_by_all)
@@ -143,36 +172,29 @@ class LivenessAnalysis:
 
     # -- conflicts ------------------------------------------------------------
     def _collect_conflicts(self, graph: Pcfg) -> None:
+        result = self.result
         for node in graph.walk():
-            out = self.result.live_out.get(node.id, set())
-            live = self.result.live_in.get(node.id, set())
-            sets = self.accesses(node)
-            for written in sets.may_writes:
-                for other in out:
-                    self.result.add_conflict(written, other)
-            live_list = sorted(live)
-            for i, a in enumerate(live_list):
-                for b in live_list[i + 1 :]:
-                    self.result.add_conflict(a, b)
+            out = result.mask(result.live_out.get(node.id, ()))
+            result.add_conflicts(result.mask(self.accesses(node).may_writes), out)
+            result.add_clique(result.mask(result.live_in.get(node.id, ())))
             if node.kind == "par":
-                arm_sets = [self._arm_accesses(child) for child in node.children]
-                for i in range(len(arm_sets)):
-                    for j in range(len(arm_sets)):
-                        if i == j:
-                            continue
-                        for written in arm_sets[i][1]:
-                            for accessed in arm_sets[j][0]:
-                                self.result.add_conflict(written, accessed)
+                arms = [self._arm_masks(child) for child in node.children]
+                for i, (_, written) in enumerate(arms):
+                    siblings = 0
+                    for j, (accessed, _) in enumerate(arms):
+                        if j != i:
+                            siblings |= accessed
+                    result.add_conflicts(written, siblings)
 
-    def _arm_accesses(self, graph: Pcfg) -> Tuple[Set[str], Set[str]]:
-        """(accessed, written) register sets of one par arm."""
+    def _arm_masks(self, graph: Pcfg) -> Tuple[int, int]:
+        """(accessed, written) register masks of one par arm."""
         accessed: Set[str] = set()
         written: Set[str] = set()
         for node in graph.walk():
             sets = self.accesses(node)
             accessed |= sets.accessed()
             written |= sets.may_writes
-        return accessed, written
+        return self.result.mask(accessed), self.result.mask(written)
 
 
 def register_conflicts(comp: Component) -> Tuple[Dict[str, Set[str]], Set[str]]:

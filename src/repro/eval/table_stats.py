@@ -4,8 +4,8 @@ The paper reports: the largest PolyBench design (gemver) compiles in 0.06
 seconds; the largest systolic design (8x8) contains 241 cells, 224 groups,
 and 1,744 control statements, and the compiler generates 8,906 lines of
 SystemVerilog for it in 0.7 seconds. This runner reproduces each statistic
-with our implementation (absolute times reflect Python, not Rust; the
-structural counts are directly comparable).
+with our implementation (the structural counts are directly comparable;
+absolute times are this implementation's, measured on the host).
 """
 
 from __future__ import annotations

@@ -2,16 +2,17 @@
 
 These are *not* core: they flag likely mistakes rather than definite
 ill-formedness, so ``validate_program`` never runs them. The guard rules
-reason by exhaustive enumeration over the guard's atomic predicates
-treated as independent booleans; since the feasible valuations are a
-subset of all independent valuations, a "always true"/"never true"
-verdict is sound (though incomplete — correlated atoms like ``x == 1``
-and ``x == 2`` may hide additional contradictions).
+reason over every valuation of the guard's atomic predicates treated as
+independent booleans; since the feasible valuations are a subset of all
+independent valuations, a "always true"/"never true" verdict is sound
+(though incomplete — correlated atoms like ``x == 1`` and ``x == 2`` may
+hide additional contradictions). The valuations are evaluated together:
+bit ``k`` of an int is the guard's value under valuation ``k``, so one
+walk of the guard tree computes its whole truth table.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.latency import control_latency, structural_group_latency
@@ -32,7 +33,7 @@ from repro.lint.context import ComponentView
 from repro.lint.diagnostics import ERROR, WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
 
-#: Skip truth-table enumeration beyond this many distinct atoms (2^N evals).
+#: Skip guards with more distinct atoms than this (a 2^N-bit truth table).
 MAX_GUARD_ATOMS = 10
 
 
@@ -95,25 +96,41 @@ def _guard_atoms(guard: Guard, atoms: Set[Atom]) -> None:
         _guard_atoms(guard.right, atoms)
 
 
-def _eval_guard(guard: Guard, env: Dict[Atom, bool]) -> bool:
+def _column(k: int, full: int) -> int:
+    """Truth-table column of atom ``k``: bit ``v`` is bit ``k`` of ``v``.
+
+    The column repeats a period of ``2^k`` zeros then ``2^k`` ones;
+    ``full`` divided by an all-ones period has a 1 where each period starts.
+    """
+    half = 1 << k
+    period = ((1 << half) - 1) << half
+    return period * (full // ((1 << (2 * half)) - 1))
+
+
+def _truth_table(guard: Guard, columns: Dict[Atom, int], full: int) -> int:
+    """The guard's value under every valuation, one bit per valuation."""
     if isinstance(guard, TrueGuard):
-        return True
+        return full
     if isinstance(guard, PortGuard):
         if isinstance(guard.port, ConstPort):
-            return bool(guard.port.value & 1)
-        return env[("port", guard.port.to_string())]
+            return full if guard.port.value & 1 else 0
+        return columns[("port", guard.port.to_string())]
     if isinstance(guard, CmpGuard):
         atom, polarity, constant = _cmp_atom(guard)
         if atom is None:
-            return bool(constant)
-        value = env[atom]
-        return value if polarity else not value
+            return full if constant else 0
+        column = columns[atom]
+        return column if polarity else full ^ column
     if isinstance(guard, NotGuard):
-        return not _eval_guard(guard.inner, env)
+        return full ^ _truth_table(guard.inner, columns, full)
     if isinstance(guard, AndGuard):
-        return _eval_guard(guard.left, env) and _eval_guard(guard.right, env)
+        return _truth_table(guard.left, columns, full) & _truth_table(
+            guard.right, columns, full
+        )
     if isinstance(guard, OrGuard):
-        return _eval_guard(guard.left, env) or _eval_guard(guard.right, env)
+        return _truth_table(guard.left, columns, full) | _truth_table(
+            guard.right, columns, full
+        )
     raise TypeError(f"unknown guard kind: {guard!r}")
 
 
@@ -131,17 +148,12 @@ def classify_guard(guard: Guard) -> Optional[str]:
     _guard_atoms(guard, atoms)
     if not atoms or len(atoms) > MAX_GUARD_ATOMS:
         return None
-    ordered = sorted(atoms)
-    always = never = True
-    for values in itertools.product((False, True), repeat=len(ordered)):
-        result = _eval_guard(guard, dict(zip(ordered, values)))
-        always = always and result
-        never = never and not result
-        if not always and not never:
-            return None
-    if always:
+    full = (1 << (1 << len(atoms))) - 1
+    columns = {atom: _column(k, full) for k, atom in enumerate(atoms)}
+    table = _truth_table(guard, columns, full)
+    if table == full:
         return "tautology"
-    return "contradiction" if never else None
+    return "contradiction" if table == 0 else None
 
 
 @register_rule

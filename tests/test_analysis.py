@@ -1,6 +1,10 @@
 """Tests for the analysis package: schedule conflicts, coloring, pCFGs,
 read/write sets, and liveness."""
 
+import glob
+import os
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.coloring import greedy_coloring
@@ -8,7 +12,11 @@ from repro.analysis.liveness import LivenessAnalysis
 from repro.analysis.pcfg import build_pcfg
 from repro.analysis.read_write import group_accesses, registers_of
 from repro.analysis.schedule import conflict_map, parallel_conflicts
+from repro.frontends.dahlia import compile_dahlia
+from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
+from repro.passes import PIPELINES, compile_program
+from repro.workloads.polybench import ALL_KERNELS, get_kernel
 
 
 def comp_of(control, groups_extra=""):
@@ -215,3 +223,123 @@ component main(go: 1) -> (done: 1) {
         analysis = LivenessAnalysis(comp)
         assert "r0" in analysis.pinned
         assert "r1" not in analysis.pinned
+
+    def test_loop_in_par_arm_converges(self):
+        # r0 is written by w0 and read only by the outer loop's condition
+        # c0, so it is live throughout that loop, including across b's
+        # write of r3 two levels down. The inner loop only settles after
+        # several sweeps of the par arm; stopping early loses r0-r3.
+        src = """
+component main(go: 1) -> (done: 1) {
+  cells {
+    r0 = std_reg(8); r1 = std_reg(8); r2 = std_reg(8); r3 = std_reg(8);
+    lt0 = std_lt(8); lt1 = std_lt(8);
+  }
+  wires {
+    group w0 { r0.in = 8'd1; r0.write_en = 1; w0[done] = r0.done; }
+    group c0 { lt0.left = r0.out; lt0.right = 8'd5; c0[done] = 1'd1; }
+    group a { r1.in = 8'd1; r1.write_en = 1; a[done] = r1.done; }
+    group c1 { lt1.left = r1.out; lt1.right = 8'd5; c1[done] = 1'd1; }
+    group b { r3.in = 8'd1; r3.write_en = 1; b[done] = r3.done; }
+    group d { r1.in = r3.out; r1.write_en = 1; d[done] = r1.done; }
+    group e { r2.in = 8'd1; r2.write_en = 1; e[done] = r2.done; }
+  }
+  control {
+    seq {
+      w0;
+      par {
+        while lt0.out with c0 { seq { a; while lt1.out with c1 { seq { b; d; } } } }
+        e;
+      }
+    }
+  }
+}
+"""
+        program = parse_program(src)
+        adj = LivenessAnalysis(program.main).result.conflict_map()
+        assert "r3" in adj["r0"]
+        compile_program(program, passes=["well-formed", "register-sharing"])
+        # Merging r3 into r0 would make b clobber the outer loop's bound.
+        b = program.main.get_group("b")
+        assert "r0.in" not in {assign.dst.to_string() for assign in b.assignments}
+
+
+def reference_conflicts(analysis):
+    """Pairwise interference over the analysis's live sets, one pair at a time."""
+    pairs = set()
+
+    def add(a, b):
+        if a != b:
+            pairs.add(frozenset((a, b)))
+
+    result = analysis.result
+    for node in analysis.graph.walk():
+        sets = analysis.accesses(node)
+        for written in sets.may_writes:
+            for other in result.live_out.get(node.id, set()):
+                add(written, other)
+        live = sorted(result.live_in.get(node.id, set()))
+        for i, a in enumerate(live):
+            for b in live[i + 1 :]:
+                add(a, b)
+        if node.kind == "par":
+            arms = []
+            for child in node.children:
+                accessed, written = set(), set()
+                for inner in child.walk():
+                    accessed |= analysis.accesses(inner).accessed()
+                    written |= analysis.accesses(inner).may_writes
+                arms.append((accessed, written))
+            for i, (_, written) in enumerate(arms):
+                for j, (accessed, _) in enumerate(arms):
+                    if i != j:
+                        for w in written:
+                            for a in accessed:
+                                add(w, a)
+    adj = {}
+    for pair in pairs:
+        a, b = tuple(pair)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+EXAMPLES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.futil"))
+)
+
+
+def _interference_corpus():
+    for n in (2, 3, 4):
+        yield f"systolic-{n}", lambda n=n: generate_systolic_array(
+            SystolicConfig.square(n)
+        )
+    for name in ALL_KERNELS:
+        kernel = get_kernel(name, 2)
+        yield name, lambda s=kernel.source: compile_dahlia(s).program
+        if kernel.unrollable:
+            yield name + "-u", lambda s=kernel.unrolled_source: compile_dahlia(
+                s
+            ).program
+    for path in EXAMPLES:
+        yield os.path.basename(path), lambda p=path: parse_program(open(p).read())
+
+
+_CORPUS = dict(_interference_corpus())
+#: The ``all`` passes that run before register-sharing analyses the program.
+_BEFORE_REGISTER_SHARING = PIPELINES["all"][: PIPELINES["all"].index("register-sharing")]
+
+
+@pytest.mark.parametrize("design", sorted(_CORPUS))
+def test_conflict_map_matches_pairwise_reference(design):
+    program = _CORPUS[design]()
+    compile_program(program, passes=_BEFORE_REGISTER_SHARING)
+    for comp in program.components:
+        analysis = LivenessAnalysis(comp)
+        adj = analysis.result.conflict_map()
+        assert adj == reference_conflicts(analysis)
+        for reg, neighbors in adj.items():
+            assert neighbors, reg
+            assert reg not in neighbors
+            for other in neighbors:
+                assert reg in adj[other]
