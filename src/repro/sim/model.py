@@ -24,14 +24,16 @@ A :class:`SettleStrategy`, chosen once at construction and shared by every
 child instance, decides how one clock phase evaluates the netlist:
 
 * ``levelized`` drains a dirty set (seeded by input changes, clock edges
-  and control-state transitions) in level order, with guards compiled to
-  closures over slots. Acyclic regions evaluate at most once per phase;
-  genuine combinational cycles fall back to bounded fixpoint iteration
-  inside their SCC.
+  and control-state transitions) in level order. Every distinct guard
+  sub-expression is one :class:`_GuardNode` writing an unnamed slot, as
+  the hardware shares the wire, so a driver's guard test is one slot read
+  and a shared prefix evaluates once per input change. Acyclic regions
+  evaluate at most once per phase; genuine combinational cycles fall back
+  to bounded fixpoint iteration inside their SCC, with guards interpreted.
 * ``sweep``, the reference, fires every node in build order until no slot
   changes, with guards interpreted by :func:`eval_guard`. It walks the same
-  unflattened hierarchy but uses none of the scheduling or guard
-  compilation, so it stays an independent oracle for both.
+  unflattened hierarchy but builds no guard nodes and uses none of the
+  scheduling, so it stays an independent oracle for both.
 
 Both raise :class:`~repro.errors.OscillationError` /
 :class:`~repro.errors.CombinationalLoopError` through one non-convergence
@@ -51,7 +53,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MethodType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.errors import (
@@ -117,7 +119,20 @@ def eval_guard(guard: Guard, read: ReadFn) -> bool:
     raise SimulationError(f"cannot evaluate guard {guard!r}")
 
 
-_CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
+def _both(x: int, y: int) -> bool:
+    return x != 0 and y != 0
+
+
+def _either(x: int, y: int) -> bool:
+    return x != 0 or y != 0
+
+
+#: A guard node's operator over its two operand values; ``!x`` is
+#: ``x == 0`` against the constant-zero slot.
+_GUARD_FNS: Dict[str, Callable[[int, int], bool]] = {
+    "&": _both,
+    "|": _either,
+    "!": operator.eq,
     "==": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -129,88 +144,29 @@ _CMP_FNS: Dict[str, Callable[[int, int], bool]] = {
 _EMPTY: frozenset = frozenset()
 
 
-# ---------------------------------------------------------------------------
-# Guard / source compilation to closures over integer slots
-# ---------------------------------------------------------------------------
+class _Driver:
+    """One assignment driving a destination slot, ready to evaluate.
 
-
-class _GuardCompiler:
-    """Compiles guard trees into ``fn(values) -> bool`` closures.
-
-    Also records every slot the compiled closure reads, which becomes the
-    dependency edges of the assignment's resolver node.
+    ``guard`` is the interpreted form (``None`` when always true);
+    ``guard_slot`` is the slot holding the guard's value when the netlist
+    has guard nodes (``None`` when always true).
     """
 
-    def __init__(self, slot_of: Callable[[PortRef], int]):
-        self.slot_of = slot_of
-        self.read_slots: Set[int] = set()
-
-    def _operand(self, ref: PortRef):
-        """(is_const, const_value_or_slot) for one guard operand."""
-        if isinstance(ref, ConstPort):
-            return True, ref.value
-        slot = self.slot_of(ref)
-        self.read_slots.add(slot)
-        return False, slot
-
-    def compile(self, guard: Guard) -> Optional[Callable[[List[int]], bool]]:
-        """``None`` means "always true" (the common unconditional case)."""
-        if isinstance(guard, TrueGuard):
-            return None
-        if isinstance(guard, PortGuard):
-            const, x = self._operand(guard.port)
-            if const:
-                return (lambda v: True) if x else (lambda v: False)
-            return lambda v, i=x: v[i] != 0
-        if isinstance(guard, NotGuard):
-            inner = self.compile(guard.inner)
-            if inner is None:
-                return lambda v: False
-            return lambda v, f=inner: not f(v)
-        if isinstance(guard, AndGuard):
-            left, right = self.compile(guard.left), self.compile(guard.right)
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return lambda v, a=left, b=right: a(v) and b(v)
-        if isinstance(guard, OrGuard):
-            left, right = self.compile(guard.left), self.compile(guard.right)
-            if left is None or right is None:
-                return None
-            return lambda v, a=left, b=right: a(v) or b(v)
-        if isinstance(guard, CmpGuard):
-            fn = _CMP_FNS[guard.op]
-            lconst, left = self._operand(guard.left)
-            rconst, right = self._operand(guard.right)
-            if lconst and rconst:
-                result = fn(left, right)
-                return (lambda v: True) if result else (lambda v: False)
-            if lconst:
-                return lambda v, f=fn, c=left, i=right: f(c, v[i])
-            if rconst:
-                return lambda v, f=fn, i=left, c=right: f(v[i], c)
-            return lambda v, f=fn, i=left, j=right: f(v[i], v[j])
-        raise SimulationError(f"cannot compile guard {guard!r}")
-
-
-class _Driver:
-    """One assignment driving a destination slot, ready to evaluate."""
-
-    __slots__ = ("gate_slot", "flag", "guard_fn", "src_slot", "src_const", "assign")
+    __slots__ = ("gate_slot", "flag", "guard", "guard_slot", "src_slot", "src_const", "assign")
 
     def __init__(
         self,
         gate_slot: Optional[int],
         flag: Optional[int],
-        guard_fn: Optional[Callable[[List[int]], bool]],
+        guard_slot: Optional[int],
         src_slot: Optional[int],
         src_const: int,
         assign: Assignment,
     ):
         self.gate_slot = gate_slot
         self.flag = flag
-        self.guard_fn = guard_fn
+        self.guard = None if isinstance(assign.guard, TrueGuard) else assign.guard
+        self.guard_slot = guard_slot
         self.src_slot = src_slot
         self.src_const = src_const
         self.assign = assign
@@ -246,6 +202,7 @@ class _ResolverNode:
         self.path = path
 
     def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+        """Evaluate with each guard read from its guard node's slot."""
         v = inst._values
         flags = inst._invoke_flags
         value = 0
@@ -256,24 +213,80 @@ class _ResolverNode:
                 continue
             if d.flag is not None and not flags[d.flag]:
                 continue
-            guard = d.guard_fn
-            if guard is not None and not guard(v):
+            guard = d.guard_slot
+            if guard is not None and not v[guard]:
                 continue
             val = v[d.src_slot] if d.src_slot is not None else d.src_const
             if winner is None:
                 winner, value = d, val
             elif val != value:
-                raise MultipleDriverError(
-                    f"{self.path}: port {d.assign.dst.to_string()} driven "
-                    f"to both {value} and {val} by\n  "
-                    f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
-                )
+                self._conflict(winner, value, d, val)
+        return self._commit(inst, value)
+
+    def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+        """Evaluate with each guard interpreted over the current slots."""
+        v = inst._values
+        flags = inst._invoke_flags
+        read = inst.read
+        value = 0
+        winner: Optional[_Driver] = None
+        for d in self.drivers:
+            gate = d.gate_slot
+            if gate is not None and not v[gate]:
+                continue
+            if d.flag is not None and not flags[d.flag]:
+                continue
+            guard = d.guard
+            if guard is not None and not eval_guard(guard, read):
+                continue
+            val = v[d.src_slot] if d.src_slot is not None else d.src_const
+            if winner is None:
+                winner, value = d, val
+            elif val != value:
+                self._conflict(winner, value, d, val)
+        return self._commit(inst, value)
+
+    def _conflict(self, winner: _Driver, value: int, d: _Driver, val: int) -> None:
+        raise MultipleDriverError(
+            f"{self.path}: port {d.assign.dst.to_string()} driven "
+            f"to both {value} and {val} by\n  "
+            f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
+        )
+
+    def _commit(self, inst: "ComponentInstance", value: int) -> Tuple[int, ...]:
+        v = inst._values
         group = self.go_group
         if group is not None:
             if group in inst._forced:
                 value = 1
             elif group in inst._active:
                 value = 0 if v[self.done_slot] else 1
+        if v[self.slot] != value:
+            v[self.slot] = value
+            return (self.slot,)
+        return ()
+
+
+class _GuardNode:
+    """One distinct guard operator, writing its value to an unnamed slot.
+
+    ``fn`` is the operator of :data:`_GUARD_FNS` applied to the values of
+    slots ``a`` and ``b``: another guard node, a port, or a constant.
+    """
+
+    __slots__ = ("index", "slot", "fn", "a", "b", "in_slots")
+
+    def __init__(self, slot, fn, a, b):
+        self.index = -1  # numbered after every other node of the netlist
+        self.slot = slot
+        self.fn = fn
+        self.a = a
+        self.b = b
+        self.in_slots: List[int] = [a, b]
+
+    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+        v = inst._values
+        value = self.fn(v[self.a], v[self.b])
         if v[self.slot] != value:
             v[self.slot] = value
             return (self.slot,)
@@ -306,6 +319,8 @@ class _ChildNode:
                 changed.append(slot)
         return changed
 
+    sweep = fire
+
 
 class _DoneNode:
     """Drives ``this.done`` from latched executor state (unlowered form).
@@ -329,6 +344,100 @@ class _DoneNode:
             inst._values[self.slot] = value
             return (self.slot,)
         return ()
+
+    sweep = fire
+
+
+class _GuardNet:
+    """Hash-conses the guards of one netlist into shared guard nodes.
+
+    Bottom-up, each distinct ``(op, slot, slot)`` key gets one node writing
+    one unnamed slot, created after its operands, so creation order is
+    topological. A port guard is its port's slot, a constant operand gets
+    a constant slot, and constant sub-guards fold (``a & true`` is ``a``).
+    Each guard object is consed once, however many assignments share it.
+    """
+
+    def __init__(self, inst: "ComponentInstance"):
+        self.inst = inst
+        self.nodes: List[_GuardNode] = []
+        #: Constant value -> the unnamed slot holding it.
+        self.constants: Dict[int, int] = {}
+        self._table: Dict[Tuple[str, int, int], int] = {}
+        self._memo: Dict[int, Union[bool, int]] = {}
+
+    def driver_slot(self, guard: Guard) -> Optional[int]:
+        """The slot a driver reads its guard from; ``None`` if always true."""
+        value = self._cons(guard)
+        if value is True:
+            return None
+        return self._const(0) if value is False else value
+
+    def _const(self, value: int) -> int:
+        slot = self.constants.get(value)
+        if slot is None:
+            slot = self.constants[value] = self.inst._unnamed_slot()
+        return slot
+
+    def _operand(self, ref: PortRef) -> int:
+        if isinstance(ref, ConstPort):
+            return self._const(ref.value)
+        return self.inst._slot(ref)
+
+    def _node(self, op: str, a: int, b: int) -> int:
+        key = (op, a, b)
+        slot = self._table.get(key)
+        if slot is None:
+            slot = self._table[key] = self.inst._unnamed_slot()
+            self.nodes.append(_GuardNode(slot, _GUARD_FNS[op], a, b))
+        return slot
+
+    def _cons(self, guard: Guard) -> Union[bool, int]:
+        """``True``/``False`` for a constant guard, else its value's slot."""
+        known = self._memo.get(id(guard))
+        if known is not None:
+            return known
+        result: Union[bool, int]
+        if isinstance(guard, TrueGuard):
+            result = True
+        elif isinstance(guard, PortGuard):
+            port = guard.port
+            if isinstance(port, ConstPort):
+                result = port.value != 0
+            else:
+                result = self.inst._slot(port)
+        elif isinstance(guard, NotGuard):
+            inner = self._cons(guard.inner)
+            if isinstance(inner, bool):
+                result = not inner
+            else:
+                result = self._node("!", inner, self._const(0))
+        elif isinstance(guard, AndGuard):
+            left, right = self._cons(guard.left), self._cons(guard.right)
+            if left is False or right is False:
+                result = False
+            elif left is True or right is True:
+                result = right if left is True else left
+            else:
+                result = self._node("&", left, right)
+        elif isinstance(guard, OrGuard):
+            left, right = self._cons(guard.left), self._cons(guard.right)
+            if left is True or right is True:
+                result = True
+            elif left is False or right is False:
+                result = right if left is False else left
+            else:
+                result = self._node("|", left, right)
+        elif isinstance(guard, CmpGuard):
+            left, right = guard.left, guard.right
+            if isinstance(left, ConstPort) and isinstance(right, ConstPort):
+                result = _GUARD_FNS[guard.op](left.value, right.value)
+            else:
+                result = self._node(guard.op, self._operand(left), self._operand(right))
+        else:
+            raise SimulationError(f"cannot evaluate guard {guard!r}")
+        self._memo[id(guard)] = result
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +486,15 @@ class _SlotNets(MutableMapping):
             self[ref] = 0
 
     def __iter__(self) -> Iterator[PortRef]:
-        yield from self._inst._slot_refs
+        yield from self._inst._slots
         yield from self._inst._extra_nets
 
     def __len__(self) -> int:
-        return len(self._inst._slot_refs) + len(self._inst._extra_nets)
+        return len(self._inst._slots) + len(self._inst._extra_nets)
 
     def clear(self) -> None:
         inst = self._inst
-        inst._values[:] = [0] * len(inst._values)
+        inst._values[:] = inst._reset_values
         inst._extra_nets.clear()
         inst._mark_all()
 
@@ -400,13 +509,14 @@ class SettleStrategy:
     """How a :class:`ComponentInstance` evaluates its netlist per phase.
 
     ``settle(instance)`` brings one clock phase to its fixpoint;
-    ``compiled_guards`` chooses the resolvers' guard evaluation: the slot
-    closures of :class:`_GuardCompiler`, or :func:`eval_guard` over
-    :meth:`ComponentInstance.read`.
+    ``guard_nodes`` chooses whether the netlist shares every distinct guard
+    sub-expression as a :class:`_GuardNode` whose slot the resolvers read,
+    or builds none and leaves the resolvers to interpret their guards with
+    :func:`eval_guard` over :meth:`ComponentInstance.read`.
     """
 
     settle: Callable[["ComponentInstance"], None]
-    compiled_guards: bool
+    guard_nodes: bool
 
 
 def _settle_levelized(inst: "ComponentInstance") -> None:
@@ -424,10 +534,10 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
     inst._diagnose_nonconvergence(inst._max_iters)
 
 
-#: The scheduled strategy: compiled guards, dirty-set drain in level order.
-LEVELIZED = SettleStrategy(_settle_levelized, compiled_guards=True)
+#: The scheduled strategy: guard nodes, dirty-set drain in level order.
+LEVELIZED = SettleStrategy(_settle_levelized, guard_nodes=True)
 #: The reference strategy: interpreted guards, whole-netlist sweeps.
-SWEEP = SettleStrategy(_settle_sweep, compiled_guards=False)
+SWEEP = SettleStrategy(_settle_sweep, guard_nodes=False)
 
 
 # ---------------------------------------------------------------------------
@@ -493,28 +603,32 @@ class ComponentInstance:
     def _slot(self, ref: PortRef) -> int:
         slot = self._slots.get(ref)
         if slot is None:
-            slot = len(self._slot_refs)
-            self._slots[ref] = slot
-            self._slot_refs.append(ref)
+            slot = self._slots[ref] = self._unnamed_slot()
         return slot
+
+    def _unnamed_slot(self) -> int:
+        """A new slot; only :meth:`_slot` names it after a port."""
+        self._n_slots += 1
+        return self._n_slots - 1
 
     def _compile_driver(
         self,
+        guards: Optional[_GuardNet],
         gate: Optional[str],
         flag: Optional[int],
         assign: Assignment,
     ) -> Tuple[_Driver, Set[int]]:
-        compiler = _GuardCompiler(self._slot)
-        guard_fn = compiler.compile(assign.guard)
-        if not self.strategy.compiled_guards:
-            # Compiling still records the guard's reads, the dependency
-            # edges of the shared netlist; only the evaluation is replaced.
-            guard_fn = (
-                None
-                if isinstance(assign.guard, TrueGuard)
-                else lambda v, g=assign.guard, read=self.read: eval_guard(g, read)
-            )
-        reads = set(compiler.read_slots)
+        if guards is None:
+            # No guard nodes: the resolver reads the guard's ports itself.
+            guard_slot = None
+            reads = {
+                self._slot(port)
+                for port in assign.guard.ports()
+                if not isinstance(port, ConstPort)
+            }
+        else:
+            guard_slot = guards.driver_slot(assign.guard)
+            reads = set() if guard_slot is None else {guard_slot}
         if isinstance(assign.src, ConstPort):
             src_slot, src_const = None, assign.src.value
         else:
@@ -524,12 +638,14 @@ class ComponentInstance:
         if gate is not None:
             gate_slot = self._slot(HolePort(gate, GO))
             reads.add(gate_slot)
-        return _Driver(gate_slot, flag, guard_fn, src_slot, src_const, assign), reads
+        driver = _Driver(gate_slot, flag, guard_slot, src_slot, src_const, assign)
+        return driver, reads
 
     def _build(self) -> None:
         comp = self.comp
+        #: The named slots; a :class:`_GuardNet`'s slots have no port.
         self._slots: Dict[PortRef, int] = {}
-        self._slot_refs: List[PortRef] = []
+        self._n_slots = 0
         # The declaration order is the signature order a parent passes
         # inputs in and reads outputs back in.
         self._in_slots = [self._slot(ThisPort(p.name)) for p in comp.inputs]
@@ -541,12 +657,14 @@ class ComponentInstance:
         driver_map: Dict[PortRef, List[_Driver]] = {}
         dep_map: Dict[PortRef, Set[int]] = {}
 
+        guards = _GuardNet(self) if self.strategy.guard_nodes else None
+
         def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
             driver_map.setdefault(dst, []).append(driver)
             dep_map.setdefault(dst, set()).update(reads)
 
         for gate, assign in static_drivers(comp):
-            driver, reads = self._compile_driver(gate, None, assign)
+            driver, reads = self._compile_driver(guards, gate, None, assign)
             add_driver(assign.dst, driver, reads)
 
         # Invoke-synthesized bindings, gated by per-phase flags keyed to
@@ -572,7 +690,7 @@ class ComponentInstance:
                 )
             )
             for assign in synthesized:
-                driver, reads = self._compile_driver(None, flag, assign)
+                driver, reads = self._compile_driver(guards, None, flag, assign)
                 add_driver(assign.dst, driver, reads)
 
         # Every group's go hole resolves even with no structural driver, so
@@ -637,18 +755,28 @@ class ComponentInstance:
             index = len(self._nodes)
             self._nodes.append(_DoneNode(index, self._this_done_slot))
             self._done_node = index
-        self._max_iters = 8 * (len(self._nodes) + 8)
+        #: The nodes a sweep fires, in build order: all but the guard nodes.
+        self._sweep_nodes: List[object] = list(self._nodes)
+        self._max_iters = 8 * (len(self._sweep_nodes) + 8)
+        # Guard nodes are numbered last, in creation order, which is
+        # topological: a cyclic SCC evaluates its guard nodes in index order.
+        self._guard_nodes: List[_GuardNode] = guards.nodes if guards else []
+        for node in self._guard_nodes:
+            node.index = len(self._nodes)
+            self._nodes.append(node)
 
-        self._values: List[int] = [0] * len(self._slot_refs)
+        self._reset_values: List[int] = [0] * self._n_slots
+        for value, slot in (guards.constants.items() if guards else ()):
+            self._reset_values[slot] = value
+        self._values: List[int] = list(self._reset_values)
         self._done_slots = [
-            i
-            for i, ref in enumerate(self._slot_refs)
+            slot
+            for ref, slot in self._slots.items()
             if getattr(ref, "port", None) == DONE
         ]
 
         # -- fanout, writers, SCCs, levels ---------------------------------
-        n_slots = len(self._slot_refs)
-        self._fanout: List[List[int]] = [[] for _ in range(n_slots)]
+        self._fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
         self._writer: Dict[int, int] = {}
         for node in self._nodes:
             for slot in self._node_out_slots(node):
@@ -732,7 +860,7 @@ class ComponentInstance:
 
     # -- dirty-set bookkeeping --------------------------------------------
     def _reset_dynamic(self) -> None:
-        self._values[:] = [0] * len(self._values)
+        self._values[:] = self._reset_values
         self._extra_nets.clear()
         self._invoke_flags: List[bool] = [False] * len(self._invoke_flag_of)
         self._active: Set[str] = set()
@@ -845,39 +973,55 @@ class ComponentInstance:
                     self._mark_slot(slot)
 
     def _sweep(self) -> bool:
-        """Fire every node once, in build order; True if any slot changed."""
+        """Fire every node but the guard nodes once, in build order.
+
+        Resolvers interpret their guards. True if any slot changed.
+        """
         changed = False
-        for node in self._nodes:
-            if node.fire(self):
+        for node in self._sweep_nodes:
+            if node.sweep(self):
                 changed = True
         return changed
 
     def _run_cyclic_scc(self, scc: int) -> None:
-        """Bounded fixpoint iteration inside one combinational cycle."""
+        """Bounded fixpoint iteration inside one combinational cycle.
+
+        The members iterate with interpreted guards; the SCC's guard nodes
+        are no fixpoint members but evaluate once, in creation order, after
+        the cycle converges.
+        """
         members = [self._nodes[i] for i in self._scc_nodes[scc]]
-        scc_of = self._scc_of
+        guards = [node for node in members if isinstance(node, _GuardNode)]
+        members = [node for node in members if not isinstance(node, _GuardNode)]
         limit = 8 * (len(members) + 8)
         for _ in range(limit):
             any_change = False
             for node in members:
-                for slot in node.fire(self):
+                for slot in node.sweep(self):
                     any_change = True
-                    for reader in self._fanout[slot]:
-                        if scc_of[reader] != scc:
-                            self._mark_scc(scc_of[reader])
+                    self._mark_readers_outside(slot, scc)
             if not any_change:
+                for node in guards:
+                    for slot in node.fire(self):
+                        self._mark_readers_outside(slot, scc)
                 return
         self._diagnose_nonconvergence(limit)
+
+    def _mark_readers_outside(self, slot: int, scc: int) -> None:
+        scc_of = self._scc_of
+        for reader in self._fanout[slot]:
+            if scc_of[reader] != scc:
+                self._mark_scc(scc_of[reader])
 
     def _diagnose_nonconvergence(self, spent_iters: int) -> None:
         """Out of iterations: classify limit cycle vs. divergence.
 
-        Keeps sweeping the whole netlist for a bounded number of extra
-        iterations while fingerprinting the slot array. A repeated
+        Keeps sweeping the netlist, guard nodes aside, for a bounded number
+        of extra iterations while fingerprinting the slot array. A repeated
         fingerprint proves a true combinational limit cycle
-        (:class:`OscillationError`, reporting the nets that toggle and the
-        period); no repeat within the probe means generic non-convergence
-        (:class:`CombinationalLoopError`).
+        (:class:`OscillationError`, reporting the named nets that toggle and
+        the period); no repeat within the probe means generic
+        non-convergence (:class:`CombinationalLoopError`).
         """
         seen: Dict[Tuple[int, ...], int] = {}
         history: List[List[int]] = []
@@ -887,13 +1031,11 @@ class ComponentInstance:
                 start = seen[fingerprint]
                 period = i - start
                 cycle_states = history[start:]
+                first = cycle_states[0]
                 toggling = sorted(
-                    {
-                        self._slot_refs[slot].to_string()
-                        for state in cycle_states
-                        for slot, val in enumerate(state)
-                        if any(s[slot] != val for s in cycle_states)
-                    }
+                    ref.to_string()
+                    for ref, slot in self._slots.items()
+                    if any(state[slot] != first[slot] for state in cycle_states)
                 )
                 raise OscillationError(
                     f"{self.path}: combinational limit cycle with period "
@@ -906,8 +1048,11 @@ class ComponentInstance:
             seen[fingerprint] = i
             history.append(list(self._values))
             if not self._sweep():
-                # Converged late: the probe visited every node, so the
-                # dirty bookkeeping is satisfied wholesale.
+                # Converged late: the probe visited every node but the guard
+                # nodes, so those refresh and the dirty bookkeeping is
+                # satisfied wholesale.
+                for node in self._guard_nodes:
+                    node.fire(self)
                 self._dirty_set.clear()
                 self._dirty_heap.clear()
                 return

@@ -6,8 +6,8 @@ unlowered interpreter — must behave *bit-identically* under the reference
 ``sweep`` strategy and the ``levelized`` strategy: same final memories,
 same cycle count, same done-net valuation. Any divergence here means the
 levelized strategy's scheduling (levelization, dirty-set propagation, cycle
-fallback) or guard compilation changed observable semantics, and it is the
-levelized strategy that is wrong.
+fallback) or its shared guard nodes changed observable semantics, and it is
+the levelized strategy that is wrong.
 
 Problem sizes are kept small (``REPRO_EQUIV_N``, default 2) so the full
 kernel-by-pipeline matrix stays affordable; the cross-check is about
@@ -20,11 +20,13 @@ import os
 import pytest
 
 from repro.frontends.dahlia import compile_dahlia
+from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
+from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard
 from repro.passes import PIPELINES, compile_program
 from repro.errors import CalyxError
 from repro.sim import Testbench, Watchdog, run_program
-from repro.sim.model import _GuardCompiler
+from repro.sim.model import _GUARD_FNS
 from repro.sim.fuzz import canonical_done_nets
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
@@ -113,12 +115,12 @@ def test_example_cycle_counts_are_nontrivial():
 
 
 def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
-    """The oracle must stay independent of guard compilation.
+    """The oracle must stay independent of the guard nodes.
 
-    With every compiled guard forced to "always true", the reference
-    strategy — which interprets guards with ``eval_guard`` — still computes
-    lowered SUM_LOOP exactly, while the levelized strategy, which runs the
-    compiled closures, does not.
+    With every guard node forced to evaluate true, the reference strategy —
+    which builds no guard nodes and interprets guards with ``eval_guard`` —
+    still computes lowered SUM_LOOP exactly, while the levelized strategy,
+    whose drivers read the guard nodes, does not.
     """
     program = parse_program(SUM_LOOP)
     compile_program(program, "lower")
@@ -126,7 +128,8 @@ def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
     clean = run_program(program.copy(), memories=memories)
     assert clean.mem("mem")[0] == 10
     expected = (clean.cycles, clean.memories)
-    monkeypatch.setattr(_GuardCompiler, "compile", lambda self, guard: None)
+    for op in list(_GUARD_FNS):
+        monkeypatch.setitem(_GUARD_FNS, op, lambda x, y: True)
 
     def observe(engine):
         try:
@@ -142,3 +145,62 @@ def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
 
     assert observe("sweep") == expected
     assert observe("levelized") != expected
+
+
+def _operator_subguards(guard, out):
+    """Collect every operator or comparison sub-guard of ``guard``."""
+    if isinstance(guard, (NotGuard, AndGuard, OrGuard, CmpGuard)):
+        out.add(guard)
+    if isinstance(guard, NotGuard):
+        _operator_subguards(guard.inner, out)
+    elif isinstance(guard, (AndGuard, OrGuard)):
+        _operator_subguards(guard.left, out)
+        _operator_subguards(guard.right, out)
+
+
+def _gemm_unrolled():
+    kernel = get_kernel("gemm", n=4, unroll=2)
+    design = compile_dahlia(kernel.unrolled_source)
+    compile_program(design.program, "all")
+    memories = {}
+    for name, values in kernel.memories_for(True).items():
+        memories.update(design.split_memory(name, values))
+    return design.program, memories
+
+
+def _systolic_4x4():
+    program = generate_systolic_array(SystolicConfig.square(4))
+    compile_program(program, "all")
+    memories = {f"l{r}": [r + c + 1 for c in range(4)] for r in range(4)}
+    memories.update({f"t{c}": [2 * c + k + 1 for k in range(4)] for c in range(4)})
+    return program, memories
+
+
+@pytest.mark.parametrize(
+    "build", [_gemm_unrolled, _systolic_4x4], ids=["gemm-unrolled", "systolic-4x4"]
+)
+def test_guard_nodes_are_shared_and_invisible(build):
+    """One guard node per distinct sub-guard; no trace of them in the nets.
+
+    ``main``'s guards repeat their enclosing control's prefix in every
+    assignment, but the levelized netlist holds each distinct operator or
+    comparison sub-guard once, as the hardware does. Its unnamed slots
+    stay out of every view the testbench, watchdog and reports read.
+    """
+    program, memories = build()
+    distinct = set()
+    for _, assign in program.main.all_assignments():
+        _operator_subguards(assign.guard, distinct)
+    views = {}
+    for engine in ("sweep", "levelized"):
+        bench = Testbench(program, engine=engine)
+        inst = bench.instance
+        if engine == "levelized":
+            assert len(inst._guard_nodes) == len(distinct)
+        else:
+            assert inst._guard_nodes == []
+        for path, values in memories.items():
+            bench.write_mem(path, values)
+        bench.run()
+        views[engine] = (sorted(inst.nets, key=str), inst.state_dump())
+    assert views["levelized"] == views["sweep"]

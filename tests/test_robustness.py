@@ -97,6 +97,28 @@ component main(go: 1) -> (done: 1) {
 }
 """
 
+#: A wire that feeds back through two complementary guards: exactly one
+#: driver is live in every state, so the loop is a limit cycle, never a
+#: driver conflict.
+GUARDED_WIRE_LOOP = """
+component main(go: 1) -> (done: 1) {
+  cells { w = std_wire(1); r = std_reg(1); }
+  wires {
+    w.in = !w.out ? 1'd1;
+    w.in = w.out ? 1'd0;
+    group g { r.in = w.out; r.write_en = 1; g[done] = r.done; }
+  }
+  control { g; }
+}
+"""
+
+#: ADDER_FEEDBACK with ``b.left`` split over two complementary comparisons:
+#: the counter wraps at 4, so the loop becomes a limit cycle.
+GUARDED_ADDER_FEEDBACK = ADDER_FEEDBACK.replace(
+    "b.left = a.out;",
+    "b.left = a.out > 8'd3 ? 8'd0;\n    b.left = a.out <= 8'd3 ? a.out;",
+)
+
 INFINITE_LOOP = """
 component main(go: 1) -> (done: 1) {
   cells { r = std_reg(1); lt = std_lt(1); }
@@ -278,6 +300,31 @@ class TestWatchdog:
         """An adder feedback loop diverges (period >> probe): generic error."""
         with pytest.raises(CombinationalLoopError):
             run_program(parse_program(ADDER_FEEDBACK), engine=engine)
+
+    @pytest.mark.parametrize(
+        "source, period, nets",
+        [
+            (GUARDED_WIRE_LOOP, 2, ["r.in", "w.in", "w.out"]),
+            (
+                GUARDED_ADDER_FEEDBACK,
+                4,
+                ["a.left", "a.out", "b.left", "b.out", "r.in"],
+            ),
+        ],
+        ids=["wire", "adder"],
+    )
+    def test_guarded_loop_keeps_its_diagnosis(self, engine, source, period, nets):
+        """Guards inside a combinational cycle read its current values.
+
+        Complementary guards never both hold, so no driver conflict is
+        reported, and the period and toggling nets are those of the
+        design's own nets: guard evaluation adds no delay to the loop.
+        """
+        with pytest.raises(OscillationError) as exc_info:
+            run_program(parse_program(source), engine=engine)
+        err = exc_info.value
+        assert err.period == period
+        assert err.nets == nets
 
 
 class TestDifftest:
