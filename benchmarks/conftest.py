@@ -18,14 +18,13 @@ Command-line options (benchmark runs only):
 import json
 import os
 
-from repro.eval.common import DEFAULT_EVAL_ENGINE
-from repro.sim import ENGINES
+from repro.sim import DEFAULT_ENGINE, ENGINES
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--engine",
-        default=DEFAULT_EVAL_ENGINE,
+        default=DEFAULT_ENGINE,
         choices=sorted(ENGINES),
         help="simulation engine for benchmark runs",
     )

@@ -7,8 +7,9 @@ Walks a (typically lowered) program and charges:
 * multiplexer costs for every port with more than one driver (sharing a
   component adds drivers to its input ports — the mechanism behind the
   paper's observation that sharing can *increase* LUT usage, Figure 9a),
-* guard logic costs, counting each structurally distinct guard node once
-  (synthesis shares common subexpressions).
+* guard logic costs, counting each distinct guard node once (synthesis
+  shares common subexpressions; guards are interned, so distinct
+  structure is distinct identity).
 
 Only relative numbers are meaningful; every figure in the paper is a
 ratio, which this model preserves structurally.
@@ -65,7 +66,7 @@ class _WidthTable:
 
 
 def _collect_guard_nodes(guard: Guard, seen: Set[Guard]) -> None:
-    """Add each operator node (not leaves) to ``seen``, deduplicated."""
+    """Add each operator node (not leaves) to ``seen``, once per node."""
     if isinstance(guard, (TrueGuard, PortGuard)):
         return
     if guard in seen:
@@ -109,7 +110,7 @@ def component_resources(
     for dst, count in drivers.items():
         total.charge("mux", luts=mux_cost(widths.width(dst), count))
 
-    # 3. Guard logic, deduplicated structurally.
+    # 3. Guard logic, each distinct node once.
     guard_nodes: Set[Guard] = set()
     for _, assign in comp.all_assignments():
         _collect_guard_nodes(assign.guard, guard_nodes)

@@ -64,23 +64,32 @@ def _value(ref: PortRef) -> str:
     return _wire_name(ref)
 
 
-def _guard_expr(guard: Guard) -> str:
+def _guard_expr(guard: Guard, memo: Dict[Guard, str]) -> str:
+    """Verilog text of ``guard``; ``memo`` renders each shared node once."""
+    text = memo.get(guard)
+    if text is not None:
+        return text
     if isinstance(guard, TrueGuard):
-        return "1'd1"
-    if isinstance(guard, PortGuard):
-        return _value(guard.port)
-    if isinstance(guard, NotGuard):
-        return f"~({_guard_expr(guard.inner)})"
-    if isinstance(guard, AndGuard):
-        return f"({_guard_expr(guard.left)} & {_guard_expr(guard.right)})"
-    if isinstance(guard, OrGuard):
-        return f"({_guard_expr(guard.left)} | {_guard_expr(guard.right)})"
-    if isinstance(guard, CmpGuard):
-        return f"({_value(guard.left)} {guard.op} {_value(guard.right)})"
-    raise PassError(f"cannot translate guard {guard!r}")
+        text = "1'd1"
+    elif isinstance(guard, PortGuard):
+        text = _value(guard.port)
+    elif isinstance(guard, NotGuard):
+        text = f"~({_guard_expr(guard.inner, memo)})"
+    elif isinstance(guard, AndGuard):
+        text = f"({_guard_expr(guard.left, memo)} & {_guard_expr(guard.right, memo)})"
+    elif isinstance(guard, OrGuard):
+        text = f"({_guard_expr(guard.left, memo)} | {_guard_expr(guard.right, memo)})"
+    elif isinstance(guard, CmpGuard):
+        text = f"({_value(guard.left)} {guard.op} {_value(guard.right)})"
+    else:
+        raise PassError(f"cannot translate guard {guard!r}")
+    memo[guard] = text
+    return text
 
 
-def _emit_component(program: Program, comp: Component) -> str:
+def _emit_component(
+    program: Program, comp: Component, guard_text: Dict[Guard, str]
+) -> str:
     if comp.groups or not comp.control.is_empty():
         raise PassError(
             f"component {comp.name!r} still has groups or control; "
@@ -140,7 +149,8 @@ def _emit_component(program: Program, comp: Component) -> str:
             if isinstance(assign.guard, TrueGuard):
                 chain = _value(assign.src)
                 break
-            chain += f"{_guard_expr(assign.guard)} ? {_value(assign.src)} : "
+            guard = _guard_expr(assign.guard, guard_text)
+            chain += f"{guard} ? {_value(assign.src)} : "
         if not chain.endswith(": ") and chain:
             expr = chain
         else:
@@ -166,8 +176,9 @@ def emit_verilog(program: Program, include_prelude: bool = True) -> str:
     if include_prelude:
         chunks.append("// Generated by repro (Calyx reproduction) Lower pass")
         chunks.append(prelude(sorted(_used_primitives(program))))
+    guard_text: Dict[Guard, str] = {}
     for comp in program.components:
-        chunks.append(_emit_component(program, comp))
+        chunks.append(_emit_component(program, comp, guard_text))
     return "\n\n".join(chunks) + "\n"
 
 

@@ -33,7 +33,13 @@ from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program, print_program
 from repro.passes import PIPELINES, make_pass_manager
-from repro.sim import DEFAULT_ENGINE, DEFAULT_MAX_CYCLES, ENGINES, run_program
+from repro.sim import (
+    DEFAULT_ENGINE,
+    DEFAULT_MAX_CYCLES,
+    ENGINES,
+    ORACLE_ENGINE,
+    run_program,
+)
 
 
 def _parse_mems(specs: List[str]) -> Dict[str, List[int]]:
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_CYCLES,
         help="cycle budget per execution",
     )
-    add_engine(p_diff)
+    add_engine(p_diff, default=ORACLE_ENGINE)
 
     p_dahlia = sub.add_parser("dahlia", help="compile a mini-Dahlia program")
     p_dahlia.add_argument("file")
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="regenerate a paper figure")
     p_eval.add_argument("figure", choices=["fig7", "fig8", "fig9", "stats"])
-    add_engine(p_eval, default="levelized")
+    add_engine(p_eval)
     p_eval.add_argument(
         "--emit-json",
         metavar="FILE",

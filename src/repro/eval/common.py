@@ -17,7 +17,7 @@ from repro.frontends.dahlia import compile_dahlia, CompiledDesign
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir.ast import Program
 from repro.passes import compile_program
-from repro.sim import run_program
+from repro.sim import DEFAULT_ENGINE, run_program
 from repro.stdlib.costs import Resources
 from repro.workloads.matmul import systolic_inputs
 from repro.workloads.polybench import Kernel
@@ -67,17 +67,11 @@ def compile_with(program: Program, pipeline: str) -> tuple:
     return program, time.perf_counter() - start
 
 
-#: The evaluation harness simulates with the levelized strategy by default:
-#: it is the hot path of Figures 7-9, and the equivalence suite holds the
-#: strategies bit-identical, so the reference sweep adds nothing here.
-DEFAULT_EVAL_ENGINE = "levelized"
-
-
 def evaluate_systolic(
     n: int,
     pipeline: str = "all",
     simulate: bool = True,
-    engine: str = DEFAULT_EVAL_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> DesignMetrics:
     """Generate, compile, and measure one n-by-n systolic array."""
     program = generate_systolic_array(SystolicConfig.square(n))
@@ -105,7 +99,7 @@ def evaluate_dahlia_kernel(
     unrolled: bool = False,
     pipeline: str = "all",
     simulate: bool = True,
-    engine: str = DEFAULT_EVAL_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> DesignMetrics:
     """Compile a PolyBench kernel through Dahlia->Calyx and measure it."""
     source = kernel.unrolled_source if unrolled else kernel.source

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.eval.common import (
-    DEFAULT_EVAL_ENGINE,
     DesignMetrics,
     evaluate_systolic,
     geomean,
 )
 from repro.eval.report import render_table
 from repro.hls import HlsReport
+from repro.sim import DEFAULT_ENGINE
 from repro.workloads.matmul import hls_matmul_report
 
 
@@ -64,7 +64,7 @@ class Fig7Row:
 def run(
     sizes: List[int] = (2, 3, 4, 5, 6, 7, 8),
     simulate: bool = True,
-    engine: str = DEFAULT_EVAL_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> List[Fig7Row]:
     rows: List[Fig7Row] = []
     for n in sizes:

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.eval.common import DEFAULT_EVAL_ENGINE, evaluate_dahlia_kernel, geomean
+from repro.eval.common import evaluate_dahlia_kernel, geomean
 from repro.eval.report import render_table
 from repro.frontends.dahlia.parser import parse
 from repro.frontends.dahlia.typecheck import typecheck
 from repro.hls import HlsConfig, schedule_program
+from repro.sim import DEFAULT_ENGINE
 from repro.workloads.polybench import Kernel, polybench_kernels
 
 
@@ -54,7 +55,7 @@ def measure(
     kernel: Kernel,
     unrolled: bool,
     simulate: bool = True,
-    engine: str = DEFAULT_EVAL_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> Fig8Row:
     metrics = evaluate_dahlia_kernel(
         kernel, unrolled=unrolled, pipeline="all", simulate=simulate, engine=engine
@@ -82,7 +83,7 @@ def run(
     kernels: Optional[List[str]] = None,
     simulate: bool = True,
     include_unrolled: bool = True,
-    engine: str = DEFAULT_EVAL_ENGINE,
+    engine: str = DEFAULT_ENGINE,
 ) -> List[Fig8Row]:
     rows: List[Fig8Row] = []
     for kernel in polybench_kernels(n, unroll):

@@ -4,23 +4,31 @@ Guards condition assignments: ``add.left = cmp.out ? a_reg.out``. They are
 built from ports and a small language of boolean connectives (``!``, ``&``,
 ``|``) plus port comparisons (``==``, ``!=``, ``<``, ``>``, ``<=``, ``>=``).
 
-Guards are immutable trees. Structural equality and hashing let passes
-deduplicate and simplify them.
+Guards form one interned DAG. Every constructor looks its node up by
+``(class, children...)`` in a weak table, so equal structures are the same
+object: equality is identity, the hash is the identity hash, and a shared
+prefix (the ``go``/FSM tests lowering folds into every guard) exists once.
+Consumers walk each distinct node once by memoizing on the node itself.
+Nodes are immutable; a node no program references any more is collected.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+import weakref
+from typing import Callable, List, Tuple
 
 from repro.ir.ports import PortRef
 
 CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
 
+#: ``(class, children...)`` -> the one live node with that structure.
+_INTERNED: "weakref.WeakValueDictionary[tuple, Guard]" = weakref.WeakValueDictionary()
+
 
 class Guard:
     """Abstract base class for guard expressions."""
 
-    __slots__ = ()
+    __slots__ = ("_ports", "__weakref__")
 
     # -- combinators --------------------------------------------------
     def and_(self, other: "Guard") -> "Guard":
@@ -43,16 +51,16 @@ class Guard:
         return NotGuard(self)
 
     # -- queries -------------------------------------------------------
-    def ports(self) -> Iterator[PortRef]:
-        """Yield every port referenced by this guard (with repeats)."""
-        raise NotImplementedError
+    def ports(self) -> Tuple[PortRef, ...]:
+        """Every port referenced by this guard, in tree order with repeats."""
+        return self._ports
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> "Guard":
         """Return a copy with every port rewritten through ``fn``."""
         raise NotImplementedError
 
     def size(self) -> int:
-        """Number of operator nodes; used by the resource estimator."""
+        """Number of operator nodes in the tree (shared nodes count again)."""
         return 0
 
     def to_string(self) -> str:
@@ -61,26 +69,33 @@ class Guard:
     def __repr__(self) -> str:
         return f"Guard({self.to_string()})"
 
+    # An interned node is an immutable value: copying returns it.
+    def __copy__(self) -> "Guard":
+        return self
+
+    def __deepcopy__(self, memo) -> "Guard":
+        return self
+
 
 class TrueGuard(Guard):
     """The always-true guard: an unconditional assignment."""
 
     __slots__ = ()
 
-    def ports(self) -> Iterator[PortRef]:
-        return iter(())
+    def __new__(cls) -> "TrueGuard":
+        key = (cls,)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node._ports = ()
+            _INTERNED[key] = node
+        return node
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
         return self
 
     def to_string(self) -> str:
         return "1"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TrueGuard)
-
-    def __hash__(self) -> int:
-        return hash("true-guard")
 
 
 G_TRUE = TrueGuard()
@@ -91,11 +106,15 @@ class PortGuard(Guard):
 
     __slots__ = ("port",)
 
-    def __init__(self, port: PortRef):
-        self.port = port
-
-    def ports(self) -> Iterator[PortRef]:
-        yield self.port
+    def __new__(cls, port: PortRef) -> "PortGuard":
+        key = (cls, port)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.port = port
+            node._ports = (port,)
+            _INTERNED[key] = node
+        return node
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
         return PortGuard(fn(self.port))
@@ -103,23 +122,21 @@ class PortGuard(Guard):
     def to_string(self) -> str:
         return self.port.to_string()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PortGuard) and self.port == other.port
-
-    def __hash__(self) -> int:
-        return hash(("port-guard", self.port))
-
 
 class NotGuard(Guard):
     """Boolean negation: ``!g``."""
 
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Guard):
-        self.inner = inner
-
-    def ports(self) -> Iterator[PortRef]:
-        return self.inner.ports()
+    def __new__(cls, inner: Guard) -> "NotGuard":
+        key = (cls, inner)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.inner = inner
+            node._ports = inner._ports
+            _INTERNED[key] = node
+        return node
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
         return NotGuard(self.inner.map_ports(fn))
@@ -130,77 +147,46 @@ class NotGuard(Guard):
     def to_string(self) -> str:
         return f"!{_atom(self.inner)}"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NotGuard) and self.inner == other.inner
 
-    def __hash__(self) -> int:
-        return hash(("not-guard", self.inner))
+class _BinaryGuard(Guard):
+    """A boolean connective over two sub-guards."""
+
+    __slots__ = ("left", "right")
+    symbol = ""
+
+    def __new__(cls, left: Guard, right: Guard) -> "_BinaryGuard":
+        key = (cls, left, right)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.left = left
+            node.right = right
+            node._ports = left._ports + right._ports
+            _INTERNED[key] = node
+        return node
+
+    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
+        return type(self)(self.left.map_ports(fn), self.right.map_ports(fn))
+
+    def size(self) -> int:
+        return 1 + self.left.size() + self.right.size()
+
+    def to_string(self) -> str:
+        return f"{_atom(self.left)} {self.symbol} {_atom(self.right)}"
 
 
-class AndGuard(Guard):
+class AndGuard(_BinaryGuard):
     """Boolean conjunction: ``a & b``."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def ports(self) -> Iterator[PortRef]:
-        yield from self.left.ports()
-        yield from self.right.ports()
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return AndGuard(self.left.map_ports(fn), self.right.map_ports(fn))
-
-    def size(self) -> int:
-        return 1 + self.left.size() + self.right.size()
-
-    def to_string(self) -> str:
-        return f"{_atom(self.left)} & {_atom(self.right)}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AndGuard)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash(("and-guard", self.left, self.right))
+    __slots__ = ()
+    symbol = "&"
 
 
-class OrGuard(Guard):
+class OrGuard(_BinaryGuard):
     """Boolean disjunction: ``a | b``."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Guard, right: Guard):
-        self.left = left
-        self.right = right
-
-    def ports(self) -> Iterator[PortRef]:
-        yield from self.left.ports()
-        yield from self.right.ports()
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return OrGuard(self.left.map_ports(fn), self.right.map_ports(fn))
-
-    def size(self) -> int:
-        return 1 + self.left.size() + self.right.size()
-
-    def to_string(self) -> str:
-        return f"{_atom(self.left)} | {_atom(self.right)}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrGuard)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash(("or-guard", self.left, self.right))
+    __slots__ = ()
+    symbol = "|"
 
 
 class CmpGuard(Guard):
@@ -208,16 +194,19 @@ class CmpGuard(Guard):
 
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: PortRef, right: PortRef):
+    def __new__(cls, op: str, left: PortRef, right: PortRef) -> "CmpGuard":
         if op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def ports(self) -> Iterator[PortRef]:
-        yield self.left
-        yield self.right
+        key = (cls, op, left, right)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            node.op = op
+            node.left = left
+            node.right = right
+            node._ports = (left, right)
+            _INTERNED[key] = node
+        return node
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
         return CmpGuard(self.op, fn(self.left), fn(self.right))
@@ -227,17 +216,6 @@ class CmpGuard(Guard):
 
     def to_string(self) -> str:
         return f"{self.left.to_string()} {self.op} {self.right.to_string()}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CmpGuard)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return hash(("cmp-guard", self.op, self.left, self.right))
 
 
 def _atom(guard: Guard) -> str:

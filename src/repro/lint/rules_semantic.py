@@ -8,7 +8,8 @@ independent valuations, a "always true"/"never true" verdict is sound
 (though incomplete — correlated atoms like ``x == 1`` and ``x == 2`` may
 hide additional contradictions). The valuations are evaluated together:
 bit ``k`` of an int is the guard's value under valuation ``k``, so one
-walk of the guard tree computes its whole truth table.
+walk of the guard DAG computes its whole truth table. Constants follow
+the simulator's reading: any nonzero value is true.
 """
 
 from __future__ import annotations
@@ -77,23 +78,26 @@ def _cmp_atom(guard: CmpGuard) -> Tuple[Optional[Atom], bool, Optional[bool]]:
 
 
 def _guard_atoms(guard: Guard, atoms: Set[Atom]) -> None:
-    if isinstance(guard, TrueGuard):
-        return
-    if isinstance(guard, PortGuard):
-        if not isinstance(guard.port, ConstPort):
-            atoms.add(("port", guard.port.to_string()))
-        return
-    if isinstance(guard, CmpGuard):
-        atom, _, _ = _cmp_atom(guard)
-        if atom is not None:
-            atoms.add(atom)
-        return
-    if isinstance(guard, NotGuard):
-        _guard_atoms(guard.inner, atoms)
-        return
-    if isinstance(guard, (AndGuard, OrGuard)):
-        _guard_atoms(guard.left, atoms)
-        _guard_atoms(guard.right, atoms)
+    """Add the guard's canonical atoms, visiting each distinct node once."""
+    seen: Set[Guard] = set()
+    stack = [guard]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, PortGuard):
+            if not isinstance(node.port, ConstPort):
+                atoms.add(("port", node.port.to_string()))
+        elif isinstance(node, CmpGuard):
+            atom, _, _ = _cmp_atom(node)
+            if atom is not None:
+                atoms.add(atom)
+        elif isinstance(node, NotGuard):
+            stack.append(node.inner)
+        elif isinstance(node, (AndGuard, OrGuard)):
+            stack.append(node.left)
+            stack.append(node.right)
 
 
 def _column(k: int, full: int) -> int:
@@ -107,31 +111,50 @@ def _column(k: int, full: int) -> int:
     return period * (full // ((1 << (2 * half)) - 1))
 
 
-def _truth_table(guard: Guard, columns: Dict[Atom, int], full: int) -> int:
-    """The guard's value under every valuation, one bit per valuation."""
+def _truth_table(
+    guard: Guard,
+    columns: Dict[Atom, int],
+    full: int,
+    memo: Optional[Dict[Guard, int]] = None,
+) -> int:
+    """The guard's value under every valuation, one bit per valuation.
+
+    ``memo`` holds the table of each node already computed under the same
+    ``columns``, so a shared sub-guard is evaluated once.
+    """
+    if memo is None:
+        memo = {}
+    table = memo.get(guard)
+    if table is not None:
+        return table
     if isinstance(guard, TrueGuard):
-        return full
-    if isinstance(guard, PortGuard):
+        table = full
+    elif isinstance(guard, PortGuard):
         if isinstance(guard.port, ConstPort):
-            return full if guard.port.value & 1 else 0
-        return columns[("port", guard.port.to_string())]
-    if isinstance(guard, CmpGuard):
+            table = full if guard.port.value != 0 else 0
+        else:
+            table = columns[("port", guard.port.to_string())]
+    elif isinstance(guard, CmpGuard):
         atom, polarity, constant = _cmp_atom(guard)
         if atom is None:
-            return full if constant else 0
-        column = columns[atom]
-        return column if polarity else full ^ column
-    if isinstance(guard, NotGuard):
-        return full ^ _truth_table(guard.inner, columns, full)
-    if isinstance(guard, AndGuard):
-        return _truth_table(guard.left, columns, full) & _truth_table(
-            guard.right, columns, full
+            table = full if constant else 0
+        else:
+            column = columns[atom]
+            table = column if polarity else full ^ column
+    elif isinstance(guard, NotGuard):
+        table = full ^ _truth_table(guard.inner, columns, full, memo)
+    elif isinstance(guard, AndGuard):
+        table = _truth_table(guard.left, columns, full, memo) & _truth_table(
+            guard.right, columns, full, memo
         )
-    if isinstance(guard, OrGuard):
-        return _truth_table(guard.left, columns, full) | _truth_table(
-            guard.right, columns, full
+    elif isinstance(guard, OrGuard):
+        table = _truth_table(guard.left, columns, full, memo) | _truth_table(
+            guard.right, columns, full, memo
         )
-    raise TypeError(f"unknown guard kind: {guard!r}")
+    else:
+        raise TypeError(f"unknown guard kind: {guard!r}")
+    memo[guard] = table
+    return table
 
 
 def classify_guard(guard: Guard) -> Optional[str]:
@@ -165,8 +188,12 @@ class GuardLogicRule(LintRule):
 
     def check_component(self, view: ComponentView, report: LintReport) -> None:
         comp = view.comp
+        verdicts: Dict[Guard, Optional[str]] = {}
         for group, assign in comp.all_assignments():
-            verdict = classify_guard(assign.guard)
+            guard = assign.guard
+            if guard not in verdicts:
+                verdicts[guard] = classify_guard(guard)
+            verdict = verdicts[guard]
             if verdict is None:
                 continue
             group_name = group.name if group is not None else None
@@ -305,7 +332,7 @@ class UnreachableControlRule(LintRule):
                         )
                     )
             elif isinstance(node, If) and isinstance(node.port, ConstPort):
-                taken = "true" if node.port.value & 1 else "false"
+                taken = "true" if node.port.value != 0 else "false"
                 report.add(
                     self.diag(
                         f"if condition is the constant "
@@ -318,7 +345,7 @@ class UnreachableControlRule(LintRule):
             elif isinstance(node, While) and isinstance(node.port, ConstPort):
                 detail = (
                     "body never runs"
-                    if not (node.port.value & 1)
+                    if node.port.value == 0
                     else "loop never terminates"
                 )
                 report.add(

@@ -16,7 +16,7 @@ also what engine construction tolerates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     MultipleDriverError,
@@ -24,15 +24,18 @@ from repro.errors import (
     ValidationError,
     WidthError,
 )
-from repro.ir.ast import Assignment, CellPort, ConstPort, HolePort, ThisPort
+from repro.ir.ast import Assignment, CellPort, HolePort, ThisPort
 from repro.ir.control import Enable, If, Invoke, While
-from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard, PortGuard
+from repro.ir.guards import AndGuard, CmpGuard, Guard, NotGuard, OrGuard, PortGuard
 from repro.ir.ports import DONE, GO, PortRef
 from repro.ir.types import Direction
 from repro.lint.context import ComponentView
 from repro.lint.diagnostics import WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
 from repro.sim.structural import static_drivers
+
+#: One unresolvable reference: its message and the cell it names, if any.
+_Problem = Tuple[str, Optional[str]]
 
 
 def _assignments(view: ComponentView):
@@ -87,77 +90,68 @@ class UnknownNameRule(LintRule):
                     )
                 )
 
+        # A guard's findings depend only on the guard and on whether it sits
+        # in a group, so each distinct guard is checked once per scope kind.
+        guard_problems: Dict[Tuple[Guard, bool], Tuple[_Problem, ...]] = {}
         for context, group_name, assign in _assignments(view):
-            for ref in assign.ports():
-                self._check_ref(view, report, ref, context, group_name, assign)
+            in_group = group_name is not None
+            key = (assign.guard, in_group)
+            in_guard = guard_problems.get(key)
+            if in_guard is None:
+                in_guard = guard_problems[key] = self._problems(
+                    view, assign.guard.ports(), in_group
+                )
+            problems = self._problems(view, (assign.dst, assign.src), in_group)
+            for message, cell in problems + in_guard:
+                report.add(
+                    self.diag(
+                        f"{context}: {message}",
+                        component=comp.name,
+                        group=group_name,
+                        cell=cell,
+                        span=assign.span,
+                    )
+                )
 
         self._check_control(view, report)
 
-    def _check_ref(
-        self,
-        view: ComponentView,
-        report: LintReport,
-        ref: PortRef,
-        context: str,
-        group_name: Optional[str],
-        assign: Assignment,
-    ) -> None:
+    def _problems(
+        self, view: ComponentView, refs: Iterable[PortRef], in_group: bool
+    ) -> Tuple[_Problem, ...]:
+        """``(message, cell)`` for each reference that does not resolve."""
+        problems = (self._ref_problem(view, ref, in_group) for ref in refs)
+        return tuple(problem for problem in problems if problem is not None)
+
+    def _ref_problem(
+        self, view: ComponentView, ref: PortRef, in_group: bool
+    ) -> Optional[_Problem]:
         comp = view.comp
-        if isinstance(ref, ConstPort):
-            return
         if isinstance(ref, HolePort):
             # Hole existence only matters inside groups; holes in continuous
             # assignments are categorically rejected by `continuous-hole`.
-            if group_name is not None and ref.group not in comp.groups:
-                report.add(
-                    self.diag(
-                        f"{context}: hole {ref.to_string()} names an "
-                        f"undefined group",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
-            return
+            if in_group and ref.group not in comp.groups:
+                return f"hole {ref.to_string()} names an undefined group", None
+            return None
         if isinstance(ref, ThisPort):
             if ref.port not in view.signature():
-                report.add(
-                    self.diag(
-                        f"{context}: component {comp.name!r} has no port "
-                        f"{ref.port!r}",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
-            return
+                return f"component {comp.name!r} has no port {ref.port!r}", None
+            return None
         if isinstance(ref, CellPort):
             cell = comp.cells.get(ref.cell)
             if cell is None:
-                report.add(
-                    self.diag(
-                        f"{context}: {ref.to_string()} names an undefined "
-                        f"cell {ref.cell!r}",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
+                return (
+                    f"{ref.to_string()} names an undefined cell {ref.cell!r}",
+                    None,
                 )
-                return
             sig = view.cell_signature(ref.cell)
-            if sig is None:
-                return  # the cell itself was already reported above
-            if ref.port not in sig:
-                report.add(
-                    self.diag(
-                        f"{context}: cell {ref.cell!r} ({cell.comp_name}) "
-                        f"has no port {ref.port!r}",
-                        component=comp.name,
-                        group=group_name,
-                        cell=ref.cell,
-                        span=assign.span,
-                    )
+            # An unresolvable cell was already reported above.
+            if sig is not None and ref.port not in sig:
+                return (
+                    f"cell {ref.cell!r} ({cell.comp_name}) has no port "
+                    f"{ref.port!r}",
+                    ref.cell,
                 )
+        return None
 
     def _check_control(self, view: ComponentView, report: LintReport) -> None:
         comp = view.comp
@@ -210,6 +204,7 @@ class PortDirectionRule(LintRule):
 
     def check_component(self, view: ComponentView, report: LintReport) -> None:
         comp = view.comp
+        bad_guard_ports: Dict[Guard, Tuple[PortRef, ...]] = {}
         for context, group_name, assign in _assignments(view):
             if view.is_writable(assign.dst) is False:
                 report.add(
@@ -231,17 +226,22 @@ class PortDirectionRule(LintRule):
                         span=assign.span,
                     )
                 )
-            for ref in assign.guard.ports():
-                if view.is_readable(ref) is False:
-                    report.add(
-                        self.diag(
-                            f"{context}: guard operand {ref.to_string()} is "
-                            f"not a readable port",
-                            component=comp.name,
-                            group=group_name,
-                            span=assign.span,
-                        )
+            guard = assign.guard
+            unreadable = bad_guard_ports.get(guard)
+            if unreadable is None:
+                unreadable = bad_guard_ports[guard] = tuple(
+                    ref for ref in guard.ports() if view.is_readable(ref) is False
+                )
+            for ref in unreadable:
+                report.add(
+                    self.diag(
+                        f"{context}: guard operand {ref.to_string()} is "
+                        f"not a readable port",
+                        component=comp.name,
+                        group=group_name,
+                        span=assign.span,
                     )
+                )
         for node in comp.control.walk():
             if isinstance(node, (If, While)):
                 if view.is_readable(node.port) is False:
@@ -290,8 +290,17 @@ class GuardWidthRule(LintRule):
 
     def check_component(self, view: ComponentView, report: LintReport) -> None:
         comp = view.comp
+        findings: Dict[Guard, Tuple[str, ...]] = {}
         for context, group_name, assign in _assignments(view):
-            self._check_guard(view, report, assign.guard, context, group_name, assign)
+            for finding in self._guard_findings(view, assign.guard, findings):
+                report.add(
+                    self.diag(
+                        f"{context}: {finding}",
+                        component=comp.name,
+                        group=group_name,
+                        span=assign.span,
+                    )
+                )
         for node in comp.control.walk():
             if isinstance(node, (If, While)):
                 width = view.width(node.port)
@@ -305,38 +314,39 @@ class GuardWidthRule(LintRule):
                         )
                     )
 
-    def _check_guard(self, view, report, guard, context, group_name, assign) -> None:
-        comp = view.comp
+    def _guard_findings(
+        self,
+        view: ComponentView,
+        guard: Guard,
+        memo: Dict[Guard, Tuple[str, ...]],
+    ) -> Tuple[str, ...]:
+        """One message per bad operand occurrence, in tree order."""
+        found = memo.get(guard)
+        if found is not None:
+            return found
+        found = ()
         if isinstance(guard, PortGuard):
             width = view.width(guard.port)
             if width is not None and width != 1:
-                report.add(
-                    self.diag(
-                        f"{context}: guard port {guard.port.to_string()} "
-                        f"must be 1 bit, is {width}",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
+                found = (
+                    f"guard port {guard.port.to_string()} must be 1 bit, "
+                    f"is {width}",
                 )
         elif isinstance(guard, CmpGuard):
             left = view.width(guard.left)
             right = view.width(guard.right)
             if left is not None and right is not None and left != right:
-                report.add(
-                    self.diag(
-                        f"{context}: comparison width mismatch in "
-                        f"{guard.to_string()} ({left} vs {right})",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
+                found = (
+                    f"comparison width mismatch in {guard.to_string()} "
+                    f"({left} vs {right})",
                 )
         elif isinstance(guard, NotGuard):
-            self._check_guard(view, report, guard.inner, context, group_name, assign)
+            found = self._guard_findings(view, guard.inner, memo)
         elif isinstance(guard, (AndGuard, OrGuard)):
-            self._check_guard(view, report, guard.left, context, group_name, assign)
-            self._check_guard(view, report, guard.right, context, group_name, assign)
+            left_found = self._guard_findings(view, guard.left, memo)
+            found = left_found + self._guard_findings(view, guard.right, memo)
+        memo[guard] = found
+        return found
 
 
 def _driver_scopes(view: ComponentView):

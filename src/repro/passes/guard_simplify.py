@@ -7,7 +7,9 @@ guard logic the resource estimator charges for.
 
 from __future__ import annotations
 
-from repro.ir.ast import Component, Program
+from typing import Dict, Optional
+
+from repro.ir.ast import Program
 from repro.ir.guards import (
     G_TRUE,
     AndGuard,
@@ -19,32 +21,45 @@ from repro.ir.guards import (
 from repro.passes.base import Pass, register_pass
 
 
-def simplify_guard(guard: Guard) -> Guard:
-    """Bottom-up simplification; returns a (possibly shared) new guard."""
+def simplify_guard(guard: Guard, memo: Optional[Dict[Guard, Guard]] = None) -> Guard:
+    """Bottom-up simplification; returns a (possibly shared) new guard.
+
+    ``memo`` maps each node already simplified to its result, so a node
+    shared by many guards is simplified once per ``memo``.
+    """
+    if memo is None:
+        memo = {}
+    done = memo.get(guard)
+    if done is not None:
+        return done
+    # An unchanged node stays itself: interning would return it anyway.
+    result = guard
     if isinstance(guard, NotGuard):
-        inner = simplify_guard(guard.inner)
+        inner = simplify_guard(guard.inner, memo)
         if isinstance(inner, NotGuard):
-            return inner.inner
-        return NotGuard(inner)
-    if isinstance(guard, AndGuard):
-        left = simplify_guard(guard.left)
-        right = simplify_guard(guard.right)
+            result = inner.inner
+        elif inner is not guard.inner:
+            result = NotGuard(inner)
+    elif isinstance(guard, AndGuard):
+        left = simplify_guard(guard.left, memo)
+        right = simplify_guard(guard.right, memo)
         if isinstance(left, TrueGuard):
-            return right
-        if isinstance(right, TrueGuard):
-            return left
-        if left == right:
-            return left
-        return AndGuard(left, right)
-    if isinstance(guard, OrGuard):
-        left = simplify_guard(guard.left)
-        right = simplify_guard(guard.right)
+            result = right
+        elif isinstance(right, TrueGuard) or left is right:
+            result = left
+        elif left is not guard.left or right is not guard.right:
+            result = AndGuard(left, right)
+    elif isinstance(guard, OrGuard):
+        left = simplify_guard(guard.left, memo)
+        right = simplify_guard(guard.right, memo)
         if isinstance(left, TrueGuard) or isinstance(right, TrueGuard):
-            return G_TRUE
-        if left == right:
-            return left
-        return OrGuard(left, right)
-    return guard
+            result = G_TRUE
+        elif left is right:
+            result = left
+        elif left is not guard.left or right is not guard.right:
+            result = OrGuard(left, right)
+    memo[guard] = result
+    return result
 
 
 @register_pass
@@ -52,6 +67,8 @@ class GuardSimplify(Pass):
     name = "guard-simplify"
     description = "boolean simplification of guards"
 
-    def run_component(self, program: Program, comp: Component) -> None:
-        for _, assign in comp.all_assignments():
-            assign.guard = simplify_guard(assign.guard)
+    def run(self, program: Program) -> None:
+        memo: Dict[Guard, Guard] = {}
+        for comp in program.components:
+            for _, assign in comp.all_assignments():
+                assign.guard = simplify_guard(assign.guard, memo)

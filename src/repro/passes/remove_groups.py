@@ -53,6 +53,8 @@ class _Inliner:
         # hole -> list of (guard, src) pairs from assignments writing it.
         self.writes: Dict[HolePort, List[Tuple[Guard, PortRef]]] = {}
         self.cache: Dict[HolePort, Guard] = {}
+        #: guard -> its expansion; shared sub-guards expand once.
+        self.expanded: Dict[Guard, Guard] = {}
         self.visiting: Set[HolePort] = set()
         for group in comp.groups.values():
             for assign in group.assignments:
@@ -96,21 +98,26 @@ class _Inliner:
 
     def expand(self, guard: Guard) -> Guard:
         """Replace every hole reference inside ``guard`` by its definition."""
+        result = self.expanded.get(guard)
+        if result is not None:
+            return result
+        result = guard
         if isinstance(guard, PortGuard):
             if isinstance(guard.port, HolePort):
-                return self.define(guard.port)
-            return guard
-        if isinstance(guard, NotGuard):
-            return NotGuard(self.expand(guard.inner))
-        if isinstance(guard, AndGuard):
-            return AndGuard(self.expand(guard.left), self.expand(guard.right))
-        if isinstance(guard, OrGuard):
-            return OrGuard(self.expand(guard.left), self.expand(guard.right))
-        if isinstance(guard, CmpGuard):
+                result = self.define(guard.port)
+        elif isinstance(guard, CmpGuard):
             if isinstance(guard.left, HolePort) or isinstance(guard.right, HolePort):
                 raise PassError("holes may not appear in comparisons")
-            return guard
-        return guard
+        elif isinstance(guard, NotGuard):
+            inner = self.expand(guard.inner)
+            if inner is not guard.inner:
+                result = NotGuard(inner)
+        elif isinstance(guard, (AndGuard, OrGuard)):
+            left, right = self.expand(guard.left), self.expand(guard.right)
+            if left is not guard.left or right is not guard.right:
+                result = type(guard)(left, right)
+        self.expanded[guard] = result
+        return result
 
 
 @register_pass

@@ -27,8 +27,8 @@ from repro.ir.attributes import STATIC
 from repro.ir.validate import validate_program
 from repro.passes import PIPELINES, compile_program
 from repro.sim import (
-    DEFAULT_ENGINE,
     DEFAULT_MAX_CYCLES,
+    ORACLE_ENGINE,
     Testbench,
     Watchdog,
     run_program,
@@ -110,7 +110,7 @@ def default_memories(program: Program) -> Dict[str, List[int]]:
     identical copies, so even memories the design treats as outputs are
     safely pre-filled.
     """
-    bench = Testbench(program)
+    bench = Testbench(program, engine=ORACLE_ENGINE)
     memories: Dict[str, List[int]] = {}
     for path in bench.memory_paths():
         model = bench._memory(path)
@@ -172,7 +172,7 @@ def difftest_program(
     check_latency: bool = True,
     checked_passes: bool = False,
     compiled_transform: Optional[Callable[[Program], None]] = None,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = ORACLE_ENGINE,
 ) -> DifftestReport:
     """Run the differential oracle over ``program``.
 

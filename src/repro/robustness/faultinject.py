@@ -27,7 +27,7 @@ from repro.ir.ast import CellPort, Component, Program, ThisPort
 from repro.ir.guards import NotGuard
 from repro.lint.context import ComponentView
 from repro.robustness.difftest import DifftestReport, difftest_program
-from repro.sim import DEFAULT_ENGINE, ComponentInstance
+from repro.sim import ORACLE_ENGINE, ComponentInstance
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def run_selftest(
     pipelines: Sequence[str] = ("lower",),
     memories: Optional[Dict[str, List[int]]] = None,
     max_cycles: int = 50_000,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = ORACLE_ENGINE,
 ) -> List[SelfTestRecord]:
     """Inject one IR fault per seed into the compiled side of the oracle.
 

@@ -30,6 +30,7 @@ from repro.sim.testbench import (
     DEFAULT_ENGINE,
     DEFAULT_MAX_CYCLES,
     ENGINES,
+    ORACLE_ENGINE,
     resolve_engine,
 )
 
@@ -44,5 +45,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "DEFAULT_MAX_CYCLES",
     "ENGINES",
+    "ORACLE_ENGINE",
     "resolve_engine",
 ]

@@ -355,7 +355,8 @@ class _GuardNet:
     one unnamed slot, created after its operands, so creation order is
     topological. A port guard is its port's slot, a constant operand gets
     a constant slot, and constant sub-guards fold (``a & true`` is ``a``).
-    Each guard object is consed once, however many assignments share it.
+    Each distinct (interned) guard node is consed once, however many
+    assignments and enclosing guards share it.
     """
 
     def __init__(self, inst: "ComponentInstance"):
@@ -364,7 +365,7 @@ class _GuardNet:
         #: Constant value -> the unnamed slot holding it.
         self.constants: Dict[int, int] = {}
         self._table: Dict[Tuple[str, int, int], int] = {}
-        self._memo: Dict[int, Union[bool, int]] = {}
+        self._memo: Dict[Guard, Union[bool, int]] = {}
 
     def driver_slot(self, guard: Guard) -> Optional[int]:
         """The slot a driver reads its guard from; ``None`` if always true."""
@@ -394,7 +395,7 @@ class _GuardNet:
 
     def _cons(self, guard: Guard) -> Union[bool, int]:
         """``True``/``False`` for a constant guard, else its value's slot."""
-        known = self._memo.get(id(guard))
+        known = self._memo.get(guard)
         if known is not None:
             return known
         result: Union[bool, int]
@@ -436,7 +437,7 @@ class _GuardNet:
                 result = self._node(guard.op, self._operand(left), self._operand(right))
         else:
             raise SimulationError(f"cannot evaluate guard {guard!r}")
-        self._memo[id(guard)] = result
+        self._memo[guard] = result
         return result
 
 

@@ -36,7 +36,12 @@ ENGINES: Dict[str, SettleStrategy] = {
     "levelized": LEVELIZED,
 }
 
-DEFAULT_ENGINE = "sweep"
+#: What a simulation runs on unless it asks for another strategy.
+DEFAULT_ENGINE = "levelized"
+
+#: The reference the differential oracles (difftest and the fault-injection
+#: self-test) compare against: independent of the compiled guard netlist.
+ORACLE_ENGINE = "sweep"
 
 
 def resolve_engine(name: str) -> SettleStrategy:

@@ -1,14 +1,23 @@
 """Tests for the Verilog backend and the resource estimator."""
 
+import glob
+import os
+
 import pytest
 
 from repro.backend import emit_verilog, estimate_resources
-from repro.backend.resources import count_register_cells
+from repro.backend.resources import _collect_guard_nodes, count_register_cells
 from repro.backend.verilog import verilog_loc
 from repro.errors import PassError
+from repro.frontends.dahlia import compile_dahlia
+from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
+from repro.ir.guards import AndGuard, NotGuard, OrGuard, PortGuard, TrueGuard
 from repro.passes import compile_program, get_pass
+from repro.workloads.polybench import get_kernel
 from tests.conftest import SUM_LOOP, TWO_WRITES
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
 def lowered(source=SUM_LOOP, pipeline="lower"):
@@ -138,3 +147,42 @@ component main(go: 1) -> (done: 1) {
         res = estimate_resources(lowered(src))
         assert res.dsps > 0
         assert res.brams > 0
+
+
+def _structural_guard_nodes(guard, keys):
+    """Distinct operator nodes keyed by structure, walking the whole tree."""
+    if isinstance(guard, (TrueGuard, PortGuard)):
+        return
+    keys.add((type(guard).__name__, guard.to_string()))
+    if isinstance(guard, NotGuard):
+        _structural_guard_nodes(guard.inner, keys)
+    elif isinstance(guard, (AndGuard, OrGuard)):
+        _structural_guard_nodes(guard.left, keys)
+        _structural_guard_nodes(guard.right, keys)
+
+
+GUARD_CORPUS = ["systolic-4x4", "gemm-unrolled"] + sorted(
+    os.path.basename(path) for path in glob.glob(os.path.join(EXAMPLES, "*.futil"))
+)
+
+
+def _guard_design(name):
+    if name == "systolic-4x4":
+        return generate_systolic_array(SystolicConfig.square(4))
+    if name == "gemm-unrolled":
+        return compile_dahlia(get_kernel("gemm", 4).unrolled_source).program
+    with open(os.path.join(EXAMPLES, name)) as handle:
+        return parse_program(handle.read())
+
+
+@pytest.mark.parametrize("name", GUARD_CORPUS)
+def test_resource_guard_count_matches_structural_reference(name):
+    # An identity set counts structure only if every construction path
+    # interns; a path that bypassed interning would count extra nodes.
+    program = compile_program(_guard_design(name), "all")
+    for comp in program.components:
+        seen, keys = set(), set()
+        for _, assign in comp.all_assignments():
+            _collect_guard_nodes(assign.guard, seen)
+            _structural_guard_nodes(assign.guard, keys)
+        assert keys and len(seen) == len(keys), (name, comp.name)

@@ -102,7 +102,7 @@ def _eval_guard(guard: Guard, env) -> bool:
         return True
     if isinstance(guard, PortGuard):
         if isinstance(guard.port, ConstPort):
-            return bool(guard.port.value & 1)
+            return guard.port.value != 0
         return env[("port", guard.port.to_string())]
     if isinstance(guard, CmpGuard):
         atom, polarity, constant = _cmp_atom(guard)

@@ -225,6 +225,26 @@ class TestSemanticRules:
         )
         assert "guard-contradiction" in warning_ids(src)
 
+    def test_wide_constant_guard_is_true_when_nonzero(self):
+        # A constant guard is true when nonzero, as the simulator, the
+        # guard netlist and Verilog read it, not when its low bit is set.
+        anded = base(body="r.in = 2'd2 & lt.out ? 32'd1; r.write_en = 1;")
+        assert "guard-contradiction" not in warning_ids(anded)
+        ored = base(body="r.in = 2'd2 | lt.out ? 32'd1; r.write_en = 1;")
+        assert "guard-tautology" in warning_ids(ored)
+
+    def test_wide_constant_condition_takes_the_true_branch(self):
+        report = lint(base(control="if 2'd2 { g; }"))
+        messages = [
+            d.message for d in report.warnings if d.rule == "unreachable-control"
+        ]
+        assert messages and "only the true branch" in messages[0]
+        report = lint(base(control="while 2'd2 { g; }"))
+        messages = [
+            d.message for d in report.warnings if d.rule == "unreachable-control"
+        ]
+        assert messages and "loop never terminates" in messages[0]
+
     def test_plain_guard_is_not_flagged(self):
         src = base(body="r.in = lt.out ? 32'd1; r.write_en = 1;")
         report = lint(src)

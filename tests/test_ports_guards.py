@@ -1,8 +1,14 @@
 """Unit tests for port references and the guard language."""
 
+import copy
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.errors import ValidationError
+from repro.ir import parse_program
 from repro.ir.guards import (
     G_TRUE,
     AndGuard,
@@ -129,3 +135,145 @@ class TestGuards:
         a2 = AndGuard(PortGuard(self.port()), G_TRUE)
         assert a1 == a2
         assert hash(a1) == hash(a2)
+
+
+def _reference_ports(guard):
+    """The recursive generator ``ports()`` replaced: tree order, repeats."""
+    if isinstance(guard, PortGuard):
+        yield guard.port
+    elif isinstance(guard, CmpGuard):
+        yield guard.left
+        yield guard.right
+    elif isinstance(guard, NotGuard):
+        yield from _reference_ports(guard.inner)
+    elif isinstance(guard, (AndGuard, OrGuard)):
+        yield from _reference_ports(guard.left)
+        yield from _reference_ports(guard.right)
+
+
+def _random_guard(rng, depth):
+    """A random guard over a small port pool, so subtrees repeat."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            op = rng.choice(["==", "!=", "<", ">", "<=", ">="])
+            left = CellPort(rng.choice("ab"), "out")
+            return CmpGuard(op, left, ConstPort(2, rng.randrange(4)))
+        leaves = [CellPort("x", "out"), HolePort("g", "done"), ThisPort("go")]
+        return PortGuard(rng.choice(leaves))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return NotGuard(_random_guard(rng, depth - 1))
+    cls = AndGuard if kind == 1 else OrGuard
+    return cls(_random_guard(rng, depth - 1), _random_guard(rng, depth - 1))
+
+
+INTERN_SRC = """
+component main(go: 1) -> (done: 1) {
+  cells { r = std_reg(1); f = std_reg(2); }
+  wires {
+    group g {
+      r.in = (f.out == 2'd1) & !r.done | go ? 1'd1;
+      r.write_en = !(f.out == 2'd1 & !r.done) ? 1'd1;
+      g[done] = r.done;
+    }
+  }
+  control { g; }
+}
+"""
+
+
+class TestInterning:
+    def a(self):
+        return PortGuard(CellPort("a", "out"))
+
+    def b(self):
+        return PortGuard(CellPort("b", "out"))
+
+    def cmp(self, op="=="):
+        return CmpGuard(op, CellPort("fsm", "out"), ConstPort(2, 1))
+
+    def test_every_constructor_interns(self):
+        assert TrueGuard() is G_TRUE
+        assert self.a() is self.a()
+        assert PortGuard(ConstPort(1, 1)) is PortGuard(ConstPort(1, 1))
+        assert self.cmp() is self.cmp()
+        assert NotGuard(self.a()) is NotGuard(self.a())
+        assert AndGuard(self.a(), self.b()) is AndGuard(self.a(), self.b())
+        assert OrGuard(self.a(), self.cmp()) is OrGuard(self.a(), self.cmp())
+
+    def test_distinct_structures_stay_distinct(self):
+        a, b = self.a(), self.b()
+        assert AndGuard(a, b) is not OrGuard(a, b)
+        assert AndGuard(a, b) is not AndGuard(b, a)
+        assert self.cmp("<") is not self.cmp("<=")
+        assert PortGuard(ThisPort("go")) is not PortGuard(CellPort("go", "out"))
+
+    def test_combinators_return_interned_nodes(self):
+        a, b = self.a(), self.b()
+        assert a.and_(b) is AndGuard(a, b)
+        assert a.or_(b) is OrGuard(a, b)
+        assert a.not_() is NotGuard(a)
+        assert and_all([a, b, self.cmp()]) is AndGuard(AndGuard(a, b), self.cmp())
+        assert or_all([]) is NotGuard(G_TRUE)
+        assert (a & ~b) is AndGuard(a, NotGuard(b))
+        g = AndGuard(a, NotGuard(self.cmp()))
+        assert g.map_ports(lambda p: p) is g
+        renamed = g.map_ports(
+            lambda p: CellPort("z", p.port) if isinstance(p, CellPort) else p
+        )
+        expected = AndGuard(
+            PortGuard(CellPort("z", "out")),
+            NotGuard(CmpGuard("==", CellPort("z", "out"), ConstPort(2, 1))),
+        )
+        assert renamed is expected
+
+    def test_copies_are_the_node(self):
+        g = OrGuard(self.a(), NotGuard(self.cmp()))
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+
+    def test_equality_is_identity(self):
+        a = self.a()
+        assert a == PortGuard(CellPort("a", "out"))
+        assert hash(a) == object.__hash__(a)
+        assert AndGuard(a, a) != AndGuard(a, self.b())
+
+    def test_parsing_twice_shares_every_guard(self):
+        first = parse_program(INTERN_SRC).main
+        second = parse_program(INTERN_SRC).main
+        pairs = list(zip(first.all_assignments(), second.all_assignments()))
+        assert len(pairs) == 3
+        for (_, x), (_, y) in pairs:
+            assert x.guard is y.guard
+        # The two spellings of `f.out == 2'd1 & !r.done` share one node.
+        r_in, r_we = (assign.guard for _, assign in list(first.all_assignments())[:2])
+        assert r_in.left is r_we.inner
+
+    def test_ports_match_the_recursive_reference(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            guard = _random_guard(rng, 5)
+            assert guard.ports() == tuple(_reference_ports(guard))
+        a = self.a()
+        shared = AndGuard(OrGuard(a, self.cmp()), OrGuard(a, self.cmp()))
+        once = (a.port,) + self.cmp().ports()
+        assert shared.ports() == once + once
+
+    def test_size_counts_tree_nodes(self):
+        a = self.a()
+        s = OrGuard(a, NotGuard(a))
+        assert AndGuard(s, s).size() == 5
+        assert AndGuard(self.cmp(), NotGuard(self.cmp())).size() == 4
+
+    def test_dropped_program_guards_are_collected(self):
+        def unique_guard_ref():
+            source = INTERN_SRC.replace("r.done | go", "r.done | zz_only.out")
+            source = source.replace("f = std_reg(2);", "f = std_reg(2); zz_only = std_reg(1);")
+            program = parse_program(source)
+            guard = next(iter(program.main.all_assignments()))[1].guard
+            assert "zz_only" in guard.to_string()
+            return weakref.ref(guard)
+
+        ref = unique_guard_ref()
+        gc.collect()
+        assert ref() is None
