@@ -9,7 +9,7 @@ Run: pytest benchmarks/bench_fig7.py --benchmark-only -s
 """
 
 from repro.eval.common import geomean
-from repro.eval.fig7_systolic import report, run, sim_json
+from repro.eval.fig7_systolic import report, run
 
 from benchmarks.conftest import emit_sim_json, fig7_sizes, sim_engine
 
@@ -23,7 +23,7 @@ def test_fig7_systolic_vs_hls(benchmark, request):
     )
     print()
     print(report(rows))
-    emit_sim_json(request, sim_json(rows))
+    emit_sim_json(request, "fig7", rows)
 
     # Paper shape assertions: systolic wins, the gap grows with size,
     # LUT overhead is modest, Sensitive gives ~2x.

@@ -9,7 +9,7 @@ Run: pytest benchmarks/bench_fig8.py --benchmark-only -s
 """
 
 from repro.eval.common import geomean
-from repro.eval.fig8_polybench import report, run, sim_json
+from repro.eval.fig8_polybench import report, run
 
 from benchmarks.conftest import (
     emit_sim_json,
@@ -33,7 +33,7 @@ def test_fig8_polybench_vs_hls(benchmark, request):
     )
     print()
     print(report(rows))
-    emit_sim_json(request, sim_json(rows))
+    emit_sim_json(request, "fig8", rows)
 
     plain = [r for r in rows if not r.unrolled]
     unrolled = [r for r in rows if r.unrolled]

@@ -10,14 +10,14 @@ Command-line options (benchmark runs only):
 
 * ``--engine {sweep,levelized}`` — simulation engine (default: levelized,
   the scheduled strategy; ``sweep`` is the reference strategy),
-* ``--emit-json FILE`` — write per-kernel simulation throughput
-  (cycles/sec) to FILE; multiple benchmark files merge into one JSON
-  keyed by figure.
+* ``--emit-json FILE`` — merge per-kernel simulation throughput
+  (cycles/sec) into FILE, keyed by figure and engine; multiple
+  benchmark files share one JSON.
 """
 
-import json
 import os
 
+from repro.eval.common import write_throughput_json
 from repro.sim import DEFAULT_ENGINE, ENGINES
 
 
@@ -41,26 +41,18 @@ def sim_engine(request):
     return request.config.getoption("--engine")
 
 
-def emit_sim_json(request, payload):
-    """Merge one figure's throughput payload into the ``--emit-json`` file.
+def emit_sim_json(request, figure, rows):
+    """Merge one figure's throughput into the ``--emit-json`` file.
 
-    Each payload is ``{"figure": ..., "kernels": {...}}``; the file maps
-    figure name -> engine -> kernels, so fig7 and fig8 runs share one
-    file and a sweep run next to a levelized run exposes the speedup
-    directly (compare ``cycles_per_second`` kernel by kernel).
+    The file maps figure name -> engine -> kernel, the same shape
+    ``calyx-py eval --emit-json`` writes (see
+    :func:`repro.eval.common.write_throughput_json`).
     """
     path = request.config.getoption("--emit-json")
-    if not path:
-        return
-    merged = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            merged = json.load(handle)
-    engine = request.config.getoption("--engine")
-    merged.setdefault(payload["figure"], {})[engine] = payload["kernels"]
-    with open(path, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    if path:
+        write_throughput_json(
+            path, figure, sim_engine(request), {r.label: r.metrics for r in rows}
+        )
 
 
 def fig7_sizes():

@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-json",
         metavar="FILE",
         default=None,
-        help="also write per-kernel simulation throughput (cycles/sec) "
-        "to FILE (fig7/fig8 only)",
+        help="also merge per-kernel simulation throughput (cycles/sec) "
+        "into FILE, keyed by figure and engine (fig7/fig8 only)",
     )
 
     return parser
@@ -384,18 +384,21 @@ def _dispatch(args) -> int:
         _compile(program, args)
         print(_emit(program, args.emit))
     elif args.command == "eval":
-        if args.figure == "fig7":
-            from repro.eval import fig7_systolic
+        if args.figure in ("fig7", "fig8"):
+            from repro.eval import fig7_systolic, fig8_polybench
+            from repro.eval.common import write_throughput_json
 
-            rows = fig7_systolic.run(engine=args.engine)
-            print(fig7_systolic.report(rows))
-            _write_sim_json(args, fig7_systolic.sim_json(rows))
-        elif args.figure == "fig8":
-            from repro.eval import fig8_polybench
-
-            rows = fig8_polybench.run(engine=args.engine)
-            print(fig8_polybench.report(rows))
-            _write_sim_json(args, fig8_polybench.sim_json(rows))
+            figure = fig7_systolic if args.figure == "fig7" else fig8_polybench
+            rows = figure.run(engine=args.engine)
+            print(figure.report(rows))
+            if args.emit_json:
+                write_throughput_json(
+                    args.emit_json,
+                    args.figure,
+                    args.engine,
+                    {r.label: r.metrics for r in rows},
+                )
+                print(f"wrote {args.emit_json}", file=sys.stderr)
         elif args.figure == "fig9":
             from repro.eval import fig9_opts
 
@@ -405,16 +408,6 @@ def _dispatch(args) -> int:
 
             table_stats.main()
     return 0
-
-
-def _write_sim_json(args, payload: dict) -> None:
-    if getattr(args, "emit_json", None):
-        import json
-
-        with open(args.emit_json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.emit_json}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

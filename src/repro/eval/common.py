@@ -2,21 +2,25 @@
 
 ``evaluate_*`` functions compile a design with a chosen pipeline, simulate
 it for a cycle count (the Verilator substitute), and estimate resources
-(the Vivado substitute), returning a :class:`DesignMetrics`.
+(the Vivado substitute), returning a :class:`DesignMetrics`. Every figure
+measures its designs through :func:`_measure`, and simulation throughput
+is recorded in one JSON shape by :func:`write_throughput_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.backend.resources import count_register_cells, estimate_resources
+from repro.backend.resources import estimate_resources
 from repro.frontends.dahlia import compile_dahlia, CompiledDesign
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir.ast import Program
-from repro.passes import compile_program
+from repro.passes import make_pass_manager
 from repro.sim import DEFAULT_ENGINE, run_program
 from repro.stdlib.costs import Resources
 from repro.workloads.matmul import systolic_inputs
@@ -30,7 +34,6 @@ class DesignMetrics:
     name: str
     cycles: Optional[int]
     resources: Resources
-    register_cells: int
     compile_seconds: float
     #: The engine that produced ``cycles`` (see ``repro.sim.ENGINES``).
     engine: str
@@ -60,11 +63,31 @@ def geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def compile_with(program: Program, pipeline: str) -> tuple:
-    """Compile in place, returning (program, seconds)."""
-    start = time.perf_counter()
-    compile_program(program, pipeline)
-    return program, time.perf_counter() - start
+def _measure(
+    name: str,
+    program: Program,
+    pipeline: str,
+    memories: Dict[str, List[int]],
+    simulate: bool,
+    engine: str,
+) -> DesignMetrics:
+    """Compile ``program`` in place, optionally simulate it, and measure it."""
+    manager = make_pass_manager(pipeline)
+    manager.run(program)
+    cycles = None
+    sim_seconds = 0.0
+    if simulate:
+        start = time.perf_counter()
+        cycles = run_program(program, memories=memories, engine=engine).cycles
+        sim_seconds = time.perf_counter() - start
+    return DesignMetrics(
+        name=f"{name}[{pipeline}]",
+        cycles=cycles,
+        resources=estimate_resources(program),
+        compile_seconds=manager.total_seconds(),
+        sim_seconds=sim_seconds,
+        engine=engine,
+    )
 
 
 def evaluate_systolic(
@@ -75,22 +98,8 @@ def evaluate_systolic(
 ) -> DesignMetrics:
     """Generate, compile, and measure one n-by-n systolic array."""
     program = generate_systolic_array(SystolicConfig.square(n))
-    program, seconds = compile_with(program, pipeline)
-    cycles = None
-    sim_seconds = 0.0
-    if simulate:
-        start = time.perf_counter()
-        result = run_program(program, memories=systolic_inputs(n), engine=engine)
-        sim_seconds = time.perf_counter() - start
-        cycles = result.cycles
-    return DesignMetrics(
-        name=f"systolic-{n}x{n}[{pipeline}]",
-        cycles=cycles,
-        resources=estimate_resources(program),
-        register_cells=count_register_cells(program),
-        compile_seconds=seconds,
-        sim_seconds=sim_seconds,
-        engine=engine,
+    return _measure(
+        f"systolic-{n}x{n}", program, pipeline, systolic_inputs(n), simulate, engine
     )
 
 
@@ -106,24 +115,43 @@ def evaluate_dahlia_kernel(
     if source is None:
         raise ValueError(f"kernel {kernel.name!r} has no unrolled variant")
     design: CompiledDesign = compile_dahlia(source)
-    program, seconds = compile_with(design.program, pipeline)
-    cycles = None
-    sim_seconds = 0.0
-    if simulate:
-        mems: Dict[str, List[int]] = {}
-        for name, values in kernel.memories_for(unrolled).items():
-            mems.update(design.split_memory(name, values))
-        start = time.perf_counter()
-        result = run_program(program, memories=mems, engine=engine)
-        sim_seconds = time.perf_counter() - start
-        cycles = result.cycles
+    mems: Dict[str, List[int]] = {}
+    for name, values in kernel.memories_for(unrolled).items():
+        mems.update(design.split_memory(name, values))
     suffix = "-unrolled" if unrolled else ""
-    return DesignMetrics(
-        name=f"{kernel.name}{suffix}[{pipeline}]",
-        cycles=cycles,
-        resources=estimate_resources(program),
-        register_cells=count_register_cells(program),
-        compile_seconds=seconds,
-        sim_seconds=sim_seconds,
-        engine=engine,
+    return _measure(
+        f"{kernel.name}{suffix}", design.program, pipeline, mems, simulate, engine
     )
+
+
+def throughput_json(designs: Dict[str, DesignMetrics]) -> dict:
+    """Simulation throughput per design, keyed as the caller names them."""
+    return {
+        key: {
+            "cycles": metrics.cycles,
+            "sim_seconds": round(metrics.sim_seconds, 6),
+            "cycles_per_second": round(metrics.cycles_per_second, 1),
+            "engine": metrics.engine,
+        }
+        for key, metrics in designs.items()
+    }
+
+
+def write_throughput_json(
+    path: str, figure: str, engine: str, designs: Dict[str, DesignMetrics]
+) -> None:
+    """Merge one figure's throughput into ``path``.
+
+    The file maps figure -> engine -> design (the committed
+    ``BENCH_sim.json`` shape), so fig7 and fig8 runs share one file and a
+    sweep run next to a levelized run exposes the speedup directly.
+    Sections for other figures and engines are kept.
+    """
+    merged = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            merged = json.load(handle)
+    merged.setdefault(figure, {})[engine] = throughput_json(designs)
+    with open(path, "w") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
+        handle.write("\n")

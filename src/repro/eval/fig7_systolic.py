@@ -39,14 +39,14 @@ class Fig7Row:
     insensitive_luts: float
     hls_cycles: int
     hls_luts: float
-    engine: str
-    sim_seconds: float = 0.0
+    #: The latency-sensitive array, whose simulation throughput Fig. 7
+    #: records (the insensitive array contributes only cycles and LUTs).
+    metrics: DesignMetrics
 
     @property
-    def cycles_per_second(self) -> float:
-        if not self.systolic_cycles or self.sim_seconds <= 0:
-            return 0.0
-        return self.systolic_cycles / self.sim_seconds
+    def label(self) -> str:
+        """This row's key in the throughput JSON."""
+        return f"systolic-{self.size}x{self.size}"
 
     @property
     def speedup(self) -> float:
@@ -84,27 +84,10 @@ def run(
                 insensitive_luts=insensitive.luts,
                 hls_cycles=hls.latency_cycles,
                 hls_luts=hls.luts,
-                sim_seconds=sensitive.sim_seconds + insensitive.sim_seconds,
-                engine=engine,
+                metrics=sensitive,
             )
         )
     return rows
-
-
-def sim_json(rows: List[Fig7Row]) -> dict:
-    """The ``--emit-json`` payload: simulation throughput per array size."""
-    return {
-        "figure": "fig7",
-        "kernels": {
-            f"systolic-{r.size}x{r.size}": {
-                "cycles": r.systolic_cycles,
-                "sim_seconds": round(r.sim_seconds, 6),
-                "cycles_per_second": round(r.cycles_per_second, 1),
-                "engine": r.engine,
-            }
-            for r in rows
-        },
-    }
 
 
 def report(rows: List[Fig7Row]) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.eval.common import evaluate_dahlia_kernel, geomean
+from repro.eval.common import DesignMetrics, evaluate_dahlia_kernel, geomean
 from repro.eval.report import render_table
 from repro.frontends.dahlia.parser import parse
 from repro.frontends.dahlia.typecheck import typecheck
@@ -33,8 +33,12 @@ class Fig8Row:
     calyx_luts: float
     hls_cycles: int
     hls_luts: float
-    engine: str
-    sim_seconds: float = 0.0
+    metrics: DesignMetrics
+
+    @property
+    def label(self) -> str:
+        """Kernel name as the table and the throughput JSON show it."""
+        return self.name + ("-u" if self.unrolled else "")
 
     @property
     def slowdown(self) -> float:
@@ -43,12 +47,6 @@ class Fig8Row:
     @property
     def lut_ratio(self) -> float:
         return self.calyx_luts / self.hls_luts
-
-    @property
-    def cycles_per_second(self) -> float:
-        if not self.calyx_cycles or self.sim_seconds <= 0:
-            return 0.0
-        return self.calyx_cycles / self.sim_seconds
 
 
 def measure(
@@ -72,8 +70,7 @@ def measure(
         calyx_luts=metrics.luts,
         hls_cycles=hls.latency_cycles,
         hls_luts=hls.luts,
-        sim_seconds=metrics.sim_seconds,
-        engine=engine,
+        metrics=metrics,
     )
 
 
@@ -95,29 +92,13 @@ def run(
     return rows
 
 
-def sim_json(rows: List[Fig8Row]) -> dict:
-    """The ``--emit-json`` payload: simulation throughput per kernel."""
-    return {
-        "figure": "fig8",
-        "kernels": {
-            r.name + ("-u" if r.unrolled else ""): {
-                "cycles": r.calyx_cycles,
-                "sim_seconds": round(r.sim_seconds, 6),
-                "cycles_per_second": round(r.cycles_per_second, 1),
-                "engine": r.engine,
-            }
-            for r in rows
-        },
-    }
-
-
 def report(rows: List[Fig8Row]) -> str:
     table = render_table(
         "Figure 8: Dahlia-to-Calyx vs Vivado HLS (PolyBench linear algebra)",
         ["kernel", "calyx cyc", "HLS cyc", "slowdown", "calyx LUT", "HLS LUT", "LUT ratio"],
         [
             [
-                r.name + ("-u" if r.unrolled else ""),
+                r.label,
                 r.calyx_cycles,
                 r.hls_cycles,
                 r.slowdown,

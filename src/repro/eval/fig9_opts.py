@@ -79,7 +79,7 @@ def run_sharing(n: int = 4, kernels: Optional[List[str]] = None) -> List[Fig9aRo
         base = evaluate_dahlia_kernel(kernel, pipeline="lower-static", simulate=False)
         res = evaluate_dahlia_kernel(kernel, pipeline="resource-share-only", simulate=False)
         reg = evaluate_dahlia_kernel(kernel, pipeline="register-share-only", simulate=False)
-        both = evaluate_dahlia_kernel(kernel, pipeline="both-share", simulate=False)
+        both = evaluate_dahlia_kernel(kernel, pipeline="all", simulate=False)
         rows.append(
             Fig9aRow(
                 name=kernel.name,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.backend.verilog import verilog_loc
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
+from repro.ir.ast import Program
 from repro.ir.control import count_control_statements
 from repro.eval.report import render_table
 from repro.passes import compile_program
@@ -32,8 +33,8 @@ class CompilationStats:
     verilog_loc: int
 
 
-def systolic_stats(n: int = 8) -> CompilationStats:
-    program = generate_systolic_array(SystolicConfig.square(n))
+def _stats(design: str, program: Program) -> CompilationStats:
+    """Count the source design, then time its ``all`` compile plus Verilog."""
     main = program.main
     cells = len(main.cells)
     groups = len(main.groups)
@@ -42,35 +43,17 @@ def systolic_stats(n: int = 8) -> CompilationStats:
     compile_program(program, "all")
     loc = verilog_loc(program)
     elapsed = time.perf_counter() - start
-    return CompilationStats(
-        design=f"systolic-{n}x{n}",
-        cells=cells,
-        groups=groups,
-        control_statements=control,
-        compile_seconds=elapsed,
-        verilog_loc=loc,
-    )
+    return CompilationStats(design, cells, groups, control, elapsed, loc)
+
+
+def systolic_stats(n: int = 8) -> CompilationStats:
+    program = generate_systolic_array(SystolicConfig.square(n))
+    return _stats(f"systolic-{n}x{n}", program)
 
 
 def gemver_stats(n: int = 4) -> CompilationStats:
-    kernel = get_kernel("gemver", n)
-    design = compile_dahlia(kernel.source)
-    main = design.program.main
-    cells = len(main.cells)
-    groups = len(main.groups)
-    control = count_control_statements(main.control)
-    start = time.perf_counter()
-    compile_program(design.program, "all")
-    loc = verilog_loc(design.program)
-    elapsed = time.perf_counter() - start
-    return CompilationStats(
-        design=f"gemver-{n}",
-        cells=cells,
-        groups=groups,
-        control_statements=control,
-        compile_seconds=elapsed,
-        verilog_loc=loc,
-    )
+    design = compile_dahlia(get_kernel("gemver", n).source)
+    return _stats(f"gemver-{n}", design.program)
 
 
 def run(systolic_n: int = 8, gemver_n: int = 4):

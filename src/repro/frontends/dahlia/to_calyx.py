@@ -98,16 +98,8 @@ class CompiledDesign:
 
 
 class _Backend:
-    def __init__(self, lowered: LoweredProgram, materialize_reads: bool = True):
+    def __init__(self, lowered: LoweredProgram):
         self.lowered = lowered
-        # The paper's Dahlia backend emits *simple groups*: every memory
-        # read is staged through a register by its own group. This is what
-        # makes latency inference effective, gives the register-sharing
-        # pass its opportunities (Figure 9b), and accounts for part of the
-        # 3.1x gap to pipelined HLS (Figure 8a). Setting this False fuses
-        # the first read of each memory into the consuming group — a
-        # small scheduling optimization the paper leaves to future work.
-        self.materialize_reads = materialize_reads
         self._in_condition = False
         self.builder = Builder()
         self.main: ComponentBuilder = self.builder.component("main")
@@ -207,11 +199,14 @@ class _Backend:
         info = self.mems.get(expr.mem)
         if info is None:
             raise TypeError_(f"undefined memory {expr.mem!r} (backend)")
-        materialize = self.materialize_reads and not self._in_condition
-        if materialize or expr.mem in mems_in_group:
-            # Stage the read through a register in its own simple group
-            # (always, in the paper-faithful mode; otherwise only when a
-            # second access would contend for the memory's port).
+        if not self._in_condition or expr.mem in mems_in_group:
+            # The paper's Dahlia backend emits *simple groups*: every
+            # memory read is staged through a register by its own group.
+            # This is what makes latency inference effective, gives the
+            # register-sharing pass its opportunities (Figure 9b), and
+            # accounts for part of the 3.1x gap to pipelined HLS (Figure
+            # 8a). Reads inside a condition fuse into the condition group
+            # unless a second access would contend for the memory's port.
             tmp = self.main.reg(self.fresh(f"{expr.mem}_rd_"), info.width)
             read_group = self.main.group(self.fresh("read"), static=1)
             inner_mems: Dict[str, List[Expr]] = {}
@@ -405,13 +400,6 @@ class _Backend:
         return CompiledDesign(self.builder.program, dict(self.lowered.layouts))
 
 
-def compile_to_calyx(
-    lowered: LoweredProgram, materialize_reads: bool = True
-) -> CompiledDesign:
-    """Compile lowered Dahlia into a Calyx program.
-
-    ``materialize_reads=True`` (default) reproduces the paper's simple-
-    group compilation style; ``False`` fuses single memory reads into
-    their consuming groups (an ablation of that design choice).
-    """
-    return _Backend(lowered, materialize_reads).compile()
+def compile_to_calyx(lowered: LoweredProgram) -> CompiledDesign:
+    """Compile lowered Dahlia into a Calyx program (simple-group style)."""
+    return _Backend(lowered).compile()

@@ -23,6 +23,7 @@ from repro.ir.ast import (
     ThisPort,
 )
 from repro.ir.types import Direction, PortDef
+from repro.sim.structural import DriverRaces, driver_races
 
 
 class ComponentView:
@@ -37,6 +38,7 @@ class ComponentView:
         self.comp = comp
         self._cell_sigs: Dict[str, Optional[Dict[str, PortDef]]] = {}
         self._signature: Optional[Dict[str, PortDef]] = None
+        self._driver_races: Optional[DriverRaces] = None
 
     # -- signatures --------------------------------------------------------
     def signature(self) -> Dict[str, PortDef]:
@@ -47,6 +49,12 @@ class ComponentView:
                 sig.setdefault(port.name, port)
             self._signature = sig
         return self._signature
+
+    def driver_races(self) -> DriverRaces:
+        """:func:`repro.sim.structural.driver_races`, computed once."""
+        if self._driver_races is None:
+            self._driver_races = driver_races(self.comp)
+        return self._driver_races
 
     def duplicate_ports(self) -> Dict[str, int]:
         """Port names declared more than once, with their counts."""

@@ -6,10 +6,10 @@ this set and raises the first error using each rule's ``exception``
 class, so registration order below mirrors the validator's historical
 check order — signature, cells, groups, continuous assignments, control.
 
-Multiple-driver checking follows :func:`repro.sim.structural.static_drivers`
-scope semantics (shared with both simulation engines): two unconditional
-drivers of one port conflict when they live in the same activation scope —
-the same group, or both always-active. Identical duplicate connections are
+Multiple-driver checking reads :func:`repro.sim.structural.driver_races`,
+which engine construction checks as well: two unconditional drivers of
+one port conflict when they live in the same activation scope — the
+same group, or both always-active. Identical duplicate connections are
 only a warning (``duplicate-assignment``); they cannot disagree, which is
 also what engine construction tolerates.
 """
@@ -24,7 +24,7 @@ from repro.errors import (
     ValidationError,
     WidthError,
 )
-from repro.ir.ast import Assignment, CellPort, HolePort, ThisPort
+from repro.ir.ast import CellPort, HolePort, ThisPort
 from repro.ir.control import Enable, If, Invoke, While
 from repro.ir.guards import AndGuard, CmpGuard, Guard, NotGuard, OrGuard, PortGuard
 from repro.ir.ports import DONE, GO, PortRef
@@ -32,7 +32,6 @@ from repro.ir.types import Direction
 from repro.lint.context import ComponentView
 from repro.lint.diagnostics import WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
-from repro.sim.structural import static_drivers
 
 #: One unresolvable reference: its message and the cell it names, if any.
 _Problem = Tuple[str, Optional[str]]
@@ -349,25 +348,6 @@ class GuardWidthRule(LintRule):
         return found
 
 
-def _driver_scopes(view: ComponentView):
-    """Unconditional drivers keyed by (scope, destination)."""
-    scopes: Dict[Tuple[Optional[str], PortRef], Assignment] = {}
-    duplicates = []
-    conflicts = []
-    for gate, assign in static_drivers(view.comp):
-        if not assign.is_unconditional():
-            continue
-        key = (gate, assign.dst)
-        prev = scopes.get(key)
-        if prev is None:
-            scopes[key] = assign
-        elif prev.src == assign.src:
-            duplicates.append((gate, prev, assign))
-        else:
-            conflicts.append((gate, prev, assign))
-    return conflicts, duplicates
-
-
 @register_rule
 class MultipleDriversRule(LintRule):
     id = "multiple-drivers"
@@ -376,7 +356,7 @@ class MultipleDriversRule(LintRule):
     description = "two unconditional drivers of one port in the same scope"
 
     def check_component(self, view: ComponentView, report: LintReport) -> None:
-        conflicts, _ = _driver_scopes(view)
+        conflicts, _ = view.driver_races()
         for gate, prev, assign in conflicts:
             where = f"group {gate!r}" if gate else "always-active scope"
             report.add(
@@ -564,7 +544,7 @@ class DuplicateAssignmentRule(LintRule):
     description = "the same connection is written twice in one scope"
 
     def check_component(self, view: ComponentView, report: LintReport) -> None:
-        _, duplicates = _driver_scopes(view)
+        _, duplicates = view.driver_races()
         for gate, prev, assign in duplicates:
             where = f"group {gate!r}" if gate else "always-active scope"
             report.add(

@@ -20,19 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Tuple
 
-from repro.analysis.coloring import greedy_coloring
-from repro.analysis.schedule import conflict_map
-from repro.ir.ast import Component, Program
+from repro.ir.ast import Program
 from repro.ir.types import Direction
-from repro.passes.base import Pass, register_pass
-from repro.passes.resource_sharing import (
-    ResourceSharing,
-    cells_used_by,
-    rename_cells,
-    shareable_cells,
-)
+from repro.passes.base import register_pass
+from repro.passes.resource_sharing import ResourceSharing
 from repro.stdlib.costs import primitive_cost
 from repro.stdlib.primitives import is_primitive
 
@@ -79,46 +72,15 @@ class SharingCostModel:
 
 
 @register_pass
-class HeuristicResourceSharing(Pass):
+class HeuristicResourceSharing(ResourceSharing):
     name = "resource-sharing-heuristic"
     description = "share components only when the cost model says it pays"
 
     def __init__(self, model: SharingCostModel = None):
         self.model = model or SharingCostModel()
 
-    def run_component(self, program: Program, comp: Component) -> None:
-        candidates = shareable_cells(program, comp)
-        if len(candidates) < 2:
-            return
-        candidate_set = set(candidates)
-        group_conflicts = conflict_map(comp)
-        usage: Dict[str, Set[str]] = {}
-        for group in comp.groups.values():
-            for cell in cells_used_by(group) & candidate_set:
-                usage.setdefault(cell, set()).add(group.name)
-
-        classes: Dict[Tuple[str, Tuple[int, ...]], List[str]] = {}
-        for name in candidates:
-            cell = comp.cells[name]
-            classes.setdefault((cell.comp_name, cell.args), []).append(name)
-
-        rename: Dict[str, str] = {}
-        for (comp_name, args), members in classes.items():
-            if len(members) < 2:
-                continue
-            value = self.model.unit_value(comp_name, args)
-            penalty = self.model.merge_penalty(program, comp_name, args)
-            if value <= penalty:
-                continue  # not worth the multiplexers
-            conflicts: Dict[str, Set[str]] = {m: set() for m in members}
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if ResourceSharing._cells_conflict(a, b, usage, group_conflicts):
-                        conflicts[a].add(b)
-                        conflicts[b].add(a)
-            coloring = greedy_coloring(members, conflicts)
-            for cell, rep in coloring.items():
-                if cell != rep:
-                    rename[cell] = rep
-        if rename:
-            rename_cells(comp, rename)
+    def _worth_sharing(
+        self, program: Program, comp_name: str, args: Tuple[int, ...]
+    ) -> bool:
+        value = self.model.unit_value(comp_name, args)
+        return value > self.model.merge_penalty(program, comp_name, args)

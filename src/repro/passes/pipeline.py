@@ -44,12 +44,10 @@ PIPELINES: Dict[str, List[str]] = {
     "all": _FRONT
     + ["resource-sharing", "register-sharing", "infer-latency"]
     + _BACK_STATIC,
-    # Ablations for Figure 9a/9b: exactly one sharing pass enabled.
+    # Ablations for Figure 9a/9b: exactly one sharing pass enabled (the
+    # "both" column is ``all``).
     "resource-share-only": _FRONT + ["resource-sharing", "infer-latency"] + _BACK_STATIC,
     "register-share-only": _FRONT + ["register-sharing", "infer-latency"] + _BACK_STATIC,
-    "both-share": _FRONT
-    + ["resource-sharing", "register-sharing", "infer-latency"]
-    + _BACK_STATIC,
     # Figure 9c: sharing on, Sensitive off/on.
     "no-static": _FRONT + ["resource-sharing", "register-sharing"] + _BACK,
     # Section 9 extension: cost-model-guided sharing instead of greedy.

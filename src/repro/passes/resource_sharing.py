@@ -106,7 +106,9 @@ class ResourceSharing(Pass):
             classes.setdefault((cell.comp_name, cell.args), []).append(name)
 
         rename: Dict[str, str] = {}
-        for members in classes.values():
+        for (comp_name, args), members in classes.items():
+            if len(members) < 2 or not self._worth_sharing(program, comp_name, args):
+                continue
             conflicts: Dict[str, Set[str]] = {m: set() for m in members}
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
@@ -120,6 +122,12 @@ class ResourceSharing(Pass):
 
         if rename:
             rename_cells(comp, rename)
+
+    def _worth_sharing(
+        self, program: Program, comp_name: str, args: Tuple[int, ...]
+    ) -> bool:
+        """Should cells of this (component, args) class be merged at all?"""
+        return True
 
     @staticmethod
     def _cells_conflict(

@@ -8,12 +8,15 @@ Two jobs live here:
   and a group's own ``done`` write). The simulation instance and the
   lint cycle rules build from this one enumeration, so they cannot
   disagree about which assignments exist.
-* :func:`check_structural_drivers` rejects definite multiple-driver races
-  at instance-construction time. The runtime conflict check compares
-  *values*, so two always-active drivers of the same port would be
-  silently accepted whenever their values happened to agree (and which one
-  won would depend on collection order) — an illegal netlist in RTL either
-  way. The instance refuses to construct such a design.
+* :func:`driver_races` pairs up unconditional drivers of one port in one
+  scope. :func:`check_structural_drivers` rejects the first definite race
+  at instance-construction time, and lint's ``multiple-drivers`` and
+  ``duplicate-assignment`` rules report every pair from the same result.
+  The runtime conflict check compares *values*, so two always-active
+  drivers of the same port would be silently accepted whenever their
+  values happened to agree (and which one won would depend on collection
+  order) — an illegal netlist in RTL either way. The instance refuses to
+  construct such a design.
 """
 
 from __future__ import annotations
@@ -51,30 +54,50 @@ def static_drivers(
         yield (None, assign)
 
 
-def check_structural_drivers(comp: Component, path: str = "main") -> None:
-    """Reject ports with two always-on unconditional drivers.
+#: One pair of unconditional drivers of a port in one scope:
+#: ``(gate, first assignment, later assignment)``.
+DriverPair = Tuple[Optional[str], Assignment, Assignment]
+#: ``(conflicts, duplicates)`` as :func:`driver_races` returns them.
+DriverRaces = Tuple[List[DriverPair], List[DriverPair]]
+
+
+def driver_races(comp: Component) -> DriverRaces:
+    """``(conflicts, duplicates)``: unconditional drivers sharing a scope.
 
     A *definite* race is two unconditional (true-guard) assignments to the
     same destination within the same activation scope — both continuous /
     ungated, or both in the same group — with different sources. Such a
     pair drives the port from two places on every cycle the scope is
     active; hardware would short two nets together. Identical duplicate
-    assignments (same source) are tolerated: they cannot disagree.
+    assignments (same source) cannot disagree and are listed separately.
+    Each later driver is paired with the scope's first one, in
+    :func:`static_drivers` order.
 
     Guarded multiple drivers are still checked dynamically at runtime,
     because guard disjointness is data-dependent.
     """
-    scopes: Dict[Tuple[Optional[str], PortRef], Assignment] = {}
+    first: Dict[Tuple[Optional[str], PortRef], Assignment] = {}
+    conflicts: List[DriverPair] = []
+    duplicates: List[DriverPair] = []
     for gate, assign in static_drivers(comp):
         if not assign.is_unconditional():
             continue
         key = (gate, assign.dst)
-        prev = scopes.get(key)
+        prev = first.get(key)
         if prev is None:
-            scopes[key] = assign
-            continue
-        if prev.src == assign.src:
-            continue  # duplicate of the same connection: harmless
+            first[key] = assign
+        elif prev.src == assign.src:
+            duplicates.append((gate, prev, assign))
+        else:
+            conflicts.append((gate, prev, assign))
+    return conflicts, duplicates
+
+
+def check_structural_drivers(comp: Component, path: str = "main") -> None:
+    """Reject the first definite race :func:`driver_races` finds."""
+    conflicts, _ = driver_races(comp)
+    if conflicts:
+        gate, prev, assign = conflicts[0]
         where = f"group {gate!r}" if gate else "always-active scope"
         raise MultipleDriverError(
             f"{path}: port {assign.dst.to_string()} has two unconditional "

@@ -1,8 +1,19 @@
 """Smoke tests for the evaluation harness (small sizes for speed)."""
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
-from repro.eval.common import evaluate_dahlia_kernel, evaluate_systolic, geomean
+from benchmarks.conftest import emit_sim_json
+from repro.cli import main as cli_main
+from repro.eval import common, fig8_polybench
+from repro.eval.common import (
+    evaluate_dahlia_kernel,
+    evaluate_systolic,
+    geomean,
+    throughput_json,
+)
 from repro.eval.fig7_systolic import run as fig7_run, report as fig7_report
 from repro.eval.fig8_polybench import measure as fig8_measure, report as fig8_report
 from repro.eval.fig9_opts import (
@@ -50,6 +61,17 @@ class TestFig7:
         text = fig7_report(rows)
         assert "paper: 4.6x" in text
 
+    def test_throughput_is_the_sensitive_design_timed_alone(self, monkeypatch):
+        # Each simulation reads the clock twice: the sensitive array runs
+        # first (2 s), then the insensitive one (5 s).
+        clock = SimpleNamespace(perf_counter=iter([0.0, 2.0, 10.0, 15.0]).__next__)
+        monkeypatch.setattr(common, "time", clock)
+        (row,) = fig7_run(sizes=[2], simulate=True)
+        entry = throughput_json({row.label: row.metrics})["systolic-2x2"]
+        assert entry["sim_seconds"] == 2.0
+        assert entry["cycles"] == row.systolic_cycles
+        assert entry["cycles_per_second"] == round(row.systolic_cycles / 2.0, 1)
+
 
 class TestFig8:
     def test_one_kernel(self):
@@ -58,6 +80,43 @@ class TestFig8:
         assert row.slowdown > 1
         text = fig8_report([row])
         assert "trisolv" in text
+
+
+def _one_kernel_fig8(monkeypatch):
+    """Make ``fig8_polybench.run`` regenerate only trisolv (n=2)."""
+    real_run = fig8_polybench.run
+    monkeypatch.setattr(
+        fig8_polybench,
+        "run",
+        lambda engine: real_run(n=2, kernels=["trisolv"], engine=engine),
+    )
+
+
+class TestEmitJson:
+    def test_cli_merges_into_an_existing_file(self, tmp_path, monkeypatch):
+        _one_kernel_fig8(monkeypatch)
+        path = tmp_path / "BENCH_sim.json"
+        sweep = {"trisolv": {"cycles": 1, "engine": "sweep"}}
+        path.write_text(json.dumps({"fig8": {"sweep": sweep}}))
+        args = ["eval", "fig8", "--engine", "levelized", "--emit-json", str(path)]
+        assert cli_main(args) == 0
+        data = json.loads(path.read_text())
+        assert data["fig8"]["sweep"] == sweep
+        entry = data["fig8"]["levelized"]["trisolv"]
+        assert sorted(entry) == ["cycles", "cycles_per_second", "engine", "sim_seconds"]
+        assert entry["engine"] == "levelized" and entry["cycles"] > 0
+
+    def test_cli_and_benchmarks_write_the_same_json(self, tmp_path, monkeypatch):
+        rows = fig8_polybench.run(n=2, kernels=["trisolv"], engine="levelized")
+        monkeypatch.setattr(fig8_polybench, "run", lambda engine: rows)
+        from_cli = tmp_path / "cli.json"
+        cli_main(["eval", "fig8", "--emit-json", str(from_cli)])
+        from_bench = tmp_path / "bench.json"
+        options = {"--emit-json": str(from_bench), "--engine": "levelized"}
+        request = SimpleNamespace(config=SimpleNamespace(getoption=options.get))
+        emit_sim_json(request, "fig8", rows)
+        assert from_cli.read_text() == from_bench.read_text()
+        assert list(json.loads(from_cli.read_text())["fig8"]) == ["levelized"]
 
 
 class TestFig9:

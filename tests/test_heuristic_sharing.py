@@ -110,7 +110,7 @@ class TestHeuristicPass:
     def test_never_worse_than_greedy_on_kernel(self):
         kernel = get_kernel("gemm", 4)
         greedy = compile_dahlia(kernel.source)
-        compile_program(greedy.program, "both-share")
+        compile_program(greedy.program, "all")
         heuristic = compile_dahlia(kernel.source)
         compile_program(heuristic.program, "heuristic-share")
         assert (
