@@ -14,16 +14,18 @@ The result feeds an interference (conflict) graph over registers:
   *accessed* in any sibling arm (arms run concurrently, so a merged
   register would be clobbered mid-flight).
 
-The graph is stored as one int bitmask of neighbours per register (bit
-``i`` is the ``i``-th register in sorted order), so a live set becomes a
-clique with one ``|=`` per member instead of one insertion per pair.
+The graph is a :class:`~repro.analysis.coloring.ConflictGraph` over the
+registers in sorted order, and the dataflow runs on its int masks end to
+end: every node's access sets become masks once, and a live set is a mask,
+so a clique is one ``|=`` per member.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.ast import Component
+from repro.analysis.coloring import ConflictGraph
 from repro.analysis.pcfg import Pcfg, PcfgNode, build_pcfg
 from repro.analysis.read_write import (
     AccessSets,
@@ -34,170 +36,112 @@ from repro.analysis.read_write import (
 )
 
 
-def _indices(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class LivenessResult:
-    """Per-node live-in/live-out sets plus the register conflict graph."""
-
-    def __init__(self, registers: Iterable[str]) -> None:
-        self.live_in: Dict[int, Set[str]] = {}
-        self.live_out: Dict[int, Set[str]] = {}
-        self._names: List[str] = sorted(registers)
-        self._bit = {name: 1 << i for i, name in enumerate(self._names)}
-        #: ``_adj[i]``: neighbours of register ``i``; may hold bit ``i``.
-        self._adj: List[int] = [0] * len(self._names)
-
-    def mask(self, registers: Iterable[str]) -> int:
-        """The bitmask of a set of register names."""
-        bit = self._bit
-        return sum(bit[name] for name in registers)
-
-    def add_clique(self, mask: int) -> None:
-        """Make every pair of registers in ``mask`` conflict."""
-        adj = self._adj
-        for i in _indices(mask):
-            adj[i] |= mask
-
-    def add_conflicts(self, left: int, right: int) -> None:
-        """Make every register in ``left`` conflict with every one in ``right``."""
-        adj = self._adj
-        for i in _indices(left):
-            adj[i] |= right
-        for i in _indices(right):
-            adj[i] |= left
-
-    def conflict_map(self) -> Dict[str, Set[str]]:
-        """Adjacency sets, keyed only by registers that have a conflict."""
-        names = self._names
-        adj: Dict[str, Set[str]] = {}
-        for i, mask in enumerate(self._adj):
-            mask &= ~(1 << i)
-            if mask:
-                adj[names[i]] = {names[j] for j in _indices(mask)}
-        return adj
-
-
 class LivenessAnalysis:
-    """Computes liveness and register interference for one component."""
+    """Computes liveness and register interference for one component.
+
+    ``live_in``/``live_out`` map pCFG node ids to register masks of the
+    ``conflicts`` graph; a missing id is the empty set.
+    """
 
     def __init__(self, comp: Component):
         self.comp = comp
         self.registers = registers_of(comp)
         self.pinned = continuous_registers(comp)
         self.graph = build_pcfg(comp)
-        self._accesses: Dict[int, AccessSets] = {}
-        self.result = LivenessResult(self.registers)
-        self._run()
+        self.conflicts = ConflictGraph(sorted(self.registers))
+        self.live_in: Dict[int, int] = {}
+        self.live_out: Dict[int, int] = {}
+        #: node id -> (reads, may-writes, kills). A p-node kills what
+        #: every arm must write.
+        self._masks: Dict[int, Tuple[int, int, int]] = {}
+        self._must: Dict[int, int] = {}  # id(sub-pCFG) -> _must_writes
+        nodes = list(self.graph.walk())
+        mask = self.conflicts.mask
+        for node in nodes:
+            sets = self.accesses(node)
+            self._masks[node.id] = tuple(
+                map(mask, (sets.reads, sets.may_writes, sets.must_writes))
+            )
+        for node in nodes:
+            if node.kind == "par":
+                kills = (1 << len(self.registers)) - 1
+                for child in node.children:
+                    kills &= self._must_writes(child)
+                self._masks[node.id] = (0, 0, kills)
+        while self._analyze(self.graph, exit_live=0):
+            pass
+        self._collect_conflicts(nodes)
 
-    # -- access sets ------------------------------------------------------
     def accesses(self, node: PcfgNode) -> AccessSets:
-        if node.id not in self._accesses:
-            if node.kind == "group" and node.group is not None:
-                group = self.comp.get_group(node.group)
-                sets = group_accesses(self.comp, group, self.registers)
-            elif node.kind == "invoke" and node.invoke is not None:
-                sets = invoke_accesses(node.invoke, self.registers)
-            else:
-                sets = AccessSets()
-            self._accesses[node.id] = sets
-        return self._accesses[node.id]
+        """The register accesses of one node (empty for p-nodes and nops)."""
+        if node.kind == "group" and node.group is not None:
+            group = self.comp.get_group(node.group)
+            return group_accesses(self.comp, group, self.registers)
+        if node.kind == "invoke" and node.invoke is not None:
+            return invoke_accesses(node.invoke, self.registers)
+        return AccessSets()
 
     # -- dataflow ------------------------------------------------------------
-    def _run(self) -> None:
-        changed = True
-        while changed:
-            changed = self._analyze(self.graph, exit_live=set())
-        self._collect_conflicts(self.graph)
-
-    def _analyze(self, graph: Pcfg, exit_live: Set[str]) -> bool:
+    def _analyze(self, graph: Pcfg, exit_live: int) -> bool:
         """One backward sweep; returns whether any live set changed,
         including those of nested ``par`` arms."""
+        live_in, live_out = self.live_in, self.live_out
         changed = False
         for node in reversed(graph.nodes):
-            out = set(exit_live) if node is graph.exit else set()
+            out = exit_live if node is graph.exit else 0
             for succ in node.succs:
-                out |= self.result.live_in.get(succ.id, set())
-            if out != self.result.live_out.get(node.id, set()):
-                self.result.live_out[node.id] = out
+                out |= live_in.get(succ.id, 0)
+            if out != live_out.get(node.id, 0):
+                live_out[node.id] = out
                 changed = True
+            reads, _, kills = self._masks[node.id]
+            live = reads | (out & ~kills)
             # Paper rule: each par arm's exit live set is the p-node's
-            # live-out. Arms iterate inside the outer fixpoint loop.
+            # live-out; the p-node's live-in adds the arms' entry live-ins.
+            # Arms iterate inside the outer fixpoint loop.
             for child in node.children:
                 changed |= self._analyze(child, exit_live=out)
-            live_in = self._transfer(node, out)
-            if live_in != self.result.live_in.get(node.id, set()):
-                self.result.live_in[node.id] = live_in
+                live |= live_in.get(child.entry.id, 0)
+            if live != live_in.get(node.id, 0):
+                live_in[node.id] = live
                 changed = True
         return changed
 
-    def _transfer(self, node: PcfgNode, live_out: Set[str]) -> Set[str]:
-        if node.kind == "par":
-            # The p-node's live-in joins the arms' entry live-ins with
-            # registers that survive every arm.
-            child_ins: Set[str] = set()
-            killed_by_all: Set[str] = set(self.registers)
-            for child in node.children:
-                child_ins |= self.result.live_in.get(child.entry.id, set())
-                killed_by_all &= self._must_writes(child)
-            return child_ins | (live_out - killed_by_all)
-        sets = self.accesses(node)
-        return sets.reads | (live_out - sets.must_writes)
-
-    def _must_writes(self, graph: Pcfg) -> Set[str]:
+    def _must_writes(self, graph: Pcfg) -> int:
         """Registers certainly written somewhere along every path.
 
         Conservative: only counts nodes that dominate the exit trivially
-        (straight-line members); a register written under a branch may not
-        be written at all.
+        (straight-line members: branch/loop bodies hang off cond nodes,
+        which have several successors); a register written under a branch
+        may not be written at all.
         """
-        must: Set[str] = set()
-        for node in graph.nodes:
-            # A node with no alternative paths around it: in our builder,
-            # straight-line chains are the common case; branch/loop bodies
-            # hang off cond nodes which have multiple successors.
-            if node.kind in ("group", "invoke") and len(node.preds) <= 1:
-                only_path = all(len(p.succs) == 1 for p in node.preds)
-                if only_path:
-                    must |= self.accesses(node).must_writes
-            if node.kind == "par":
+        if id(graph) not in self._must:
+            must = 0
+            for node in graph.nodes:
+                if node.kind in ("group", "invoke") and len(node.preds) <= 1:
+                    if all(len(p.succs) == 1 for p in node.preds):
+                        must |= self._masks[node.id][2]
                 for child in node.children:
                     must |= self._must_writes(child)
-        return must
+            self._must[id(graph)] = must
+        return self._must[id(graph)]
 
     # -- conflicts ------------------------------------------------------------
-    def _collect_conflicts(self, graph: Pcfg) -> None:
-        result = self.result
-        for node in graph.walk():
-            out = result.mask(result.live_out.get(node.id, ()))
-            result.add_conflicts(result.mask(self.accesses(node).may_writes), out)
-            result.add_clique(result.mask(result.live_in.get(node.id, ())))
-            if node.kind == "par":
-                arms = [self._arm_masks(child) for child in node.children]
-                for i, (_, written) in enumerate(arms):
-                    siblings = 0
-                    for j, (accessed, _) in enumerate(arms):
-                        if j != i:
-                            siblings |= accessed
-                    result.add_conflicts(written, siblings)
-
-    def _arm_masks(self, graph: Pcfg) -> Tuple[int, int]:
-        """(accessed, written) register masks of one par arm."""
-        accessed: Set[str] = set()
-        written: Set[str] = set()
-        for node in graph.walk():
-            sets = self.accesses(node)
-            accessed |= sets.accessed()
-            written |= sets.may_writes
-        return self.result.mask(accessed), self.result.mask(written)
-
-
-def register_conflicts(comp: Component) -> Tuple[Dict[str, Set[str]], Set[str]]:
-    """Convenience wrapper: (conflict adjacency, pinned registers)."""
-    analysis = LivenessAnalysis(comp)
-    return analysis.result.conflict_map(), analysis.pinned
+    def _collect_conflicts(self, nodes: List[PcfgNode]) -> None:
+        conflicts = self.conflicts
+        for node in nodes:
+            live_out = self.live_out.get(node.id, 0)
+            conflicts.add_conflicts(self._masks[node.id][1], live_out)
+            conflicts.add_clique(self.live_in.get(node.id, 0))
+            # Each par arm against the arms before it, both directions.
+            accessed_before = written_before = 0
+            for child in node.children:
+                accessed = written = 0
+                for inner in child.walk():
+                    reads, may_writes, _ = self._masks[inner.id]
+                    accessed |= reads | may_writes
+                    written |= may_writes
+                conflicts.add_conflicts(written, accessed_before)
+                conflicts.add_conflicts(accessed, written_before)
+                accessed_before |= accessed
+                written_before |= written

@@ -1,64 +1,53 @@
 """May-run-in-parallel analysis over the control program (Section 5.1).
 
-Two groups *conflict* when the execution schedule may run them at the same
-time: they appear under different children of some ``par`` block. The
-resource sharing pass uses the complement of this relation to reuse
-combinational components.
+Two schedule vertices *conflict* when the execution schedule may run them
+at the same time: they appear under different children of some ``par``
+block. The vertices are the groups and every ``invoke`` node, so a cell
+invoked in one arm is as busy as one a group there uses. The resource
+sharing pass uses the complement of this relation to reuse components.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Hashable
 
+from repro.analysis.coloring import ConflictGraph
 from repro.ir.ast import Component
 from repro.ir.control import Control, Enable, If, Invoke, Par, While
 
 
-def groups_under(node: Control) -> Set[str]:
-    """All groups that may execute somewhere below ``node``.
+def _vertex(node: Control) -> Hashable:
+    """The vertex ``node`` runs itself (an ``if``/``while`` runs its
+    condition group), or ``None``."""
+    if isinstance(node, Enable):
+        return node.group
+    if isinstance(node, (If, While)):
+        return node.cond_group
+    return node if isinstance(node, Invoke) else None
 
-    Includes condition groups of ``if``/``while`` statements since they
-    execute as part of those statements.
+
+def parallel_conflicts(comp: Component) -> ConflictGraph:
+    """The graph of schedule vertices that may run in parallel.
+
+    Its names are the groups in definition order, then the invokes and any
+    undefined group the control names (lint reports those; this analysis
+    must not fail on them). In every ``par``, each arm's vertices conflict
+    with those of the arms before it.
     """
-    out: Set[str] = set()
-    for sub in node.walk():
-        if isinstance(sub, Enable):
-            out.add(sub.group)
-        elif isinstance(sub, (If, While)) and sub.cond_group is not None:
-            out.add(sub.cond_group)
-    return out
+    vertices = dict.fromkeys(comp.groups)
+    vertices.update(dict.fromkeys(map(_vertex, comp.control.walk())))
+    vertices.pop(None, None)
+    graph = ConflictGraph(vertices)
 
+    def under(node: Control) -> int:
+        vertex = _vertex(node)
+        below = graph.bit[vertex] if vertex is not None else 0
+        for child in node.children():
+            arm = under(child)
+            if isinstance(node, Par):
+                graph.add_conflicts(arm, below)
+            below |= arm
+        return below
 
-def cells_under(node: Control) -> Set[str]:
-    """All cells invoked below ``node`` (for invoke-aware conflict checks)."""
-    return {sub.cell for sub in node.walk() if isinstance(sub, Invoke)}
-
-
-def parallel_conflicts(comp: Component) -> Set[FrozenSet[str]]:
-    """The set of unordered group pairs that may run in parallel.
-
-    Traverses the control tree; for every ``par`` block, every group under
-    one child conflicts with every group under every other child.
-    """
-    conflicts: Set[FrozenSet[str]] = set()
-    for node in comp.control.walk():
-        if not isinstance(node, Par):
-            continue
-        child_groups: List[Set[str]] = [groups_under(c) for c in node.children()]
-        for i in range(len(child_groups)):
-            for j in range(i + 1, len(child_groups)):
-                for a in child_groups[i]:
-                    for b in child_groups[j]:
-                        if a != b:
-                            conflicts.add(frozenset((a, b)))
-    return conflicts
-
-
-def conflict_map(comp: Component) -> Dict[str, Set[str]]:
-    """Adjacency view of :func:`parallel_conflicts`."""
-    adj: Dict[str, Set[str]] = {}
-    for pair in parallel_conflicts(comp):
-        a, b = tuple(pair)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return adj
+    under(comp.control)
+    return graph

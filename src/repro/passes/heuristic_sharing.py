@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.backend.resources import estimate_resources
 from repro.ir.ast import Program
 from repro.ir.types import Direction
 from repro.passes.base import register_pass
@@ -45,8 +46,15 @@ class SharingCostModel:
     #: guard-logic LUTs charged per additional driver.
     guard_luts: float = 2.0
 
-    def unit_value(self, comp_name: str, args: Tuple[int, ...]) -> float:
-        cost = primitive_cost(comp_name, args)
+    def unit_value(
+        self, program: Program, comp_name: str, args: Tuple[int, ...]
+    ) -> float:
+        """What one unit is worth; a ``"share"`` component of ``program``
+        is worth its whole estimated body."""
+        if is_primitive(comp_name):
+            cost = primitive_cost(comp_name, args)
+        else:
+            cost = estimate_resources(program, comp_name)
         return (
             cost.luts
             + self.dsp_weight * cost.dsps
@@ -82,5 +90,5 @@ class HeuristicResourceSharing(ResourceSharing):
     def _worth_sharing(
         self, program: Program, comp_name: str, args: Tuple[int, ...]
     ) -> bool:
-        value = self.model.unit_value(comp_name, args)
+        value = self.model.unit_value(program, comp_name, args)
         return value > self.model.merge_penalty(program, comp_name, args)

@@ -13,7 +13,7 @@ of differing widths never merge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.coloring import greedy_coloring
 from repro.analysis.liveness import LivenessAnalysis
@@ -38,7 +38,6 @@ class RegisterSharing(Pass):
         ]
         if len(registers) < 2:
             return
-        conflicts = analysis.result.conflict_map()
 
         # Merge only registers of identical width.
         classes: Dict[Tuple[int, ...], List[str]] = {}
@@ -47,11 +46,7 @@ class RegisterSharing(Pass):
 
         rename: Dict[str, str] = {}
         for members in classes.values():
-            local_conflicts: Dict[str, Set[str]] = {
-                m: conflicts.get(m, set()) & set(members) for m in members
-            }
-            coloring = greedy_coloring(members, local_conflicts)
-            for cell, rep in coloring.items():
+            for cell, rep in greedy_coloring(analysis.conflicts, members).items():
                 if cell != rep:
                     rename[cell] = rep
 

@@ -3,11 +3,11 @@
 Reuses shareable combinational components across groups that never execute
 in parallel. Three steps, as in the paper:
 
-1. **Conflict graph** — groups conflict when the schedule may run them in
-   parallel (children of a ``par`` block).
+1. **Conflict graph** — groups and ``invoke`` statements conflict when
+   the schedule may run them in parallel (children of a ``par`` block).
 2. **Greedy coloring** — performed over *cells*: two cells of the same
-   type conflict when some pair of groups using them conflicts (or one
-   group uses both). Coloring maps each cell to a representative.
+   type conflict when some pair of groups or invokes using them conflicts
+   (or one uses both). Coloring maps each cell to a representative.
 3. **Group rewriting** — local renames inside groups, which is sound
    because groups encapsulate their assignments.
 
@@ -18,11 +18,11 @@ groups — that is register sharing's job, Section 5.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
-from repro.analysis.coloring import greedy_coloring
-from repro.analysis.schedule import conflict_map
-from repro.ir.ast import CellPort, Component, Group, PortRef, Program
+from repro.analysis.coloring import ConflictGraph, greedy_coloring
+from repro.analysis.schedule import parallel_conflicts
+from repro.ir.ast import CellPort, Component, PortRef, Program
 from repro.ir.attributes import SHARE
 from repro.ir.control import If, Invoke, While
 from repro.passes.base import Pass, register_pass
@@ -53,13 +53,15 @@ def shareable_cells(program: Program, comp: Component) -> List[str]:
     ]
 
 
-def cells_used_by(group: Group) -> Set[str]:
-    used: Set[str] = set()
-    for assign in group.assignments:
-        for ref in assign.ports():
-            if isinstance(ref, CellPort):
-                used.add(ref.cell)
-    return used
+def _cells_used_by(comp: Component, vertex: Hashable) -> Set[str]:
+    """Cells a schedule vertex uses: an invoke's cell and the cells of its
+    bindings, or the cells its group's assignments name."""
+    if isinstance(vertex, Invoke):
+        binds = [*vertex.in_binds.values(), *vertex.out_binds.values()]
+        return {vertex.cell} | {r.cell for r in binds if isinstance(r, CellPort)}
+    group = comp.groups.get(vertex)  # None: named by the control, undefined
+    refs = [ref for a in group.assignments for ref in a.ports()] if group else []
+    return {ref.cell for ref in refs if isinstance(ref, CellPort)}
 
 
 def rename_cells(comp: Component, rename: Dict[str, str]) -> None:
@@ -91,13 +93,16 @@ class ResourceSharing(Pass):
         candidates = shareable_cells(program, comp)
         if len(candidates) < 2:
             return
-        candidate_set = set(candidates)
 
-        group_conflicts = conflict_map(comp)
-        usage: Dict[str, Set[str]] = {}  # cell -> groups using it
-        for group in comp.groups.values():
-            for cell in cells_used_by(group) & candidate_set:
-                usage.setdefault(cell, set()).add(group.name)
+        # usage[c]: schedule vertices using cell c; reach[c]: those plus
+        # every vertex that may run in parallel with one of them.
+        schedule = parallel_conflicts(comp)
+        usage = dict.fromkeys(candidates, 0)
+        reach = dict.fromkeys(candidates, 0)
+        for vertex, bit in schedule.bit.items():
+            for cell in _cells_used_by(comp, vertex) & usage.keys():
+                usage[cell] |= bit
+                reach[cell] |= bit | schedule.neighbours(vertex)
 
         # Cells only merge within a (component type, args) class.
         classes: Dict[Tuple[str, Tuple[int, ...]], List[str]] = {}
@@ -105,18 +110,16 @@ class ResourceSharing(Pass):
             cell = comp.cells[name]
             classes.setdefault((cell.comp_name, cell.args), []).append(name)
 
+        cells = ConflictGraph(candidates)
         rename: Dict[str, str] = {}
         for (comp_name, args), members in classes.items():
             if len(members) < 2 or not self._worth_sharing(program, comp_name, args):
                 continue
-            conflicts: Dict[str, Set[str]] = {m: set() for m in members}
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
-                    if self._cells_conflict(a, b, usage, group_conflicts):
-                        conflicts[a].add(b)
-                        conflicts[b].add(a)
-            coloring = greedy_coloring(members, conflicts)
-            for cell, rep in coloring.items():
+                    if reach[a] & usage[b]:
+                        cells.add_conflicts(cells.bit[a], cells.bit[b])
+            for cell, rep in greedy_coloring(cells, members).items():
                 if cell != rep:
                     rename[cell] = rep
 
@@ -128,21 +131,3 @@ class ResourceSharing(Pass):
     ) -> bool:
         """Should cells of this (component, args) class be merged at all?"""
         return True
-
-    @staticmethod
-    def _cells_conflict(
-        a: str,
-        b: str,
-        usage: Dict[str, Set[str]],
-        group_conflicts: Dict[str, Set[str]],
-    ) -> bool:
-        """May cells ``a`` and ``b`` be needed at the same time?"""
-        groups_a = usage.get(a, set())
-        groups_b = usage.get(b, set())
-        if groups_a & groups_b:
-            return True  # co-used within one group
-        for ga in groups_a:
-            neighbors = group_conflicts.get(ga, set())
-            if neighbors & groups_b:
-                return True
-        return False

@@ -1,5 +1,5 @@
-"""Tests for the analysis package: schedule conflicts, coloring, pCFGs,
-read/write sets, and liveness."""
+"""Tests for the analysis package: the conflict graph, schedule conflicts,
+coloring, pCFGs, read/write sets, and liveness."""
 
 import glob
 import os
@@ -7,14 +7,15 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.coloring import greedy_coloring
+from repro.analysis.coloring import ConflictGraph, greedy_coloring
 from repro.analysis.liveness import LivenessAnalysis
 from repro.analysis.pcfg import build_pcfg
 from repro.analysis.read_write import group_accesses, registers_of
-from repro.analysis.schedule import conflict_map, parallel_conflicts
+from repro.analysis.schedule import parallel_conflicts
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
+from repro.ir.control import Enable, If, Invoke, Par, While
 from repro.passes import PIPELINES, compile_program
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 
@@ -39,52 +40,153 @@ component main(go: 1) -> (done: 1) {{
     return parse_program(src).main
 
 
+def names_of(graph, mask):
+    """Decode a mask into the graph's names, in graph order."""
+    return [name for i, name in enumerate(graph.names) if mask >> i & 1]
+
+
+def adjacency(graph):
+    """The graph as ``{name: neighbour names}``, keyed by names with one."""
+    adj = {}
+    for name in graph.names:
+        neighbours = graph.neighbours(name)
+        if neighbours:
+            adj[name] = set(names_of(graph, neighbours))
+    return adj
+
+
+def pairs_of(graph):
+    """The graph's edges as unordered pairs."""
+    return {
+        frozenset((name, other))
+        for name, others in adjacency(graph).items()
+        for other in others
+    }
+
+
+class TestConflictGraph:
+    def test_names_keep_their_order_and_bits(self):
+        graph = ConflictGraph(["b", "a", "c"])
+        assert graph.names == ["b", "a", "c"]
+        assert [graph.bit[n] for n in graph.names] == [1, 2, 4]
+        assert graph.mask(["c", "b"]) == 5
+
+    def test_clique_excludes_own_bit(self):
+        graph = ConflictGraph(["a", "b", "c"])
+        graph.add_clique(graph.mask(["a", "b"]))
+        assert graph.neighbours("a") == graph.bit["b"]
+        assert graph.neighbours("b") == graph.bit["a"]
+        assert graph.neighbours("c") == 0
+
+    def test_repeated_clique_is_skipped(self):
+        graph = ConflictGraph(["a", "b", "c"])
+        clique = graph.mask(["a", "b", "c"])
+        graph.add_clique(clique)
+        graph._adj = [0, 0, 0]  # only a fresh clique may touch it now
+        graph.add_clique(clique)
+        assert pairs_of(graph) == set()
+        graph.add_clique(graph.mask(["a", "b"]))
+        assert pairs_of(graph) == {frozenset("ab")}
+
+    def test_conflicts_need_both_sides(self):
+        graph = ConflictGraph(["a", "b"])
+        graph.add_conflicts(graph.mask(["a", "b"]), 0)
+        graph.add_conflicts(0, graph.mask(["a"]))
+        assert pairs_of(graph) == set()
+        graph.add_conflicts(graph.bit["a"], graph.mask(["a", "b"]))
+        assert pairs_of(graph) == {frozenset("ab")}
+
+
 class TestScheduleConflicts:
     def test_seq_has_no_conflicts(self):
-        assert parallel_conflicts(comp_of("seq { a; b; c; }")) == set()
+        assert pairs_of(parallel_conflicts(comp_of("seq { a; b; c; }"))) == set()
 
     def test_par_children_conflict(self):
-        conflicts = parallel_conflicts(comp_of("par { a; b; }"))
+        conflicts = pairs_of(parallel_conflicts(comp_of("par { a; b; }")))
         assert frozenset(("a", "b")) in conflicts
 
     def test_nested_groups_conflict_across_arms(self):
-        conflicts = parallel_conflicts(comp_of("par { seq { a; b; } c; }"))
+        conflicts = pairs_of(parallel_conflicts(comp_of("par { seq { a; b; } c; }")))
         assert frozenset(("a", "c")) in conflicts
         assert frozenset(("b", "c")) in conflicts
         assert frozenset(("a", "b")) not in conflicts
 
     def test_cond_groups_conflict_when_parallel(self):
-        conflicts = parallel_conflicts(
-            comp_of("par { while lt.out with cond { a; } b; }")
+        conflicts = pairs_of(
+            parallel_conflicts(comp_of("par { while lt.out with cond { a; } b; }"))
         )
         assert frozenset(("cond", "b")) in conflicts
 
     def test_conflict_map_is_symmetric(self):
-        adj = conflict_map(comp_of("par { a; b; c; }"))
+        adj = adjacency(parallel_conflicts(comp_of("par { a; b; c; }")))
+        assert adj
         for node, neighbors in adj.items():
+            assert node not in neighbors
             for other in neighbors:
                 assert node in adj[other]
+
+    def test_invokes_are_vertices(self):
+        comp = comp_of("seq { par { invoke r0(in=8'd1)(); a; } invoke r0(in=8'd2)(); }")
+        graph = parallel_conflicts(comp)
+        first, second = [n for n in comp.control.walk() if isinstance(n, Invoke)]
+        assert pairs_of(graph) == {frozenset((first, "a"))}
+        assert second in graph.bit
+
+    def test_undefined_group_does_not_raise(self):
+        graph = parallel_conflicts(comp_of("par { a; ghost; }"))
+        assert graph.names[-1] == "ghost"
+        assert pairs_of(graph) == {frozenset(("a", "ghost"))}
+
+
+def reference_greedy_coloring(nodes, conflicts):
+    """Greedy coloring over adjacency sets, one forbidden set per node."""
+    color_of = {}
+    representatives = []
+    for node in nodes:
+        forbidden = {
+            color_of[neighbor]
+            for neighbor in conflicts.get(node, ())
+            if neighbor in color_of
+        }
+        chosen = None
+        for candidate in representatives:
+            if candidate not in forbidden:
+                chosen = candidate
+                break
+        if chosen is None:
+            chosen = node
+            representatives.append(node)
+        color_of[node] = chosen
+    return color_of
+
+
+def graph_of(nodes, edges):
+    graph = ConflictGraph(nodes)
+    for u, v in edges:
+        graph.add_conflicts(graph.bit[u], graph.bit[v])
+    return graph
 
 
 class TestGreedyColoring:
     def test_no_conflicts_one_color(self):
-        colors = greedy_coloring(["a", "b", "c"], {})
+        colors = greedy_coloring(graph_of("abc", []), "abc")
         assert set(colors.values()) == {"a"}
 
     def test_clique_gets_distinct_colors(self):
-        conflicts = {
-            "a": {"b", "c"},
-            "b": {"a", "c"},
-            "c": {"a", "b"},
-        }
-        colors = greedy_coloring(["a", "b", "c"], conflicts)
+        graph = ConflictGraph("abc")
+        graph.add_clique(graph.mask("abc"))
+        colors = greedy_coloring(graph, "abc")
         assert len(set(colors.values())) == 3
 
     def test_representatives_map_to_themselves(self):
-        conflicts = {"a": {"b"}, "b": {"a"}}
-        colors = greedy_coloring(["a", "b", "c"], conflicts)
+        colors = greedy_coloring(graph_of("abc", ["ab"]), "abc")
         for rep in set(colors.values()):
             assert colors[rep] == rep
+
+    def test_only_ordered_names_are_colored(self):
+        # b conflicts with a and c, but is not in the order: a and c share.
+        colors = greedy_coloring(graph_of("abc", ["ab", "bc"]), "ca")
+        assert colors == {"c": "c", "a": "c"}
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -98,19 +200,37 @@ class TestGreedyColoring:
     @settings(max_examples=60, deadline=None)
     def test_coloring_property(self, n, edge_set):
         nodes = list(range(n))
-        conflicts = {i: set() for i in nodes}
-        for u, v in edge_set:
-            if u < n and v < n:
-                conflicts[u].add(v)
-                conflicts[v].add(u)
-        colors = greedy_coloring(nodes, conflicts)
+        edges = [(u, v) for u, v in edge_set if u < n and v < n]
+        graph = graph_of(nodes, edges)
+        colors = greedy_coloring(graph, nodes)
         # Property 1: adjacent nodes get different representatives.
-        for u in nodes:
-            for v in conflicts[u]:
-                assert colors[u] != colors[v]
+        for u, v in edges:
+            assert colors[u] != colors[v]
         # Property 2: representative map is idempotent.
         for node, rep in colors.items():
             assert colors[rep] == rep
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_reference(self, data):
+        # The goldens depend on the exact coloring: same map as the
+        # adjacency-set greedy, on any graph and any order of any subset.
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        names = [f"n{i}" for i in range(n)]
+        edges = data.draw(
+            st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)))
+        )
+        order = data.draw(st.permutations(names))
+        order = order[: data.draw(st.integers(min_value=0, max_value=n))]
+        graph = graph_of(names, edges)
+        conflicts = {}
+        for u, v in edges:
+            if u != v:
+                conflicts.setdefault(u, set()).add(v)
+                conflicts.setdefault(v, set()).add(u)
+        assert greedy_coloring(graph, order) == reference_greedy_coloring(
+            order, conflicts
+        )
 
 
 class TestPcfg:
@@ -190,23 +310,24 @@ class TestLiveness:
         analysis = LivenessAnalysis(comp)
         graph = analysis.graph
         node_b = next(n for n in graph.nodes if n.group == "b")
+        r0 = analysis.conflicts.bit["r0"]
         # r0 is live into b (read there), dead after.
-        assert "r0" in analysis.result.live_in[node_b.id]
-        assert "r0" not in analysis.result.live_out[node_b.id]
+        assert analysis.live_in[node_b.id] & r0
+        assert not analysis.live_out.get(node_b.id, 0) & r0
 
     def test_loop_keeps_register_alive(self):
         comp = comp_of("while lt.out with cond { seq { a; b; } }")
         analysis = LivenessAnalysis(comp)
         # r0 is read by cond every iteration: live around the loop.
         node_b = next(n for n in analysis.graph.nodes if n.group == "b")
-        assert "r0" in analysis.result.live_out[node_b.id]
+        assert analysis.live_out[node_b.id] & analysis.conflicts.bit["r0"]
 
     def test_parallel_arms_conflict(self):
         comp = comp_of("seq { par { a; b; } c; }")
         analysis = LivenessAnalysis(comp)
-        adj = analysis.result.conflict_map()
+        graph = analysis.conflicts
         # a writes r0, b reads r0 in a sibling arm: cross-arm conflict.
-        assert "r1" in adj.get("r0", set())
+        assert graph.neighbours("r0") & graph.bit["r1"]
 
     def test_pinned_registers_excluded(self):
         src = """
@@ -256,8 +377,8 @@ component main(go: 1) -> (done: 1) {
 }
 """
         program = parse_program(src)
-        adj = LivenessAnalysis(program.main).result.conflict_map()
-        assert "r3" in adj["r0"]
+        graph = LivenessAnalysis(program.main).conflicts
+        assert graph.neighbours("r0") & graph.bit["r3"]
         compile_program(program, passes=["well-formed", "register-sharing"])
         # Merging r3 into r0 would make b clobber the outer loop's bound.
         b = program.main.get_group("b")
@@ -272,13 +393,13 @@ def reference_conflicts(analysis):
         if a != b:
             pairs.add(frozenset((a, b)))
 
-    result = analysis.result
+    graph = analysis.conflicts
     for node in analysis.graph.walk():
         sets = analysis.accesses(node)
         for written in sets.may_writes:
-            for other in result.live_out.get(node.id, set()):
+            for other in names_of(graph, analysis.live_out.get(node.id, 0)):
                 add(written, other)
-        live = sorted(result.live_in.get(node.id, set()))
+        live = names_of(graph, analysis.live_in.get(node.id, 0))
         for i, a in enumerate(live):
             for b in live[i + 1 :]:
                 add(a, b)
@@ -336,10 +457,48 @@ def test_conflict_map_matches_pairwise_reference(design):
     compile_program(program, passes=_BEFORE_REGISTER_SHARING)
     for comp in program.components:
         analysis = LivenessAnalysis(comp)
-        adj = analysis.result.conflict_map()
+        adj = adjacency(analysis.conflicts)
         assert adj == reference_conflicts(analysis)
         for reg, neighbors in adj.items():
             assert neighbors, reg
             assert reg not in neighbors
             for other in neighbors:
                 assert reg in adj[other]
+
+
+def reference_parallel_conflicts(comp):
+    """Pairwise may-run-in-parallel relation, one vertex pair at a time."""
+
+    def vertices_under(node):
+        out = set()
+        for sub in node.walk():
+            if isinstance(sub, Enable):
+                out.add(sub.group)
+            elif isinstance(sub, (If, While)) and sub.cond_group is not None:
+                out.add(sub.cond_group)
+            elif isinstance(sub, Invoke):
+                out.add(sub)
+        return out
+
+    pairs = set()
+    for node in comp.control.walk():
+        if isinstance(node, Par):
+            arms = [vertices_under(child) for child in node.children()]
+            for i, left in enumerate(arms):
+                for right in arms[i + 1 :]:
+                    pairs |= {frozenset((a, b)) for a in left for b in right if a != b}
+    return pairs
+
+
+#: The ``all`` passes that run before resource-sharing analyses the program.
+_BEFORE_RESOURCE_SHARING = PIPELINES["all"][: PIPELINES["all"].index("resource-sharing")]
+
+
+@pytest.mark.parametrize("design", sorted(_CORPUS))
+def test_parallel_conflicts_match_pairwise_reference(design):
+    program = _CORPUS[design]()
+    compile_program(program, passes=_BEFORE_RESOURCE_SHARING)
+    for comp in program.components:
+        graph = parallel_conflicts(comp)
+        assert pairs_of(graph) == reference_parallel_conflicts(comp)
+        assert list(graph.names[: len(comp.groups)]) == list(comp.groups)

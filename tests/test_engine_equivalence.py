@@ -9,9 +9,11 @@ levelized strategy's scheduling (levelization, dirty-set propagation, cycle
 fallback) or its shared guard nodes changed observable semantics, and it is
 the levelized strategy that is wrong.
 
-Problem sizes are kept small (``REPRO_EQUIV_N``, default 2) so the full
-kernel-by-pipeline matrix stays affordable; the cross-check is about
-engine agreement, not performance.
+Each distinct lowered program is simulated once: pipelines that print the
+same IL for the same memories share one run (``_SIMULATED``), while every
+pipeline still compiles. Problem sizes are kept small (``REPRO_EQUIV_N``,
+default 2) so the full kernel-by-pipeline matrix stays affordable; the
+cross-check is about engine agreement, not performance.
 """
 
 import glob
@@ -22,6 +24,7 @@ import pytest
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
+from repro.ir.printer import print_program
 from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard
 from repro.passes import PIPELINES, compile_program
 from repro.errors import CalyxError
@@ -45,8 +48,24 @@ EXAMPLES = sorted(
 EQUIV_N = int(os.environ.get("REPRO_EQUIV_N", "2"))
 
 
+#: Printed IL plus memories -> what both engines observed. Pipelines that
+#: print the same program (``heuristic-share`` and ``register-share-only``
+#: on every kernel, say) simulate it once; every pipeline still compiles.
+_SIMULATED = {}
+
+
 def run_both_engines(program, memories=None, max_cycles=500_000):
-    """Run one program under both engines, asserting identical behavior."""
+    """Run one program under both engines, asserting identical behavior.
+
+    A program already simulated with the same memories is not run again.
+    """
+    key = (print_program(program), repr(sorted((memories or {}).items())))
+    if key not in _SIMULATED:
+        _SIMULATED[key] = _simulate_both(program, memories, max_cycles)
+    return _SIMULATED[key]
+
+
+def _simulate_both(program, memories, max_cycles):
     observed = {}
     for engine in ("sweep", "levelized"):
         bench = Testbench(program, engine=engine)
@@ -105,6 +124,16 @@ def test_polybench_engine_equivalence(name):
     for pipeline in SIM_PIPELINES:
         program, memories = build_kernel(kernel, pipeline)
         run_both_engines(program, memories)
+
+
+def test_one_printed_program_is_simulated_once():
+    """Pipelines that print the same program share one simulation."""
+    path = next(p for p in EXAMPLES if p.endswith("sum_loop.futil"))
+    programs = [build_example(path, p) for p in ("lower-static", "heuristic-share")]
+    assert print_program(programs[0]) == print_program(programs[1])
+    outcome = run_both_engines(programs[0])
+    assert run_both_engines(programs[1]) is outcome
+    assert run_both_engines(programs[1], {"mem": [1, 2, 3, 4]}) is not outcome
 
 
 def test_example_cycle_counts_are_nontrivial():

@@ -62,19 +62,19 @@ component main(go: 1) -> (done: 1) {
 class TestCostModel:
     def test_barrel_shifters_worth_sharing(self):
         model = SharingCostModel()
-        value = model.unit_value("std_lsh", (32,))
+        value = model.unit_value(Program(), "std_lsh", (32,))
         penalty = model.merge_penalty(Program(), "std_lsh", (32,))
         assert value > penalty
 
     def test_narrow_adders_not_worth_sharing(self):
         model = SharingCostModel()
-        value = model.unit_value("std_add", (8,))
+        value = model.unit_value(Program(), "std_add", (8,))
         penalty = model.merge_penalty(Program(), "std_add", (8,))
         assert value <= penalty
 
     def test_dsp_weight_dominates(self):
         model = SharingCostModel()
-        assert model.unit_value("std_mult", (32,)) > model.merge_penalty(
+        assert model.unit_value(Program(), "std_mult", (32,)) > model.merge_penalty(
             Program(), "std_mult", (32,)
         )
 

@@ -5,7 +5,9 @@ import pytest
 
 from repro.ir import parse_program
 from repro.ir.attributes import STATIC
+from repro.ir.control import Invoke
 from repro.passes import compile_program, get_pass
+from repro.robustness import difftest_program
 from repro.sim import Testbench, run_program
 from tests.conftest import SUM_LOOP, TWO_WRITES, run_source
 
@@ -184,6 +186,15 @@ class TestResourceSharing:
         adders = [c for c in prog.main.cells.values() if c.comp_name == "std_add"]
         assert len(adders) == 2  # g0/g1 conflict; g2 reuses one of them
 
+    def test_undefined_group_in_control_does_not_raise(self):
+        # Lint reports the undefined group; a pass list without
+        # well-formed must still run.
+        prog = parse_program(SHARING_SRC.replace("g2; }", "g2; ghost; }"))
+        get_pass("resource-sharing").run(prog)
+        get_pass("dead-cell-removal").run(prog)
+        adders = [c for c in prog.main.cells.values() if c.comp_name == "std_add"]
+        assert len(adders) == 1
+
     def test_registers_never_merged_by_resource_sharing(self):
         prog = parse_program(SHARING_SRC)
         get_pass("resource-sharing").run(prog)
@@ -270,3 +281,94 @@ class TestRegisterSharing:
         base = run_source(SUM_LOOP, "lower", {"mem": [3, 1, 4, 1]})
         opt = run_source(SUM_LOOP, "all", {"mem": [3, 1, 4, 1]})
         assert base.mem("mem") == opt.mem("mem")
+
+
+PAR_INVOKES = """
+component add1<"share"=1>(x: 8) -> (y: 8) {
+  cells { r = std_reg(8); a = std_add(8); }
+  wires {
+    group inc {
+      a.left = x; a.right = 8'd1;
+      r.in = a.out; r.write_en = 1;
+      inc[done] = r.done;
+    }
+    y = r.out;
+  }
+  control { inc; }
+}
+component main(go: 1) -> (done: 1) {
+  cells {
+    u = add1(); v = add1();
+    @external mem = std_mem_d1(8, 2, 1);
+  }
+  wires {
+    group store_u {
+      mem.addr0 = 1'd0; mem.write_data = u.y; mem.write_en = 1;
+      store_u[done] = mem.done;
+    }
+    group store_v {
+      mem.addr0 = 1'd1; mem.write_data = v.y; mem.write_en = 1;
+      store_v[done] = mem.done;
+    }
+  }
+  control {
+    seq {
+      par { invoke u(x=8'd5)(); invoke v(x=8'd9)(); }
+      store_u; store_v;
+    }
+  }
+}
+"""
+
+
+class TestSharingInvokes:
+    """Invoking a cell uses it: cells invoked in parallel never merge."""
+
+    def test_cells_invoked_in_parallel_stay_distinct(self):
+        prog = parse_program(PAR_INVOKES)
+        get_pass("resource-sharing").run(prog)
+        invoked = [node.cell for node in prog.main.control.walk() if isinstance(node, Invoke)]
+        assert invoked == ["u", "v"]
+
+    def test_cells_invoked_in_sequence_merge(self):
+        prog = parse_program(
+            PAR_INVOKES.replace("par { invoke u", "seq { invoke u")
+        )
+        get_pass("resource-sharing").run(prog)
+        invoked = [node.cell for node in prog.main.control.walk() if isinstance(node, Invoke)]
+        assert invoked == ["u", "u"]
+
+    def test_cells_bound_by_an_invoke_are_busy_during_it(self):
+        # a0 and a1 serve sequential groups, but the invoke that runs
+        # alongside both reads a0.out throughout: merging them would feed
+        # g0's sum into u.x.
+        src = PAR_INVOKES.replace(
+            "u = add1(); v = add1();",
+            "u = add1(); v = add1(); a0 = std_add(8); a1 = std_add(8);",
+        ).replace(
+            "par { invoke u(x=8'd5)(); invoke v(x=8'd9)(); }",
+            "par { seq { g0; g1; } invoke u(x=a0.out)(); }",
+        ).replace(
+            "group store_u {",
+            """group g0 {
+      a1.left = 8'd1; a1.right = 8'd2;
+      mem.addr0 = 1'd0; mem.write_data = a1.out; mem.write_en = 1;
+      g0[done] = mem.done;
+    }
+    group g1 {
+      a0.left = 8'd3; a0.right = 8'd4;
+      mem.addr0 = 1'd1; mem.write_data = a0.out; mem.write_en = 1;
+      g1[done] = mem.done;
+    }
+    group store_u {""",
+        )
+        prog = parse_program(src)
+        get_pass("resource-sharing").run(prog)
+        for group, adder in (("g0", "a1"), ("g1", "a0")):
+            assigns = prog.main.get_group(group).assignments
+            assert adder + ".left" in {a.dst.to_string() for a in assigns}
+
+    def test_parallel_invokes_agree_under_every_pipeline(self):
+        report = difftest_program(parse_program(PAR_INVOKES), name="par-invokes")
+        assert report.ok, report.describe()
+        assert report.reference.memories["mem"] == [6, 10]
