@@ -8,6 +8,16 @@ component's cells are primitive models or nested component instances,
 each one node of its parent's netlist, reading its input slots and
 writing its output slots.
 
+The clock edge (:meth:`ComponentInstance.step_edge`) ticks every stateful
+child but marks a child's node for the next phase only when its ``tick``
+did not return ``False`` (:mod:`repro.stdlib.behaviors`). A nested
+instance's ``tick`` returns what its own edge reports: whether any of its
+stateful children moved, or always ``True`` when it has control state to
+advance. Input changes need no edge report; an input with a
+combinational path to an output is a dependency slot of the child node.
+State written outside ``tick`` is announced with
+:meth:`ComponentInstance.touch`.
+
 Construction compiles the component into that netlist once:
 
 * every port reference is assigned an integer *slot* in a flat value
@@ -711,6 +721,7 @@ class ComponentInstance:
         # -- nodes, in build order (the sweep strategy's firing order) -----
         self._nodes: List[object] = []
         self._stateful_nodes: List[_ChildNode] = []
+        self._cell_node: Dict[str, int] = {}
         self._go_resolver_of: Dict[str, int] = {}
         self._flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
 
@@ -726,6 +737,7 @@ class ComponentInstance:
                 dep_names = {i for i, _ in comb_paths(child, sig)[0]}
             dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
             node = _ChildNode(len(self._nodes), child, in_slots, dep_slots, out_slots)
+            self._cell_node[cell.name] = node.index
             self._nodes.append(node)
             if type(child).tick is not PrimitiveModel.tick:
                 self._stateful_nodes.append(node)
@@ -756,6 +768,10 @@ class ComponentInstance:
             index = len(self._nodes)
             self._nodes.append(_DoneNode(index, self._this_done_slot))
             self._done_node = index
+        # With control to step, executor state can move at any edge, so
+        # the instance reports every edge. Empty control is always
+        # finished: a done node then drives a constant.
+        self._edge_moves_executor = not comp.control.is_empty()
         #: The nodes a sweep fires, in build order: all but the guard nodes.
         self._sweep_nodes: List[object] = list(self._nodes)
         self._max_iters = 8 * (len(self._sweep_nodes) + 8)
@@ -903,10 +919,10 @@ class ComponentInstance:
         values = self._values
         return [values[s] for s in self._out_slots]
 
-    def tick(self, ins: Sequence[int]) -> None:
+    def tick(self, ins: Sequence[int]) -> bool:
         self._apply_inputs(ins)
         self.settle()
-        self.step_edge()
+        return self.step_edge()
 
     def _apply_inputs(self, ins: Sequence[int]) -> None:
         values = self._values
@@ -1063,11 +1079,13 @@ class ComponentInstance:
             f"(values still changing; not a finite limit cycle)"
         ).with_state(self.state_dump())
 
-    def step_edge(self) -> None:
+    def step_edge(self) -> bool:
         """The clock edge: advance control state, latch stateful children.
 
         Neither step writes this instance's slots, so each child reads
-        the settled values of its input slots.
+        the settled values of its input slots. A child's node is marked
+        unless its tick returned ``False``. True if this instance's
+        outputs may have moved: a child was marked or executor state can.
         """
         if self._running():
             self.executor.step()
@@ -1076,10 +1094,27 @@ class ComponentInstance:
             # The calling convention: control state resets once go falls.
             self.executor.reset()
             self._go_was_high = False
+        moved = self._edge_moves_executor
         values = self._values
         for node in self._stateful_nodes:
-            node.child.tick([values[s] for s in node.in_slots])
-            self._mark_node(node.index)
+            if node.child.tick([values[s] for s in node.in_slots]) is not False:
+                self._mark_node(node.index)
+                moved = True
+        return moved
+
+    def touch(self, path: str) -> None:
+        """Re-evaluate the cell at dotted ``path`` at the next settle.
+
+        For state written outside ``tick`` (a memory load): marks the
+        cell's node and, above it, each enclosing instance's node.
+        """
+        inst = self
+        for part in path.split("."):
+            if not isinstance(inst, ComponentInstance) or part not in inst._cell_node:
+                raise UndefinedError(f"no cell at path {path!r}")
+            index = inst._cell_node[part]
+            inst._mark_node(index)
+            inst = inst._nodes[index].child
 
     # -- watchdog support ----------------------------------------------------
     def state_dump(self, max_nets: int = 48) -> str:

@@ -147,6 +147,7 @@ class Testbench:
                 f"memory {path!r} holds {len(model.data)} words, got {len(values)}"
             )
         model.data = [int(v) & ((1 << model.width) - 1) for v in values]
+        self.instance.touch(path)
 
     def read_mem(self, path: str) -> List[int]:
         return list(self._memory(path).data)

@@ -5,6 +5,14 @@ links against; the simulator (:mod:`repro.sim`) drives them with RTL
 semantics — a combinational settle phase (:meth:`PrimitiveModel.comb`)
 followed by a clock edge (:meth:`PrimitiveModel.tick`).
 
+``tick`` reports whether the edge moved any state ``comb`` can see: it
+returns ``False`` only if ``comb`` now returns, for every input vector,
+what it returned before the edge. After an edge the simulator
+re-evaluates a child unless its tick returned ``False``; ``None``, from
+an extern model whose tick returns nothing, re-evaluates it too. State
+that ``comb`` never reads (a pipelined unit's cycle counter) may change
+under a ``False``.
+
 Ports are positional, like the wires of an RTL module: ``ins`` holds the
 values of the cell signature's input ports and ``comb`` returns one value
 per output port, each in the order :func:`port_names` gives — for a
@@ -46,7 +54,8 @@ class PrimitiveModel:
 
     * ``comb(ins) -> outs`` — combinational output values as a function of
       the input values and the current internal state,
-    * ``tick(ins)`` — state update at the clock edge,
+    * ``tick(ins)`` — state update at the clock edge, returning ``False``
+      only when no ``comb`` output can differ from before the edge,
     * ``comb_deps`` — dict mapping each output port name to the input port
       names it reads combinationally (empty list for registered outputs).
     """
@@ -60,8 +69,9 @@ class PrimitiveModel:
     def comb(self, ins: Sequence[int]) -> Sequence[int]:
         raise NotImplementedError
 
-    def tick(self, ins: Sequence[int]) -> None:
+    def tick(self, ins: Sequence[int]) -> Optional[bool]:
         """Clock edge; combinational-only primitives do nothing."""
+        return False
 
     def reset(self) -> None:
         """Return the model to its power-on state."""
@@ -163,13 +173,16 @@ class RegModel(PrimitiveModel):
     def comb(self, ins: Sequence[int]) -> Sequence[int]:
         return (self.value, self.done)
 
-    def tick(self, ins: Sequence[int]) -> None:
+    def tick(self, ins: Sequence[int]) -> bool:
         value, write_en = ins
         if write_en:
             self.value = value & mask(self.width)
             self.done = 1
-        else:
+            return True
+        if self.done:
             self.done = 0
+            return True
+        return False
 
     def reset(self) -> None:
         self.value = 0
@@ -213,7 +226,7 @@ class MemModel(PrimitiveModel):
         idx = self._index(ins)
         return (self.data[idx] if idx >= 0 else 0, self.done)
 
-    def tick(self, ins: Sequence[int]) -> None:
+    def tick(self, ins: Sequence[int]) -> bool:
         if ins[-1]:
             idx = self._index(ins)
             if idx < 0:
@@ -228,8 +241,11 @@ class MemModel(PrimitiveModel):
                 )
             self.data[idx] = ins[-2] & mask(self.width)
             self.done = 1
-        else:
+            return True
+        if self.done:
             self.done = 0
+            return True
+        return False
 
     def reset(self) -> None:
         self.data = [0] * len(self.data)
@@ -243,7 +259,8 @@ class PipelinedOpModel(PrimitiveModel):
     after ``latency`` ticks it latches the values :meth:`compute` returns
     and raises ``done`` (the last output) for one cycle. Dropping ``go``
     resets the pipeline. Every output is registered, so ``comb_deps``
-    lists each with no inputs.
+    lists each with no inputs, and a tick that only moves the counter
+    returns ``False``.
     """
 
     latency = MULT_LATENCY
@@ -261,19 +278,21 @@ class PipelinedOpModel(PrimitiveModel):
     def comb(self, ins: Sequence[int]) -> Sequence[int]:
         return self.latched + (self.done,)
 
-    def tick(self, ins: Sequence[int]) -> None:
+    def tick(self, ins: Sequence[int]) -> bool:
         if self.done:
             self.done = 0
             self.counter = 0
-            return
+            return True
         if ins[-1]:
             self.counter += 1
             if self.counter >= self._effective_latency(ins):
                 out_mask = mask(self.width)
                 self.latched = tuple(v & out_mask for v in self.compute(ins))
                 self.done = 1
+                return True
         else:
             self.counter = 0
+        return False
 
     def _effective_latency(self, ins: Sequence[int]) -> int:
         return self.latency

@@ -106,12 +106,19 @@ def two_writes_source() -> str:
     return TWO_WRITES
 
 
-def run_source(source: str, pipeline=None, memories=None, max_cycles=200_000):
-    """Parse, optionally compile, and simulate a program."""
+def compile_source(source: str, pipeline=None):
+    """Parse and optionally compile a program."""
     program = parse_program(source)
     if pipeline is not None:
         compile_program(program, pipeline)
-    return run_program(program, memories=memories or {}, max_cycles=max_cycles)
+    return program
+
+
+def run_source(source: str, pipeline=None, memories=None, max_cycles=200_000):
+    """Parse, optionally compile, and simulate a program."""
+    return run_program(
+        compile_source(source, pipeline), memories=memories or {}, max_cycles=max_cycles
+    )
 
 
 def sum_loop_result(pipeline=None):

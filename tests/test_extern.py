@@ -15,6 +15,7 @@ from repro.passes import compile_program, get_pass
 from repro.sim import run_program
 from repro.lint import lint_program
 from repro.stdlib.behaviors import EXTERN_MODELS, PrimitiveModel, SqrtModel
+from tests.conftest import compile_source
 
 SQRT_PROGRAM = """
 extern "sqrt.sv" {
@@ -147,3 +148,71 @@ class TestUndeclaredCombDeps:
         report = lint_program(parse_program(INCR_PROGRAM % "b.in = b.out;"))
         assert "comb-cycle-maybe" in {d.rule for d in report.warnings}
         assert "comb-cycle" not in {d.rule for d in report.errors}
+
+
+COUNTER_PROGRAM = """
+extern "counter.sv" {
+  component counter(en: 1) -> (count: 8);
+}
+component main(go: 1) -> (done: 1) {
+  cells {
+    c = counter();
+    @external mem = std_mem_d1(8, 1, 1);
+    r = std_reg(8);
+  }
+  wires {
+    group bump {
+      c.en = 1'd1;
+      r.in = c.count; r.write_en = 1;
+      bump[done] = r.done;
+    }
+    group store {
+      mem.addr0 = 1'd0; mem.write_data = c.count; mem.write_en = 1;
+      store[done] = mem.done;
+    }
+  }
+  control { seq { bump; bump; bump; store; } }
+}
+"""
+
+
+class CounterModel(PrimitiveModel):
+    """A stateful extern written to the old protocol: ``tick`` returns
+    ``None``. Its output is registered, so only the edge can show a change.
+
+    Ports: inputs ``(en, go)``, outputs ``(count, done)``.
+    """
+
+    comb_deps = {"count": [], "done": []}
+
+    def __init__(self, args):
+        super().__init__(args)
+        self.count = 0
+
+    def comb(self, ins):
+        return (self.count, 0)
+
+    def tick(self, ins):
+        if ins[0]:
+            self.count = (self.count + 1) & 0xFF
+
+    def reset(self):
+        self.count = 0
+
+
+class TestOldProtocolTick:
+    """A tick that reports nothing counts as a change."""
+
+    @pytest.fixture(autouse=True)
+    def register_counter_model(self):
+        EXTERN_MODELS["counter"] = CounterModel
+        yield
+        EXTERN_MODELS.pop("counter", None)
+
+    @pytest.mark.parametrize("pipeline", [None, "lower", "all"])
+    def test_engines_agree(self, pipeline):
+        prog = compile_source(COUNTER_PROGRAM, pipeline)
+        sweep = run_program(prog.copy(), engine="sweep")
+        levelized = run_program(prog.copy(), engine="levelized")
+        assert sweep.mem("mem")[0] > 0
+        assert (levelized.cycles, levelized.memories) == (sweep.cycles, sweep.memories)

@@ -11,7 +11,7 @@ from repro.errors import (
 from repro.ir import parse_program
 from repro.ir.ast import ThisPort
 from repro.sim import Testbench, run_program
-from tests.conftest import SUM_LOOP, TWO_WRITES, run_source
+from tests.conftest import SUM_LOOP, TWO_WRITES, compile_source, run_source
 
 
 class TestBasicExecution:
@@ -286,3 +286,120 @@ component main(go: 1) -> (done: 1) {
         tb = Testbench(parse_program(src))
         tb.run()
         assert tb.register_value("r") == 42
+
+
+HELD_REGISTER = """
+component main(go: 1) -> (done: 1) {
+  cells {
+    k = std_reg(8); acc = std_reg(8); i = std_reg(4);
+    add = std_add(8); inc = std_add(4); lt = std_lt(4);
+    @external mem = std_mem_d1(8, 1, 1);
+  }
+  wires {
+    group init { k.in = 8'd3; k.write_en = 1; init[done] = k.done; }
+    group cond { lt.left = i.out; lt.right = 4'd10; cond[done] = 1'd1; }
+    group body {
+      add.left = acc.out; add.right = k.out;
+      acc.in = add.out; acc.write_en = 1; body[done] = acc.done;
+    }
+    group step {
+      inc.left = i.out; inc.right = 4'd1;
+      i.in = inc.out; i.write_en = 1; step[done] = i.done;
+    }
+    group store {
+      mem.addr0 = 1'd0; mem.write_data = acc.out; mem.write_en = 1;
+      store[done] = mem.done;
+    }
+  }
+  control { seq { init; while lt.out with cond { seq { body; step; } } store; } }
+}
+"""
+
+LOAD_THEN_STORE = """
+component main(go: 1) -> (done: 1) {
+  cells { @external mem = std_mem_d1(8, 2, 1); r = std_reg(8); }
+  wires {
+    group load {
+      mem.addr0 = 1'd0; r.in = mem.read_data; r.write_en = 1;
+      load[done] = r.done;
+    }
+    group store {
+      mem.addr0 = 1'd1; mem.write_data = r.out; mem.write_en = 1;
+      store[done] = mem.done;
+    }
+  }
+  control { seq { load; store; } }
+}
+"""
+
+HOLDER = """
+component holder(in: 8, en: 1) -> (out: 8) {
+  cells { r = std_reg(8); }
+  wires { r.in = in; r.write_en = en; out = r.out; }
+  control {}
+}
+component main(go: 1) -> (done: 1) {
+  cells { h = holder(); }
+  wires {}
+  control {}
+}
+"""
+
+
+class TestEdgeReports:
+    """The clock edge re-evaluates only the children whose state moved."""
+
+    @pytest.mark.parametrize("pipeline", [None, "lower", "all"])
+    def test_held_register_is_not_refired_each_cycle(self, pipeline):
+        bench = Testbench(compile_source(HELD_REGISTER, pipeline), engine="levelized")
+        model = bench.instance.find_model("k")
+        calls, writes = [0], [0]
+        comb, tick = model.comb, model.tick
+
+        def counting_comb(ins):
+            calls[0] += 1
+            return comb(ins)
+
+        def counting_tick(ins):
+            writes[0] += ins[1]
+            return tick(ins)
+
+        model.comb, model.tick = counting_comb, counting_tick
+        result = bench.run()
+        assert result.mem("mem") == [30]
+        assert writes[0] == 1
+        # Once at reset, then per write: its edge and the edge done falls.
+        assert calls[0] <= 1 + 2 * writes[0] < result.cycles
+
+    @pytest.mark.parametrize("pipeline", [None, "lower"])
+    def test_write_mem_after_settle(self, pipeline):
+        program = compile_source(LOAD_THEN_STORE, pipeline)
+
+        def observe(engine):
+            bench = Testbench(program.copy(), engine=engine)
+            bench.instance.settle()
+            bench.write_mem("mem", [9, 0])
+            result = bench.run()
+            return result.cycles, result.memories
+
+        expected = observe("sweep")
+        assert expected[1]["mem"] == [9, 9]
+        assert observe("levelized") == expected
+
+    def test_nested_instance_reports_its_children(self):
+        holder = Testbench(parse_program(HOLDER)).instance.find("h")
+        # Inputs (in, en, go); outputs (out, done).
+        assert holder.tick([7, 1, 0]) is True
+        assert holder.tick([7, 0, 0]) is True  # the register's done falls
+        assert holder.tick([9, 0, 0]) is False
+        assert holder.comb([9, 0, 0]) == [7, 1]
+
+    def test_instance_with_control_reports_every_edge(self):
+        bench = Testbench(parse_program(TWO_WRITES))
+        bench.instance.settle()
+        assert bench.instance.step_edge() is True
+
+    def test_touch_unknown_cell(self):
+        bench = Testbench(parse_program(HOLDER))
+        with pytest.raises(UndefinedError):
+            bench.instance.touch("h.nothing")

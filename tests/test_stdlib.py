@@ -1,5 +1,8 @@
 """Tests for primitive signatures, behaviors, and the cost model."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,7 +105,7 @@ class TestChildProtocol:
         ins, outs = port_names(prim.signature(args))
         vector = [1] * len(ins)
         assert len(model.comb(vector)) == len(outs)
-        model.tick(vector)
+        assert model.tick(vector) in (True, False)
         assert len(model.comb(vector)) == len(outs)
         assert set(model.comb_deps) <= set(outs)
         for deps in model.comb_deps.values():
@@ -118,6 +121,73 @@ class TestChildProtocol:
         paths, declared = comb_paths(Opaque((8,)), sig)
         assert not declared
         assert paths == [("left", "out"), ("right", "out")]
+
+
+#: Every stdlib model with state, and the parameters the contract drives.
+STATEFUL = {
+    "std_reg": (8,),
+    "std_mem_d1": (8, 4, 2),
+    "std_mem_d2": (8, 2, 3, 1, 2),
+    "std_mult_pipe": (8,),
+    "std_div_pipe": (8,),
+    "std_sqrt": (8,),
+}
+
+
+class TestTickReport:
+    """``tick`` returns ``False`` only when ``comb`` cannot have moved."""
+
+    def _inputs(self, name, args, rng, control):
+        """A random input vector; the last input (``write_en``/``go``) is
+        ``control``, and addresses stay in bounds."""
+        sig = get_primitive(name).signature(args)
+        ins, _ = port_names(sig)
+        vector = [rng.randrange(1 << sig[port].width) for port in ins]
+        if name.startswith("std_mem"):
+            for i, size in enumerate(args[1 : 1 + (len(args) - 1) // 2]):
+                vector[i] = rng.randrange(size)
+        vector[-1] = control
+        return vector
+
+    def _probes(self, name, args, rng):
+        """Input vectors to compare ``comb`` on: every address of a memory,
+        a few random vectors otherwise."""
+        if name.startswith("std_mem"):
+            ins, _ = port_names(get_primitive(name).signature(args))
+            dims = args[1 : 1 + (len(args) - 1) // 2]
+            return [
+                list(addrs) + [0] * (len(ins) - len(addrs))
+                for addrs in itertools.product(*(range(d) for d in dims))
+            ]
+        return [self._inputs(name, args, rng, rng.randrange(2)) for _ in range(4)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    def test_false_tick_keeps_comb(self, name, seed):
+        args = STATEFUL[name]
+        rng = random.Random(seed)
+        model = make_model(name, args)
+        probes = self._probes(name, args, rng)
+        pipelined = hasattr(model, "counter")
+        reports = []
+        control = 0
+        for _ in range(300):
+            # Hold write_en/go for runs of cycles so pipelined units finish.
+            if rng.random() < 0.2:
+                control ^= 1
+            vector = self._inputs(name, args, rng, control)
+            before = [tuple(model.comb(p)) for p in probes]
+            counting = pipelined and control and not model.done
+            counter = model.counter if pipelined else None
+            report = model.tick(vector)
+            assert report in (True, False)
+            reports.append(report)
+            if report is False:
+                assert [tuple(model.comb(p)) for p in probes] == before
+                if counting:
+                    # A hidden step still counts, so latencies stay put.
+                    assert model.counter == counter + 1
+        assert True in reports and False in reports
 
 
 class TestRegModel:
