@@ -38,8 +38,8 @@ from repro.ir.guards import (
     PortGuard,
     TrueGuard,
 )
-from repro.stdlib.costs import Resources, guard_cost, mux_cost, primitive_cost
-from repro.stdlib.primitives import is_primitive
+from repro.stdlib.costs import Resources, guard_cost, mux_cost
+from repro.stdlib.primitives import get_primitive, is_primitive
 
 
 class _WidthTable:
@@ -95,7 +95,7 @@ def component_resources(
     # 1. Cells.
     for cell in comp.cells.values():
         if is_primitive(cell.comp_name):
-            total = total.add(primitive_cost(cell.comp_name, cell.args))
+            total = total.add(get_primitive(cell.comp_name).cost(cell.args))
         elif program.has_component(cell.comp_name):
             sub = program.get_component(cell.comp_name)
             total = total.add(component_resources(program, sub, _cache))

@@ -35,15 +35,6 @@ from repro.ir.guards import (
 )
 from repro.ir.types import Direction
 from repro.stdlib.primitives import get_primitive, is_primitive
-from repro.stdlib.verilog_models import prelude
-
-_CLOCKED_PRIMITIVES = {
-    "std_reg",
-    "std_mem_d1",
-    "std_mem_d2",
-    "std_mult_pipe",
-    "std_div_pipe",
-}
 
 
 def _wire_name(ref: PortRef) -> str:
@@ -123,7 +114,7 @@ def _emit_component(
                 f".{pname}({value})" for pname, value in zip(prim.params, cell.args)
             )
             header = f"  {cell.comp_name} #({params}) {cell.name} (" if params else f"  {cell.comp_name} {cell.name} ("
-            needs_clk = cell.comp_name in _CLOCKED_PRIMITIVES
+            needs_clk = not prim.combinational
         else:
             header = f"  {cell.comp_name} {cell.name} ("
             needs_clk = True
@@ -175,7 +166,8 @@ def emit_verilog(program: Program, include_prelude: bool = True) -> str:
     chunks: List[str] = []
     if include_prelude:
         chunks.append("// Generated by repro (Calyx reproduction) Lower pass")
-        chunks.append(prelude(sorted(_used_primitives(program))))
+        used = sorted(_used_primitives(program))
+        chunks.append("\n".join(get_primitive(name).verilog for name in used))
     guard_text: Dict[Guard, str] = {}
     for comp in program.components:
         chunks.append(_emit_component(program, comp, guard_text))

@@ -52,14 +52,18 @@ from repro.ir.builder import (
 )
 from repro.ir.control import Control, Empty, Enable, If, Par, Seq, While
 from repro.ir.guards import NotGuard, PortGuard
+from repro.stdlib.primitives import get_primitive
 
-_ARITH_CELLS = {
+#: The primitive each binary operator compiles to; the HLS baseline
+#: (:mod:`repro.hls.resources`) costs each operator as the same primitive.
+OP_PRIMITIVES = {
     "+": "std_add",
     "-": "std_sub",
     "<<": "std_lsh",
     ">>": "std_rsh",
-}
-_CMP_CELLS = {
+    "*": "std_mult_pipe",
+    "/": "std_div_pipe",
+    "%": "std_div_pipe",
     "<": "std_lt",
     ">": "std_gt",
     "<=": "std_le",
@@ -250,7 +254,7 @@ class _Backend:
                 if not isinstance(expr.right, IntLit)
                 else 1,
             )
-            cell = self.main.cell(self.fresh("cmp"), _CMP_CELLS[expr.op], operand_width)
+            cell = self.main.cell(self.fresh("cmp"), OP_PRIMITIVES[expr.op], operand_width)
             left = self.compile_expr(expr.left, operand_width, group, pre, mems_in_group)
             right = self.compile_expr(expr.right, operand_width, group, pre, mems_in_group)
             group.assign(cell.left, left)
@@ -260,7 +264,7 @@ class _Backend:
         if expr.op in ("*", "/", "%"):
             return self._compile_multi_cycle(expr, width, group, pre)
 
-        cell = self.main.cell(self.fresh("op"), _ARITH_CELLS[expr.op], width)
+        cell = self.main.cell(self.fresh("op"), OP_PRIMITIVES[expr.op], width)
         left = self.compile_expr(expr.left, width, group, pre, mems_in_group)
         right = self.compile_expr(expr.right, width, group, pre, mems_in_group)
         group.assign(cell.left, left)
@@ -271,17 +275,14 @@ class _Backend:
         self, expr: BinOp, width: int, group: GroupBuilder, pre: List[Control]
     ) -> PortRef:
         """A multiply/divide runs in its own static group before ``group``."""
-        from repro.stdlib.primitives import DIV_LATENCY, MULT_LATENCY
-
+        prim = OP_PRIMITIVES[expr.op]
+        stem = "mul" if expr.op == "*" else "div"
+        unit = self.main.cell(self.fresh(stem), prim, width)
         if expr.op == "*":
-            unit = self.main.mult_pipe(self.fresh("mul"), width)
             out_port = unit.out
-            latency = MULT_LATENCY
         else:
-            unit = self.main.cell(self.fresh("div"), "std_div_pipe", width)
             out_port = unit.out_quotient if expr.op == "/" else unit.out_remainder
-            latency = DIV_LATENCY
-        op_group = self.main.group(self.fresh("mulg" if expr.op == "*" else "divg"), static=latency)
+        op_group = self.main.group(self.fresh(stem + "g"), static=get_primitive(prim).latency)
         op_mems: Dict[str, List[Expr]] = {}
         left = self.compile_expr(expr.left, width, op_group, pre, op_mems)
         right = self.compile_expr(expr.right, width, op_group, pre, op_mems)

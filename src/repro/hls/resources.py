@@ -33,7 +33,9 @@ from repro.frontends.dahlia.ast import (
     VarRef,
     While,
 )
-from repro.stdlib.costs import Resources, primitive_cost
+from repro.frontends.dahlia.to_calyx import OP_PRIMITIVES
+from repro.stdlib.costs import Resources
+from repro.stdlib.primitives import get_primitive
 
 if TYPE_CHECKING:
     from repro.hls.scheduler import HlsConfig
@@ -48,19 +50,6 @@ class _Counts:
         self.divs = 0
 
 
-_OP_PRIMS = {
-    "+": "std_add",
-    "-": "std_sub",
-    "<<": "std_lsh",
-    ">>": "std_rsh",
-    "<": "std_lt",
-    ">": "std_gt",
-    "<=": "std_le",
-    ">=": "std_ge",
-    "==": "std_eq",
-    "!=": "std_neq",
-}
-
 DEFAULT_WIDTH = 32
 #: Control FSM overhead as a fraction of datapath LUTs plus a constant.
 CONTROL_FRACTION = 0.05
@@ -74,17 +63,13 @@ def _expr_width(expr: Expr) -> int:
 def _collect_expr(expr: Expr, factor: int, res: Resources, counts: _Counts) -> None:
     if isinstance(expr, BinOp):
         width = _expr_width(expr) or DEFAULT_WIDTH
-        if expr.op == "*":
-            unit = primitive_cost("std_mult_pipe", (width,))
+        if expr.op in COMPARISONS:
+            width = max(_expr_width(expr.left), _expr_width(expr.right))
+        elif expr.op == "*":
             counts.mults += factor
         elif expr.op in ("/", "%"):
-            unit = primitive_cost("std_div_pipe", (width,))
             counts.divs += factor
-        elif expr.op in COMPARISONS:
-            operand = max(_expr_width(expr.left), _expr_width(expr.right))
-            unit = primitive_cost(_OP_PRIMS[expr.op], (operand,))
-        else:
-            unit = primitive_cost(_OP_PRIMS[expr.op], (width,))
+        unit = get_primitive(OP_PRIMITIVES[expr.op]).cost((width,))
         for _ in range(factor):
             res.luts += unit.luts
             res.registers += unit.registers
@@ -156,7 +141,7 @@ def estimate_hls_resources(program: Program, config: "HlsConfig") -> Resources:
         mem_widths[decl.name] = width
         mem_addr_bits[decl.name] = idx
         for _ in range(banks):
-            bank_cost = primitive_cost("std_mem_d1", (width, per_bank, idx))
+            bank_cost = get_primitive("std_mem_d1").cost((width, per_bank, idx))
             res.luts += bank_cost.luts
             res.registers += bank_cost.registers
             res.brams += bank_cost.brams
@@ -165,7 +150,7 @@ def estimate_hls_resources(program: Program, config: "HlsConfig") -> Resources:
     _collect_stmt(program.body, 1, res, counts)
 
     # Memory-port multiplexing.
-    for mem in set(counts.mem_reads) | set(counts.mem_writes):
+    for mem in sorted(set(counts.mem_reads) | set(counts.mem_writes)):
         ports = config.mem_ports
         reads = counts.mem_reads.get(mem, 0)
         writes = counts.mem_writes.get(mem, 0)

@@ -110,7 +110,8 @@ class _GraphBuilder:
         return self._model_paths(cell)
 
     def _model_paths(self, cell) -> List[Tuple[str, str, bool]]:
-        from repro.stdlib.behaviors import comb_paths, make_model
+        from repro.stdlib.behaviors import comb_paths
+        from repro.stdlib.primitives import make_model
 
         try:
             model = make_model(cell.comp_name, cell.args)

@@ -27,8 +27,7 @@ from repro.ir.ast import Program
 from repro.ir.types import Direction
 from repro.passes.base import register_pass
 from repro.passes.resource_sharing import ResourceSharing
-from repro.stdlib.costs import primitive_cost
-from repro.stdlib.primitives import is_primitive
+from repro.stdlib.primitives import get_primitive, is_primitive
 
 
 @dataclass
@@ -52,7 +51,7 @@ class SharingCostModel:
         """What one unit is worth; a ``"share"`` component of ``program``
         is worth its whole estimated body."""
         if is_primitive(comp_name):
-            cost = primitive_cost(comp_name, args)
+            cost = get_primitive(comp_name).cost(args)
         else:
             cost = estimate_resources(program, comp_name)
         return (
@@ -65,8 +64,6 @@ class SharingCostModel:
         self, program: Program, comp_name: str, args: Tuple[int, ...]
     ) -> float:
         """Cost added per extra user of a shared unit (input muxes)."""
-        from repro.stdlib.primitives import get_primitive
-
         if not is_primitive(comp_name):
             return self.guard_luts
         sig = get_primitive(comp_name).signature(args)

@@ -96,7 +96,8 @@ from repro.ir.guards import (
 from repro.ir.ports import DONE, GO
 from repro.sim.control import ControlExecutor
 from repro.sim.structural import check_structural_drivers, static_drivers
-from repro.stdlib.behaviors import PrimitiveModel, comb_paths, make_model, port_names
+from repro.stdlib.behaviors import PrimitiveModel, comb_paths, port_names
+from repro.stdlib.primitives import make_model
 
 ReadFn = Callable[[PortRef], int]
 

@@ -16,8 +16,10 @@ under a ``False``.
 Ports are positional, like the wires of an RTL module: ``ins`` holds the
 values of the cell signature's input ports and ``comb`` returns one value
 per output port, each in the order :func:`port_names` gives — for a
-primitive the order :mod:`repro.stdlib.primitives` declares, for an extern
-the order of its declaration.
+primitive the order its :mod:`repro.stdlib.primitives` entry declares, for
+an extern the order of its declaration. Each primitive's entry names the
+model class below that simulates it; :data:`EXTERN_MODELS` does the same
+for externs.
 
 Each model also reports its *combinational dependencies* by port name:
 which output ports depend combinationally on which input ports. The
@@ -30,9 +32,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError, UndefinedError
+from repro.errors import SimulationError
 from repro.ir.types import Direction, PortDef
-from repro.stdlib.primitives import DIV_LATENCY, MULT_LATENCY, get_primitive
 
 
 def mask(width: int) -> int:
@@ -263,12 +264,12 @@ class PipelinedOpModel(PrimitiveModel):
     returns ``False``.
     """
 
-    latency = MULT_LATENCY
     comb_deps = {"out": [], "done": []}
 
-    def __init__(self, args: Sequence[int]):
+    def __init__(self, args: Sequence[int], latency: Optional[int] = None):
         super().__init__(args)
         self.width = self.args[0]
+        self.latency = latency
         self.reset()
 
     def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
@@ -304,14 +305,11 @@ class PipelinedOpModel(PrimitiveModel):
 
 
 class MultPipeModel(PipelinedOpModel):
-    latency = MULT_LATENCY
-
     def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
         return (ins[0] * ins[1],)
 
 
 class DivPipeModel(PipelinedOpModel):
-    latency = DIV_LATENCY
     comb_deps = {"out_quotient": [], "out_remainder": [], "done": []}
 
     def compute(self, ins: Sequence[int]) -> Tuple[int, ...]:
@@ -338,65 +336,8 @@ class SqrtModel(PipelinedOpModel):
         return max(1, ins[0].bit_length() // 2 + 1)
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-
-def _arith(fn: Callable[[int, int, int], int]) -> Callable[[Sequence[int]], BinOpModel]:
-    return lambda args: BinOpModel(args, fn)
-
-
-def _cmp(fn: Callable[[int, int, int], int]) -> Callable[[Sequence[int]], BinOpModel]:
-    return lambda args: BinOpModel(args, fn, out_width=1)
-
-
-_MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {
-    "std_wire": TruncModel,
-    "std_const": ConstModel,
-    "std_slice": TruncModel,
-    "std_pad": TruncModel,
-    "std_not": NotModel,
-    "std_add": _arith(lambda l, r, w: l + r),
-    "std_sub": _arith(lambda l, r, w: l - r),
-    "std_and": _arith(lambda l, r, w: l & r),
-    "std_or": _arith(lambda l, r, w: l | r),
-    "std_xor": _arith(lambda l, r, w: l ^ r),
-    "std_lsh": _arith(lambda l, r, w: l << min(r, w)),
-    "std_rsh": _arith(lambda l, r, w: l >> min(r, w)),
-    "std_mult": _arith(lambda l, r, w: l * r),
-    "std_gt": _cmp(lambda l, r, w: int(l > r)),
-    "std_lt": _cmp(lambda l, r, w: int(l < r)),
-    "std_eq": _cmp(lambda l, r, w: int(l == r)),
-    "std_neq": _cmp(lambda l, r, w: int(l != r)),
-    "std_ge": _cmp(lambda l, r, w: int(l >= r)),
-    "std_le": _cmp(lambda l, r, w: int(l <= r)),
-    "std_reg": RegModel,
-    "std_mem_d1": MemModel,
-    "std_mem_d2": MemModel,
-    "std_mult_pipe": MultPipeModel,
-    "std_div_pipe": DivPipeModel,
-    "std_sqrt": SqrtModel,
-}
-
 #: Behaviours registered for extern (black-box) components, keyed by the
 #: extern component's name. Tests and users may extend this; a model reads
 #: and returns ports in the extern declaration's order.
 EXTERN_MODELS: Dict[str, Callable[[Sequence[int]], PrimitiveModel]] = {}
 
-
-def make_model(comp_name: str, args: Sequence[int]) -> PrimitiveModel:
-    """Instantiate the simulation model for a primitive or extern."""
-    factory = _MODELS.get(comp_name) or EXTERN_MODELS.get(comp_name)
-    if factory is None:
-        raise UndefinedError(f"no simulation model for {comp_name!r}")
-    # Validate the arity against the declared signature when known.
-    try:
-        get_primitive(comp_name).bind(args)
-    except UndefinedError:
-        pass
-    return factory(args)
-
-
-def has_model(comp_name: str) -> bool:
-    return comp_name in _MODELS or comp_name in EXTERN_MODELS

@@ -1,5 +1,9 @@
 """FPGA resource cost model — the stand-in for Vivado synthesis estimates.
 
+This module holds the cost *rules*; which rule a primitive uses is part of
+its entry in :mod:`repro.stdlib.primitives`, so a primitive's cost is
+``get_primitive(name).cost(args)``.
+
 Costs approximate a 6-input-LUT FPGA (the paper targets a Zynq UltraScale+
 XCZU3EG). Only *relative* costs matter for reproducing the paper's
 comparisons; the model is deliberately simple and fully documented:
@@ -24,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
-
-from repro.errors import UndefinedError
 
 #: Memories at least this many bits map to BRAM instead of LUTRAM.
 BRAM_THRESHOLD_BITS = 1024
@@ -93,41 +95,68 @@ def _mem_cost(width: int, size: int) -> Resources:
     return res
 
 
-def primitive_cost(name: str, args: Sequence[int]) -> Resources:
-    """Resource cost of one primitive instance."""
+def _charged(category: str, **amounts) -> Resources:
     res = Resources()
-    a = [int(x) for x in args]
-    if name in ("std_add", "std_sub"):
-        res.charge("arith", luts=a[0])
-    elif name in ("std_and", "std_or", "std_xor", "std_not"):
-        res.charge("logic", luts=math.ceil(a[0] / 2))
-    elif name in ("std_lsh", "std_rsh"):
-        # Barrel shifter: ~ w * log2(w) / 2 LUTs.
-        width = a[0]
-        res.charge("shift", luts=math.ceil(width * max(1, math.log2(width)) / 2))
-    elif name in ("std_gt", "std_lt", "std_eq", "std_neq", "std_ge", "std_le"):
-        res.charge("cmp", luts=math.ceil(a[0] / 2) + 1)
-    elif name in ("std_slice", "std_pad", "std_wire", "std_const"):
-        pass  # wiring only
-    elif name == "std_reg":
-        res.charge("reg", registers=a[0] + 1)  # value bits + done flop
-    elif name == "std_mem_d1":
-        res = res.add(_mem_cost(a[0], a[1]))
-        res.charge("mem-ctrl", registers=1)
-    elif name == "std_mem_d2":
-        res = res.add(_mem_cost(a[0], a[1] * a[2]))
-        res.charge("mem-ctrl", registers=1, luts=math.ceil(a[0] / 8))
-    elif name in ("std_mult", "std_mult_pipe"):
-        width = a[0]
-        res.charge("dsp", dsps=1 if width <= 18 else 4, luts=20)
-        if name == "std_mult_pipe":
-            res.charge("pipe-reg", registers=2 * width + 3)
-    elif name == "std_div_pipe":
-        width = a[0]
-        res.charge("div", luts=3 * width, registers=2 * width + 3)
-    elif name == "std_sqrt":
-        width = a[0]
-        res.charge("sqrt", luts=2 * width, registers=width + 3)
-    else:
-        raise UndefinedError(f"no resource model for primitive {name!r}")
+    res.charge(category, **amounts)
     return res
+
+
+# Each function below is one primitive's cost rule, named by the
+# ``cost`` field of its :mod:`repro.stdlib.primitives` entry; ``args`` are
+# the instance's parameters in declaration order (``WIDTH`` first).
+
+
+def adder(args: Sequence[int]) -> Resources:
+    return _charged("arith", luts=args[0])
+
+
+def logic(args: Sequence[int]) -> Resources:
+    return _charged("logic", luts=math.ceil(args[0] / 2))
+
+
+def shifter(args: Sequence[int]) -> Resources:
+    """Barrel shifter: ~ w * log2(w) / 2 LUTs."""
+    width = args[0]
+    return _charged("shift", luts=math.ceil(width * max(1, math.log2(width)) / 2))
+
+
+def comparator(args: Sequence[int]) -> Resources:
+    return _charged("cmp", luts=math.ceil(args[0] / 2) + 1)
+
+
+def wiring(args: Sequence[int]) -> Resources:
+    return Resources()
+
+
+def register(args: Sequence[int]) -> Resources:
+    return _charged("reg", registers=args[0] + 1)  # value bits + done flop
+
+
+def memory_d1(args: Sequence[int]) -> Resources:
+    res = _mem_cost(args[0], args[1])
+    res.charge("mem-ctrl", registers=1)
+    return res
+
+
+def memory_d2(args: Sequence[int]) -> Resources:
+    res = _mem_cost(args[0], args[1] * args[2])
+    res.charge("mem-ctrl", registers=1, luts=math.ceil(args[0] / 8))
+    return res
+
+
+def multiplier(args: Sequence[int]) -> Resources:
+    return _charged("dsp", dsps=1 if args[0] <= 18 else 4, luts=20)
+
+
+def pipelined_multiplier(args: Sequence[int]) -> Resources:
+    res = multiplier(args)
+    res.charge("pipe-reg", registers=2 * args[0] + 3)
+    return res
+
+
+def divider(args: Sequence[int]) -> Resources:
+    return _charged("div", luts=3 * args[0], registers=2 * args[0] + 3)
+
+
+def square_root(args: Sequence[int]) -> Resources:
+    return _charged("sqrt", luts=2 * args[0], registers=args[0] + 3)

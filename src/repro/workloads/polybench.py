@@ -95,26 +95,8 @@ for (let i = 0..{n}) {{
   }}
 }}
 """
-    unrolled = f"""
-decl A: ubit<32>[{n} bank {u}][{n}];
-decl B: ubit<32>[{n}][{n}];
-decl C: ubit<32>[{n} bank {u}][{n}];
-for (let k = 0..{n}) {{
-  for (let j = 0..{n}) {{
-    for (let i = 0..{n}) unroll {u} {{
-      C[i][j] := C[i][j] + 2 * A[i][k] * B[k][j]
-    }}
-  }}
-}}
----
-for (let j = 0..{n}) {{
-  for (let i = 0..{n}) unroll {u} {{
-    C[i][j] := 3 * C[i][j]
-  }}
-}}
-"""
-    # Note: the unrolled variant reorders the scaling after accumulation,
-    # which changes results; keep semantics identical by scaling first.
+    # The unrolled variant scales C before accumulating, like the plain
+    # one, so both compute the same result.
     unrolled = f"""
 decl A: ubit<32>[{n} bank {u}][{n}];
 decl B: ubit<32>[{n}][{n}];
@@ -486,6 +468,10 @@ for (let rq = 0..{nr_nq}) {{
   }}
 }}
 """
+    # The unrolled variant writes a separate output array (Aout) because A
+    # itself cannot carry both orientations: its inner dimension is read
+    # sequentially (by s) and written in parallel (by p). Each (r, q) row
+    # reads only itself, so the values are identical.
     unrolled = f"""
 decl A: ubit<32>[{nr_nq}][{n}];
 decl Aout: ubit<32>[{nr_nq}][{n} bank {u}];
@@ -518,43 +504,10 @@ for (let rq = 0..{nr_nq}) {{
             "sum": [0] * n,
         },
         ["A"],
-        None,  # set below: outputs differ between variants
+        unrolled,
+        unrolled_extra={"Aout": [0] * (nr_nq * n)},
+        unrolled_outputs=["Aout"],
     )
-
-
-def _doitgen_with_unroll(n: int, u: int) -> Kernel:
-    # The unrolled variant writes a separate output array (Aout) because A
-    # itself cannot carry both orientations: its inner dimension is read
-    # sequentially (by s) and written in parallel (by p). Each (r, q) row
-    # reads only itself, so the values are identical.
-    base = _doitgen(n, u)
-    nr_nq = n * n
-    base.unrolled_source = f"""
-decl A: ubit<32>[{nr_nq}][{n}];
-decl Aout: ubit<32>[{nr_nq}][{n} bank {u}];
-decl C4: ubit<32>[{n}][{n} bank {u}];
-decl sum: ubit<32>[{n} bank {u}];
-for (let rq = 0..{nr_nq}) {{
-  for (let s = 0..{n}) {{
-    let a_val: ubit<32> = A[rq][s];
-    ---
-    for (let p = 0..{n}) unroll {u} {{
-      if (s == 0) {{
-        sum[p] := a_val * C4[s][p]
-      }} else {{
-        sum[p] := sum[p] + a_val * C4[s][p]
-      }}
-    }}
-  }}
-  ---
-  for (let p = 0..{n}) unroll {u} {{
-    Aout[rq][p] := sum[p]
-  }}
-}}
-"""
-    base.unrolled_extra = {"Aout": [0] * (nr_nq * n)}
-    base.unrolled_outputs = ["Aout"]
-    return base
 
 
 def _durbin(n: int, u: int) -> Kernel:
@@ -1159,7 +1112,7 @@ _BUILDERS: Dict[str, Callable[[int, int], Kernel]] = {
     "atax": _atax,
     "bicg": _bicg,
     "cholesky": _cholesky,
-    "doitgen": _doitgen_with_unroll,
+    "doitgen": _doitgen,
     "durbin": _durbin,
     "gemver": _gemver,
     "gesummv": _gesummv,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.ir import parse_program
@@ -119,6 +121,13 @@ def run_source(source: str, pipeline=None, memories=None, max_cycles=200_000):
     return run_program(
         compile_source(source, pipeline), memories=memories or {}, max_cycles=max_cycles
     )
+
+
+def verilog_module_ports(text: str, module: str):
+    """Sorted port names in the header of ``module`` within ``text``."""
+    match = re.search(rf"^module {module}\b.*?\) \(\n(.*?)\n\);", text, re.S | re.M)
+    assert match, f"no module {module} in the Verilog text"
+    return sorted(line.rstrip(",").split()[-1] for line in match.group(1).splitlines())
 
 
 def sum_loop_result(pipeline=None):

@@ -8,14 +8,16 @@ import pytest
 from repro.backend import emit_verilog, estimate_resources
 from repro.backend.resources import _collect_guard_nodes, count_register_cells
 from repro.backend.verilog import verilog_loc
+from repro.cli import main as cli_main
 from repro.errors import PassError
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
 from repro.ir.guards import AndGuard, NotGuard, OrGuard, PortGuard, TrueGuard
 from repro.passes import compile_program, get_pass
+from repro.stdlib.primitives import get_primitive
 from repro.workloads.polybench import get_kernel
-from tests.conftest import SUM_LOOP, TWO_WRITES
+from tests.conftest import SUM_LOOP, TWO_WRITES, verilog_module_ports
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
@@ -80,6 +82,31 @@ component main(go: 1) -> (done: 1) {
         text = emit_verilog(lowered(src))
         assert "module sub (" in text
         assert "sub s (" in text
+
+    def test_sqrt_module_and_clock(self, tmp_path, capsys):
+        """A design with a ``std_sqrt`` gets its module and clocks it."""
+        src = """
+component main(go: 1) -> (done: 1) {
+  cells { s = std_sqrt(32); }
+  wires {
+    group g {
+      s.in = 32'd16;
+      s.go = !s.done ? 1;
+      g[done] = s.done;
+    }
+  }
+  control { g; }
+}
+"""
+        text = emit_verilog(lowered(src))
+        ports = list(get_primitive("std_sqrt").signature((32,))) + ["clk"]
+        assert verilog_module_ports(text, "std_sqrt") == sorted(ports)
+        instance = text.split("std_sqrt #(.WIDTH(32)) s (", 1)[1].split(");", 1)[0]
+        assert ".clk(clk)" in instance
+        path = tmp_path / "sqrt.futil"
+        path.write_text(src)
+        assert cli_main(["compile", str(path), "--emit", "verilog"]) == 0
+        assert "module std_sqrt" in capsys.readouterr().out
 
 
 class TestResources:

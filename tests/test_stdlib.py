@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import UndefinedError, ValidationError
-from repro.stdlib.behaviors import (
-    PrimitiveModel,
-    comb_paths,
-    make_model,
-    port_names,
-)
-from repro.stdlib.costs import Resources, mux_cost, primitive_cost
-from repro.stdlib.primitives import all_primitives, get_primitive, is_primitive
+from repro.stdlib.behaviors import PrimitiveModel, comb_paths, port_names
+from repro.stdlib.costs import Resources, mux_cost
+from repro.stdlib.primitives import all_primitives, get_primitive, is_primitive, make_model
+from tests.conftest import verilog_module_ports
 
 
 class TestSignatures:
@@ -53,11 +49,16 @@ class TestSignatures:
         assert get_primitive("std_sqrt").latency is None
 
     def test_every_primitive_has_model_and_cost(self):
+        """Every entry builds a model and a cost, and its Verilog module's
+        header names exactly its signature's ports, plus ``clk`` if and
+        only if it is not combinational."""
         for prim in all_primitives():
             args = _args_for(prim)
             model = make_model(prim.name, args)
             assert model is not None
-            primitive_cost(prim.name, args)  # must not raise
+            assert isinstance(prim.cost(args), Resources)
+            expected = list(prim.signature(args)) + ([] if prim.combinational else ["clk"])
+            assert verilog_module_ports(prim.verilog, prim.name) == sorted(expected), prim.name
 
 
 def _args_for(prim):
@@ -340,21 +341,21 @@ class TestCosts:
         assert mux_cost(32, 3) > mux_cost(32, 2) > 0
 
     def test_adder_scales_with_width(self):
-        assert primitive_cost("std_add", (32,)).luts == 32
+        assert get_primitive("std_add").cost((32,)).luts == 32
 
     def test_register_costs_flipflops_not_luts(self):
-        cost = primitive_cost("std_reg", (32,))
+        cost = get_primitive("std_reg").cost((32,))
         assert cost.registers == 33
         assert cost.luts == 0
 
     def test_bram_threshold(self):
-        small = primitive_cost("std_mem_d1", (8, 4, 2))
-        big = primitive_cost("std_mem_d1", (32, 1024, 10))
+        small = get_primitive("std_mem_d1").cost((8, 4, 2))
+        big = get_primitive("std_mem_d1").cost((32, 1024, 10))
         assert small.brams == 0 and small.luts > 0
         assert big.brams >= 1
 
     def test_mult_uses_dsps(self):
-        assert primitive_cost("std_mult_pipe", (32,)).dsps > 0
+        assert get_primitive("std_mult_pipe").cost((32,)).dsps > 0
 
     def test_resources_add(self):
         a = Resources(luts=10, registers=5)
@@ -364,4 +365,4 @@ class TestCosts:
 
     def test_unknown_primitive_cost(self):
         with pytest.raises(UndefinedError):
-            primitive_cost("std_alien", (1,))
+            get_primitive("std_alien").cost((1,))
