@@ -27,7 +27,6 @@ from repro.backend import emit_verilog, estimate_resources
 from repro.robustness import (
     CheckedPassManager,
     difftest_program,
-    difftest_source,
 )
 
 __version__ = "1.0.0"
@@ -46,6 +45,5 @@ __all__ = [
     "estimate_resources",
     "CheckedPassManager",
     "difftest_program",
-    "difftest_source",
     "__version__",
 ]

@@ -115,9 +115,7 @@ def evaluate_dahlia_kernel(
     if source is None:
         raise ValueError(f"kernel {kernel.name!r} has no unrolled variant")
     design: CompiledDesign = compile_dahlia(source)
-    mems: Dict[str, List[int]] = {}
-    for name, values in kernel.memories_for(unrolled).items():
-        mems.update(design.split_memory(name, values))
+    mems = design.split_memories(kernel.memories_for(unrolled))
     suffix = "-unrolled" if unrolled else ""
     return _measure(
         f"{kernel.name}{suffix}", design.program, pipeline, mems, simulate, engine

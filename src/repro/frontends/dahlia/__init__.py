@@ -23,8 +23,9 @@ def compile_dahlia(source: str) -> CompiledDesign:
     """Full pipeline: Dahlia source text to a Calyx program."""
     prog = parse(source)
     typecheck(prog)
-    lowered = lower(prog)
-    return compile_to_calyx(lowered)
+    design = compile_to_calyx(lower(prog))
+    design.source = source
+    return design
 
 
 __all__ = [

@@ -93,12 +93,26 @@ class CompiledDesign:
 
     program: Program
     layouts: Dict[str, MemoryLayout] = field(default_factory=dict)
+    #: the Dahlia source the program was compiled from
+    source: Optional[str] = None
 
     def split_memory(self, name: str, values: List[int]) -> Dict[str, List[int]]:
         return self.layouts[name].split(values)
 
     def merge_memory(self, name: str, banks: Dict[str, List[int]]) -> List[int]:
         return self.layouts[name].merge(banks)
+
+    def split_memories(self, logical: Dict[str, List[int]]) -> Dict[str, List[int]]:
+        """Every logical memory's contents, distributed across its banks."""
+        return {
+            bank: values
+            for name, contents in logical.items()
+            for bank, values in self.split_memory(name, contents).items()
+        }
+
+    def merge_memories(self, physical: Dict[str, List[int]]) -> Dict[str, List[int]]:
+        """Every logical memory, reassembled from its banks' contents."""
+        return {name: layout.merge(physical) for name, layout in self.layouts.items()}
 
 
 class _Backend:

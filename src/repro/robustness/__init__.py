@@ -8,7 +8,8 @@ and report its own failures instead of silently propagating them:
   around every pass and re-validates well-formedness plus pass-specific
   invariants, raising a structured :class:`~repro.errors.PassDiagnostic`
   naming the offending pass,
-* :mod:`repro.robustness.difftest` — a differential oracle running the
+* :mod:`repro.robustness.difftest` — the differential harness (one
+  observation, one comparison) and the oracle built on it, running the
   same program interpreted (unlowered) and compiled through every
   registered pipeline, comparing final memories and latencies,
 * :mod:`repro.robustness.faultinject` — deterministic seeded fault
@@ -29,7 +30,6 @@ from repro.robustness.difftest import (
     default_pipelines,
     difftest_kernel,
     difftest_program,
-    difftest_source,
 )
 from repro.robustness.faultinject import (
     IRMutation,
@@ -51,7 +51,6 @@ __all__ = [
     "default_pipelines",
     "difftest_kernel",
     "difftest_program",
-    "difftest_source",
     "IRMutation",
     "NetFault",
     "SelfTestRecord",

@@ -1,19 +1,13 @@
-"""Differential oracle: interpret vs. compile-and-simulate, memory-by-memory.
+"""The differential harness: one observation, one comparison.
 
-The paper's correctness claim (Sections 4-5) is that lowering control to
-structure preserves program semantics. This module tests that claim on
-every run: the same program with the same input memories is executed
-
-* **interpreted** — unlowered, through the control executor (the
-  reference semantics of Section 3.4), and
-* **compiled** — through each requested pass pipeline, simulated as pure
-  structure.
-
-Final memory contents must agree bit-for-bit; a mismatch is reported as a
-:class:`Divergence` naming the pipeline, the first diverging memory, and
-the first diverging word. Declared static latency (the ``"static"``
-attribute inferred by Section 5.3) is also checked against observed
-cycles for fully-static designs.
+The paper's correctness claim (Sections 3.4, 4-5) is that lowering
+control to structure preserves program semantics. Every check of it
+records each execution as one :class:`Observation` and compares two with
+:func:`compare`; :data:`SEMANTICS` names the ways a design is executed.
+:func:`difftest_program` is the oracle over one Calyx program: the
+interpreted run against every pipeline's, memory by memory. Declared
+static latency (the ``"static"`` attribute inferred by Section 5.3) is
+also checked against observed cycles for fully-static designs.
 """
 
 from __future__ import annotations
@@ -22,23 +16,40 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CalyxError, DifftestError
-from repro.ir.ast import Program
+from repro.frontends.dahlia import (
+    CompiledDesign, compile_dahlia, interpret, parse, typecheck
+)
+from repro.ir.ast import CellPort, HolePort, Program, ThisPort
 from repro.ir.attributes import STATIC
+from repro.ir.ports import DONE
 from repro.ir.validate import validate_program
 from repro.passes import PIPELINES, compile_program
 from repro.sim import (
-    DEFAULT_MAX_CYCLES,
-    ORACLE_ENGINE,
-    Testbench,
-    Watchdog,
-    run_program,
+    DEFAULT_ENGINE, DEFAULT_MAX_CYCLES, ORACLE_ENGINE, Testbench, Watchdog
 )
+from repro.stdlib.behaviors import RegModel
 from repro.workloads.common import Lcg
+
 
 #: Pipelines the oracle exercises by default: every registered pipeline
 #: that actually lowers the program (``validate`` does not simulate).
 def default_pipelines() -> List[str]:
     return [name for name in sorted(PIPELINES) if name != "validate"]
+
+
+@dataclass
+class Observation:
+    """What one execution showed; ``None`` where its semantics is blind."""
+
+    cycles: Optional[int] = None
+    #: final contents of every memory, in logical (un-banked) form
+    memories: Optional[Dict[str, List[int]]] = None
+    #: final value of every ``std_reg`` directly inside ``main``
+    registers: Optional[Dict[str, int]] = None
+    #: see :func:`canonical_done_nets`
+    done_nets: Optional[Dict[str, int]] = None
+    #: a failed execution observes only the error it raised
+    error: Optional[CalyxError] = None
 
 
 @dataclass
@@ -57,13 +68,155 @@ class Divergence:
     """One observed disagreement between the reference and a pipeline."""
 
     pipeline: str
-    kind: str  # "memory" | "latency" | "error"
+    kind: str  # "error", "cycles", "memory", "registers", "done_nets", "latency"
     detail: str
     memory: Optional[str] = None
     index: Optional[int] = None
 
     def describe(self) -> str:
         return f"[{self.pipeline}] {self.kind}: {self.detail}"
+
+
+def _error_detail(error: Exception) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def compare(
+    reference: Observation,
+    observed: Observation,
+    pipeline: str = "observed",
+    fields: Sequence[str] = ("cycles", "memories", "registers", "done_nets"),
+) -> Optional[Divergence]:
+    """The first way ``observed`` differs from ``reference``, if any.
+
+    The error class is checked first: two executions that fail with the
+    same class agree. Then each of ``fields`` in order, skipping a field
+    either side could not see; memories name the first memory and index.
+    """
+    expected, got = reference.error, observed.error
+    if type(expected) is not type(got):
+        if expected is None:
+            detail = _error_detail(got)
+        elif got is None:
+            detail = f"reference failed with {_error_detail(expected)}"
+        else:
+            names = f"{type(expected).__name__} vs {type(got).__name__}"
+            detail = f"different errors: {names}"
+        return Divergence(pipeline, "error", detail)
+    if expected is not None:
+        return None  # both failed, with the same class
+    for kind in fields:
+        ref, obs = getattr(reference, kind), getattr(observed, kind)
+        if ref is None or obs is None or ref == obs:
+            continue
+        if kind == "cycles":
+            return Divergence(pipeline, kind, f"{ref} vs {obs}")
+        keys = sorted(ref.keys() | obs.keys())
+        name = next(k for k in keys if ref.get(k) != obs.get(k))
+        if kind != "memories":
+            detail = f"{name}: {ref.get(name)} vs {obs.get(name)}"
+            return Divergence(pipeline, kind, detail)
+        ref, obs, index = ref.get(name), obs.get(name), None
+        if ref is None or obs is None:
+            side = "reference" if obs is None else "observed execution"
+            detail = f"memory {name!r} only exists in the {side}"
+        else:
+            index = next((i for i, (r, o) in enumerate(zip(ref, obs)) if r != o), None)
+            detail = (
+                f"memory {name!r} length mismatch: {len(ref)} vs {len(obs)}"
+                if index is None
+                else f"memory {name!r} diverges first at index {index}: "
+                f"{ref[index]} vs {obs[index]}"
+            )
+        return Divergence(pipeline, "memory", detail, memory=name, index=index)
+    return None
+
+
+def canonical_done_nets(inst) -> Dict[str, int]:
+    """Done-net valuation derived from program structure, recursively.
+
+    Reads the same structural set under either engine — every group's
+    done hole, every cell's done port, and the component's own done — so
+    the engines' differing internal net enumerations cannot leak into the
+    comparison.
+    """
+    values: Dict[str, int] = {}
+    for name in inst.comp.groups:
+        values[f"{inst.path}::{name}[done]"] = inst.read(HolePort(name, DONE))
+    for cell_name in inst.comp.cells:
+        values[f"{inst.path}::{cell_name}.done"] = inst.read(
+            CellPort(cell_name, DONE)
+        )
+    values[f"{inst.path}::done"] = inst.read(ThisPort(DONE))
+    for child in inst.children.values():
+        if hasattr(child, "comp"):
+            values.update(canonical_done_nets(child))
+    return values
+
+
+def observe(
+    program: Program,
+    memories: Optional[Dict[str, Sequence[int]]] = None,
+    engine: str = DEFAULT_ENGINE,
+    watchdog: Optional[Watchdog] = None,
+    design: Optional[CompiledDesign] = None,
+) -> Observation:
+    """Simulate ``program`` as it stands; a toolchain error is observed.
+
+    ``memories`` are in logical form when ``design`` gives their banking,
+    and physical otherwise. Registers and done nets are read once, after
+    the run ends.
+    """
+    memories = memories or {}
+    if design is not None:
+        memories = design.split_memories(memories)
+    try:
+        bench = Testbench(program, engine=engine)
+        for path, values in memories.items():
+            bench.write_mem(path, values)
+        result = bench.run(watchdog=watchdog)
+    except CalyxError as exc:
+        return Observation(error=exc)
+    final = result.memories
+    children = bench.instance.children.items()
+    return Observation(
+        cycles=result.cycles,
+        memories=design.merge_memories(final) if design is not None else final,
+        registers={n: c.value for n, c in children if isinstance(c, RegModel)},
+        done_nets=canonical_done_nets(bench.instance),
+    )
+
+
+def _dahlia(design, memories, engine=DEFAULT_ENGINE, watchdog=None) -> Observation:
+    """The Dahlia reference interpreter: it sees final memories only."""
+    try:
+        final = interpret(typecheck(parse(design.source)), memories)
+    except CalyxError as exc:
+        return Observation(error=exc)
+    return Observation(memories=final)
+
+
+def _calyx(pipeline: str) -> Callable[..., Observation]:
+    """The design lowered by ``pipeline`` (``interpret``: not lowered)."""
+
+    def run(design, memories, engine=DEFAULT_ENGINE, watchdog=None) -> Observation:
+        program = design.program.copy()
+        try:
+            if pipeline != "interpret":
+                compile_program(program, pipeline)
+        except CalyxError as exc:
+            return Observation(error=exc)
+        return observe(program, memories, engine, watchdog, design)
+
+    return run
+
+
+#: Every semantics of a :class:`CompiledDesign`, by name:
+#: ``semantics(design, logical_memories, engine, watchdog)``.
+SEMANTICS: Dict[str, Callable[..., Observation]] = {
+    "dahlia": _dahlia,
+    **{name: _calyx(name) for name in ["interpret"] + default_pipelines()},
+}
 
 
 @dataclass
@@ -119,50 +272,6 @@ def default_memories(program: Program) -> Dict[str, List[int]]:
     return memories
 
 
-def _first_divergence(
-    pipeline: str,
-    reference: Dict[str, List[int]],
-    observed: Dict[str, List[int]],
-) -> Optional[Divergence]:
-    """The first memory/word where two final states disagree, if any."""
-    for name in sorted(set(reference) | set(observed)):
-        if name not in observed:
-            return Divergence(
-                pipeline,
-                "memory",
-                f"memory {name!r} missing from compiled design",
-                memory=name,
-            )
-        if name not in reference:
-            return Divergence(
-                pipeline,
-                "memory",
-                f"memory {name!r} only exists in compiled design",
-                memory=name,
-            )
-        ref_vals, obs_vals = reference[name], observed[name]
-        if ref_vals == obs_vals:
-            continue
-        for i, (r, o) in enumerate(zip(ref_vals, obs_vals)):
-            if r != o:
-                return Divergence(
-                    pipeline,
-                    "memory",
-                    f"memory {name!r} diverges first at index {i}: "
-                    f"interpreted={r}, compiled={o}",
-                    memory=name,
-                    index=i,
-                )
-        return Divergence(
-            pipeline,
-            "memory",
-            f"memory {name!r} length mismatch: "
-            f"{len(ref_vals)} vs {len(obs_vals)}",
-            memory=name,
-        )
-    return None
-
-
 def difftest_program(
     program: Program,
     memories: Optional[Dict[str, Sequence[int]]] = None,
@@ -192,69 +301,38 @@ def difftest_program(
     validate_program(program)
     if memories is None:
         memories = default_memories(program)
-    mems = {k: list(v) for k, v in memories.items()}
     watchdog = Watchdog(max_cycles=max_cycles)
-
-    ref_result = run_program(
-        program.copy(), memories=mems, watchdog=watchdog, engine=engine
+    reference = observe(program.copy(), memories, engine, watchdog)
+    if reference.error is not None:
+        raise reference.error
+    report = DifftestReport(
+        name, PipelineOutcome("interpret", reference.cycles, reference.memories)
     )
-    reference = PipelineOutcome(
-        "interpret", cycles=ref_result.cycles, memories=dict(ref_result.memories)
-    )
-    report = DifftestReport(name=name, reference=reference)
-
     for pipeline in pipelines if pipelines is not None else default_pipelines():
         compiled = program.copy()
         try:
             if compiled_transform is not None:
                 compiled_transform(compiled)
             compile_program(compiled, pipeline, checked=checked_passes)
-            declared = compiled.main.attributes.get(STATIC)
-            result = run_program(
-                compiled, memories=mems, watchdog=watchdog, engine=engine
-            )
         except CalyxError as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            report.outcomes.append(PipelineOutcome(pipeline, error=detail))
-            report.divergences.append(Divergence(pipeline, "error", detail))
-            continue
-        outcome = PipelineOutcome(
-            pipeline,
-            cycles=result.cycles,
-            memories=dict(result.memories),
-            declared_latency=declared,
+            observed = Observation(error=exc)
+        else:
+            observed = observe(compiled, memories, engine, watchdog)
+        error = observed.error and _error_detail(observed.error)
+        declared = None if error else compiled.main.attributes.get(STATIC)
+        report.outcomes.append(
+            PipelineOutcome(
+                pipeline, observed.cycles, observed.memories or {}, declared, error
+            )
         )
-        report.outcomes.append(outcome)
-        divergence = _first_divergence(
-            pipeline, reference.memories, outcome.memories
-        )
+        divergence = compare(reference, observed, pipeline, fields=["memories"])
         if divergence is not None:
             report.divergences.append(divergence)
-        if (
-            check_latency
-            and declared is not None
-            and result.cycles != declared
-        ):
-            report.divergences.append(
-                Divergence(
-                    pipeline,
-                    "latency",
-                    f"declared static latency {declared} but observed "
-                    f"{result.cycles} cycles",
-                )
-            )
+        if check_latency and declared is not None and observed.cycles != declared:
+            detail = f"declared static latency {declared} but observed"
+            detail += f" {observed.cycles} cycles"
+            report.divergences.append(Divergence(pipeline, "latency", detail))
     return report
-
-
-def difftest_source(
-    source: str,
-    name: str = "<source>",
-    **kwargs,
-) -> DifftestReport:
-    """Parse Calyx surface syntax and run the oracle on it."""
-    from repro.ir import parse_program
-
-    return difftest_program(parse_program(source), name=name, **kwargs)
 
 
 def difftest_kernel(
@@ -268,15 +346,10 @@ def difftest_kernel(
     then compares interpreted vs. compiled executions of that program with
     the kernel's own (banked) input data.
     """
-    from repro.frontends.dahlia import compile_dahlia
-
     design = compile_dahlia(kernel.source)
-    mems: Dict[str, List[int]] = {}
-    for mem_name, values in kernel.memories_for(False).items():
-        mems.update(design.split_memory(mem_name, values))
     return difftest_program(
         design.program,
-        memories=mems,
+        memories=design.split_memories(kernel.memories_for(False)),
         pipelines=pipelines,
         name=kernel.name,
         **kwargs,

@@ -223,12 +223,7 @@ def _classify(report: DifftestReport) -> Tuple[str, str]:
                 return "pass-manager", div.detail
             if any(name in div.detail for name in _WATCHDOG_ERRORS):
                 return "watchdog", div.detail
-            if "ValidationError" in div.detail or any(
-                name in div.detail
-                for name in ("UndefinedError", "WidthError", "MultipleDriverError")
-            ):
-                return "validator", div.detail
-            return "validator", div.detail  # other compile-time rejection
+            return "validator", div.detail  # any other compile-time rejection
     div = report.divergences[0]
     return "oracle", div.describe()
 

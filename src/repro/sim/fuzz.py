@@ -2,9 +2,9 @@
 
 A seeded generator of small, well-formed Calyx components — registers,
 adders, comparators, and ``seq``/``par``/``if``/``while`` control — whose
-behavior under the sweep and levelized strategies is compared
-observable-for-observable: cycle count, final register values, and the
-structural done-net valuation.
+behavior under the sweep and levelized strategies is compared by the
+differential harness (:mod:`repro.robustness.difftest`): cycle count,
+final register values, and the structural done-net valuation.
 
 Programs are generated as a *spec tree* first and rendered to surface
 syntax second, so that a divergence can be **shrunk**: subtrees of the
@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir import parse_program
-from repro.ir.ast import CellPort, HolePort, ThisPort
-from repro.ir.ports import DONE
-from repro.sim import Testbench
-from repro.stdlib.behaviors import RegModel
+from repro.robustness.difftest import compare, observe
+from repro.sim import Watchdog
 
 WIDTH = 8
 
@@ -318,72 +316,19 @@ def generate_spec(seed: int) -> ProgramSpec:
 # ---------------------------------------------------------------------------
 
 
-def canonical_done_nets(inst) -> Dict[str, int]:
-    """Done-net valuation derived from program structure, recursively.
-
-    Reads the same structural set from either engine — every group's done
-    hole, every cell's done port, and the component's own done — so the
-    engines' differing internal net enumerations cannot leak into the
-    comparison.
-    """
-    values: Dict[str, int] = {}
-    for name in inst.comp.groups:
-        values[f"{inst.path}::{name}[done]"] = inst.read(HolePort(name, DONE))
-    for cell_name in inst.comp.cells:
-        values[f"{inst.path}::{cell_name}.done"] = inst.read(
-            CellPort(cell_name, DONE)
-        )
-    values[f"{inst.path}::done"] = inst.read(ThisPort(DONE))
-    for child in inst.children.values():
-        if hasattr(child, "comp"):
-            values.update(canonical_done_nets(child))
-    return values
-
-
-def _observe(source: str, engine: str, max_cycles: int = 100_000):
-    program = parse_program(source)
-    bench = Testbench(program, engine=engine)
-    result = bench.run(max_cycles=max_cycles)
-    regs = {
-        name: child.value
-        for name, child in bench.instance.children.items()
-        if isinstance(child, RegModel)
-    }
-    return {
-        "cycles": result.cycles,
-        "registers": regs,
-        "done_nets": canonical_done_nets(bench.instance),
-    }
-
-
 def check_source(source: str) -> Optional[str]:
     """Run one program under both engines; a divergence description or None.
 
-    An exception from either engine is part of the observable behavior:
-    both engines must raise the same error class (or neither).
+    An error from either engine is part of the observable behavior: both
+    engines must raise the same error class (or neither).
     """
-    outcomes = {}
-    for engine in ("sweep", "levelized"):
-        try:
-            outcomes[engine] = ("ok", _observe(source, engine))
-        except Exception as exc:  # compared, not propagated
-            outcomes[engine] = ("error", type(exc).__name__)
-    sweep, levelized = outcomes["sweep"], outcomes["levelized"]
-    if sweep[0] != levelized[0]:
-        return f"sweep -> {sweep}, levelized -> {levelized}"
-    if sweep[0] == "error":
-        if sweep[1] != levelized[1]:
-            return (
-                f"different errors: sweep={sweep[1]} levelized={levelized[1]}"
-            )
-        return None
-    for key in ("cycles", "registers", "done_nets"):
-        if sweep[1][key] != levelized[1][key]:
-            return (
-                f"{key} diverged: sweep={sweep[1][key]!r} "
-                f"levelized={levelized[1][key]!r}"
-            )
-    return None
+    program = parse_program(source)
+    sweep, levelized = (
+        observe(program, engine=engine, watchdog=Watchdog(max_cycles=100_000))
+        for engine in ("sweep", "levelized")
+    )
+    divergence = compare(sweep, levelized, "levelized")
+    return None if divergence is None else divergence.describe()
 
 
 def check_spec(spec: ProgramSpec) -> Optional[str]:

@@ -286,8 +286,6 @@ _REGISTRY = [
         MULT_LATENCY,
         MultPipeModel,
         costs.pipelined_multiplier,
-        # Unused; kept so the emitted RTL stays line-for-line stable.
-        decls="  logic [WIDTH-1:0] rtmp;\n",
     ),
     _go_done(
         "std_div_pipe",

@@ -12,7 +12,8 @@ from repro.ir import parse_program
 from repro.ir.ast import HolePort
 from repro.ir.control import Empty, Enable
 from repro.passes import compile_program, get_pass
-from repro.sim import Testbench, run_program
+from repro.robustness import difftest_program
+from repro.sim import Testbench
 from tests.conftest import SUM_LOOP, TWO_WRITES, run_source
 
 
@@ -53,19 +54,20 @@ class TestLoweredShape:
 class TestLoweredEquivalence:
     """Lowered simulation must match the control-tree interpreter."""
 
-    def both(self, source, memories=None):
-        interp = run_source(source, None, memories=dict(memories or {}))
-        compiled = run_source(source, "lower", memories=dict(memories or {}))
-        return interp, compiled
+    def lowered(self, source, memories=None):
+        """The lowered run, once the oracle finds it agrees with the tree."""
+        report = difftest_program(
+            parse_program(source), memories or {}, ["lower"], engine="levelized"
+        )
+        assert report.ok, report.describe()
+        return report.outcomes[0]
 
     def test_seq(self):
-        interp, compiled = self.both(TWO_WRITES)
-        assert compiled.cycles >= 4
+        assert self.lowered(TWO_WRITES).cycles >= 4
 
     def test_full_program(self):
-        mems = {"mem": [10, 20, 30, 40]}
-        interp, compiled = self.both(SUM_LOOP, mems)
-        assert interp.mem("mem") == compiled.mem("mem") == [100, 20, 30, 40]
+        lowered = self.lowered(SUM_LOOP, {"mem": [10, 20, 30, 40]})
+        assert lowered.memories["mem"] == [100, 20, 30, 40]
 
     def control_src(self, control, groups=""):
         return f"""
@@ -101,12 +103,9 @@ component main(go: 1) -> (done: 1) {{
 """
 
     def check(self, control, groups="", expected_mem=None):
-        src = self.control_src(control, groups)
-        interp, compiled = self.both(src)
-        assert interp.mem("mem") == compiled.mem("mem")
+        lowered = self.lowered(self.control_src(control, groups))
         if expected_mem is not None:
-            assert compiled.mem("mem") == expected_mem
-        return compiled
+            assert lowered.memories["mem"] == expected_mem
 
     def test_par_lowering(self):
         # st0 and st1 use the same memory port: schedule them with seq
@@ -178,9 +177,7 @@ component main(go: 1) -> (done: 1) {
   control { seq { invoke s(v=32'd41)(); st; } }
 }
 """
-        interp = run_source(src)
-        compiled = run_source(src, "lower")
-        assert interp.mem("mem")[0] == compiled.mem("mem")[0] == 42
+        assert self.lowered(src).memories["mem"][0] == 42
 
 
 class TestLatencyInsensitiveTiming:

@@ -1,13 +1,10 @@
 """Dahlia reference interpreter tests plus end-to-end differential tests:
 Dahlia interp == Calyx control interpreter == lowered FSM simulation."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
 from repro.frontends.dahlia import compile_dahlia, interpret, parse, typecheck
-from repro.passes import compile_program
-from repro.sim import run_program
+from repro.robustness.difftest import SEMANTICS, compare
 
 
 def interp(src, mems=None):
@@ -79,28 +76,15 @@ class TestInterp:
 
 
 def differential(src, mems):
-    """Run all three semantics; assert agreement; return memories."""
-    reference = interpret(typecheck(parse(src)), mems)
+    """Run all three semantics; assert each sees its fields and all agree."""
     design = compile_dahlia(src)
-
-    sim_mems = {}
-    for name, values in mems.items():
-        sim_mems.update(design.split_memory(name, values))
-
-    interp_result = run_program(design.program.copy(), memories=dict(sim_mems))
-    lowered = design.program.copy()
-    compile_program(lowered, "all")
-    lowered_result = run_program(lowered, memories=dict(sim_mems))
-
-    for name in design.layouts:
-        expected = reference[name]
-        for result in (interp_result, lowered_result):
-            merged = design.merge_memory(
-                name,
-                {p: result.mem(p) for p in design.layouts[name].physical_names()},
-            )
-            assert merged == expected, f"{name}: {merged} != {expected}"
-    return reference
+    reference = SEMANTICS["dahlia"](design, mems)
+    assert reference.error is None and reference.memories, reference.error
+    for name in ("interpret", "all"):
+        observed = SEMANTICS[name](design, mems)
+        divergence = compare(reference, observed, name)
+        assert divergence is None, divergence.describe()
+        assert None not in (observed.cycles, observed.registers, observed.done_nets)
 
 
 class TestDifferential:

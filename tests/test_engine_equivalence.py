@@ -3,11 +3,12 @@
 Every design the repo can produce — each ``examples/*.futil`` program and
 each PolyBench kernel, compiled through every registered pipeline plus the
 unlowered interpreter — must behave *bit-identically* under the reference
-``sweep`` strategy and the ``levelized`` strategy: same final memories,
-same cycle count, same done-net valuation. Any divergence here means the
-levelized strategy's scheduling (levelization, dirty-set propagation, cycle
-fallback) or its shared guard nodes changed observable semantics, and it is
-the levelized strategy that is wrong.
+``sweep`` strategy and the ``levelized`` strategy: the differential
+harness (:mod:`repro.robustness.difftest`) must find the same final
+memories, cycle count, registers and done-net valuation. Any divergence
+here means the levelized strategy's scheduling (levelization, dirty-set
+propagation, cycle fallback) or its shared guard nodes changed observable
+semantics, and it is the levelized strategy that is wrong.
 
 Each distinct lowered program is simulated once: pipelines that print the
 same IL for the same memories share one run (``_SIMULATED``), while every
@@ -27,10 +28,9 @@ from repro.ir import parse_program
 from repro.ir.printer import print_program
 from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard
 from repro.passes import PIPELINES, compile_program
-from repro.errors import CalyxError
-from repro.sim import Testbench, Watchdog, run_program
+from repro.robustness.difftest import compare, observe
+from repro.sim import Testbench, Watchdog
 from repro.sim.model import _GUARD_FNS
-from repro.sim.fuzz import canonical_done_nets
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
 
@@ -61,34 +61,17 @@ def run_both_engines(program, memories=None, max_cycles=500_000):
     """
     key = (print_program(program), repr(sorted((memories or {}).items())))
     if key not in _SIMULATED:
-        _SIMULATED[key] = _simulate_both(program, memories, max_cycles)
+        watchdog = Watchdog(max_cycles=max_cycles)
+        sweep, levelized = (
+            observe(program, memories, engine, watchdog)
+            for engine in ("sweep", "levelized")
+        )
+        if sweep.error is not None:
+            raise sweep.error
+        divergence = compare(sweep, levelized, "levelized")
+        assert divergence is None, divergence.describe()
+        _SIMULATED[key] = sweep
     return _SIMULATED[key]
-
-
-def _simulate_both(program, memories, max_cycles):
-    observed = {}
-    for engine in ("sweep", "levelized"):
-        bench = Testbench(program, engine=engine)
-        for path, vals in (memories or {}).items():
-            bench.write_mem(path, vals)
-        result = bench.run(max_cycles=max_cycles)
-        observed[engine] = {
-            "cycles": result.cycles,
-            "memories": result.memories,
-            "done_nets": canonical_done_nets(bench.instance),
-        }
-    sweep, levelized = observed["sweep"], observed["levelized"]
-    assert levelized["cycles"] == sweep["cycles"], (
-        f"cycle count diverged: sweep={sweep['cycles']} "
-        f"levelized={levelized['cycles']}"
-    )
-    assert levelized["memories"] == sweep["memories"], (
-        "final memories diverged between engines"
-    )
-    assert levelized["done_nets"] == sweep["done_nets"], (
-        "final done-net valuation diverged between engines"
-    )
-    return sweep
 
 
 def build_example(path, pipeline):
@@ -103,10 +86,7 @@ def build_kernel(kernel, pipeline):
     design = compile_dahlia(kernel.source)
     if pipeline != "interpret":
         compile_program(design.program, pipeline)
-    memories = {}
-    for name, values in kernel.memories_for(False).items():
-        memories.update(design.split_memory(name, values))
-    return design.program, memories
+    return design.program, design.split_memories(kernel.memories_for(False))
 
 
 @pytest.mark.parametrize(
@@ -140,7 +120,7 @@ def test_example_cycle_counts_are_nontrivial():
     """Guard against the vacuous pass: designs actually run for cycles."""
     program = build_example(EXAMPLES[0], "interpret")
     outcome = run_both_engines(program)
-    assert outcome["cycles"] > 0
+    assert outcome.cycles > 0
 
 
 def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
@@ -154,26 +134,15 @@ def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
     program = parse_program(SUM_LOOP)
     compile_program(program, "lower")
     memories = {"mem": [1, 2, 3, 4]}
-    clean = run_program(program.copy(), memories=memories)
-    assert clean.mem("mem")[0] == 10
-    expected = (clean.cycles, clean.memories)
+    clean = observe(program, memories)
+    assert clean.memories["mem"][0] == 10
     for op in list(_GUARD_FNS):
         monkeypatch.setitem(_GUARD_FNS, op, lambda x, y: True)
-
-    def observe(engine):
-        try:
-            result = run_program(
-                program.copy(),
-                memories=memories,
-                watchdog=Watchdog(max_cycles=2_000),
-                engine=engine,
-            )
-        except CalyxError as err:  # e.g. two drivers now both active
-            return type(err)
-        return (result.cycles, result.memories)
-
-    assert observe("sweep") == expected
-    assert observe("levelized") != expected
+    # An error (two drivers now both active, say) is a divergence too.
+    watchdog = Watchdog(max_cycles=2_000)
+    assert compare(clean, observe(program, memories, "sweep", watchdog)) is None
+    forced = observe(program, memories, "levelized", watchdog)
+    assert compare(clean, forced, fields=["cycles", "memories"]) is not None
 
 
 def _operator_subguards(guard, out):
@@ -191,10 +160,7 @@ def _gemm_unrolled():
     kernel = get_kernel("gemm", n=4, unroll=2)
     design = compile_dahlia(kernel.unrolled_source)
     compile_program(design.program, "all")
-    memories = {}
-    for name, values in kernel.memories_for(True).items():
-        memories.update(design.split_memory(name, values))
-    return design.program, memories
+    return design.program, design.split_memories(kernel.memories_for(True))
 
 
 def _systolic_4x4():

@@ -3,17 +3,9 @@ compilation, and differential correctness for a representative subset."""
 
 import pytest
 
-from repro.frontends.dahlia import (
-    compile_dahlia,
-    compile_to_calyx,
-    interpret,
-    lower,
-    parse,
-    typecheck,
-)
+from repro.frontends.dahlia import compile_dahlia, parse, typecheck
 from repro.ir.validate import validate_program
-from repro.passes import compile_program
-from repro.sim import run_program
+from repro.robustness.difftest import SEMANTICS, compare
 from repro.workloads.polybench import (
     ALL_KERNELS,
     UNROLLABLE,
@@ -61,21 +53,12 @@ def test_unrolled_variant_compiles_and_validates(name):
 
 def check_kernel(name, unrolled=False, pipeline="all"):
     kernel = get_kernel(name, N)
-    source = kernel.unrolled_source if unrolled else kernel.source
+    design = compile_dahlia(kernel.unrolled_source if unrolled else kernel.source)
     mems = kernel.memories_for(unrolled)
-    reference = interpret(typecheck(parse(source)), mems)
-    design = compile_dahlia(source)
-    program = design.program
-    compile_program(program, pipeline)
-    sim_mems = {}
-    for mem_name, values in mems.items():
-        sim_mems.update(design.split_memory(mem_name, values))
-    result = run_program(program, memories=sim_mems)
-    for out in kernel.outputs_for(unrolled):
-        merged = design.merge_memory(
-            out, {p: result.mem(p) for p in design.layouts[out].physical_names()}
-        )
-        assert merged == reference[out], f"{name} output {out}"
+    reference = SEMANTICS["dahlia"](design, mems)
+    assert reference.error is None, reference.error
+    divergence = compare(reference, SEMANTICS[pipeline](design, mems), pipeline)
+    assert divergence is None, f"{name}: {divergence.describe()}"
 
 
 # Full differential checks on a structurally diverse subset (covering
@@ -94,15 +77,8 @@ def test_unrolled_kernel_differential(name):
 
 def test_unrolled_is_faster():
     kernel = get_kernel("gemm", N)
-
-    def cycles(source, mems):
-        design = compile_dahlia(source)
-        compile_program(design.program, "all")
-        sim_mems = {}
-        for mem_name, values in mems.items():
-            sim_mems.update(design.split_memory(mem_name, values))
-        return run_program(design.program, memories=sim_mems).cycles
-
-    plain = cycles(kernel.source, kernel.memories_for(False))
-    unrolled = cycles(kernel.unrolled_source, kernel.memories_for(True))
-    assert unrolled < plain
+    plain = SEMANTICS["all"](compile_dahlia(kernel.source), kernel.memories_for(False))
+    unrolled = SEMANTICS["all"](
+        compile_dahlia(kernel.unrolled_source), kernel.memories_for(True)
+    )
+    assert unrolled.cycles < plain.cycles

@@ -20,9 +20,8 @@ from repro.ir.guards import (
     PortGuard,
 )
 from repro.ir.ports import CellPort, ConstPort
-from repro.passes import compile_program
 from repro.passes.guard_simplify import simplify_guard
-from repro.sim import run_program
+from repro.robustness import difftest_program
 from repro.sim.model import eval_guard
 
 # ---------------------------------------------------------------------------
@@ -154,11 +153,10 @@ component main(go: 1) -> (done: 1) {{
 )
 @settings(max_examples=15, deadline=None)
 def test_lowering_preserves_behavior(source, data):
-    interp = run_program(parse_program(source), memories={"mem": list(data)})
-    lowered = parse_program(source)
-    compile_program(lowered, "lower")
-    compiled = run_program(lowered, memories={"mem": list(data)})
-    assert interp.mem("mem") == compiled.mem("mem")
+    report = difftest_program(
+        parse_program(source), {"mem": list(data)}, ["lower"], engine="levelized"
+    )
+    assert report.ok, report.describe()
 
 
 @given(
@@ -167,11 +165,8 @@ def test_lowering_preserves_behavior(source, data):
 )
 @settings(max_examples=10, deadline=None)
 def test_optimizations_preserve_behavior(source, data):
-    baseline = parse_program(source)
-    compile_program(baseline, "lower")
-    base_result = run_program(baseline, memories={"mem": list(data)})
-
-    optimized = parse_program(source)
-    compile_program(optimized, "all")
-    opt_result = run_program(optimized, memories={"mem": list(data)})
-    assert base_result.mem("mem") == opt_result.mem("mem")
+    program = parse_program(source)
+    report = difftest_program(
+        program, {"mem": list(data)}, ["lower", "all"], engine="levelized"
+    )
+    assert report.ok, report.describe()

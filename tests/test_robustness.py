@@ -9,10 +9,12 @@ reported, and a net fault written to a slot nobody re-reads escapes.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import (
     CombinationalLoopError,
     CycleLimitError,
@@ -34,12 +36,14 @@ from repro.robustness import (
     inject_ir_fault,
     run_selftest,
 )
-from repro.robustness.difftest import difftest_kernel
+from repro.robustness.difftest import Observation, compare, difftest_kernel, observe
 from repro.sim import ENGINES, Watchdog, run_program
 from repro.workloads.polybench import get_kernel
 from tests.conftest import SUM_LOOP
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+#: ``calyx-py difftest``'s printed report for each example.
+DIFFTEST_GOLDENS = Path(__file__).resolve().parent / "goldens" / "difftest"
 
 STRATEGIES = sorted(ENGINES)
 
@@ -196,10 +200,8 @@ class TestCheckedPassManager:
         CheckedPassManager(list(compile_programs_for("lower"))).run(checked)
         plain = parse_program(SUM_LOOP)
         compile_program(plain, "lower")
-        r1 = run_program(checked, memories={"mem": [1, 2, 3, 4]})
-        r2 = run_program(plain, memories={"mem": [1, 2, 3, 4]})
-        assert r1.cycles == r2.cycles
-        assert r1.memories == r2.memories
+        r1, r2 = (observe(p, {"mem": [1, 2, 3, 4]}) for p in (checked, plain))
+        assert r1.error is None and compare(r1, r2) is None
 
     def test_post_condition_checker_direct(self):
         program = parse_program(SUM_LOOP)
@@ -346,10 +348,12 @@ class TestDifftest:
         "example",
         sorted(p.name for p in EXAMPLES.glob("*.futil")),
     )
-    def test_examples_pass_all_pipelines(self, example):
-        source = (EXAMPLES / example).read_text()
-        report = difftest_program(parse_program(source), name=example)
-        assert report.ok, report.describe()
+    def test_examples_pass_all_pipelines(self, example, capsys, monkeypatch):
+        """``calyx-py difftest`` passes and prints its golden report."""
+        monkeypatch.chdir(EXAMPLES.parent)
+        assert cli_main(["difftest", f"examples/{example}"]) == 0
+        expected = (DIFFTEST_GOLDENS / example).with_suffix(".txt").read_text()
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("kernel_name", ["mvt", "trisolv", "atax"])
     def test_polybench_kernels(self, kernel_name):
@@ -385,6 +389,58 @@ class TestDifftest:
         )
         text = report.describe()
         assert "PASS" in text and "interpreted" in text and "lower" in text
+
+
+#: A full observation (cycles, memories, registers, done nets).
+FULL = Observation(5, {"a": [1, 2, 3], "b": [4]}, {"r": 1}, {"main::done": 1})
+
+
+class TestCompare:
+    @pytest.mark.parametrize(
+        "field, changed, kind",
+        [
+            ("cycles", 6, "cycles"),
+            ("memories", {"a": [1, 2, 3], "b": [5]}, "memory"),
+            ("registers", {"r": 2}, "registers"),
+            ("done_nets", {"main::done": 0}, "done_nets"),
+        ],
+        ids=["cycles", "memories", "registers", "done_nets"],
+    )
+    def test_one_divergence_per_field(self, field, changed, kind):
+        div = compare(FULL, replace(FULL, **{field: changed}), "lower")
+        assert (div.pipeline, div.kind) == ("lower", kind)
+        assert compare(FULL, replace(FULL), "lower") is None
+
+    def test_memory_divergence_names_first_memory_and_index(self):
+        div = compare(FULL, replace(FULL, memories={"a": [1, 7, 8], "b": [9]}))
+        assert (div.memory, div.index) == ("a", 1)
+        assert div.detail == "memory 'a' diverges first at index 1: 2 vs 7"
+
+    def test_fields_are_checked_in_order(self):
+        both = replace(FULL, cycles=9, memories={"a": [0, 0, 0], "b": [4]})
+        assert compare(FULL, both).kind == "cycles"
+        assert compare(FULL, both, fields=["memories"]).kind == "memory"
+
+    def test_unseen_fields_are_skipped(self):
+        """A Dahlia observation has memories only: it compares cleanly."""
+        dahlia = Observation(memories=FULL.memories)
+        assert compare(dahlia, FULL) is None
+        assert compare(FULL, dahlia) is None
+        changed = replace(FULL, memories={"a": [1, 2, 3], "b": [0]})
+        assert compare(dahlia, changed).memory == "b"
+
+    def test_error_against_ok(self):
+        failed = Observation(error=DeadlockError("stuck"))
+        div = compare(FULL, failed)
+        assert (div.kind, div.detail) == ("error", "DeadlockError: stuck")
+        assert compare(failed, FULL).kind == "error"
+
+    def test_two_error_classes(self):
+        deadlock = Observation(error=DeadlockError("one message"))
+        assert compare(deadlock, Observation(error=DeadlockError("another"))) is None
+        div = compare(deadlock, Observation(error=CycleLimitError("limit")))
+        assert div.kind == "error"
+        assert "DeadlockError vs CycleLimitError" in div.detail
 
 
 class TestFaultInjection:

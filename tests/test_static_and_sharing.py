@@ -1,8 +1,6 @@
 """Tests for the Sensitive pass, latency inference, and the sharing passes
 (paper Sections 4.4 and 5)."""
 
-import pytest
-
 from repro.ir import parse_program
 from repro.ir.attributes import STATIC
 from repro.ir.control import Invoke
@@ -126,10 +124,12 @@ class TestStaticCompile:
 
     def test_mixed_static_dynamic(self):
         """A while loop (dynamic) wrapping static bodies still works."""
-        result_dyn = run_source(SUM_LOOP, "lower", {"mem": [1, 2, 3, 4]})
-        result_mix = run_source(SUM_LOOP, "lower-static", {"mem": [1, 2, 3, 4]})
-        assert result_dyn.mem("mem") == result_mix.mem("mem")
-        assert result_mix.cycles < result_dyn.cycles
+        report = difftest_program(
+            parse_program(SUM_LOOP), {"mem": [1, 2, 3, 4]}, ["lower", "lower-static"]
+        )
+        assert report.ok, report.describe()
+        dynamic, mixed = report.outcomes
+        assert mixed.cycles < dynamic.cycles
 
     def test_sum_loop_all_pipelines_agree(self):
         expected = [100, 20, 30, 40]
@@ -278,9 +278,9 @@ class TestRegisterSharing:
         assert result.mem("mem")[0] == 10
 
     def test_all_pipeline_equivalent_on_sum_loop(self):
-        base = run_source(SUM_LOOP, "lower", {"mem": [3, 1, 4, 1]})
-        opt = run_source(SUM_LOOP, "all", {"mem": [3, 1, 4, 1]})
-        assert base.mem("mem") == opt.mem("mem")
+        program = parse_program(SUM_LOOP)
+        report = difftest_program(program, {"mem": [3, 1, 4, 1]}, ["lower", "all"])
+        assert report.ok, report.describe()
 
 
 PAR_INVOKES = """
