@@ -16,7 +16,7 @@ Differential testing between the two modes validates the compiler.
 One instance class, :class:`ComponentInstance`, evaluates both, under
 either of two settle strategies named in :data:`ENGINES`: ``sweep``, the
 reference (every node to fixpoint, guards interpreted), and
-``levelized`` (a dirty set drained in level order, each distinct guard
+``levelized`` (a dirty bitmask drained in level order, each distinct guard
 sub-expression one shared node of the netlist).
 """
 

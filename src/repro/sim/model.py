@@ -28,22 +28,25 @@ Construction compiles the component into that netlist once:
   each cell a *child* node, and an unlowered component a *done* node;
 * a port-level dependency graph — guard and source reads plus the
   primitive models' declared ``comb_deps`` — is condensed into strongly
-  connected components and topologically *levelized*.
+  connected components, *levelized* and *ranked* in ``(level, id)`` order.
 
 A :class:`SettleStrategy`, chosen once at construction and shared by every
 child instance, decides how one clock phase evaluates the netlist:
 
-* ``levelized`` drains a dirty set (seeded by input changes, clock edges
-  and control-state transitions) in level order. Every distinct guard
-  sub-expression is one :class:`_GuardNode` writing an unnamed slot, as
-  the hardware shares the wire, so a driver's guard test is one slot read
-  and a shared prefix evaluates once per input change. Acyclic regions
-  evaluate at most once per phase; genuine combinational cycles fall back
-  to bounded fixpoint iteration inside their SCC, with guards interpreted.
+* ``levelized`` keeps its dirty set as one integer bitmask over ranks,
+  seeded by input changes, clock edges and control-state transitions; a
+  changed slot ORs in its reader mask and the drain fires the lowest set
+  bit next. Every distinct guard sub-expression is one :class:`_GuardNode`
+  writing an unnamed slot, as the hardware shares the wire, so a driver's
+  guard test is one slot read and a shared prefix evaluates once per input
+  change. Acyclic regions evaluate at most once per phase; genuine
+  combinational cycles fall back to bounded fixpoint iteration inside their
+  SCC, with guards interpreted. A nested instance without control skips
+  the settle before its edge when its inputs dirtied nothing.
 * ``sweep``, the reference, fires every node in build order until no slot
   changes, with guards interpreted by :func:`eval_guard`. It walks the same
   unflattened hierarchy but builds no guard nodes and uses none of the
-  scheduling, so it stays an independent oracle for both.
+  scheduling or skipped settles, so it stays an independent oracle for both.
 
 Both raise :class:`~repro.errors.OscillationError` /
 :class:`~repro.errors.CombinationalLoopError` through one non-convergence
@@ -61,7 +64,6 @@ from __future__ import annotations
 import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from types import MethodType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -525,14 +527,17 @@ class SettleStrategy:
     sub-expression as a :class:`_GuardNode` whose slot the resolvers read,
     or builds none and leaves the resolvers to interpret their guards with
     :func:`eval_guard` over :meth:`ComponentInstance.read`.
+    ``skip_quiet_settle`` lets a nested instance without control skip the
+    settle before its clock edge when its inputs dirtied nothing.
     """
 
     settle: Callable[["ComponentInstance"], None]
     guard_nodes: bool
+    skip_quiet_settle: bool
 
 
 def _settle_levelized(inst: "ComponentInstance") -> None:
-    """Drain the dirty set in level order."""
+    """Drain the dirty mask in rank order."""
     inst._begin_phase()
     inst._drain()
 
@@ -546,10 +551,10 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
     inst._diagnose_nonconvergence(inst._max_iters)
 
 
-#: The scheduled strategy: guard nodes, dirty-set drain in level order.
-LEVELIZED = SettleStrategy(_settle_levelized, guard_nodes=True)
+#: The scheduled strategy: guard nodes, dirty-mask drain in rank order.
+LEVELIZED = SettleStrategy(_settle_levelized, guard_nodes=True, skip_quiet_settle=True)
 #: The reference strategy: interpreted guards, whole-netlist sweeps.
-SWEEP = SettleStrategy(_settle_sweep, guard_nodes=False)
+SWEEP = SettleStrategy(_settle_sweep, guard_nodes=False, skip_quiet_settle=False)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +588,10 @@ class ComponentInstance:
         self.children: Dict[str, object] = {
             cell.name: self._make_child(cell) for cell in comp.cells.values()
         }
+        #: The nested instances among the children, in cell order.
+        self._sub_instances = [
+            c for c in self.children.values() if isinstance(c, ComponentInstance)
+        ]
         # True when wires drive this component's done port directly (the
         # lowered form); the executor then must not drive it.
         self._done_from_wires = any(
@@ -594,6 +603,8 @@ class ComponentInstance:
         self._extra_nets: Dict[PortRef, int] = {}
         self._io_deps: Optional[List[str]] = None
         self._build()
+        # Without control, a settle that finds nothing dirty changes nothing.
+        self._settle_every_edge = self._edge_moves_executor or not strategy.skip_quiet_settle
         self.nets = _SlotNets(self)
         self._go_was_high = False
         self._reset_dynamic()
@@ -723,8 +734,8 @@ class ComponentInstance:
         self._nodes: List[object] = []
         self._stateful_nodes: List[_ChildNode] = []
         self._cell_node: Dict[str, int] = {}
-        self._go_resolver_of: Dict[str, int] = {}
-        self._flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
+        go_resolver_of: Dict[str, int] = {}
+        flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
 
         for cell in comp.cells.values():
             child = self.children[cell.name]
@@ -760,9 +771,9 @@ class ComponentInstance:
             self._nodes.append(node)
             for driver in drivers:
                 if driver.flag is not None:
-                    self._flag_nodes[driver.flag].add(index)
+                    flag_nodes[driver.flag].add(index)
             if go_group is not None:
-                self._go_resolver_of[go_group] = index
+                go_resolver_of[go_group] = index
 
         self._done_node: Optional[int] = None
         if not self._done_from_wires:
@@ -793,34 +804,42 @@ class ComponentInstance:
             if getattr(ref, "port", None) == DONE
         ]
 
-        # -- fanout, writers, SCCs, levels ---------------------------------
-        self._fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
+        # -- fanout (build only), writers, SCCs, ranks, reader masks ---------
+        fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
         self._writer: Dict[int, int] = {}
         for node in self._nodes:
             for slot in self._node_out_slots(node):
                 self._writer[slot] = node.index
         for node in self._nodes:
             for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
-                self._fanout[slot].append(node.index)
-        self._levelize()
+                fanout[slot].append(node.index)
+        self._levelize(fanout)
+        rank_of = self._rank_of
+        self._reader_mask: List[int] = []
+        for readers in fanout:
+            mask = 0
+            for node_idx in readers:
+                mask |= 1 << rank_of[node_idx]
+            self._reader_mask.append(mask)
+        self._flag_mask = [sum({1 << rank_of[i] for i in nodes}) for nodes in flag_nodes]
+        self._go_bit = {group: 1 << rank_of[i] for group, i in go_resolver_of.items()}
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
             return node.out_slots
         return [node.slot]
 
-    def _levelize(self) -> None:
-        """Tarjan SCC condensation + longest-path levels over the DAG."""
-        n = len(self._nodes)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for node in self._nodes:
-            for slot in self._node_out_slots(node):
-                adj[node.index].extend(self._fanout[slot])
+    def _levelize(self, fanout: List[List[int]]) -> None:
+        """Tarjan SCC condensation, longest-path levels, then ranks."""
+        adj: List[List[int]] = [
+            [r for slot in node.out_slots for r in fanout[slot]]
+            if isinstance(node, _ChildNode)
+            else fanout[node.slot]
+            for node in self._nodes
+        ]
 
         scc_of, sccs = tarjan_scc(adj)
-        self._scc_of = scc_of
-        self._scc_nodes = sccs
-        self._scc_cyclic = cyclic_sccs(adj, scc_of, sccs)
+        cyclic = cyclic_sccs(adj, scc_of, sccs)
         # Tarjan emits SCCs in reverse topological order; walk forward.
         levels = [0] * len(sccs)
         for scc_id in range(len(sccs) - 1, -1, -1):
@@ -829,7 +848,15 @@ class ComponentInstance:
                     succ_scc = scc_of[succ]
                     if succ_scc != scc_id and levels[succ_scc] <= levels[scc_id]:
                         levels[succ_scc] = levels[scc_id] + 1
-        self._scc_level = levels
+        # Rank = position in ``(level, id)`` order: a stable sort by level.
+        order = sorted(range(len(sccs)), key=levels.__getitem__)
+        rank_of_scc = {scc: rank for rank, scc in enumerate(order)}
+        self._rank_of: List[int] = [rank_of_scc[scc] for scc in scc_of]
+        # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
+        self._rank_node = [None if cyclic[c] else self._nodes[sccs[c][0]] for c in order]
+        self._cyclic_members = {
+            rank: [self._nodes[i] for i in sccs[c]] for rank, c in enumerate(order) if cyclic[c]
+        }
 
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output.
@@ -860,23 +887,24 @@ class ComponentInstance:
         return deps
 
     def _slot_reaches(self, start: int, targets: Set[int]) -> bool:
-        if start in targets:
-            return True
-        seen_nodes: Set[int] = set()
-        frontier = [start]
+        """Whether ``start`` reaches a target through the reader masks."""
+        seen, frontier = 0, [start]
         while frontier:
             slot = frontier.pop()
-            for node_idx in self._fanout[slot]:
-                if node_idx in seen_nodes:
-                    continue
-                seen_nodes.add(node_idx)
-                for out in self._node_out_slots(self._nodes[node_idx]):
-                    if out in targets:
-                        return True
-                    frontier.append(out)
+            if slot in targets:
+                return True
+            pending = self._reader_mask[slot] & ~seen
+            seen |= pending
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                rank = low.bit_length() - 1
+                node = self._rank_node[rank]
+                for member in self._cyclic_members[rank] if node is None else (node,):
+                    frontier.extend(self._node_out_slots(member))
         return False
 
-    # -- dirty-set bookkeeping --------------------------------------------
+    # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:
         self._values[:] = self._reset_values
         self._extra_nets.clear()
@@ -884,25 +912,16 @@ class ComponentInstance:
         self._active: Set[str] = set()
         self._forced: Set[str] = set()
         self._finished = False
-        self._dirty_set: Set[int] = set()
-        self._dirty_heap: List[Tuple[int, int]] = []
         self._mark_all()
 
-    def _mark_scc(self, scc: int) -> None:
-        if scc not in self._dirty_set:
-            self._dirty_set.add(scc)
-            heappush(self._dirty_heap, (self._scc_level[scc], scc))
-
     def _mark_node(self, node_idx: int) -> None:
-        self._mark_scc(self._scc_of[node_idx])
+        self._dirty |= 1 << self._rank_of[node_idx]
 
     def _mark_slot(self, slot: int) -> None:
-        for node_idx in self._fanout[slot]:
-            self._mark_scc(self._scc_of[node_idx])
+        self._dirty |= self._reader_mask[slot]
 
     def _mark_all(self) -> None:
-        for scc in range(len(self._scc_nodes)):
-            self._mark_scc(scc)
+        self._dirty = (1 << len(self._rank_node)) - 1
 
     # -- net access --------------------------------------------------------
     def read(self, ref: PortRef) -> int:
@@ -922,7 +941,8 @@ class ComponentInstance:
 
     def tick(self, ins: Sequence[int]) -> bool:
         self._apply_inputs(ins)
-        self.settle()
+        if self._settle_every_edge or self._dirty:
+            self.settle()
         return self.step_edge()
 
     def _apply_inputs(self, ins: Sequence[int]) -> None:
@@ -953,9 +973,7 @@ class ComponentInstance:
         changed = (set(active) ^ self._active) | (set(forced) ^ self._forced)
         if changed:
             for group in changed:
-                node_idx = self._go_resolver_of.get(group)
-                if node_idx is not None:
-                    self._mark_node(node_idx)
+                self._dirty |= self._go_bit.get(group, 0)
             self._active = set(active)
             self._forced = set(forced)
         if self._invoke_flag_of:
@@ -969,26 +987,28 @@ class ComponentInstance:
                 on = flag in live
                 if flags[flag] != on:
                     flags[flag] = on
-                    for node_idx in self._flag_nodes[flag]:
-                        self._mark_node(node_idx)
+                    self._dirty |= self._flag_mask[flag]
         if self._done_node is not None:
             self._mark_node(self._done_node)
 
     def _drain(self) -> None:
-        heap = self._dirty_heap
-        dirty = self._dirty_set
-        nodes = self._scc_nodes
-        while heap:
-            _, scc = heappop(heap)
-            if scc not in dirty:
-                continue
-            dirty.discard(scc)
-            if self._scc_cyclic[scc]:
-                self._run_cyclic_scc(scc)
+        """Fire the SCC of the dirty mask's lowest set bit until none is set."""
+        rank_node = self._rank_node
+        reader_mask = self._reader_mask
+        d = self._dirty
+        while d:
+            low = d & -d
+            d ^= low
+            rank = low.bit_length() - 1
+            node = rank_node[rank]
+            if node is None:
+                self._dirty = d
+                self._run_cyclic_scc(rank)
+                d = self._dirty
             else:
-                node = self._nodes[nodes[scc][0]]
                 for slot in node.fire(self):
-                    self._mark_slot(slot)
+                    d |= reader_mask[slot]
+        self._dirty = 0
 
     def _sweep(self) -> bool:
         """Fire every node but the guard nodes once, in build order.
@@ -1001,14 +1021,14 @@ class ComponentInstance:
                 changed = True
         return changed
 
-    def _run_cyclic_scc(self, scc: int) -> None:
+    def _run_cyclic_scc(self, rank: int) -> None:
         """Bounded fixpoint iteration inside one combinational cycle.
 
         The members iterate with interpreted guards; the SCC's guard nodes
         are no fixpoint members but evaluate once, in creation order, after
         the cycle converges.
         """
-        members = [self._nodes[i] for i in self._scc_nodes[scc]]
+        members = self._cyclic_members[rank]
         guards = [node for node in members if isinstance(node, _GuardNode)]
         members = [node for node in members if not isinstance(node, _GuardNode)]
         limit = 8 * (len(members) + 8)
@@ -1017,19 +1037,16 @@ class ComponentInstance:
             for node in members:
                 for slot in node.sweep(self):
                     any_change = True
-                    self._mark_readers_outside(slot, scc)
+                    self._mark_readers_outside(slot, rank)
             if not any_change:
                 for node in guards:
                     for slot in node.fire(self):
-                        self._mark_readers_outside(slot, scc)
+                        self._mark_readers_outside(slot, rank)
                 return
         self._diagnose_nonconvergence(limit)
 
-    def _mark_readers_outside(self, slot: int, scc: int) -> None:
-        scc_of = self._scc_of
-        for reader in self._fanout[slot]:
-            if scc_of[reader] != scc:
-                self._mark_scc(scc_of[reader])
+    def _mark_readers_outside(self, slot: int, rank: int) -> None:
+        self._dirty |= self._reader_mask[slot] & ~(1 << rank)
 
     def _diagnose_nonconvergence(self, spent_iters: int) -> None:
         """Out of iterations: classify limit cycle vs. divergence.
@@ -1067,12 +1084,11 @@ class ComponentInstance:
             history.append(list(self._values))
             if not self._sweep():
                 # Converged late: the probe visited every node but the guard
-                # nodes, so those refresh and the dirty bookkeeping is
-                # satisfied wholesale.
+                # nodes, so those refresh and the dirty mask is satisfied
+                # wholesale.
                 for node in self._guard_nodes:
                     node.fire(self)
-                self._dirty_set.clear()
-                self._dirty_heap.clear()
+                self._dirty = 0
                 return
         raise CombinationalLoopError(
             f"{self.path}: combinational logic did not converge after "
@@ -1118,13 +1134,15 @@ class ComponentInstance:
             inst = inst._nodes[index].child
 
     # -- watchdog support ----------------------------------------------------
+    def _active_now(self) -> List[str]:
+        """The groups the executor has active right now, sorted."""
+        return sorted(self.executor.active_groups() if self._running() else ())
+
     def state_dump(self, max_nets: int = 48) -> str:
         """Human-readable snapshot of nets and control state for reports."""
         lines = [f"instance {self.path}:"]
         if self.comp.groups:
-            active = sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
+            active = self._active_now()
             lines.append(f"  active groups: {', '.join(active) or '(none)'}")
         nets = sorted(
             (ref.to_string(), self._values[slot])
@@ -1134,38 +1152,27 @@ class ComponentInstance:
             lines.append(f"  {name} = {val}")
         if len(nets) > max_nets:
             lines.append(f"  ... ({len(nets) - max_nets} more nets)")
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                lines.append(child.state_dump(max_nets=max_nets // 2))
+        for child in self._sub_instances:
+            lines.append(child.state_dump(max_nets=max_nets // 2))
         return "\n".join(lines)
 
     def done_signature(self) -> Tuple:
         """Values of every ``done``-like net, recursively (watchdog food)."""
-        values: List[object] = [self._values[slot] for slot in self._done_slots]
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                values.append(child.done_signature())
-        return tuple(values)
+        values = self._values
+        own = [values[slot] for slot in self._done_slots]
+        return tuple(own + [child.done_signature() for child in self._sub_instances])
 
     def stuck_groups(self) -> List[str]:
         """Dotted names of groups active right now, recursively."""
-        out = [
-            f"{self.path}.{name}"
-            for name in sorted(
-                self.executor.active_groups() if self._running() else set()
-            )
-        ]
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                out.extend(child.stuck_groups())
+        out = [f"{self.path}.{name}" for name in self._active_now()]
+        for child in self._sub_instances:
+            out.extend(child.stuck_groups())
         return out
 
     def deadlock_report(self) -> str:
         """Explain what each active group's done condition is waiting on."""
         lines: List[str] = []
-        active = sorted(
-            self.executor.active_groups() if self._running() else set()
-        )
+        active = self._active_now()
         for name in active:
             group = self.comp.groups[name]
             lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
@@ -1184,11 +1191,10 @@ class ComponentInstance:
                 f"{self.path}: running but no group is active "
                 f"(control executor state inconsistent?)"
             )
-        for child in self.children.values():
-            if isinstance(child, ComponentInstance):
-                sub = child.deadlock_report()
-                if sub:
-                    lines.append(sub)
+        for child in self._sub_instances:
+            sub = child.deadlock_report()
+            if sub:
+                lines.append(sub)
         return "\n".join(lines)
 
     # -- inspection ----------------------------------------------------------

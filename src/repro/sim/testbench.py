@@ -29,7 +29,7 @@ DEFAULT_MAX_CYCLES = 5_000_000
 #: The selectable simulation engines: settle strategies of the one
 #: :class:`~repro.sim.model.ComponentInstance` netlist. ``sweep`` is the
 #: reference (every node to fixpoint, guards interpreted); ``levelized``
-#: drains a dirty set in level order, its guards shared netlist nodes.
+#: drains a dirty bitmask in level order, its guards shared netlist nodes.
 #: ``tests/test_engine_equivalence.py`` holds them bit-identical.
 ENGINES: Dict[str, SettleStrategy] = {
     "sweep": SWEEP,

@@ -17,6 +17,7 @@ default 2) so the full kernel-by-pipeline matrix stays affordable; the
 cross-check is about engine agreement, not performance.
 """
 
+import collections
 import glob
 import os
 
@@ -30,7 +31,14 @@ from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard
 from repro.passes import PIPELINES, compile_program
 from repro.robustness.difftest import compare, observe
 from repro.sim import Testbench, Watchdog
-from repro.sim.model import _GUARD_FNS
+from repro.sim.model import (
+    _GUARD_FNS,
+    ComponentInstance,
+    _ChildNode,
+    _DoneNode,
+    _GuardNode,
+    _ResolverNode,
+)
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
 
@@ -156,6 +164,13 @@ def _operator_subguards(guard, out):
         _operator_subguards(guard.right, out)
 
 
+def _gemm():
+    kernel = get_kernel("gemm", n=4)
+    design = compile_dahlia(kernel.source)
+    compile_program(design.program, "all")
+    return design.program, design.split_memories(kernel.memories_for(False))
+
+
 def _gemm_unrolled():
     kernel = get_kernel("gemm", n=4, unroll=2)
     design = compile_dahlia(kernel.unrolled_source)
@@ -199,3 +214,82 @@ def test_guard_nodes_are_shared_and_invisible(build):
         bench.run()
         views[engine] = (sorted(inst.nets, key=str), inst.state_dump())
     assert views["levelized"] == views["sweep"]
+
+
+def _record_fires(monkeypatch, on_fire):
+    """Call ``on_fire(instance, node)`` before every levelized node fire."""
+    for cls in (_ChildNode, _DoneNode, _GuardNode, _ResolverNode):
+
+        def fire(node, inst, _fire=cls.fire):
+            on_fire(inst, node)
+            return _fire(node, inst)
+
+        monkeypatch.setattr(cls, "fire", fire)
+
+
+def _run_levelized(build):
+    program, memories = build()
+    bench = Testbench(program, engine="levelized")
+    for path, values in memories.items():
+        bench.write_mem(path, values)
+    return bench.run()
+
+
+@pytest.mark.parametrize("build", [_gemm, _systolic_4x4], ids=["gemm", "systolic-4x4"])
+def test_drain_fires_in_rank_order(build, monkeypatch):
+    """Within one drain, the acyclic SCCs fire once each, in rank order.
+
+    Ranks follow ``(level, SCC id)``, so a node's predecessors that fire
+    in the same drain fire before it. This holds in every nested
+    instance's drain too.
+    """
+    open_drains = {}
+    checked = collections.Counter()
+
+    def on_fire(inst, node):
+        open_drains[id(inst)].append(node)
+
+    def drain(inst, _drain=ComponentInstance._drain):
+        fired = open_drains[id(inst)] = []
+        _drain(inst)
+        del open_drains[id(inst)]
+        # A cyclic SCC's guard nodes share its rank; only acyclic ones count.
+        fired = [n for n in fired if inst._rank_node[inst._rank_of[n.index]] is n]
+        ranks = [inst._rank_of[n.index] for n in fired]
+        assert all(a < b for a, b in zip(ranks, ranks[1:])), inst.path
+        position = {n.index: i for i, n in enumerate(fired)}
+        for i, node in enumerate(fired):
+            reads = node.dep_slots if isinstance(node, _ChildNode) else node.in_slots
+            for slot in reads:
+                writer = inst._writer.get(slot)
+                assert position.get(writer, -1) < i, (inst.path, node.index, writer)
+        checked[inst.path.count(".")] += len(fired)
+
+    _record_fires(monkeypatch, on_fire)
+    monkeypatch.setattr(ComponentInstance, "_drain", drain)
+    _run_levelized(build)
+    assert checked[0] > 0
+    if build is _systolic_4x4:
+        assert checked[1] > 0  # the processing elements' own drains
+
+
+#: Levelized node fires per node class over one whole run, every nested
+#: instance included. The schedule is deterministic, so these only move
+#: when the netlist or its scheduling does.
+PINNED_FIRES = {
+    "gemm": (_gemm, 1128, {"_ChildNode": 4843, "_GuardNode": 18610, "_ResolverNode": 10264}),
+    "systolic-4x4": (
+        _systolic_4x4,
+        76,
+        {"_ChildNode": 2574, "_GuardNode": 7498, "_ResolverNode": 4698},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FIRES))
+def test_node_fire_counts_are_pinned(name, monkeypatch):
+    build, cycles, expected = PINNED_FIRES[name]
+    fires = collections.Counter()
+    _record_fires(monkeypatch, lambda inst, node: fires.update([type(node).__name__]))
+    assert _run_levelized(build).cycles == cycles
+    assert dict(fires) == expected

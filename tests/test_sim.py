@@ -10,6 +10,7 @@ from repro.errors import (
 )
 from repro.ir import parse_program
 from repro.ir.ast import ThisPort
+from repro.robustness.difftest import compare, observe
 from repro.sim import Testbench, run_program
 from tests.conftest import SUM_LOOP, TWO_WRITES, compile_source, run_source
 
@@ -403,3 +404,87 @@ class TestEdgeReports:
         bench = Testbench(parse_program(HOLDER))
         with pytest.raises(UndefinedError):
             bench.instance.touch("h.nothing")
+
+
+LATCH = """
+component latch(in: 8) -> (out: 8) {
+  cells { r = std_reg(8); }
+  wires { r.in = in; r.write_en = 1'd1; out = r.out; }
+  control {}
+}
+component main(go: 1) -> (done: 1) {
+  cells {
+    @external mem = std_mem_d1(8, 1, 1);
+    c = std_reg(8); add = std_add(8); l = latch();
+  }
+  wires {
+    add.left = c.out; add.right = 8'd1;
+    l.in = c.out;
+    group count { c.in = add.out; c.write_en = 1; count[done] = c.done; }
+    group store {
+      mem.addr0 = 1'd0; mem.write_data = l.out; mem.write_en = 1;
+      store[done] = mem.done;
+    }
+  }
+  control { seq { count; count; count; store; } }
+}
+"""
+
+
+def _count_edge_settles(bench, path):
+    """Wrap the instance at ``path``: count its ticks and the ticks that settle."""
+    inst = bench.instance.find(path)
+    settle, tick = inst.settle, inst.tick
+    counts = {"ticks": 0, "settled": 0}
+    in_tick = [False]
+
+    def counting_settle():
+        counts["settled"] += in_tick[0]
+        settle()
+
+    def counting_tick(ins):
+        counts["ticks"] += 1
+        in_tick[0] = True
+        try:
+            return tick(ins)
+        finally:
+            in_tick[0] = False
+
+    inst.settle, inst.tick = counting_settle, counting_tick
+    return counts
+
+
+class TestQuietEdgeSettle:
+    """A nested instance settles before its edge unless that changes nothing."""
+
+    @pytest.mark.parametrize("pipeline", [None, "lower"])
+    def test_register_only_input_latches_on_the_same_edge(self, pipeline):
+        # ``l.in`` has no combinational path to ``l.out``, so the parent
+        # never re-evaluates ``l`` when it changes: only the edge's own
+        # settle brings the new value to the register.
+        program = compile_source(LATCH, pipeline)
+        sweep, levelized = (observe(program, {"mem": [0]}, e) for e in ("sweep", "levelized"))
+        assert sweep.error is None and sweep.memories["mem"] == [3]
+        assert compare(sweep, levelized, "levelized") is None
+
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    def test_quiet_instance_without_control_skips_its_edge_settle(self, engine):
+        bench = Testbench(parse_program(LATCH), engine=engine)
+        counts = _count_edge_settles(bench, "l")
+        bench.run()
+        if engine == "sweep":
+            assert counts["settled"] == counts["ticks"]
+        else:
+            # Only the edges after ``l.in`` moved: three counts.
+            assert counts["settled"] == 3 < counts["ticks"]
+
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    def test_instance_with_control_settles_every_edge(self, engine):
+        program = parse_program(TestInvoke.SRC)
+        bench = Testbench(program, engine=engine)
+        counts = _count_edge_settles(bench, "d")
+        bench.run()
+        assert counts["settled"] == counts["ticks"] > 0
+        sweep, levelized = (observe(program, {}, e) for e in ("sweep", "levelized"))
+        assert sweep.error is None
+        assert compare(sweep, levelized, "levelized") is None
