@@ -11,19 +11,14 @@ Run: pytest benchmarks/bench_fig8.py --benchmark-only -s
 from repro.eval.common import geomean
 from repro.eval.fig8_polybench import report, run
 
-from benchmarks.conftest import (
-    emit_sim_json,
-    polybench_n,
-    polybench_subset,
-    sim_engine,
-)
+from benchmarks.conftest import POLYBENCH_N, emit_sim_json, polybench_subset, sim_engine
 
 
 def test_fig8_polybench_vs_hls(benchmark, request):
     engine = sim_engine(request)
     rows = benchmark.pedantic(
         lambda: run(
-            n=polybench_n(),
+            n=POLYBENCH_N,
             kernels=polybench_subset(),
             simulate=True,
             engine=engine,

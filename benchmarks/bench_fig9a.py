@@ -13,12 +13,12 @@ Run: pytest benchmarks/bench_fig9a.py --benchmark-only -s
 from repro.eval.common import geomean
 from repro.eval.fig9_opts import report_sharing, run_sharing
 
-from benchmarks.conftest import polybench_n, polybench_subset
+from benchmarks.conftest import POLYBENCH_N, polybench_subset
 
 
 def test_fig9a_sharing_lut_effect(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_sharing(n=polybench_n(), kernels=polybench_subset()),
+        lambda: run_sharing(n=POLYBENCH_N, kernels=polybench_subset()),
         rounds=1,
         iterations=1,
     )

@@ -9,12 +9,12 @@ Run: pytest benchmarks/bench_fig9c.py --benchmark-only -s
 from repro.eval.common import geomean
 from repro.eval.fig9_opts import report_sensitive, run_sensitive
 
-from benchmarks.conftest import polybench_n, polybench_subset
+from benchmarks.conftest import POLYBENCH_N, polybench_subset
 
 
 def test_fig9c_sensitive_speedup(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_sensitive(n=polybench_n(), kernels=polybench_subset()),
+        lambda: run_sensitive(n=POLYBENCH_N, kernels=polybench_subset()),
         rounds=1,
         iterations=1,
     )

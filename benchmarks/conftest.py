@@ -1,10 +1,8 @@
 """Configuration for the benchmark harness.
 
-Environment knobs (all optional):
-
-* ``REPRO_FIG7_SIZES`` — comma-separated systolic sizes (default 2..8),
-* ``REPRO_POLYBENCH_N`` — PolyBench problem size (default 4),
-* ``REPRO_FAST`` — set to 1 to run a reduced, fast configuration.
+Figure 7 sweeps the systolic sizes :data:`FIG7_SIZES`; Figures 8 and 9
+run PolyBench at problem size :data:`POLYBENCH_N`. Set ``REPRO_FAST=1`` to
+run a reduced, fast configuration.
 
 Command-line options (benchmark runs only):
 
@@ -55,17 +53,13 @@ def emit_sim_json(request, figure, rows):
         )
 
 
+FIG7_SIZES = [2, 3, 4, 5, 6, 7, 8]
+POLYBENCH_N = 4
+
+
 def fig7_sizes():
-    env = os.environ.get("REPRO_FIG7_SIZES")
-    if env:
-        return [int(s) for s in env.split(",") if s]
-    if os.environ.get("REPRO_FAST"):
-        return [2, 3, 4]
-    return [2, 3, 4, 5, 6, 7, 8]
-
-
-def polybench_n():
-    return int(os.environ.get("REPRO_POLYBENCH_N", "4"))
+    """The committed sizes; ``REPRO_FAST`` keeps the smallest three."""
+    return FIG7_SIZES[:3] if os.environ.get("REPRO_FAST") else FIG7_SIZES
 
 
 def polybench_subset():

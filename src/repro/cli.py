@@ -402,7 +402,7 @@ def _dispatch(args) -> int:
         elif args.figure == "fig9":
             from repro.eval import fig9_opts
 
-            fig9_opts.main()
+            fig9_opts.main(engine=args.engine)
         else:
             from repro.eval import table_stats
 
@@ -411,7 +411,10 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "eval" and args.emit_json and args.figure not in ("fig7", "fig8"):
+        parser.error(f"--emit-json applies to fig7 and fig8, not {args.figure}")
     try:
         return _dispatch(args)
     except CalyxError as exc:

@@ -173,13 +173,5 @@ class DeadlockError(SimulationError):
         self.cycles = cycles
 
 
-class DifftestError(CalyxError):
-    """The differential oracle observed a divergence between backends."""
-
-
 class TypeError_(CalyxError):
     """Raised by the Dahlia type checker (avoids shadowing builtins)."""
-
-
-class LatencyError(CalyxError):
-    """Raised when static-latency information is inconsistent."""

@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from repro.eval.common import evaluate_dahlia_kernel, geomean
 from repro.eval.report import render_table
+from repro.sim import DEFAULT_ENGINE
 from repro.workloads.polybench import Kernel, polybench_kernels
 
 
@@ -95,15 +96,22 @@ def run_sharing(n: int = 4, kernels: Optional[List[str]] = None) -> List[Fig9aRo
 
 
 def run_sensitive(
-    n: int = 4, kernels: Optional[List[str]] = None, simulate: bool = True
+    n: int = 4,
+    kernels: Optional[List[str]] = None,
+    simulate: bool = True,
+    engine: str = DEFAULT_ENGINE,
 ) -> List[Fig9cRow]:
     """Figure 9c: Sensitive pass on/off (both with sharing enabled)."""
     rows: List[Fig9cRow] = []
     for kernel in polybench_kernels(n):
         if kernels is not None and kernel.name not in kernels:
             continue
-        insensitive = evaluate_dahlia_kernel(kernel, pipeline="no-static", simulate=simulate)
-        sensitive = evaluate_dahlia_kernel(kernel, pipeline="all", simulate=simulate)
+        insensitive = evaluate_dahlia_kernel(
+            kernel, pipeline="no-static", simulate=simulate, engine=engine
+        )
+        sensitive = evaluate_dahlia_kernel(
+            kernel, pipeline="all", simulate=simulate, engine=engine
+        )
         rows.append(
             Fig9cRow(
                 name=kernel.name,
@@ -162,8 +170,12 @@ def report_sensitive(rows: List[Fig9cRow]) -> str:
     return table + summary
 
 
-def main() -> str:
-    text = report_sharing(run_sharing()) + "\n\n" + report_sensitive(run_sensitive())
+def main(engine: str = DEFAULT_ENGINE) -> str:
+    text = (
+        report_sharing(run_sharing())
+        + "\n\n"
+        + report_sensitive(run_sensitive(engine=engine))
+    )
     print(text)
     return text
 

@@ -28,9 +28,6 @@ class PortRef:
     def is_hole(self) -> bool:
         return isinstance(self, HolePort)
 
-    def is_constant(self) -> bool:
-        return isinstance(self, ConstPort)
-
     def to_string(self) -> str:
         raise NotImplementedError
 

@@ -44,10 +44,6 @@ class Diagnostic:
         self.cell = cell
         self.span = span
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity == ERROR
-
     def context(self) -> str:
         """Human-readable "where": component, then group or cell."""
         parts = []
@@ -113,16 +109,6 @@ class LintReport:
     def ok(self) -> bool:
         """True when there are no *errors* (warnings do not fail a lint)."""
         return not self.errors
-
-    def by_rule(self, rule: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule]
-
-    def rule_ids(self) -> List[str]:
-        seen: List[str] = []
-        for d in self.diagnostics:
-            if d.rule not in seen:
-                seen.append(d.rule)
-        return seen
 
     def sorted(self) -> List[Diagnostic]:
         """Errors first, then warnings; stable within a severity."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import CalyxError, DifftestError
+from repro.errors import CalyxError
 from repro.frontends.dahlia import (
     CompiledDesign, compile_dahlia, interpret, parse, typecheck
 )
@@ -249,10 +249,6 @@ class DifftestReport:
         for div in self.divergences:
             lines.append("  divergence " + div.describe())
         return "\n".join(lines)
-
-    def raise_on_divergence(self) -> None:
-        if not self.ok:
-            raise DifftestError(self.describe())
 
 
 def default_memories(program: Program) -> Dict[str, List[int]]:

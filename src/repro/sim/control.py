@@ -1,19 +1,24 @@
 """Control execution: the interpreter for unlowered programs.
 
 A :class:`ControlExecutor` runs a component's control tree cycle by
-cycle on behalf of its :class:`~repro.sim.model.ComponentInstance`. Each
-phase it reports which groups are enabled, which condition groups are
-forced active, which invokes are live and whether control has finished;
-at each clock edge it advances using the settled net values it reads back
-through the instance.
+cycle. It reaches the netlist of its
+:class:`~repro.sim.model.ComponentInstance` only through slots, as
+control reaches a group only through its ``go`` hole in the paper: each
+state is built with the slot indices it reads (a ``done`` hole, an
+invoked cell's ``done``, a condition port) and the slot it drives (a
+group's *enable*, a condition group's *force*, an invoke's *live* slot).
+At each clock edge :meth:`~ControlExecutor.step` reads the settled slot
+values by index; after every move one walk of the tree collects
+:attr:`~ControlExecutor.high`, the driven slots that are high, and
+:attr:`~ControlExecutor.finished`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
-from repro.ir.ast import CellPort, HolePort, PortRef
+from repro.ir.ast import CellPort, Component, HolePort, PortRef
 from repro.ir.control import (
     Control,
     Empty,
@@ -27,14 +32,9 @@ from repro.ir.control import (
 )
 from repro.ir.ports import DONE
 
-if TYPE_CHECKING:
-    from repro.sim.model import ComponentInstance
 
 class _NodeState:
     """Runtime state of one control-tree node."""
-
-    def __init__(self, owner: "ControlExecutor"):
-        self.owner = owner
 
     def start(self) -> None:
         """(Re-)enter this node."""
@@ -42,36 +42,25 @@ class _NodeState:
     def is_done(self) -> bool:
         raise NotImplementedError
 
-    def active_groups(self, out: Set[str]) -> None:
-        """Add the groups this node currently enables."""
+    def collect(self, out: Set[int]) -> None:
+        """Add the driven slots this node currently holds high."""
 
-    def forced_groups(self, out: Set[str]) -> None:
-        """Add condition groups that must stay active regardless of done."""
-
-    def invoke_nodes(self, out: List[Invoke]) -> None:
-        """Add the :class:`Invoke` control nodes currently driving a cell.
-
-        The instance compiles each invoke's synthesized assignments once
-        (keyed by the control-tree node, which is stable across executor
-        resets) and uses this walk to know which are live.
-        """
-
-    def step(self) -> None:
-        """Advance at the clock edge using the settled net values."""
+    def step(self, values: Sequence[int]) -> None:
+        """Advance at the clock edge using the settled slot values."""
 
 
 class _EmptyState(_NodeState):
     def is_done(self) -> bool:
         return True
 
-    def step(self) -> None:
-        pass
 
+class _LeafState(_NodeState):
+    """An enable or an invoke: holds ``slot`` high until ``done`` is seen
+    high at an edge."""
 
-class _EnableState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Enable):
-        super().__init__(owner)
-        self.group = node.group
+    def __init__(self, slot: int, done: int):
+        self.slot = slot
+        self.done = done
         self._finished = False
 
     def start(self) -> None:
@@ -80,46 +69,18 @@ class _EnableState(_NodeState):
     def is_done(self) -> bool:
         return self._finished
 
-    def active_groups(self, out: Set[str]) -> None:
+    def collect(self, out: Set[int]) -> None:
         if not self._finished:
-            out.add(self.group)
+            out.add(self.slot)
 
-    def step(self) -> None:
-        if not self._finished and self.owner.value(HolePort(self.group, DONE)):
-            self._finished = True
-
-
-class _InvokeState(_NodeState):
-    """Live until the invoked cell's done rises.
-
-    The instance compiles the invoke's port bindings and go pulse once;
-    this state only says when they apply.
-    """
-
-    def __init__(self, owner: "ControlExecutor", node: Invoke):
-        super().__init__(owner)
-        self.node = node
-        self._finished = False
-
-    def start(self) -> None:
-        self._finished = False
-
-    def is_done(self) -> bool:
-        return self._finished
-
-    def invoke_nodes(self, out: List[Invoke]) -> None:
-        if not self._finished:
-            out.append(self.node)
-
-    def step(self) -> None:
-        if not self._finished and self.owner.value(CellPort(self.node.cell, DONE)):
+    def step(self, values: Sequence[int]) -> None:
+        if not self._finished and values[self.done]:
             self._finished = True
 
 
 class _SeqState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Seq):
-        super().__init__(owner)
-        self.states = [owner.make_state(child) for child in node.stmts]
+    def __init__(self, states: List[_NodeState]):
+        self.states = states
         self.index = 0
 
     def start(self) -> None:
@@ -137,22 +98,14 @@ class _SeqState(_NodeState):
     def is_done(self) -> bool:
         return self.index >= len(self.states)
 
-    def active_groups(self, out: Set[str]) -> None:
+    def collect(self, out: Set[int]) -> None:
         if not self.is_done():
-            self.states[self.index].active_groups(out)
+            self.states[self.index].collect(out)
 
-    def forced_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.states[self.index].forced_groups(out)
-
-    def invoke_nodes(self, out) -> None:
-        if not self.is_done():
-            self.states[self.index].invoke_nodes(out)
-
-    def step(self) -> None:
+    def step(self, values: Sequence[int]) -> None:
         if self.is_done():
             return
-        self.states[self.index].step()
+        self.states[self.index].step(values)
         if self.states[self.index].is_done():
             self.index += 1
             if self.index < len(self.states):
@@ -161,9 +114,8 @@ class _SeqState(_NodeState):
 
 
 class _ParState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Par):
-        super().__init__(owner)
-        self.states = [owner.make_state(child) for child in node.stmts]
+    def __init__(self, states: List[_NodeState]):
+        self.states = states
 
     def start(self) -> None:
         for state in self.states:
@@ -172,126 +124,82 @@ class _ParState(_NodeState):
     def is_done(self) -> bool:
         return all(state.is_done() for state in self.states)
 
-    def active_groups(self, out: Set[str]) -> None:
+    def collect(self, out: Set[int]) -> None:
         for state in self.states:
             if not state.is_done():
-                state.active_groups(out)
+                state.collect(out)
 
-    def forced_groups(self, out: Set[str]) -> None:
+    def step(self, values: Sequence[int]) -> None:
         for state in self.states:
             if not state.is_done():
-                state.forced_groups(out)
-
-    def invoke_nodes(self, out) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.invoke_nodes(out)
-
-    def step(self) -> None:
-        for state in self.states:
-            if not state.is_done():
-                state.step()
+                state.step(values)
 
 
-class _CondMixin(_NodeState):
-    """Shared cond-group handling for if and while."""
+class _CondState(_NodeState):
+    """Shared phases of if and while: ``cond``, then ``body``, then ``done``.
 
-    cond_group: Optional[str]
-    port: PortRef
+    ``force`` is the condition group's force slot, held high during the
+    ``cond`` phase (``None`` without a condition group); ``cond_done`` is
+    the slot whose rise says the condition value is ready, ``None`` when
+    it is ready in the same cycle (no group, or a combinational one).
+    """
 
-    def cond_active_groups(self, out: Set[str]) -> None:
-        if self.cond_group is not None:
-            out.add(self.cond_group)
+    body: Optional[_NodeState]
 
-    def cond_finished(self) -> bool:
-        """Has the condition value been computed this activation?"""
-        if self.cond_group is None:
-            return True  # continuously computed: read the port directly
-        group = self.owner.instance.comp.get_group(self.cond_group)
-        if group.comb:
-            return True  # one-cycle combinational evaluation
-        return bool(self.owner.value(HolePort(self.cond_group, DONE)))
-
-
-class _IfState(_CondMixin):
-    def __init__(self, owner: "ControlExecutor", node: If):
-        super().__init__(owner)
-        self.port = node.port
-        self.cond_group = node.cond_group
-        self.tstate = owner.make_state(node.tbranch)
-        self.fstate = owner.make_state(node.fbranch)
+    def __init__(self, port: int, force: Optional[int], cond_done: Optional[int]):
+        self.port = port
+        self.force = force
+        self.cond_done = cond_done
         self.phase = "cond"
-        self.chosen: Optional[_NodeState] = None
 
     def start(self) -> None:
         self.phase = "cond"
-        self.chosen = None
 
     def is_done(self) -> bool:
         return self.phase == "done"
 
-    def active_groups(self, out: Set[str]) -> None:
-        if self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
+    def collect(self, out: Set[int]) -> None:
         if self.phase == "cond":
-            self.cond_active_groups(out)
-        elif self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.forced_groups(out)
+            if self.force is not None:
+                out.add(self.force)
+        elif self.phase == "body":
+            assert self.body is not None
+            self.body.collect(out)
 
-    def invoke_nodes(self, out) -> None:
-        if self.phase == "branch" and self.chosen is not None:
-            self.chosen.invoke_nodes(out)
+    def cond_ready(self, values: Sequence[int]) -> bool:
+        """Has the condition value been computed this activation?"""
+        return self.cond_done is None or bool(values[self.cond_done])
 
-    def step(self) -> None:
+
+class _IfState(_CondState):
+    def __init__(self, cond, tstate: _NodeState, fstate: _NodeState):
+        super().__init__(*cond)
+        self.tstate = tstate
+        self.fstate = fstate
+        self.body = None
+
+    def step(self, values: Sequence[int]) -> None:
         if self.phase == "cond":
-            if self.cond_finished():
-                value = self.owner.value(self.port)
-                self.chosen = self.tstate if value else self.fstate
-                self.chosen.start()
-                self.phase = "done" if self.chosen.is_done() else "branch"
-        elif self.phase == "branch":
-            assert self.chosen is not None
-            self.chosen.step()
-            if self.chosen.is_done():
+            if self.cond_ready(values):
+                self.body = self.tstate if values[self.port] else self.fstate
+                self.body.start()
+                self.phase = "done" if self.body.is_done() else "body"
+        elif self.phase == "body":
+            assert self.body is not None
+            self.body.step(values)
+            if self.body.is_done():
                 self.phase = "done"
 
 
-class _WhileState(_CondMixin):
-    def __init__(self, owner: "ControlExecutor", node: While):
-        super().__init__(owner)
-        self.port = node.port
-        self.cond_group = node.cond_group
-        self.body = owner.make_state(node.body)
-        self.phase = "cond"
+class _WhileState(_CondState):
+    def __init__(self, cond, body: _NodeState):
+        super().__init__(*cond)
+        self.body = body
 
-    def start(self) -> None:
-        self.phase = "cond"
-
-    def is_done(self) -> bool:
-        return self.phase == "done"
-
-    def active_groups(self, out: Set[str]) -> None:
-        if self.phase == "body":
-            self.body.active_groups(out)
-
-    def forced_groups(self, out: Set[str]) -> None:
+    def step(self, values: Sequence[int]) -> None:
         if self.phase == "cond":
-            self.cond_active_groups(out)
-        elif self.phase == "body":
-            self.body.forced_groups(out)
-
-    def invoke_nodes(self, out) -> None:
-        if self.phase == "body":
-            self.body.invoke_nodes(out)
-
-    def step(self) -> None:
-        if self.phase == "cond":
-            if self.cond_finished():
-                if self.owner.value(self.port):
+            if self.cond_ready(values):
+                if values[self.port]:
                     self.body.start()
                     # An instantly-done body still re-evaluates the condition
                     # next cycle, so loops always make progress.
@@ -299,17 +207,16 @@ class _WhileState(_CondMixin):
                 else:
                     self.phase = "done"
         elif self.phase == "body":
-            self.body.step()
+            self.body.step(values)
             if self.body.is_done():
                 self.phase = "cond"
 
 
 class _RepeatState(_NodeState):
-    def __init__(self, owner: "ControlExecutor", node: Repeat):
-        super().__init__(owner)
-        self.times = node.times
-        self.body = owner.make_state(node.body)
-        self.remaining = node.times
+    def __init__(self, times: int, body: _NodeState):
+        self.times = times
+        self.body = body
+        self.remaining = times
 
     def start(self) -> None:
         self.remaining = self.times
@@ -321,22 +228,14 @@ class _RepeatState(_NodeState):
     def is_done(self) -> bool:
         return self.remaining == 0
 
-    def active_groups(self, out: Set[str]) -> None:
+    def collect(self, out: Set[int]) -> None:
         if not self.is_done():
-            self.body.active_groups(out)
+            self.body.collect(out)
 
-    def forced_groups(self, out: Set[str]) -> None:
-        if not self.is_done():
-            self.body.forced_groups(out)
-
-    def invoke_nodes(self, out) -> None:
-        if not self.is_done():
-            self.body.invoke_nodes(out)
-
-    def step(self) -> None:
+    def step(self, values: Sequence[int]) -> None:
         if self.is_done():
             return
-        self.body.step()
+        self.body.step(values)
         if self.body.is_done():
             self.remaining -= 1
             if self.remaining:
@@ -344,62 +243,68 @@ class _RepeatState(_NodeState):
 
 
 class ControlExecutor:
-    """Executes a component's control tree cycle-by-cycle."""
+    """Executes a component's control tree cycle by cycle over slots.
 
-    def __init__(self, instance: ComponentInstance, control: Control):
-        self.instance = instance
-        self.control = control
-        self.root = self.make_state(control)
-        self.root.start()
+    ``slots`` maps the ports the tree reads to their slots; ``enable`` and
+    ``force`` map each group to the slots that drive its ``go`` hole, and
+    ``live`` maps each :class:`Invoke` node (by ``id``) to the slot that
+    gates its bindings. After every move, :attr:`high` is the set of
+    driven slots that are high and :attr:`finished` whether the tree has
+    completed.
+    """
 
-    def make_state(self, node: Control) -> _NodeState:
-        if isinstance(node, Empty):
-            return _EmptyState(self)
-        if isinstance(node, Enable):
-            return _EnableState(self, node)
-        if isinstance(node, Seq):
-            return _SeqState(self, node)
-        if isinstance(node, Par):
-            return _ParState(self, node)
-        if isinstance(node, If):
-            return _IfState(self, node)
-        if isinstance(node, While):
-            return _WhileState(self, node)
-        if isinstance(node, Invoke):
-            return _InvokeState(self, node)
-        if isinstance(node, Repeat):
-            return _RepeatState(self, node)
-        raise SimulationError(f"cannot execute control node {node!r}")
+    high: Set[int]
+    finished: bool
 
-    def value(self, ref: PortRef) -> int:
-        return self.instance.read(ref)
+    def __init__(
+        self,
+        comp: Component,
+        slots: Dict[PortRef, int],
+        enable: Dict[str, int],
+        force: Dict[str, int],
+        live: Dict[int, int],
+    ):
+        def cond(node) -> tuple:
+            group = node.cond_group
+            if group is None:
+                return slots[node.port], None, None
+            ready = None if comp.get_group(group).comb else slots[HolePort(group, DONE)]
+            return slots[node.port], force[group], ready
 
-    def active_groups(self) -> Set[str]:
-        out: Set[str] = set()
-        if not self.root.is_done():
-            self.root.active_groups(out)
-        return out
+        def make(node: Control) -> _NodeState:
+            if isinstance(node, Empty):
+                return _EmptyState()
+            if isinstance(node, Enable):
+                return _LeafState(enable[node.group], slots[HolePort(node.group, DONE)])
+            if isinstance(node, Invoke):
+                return _LeafState(live[id(node)], slots[CellPort(node.cell, DONE)])
+            if isinstance(node, Seq):
+                return _SeqState([make(child) for child in node.stmts])
+            if isinstance(node, Par):
+                return _ParState([make(child) for child in node.stmts])
+            if isinstance(node, If):
+                return _IfState(cond(node), make(node.tbranch), make(node.fbranch))
+            if isinstance(node, While):
+                return _WhileState(cond(node), make(node.body))
+            if isinstance(node, Repeat):
+                return _RepeatState(node.times, make(node.body))
+            raise SimulationError(f"cannot execute control node {node!r}")
 
-    def forced_groups(self) -> Set[str]:
-        out: Set[str] = set()
-        if not self.root.is_done():
-            self.root.forced_groups(out)
-        return out
+        self.root = make(comp.control)
+        self.reset()
 
-    def active_invoke_nodes(self) -> List[Invoke]:
-        """The invoke control nodes whose bindings are currently live."""
-        out: List[Invoke] = []
-        if not self.root.is_done():
-            self.root.invoke_nodes(out)
-        return out
-
-    def finished(self) -> bool:
-        return self.root.is_done()
-
-    def step(self) -> None:
-        if not self.root.is_done():
-            self.root.step()
+    def step(self, values: Sequence[int]) -> None:
+        if not self.finished:
+            self.root.step(values)
+            self._collect()
 
     def reset(self) -> None:
-        self.root = self.make_state(self.control)
         self.root.start()
+        self._collect()
+
+    def _collect(self) -> None:
+        # A new set per move: the instance tells a move by identity.
+        self.finished = self.root.is_done()
+        self.high = set()
+        if not self.finished:
+            self.root.collect(self.high)

@@ -1,4 +1,4 @@
-"""The simulation model: one netlist instance class and the control executor.
+"""The simulation model: one netlist instance class.
 
 A :class:`ComponentInstance` simulates one instantiation of a component.
 It exposes the same protocol as a primitive model — ``comb(ins) -> outs``
@@ -56,7 +56,13 @@ Group activation follows the paper's semantics: a group's assignments are
 evaluated only while its ``go`` hole is high. The ``go`` hole is high when
 the control executor enables the group *or* when another (active) group's
 assignment drives it — the latter is how programs behave after the
-``CompileControl`` pass wires go/done signals structurally.
+``CompileControl`` pass wires go/done signals structurally. The
+:class:`~repro.sim.control.ControlExecutor` of an unlowered component
+drives the netlist only through unnamed slots: an *enable* and a *force*
+slot per group, read by its ``go`` resolver, a *live* slot per ``invoke``,
+gating the invoke's bindings, and one *finished* slot, read by the done
+node. Each phase writes those that changed, so both strategies see them
+as ordinary nets.
 """
 
 from __future__ import annotations
@@ -160,24 +166,24 @@ _EMPTY: frozenset = frozenset()
 class _Driver:
     """One assignment driving a destination slot, ready to evaluate.
 
-    ``guard`` is the interpreted form (``None`` when always true);
-    ``guard_slot`` is the slot holding the guard's value when the netlist
-    has guard nodes (``None`` when always true).
+    ``gate_slot`` is the slot that must be high for the driver to apply:
+    its group's ``go`` hole or an invoke's live slot (``None`` when always
+    active). ``guard`` is the interpreted form (``None`` when always
+    true); ``guard_slot`` is the slot holding the guard's value when the
+    netlist has guard nodes (``None`` when always true).
     """
 
-    __slots__ = ("gate_slot", "flag", "guard", "guard_slot", "src_slot", "src_const", "assign")
+    __slots__ = ("gate_slot", "guard", "guard_slot", "src_slot", "src_const", "assign")
 
     def __init__(
         self,
         gate_slot: Optional[int],
-        flag: Optional[int],
         guard_slot: Optional[int],
         src_slot: Optional[int],
         src_const: int,
         assign: Assignment,
     ):
         self.gate_slot = gate_slot
-        self.flag = flag
         self.guard = None if isinstance(assign.guard, TrueGuard) else assign.guard
         self.guard_slot = guard_slot
         self.src_slot = src_slot
@@ -196,35 +202,35 @@ class _ResolverNode:
     Evaluates every driver of the destination: inactive gates and false
     guards drop out, agreeing drivers coalesce, disagreeing drivers raise
     :class:`MultipleDriverError`, and an undriven destination falls to 0.
-    Go holes additionally apply the executor's enable/force overrides: an
-    executor-enabled group's ``go`` is high only while its done hole is
-    low (preventing the double-commit hazard on registered ``done``
-    signals), and condition groups of ``if``/``while`` are forced active
-    during the condition phase regardless of their done value.
+    A go hole also reads the group's ``force``, ``enable`` and ``done``
+    slots, the first two driven by the control executor: a forced
+    condition group of an ``if``/``while`` is high during the condition
+    phase regardless of its done value, and an enabled group's ``go`` is
+    high only while its done hole is low (preventing the double-commit
+    hazard on registered ``done`` signals). Other destinations have no
+    such slots (``None``).
     """
 
-    __slots__ = ("index", "slot", "drivers", "go_group", "done_slot", "in_slots", "path")
+    __slots__ = (
+        "index", "slot", "drivers", "force_slot", "enable_slot", "done_slot", "in_slots", "path"
+    )
 
-    def __init__(self, index, slot, drivers, go_group, done_slot, in_slots, path):
+    def __init__(self, index, slot, drivers, go_slots, in_slots, path):
         self.index = index
         self.slot = slot
         self.drivers: List[_Driver] = drivers
-        self.go_group: Optional[str] = go_group
-        self.done_slot: Optional[int] = done_slot
+        self.force_slot, self.enable_slot, self.done_slot = go_slots
         self.in_slots: List[int] = in_slots
         self.path = path
 
     def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
         """Evaluate with each guard read from its guard node's slot."""
         v = inst._values
-        flags = inst._invoke_flags
         value = 0
         winner: Optional[_Driver] = None
         for d in self.drivers:
             gate = d.gate_slot
             if gate is not None and not v[gate]:
-                continue
-            if d.flag is not None and not flags[d.flag]:
                 continue
             guard = d.guard_slot
             if guard is not None and not v[guard]:
@@ -239,15 +245,12 @@ class _ResolverNode:
     def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
         """Evaluate with each guard interpreted over the current slots."""
         v = inst._values
-        flags = inst._invoke_flags
         read = inst.read
         value = 0
         winner: Optional[_Driver] = None
         for d in self.drivers:
             gate = d.gate_slot
             if gate is not None and not v[gate]:
-                continue
-            if d.flag is not None and not flags[d.flag]:
                 continue
             guard = d.guard
             if guard is not None and not eval_guard(guard, read):
@@ -268,11 +271,10 @@ class _ResolverNode:
 
     def _commit(self, inst: "ComponentInstance", value: int) -> Tuple[int, ...]:
         v = inst._values
-        group = self.go_group
-        if group is not None:
-            if group in inst._forced:
+        if self.force_slot is not None:
+            if v[self.force_slot]:
                 value = 1
-            elif group in inst._active:
+            elif v[self.enable_slot]:
                 value = 0 if v[self.done_slot] else 1
         if v[self.slot] != value:
             v[self.slot] = value
@@ -336,7 +338,7 @@ class _ChildNode:
 
 
 class _DoneNode:
-    """Drives ``this.done`` from latched executor state (unlowered form).
+    """Drives ``this.done`` from the executor's finished slot (unlowered form).
 
     The value depends only on latched executor state — not on the current
     go — mirroring a registered done and avoiding go/done oscillation when
@@ -344,17 +346,19 @@ class _DoneNode:
     falls.
     """
 
-    __slots__ = ("index", "slot", "in_slots")
+    __slots__ = ("index", "slot", "finished", "in_slots")
 
-    def __init__(self, index, slot):
+    def __init__(self, index, slot, finished):
         self.index = index
         self.slot = slot
-        self.in_slots: List[int] = []
+        self.finished = finished
+        self.in_slots: List[int] = [finished]
 
     def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
-        value = 1 if inst._finished else 0
-        if inst._values[self.slot] != value:
-            inst._values[self.slot] = value
+        v = inst._values
+        value = v[self.finished]
+        if v[self.slot] != value:
+            v[self.slot] = value
             return (self.slot,)
         return ()
 
@@ -507,10 +511,7 @@ class _SlotNets(MutableMapping):
         return len(self._inst._slots) + len(self._inst._extra_nets)
 
     def clear(self) -> None:
-        inst = self._inst
-        inst._values[:] = inst._reset_values
-        inst._extra_nets.clear()
-        inst._mark_all()
+        self._inst._reset_dynamic()
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +600,6 @@ class ComponentInstance:
             for _, a in comp.all_assignments()
         )
         check_structural_drivers(comp, self.path)
-        self.executor = ControlExecutor(self, comp.control)
         self._extra_nets: Dict[PortRef, int] = {}
         self._io_deps: Optional[List[str]] = None
         self._build()
@@ -638,9 +638,11 @@ class ComponentInstance:
         self,
         guards: Optional[_GuardNet],
         gate: Optional[str],
-        flag: Optional[int],
+        live: Optional[int],
         assign: Assignment,
     ) -> Tuple[_Driver, Set[int]]:
+        """``assign`` gated by group ``gate``'s go hole or an invoke's
+        ``live`` slot, and the slots it reads."""
         if guards is None:
             # No guard nodes: the resolver reads the guard's ports itself.
             guard_slot = None
@@ -657,11 +659,12 @@ class ComponentInstance:
         else:
             src_slot, src_const = self._slot(assign.src), 0
             reads.add(src_slot)
-        gate_slot = None
+        gate_slot = live
         if gate is not None:
             gate_slot = self._slot(HolePort(gate, GO))
+        if gate_slot is not None:
             reads.add(gate_slot)
-        driver = _Driver(gate_slot, flag, guard_slot, src_slot, src_const, assign)
+        driver = _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
         return driver, reads
 
     def _build(self) -> None:
@@ -690,14 +693,12 @@ class ComponentInstance:
             driver, reads = self._compile_driver(guards, gate, None, assign)
             add_driver(assign.dst, driver, reads)
 
-        # Invoke-synthesized bindings, gated by per-phase flags keyed to
-        # the control-tree node (stable across executor resets).
-        self._invoke_flag_of: Dict[int, int] = {}
+        # Invoke-synthesized bindings, gated by the invoke's live slot.
+        live: Dict[int, int] = {}
         for node in comp.control.walk():
             if not isinstance(node, Invoke):
                 continue
-            flag = len(self._invoke_flag_of)
-            self._invoke_flag_of[id(node)] = flag
+            live[id(node)] = live_slot = self._unnamed_slot()
             synthesized: List[Assignment] = []
             for port, src in node.in_binds.items():
                 synthesized.append(Assignment(CellPort(node.cell, port), src))
@@ -713,7 +714,7 @@ class ComponentInstance:
                 )
             )
             for assign in synthesized:
-                driver, reads = self._compile_driver(guards, None, flag, assign)
+                driver, reads = self._compile_driver(guards, None, live_slot, assign)
                 add_driver(assign.dst, driver, reads)
 
         # Every group's go hole resolves even with no structural driver, so
@@ -734,8 +735,6 @@ class ComponentInstance:
         self._nodes: List[object] = []
         self._stateful_nodes: List[_ChildNode] = []
         self._cell_node: Dict[str, int] = {}
-        go_resolver_of: Dict[str, int] = {}
-        flag_nodes: List[Set[int]] = [set() for _ in self._invoke_flag_of]
 
         for cell in comp.cells.values():
             child = self.children[cell.name]
@@ -754,32 +753,32 @@ class ComponentInstance:
             if type(child).tick is not PrimitiveModel.tick:
                 self._stateful_nodes.append(node)
 
+        # The executor drives each go hole through its group's force and
+        # enable slots, and this.done through the finished slot.
+        enable: Dict[str, int] = {}
+        force: Dict[str, int] = {}
         for dst in all_dsts:
             slot = self._slot(dst)
-            drivers = driver_map[dst]
             in_slots = sorted(dep_map[dst])
-            go_group = done_slot = None
+            go_slots: Tuple[Optional[int], ...] = (None, None, None)
             if isinstance(dst, HolePort) and dst.port == GO:
-                go_group = dst.group
                 done_slot = self._slot(HolePort(dst.group, DONE))
                 if done_slot not in in_slots:
                     in_slots.append(done_slot)
-            index = len(self._nodes)
+                force[dst.group] = self._unnamed_slot()
+                enable[dst.group] = self._unnamed_slot()
+                go_slots = (force[dst.group], enable[dst.group], done_slot)
+                in_slots += go_slots[:2]
             node = _ResolverNode(
-                index, slot, drivers, go_group, done_slot, in_slots, self.path
+                len(self._nodes), slot, driver_map[dst], go_slots, in_slots, self.path
             )
             self._nodes.append(node)
-            for driver in drivers:
-                if driver.flag is not None:
-                    flag_nodes[driver.flag].add(index)
-            if go_group is not None:
-                go_resolver_of[go_group] = index
 
-        self._done_node: Optional[int] = None
+        self._finished_slot = self._unnamed_slot()
         if not self._done_from_wires:
-            index = len(self._nodes)
-            self._nodes.append(_DoneNode(index, self._this_done_slot))
-            self._done_node = index
+            self._nodes.append(
+                _DoneNode(len(self._nodes), self._this_done_slot, self._finished_slot)
+            )
         # With control to step, executor state can move at any edge, so
         # the instance reports every edge. Empty control is always
         # finished: a done node then drives a constant.
@@ -821,8 +820,8 @@ class ComponentInstance:
             for node_idx in readers:
                 mask |= 1 << rank_of[node_idx]
             self._reader_mask.append(mask)
-        self._flag_mask = [sum({1 << rank_of[i] for i in nodes}) for nodes in flag_nodes]
-        self._go_bit = {group: 1 << rank_of[i] for group, i in go_resolver_of.items()}
+        self.executor = ControlExecutor(comp, self._slots, enable, force, live)
+        self._enable = enable
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
@@ -908,10 +907,8 @@ class ComponentInstance:
     def _reset_dynamic(self) -> None:
         self._values[:] = self._reset_values
         self._extra_nets.clear()
-        self._invoke_flags: List[bool] = [False] * len(self._invoke_flag_of)
-        self._active: Set[str] = set()
-        self._forced: Set[str] = set()
-        self._finished = False
+        #: The executor's high set as last written into the slot array.
+        self._high = _EMPTY
         self._mark_all()
 
     def _mark_node(self, node_idx: int) -> None:
@@ -964,32 +961,23 @@ class ComponentInstance:
         return self._values[self._go_slot] != 0
 
     def _begin_phase(self) -> None:
-        """Diff the executor-derived configuration, dirtying what moved."""
+        """Write the executor's slots that changed, dirtying their readers.
+
+        The high set drives enables, forces and live invokes, all gated by
+        ``go``; ``finished`` is latched state and is not.
+        """
         executor = self.executor
-        running = self._running()
-        active = executor.active_groups() if running else _EMPTY
-        forced = executor.forced_groups() if running else _EMPTY
-        self._finished = executor.finished()
-        changed = (set(active) ^ self._active) | (set(forced) ^ self._forced)
-        if changed:
-            for group in changed:
-                self._dirty |= self._go_bit.get(group, 0)
-            self._active = set(active)
-            self._forced = set(forced)
-        if self._invoke_flag_of:
-            live = {
-                self._invoke_flag_of[id(node)]
-                for node in executor.active_invoke_nodes()
-                if id(node) in self._invoke_flag_of
-            }
-            flags = self._invoke_flags
-            for flag in range(len(flags)):
-                on = flag in live
-                if flags[flag] != on:
-                    flags[flag] = on
-                    self._dirty |= self._flag_mask[flag]
-        if self._done_node is not None:
-            self._mark_node(self._done_node)
+        values = self._values
+        high = executor.high if values[self._go_slot] else _EMPTY
+        if high is not self._high:
+            for slot in high ^ self._high:
+                values[slot] = 1 if slot in high else 0
+                self._mark_slot(slot)
+            self._high = high
+        finished = 1 if executor.finished else 0
+        if values[self._finished_slot] != finished:
+            values[self._finished_slot] = finished
+            self._mark_slot(self._finished_slot)
 
     def _drain(self) -> None:
         """Fire the SCC of the dirty mask's lowest set bit until none is set."""
@@ -1105,7 +1093,7 @@ class ComponentInstance:
         outputs may have moved: a child was marked or executor state can.
         """
         if self._running():
-            self.executor.step()
+            self.executor.step(self._values)
             self._go_was_high = True
         elif self._go_was_high:
             # The calling convention: control state resets once go falls.
@@ -1136,7 +1124,10 @@ class ComponentInstance:
     # -- watchdog support ----------------------------------------------------
     def _active_now(self) -> List[str]:
         """The groups the executor has active right now, sorted."""
-        return sorted(self.executor.active_groups() if self._running() else ())
+        if not self._running():
+            return []
+        high = self.executor.high
+        return sorted(group for group, slot in self._enable.items() if slot in high)
 
     def state_dump(self, max_nets: int = 48) -> str:
         """Human-readable snapshot of nets and control state for reports."""

@@ -133,6 +133,37 @@ class TestCliRobustnessFlags:
         assert "error:" in capsys.readouterr().err
 
 
+class TestEvalCli:
+    def test_fig9_simulates_on_the_chosen_engine(self, monkeypatch, capsys):
+        from repro.eval import fig9_opts
+        from repro.workloads.polybench import get_kernel
+
+        simulated = []
+        evaluate = fig9_opts.evaluate_dahlia_kernel
+
+        def spy(kernel, **options):
+            if options["simulate"]:
+                simulated.append(options.get("engine"))
+            return evaluate(kernel, **options)
+
+        monkeypatch.setattr(fig9_opts, "evaluate_dahlia_kernel", spy)
+        monkeypatch.setattr(fig9_opts, "polybench_kernels", lambda n: [get_kernel("trisolv", 2)])
+        assert cli_main(["eval", "fig9", "--engine", "sweep"]) == 0
+        assert simulated == ["sweep", "sweep"]
+        assert "Figure 9c" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("figure", ["fig9", "stats"])
+    def test_emit_json_is_a_usage_error_where_nothing_is_emitted(
+        self, figure, tmp_path, capsys
+    ):
+        path = tmp_path / "sim.json"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["eval", figure, "--emit-json", str(path)])
+        assert exit_info.value.code == 2
+        assert "--emit-json applies to fig7 and fig8" in capsys.readouterr().err
+        assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "example", sorted(p.name for p in EXAMPLES.glob("*.futil"))
 )

@@ -12,9 +12,9 @@ semantics, and it is the levelized strategy that is wrong.
 
 Each distinct lowered program is simulated once: pipelines that print the
 same IL for the same memories share one run (``_SIMULATED``), while every
-pipeline still compiles. Problem sizes are kept small (``REPRO_EQUIV_N``,
-default 2) so the full kernel-by-pipeline matrix stays affordable; the
-cross-check is about engine agreement, not performance.
+pipeline still compiles. Problem sizes are kept small (:data:`EQUIV_N`)
+so the full kernel-by-pipeline matrix stays affordable; the cross-check
+is about engine agreement, not performance.
 """
 
 import collections
@@ -53,7 +53,7 @@ EXAMPLES = sorted(
     )
 )
 
-EQUIV_N = int(os.environ.get("REPRO_EQUIV_N", "2"))
+EQUIV_N = 2
 
 
 #: Printed IL plus memories -> what both engines observed. Pipelines that
@@ -164,11 +164,16 @@ def _operator_subguards(guard, out):
         _operator_subguards(guard.right, out)
 
 
-def _gemm():
+def _gemm(pipeline="all"):
     kernel = get_kernel("gemm", n=4)
     design = compile_dahlia(kernel.source)
-    compile_program(design.program, "all")
+    if pipeline is not None:
+        compile_program(design.program, pipeline)
     return design.program, design.split_memories(kernel.memories_for(False))
+
+
+def _gemm_interpreted():
+    return _gemm(None)
 
 
 def _gemm_unrolled():
@@ -178,24 +183,36 @@ def _gemm_unrolled():
     return design.program, design.split_memories(kernel.memories_for(True))
 
 
-def _systolic_4x4():
-    program = generate_systolic_array(SystolicConfig.square(4))
-    compile_program(program, "all")
-    memories = {f"l{r}": [r + c + 1 for c in range(4)] for r in range(4)}
-    memories.update({f"t{c}": [2 * c + k + 1 for k in range(4)] for c in range(4)})
+def _systolic(n, pipeline):
+    program = generate_systolic_array(SystolicConfig.square(n))
+    if pipeline is not None:
+        compile_program(program, pipeline)
+    memories = {f"l{r}": [r + c + 1 for c in range(n)] for r in range(n)}
+    memories.update({f"t{c}": [2 * c + k + 1 for k in range(n)] for c in range(n)})
     return program, memories
 
 
+def _systolic_4x4():
+    return _systolic(4, "all")
+
+
+def _systolic_2x2_interpreted():
+    return _systolic(2, None)
+
+
 @pytest.mark.parametrize(
-    "build", [_gemm_unrolled, _systolic_4x4], ids=["gemm-unrolled", "systolic-4x4"]
+    "build",
+    [_gemm_unrolled, _systolic_4x4, _systolic_2x2_interpreted],
+    ids=["gemm-unrolled", "systolic-4x4", "systolic-2x2-interpreted"],
 )
 def test_guard_nodes_are_shared_and_invisible(build):
     """One guard node per distinct sub-guard; no trace of them in the nets.
 
     ``main``'s guards repeat their enclosing control's prefix in every
     assignment, but the levelized netlist holds each distinct operator or
-    comparison sub-guard once, as the hardware does. Its unnamed slots
-    stay out of every view the testbench, watchdog and reports read.
+    comparison sub-guard once, as the hardware does. Its unnamed slots,
+    and the control executor's in an unlowered build, stay out of every
+    view the testbench, watchdog and reports read.
     """
     program, memories = build()
     distinct = set()
@@ -275,13 +292,24 @@ def test_drain_fires_in_rank_order(build, monkeypatch):
 
 #: Levelized node fires per node class over one whole run, every nested
 #: instance included. The schedule is deterministic, so these only move
-#: when the netlist or its scheduling does.
+#: when the netlist or its scheduling does. In the unlowered builds a done
+#: node fires only when the control executor's finished slot moves.
 PINNED_FIRES = {
     "gemm": (_gemm, 1128, {"_ChildNode": 4843, "_GuardNode": 18610, "_ResolverNode": 10264}),
     "systolic-4x4": (
         _systolic_4x4,
         76,
         {"_ChildNode": 2574, "_GuardNode": 7498, "_ResolverNode": 4698},
+    ),
+    "gemm-interpreted": (
+        _gemm_interpreted,
+        1382,
+        {"_ChildNode": 2064, "_DoneNode": 2, "_GuardNode": 195, "_ResolverNode": 8367},
+    ),
+    "systolic-2x2-interpreted": (
+        _systolic_2x2_interpreted,
+        48,
+        {"_ChildNode": 150, "_DoneNode": 22, "_GuardNode": 216, "_ResolverNode": 638},
     ),
 }
 

@@ -203,6 +203,41 @@ component main(go: 1) -> (done: 1) {
         tb.run()
         assert tb.instance.find("d").children["r"].value == 10
 
+    # ``m``'s invoke of ``c`` sits idle until ``main`` invokes ``m``: the
+    # counter runs once, however long ``m``'s go stays low before that.
+    IDLE = """
+component counter(value: 32) -> () {
+  cells { r = std_reg(32); a = std_add(32); }
+  wires {
+    group incr {
+      a.left = r.out; a.right = value;
+      r.in = a.out; r.write_en = 1;
+      incr[done] = r.done;
+    }
+  }
+  control { incr; }
+}
+component mid() -> () {
+  cells { c = counter(); }
+  wires {}
+  control { invoke c(value=32'd1)(); }
+}
+component main(go: 1) -> (done: 1) {
+  cells { m = mid(); w = std_reg(1); }
+  wires {
+    group wait { w.in = 1'd1; w.write_en = 1; wait[done] = w.done; }
+  }
+  control { seq { wait; wait; wait; wait; invoke m()(); } }
+}
+"""
+
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    @pytest.mark.parametrize("pipeline", [None, "lower", "all"])
+    def test_idle_invoke_waits_for_go(self, pipeline, engine):
+        tb = Testbench(compile_source(self.IDLE, pipeline), engine=engine)
+        tb.run()
+        assert tb.instance.find("m.c.r").value == 1
+
 
 class TestErrorDetection:
     def test_conflicting_drivers_detected(self):
