@@ -9,12 +9,13 @@ Run: pytest benchmarks/bench_fig9c.py --benchmark-only -s
 from repro.eval.common import geomean
 from repro.eval.fig9_opts import report_sensitive, run_sensitive
 
-from benchmarks.conftest import POLYBENCH_N, polybench_subset
+from benchmarks.conftest import POLYBENCH_N, polybench_subset, sim_engine
 
 
-def test_fig9c_sensitive_speedup(benchmark):
+def test_fig9c_sensitive_speedup(benchmark, request):
+    engine = sim_engine(request)
     rows = benchmark.pedantic(
-        lambda: run_sensitive(n=POLYBENCH_N, kernels=polybench_subset()),
+        lambda: run_sensitive(n=POLYBENCH_N, kernels=polybench_subset(), engine=engine),
         rounds=1,
         iterations=1,
     )

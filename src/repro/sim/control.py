@@ -15,7 +15,7 @@ values by index; after every move one walk of the tree collects
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
 from repro.ir.ast import CellPort, Component, HolePort, PortRef
@@ -47,11 +47,6 @@ class _NodeState:
 
     def step(self, values: Sequence[int]) -> None:
         """Advance at the clock edge using the settled slot values."""
-
-
-class _EmptyState(_NodeState):
-    def is_done(self) -> bool:
-        return True
 
 
 class _LeafState(_NodeState):
@@ -103,14 +98,9 @@ class _SeqState(_NodeState):
             self.states[self.index].collect(out)
 
     def step(self, values: Sequence[int]) -> None:
-        if self.is_done():
-            return
-        self.states[self.index].step(values)
-        if self.states[self.index].is_done():
-            self.index += 1
-            if self.index < len(self.states):
-                self.states[self.index].start()
-                self._skip_finished()
+        if not self.is_done():
+            self.states[self.index].step(values)
+            self._skip_finished()
 
 
 class _ParState(_NodeState):
@@ -245,21 +235,21 @@ class _RepeatState(_NodeState):
 class ControlExecutor:
     """Executes a component's control tree cycle by cycle over slots.
 
-    ``slots`` maps the ports the tree reads to their slots; ``enable`` and
-    ``force`` map each group to the slots that drive its ``go`` hole, and
-    ``live`` maps each :class:`Invoke` node (by ``id``) to the slot that
-    gates its bindings. After every move, :attr:`high` is the set of
-    driven slots that are high and :attr:`finished` whether the tree has
-    completed.
+    ``slot_of`` gives the slot of each port the tree reads, a constant
+    condition included; ``enable`` and ``force`` map each group to the
+    slots that drive its ``go`` hole, and ``live`` maps each
+    :class:`Invoke` node (by ``id``) to the slot that gates its bindings.
+    After every move, :attr:`high` is the set of driven slots that are
+    high and :attr:`finished` whether the tree has completed.
     """
 
-    high: Set[int]
+    high: FrozenSet[int]
     finished: bool
 
     def __init__(
         self,
         comp: Component,
-        slots: Dict[PortRef, int],
+        slot_of: Callable[[PortRef], int],
         enable: Dict[str, int],
         force: Dict[str, int],
         live: Dict[int, int],
@@ -267,17 +257,17 @@ class ControlExecutor:
         def cond(node) -> tuple:
             group = node.cond_group
             if group is None:
-                return slots[node.port], None, None
-            ready = None if comp.get_group(group).comb else slots[HolePort(group, DONE)]
-            return slots[node.port], force[group], ready
+                return slot_of(node.port), None, None
+            ready = None if comp.get_group(group).comb else slot_of(HolePort(group, DONE))
+            return slot_of(node.port), force[group], ready
 
         def make(node: Control) -> _NodeState:
             if isinstance(node, Empty):
-                return _EmptyState()
+                return _SeqState([])  # done as soon as it starts
             if isinstance(node, Enable):
-                return _LeafState(enable[node.group], slots[HolePort(node.group, DONE)])
+                return _LeafState(enable[node.group], slot_of(HolePort(node.group, DONE)))
             if isinstance(node, Invoke):
-                return _LeafState(live[id(node)], slots[CellPort(node.cell, DONE)])
+                return _LeafState(live[id(node)], slot_of(CellPort(node.cell, DONE)))
             if isinstance(node, Seq):
                 return _SeqState([make(child) for child in node.stmts])
             if isinstance(node, Par):
@@ -303,8 +293,8 @@ class ControlExecutor:
         self._collect()
 
     def _collect(self) -> None:
-        # A new set per move: the instance tells a move by identity.
         self.finished = self.root.is_done()
-        self.high = set()
+        high: Set[int] = set()
         if not self.finished:
-            self.root.collect(self.high)
+            self.root.collect(high)
+        self.high = frozenset(high)

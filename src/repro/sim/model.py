@@ -379,8 +379,6 @@ class _GuardNet:
     def __init__(self, inst: "ComponentInstance"):
         self.inst = inst
         self.nodes: List[_GuardNode] = []
-        #: Constant value -> the unnamed slot holding it.
-        self.constants: Dict[int, int] = {}
         self._table: Dict[Tuple[str, int, int], int] = {}
         self._memo: Dict[Guard, Union[bool, int]] = {}
 
@@ -389,17 +387,11 @@ class _GuardNet:
         value = self._cons(guard)
         if value is True:
             return None
-        return self._const(0) if value is False else value
-
-    def _const(self, value: int) -> int:
-        slot = self.constants.get(value)
-        if slot is None:
-            slot = self.constants[value] = self.inst._unnamed_slot()
-        return slot
+        return self.inst._const_slot(0) if value is False else value
 
     def _operand(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
-            return self._const(ref.value)
+            return self.inst._const_slot(ref.value)
         return self.inst._slot(ref)
 
     def _node(self, op: str, a: int, b: int) -> int:
@@ -429,7 +421,7 @@ class _GuardNet:
             if isinstance(inner, bool):
                 result = not inner
             else:
-                result = self._node("!", inner, self._const(0))
+                result = self._node("!", inner, self.inst._const_slot(0))
         elif isinstance(guard, AndGuard):
             left, right = self._cons(guard.left), self._cons(guard.right)
             if left is False or right is False:
@@ -634,6 +626,19 @@ class ComponentInstance:
         self._n_slots += 1
         return self._n_slots - 1
 
+    def _const_slot(self, value: int) -> int:
+        """The unnamed slot every reader of constant ``value`` shares."""
+        slot = self._constants.get(value)
+        if slot is None:
+            slot = self._constants[value] = self._unnamed_slot()
+        return slot
+
+    def _port_slot(self, ref: PortRef) -> int:
+        """The slot a read of ``ref`` sees; never names a new slot."""
+        if isinstance(ref, ConstPort):
+            return self._const_slot(ref.value)
+        return self._slots[ref]
+
     def _compile_driver(
         self,
         guards: Optional[_GuardNet],
@@ -672,6 +677,8 @@ class ComponentInstance:
         #: The named slots; a :class:`_GuardNet`'s slots have no port.
         self._slots: Dict[PortRef, int] = {}
         self._n_slots = 0
+        #: Constant value -> its unnamed slot, set at every reset.
+        self._constants: Dict[int, int] = {}
         # The declaration order is the signature order a parent passes
         # inputs in and reads outputs back in.
         self._in_slots = [self._slot(ThisPort(p.name)) for p in comp.inputs]
@@ -793,8 +800,12 @@ class ComponentInstance:
             node.index = len(self._nodes)
             self._nodes.append(node)
 
+        # The executor resolves its ports here, so every slot exists below.
+        self.executor = ControlExecutor(comp, self._port_slot, enable, force, live)
+        self._enable = enable
+
         self._reset_values: List[int] = [0] * self._n_slots
-        for value, slot in (guards.constants.items() if guards else ()):
+        for value, slot in self._constants.items():
             self._reset_values[slot] = value
         self._values: List[int] = list(self._reset_values)
         self._done_slots = [
@@ -820,8 +831,6 @@ class ComponentInstance:
             for node_idx in readers:
                 mask |= 1 << rank_of[node_idx]
             self._reader_mask.append(mask)
-        self.executor = ControlExecutor(comp, self._slots, enable, force, live)
-        self._enable = enable
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
@@ -969,7 +978,7 @@ class ComponentInstance:
         executor = self.executor
         values = self._values
         high = executor.high if values[self._go_slot] else _EMPTY
-        if high is not self._high:
+        if high != self._high:
             for slot in high ^ self._high:
                 values[slot] = 1 if slot in high else 0
                 self._mark_slot(slot)

@@ -156,6 +156,39 @@ component main(go: 1) -> (done: 1) {{
         x, _, _ = self.regs_after("seq { incr; incr; incr; }")
         assert x == 3
 
+    CONST_COND = """
+component main(go: 1) -> (done: 1) {
+  cells { @external mem = std_mem_d1(32, 2, 1); lt = std_lt(1); }
+  wires {
+    group w0 { mem.addr0 = 1'd0; mem.write_data = 32'd7; mem.write_en = 1; w0[done] = mem.done; }
+    group w1 { mem.addr0 = 1'd1; mem.write_data = 32'd9; mem.write_en = 1; w1[done] = mem.done; }
+    group cond { lt.left = 1'd0; lt.right = 1'd1; cond[done] = 1'd1; }
+  }
+  control { CONTROL }
+}
+"""
+
+    # A sized literal is a valid condition (lint only warns that a branch
+    # is unreachable); the interpreter reads it from a constant slot.
+    @pytest.mark.parametrize("engine", ["sweep", "levelized"])
+    @pytest.mark.parametrize(
+        "control, mem",
+        [
+            ("if 1'd1 { w0; }", [7, 0]),
+            ("if 1'd0 { w0; } else { w1; }", [0, 9]),
+            ("if 1'd0 with cond { w0; } else { w1; }", [0, 9]),
+            ("seq { w0; while 1'd0 { w0; } w1; }", [7, 9]),
+        ],
+    )
+    def test_constant_condition(self, control, mem, engine):
+        source = self.CONST_COND.replace("CONTROL", control)
+        reference = observe(parse_program(source), {"mem": [0, 0]}, "sweep")
+        assert reference.error is None and reference.memories["mem"] == mem
+        assert compare(reference, observe(parse_program(source), {"mem": [0, 0]}, engine)) is None
+        for pipeline in ("lower", "all"):
+            lowered = observe(compile_source(source, pipeline), {"mem": [0, 0]}, engine)
+            assert compare(reference, lowered, pipeline, ("memories",)) is None
+
 
 class TestInvoke:
     SRC = """
