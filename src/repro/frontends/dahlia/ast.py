@@ -4,12 +4,19 @@ A program is a list of memory declarations followed by a statement. The
 composition statements mirror Dahlia's novel operators: :class:`OrderedSeq`
 (``---``) imposes sequencing; :class:`UnorderedSeq` (``;``) permits
 parallel execution, which the Calyx backend exploits with ``par``.
+
+Each node class names the fields that hold its sub-nodes, in evaluation
+order: ``OPERANDS`` for an expression, ``EXPRS`` (the expressions a
+statement itself evaluates) and ``BODY`` (its nested statements) for a
+statement. :func:`walk`, :func:`walk_expr`, :func:`map_expr` and
+:func:`map_stmt` are the one traversal every pass that only visits or
+rebuilds the tree goes through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +58,8 @@ class ArrayType:
 class Expr:
     """Base class; ``width`` is filled in by the type checker."""
 
+    OPERANDS = ()  # names of the fields holding sub-expressions
+
     def __post_init__(self) -> None:
         self.width: Optional[int] = None
 
@@ -69,7 +78,8 @@ class VarRef(Expr):
 class MemRead(Expr):
     mem: str
     indices: List[Expr]
-    bank: Optional[int] = None  # filled by the banking lowering
+
+    OPERANDS = ("indices",)
 
 
 @dataclass
@@ -77,6 +87,8 @@ class BinOp(Expr):
     op: str  # + - * / % << >> < > <= >= == !=
     left: Expr
     right: Expr
+
+    OPERANDS = ("left", "right")
 
 
 COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
@@ -90,7 +102,8 @@ MULTI_CYCLE_OPS = ("*", "/", "%")
 
 @dataclass
 class Stmt:
-    pass
+    EXPRS = ()  # names of the fields holding the statement's expressions
+    BODY = ()  # names of the fields holding nested statements
 
 
 @dataclass
@@ -109,11 +122,15 @@ class Let(Stmt):
     type: Optional[UBit]
     init: Expr
 
+    EXPRS = ("init",)
+
 
 @dataclass
 class AssignVar(Stmt):
     name: str
     value: Expr
+
+    EXPRS = ("value",)
 
 
 @dataclass
@@ -121,7 +138,8 @@ class AssignMem(Stmt):
     mem: str
     indices: List[Expr]
     value: Expr
-    bank: Optional[int] = None  # filled by the banking lowering
+
+    EXPRS = ("indices", "value")
 
 
 @dataclass
@@ -130,11 +148,17 @@ class If(Stmt):
     then: Stmt
     orelse: Optional[Stmt] = None
 
+    EXPRS = ("cond",)
+    BODY = ("then", "orelse")
+
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: Stmt
+
+    EXPRS = ("cond",)
+    BODY = ("body",)
 
 
 @dataclass
@@ -148,12 +172,16 @@ class For(Stmt):
     unroll: int
     body: Stmt
 
+    BODY = ("body",)
+
 
 @dataclass
 class OrderedSeq(Stmt):
     """Dahlia's ``---``: statements execute in order."""
 
     stmts: List[Stmt] = field(default_factory=list)
+
+    BODY = ("stmts",)
 
 
 @dataclass
@@ -162,12 +190,16 @@ class UnorderedSeq(Stmt):
 
     stmts: List[Stmt] = field(default_factory=list)
 
+    BODY = ("stmts",)
+
 
 @dataclass
 class ParBlock(Stmt):
     """Introduced by the unroller: bodies that run in parallel."""
 
     stmts: List[Stmt] = field(default_factory=list)
+
+    BODY = ("stmts",)
 
 
 @dataclass
@@ -176,36 +208,92 @@ class Program:
     body: Stmt
 
 
-def walk_exprs(stmt: Stmt):
-    """Yield every expression in a statement subtree."""
-    if isinstance(stmt, Let):
-        yield from _walk_expr(stmt.init)
-    elif isinstance(stmt, AssignVar):
-        yield from _walk_expr(stmt.value)
-    elif isinstance(stmt, AssignMem):
-        for idx in stmt.indices:
-            yield from _walk_expr(idx)
-        yield from _walk_expr(stmt.value)
-    elif isinstance(stmt, If):
-        yield from _walk_expr(stmt.cond)
-        yield from walk_exprs(stmt.then)
-        if stmt.orelse is not None:
-            yield from walk_exprs(stmt.orelse)
-    elif isinstance(stmt, While):
-        yield from _walk_expr(stmt.cond)
-        yield from walk_exprs(stmt.body)
-    elif isinstance(stmt, For):
-        yield from walk_exprs(stmt.body)
-    elif isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
-        for child in stmt.stmts:
-            yield from walk_exprs(child)
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
 
 
-def _walk_expr(expr: Expr):
+def _nodes(node, names: Tuple[str, ...]) -> Iterator:
+    """The sub-nodes held in ``node``'s fields ``names``, lists flattened."""
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, list):
+            yield from value
+        elif value is not None:
+            yield value
+
+
+def _rebuilt(node, names: Tuple[str, ...], fn: Callable) -> Dict[str, object]:
+    """``node``'s fields ``names`` with ``fn`` applied to each sub-node."""
+    fields: Dict[str, object] = {}
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, list):
+            fields[name] = [fn(item) for item in value]
+        elif value is not None:
+            fields[name] = fn(value)
+    return fields
+
+
+def children(stmt: Stmt) -> List[Stmt]:
+    """The statements nested directly in ``stmt``, in program order."""
+    return list(_nodes(stmt, stmt.BODY))
+
+
+def exprs(stmt: Stmt) -> List[Expr]:
+    """The expressions ``stmt`` itself evaluates, in evaluation order."""
+    return list(_nodes(stmt, stmt.EXPRS))
+
+
+def walk(stmt: Stmt) -> Iterator[Stmt]:
+    """Every statement in the subtree, pre-order."""
+    yield stmt
+    for child in children(stmt):
+        yield from walk(child)
+
+
+def walk_expr(expr: Expr) -> Iterator[Expr]:
+    """Every node of an expression, pre-order."""
     yield expr
-    if isinstance(expr, BinOp):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, MemRead):
-        for idx in expr.indices:
-            yield from _walk_expr(idx)
+    for operand in _nodes(expr, expr.OPERANDS):
+        yield from walk_expr(operand)
+
+
+def walk_exprs(stmt: Stmt) -> Iterator[Expr]:
+    """Every expression node in a statement subtree, pre-order."""
+    for node in walk(stmt):
+        for expr in exprs(node):
+            yield from walk_expr(expr)
+
+
+def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``expr`` bottom-up: ``fn`` sees each node after its operands.
+
+    Rebuilt nodes keep their annotated width; leaves are passed to ``fn``
+    as they are.
+    """
+    if expr.OPERANDS:
+        node = replace(expr, **_rebuilt(expr, expr.OPERANDS, lambda e: map_expr(e, fn)))
+        node.width = expr.width
+        expr = node
+    return fn(expr)
+
+
+def map_stmt(
+    stmt: Stmt,
+    expr_fn: Optional[Callable[[Expr], Expr]] = None,
+    pre: Callable[[Stmt], Optional[Stmt]] = lambda stmt: None,
+) -> Stmt:
+    """Rebuild ``stmt``, rewriting each expression with ``map_expr(expr, expr_fn)``.
+
+    ``pre`` sees each statement first; when it returns a statement, that
+    replaces the whole subtree. Without ``expr_fn`` expressions are kept.
+    """
+    replaced = pre(stmt)
+    if replaced is not None:
+        return replaced
+    fields = {}
+    if expr_fn is not None:
+        fields = _rebuilt(stmt, stmt.EXPRS, lambda e: map_expr(e, expr_fn))
+    fields.update(_rebuilt(stmt, stmt.BODY, lambda s: map_stmt(s, expr_fn, pre)))
+    return replace(stmt, **fields)

@@ -30,7 +30,6 @@ from repro.frontends.dahlia.ast import (
     Decl,
     Expr,
     For,
-    If,
     IntLit,
     Let,
     MemRead,
@@ -39,9 +38,10 @@ from repro.frontends.dahlia.ast import (
     Program,
     Stmt,
     UBit,
-    UnorderedSeq,
     VarRef,
     While,
+    map_expr,
+    map_stmt,
 )
 from repro.frontends.dahlia.typecheck import loop_var_width
 
@@ -131,6 +131,20 @@ def _typed_var(name: str, width: int) -> VarRef:
     return ref
 
 
+def _substitute(stmt: Stmt, var: str, replacement: Expr) -> Stmt:
+    """``stmt`` with a fresh copy of ``replacement`` for each use of ``var``.
+
+    Loop variables never shadow a visible binding (the type checker
+    rejects that), so every use of ``var`` in ``stmt`` is the loop's.
+    """
+    return map_stmt(
+        stmt,
+        lambda e: copy.deepcopy(replacement)
+        if isinstance(e, VarRef) and e.name == var
+        else e,
+    )
+
+
 class _Lowerer:
     def __init__(self, program: Program):
         self.program = program
@@ -173,67 +187,6 @@ class _Lowerer:
                 )
         return out
 
-    # -- substitution ------------------------------------------------------
-    def _subst_expr(self, expr: Expr, var: str, replacement: Expr) -> Expr:
-        if isinstance(expr, VarRef) and expr.name == var:
-            return copy.deepcopy(replacement)
-        if isinstance(expr, BinOp):
-            node = BinOp(
-                expr.op,
-                self._subst_expr(expr.left, var, replacement),
-                self._subst_expr(expr.right, var, replacement),
-            )
-            node.width = expr.width
-            return node
-        if isinstance(expr, MemRead):
-            node = MemRead(
-                expr.mem, [self._subst_expr(i, var, replacement) for i in expr.indices]
-            )
-            node.width = expr.width
-            return node
-        return expr
-
-    def _subst_stmt(self, stmt: Stmt, var: str, replacement: Expr) -> Stmt:
-        if isinstance(stmt, Let):
-            return Let(stmt.name, stmt.type, self._subst_expr(stmt.init, var, replacement))
-        if isinstance(stmt, AssignVar):
-            return AssignVar(stmt.name, self._subst_expr(stmt.value, var, replacement))
-        if isinstance(stmt, AssignMem):
-            return AssignMem(
-                stmt.mem,
-                [self._subst_expr(i, var, replacement) for i in stmt.indices],
-                self._subst_expr(stmt.value, var, replacement),
-            )
-        if isinstance(stmt, If):
-            return If(
-                self._subst_expr(stmt.cond, var, replacement),
-                self._subst_stmt(stmt.then, var, replacement),
-                None
-                if stmt.orelse is None
-                else self._subst_stmt(stmt.orelse, var, replacement),
-            )
-        if isinstance(stmt, While):
-            return While(
-                self._subst_expr(stmt.cond, var, replacement),
-                self._subst_stmt(stmt.body, var, replacement),
-            )
-        if isinstance(stmt, For):
-            if stmt.var == var:  # shadowed
-                return stmt
-            return For(
-                stmt.var,
-                stmt.var_type,
-                stmt.start,
-                stmt.end,
-                stmt.unroll,
-                self._subst_stmt(stmt.body, var, replacement),
-            )
-        if isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
-            return type(stmt)(
-                [self._subst_stmt(s, var, replacement) for s in stmt.stmts]
-            )
-        return stmt
-
     # -- bank resolution ---------------------------------------------------
     def resolve_banks(
         self, stmt: Stmt, copy_bank: Optional[int] = None, offset_var: Optional[VarRef] = None
@@ -244,23 +197,10 @@ class _Lowerer:
         that copy's lane; elsewhere only constant indices resolve.
         """
 
-        def fix_expr(expr: Expr) -> Expr:
-            if isinstance(expr, BinOp):
-                node = BinOp(expr.op, fix_expr(expr.left), fix_expr(expr.right))
-                node.width = expr.width
-                return node
-            if isinstance(expr, MemRead):
-                mem, indices = fix_access(expr.mem, expr.indices)
-                node = MemRead(mem, indices)
-                node.width = expr.width
-                return node
-            return expr
-
-        def fix_access(mem: str, indices: List[Expr]) -> Tuple[str, List[Expr]]:
+        def bank(mem: str, indices: List[Expr]) -> Tuple[str, List[Expr]]:
             layout = self.layouts.get(mem)
-            new_indices = [fix_expr(i) for i in indices]
             if layout is None or layout.banks == 1:
-                return mem, new_indices
+                return mem, indices
             dim = layout.banked_dim
             assert dim is not None
             idx = indices[dim]
@@ -282,48 +222,27 @@ class _Lowerer:
                     "memories must be indexed by unrolled loop variables or "
                     "constants"
                 )
-            new_indices[dim] = offset
-            return bank_name(mem, target_bank), new_indices
+            indices = list(indices)
+            indices[dim] = offset
+            return bank_name(mem, target_bank), indices
 
-        def fix(s: Stmt) -> Stmt:
-            if isinstance(s, Let):
-                return Let(s.name, s.type, fix_expr(s.init))
-            if isinstance(s, AssignVar):
-                return AssignVar(s.name, fix_expr(s.value))
-            if isinstance(s, AssignMem):
-                mem, indices = fix_access(s.mem, s.indices)
-                return AssignMem(mem, indices, fix_expr(s.value))
-            if isinstance(s, If):
-                return If(
-                    fix_expr(s.cond),
-                    fix(s.then),
-                    None if s.orelse is None else fix(s.orelse),
-                )
-            if isinstance(s, While):
-                return While(fix_expr(s.cond), fix(s.body))
-            if isinstance(s, For):
-                return For(s.var, s.var_type, s.start, s.end, s.unroll, fix(s.body))
-            if isinstance(s, (OrderedSeq, UnorderedSeq, ParBlock)):
-                return type(s)([fix(child) for child in s.stmts])
-            return s
+        def read(expr: Expr) -> Expr:
+            if isinstance(expr, MemRead):
+                # map_expr hands over a fresh node, so it may be updated.
+                expr.mem, expr.indices = bank(expr.mem, expr.indices)
+            return expr
 
-        return fix(stmt)
+        def write(s: Stmt) -> Optional[Stmt]:
+            if not isinstance(s, AssignMem):
+                return None
+            indices = [map_expr(i, read) for i in s.indices]
+            return AssignMem(*bank(s.mem, indices), map_expr(s.value, read))
+
+        return map_stmt(stmt, read, write)
 
     # -- statement lowering -----------------------------------------------
     def lower_stmt(self, stmt: Stmt) -> Stmt:
-        if isinstance(stmt, For):
-            return self.lower_for(stmt)
-        if isinstance(stmt, If):
-            return If(
-                stmt.cond,
-                self.lower_stmt(stmt.then),
-                None if stmt.orelse is None else self.lower_stmt(stmt.orelse),
-            )
-        if isinstance(stmt, While):
-            return While(stmt.cond, self.lower_stmt(stmt.body))
-        if isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
-            return type(stmt)([self.lower_stmt(s) for s in stmt.stmts])
-        return stmt
+        return map_stmt(stmt, pre=lambda s: self.lower_for(s) if isinstance(s, For) else None)
 
     def lower_for(self, loop: For) -> Stmt:
         body = self.lower_stmt(loop.body)
@@ -346,7 +265,7 @@ class _Lowerer:
                     )
                     replacement.width = var_type.width
                     offset_ref = _typed_var(outer_var, outer_width)
-                copy_stmt = self._subst_stmt(body, loop.var, replacement)
+                copy_stmt = _substitute(body, loop.var, replacement)
                 copies.append(self.resolve_banks(copy_stmt, k, offset_ref))
             par = ParBlock(copies)
             if outer_trips == 1:
@@ -358,7 +277,7 @@ class _Lowerer:
             idx_ref = _typed_var(loop.var, var_type.width)
             shifted = BinOp("+", idx_ref, IntLit(loop.start))
             shifted.width = var_type.width
-            body = self._subst_stmt(body, loop.var, shifted)
+            body = _substitute(body, loop.var, shifted)
         return self._counter_loop(loop.var, var_type, trip, body)
 
     def _counter_loop(self, var: str, var_type: UBit, trips: int, body: Stmt) -> Stmt:

@@ -31,7 +31,6 @@ from repro.frontends.dahlia.ast import (
     AssignVar,
     BinOp,
     COMPARISONS,
-    Decl,
     Expr,
     For,
     If,
@@ -47,6 +46,8 @@ from repro.frontends.dahlia.ast import (
     UnorderedSeq,
     VarRef,
     While,
+    walk,
+    walk_expr,
     walk_exprs,
 )
 
@@ -71,6 +72,11 @@ class _Env:
     def define(self, name: str, type_: UBit) -> None:
         if name in self.vars:
             raise TypeError_(f"variable {name!r} redefined in the same scope")
+        if self.lookup(name) is not None:
+            raise TypeError_(
+                f"variable {name!r} shadows a binding of an enclosing scope; "
+                "rename it"
+            )
         self.vars[name] = type_
 
     def child(self) -> "_Env":
@@ -130,46 +136,16 @@ class _Checker:
         """(reads, writes) over variable and memory names."""
         reads: Set[str] = set()
         writes: Set[str] = set()
-
-        def expr_reads(expr: Expr) -> None:
+        for expr in walk_exprs(stmt):
             if isinstance(expr, VarRef):
                 reads.add(f"v:{expr.name}")
             elif isinstance(expr, MemRead):
                 reads.add(f"m:{expr.mem}")
-                for idx in expr.indices:
-                    expr_reads(idx)
-            elif isinstance(expr, BinOp):
-                expr_reads(expr.left)
-                expr_reads(expr.right)
-
-        def visit(s: Stmt) -> None:
-            if isinstance(s, Let):
-                expr_reads(s.init)
-                writes.add(f"v:{s.name}")
-            elif isinstance(s, AssignVar):
-                expr_reads(s.value)
+        for s in walk(stmt):
+            if isinstance(s, (Let, AssignVar)):
                 writes.add(f"v:{s.name}")
             elif isinstance(s, AssignMem):
-                for idx in s.indices:
-                    expr_reads(idx)
-                expr_reads(s.value)
                 writes.add(f"m:{s.mem}")
-            elif isinstance(s, If):
-                expr_reads(s.cond)
-                visit(s.then)
-                if s.orelse is not None:
-                    visit(s.orelse)
-            elif isinstance(s, While):
-                expr_reads(s.cond)
-                visit(s.body)
-            elif isinstance(s, For):
-                # The loop variable is local; body accesses count.
-                visit(s.body)
-            elif isinstance(s, (OrderedSeq, UnorderedSeq, ParBlock)):
-                for child in s.stmts:
-                    visit(child)
-
-        visit(stmt)
         return reads, writes
 
     def _check_unordered(self, stmts: List[Stmt]) -> None:
@@ -214,19 +190,15 @@ class _Checker:
             raise TypeError_("unrolled loops must start at 0")
 
         def uses_var(expr: Expr) -> bool:
-            if isinstance(expr, VarRef):
-                return expr.name == loop.var
-            if isinstance(expr, BinOp):
-                return uses_var(expr.left) or uses_var(expr.right)
-            if isinstance(expr, MemRead):
-                return any(uses_var(i) for i in expr.indices)
-            return False
+            return any(isinstance(e, VarRef) and e.name == loop.var for e in walk_expr(expr))
 
         for expr in walk_exprs(loop.body):
             if not isinstance(expr, MemRead):
                 continue
             self._check_banked_access(expr.mem, expr.indices, loop, uses_var)
-        self._check_banked_writes(loop.body, loop, uses_var)
+        for stmt in walk(loop.body):
+            if isinstance(stmt, AssignMem):
+                self._check_banked_access(stmt.mem, stmt.indices, loop, uses_var)
         self._check_local_writes(loop.body, loop)
 
     def _check_banked_access(self, mem_name, indices, loop, uses_var) -> None:
@@ -261,47 +233,20 @@ class _Checker:
                         f"annotation (bank {loop.unroll})"
                     )
 
-    def _check_banked_writes(self, stmt: Stmt, loop: For, uses_var) -> None:
-        if isinstance(stmt, AssignMem):
-            self._check_banked_access(stmt.mem, stmt.indices, loop, uses_var)
-        elif isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
-            for child in stmt.stmts:
-                self._check_banked_writes(child, loop, uses_var)
-        elif isinstance(stmt, If):
-            self._check_banked_writes(stmt.then, loop, uses_var)
-            if stmt.orelse is not None:
-                self._check_banked_writes(stmt.orelse, loop, uses_var)
-        elif isinstance(stmt, (While, For)):
-            self._check_banked_writes(stmt.body, loop, uses_var)
-
     def _check_local_writes(self, body: Stmt, loop: For) -> None:
         """Unrolled copies may only write variables they declare."""
         declared: Set[str] = {loop.var}
-
-        def visit(s: Stmt) -> None:
+        for s in walk(body):
             if isinstance(s, Let):
                 declared.add(s.name)
-            elif isinstance(s, AssignVar):
-                if s.name not in declared:
-                    raise TypeError_(
-                        f"variable {s.name!r} written inside a loop unrolled "
-                        f"by {loop.unroll} but declared outside it; each "
-                        "unrolled copy needs its own variable"
-                    )
-            elif isinstance(s, If):
-                visit(s.then)
-                if s.orelse is not None:
-                    visit(s.orelse)
-            elif isinstance(s, (While,)):
-                visit(s.body)
             elif isinstance(s, For):
                 declared.add(s.var)
-                visit(s.body)
-            elif isinstance(s, (OrderedSeq, UnorderedSeq, ParBlock)):
-                for child in s.stmts:
-                    visit(child)
-
-        visit(body)
+            elif isinstance(s, AssignVar) and s.name not in declared:
+                raise TypeError_(
+                    f"variable {s.name!r} written inside a loop unrolled "
+                    f"by {loop.unroll} but declared outside it; each "
+                    "unrolled copy needs its own variable"
+                )
 
     # -- statements -------------------------------------------------------
     def check_stmt(self, stmt: Stmt, env: _Env) -> None:
@@ -357,22 +302,12 @@ class _Checker:
 
     def _check_condition(self, cond: Expr, env: _Env) -> None:
         self.check_expr(cond, env)
-        for expr in _expr_walk(cond):
+        for expr in walk_expr(cond):
             if isinstance(expr, BinOp) and expr.op in MULTI_CYCLE_OPS:
                 raise TypeError_(
                     f"conditions must be combinational; hoist the {expr.op!r} "
                     "into a let binding"
                 )
-
-
-def _expr_walk(expr: Expr):
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from _expr_walk(expr.left)
-        yield from _expr_walk(expr.right)
-    elif isinstance(expr, MemRead):
-        for idx in expr.indices:
-            yield from _expr_walk(idx)
 
 
 def typecheck(program: Program) -> Program:

@@ -52,6 +52,7 @@ from repro.frontends.dahlia.ast import (
     UnorderedSeq,
     VarRef,
     While,
+    walk,
 )
 from repro.hls.report import HlsReport
 from repro.hls.resources import estimate_hls_resources
@@ -201,17 +202,6 @@ class _Scheduler:
         into.divs += single.divs * factor
 
     # -- loop scheduling -------------------------------------------------------
-    def _has_inner_loop(self, stmt: Stmt) -> bool:
-        if isinstance(stmt, (For, While)):
-            return True
-        if isinstance(stmt, If):
-            return self._has_inner_loop(stmt.then) or (
-                stmt.orelse is not None and self._has_inner_loop(stmt.orelse)
-            )
-        if isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
-            return any(self._has_inner_loop(s) for s in stmt.stmts)
-        return False
-
     def _loop_carried_recurrence(self, stats: _BodyStats) -> bool:
         """Any memory both read and written: a read-modify-write chain."""
         return any(
@@ -287,7 +277,7 @@ class _Scheduler:
         their per-iteration resource demands (reads are conservatively not
         CSE'd across unrolled lanes).
         """
-        if not self._has_inner_loop(loop.body):
+        if not any(isinstance(s, (For, While)) for s in walk(loop.body)):
             return self.schedule_innermost(loop, factor)
         trip = (loop.end - loop.start) // loop.unroll
         body = self.schedule_stmt(loop.body, factor * loop.unroll)

@@ -19,6 +19,12 @@ from repro.frontends.dahlia.ast import (
     UnorderedSeq,
     VarRef,
     While,
+    children,
+    exprs,
+    map_expr,
+    map_stmt,
+    walk,
+    walk_exprs,
 )
 from repro.frontends.dahlia.lexer import tokenize
 
@@ -135,6 +141,21 @@ class TestTypecheck:
             "for (let i = 0..4) { let t: ubit<8> = 1 --- A[i] := t }"
         )
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "for (let i = 0..3) { A[i] := i --- for (let i = 0..4) { B[i] := i } }",
+            "let i: ubit<8> = 5 --- for (let i = 0..4) { B[i] := i } --- A[0] := i",
+        ],
+        ids=["loop-in-loop", "loop-over-let"],
+    )
+    def test_loop_variable_shadowing_rejected(self, body):
+        # Lowering turns a loop into a counter `let`, which the Calyx
+        # backend does not scope: a shadowing counter would clobber the
+        # outer binding.
+        with pytest.raises(TypeError_, match="'i' shadows a binding"):
+            self.check("decl A: ubit<8>[4];\ndecl B: ubit<8>[4];\n" + body)
+
     def test_unordered_write_write_conflict(self):
         with pytest.raises(TypeError_):
             self.check("let x: ubit<8> = 0 --- x := 1; x := 2")
@@ -202,3 +223,43 @@ class TestTypecheck:
             "decl A: ubit<8>[4 bank 2];\n"
             "for (let i = 0..4) unroll 2 { A[i] := 1 }"
         )
+
+
+class TestTraversal:
+    SOURCE = (
+        "decl A: ubit<8>[4][4];\n"
+        "let x: ubit<8> = 1 --- "
+        "if (x < 2) { A[x][x + 1] := A[0][x] } else { while (x > 0) { x := x - 1 } }"
+    )
+
+    def test_walk_is_pre_order(self):
+        prog = typecheck(parse(self.SOURCE))
+        kinds = [type(s).__name__ for s in walk(prog.body)]
+        assert kinds == ["OrderedSeq", "Let", "If", "AssignMem", "While", "AssignVar"]
+
+    def test_exprs_follow_evaluation_order(self):
+        write = typecheck(parse(self.SOURCE)).body.stmts[1].then
+        assert [type(e).__name__ for e in exprs(write)] == ["VarRef", "BinOp", "MemRead"]
+        names = [e.name for e in walk_exprs(write) if isinstance(e, VarRef)]
+        assert names == ["x", "x", "x"]
+        assert children(write) == []
+
+    def test_map_expr_is_bottom_up_and_keeps_widths(self):
+        value = typecheck(parse(self.SOURCE)).body.stmts[1].then.value
+        seen = []
+
+        def fn(expr):
+            seen.append(type(expr).__name__)
+            return IntLit(3) if isinstance(expr, VarRef) else expr
+
+        rebuilt = map_expr(value, fn)
+        assert seen == ["IntLit", "VarRef", "MemRead"]
+        assert rebuilt is not value and rebuilt.width == value.width == 8
+        assert [i.value for i in rebuilt.indices] == [0, 3]
+        assert value.indices[1].name == "x"
+
+    def test_map_stmt_pre_replaces_a_subtree(self):
+        prog = typecheck(parse(self.SOURCE))
+        out = map_stmt(prog.body, pre=lambda s: AssignVar("x", IntLit(0)) if isinstance(s, If) else None)
+        assert [type(s).__name__ for s in walk(out)] == ["OrderedSeq", "Let", "AssignVar"]
+        assert isinstance(prog.body.stmts[1], If)

@@ -13,6 +13,7 @@ from repro.frontends.dahlia.ast import (
     OrderedSeq,
     ParBlock,
     While,
+    walk,
 )
 from repro.frontends.dahlia.lowering import MemoryLayout, bank_name
 
@@ -34,18 +35,7 @@ class TestForLowering:
             "decl A: ubit<8>[4];\n"
             "for (let i = 0..4) { for (let j = 0..4) { A[j] := 1 } }"
         )
-
-        def find_for(stmt):
-            if isinstance(stmt, For):
-                return True
-            children = getattr(stmt, "stmts", [])
-            if hasattr(stmt, "body"):
-                children = children + [stmt.body]
-            if hasattr(stmt, "then"):
-                children = children + [stmt.then]
-            return any(find_for(c) for c in children if c is not None)
-
-        assert not find_for(out.body)
+        assert not any(isinstance(s, For) for s in walk(out.body))
 
     def test_nonzero_start_offsets_indices(self):
         out = lowered("decl A: ubit<8>[4];\nfor (let i = 1..4) { A[i] := 1 }")
@@ -90,15 +80,7 @@ class TestUnrolling:
             "for (let i = 0..4) unroll 2 { A[i] := 1 }"
         )
         par = out.body.stmts[1].body.stmts[0]
-        mems = set()
-
-        def collect(stmt):
-            if isinstance(stmt, AssignMem):
-                mems.add(stmt.mem)
-            for child in getattr(stmt, "stmts", []):
-                collect(child)
-
-        collect(par)
+        mems = {s.mem for s in walk(par) if isinstance(s, AssignMem)}
         assert mems == {bank_name("A", 0), bank_name("A", 1)}
 
     def test_constant_banked_access_outside_loop(self):
