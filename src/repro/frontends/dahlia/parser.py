@@ -19,6 +19,7 @@ additive, multiplicative, atoms.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
@@ -42,43 +43,38 @@ from repro.frontends.dahlia.ast import (
     VarRef,
     While,
 )
-from repro.frontends.dahlia.lexer import Token, tokenize
+from repro.ir.tokens import TokenCursor, tokenize
 
 
-class _Parser:
+TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<COMMENT>//[^\n]*|/\*.*?\*/)
+  | (?P<SEP>---)
+  | (?P<RANGE>\.\.)
+  | (?P<INT>\d+)
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>:=|<<|>>|<=|>=|==|!=|[{}()\[\];:=<>+\-*/%,])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+KEYWORDS = {
+    "decl",
+    "let",
+    "if",
+    "else",
+    "while",
+    "for",
+    "unroll",
+    "bank",
+    "ubit",
+}
+
+
+class _Parser(TokenCursor):
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def expect_kind(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.column)
-        return tok
+        super().__init__(tokenize(source, TOKEN_RE, KEYWORDS))
 
     # -- program ------------------------------------------------------------
     def parse_program(self) -> Program:

@@ -41,6 +41,7 @@ from repro.ir.guards import (
     OrGuard,
     PortGuard,
 )
+from repro.ir.tokens import TokenCursor, tokenize
 from repro.ir.types import Direction, PortDef, Span
 
 _TOKEN_RE = re.compile(
@@ -55,37 +56,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-
-_KEYWORDS = {
-    "component",
-    "cells",
-    "wires",
-    "control",
-    "group",
-    "comb",
-    "seq",
-    "par",
-    "if",
-    "else",
-    "while",
-    "with",
-    "invoke",
-    "extern",
-    "import",
-}
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
 
 
 class _UnsizedConst(PortRef):
@@ -102,64 +72,9 @@ class _UnsizedConst(PortRef):
         return str(self.value)
 
 
-def _tokenize(source: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = match.group(0)
-        kind = match.lastgroup or ""
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-class _Parser:
+class _Parser(TokenCursor):
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-
-    # -- token helpers --------------------------------------------------
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def expect_kind(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
-
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
+        super().__init__(tokenize(source, _TOKEN_RE))
 
     # -- program --------------------------------------------------------
     def parse_program(self) -> Program:

@@ -26,7 +26,12 @@ from repro.frontends.dahlia.ast import (
     walk,
     walk_exprs,
 )
-from repro.frontends.dahlia.lexer import tokenize
+from repro.frontends.dahlia.parser import KEYWORDS, TOKEN_RE
+from repro.ir.tokens import tokenize as tokenize_with
+
+
+def tokenize(source):
+    return tokenize_with(source, TOKEN_RE, KEYWORDS)
 
 
 class TestLexer:
