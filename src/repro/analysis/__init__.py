@@ -10,7 +10,9 @@
 * :mod:`repro.analysis.liveness` — backward dataflow liveness over pCFGs
   on register masks, yielding the register conflict graph,
 * :mod:`repro.analysis.latency` — static latency of control trees
-  (Sections 4.4 and 5.3).
+  (Sections 4.4 and 5.3),
+* :mod:`repro.analysis.live_groups` — the groups a control program can
+  reach (dead-group removal and the never-enabled-group lint).
 """
 
 from repro.analysis.coloring import ConflictGraph, greedy_coloring

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.latency import control_latency, structural_group_latency
+from repro.analysis.live_groups import live_group_names
 from repro.ir.ast import ConstPort
 from repro.ir.attributes import STATIC
 from repro.ir.control import If, Repeat, While
@@ -29,7 +30,6 @@ from repro.ir.guards import (
     PortGuard,
     TrueGuard,
 )
-from repro.ir.ports import HolePort
 from repro.lint.context import ComponentView
 from repro.lint.diagnostics import ERROR, WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
@@ -267,26 +267,6 @@ class StaticLatencyRule(LintRule):
 # -- reachability ----------------------------------------------------------
 
 
-def _live_groups(comp) -> Set[str]:
-    """Groups reachable from the control tree through hole references.
-
-    This is the same closure dead-group-removal computes, reimplemented
-    here so the linter never imports the pass layer.
-    """
-    live: Set[str] = set()
-    worklist = list(comp.control.enabled_groups())
-    while worklist:
-        name = worklist.pop()
-        if name in live or name not in comp.groups:
-            continue
-        live.add(name)
-        for assign in comp.groups[name].assignments:
-            for ref in assign.ports():
-                if isinstance(ref, HolePort) and ref.group != name:
-                    worklist.append(ref.group)
-    return live
-
-
 @register_rule
 class NeverEnabledGroupRule(LintRule):
     id = "never-enabled-group"
@@ -299,7 +279,7 @@ class NeverEnabledGroupRule(LintRule):
             # Post-lowering (or structurally driven) components run on
             # wires alone; absence from an empty control tree means nothing.
             return
-        live = _live_groups(comp)
+        live = live_group_names(comp)
         for group in comp.groups.values():
             if group.name not in live:
                 report.add(

@@ -2,32 +2,15 @@
 
 A group is dead when it is neither enabled, used as an ``if``/``while``
 condition, nor referenced from another group's assignments (compilation
-groups reference children through their go/done holes).
+groups reference children through their go/done holes); see
+:func:`repro.analysis.live_groups.live_group_names`.
 """
 
 from __future__ import annotations
 
-from typing import Set
-
-from repro.ir.ast import Component, HolePort, Program
+from repro.analysis.live_groups import live_group_names
+from repro.ir.ast import Component, Program
 from repro.passes.base import Pass, register_pass
-
-
-def live_group_names(comp: Component) -> Set[str]:
-    live: Set[str] = set(comp.control.enabled_groups())
-    # Groups referenced through holes from other groups' assignments.
-    changed = True
-    while changed:
-        changed = False
-        for group in comp.groups.values():
-            if group.name not in live:
-                continue
-            for assign in group.assignments:
-                for ref in assign.ports():
-                    if isinstance(ref, HolePort) and ref.group not in live:
-                        live.add(ref.group)
-                        changed = True
-    return live
 
 
 @register_pass
