@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             default=default,
             choices=sorted(ENGINES),
-            help="simulation engine (default: %(default)s)",
+            help=f"simulation engine (default: {default or DEFAULT_ENGINE})",
         )
 
     def add_robustness(p):
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="regenerate a paper figure")
     p_eval.add_argument("figure", choices=["fig7", "fig8", "fig9", "stats"])
-    add_engine(p_eval)
+    # None until resolved in main(), so an --engine given to stats is seen.
+    add_engine(p_eval, default=None)
     p_eval.add_argument(
         "--emit-json",
         metavar="FILE",
@@ -413,8 +414,12 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and args.emit_json and args.figure not in ("fig7", "fig8"):
-        parser.error(f"--emit-json applies to fig7 and fig8, not {args.figure}")
+    if args.command == "eval":
+        if args.emit_json and args.figure not in ("fig7", "fig8"):
+            parser.error(f"--emit-json applies to fig7 and fig8, not {args.figure}")
+        if args.engine and args.figure == "stats":
+            parser.error("--engine applies to fig7, fig8 and fig9; stats does not simulate")
+        args.engine = args.engine or DEFAULT_ENGINE
     try:
         return _dispatch(args)
     except CalyxError as exc:

@@ -163,6 +163,12 @@ class TestEvalCli:
         assert "--emit-json applies to fig7 and fig8" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_engine_is_a_usage_error_for_stats(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["eval", "stats", "--engine", "sweep"])
+        assert exit_info.value.code == 2
+        assert "stats does not simulate" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "example", sorted(p.name for p in EXAMPLES.glob("*.futil"))
