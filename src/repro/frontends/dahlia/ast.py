@@ -15,8 +15,8 @@ rebuilds the tree goes through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +223,20 @@ def _nodes(node, names: Tuple[str, ...]) -> Iterator:
             yield value
 
 
-def _rebuilt(node, names: Tuple[str, ...], fn: Callable) -> Dict[str, object]:
-    """``node``'s fields ``names`` with ``fn`` applied to each sub-node."""
-    fields: Dict[str, object] = {}
+def _rebuilt(node, names: Tuple[str, ...], fn: Callable):
+    """A copy of ``node`` with ``fn`` applied to the sub-nodes in ``names``.
+
+    Every other attribute is kept, an expression's width included.
+    """
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__)
     for name in names:
         value = getattr(node, name)
         if isinstance(value, list):
-            fields[name] = [fn(item) for item in value]
+            setattr(new, name, [fn(item) for item in value])
         elif value is not None:
-            fields[name] = fn(value)
-    return fields
+            setattr(new, name, fn(value))
+    return new
 
 
 def children(stmt: Stmt) -> List[Stmt]:
@@ -269,13 +273,11 @@ def walk_exprs(stmt: Stmt) -> Iterator[Expr]:
 def map_expr(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """Rebuild ``expr`` bottom-up: ``fn`` sees each node after its operands.
 
-    Rebuilt nodes keep their annotated width; leaves are passed to ``fn``
-    as they are.
+    Rebuilt nodes keep their annotated width; leaves reach ``fn`` as they
+    are.
     """
     if expr.OPERANDS:
-        node = replace(expr, **_rebuilt(expr, expr.OPERANDS, lambda e: map_expr(e, fn)))
-        node.width = expr.width
-        expr = node
+        expr = _rebuilt(expr, expr.OPERANDS, lambda e: map_expr(e, fn))
     return fn(expr)
 
 
@@ -292,8 +294,6 @@ def map_stmt(
     replaced = pre(stmt)
     if replaced is not None:
         return replaced
-    fields = {}
     if expr_fn is not None:
-        fields = _rebuilt(stmt, stmt.EXPRS, lambda e: map_expr(e, expr_fn))
-    fields.update(_rebuilt(stmt, stmt.BODY, lambda s: map_stmt(s, expr_fn, pre)))
-    return replace(stmt, **fields)
+        stmt = _rebuilt(stmt, stmt.EXPRS, lambda e: map_expr(e, expr_fn))
+    return _rebuilt(stmt, stmt.BODY, lambda s: map_stmt(s, expr_fn, pre))

@@ -189,23 +189,23 @@ class _Checker:
         if loop.start != 0:
             raise TypeError_("unrolled loops must start at 0")
 
-        def uses_var(expr: Expr) -> bool:
-            return any(isinstance(e, VarRef) and e.name == loop.var for e in walk_expr(expr))
-
-        for expr in walk_exprs(loop.body):
-            if not isinstance(expr, MemRead):
-                continue
-            self._check_banked_access(expr.mem, expr.indices, loop, uses_var)
-        for stmt in walk(loop.body):
-            if isinstance(stmt, AssignMem):
-                self._check_banked_access(stmt.mem, stmt.indices, loop, uses_var)
+        reads = [e for e in walk_exprs(loop.body) if isinstance(e, MemRead)]
+        writes = [s for s in walk(loop.body) if isinstance(s, AssignMem)]
+        for access in reads + writes:
+            self._check_banked_access(access, loop)
         self._check_local_writes(loop.body, loop)
 
-    def _check_banked_access(self, mem_name, indices, loop, uses_var) -> None:
+    def _check_banked_access(self, access, loop: For) -> None:
+        """``access`` is a :class:`MemRead` or an :class:`AssignMem`."""
+        mem_name = access.mem
         mem = self.memories.get(mem_name)
         if mem is None:
             return  # reported elsewhere
-        for (size, banks), idx in zip(mem.dims, indices):
+
+        def uses_var(expr: Expr) -> bool:
+            return any(isinstance(e, VarRef) and e.name == loop.var for e in walk_expr(expr))
+
+        for (size, banks), idx in zip(mem.dims, access.indices):
             if banks > 1:
                 if not (isinstance(idx, VarRef) and idx.name == loop.var):
                     if uses_var(idx):

@@ -28,23 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import TypeError_
 from repro.frontends.dahlia.ast import (
-    ArrayType,
     AssignMem,
     AssignVar,
     BinOp,
-    COMPARISONS,
-    Decl,
     Expr,
     For,
     If,
     IntLit,
     Let,
     MemRead,
-    MULTI_CYCLE_OPS,
     OrderedSeq,
     ParBlock,
     Program,
@@ -53,6 +49,7 @@ from repro.frontends.dahlia.ast import (
     VarRef,
     While,
     walk,
+    walk_expr,
 )
 from repro.hls.report import HlsReport
 from repro.hls.resources import estimate_hls_resources
@@ -142,17 +139,13 @@ class _Scheduler:
         return 0
 
     def _collect_expr(self, expr: Expr, stats: _BodyStats) -> None:
-        if isinstance(expr, MemRead):
-            stats.record_read(expr.mem, _expr_key(expr))
-            for idx in expr.indices:
-                self._collect_expr(idx, stats)
-        elif isinstance(expr, BinOp):
-            if expr.op == "*":
+        for node in walk_expr(expr):
+            if isinstance(node, MemRead):
+                stats.record_read(node.mem, _expr_key(node))
+            elif isinstance(node, BinOp) and node.op == "*":
                 stats.mults += 1
-            elif expr.op in ("/", "%"):
+            elif isinstance(node, BinOp) and node.op in ("/", "%"):
                 stats.divs += 1
-            self._collect_expr(expr.left, stats)
-            self._collect_expr(expr.right, stats)
 
     # -- body statistics (with virtual unrolling) ----------------------------
     def collect_body(self, stmt: Stmt, stats: _BodyStats, factor: int = 1) -> None:
