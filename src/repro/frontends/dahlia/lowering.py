@@ -137,12 +137,13 @@ def _substitute(stmt: Stmt, var: str, replacement: Expr) -> Stmt:
     Loop variables never shadow a visible binding (the type checker
     rejects that), so every use of ``var`` in ``stmt`` is the loop's.
     """
-    return map_stmt(
-        stmt,
-        lambda e: copy.deepcopy(replacement)
-        if isinstance(e, VarRef) and e.name == var
-        else e,
-    )
+
+    def swap(expr: Expr) -> Expr:
+        if isinstance(expr, VarRef) and expr.name == var:
+            return copy.deepcopy(replacement)
+        return expr
+
+    return map_stmt(stmt, swap)
 
 
 class _Lowerer:

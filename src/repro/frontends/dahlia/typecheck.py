@@ -46,6 +46,7 @@ from repro.frontends.dahlia.ast import (
     UnorderedSeq,
     VarRef,
     While,
+    children,
     walk,
     walk_expr,
     walk_exprs,
@@ -105,18 +106,8 @@ class _Checker:
             expr.width = type_.width
             return type_.width
         if isinstance(expr, MemRead):
-            mem = self.memories.get(expr.mem)
-            if mem is None:
-                raise TypeError_(f"undefined memory {expr.mem!r}")
-            if len(expr.indices) != len(mem.dims):
-                raise TypeError_(
-                    f"memory {expr.mem!r} has {len(mem.dims)} dimension(s), "
-                    f"indexed with {len(expr.indices)}"
-                )
-            for idx in expr.indices:
-                self.check_expr(idx, env)
-            expr.width = mem.element.width
-            return mem.element.width
+            expr.width = self._check_access(expr, env, "undefined memory")
+            return expr.width
         if isinstance(expr, BinOp):
             left = self.check_expr(expr.left, env)
             right = self.check_expr(expr.right, env)
@@ -264,25 +255,12 @@ class _Checker:
                 raise TypeError_(f"assignment to undefined variable {stmt.name!r}")
             self.check_expr(stmt.value, env)
         elif isinstance(stmt, AssignMem):
-            mem = self.memories.get(stmt.mem)
-            if mem is None:
-                raise TypeError_(f"write to undefined memory {stmt.mem!r}")
-            if len(stmt.indices) != len(mem.dims):
-                raise TypeError_(
-                    f"memory {stmt.mem!r} has {len(mem.dims)} dimension(s), "
-                    f"indexed with {len(stmt.indices)}"
-                )
-            for idx in stmt.indices:
-                self.check_expr(idx, env)
+            self._check_access(stmt, env, "write to undefined memory")
             self.check_expr(stmt.value, env)
-        elif isinstance(stmt, If):
+        elif isinstance(stmt, (If, While)):
             self._check_condition(stmt.cond, env)
-            self.check_stmt(stmt.then, env.child())
-            if stmt.orelse is not None:
-                self.check_stmt(stmt.orelse, env.child())
-        elif isinstance(stmt, While):
-            self._check_condition(stmt.cond, env)
-            self.check_stmt(stmt.body, env.child())
+            for child in children(stmt):
+                self.check_stmt(child, env.child())
         elif isinstance(stmt, For):
             if stmt.var_type is None:
                 stmt.var_type = UBit(loop_var_width(stmt.end))
@@ -290,15 +268,28 @@ class _Checker:
             inner = env.child()
             inner.define(stmt.var, stmt.var_type)
             self.check_stmt(stmt.body, inner)
-        elif isinstance(stmt, OrderedSeq):
+        elif isinstance(stmt, (OrderedSeq, UnorderedSeq, ParBlock)):
             for child in stmt.stmts:
                 self.check_stmt(child, env)
-        elif isinstance(stmt, (UnorderedSeq, ParBlock)):
-            for child in stmt.stmts:
-                self.check_stmt(child, env)
-            self._check_unordered(stmt.stmts)
+            if not isinstance(stmt, OrderedSeq):
+                self._check_unordered(stmt.stmts)
         else:
             raise TypeError_(f"unknown statement {stmt!r}")
+
+    def _check_access(self, access, env: _Env, undefined: str) -> int:
+        """Check a :class:`MemRead` or :class:`AssignMem`'s memory and
+        indices; returns the element width."""
+        mem = self.memories.get(access.mem)
+        if mem is None:
+            raise TypeError_(f"{undefined} {access.mem!r}")
+        if len(access.indices) != len(mem.dims):
+            raise TypeError_(
+                f"memory {access.mem!r} has {len(mem.dims)} dimension(s), "
+                f"indexed with {len(access.indices)}"
+            )
+        for idx in access.indices:
+            self.check_expr(idx, env)
+        return mem.element.width
 
     def _check_condition(self, cond: Expr, env: _Env) -> None:
         self.check_expr(cond, env)
