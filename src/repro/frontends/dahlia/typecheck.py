@@ -14,7 +14,10 @@ port contention:
   dimensions must not mention it, and variables written in the body must
   be declared in the body (each unrolled copy gets its own),
 * ``if``/``while`` conditions must be combinational: no multiply, divide,
-  or modulo.
+  or modulo,
+* a ``let`` or loop variable may not shadow a binding of an enclosing
+  scope: lowering turns each loop into a counter ``let``, which the Calyx
+  backend does not scope.
 
 Expression widths are annotated during checking (literals stay flexible
 and are sized by the Calyx backend).
