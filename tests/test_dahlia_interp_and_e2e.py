@@ -143,7 +143,7 @@ for (let i = 0..4) {
 decl a: ubit<32>[4 bank 2];
 decl r: ubit<32>[4 bank 2];
 for (let i = 0..4) unroll 2 {
-  r[i] := a[i] * 3 + 1
+  r[i] := a[i] * 3 + i + 1
 }
 """,
             {"a": [1, 2, 3, 4], "r": [0] * 4},

@@ -8,6 +8,7 @@ from repro.errors import TypeError_
 from repro.frontends.dahlia import lower, parse, typecheck
 from repro.frontends.dahlia.ast import (
     AssignMem,
+    BinOp,
     For,
     Let,
     OrderedSeq,
@@ -40,8 +41,11 @@ class TestForLowering:
     def test_nonzero_start_offsets_indices(self):
         out = lowered("decl A: ubit<8>[4];\nfor (let i = 1..4) { A[i] := 1 }")
         # loop runs 3 trips; memory index is i+1
-        text = repr(out.body)
         assert "While" in str(type(out.body.stmts[1]))
+        (write,) = [s for s in walk(out.body) if isinstance(s, AssignMem)]
+        index = write.indices[0]
+        assert isinstance(index, BinOp) and index.op == "+"
+        assert (index.left.name, index.right.value) == ("i", 1)
 
 
 class TestUnrolling:
