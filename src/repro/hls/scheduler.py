@@ -48,6 +48,7 @@ from repro.frontends.dahlia.ast import (
     UnorderedSeq,
     VarRef,
     While,
+    exprs,
     walk,
     walk_expr,
 )
@@ -138,6 +139,12 @@ class _Scheduler:
             return depth  # chained combinationally
         return 0
 
+    def _assign_depth(self, stmt: Stmt) -> int:
+        """Cycles of a ``Let``, ``AssignVar`` or ``AssignMem``: its value's
+        critical path (at least one cycle), plus one for a memory write."""
+        value = exprs(stmt)[-1]  # evaluated after any indices
+        return max(1, self.expr_depth(value)) + (1 if isinstance(stmt, AssignMem) else 0)
+
     def _collect_expr(self, expr: Expr, stats: _BodyStats) -> None:
         for node in walk_expr(expr):
             if isinstance(node, MemRead):
@@ -150,22 +157,15 @@ class _Scheduler:
     # -- body statistics (with virtual unrolling) ----------------------------
     def collect_body(self, stmt: Stmt, stats: _BodyStats, factor: int = 1) -> None:
         """Accumulate stats; ``factor`` is the unroll multiplicity."""
-        if isinstance(stmt, (Let, AssignVar)):
-            value = stmt.init if isinstance(stmt, Let) else stmt.value
+        if isinstance(stmt, (Let, AssignVar, AssignMem)):
             single = _BodyStats()
-            self._collect_expr(value, single)
+            for expr in exprs(stmt):
+                self._collect_expr(expr, single)
+            if isinstance(stmt, AssignMem):
+                single.record_write(stmt.mem)
             self._merge(stats, single, factor)
             stats.statements += factor
-            stats.expr_depth_total += factor * max(1, self.expr_depth(value))
-        elif isinstance(stmt, AssignMem):
-            single = _BodyStats()
-            for idx in stmt.indices:
-                self._collect_expr(idx, single)
-            self._collect_expr(stmt.value, single)
-            single.record_write(stmt.mem)
-            self._merge(stats, single, factor)
-            stats.statements += factor
-            stats.expr_depth_total += factor * (max(1, self.expr_depth(stmt.value)) + 1)
+            stats.expr_depth_total += factor * self._assign_depth(stmt)
         elif isinstance(stmt, If):
             self._collect_expr(stmt.cond, stats)
             self.collect_body(stmt.then, stats, factor)
@@ -238,11 +238,8 @@ class _Scheduler:
 
     def _body_depth(self, stmt: Stmt, unroll: int) -> int:
         """Pipeline depth: critical path through the body."""
-        if isinstance(stmt, (Let, AssignVar)):
-            value = stmt.init if isinstance(stmt, Let) else stmt.value
-            return max(1, self.expr_depth(value))
-        if isinstance(stmt, AssignMem):
-            return max(1, self.expr_depth(stmt.value)) + 1
+        if isinstance(stmt, (Let, AssignVar, AssignMem)):
+            return self._assign_depth(stmt)
         if isinstance(stmt, If):
             depth = max(1, self.expr_depth(stmt.cond))
             branches = [self._body_depth(stmt.then, unroll)]
@@ -278,11 +275,8 @@ class _Scheduler:
         return latency, f"outer trip={trip} body={body}"
 
     def schedule_stmt(self, stmt: Stmt, factor: int = 1) -> int:
-        if isinstance(stmt, (Let, AssignVar)):
-            value = stmt.init if isinstance(stmt, Let) else stmt.value
-            return max(1, self.expr_depth(value))
-        if isinstance(stmt, AssignMem):
-            return max(1, self.expr_depth(stmt.value)) + 1
+        if isinstance(stmt, (Let, AssignVar, AssignMem)):
+            return self._assign_depth(stmt)
         if isinstance(stmt, If):
             branches = [self.schedule_stmt(stmt.then, factor)]
             if stmt.orelse is not None:
