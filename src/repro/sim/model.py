@@ -41,12 +41,22 @@ child instance, decides how one clock phase evaluates the netlist:
   guard test is one slot read and a shared prefix evaluates once per input
   change. Acyclic regions evaluate at most once per phase; genuine
   combinational cycles fall back to bounded fixpoint iteration inside their
-  SCC, with guards interpreted. A nested instance without control skips
-  the settle before its edge when its inputs dirtied nothing.
+  SCC, where each resolver evaluates its drivers' whole guards over the
+  slots. A nested instance without control skips the settle before its
+  edge when its inputs dirtied nothing.
 * ``sweep``, the reference, fires every node in build order until no slot
-  changes, with guards interpreted by :func:`eval_guard`. It walks the same
-  unflattened hierarchy but builds no guard nodes and uses none of the
-  scheduling or skipped settles, so it stays an independent oracle for both.
+  changes, each driver evaluating its whole guard over the slot array on
+  every sweep. It walks the same unflattened hierarchy but builds no guard
+  nodes and uses none of the scheduling or skipped settles, so it stays an
+  independent oracle for both.
+
+A guard a resolver evaluates itself is resolved to slots once, at build:
+:func:`_compile_slot_guard` turns the IR guard tree into nested evaluators
+over the slot array, each port a slot index and each constant a literal.
+Each strategy builds them from its own operator table, ``sweep`` from
+:data:`_SLOT_GUARD_OPS` and ``levelized`` (cyclic SCCs only) from the
+guard nodes' :data:`_GUARD_FNS`, so neither evaluates a guard with the
+other's code. :func:`eval_guard` interprets a guard on cold paths only.
 
 Both raise :class:`~repro.errors.OscillationError` /
 :class:`~repro.errors.CombinationalLoopError` through one non-convergence
@@ -160,6 +170,112 @@ _GUARD_FNS: Dict[str, Callable[[int, int], bool]] = {
     ">=": operator.ge,
 }
 
+#: A guard compiled for one instance: its value over the slot array.
+SlotGuard = Callable[[List[int]], bool]
+
+#: A comparison operand: a slot index, or ``None`` and a literal.
+_Operand = Tuple[Optional[int], int]
+
+#: Builds one operator's :data:`SlotGuard`: ``!``, ``&`` and ``|`` from
+#: their operands' evaluators, a comparison from two :data:`_Operand`.
+SlotGuardOps = Dict[str, Callable[..., SlotGuard]]
+
+
+def _comparison(fn: Callable[[int, int], bool]) -> Callable[[_Operand, _Operand], SlotGuard]:
+    """Builds ``fn`` over two operands, reading only the slots among them."""
+
+    def build(left: _Operand, right: _Operand) -> SlotGuard:
+        (a, x), (b, y) = left, right
+        if a is None and b is None:
+            value = fn(x, y)
+            return lambda v: value
+        if a is None:
+            return lambda v: fn(x, v[b])
+        if b is None:
+            return lambda v: fn(v[a], y)
+        return lambda v: fn(v[a], v[b])
+
+    return build
+
+
+#: The ``sweep`` reference's guard operators: a table of its own, not
+#: :data:`_GUARD_FNS`, so the reference shares no guard evaluation with
+#: the guard nodes it checks.
+_SLOT_GUARD_OPS: SlotGuardOps = {
+    "!": lambda x: lambda v: not x(v),
+    "&": lambda x, y: lambda v: x(v) and y(v),
+    "|": lambda x, y: lambda v: x(v) or y(v),
+    "==": _comparison(operator.eq),
+    "!=": _comparison(operator.ne),
+    "<": _comparison(operator.lt),
+    ">": _comparison(operator.gt),
+    "<=": _comparison(operator.le),
+    ">=": _comparison(operator.ge),
+}
+
+
+def _guard_node_ops() -> SlotGuardOps:
+    """The guard nodes' operators, :data:`_GUARD_FNS`, as slot-guard builders."""
+    ops: SlotGuardOps = {op: _comparison(fn) for op, fn in _GUARD_FNS.items()}
+    negate, both, either = _GUARD_FNS["!"], _GUARD_FNS["&"], _GUARD_FNS["|"]
+    ops["!"] = lambda x: lambda v: negate(x(v), 0)
+    ops["&"] = lambda x, y: lambda v: both(x(v), y(v))
+    ops["|"] = lambda x, y: lambda v: either(x(v), y(v))
+    return ops
+
+
+#: The levelized strategy compiles the guards of its cyclic SCCs with
+#: these, so it too evaluates guards only with its own operators.
+_GUARD_NODE_OPS = _guard_node_ops()
+
+
+def _operand(ref: PortRef, slots: Dict[PortRef, int]) -> _Operand:
+    if isinstance(ref, ConstPort):
+        return None, ref.value
+    return slots[ref], 0
+
+
+def _compile_slot_guard(
+    guard: Guard,
+    slots: Dict[PortRef, int],
+    ops: SlotGuardOps,
+    memo: Dict[Guard, SlotGuard],
+) -> SlotGuard:
+    """``guard`` as an evaluator over a slot array, mirroring its tree.
+
+    Each port becomes its slot in ``slots``, each constant a literal, and
+    each operator the evaluator ``ops`` builds for it. ``memo`` maps every
+    (interned) guard node already compiled to its evaluator, so guards and
+    sub-guards that recur share one.
+    """
+    fn = memo.get(guard)
+    if fn is not None:
+        return fn
+    if isinstance(guard, TrueGuard):
+        fn = lambda v: True  # noqa: E731
+    elif isinstance(guard, PortGuard):
+        port = guard.port
+        if isinstance(port, ConstPort):
+            value = port.value != 0
+            fn = lambda v: value  # noqa: E731
+        else:
+            slot = slots[port]
+            fn = lambda v: v[slot] != 0  # noqa: E731
+    elif isinstance(guard, NotGuard):
+        fn = ops["!"](_compile_slot_guard(guard.inner, slots, ops, memo))
+    elif isinstance(guard, (AndGuard, OrGuard)):
+        fn = ops["&" if isinstance(guard, AndGuard) else "|"](
+            _compile_slot_guard(guard.left, slots, ops, memo),
+            _compile_slot_guard(guard.right, slots, ops, memo),
+        )
+    elif isinstance(guard, CmpGuard):
+        fn = ops[guard.op](_operand(guard.left, slots), _operand(guard.right, slots))
+    else:
+        raise SimulationError(f"cannot evaluate guard {guard!r}")
+    memo[guard] = fn
+    return fn
+
+
 _EMPTY: frozenset = frozenset()
 
 
@@ -168,9 +284,12 @@ class _Driver:
 
     ``gate_slot`` is the slot that must be high for the driver to apply:
     its group's ``go`` hole or an invoke's live slot (``None`` when always
-    active). ``guard`` is the interpreted form (``None`` when always
-    true); ``guard_slot`` is the slot holding the guard's value when the
-    netlist has guard nodes (``None`` when always true).
+    active). ``guard_slot`` is the slot holding the guard's value when the
+    netlist has guard nodes (``None`` when always true). ``guard`` is the
+    guard compiled over the slot array for :meth:`_ResolverNode.sweep`
+    (``None`` when always true), set by
+    :meth:`ComponentInstance._compile_guards` for every resolver a
+    strategy sweeps.
     """
 
     __slots__ = ("gate_slot", "guard", "guard_slot", "src_slot", "src_const", "assign")
@@ -184,7 +303,7 @@ class _Driver:
         assign: Assignment,
     ):
         self.gate_slot = gate_slot
-        self.guard = None if isinstance(assign.guard, TrueGuard) else assign.guard
+        self.guard: Optional[SlotGuard] = None
         self.guard_slot = guard_slot
         self.src_slot = src_slot
         self.src_const = src_const
@@ -243,9 +362,8 @@ class _ResolverNode:
         return self._commit(inst, value)
 
     def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
-        """Evaluate with each guard interpreted over the current slots."""
+        """Evaluate with each driver's whole guard over the current slots."""
         v = inst._values
-        read = inst.read
         value = 0
         winner: Optional[_Driver] = None
         for d in self.drivers:
@@ -253,7 +371,7 @@ class _ResolverNode:
             if gate is not None and not v[gate]:
                 continue
             guard = d.guard
-            if guard is not None and not eval_guard(guard, read):
+            if guard is not None and not guard(v):
                 continue
             val = v[d.src_slot] if d.src_slot is not None else d.src_const
             if winner is None:
@@ -518,8 +636,9 @@ class SettleStrategy:
     ``settle(instance)`` brings one clock phase to its fixpoint;
     ``guard_nodes`` chooses whether the netlist shares every distinct guard
     sub-expression as a :class:`_GuardNode` whose slot the resolvers read,
-    or builds none and leaves the resolvers to interpret their guards with
-    :func:`eval_guard` over :meth:`ComponentInstance.read`.
+    or builds none and leaves each resolver to evaluate its drivers'
+    guards itself, through evaluators resolved to slots at build
+    (:meth:`ComponentInstance._compile_guards`).
     ``skip_quiet_settle`` lets a nested instance without control skip the
     settle before its clock edge when its inputs dirtied nothing.
     """
@@ -546,7 +665,7 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
 
 #: The scheduled strategy: guard nodes, dirty-mask drain in rank order.
 LEVELIZED = SettleStrategy(_settle_levelized, guard_nodes=True, skip_quiet_settle=True)
-#: The reference strategy: interpreted guards, whole-netlist sweeps.
+#: The reference strategy: slot-compiled guards, whole-netlist sweeps.
 SWEEP = SettleStrategy(_settle_sweep, guard_nodes=False, skip_quiet_settle=False)
 
 
@@ -831,6 +950,30 @@ class ComponentInstance:
             for node_idx in readers:
                 mask |= 1 << rank_of[node_idx]
             self._reader_mask.append(mask)
+        # Compile the guards a strategy sweeps: every resolver's under
+        # ``sweep``; with guard nodes, only those of the cyclic SCCs.
+        if self.strategy.guard_nodes:
+            self._compile_guards(
+                node for members in self._cyclic_members.values() for node in members
+            )
+        else:
+            self._compile_guards(self._sweep_nodes)
+
+    def _compile_guards(self, nodes) -> None:
+        """Compile the guard of every driver of the resolvers in ``nodes``.
+
+        ``sweep`` compiles with its own operators, :data:`_SLOT_GUARD_OPS`;
+        a strategy with guard nodes with theirs, :data:`_GUARD_NODE_OPS`, so
+        neither strategy evaluates a guard with the other's code.
+        """
+        ops = _GUARD_NODE_OPS if self.strategy.guard_nodes else _SLOT_GUARD_OPS
+        memo: Dict[Guard, SlotGuard] = {}
+        for node in nodes:
+            if isinstance(node, _ResolverNode):
+                for d in node.drivers:
+                    guard = d.assign.guard
+                    if not isinstance(guard, TrueGuard):
+                        d.guard = _compile_slot_guard(guard, self._slots, ops, memo)
 
     def _node_out_slots(self, node) -> List[int]:
         if isinstance(node, _ChildNode):
@@ -1010,7 +1153,7 @@ class ComponentInstance:
     def _sweep(self) -> bool:
         """Fire every node but the guard nodes once, in build order.
 
-        Resolvers interpret their guards. True if any slot changed.
+        Resolvers evaluate their compiled guards. True if any slot changed.
         """
         changed = False
         for node in self._sweep_nodes:
@@ -1021,7 +1164,7 @@ class ComponentInstance:
     def _run_cyclic_scc(self, rank: int) -> None:
         """Bounded fixpoint iteration inside one combinational cycle.
 
-        The members iterate with interpreted guards; the SCC's guard nodes
+        The members iterate with compiled slot guards; the SCC's guard nodes
         are no fixpoint members but evaluate once, in creation order, after
         the cycle converges.
         """
@@ -1055,6 +1198,9 @@ class ComponentInstance:
         the period); no repeat within the probe means generic
         non-convergence (:class:`CombinationalLoopError`).
         """
+        if self.strategy.guard_nodes:
+            # The probe sweeps every resolver, not only the cyclic ones.
+            self._compile_guards(self._sweep_nodes)
         seen: Dict[Tuple[int, ...], int] = {}
         history: List[List[int]] = []
         for i in range(self.OSCILLATION_PROBE_ITERS):

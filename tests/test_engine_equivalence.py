@@ -22,22 +22,27 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
 from repro.ir.printer import print_program
-from repro.ir.guards import AndGuard, CmpGuard, NotGuard, OrGuard
+from repro.ir.guards import G_TRUE, AndGuard, CmpGuard, NotGuard, OrGuard, PortGuard
+from repro.ir.ports import CellPort, ConstPort
 from repro.passes import PIPELINES, compile_program
 from repro.robustness.difftest import compare, observe
-from repro.sim import Testbench, Watchdog
+from repro.sim import Testbench, Watchdog, eval_guard
 from repro.sim.model import (
     _GUARD_FNS,
+    _GUARD_NODE_OPS,
+    _SLOT_GUARD_OPS,
     ComponentInstance,
     _ChildNode,
     _DoneNode,
     _GuardNode,
     _ResolverNode,
+    _compile_slot_guard,
 )
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
@@ -151,6 +156,75 @@ def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
     assert compare(clean, observe(program, memories, "sweep", watchdog)) is None
     forced = observe(program, memories, "levelized", watchdog)
     assert compare(clean, forced, fields=["cycles", "memories"]) is not None
+
+
+def test_levelized_strategy_does_not_use_slot_guards(monkeypatch):
+    """The mirror image: the guard nodes stay independent of the oracle.
+
+    With every operator of the compiled slot guards forced to evaluate
+    true, the reference strategy, whose resolvers evaluate those, no longer
+    computes lowered SUM_LOOP, while the levelized strategy, whose drivers
+    read the guard nodes, still does.
+    """
+    program = parse_program(SUM_LOOP)
+    compile_program(program, "lower")
+    memories = {"mem": [1, 2, 3, 4]}
+    clean = observe(program, memories)
+    assert clean.memories["mem"][0] == 10
+    for op in list(_SLOT_GUARD_OPS):
+        monkeypatch.setitem(_SLOT_GUARD_OPS, op, lambda *operands: lambda v: True)
+    watchdog = Watchdog(max_cycles=2_000)
+    assert compare(clean, observe(program, memories, "levelized", watchdog)) is None
+    forced = observe(program, memories, "sweep", watchdog)
+    assert compare(clean, forced, fields=["cycles", "memories"]) is not None
+
+
+_PORTS = [CellPort(name, "out") for name in ("a", "b", "c")]
+
+
+@st.composite
+def _guards(draw, depth=0):
+    """Guards over every operator, a constant on either side of a comparison."""
+    kinds = ["port", "const", "true", "cmp"] + (["not", "and", "or"] if depth < 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "port":
+        return PortGuard(draw(st.sampled_from(_PORTS)))
+    if kind == "const":
+        return PortGuard(ConstPort(2, draw(st.integers(0, 3))))
+    if kind == "true":
+        return G_TRUE
+    if kind == "cmp":
+        operand = st.one_of(
+            st.sampled_from(_PORTS), st.builds(ConstPort, st.just(2), st.integers(0, 3))
+        )
+        op = draw(st.sampled_from(["==", "!=", "<", ">", "<=", ">="]))
+        return CmpGuard(op, draw(operand), draw(operand))
+    if kind == "not":
+        return NotGuard(draw(_guards(depth + 1)))
+    left, right = draw(_guards(depth + 1)), draw(_guards(depth + 1))
+    return AndGuard(left, right) if kind == "and" else OrGuard(left, right)
+
+
+@given(
+    guards=st.lists(_guards(), min_size=1, max_size=3),
+    values=st.lists(st.integers(0, 3), min_size=len(_PORTS), max_size=len(_PORTS)),
+)
+def test_slot_guard_matches_eval_guard(guards, values):
+    """A guard compiled over slots, with either strategy's operators,
+    evaluates as ``eval_guard`` does."""
+    # Slot 0 is left unread, so a port never lands on its list index.
+    slots = {port: i + 1 for i, port in enumerate(_PORTS)}
+    array = [7] + values
+
+    def read(ref):
+        return ref.value if isinstance(ref, ConstPort) else array[slots[ref]]
+
+    for ops in (_SLOT_GUARD_OPS, _GUARD_NODE_OPS):
+        memo = {}
+        for guard in guards:
+            compiled = _compile_slot_guard(guard, slots, ops, memo)
+            assert bool(compiled(array)) == eval_guard(guard, read), guard.to_string()
+            assert _compile_slot_guard(guard, slots, ops, memo) is compiled
 
 
 def _operator_subguards(guard, out):

@@ -116,6 +116,15 @@ component main(go: 1) -> (done: 1) {
 }
 """
 
+#: GUARDED_WIRE_LOOP read, outside the loop, by a second pair of
+#: complementary drivers: the diagnosis probe sweeps their resolver too.
+GUARDED_WIRE_LOOP_READER = GUARDED_WIRE_LOOP.replace(
+    "r = std_reg(1); }", "r = std_reg(1); x = std_wire(1); }"
+).replace(
+    "    w.in = w.out ? 1'd0;\n",
+    "    w.in = w.out ? 1'd0;\n    x.in = w.out ? 1'd0;\n    x.in = !w.out ? 1'd1;\n",
+)
+
 #: ADDER_FEEDBACK with ``b.left`` split over two complementary comparisons:
 #: the counter wraps at 4, so the loop becomes a limit cycle.
 GUARDED_ADDER_FEEDBACK = ADDER_FEEDBACK.replace(
@@ -307,13 +316,14 @@ class TestWatchdog:
         "source, period, nets",
         [
             (GUARDED_WIRE_LOOP, 2, ["r.in", "w.in", "w.out"]),
+            (GUARDED_WIRE_LOOP_READER, 2, ["r.in", "w.in", "w.out", "x.in", "x.out"]),
             (
                 GUARDED_ADDER_FEEDBACK,
                 4,
                 ["a.left", "a.out", "b.left", "b.out", "r.in"],
             ),
         ],
-        ids=["wire", "adder"],
+        ids=["wire", "wire-read-outside", "adder"],
     )
     def test_guarded_loop_keeps_its_diagnosis(self, engine, source, period, nets):
         """Guards inside a combinational cycle read its current values.
