@@ -140,7 +140,7 @@ class TestTypecheck:
         with pytest.raises(TypeError_):
             self.check("let x: ubit<8> = 1 --- let x: ubit<8> = 2")
 
-    def test_shadowing_in_loop_ok(self):
+    def test_body_local_let_in_loop_ok(self):
         self.check(
             "decl A: ubit<8>[4];\n"
             "for (let i = 0..4) { let t: ubit<8> = 1 --- A[i] := t }"
