@@ -81,7 +81,7 @@ import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from types import MethodType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.errors import (
@@ -959,7 +959,7 @@ class ComponentInstance:
         else:
             self._compile_guards(self._sweep_nodes)
 
-    def _compile_guards(self, nodes) -> None:
+    def _compile_guards(self, nodes: Iterable[object]) -> None:
         """Compile the guard of every driver of the resolvers in ``nodes``.
 
         ``sweep`` compiles with its own operators, :data:`_SLOT_GUARD_OPS`;
