@@ -53,10 +53,12 @@ child instance, decides how one clock phase evaluates the netlist:
 A guard a resolver evaluates itself is resolved to slots once, at build:
 :func:`_compile_slot_guard` turns the IR guard tree into nested evaluators
 over the slot array, each port a slot index and each constant a literal.
-Each strategy builds them from its own operator table, ``sweep`` from
-:data:`_SLOT_GUARD_OPS` and ``levelized`` (cyclic SCCs only) from the
-guard nodes' :data:`_GUARD_FNS`, so neither evaluates a guard with the
-other's code. :func:`eval_guard` interprets a guard on cold paths only.
+The strategies take ``!``, ``&`` and ``|`` from separate operator tables,
+``sweep`` from :data:`_SLOT_GUARD_OPS` and ``levelized`` (cyclic SCCs
+only) from :data:`_GUARD_NODE_OPS`, built at import from the guard nodes'
+:data:`_GUARD_FNS`. The tree walk, the leaves and the comparison builder
+are shared; ``tests/test_engine_equivalence.py`` checks both tables
+against :func:`eval_guard`, which interprets a guard on cold paths only.
 
 Both raise :class:`~repro.errors.OscillationError` /
 :class:`~repro.errors.CombinationalLoopError` through one non-convergence
@@ -199,8 +201,9 @@ def _comparison(fn: Callable[[int, int], bool]) -> Callable[[_Operand, _Operand]
 
 
 #: The ``sweep`` reference's guard operators: a table of its own, not
-#: :data:`_GUARD_FNS`, so the reference shares no guard evaluation with
-#: the guard nodes it checks.
+#: :data:`_GUARD_FNS`, so a change to the guard nodes' operators does not
+#: reach the reference. The comparisons share :func:`_comparison`, and
+#: the tree walk :func:`_compile_slot_guard`, with :data:`_GUARD_NODE_OPS`.
 _SLOT_GUARD_OPS: SlotGuardOps = {
     "!": lambda x: lambda v: not x(v),
     "&": lambda x, y: lambda v: x(v) and y(v),
@@ -225,7 +228,8 @@ def _guard_node_ops() -> SlotGuardOps:
 
 
 #: The levelized strategy compiles the guards of its cyclic SCCs with
-#: these, so it too evaluates guards only with its own operators.
+#: these. They hold the :data:`_GUARD_FNS` entries as of import, so a later
+#: change to that dict reaches the guard nodes but not these evaluators.
 _GUARD_NODE_OPS = _guard_node_ops()
 
 
@@ -952,19 +956,21 @@ class ComponentInstance:
             self._reader_mask.append(mask)
         # Compile the guards a strategy sweeps: every resolver's under
         # ``sweep``; with guard nodes, only those of the cyclic SCCs.
-        if self.strategy.guard_nodes:
+        self._all_guards_compiled = not self.strategy.guard_nodes
+        if self._all_guards_compiled:
+            self._compile_guards(self._sweep_nodes)
+        else:
             self._compile_guards(
                 node for members in self._cyclic_members.values() for node in members
             )
-        else:
-            self._compile_guards(self._sweep_nodes)
 
     def _compile_guards(self, nodes: Iterable[object]) -> None:
         """Compile the guard of every driver of the resolvers in ``nodes``.
 
-        ``sweep`` compiles with its own operators, :data:`_SLOT_GUARD_OPS`;
-        a strategy with guard nodes with theirs, :data:`_GUARD_NODE_OPS`, so
-        neither strategy evaluates a guard with the other's code.
+        ``sweep`` takes ``!``, ``&`` and ``|`` from its own table,
+        :data:`_SLOT_GUARD_OPS`; a strategy with guard nodes from
+        :data:`_GUARD_NODE_OPS`. The comparison builder and the leaves are
+        shared by both tables.
         """
         ops = _GUARD_NODE_OPS if self.strategy.guard_nodes else _SLOT_GUARD_OPS
         memo: Dict[Guard, SlotGuard] = {}
@@ -1198,9 +1204,10 @@ class ComponentInstance:
         the period); no repeat within the probe means generic
         non-convergence (:class:`CombinationalLoopError`).
         """
-        if self.strategy.guard_nodes:
+        if not self._all_guards_compiled:
             # The probe sweeps every resolver, not only the cyclic ones.
             self._compile_guards(self._sweep_nodes)
+            self._all_guards_compiled = True
         seen: Dict[Tuple[int, ...], int] = {}
         history: List[List[int]] = []
         for i in range(self.OSCILLATION_PROBE_ITERS):
