@@ -10,7 +10,7 @@ control program (see :mod:`repro.ir.control`).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import UndefinedError, ValidationError
 from repro.ir.attributes import Attributes
@@ -361,7 +361,8 @@ class Program:
         self.entrypoint = entrypoint
 
     # -- lookup ------------------------------------------------------------
-    def get_component(self, name: str) -> Component:
+    def find_component(self, name: str) -> Optional[Component]:
+        """The component or extern declaration named ``name``, or ``None``."""
         for comp in self.components:
             if comp.name == name:
                 return comp
@@ -369,14 +370,16 @@ class Program:
             for comp in extern.components:
                 if comp.name == name:
                     return comp
-        raise UndefinedError(f"program has no component named {name!r}")
+        return None
+
+    def get_component(self, name: str) -> Component:
+        comp = self.find_component(name)
+        if comp is None:
+            raise UndefinedError(f"program has no component named {name!r}")
+        return comp
 
     def has_component(self, name: str) -> bool:
-        try:
-            self.get_component(name)
-            return True
-        except UndefinedError:
-            return False
+        return self.find_component(name) is not None
 
     def is_extern(self, name: str) -> bool:
         """Whether ``name`` is declared by an extern (simulated by a model)."""
@@ -392,14 +395,16 @@ class Program:
     def main(self) -> Component:
         return self.get_component(self.entrypoint)
 
-    def cell_signature(self, cell: Cell) -> Dict[str, PortDef]:
+    def cell_signature(self, cell: Cell) -> Mapping[str, PortDef]:
         """Resolve the port signature of a cell instance.
 
         User-defined and extern components are looked up in the program;
-        anything else must be a standard-library primitive.
+        anything else must be a standard-library primitive, whose signature
+        is a read-only mapping shared by every cell with the same arguments.
         """
-        if self.has_component(cell.comp_name):
-            return self.get_component(cell.comp_name).signature()
+        comp = self.find_component(cell.comp_name)
+        if comp is not None:
+            return comp.signature()
         from repro.stdlib.primitives import get_primitive
 
         return get_primitive(cell.comp_name).signature(cell.args)

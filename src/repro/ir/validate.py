@@ -29,21 +29,18 @@ detection, latency claims, reachability, guard logic) — should call
 
 from __future__ import annotations
 
-from repro.ir.ast import Component, Program
+from repro.ir.ast import Program
 
 
 def validate_program(program: Program) -> None:
-    """Validate every component; raises a :class:`ValidationError` subclass."""
-    for comp in program.components:
-        validate_component(program, comp)
+    """Validate every component; raises a :class:`ValidationError` subclass.
 
-
-def validate_component(program: Program, comp: Component) -> None:
-    """Run the core lint rules over one component; raise the first error."""
+    The core rules share one netlist per component definition, and the
+    first error-severity diagnostic, in component order, is raised.
+    """
     # Imported lazily: repro.lint imports the IR package, so a module-level
     # import here would be circular.
-    from repro.lint import exception_for, lint_component
+    from repro.lint import exception_for, lint_program
 
-    report = lint_component(program, comp, core_only=True)
-    for diagnostic in report.errors:
+    for diagnostic in lint_program(program, core_only=True).errors:
         raise exception_for(diagnostic.rule)(diagnostic.format())

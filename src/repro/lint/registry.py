@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Type
 
 from repro.errors import ValidationError
 from repro.ir.ast import Component, Program
-from repro.lint.context import ComponentView
+from repro.analysis.netlist import Netlist, Netlists
 from repro.lint.diagnostics import ERROR, Diagnostic, LintReport
 
 
@@ -43,7 +43,7 @@ class LintRule:
     description: str = ""
 
     def check_component(
-        self, view: ComponentView, report: LintReport
+        self, net: Netlist, report: LintReport
     ) -> None:  # pragma: no cover - interface
         pass
 
@@ -135,9 +135,9 @@ def lint_component(
 ) -> LintReport:
     """Run component-scoped rules over one component."""
     report = LintReport()
-    view = ComponentView(program, comp)
+    net = Netlists(program).of(comp)
     for rule in rules if rules is not None else all_rules(core_only):
-        rule.check_component(view, report)
+        rule.check_component(net, report)
     return report
 
 
@@ -146,13 +146,18 @@ def lint_program(
     rules: Optional[Iterable[LintRule]] = None,
     core_only: bool = False,
 ) -> LintReport:
-    """Run every selected rule over every component (plus program rules)."""
+    """Run every selected rule over every component (plus program rules).
+
+    The rules share one netlist per component definition for the call.
+    """
     selected = list(rules) if rules is not None else all_rules(core_only)
     report = LintReport()
-    for comp in program.components:
-        view = ComponentView(program, comp)
+    netlists = Netlists(program)
+    # Held for the whole call: the table itself keeps no netlist alive.
+    nets = [netlists.of(comp) for comp in program.components]
+    for net in nets:
         for rule in selected:
-            rule.check_component(view, report)
+            rule.check_component(net, report)
     for rule in selected:
         rule.check_program(program, report)
     return report

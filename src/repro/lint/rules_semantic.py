@@ -18,6 +18,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.latency import control_latency, structural_group_latency
 from repro.analysis.live_groups import live_group_names
+from repro.analysis.netlist import Netlist
 from repro.ir.ast import ConstPort
 from repro.ir.attributes import STATIC
 from repro.ir.control import If, Repeat, While
@@ -30,7 +31,6 @@ from repro.ir.guards import (
     PortGuard,
     TrueGuard,
 )
-from repro.lint.context import ComponentView
 from repro.lint.diagnostics import ERROR, WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
 
@@ -186,8 +186,8 @@ class GuardLogicRule(LintRule):
     severity = WARNING
     description = "a guard is always true (redundant) or never true (dead)"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         verdicts: Dict[Guard, Optional[str]] = {}
         for group, assign in comp.all_assignments():
             guard = assign.guard
@@ -230,9 +230,9 @@ class StaticLatencyRule(LintRule):
     severity = ERROR
     description = 'a "static" attribute contradicts inferable latency'
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
-        program = view.program
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
+        program = net.program
         for group in comp.groups.values():
             declared = group.attributes.get(STATIC)
             if declared is None or group.comb:
@@ -273,8 +273,8 @@ class NeverEnabledGroupRule(LintRule):
     severity = WARNING
     description = "a group is unreachable from the control tree"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         if comp.control.is_empty():
             # Post-lowering (or structurally driven) components run on
             # wires alone; absence from an empty control tree means nothing.
@@ -299,8 +299,8 @@ class UnreachableControlRule(LintRule):
     severity = WARNING
     description = "control with constant conditions or zero repeat counts"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         for node in comp.control.walk():
             if isinstance(node, Repeat):
                 if node.times == 0 and not node.body.is_empty():

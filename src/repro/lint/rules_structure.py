@@ -6,10 +6,11 @@ this set and raises the first error using each rule's ``exception``
 class, so registration order below mirrors the validator's historical
 check order — signature, cells, groups, continuous assignments, control.
 
-Multiple-driver checking reads :func:`repro.sim.structural.driver_races`,
-which engine construction checks as well: two unconditional drivers of
-one port conflict when they live in the same activation scope — the
-same group, or both always-active. Identical duplicate connections are
+Every rule reads the component's :class:`~repro.analysis.netlist.Netlist`:
+its port table resolves references, and multiple-driver checking reads
+its driver races, which engine construction checks as well: two
+unconditional drivers of one port conflict when they live in the same
+activation scope — the same group, or both always-active. Identical duplicate connections are
 only a warning (``duplicate-assignment``); they cannot disagree, which is
 also what engine construction tolerates.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.analysis.netlist import Netlist, Unresolved
 from repro.errors import (
     MultipleDriverError,
     UndefinedError,
@@ -29,7 +31,6 @@ from repro.ir.control import Enable, If, Invoke, While
 from repro.ir.guards import AndGuard, CmpGuard, Guard, NotGuard, OrGuard, PortGuard
 from repro.ir.ports import DONE, GO, PortRef
 from repro.ir.types import Direction
-from repro.lint.context import ComponentView
 from repro.lint.diagnostics import WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
 
@@ -37,9 +38,9 @@ from repro.lint.registry import LintRule, register_rule
 _Problem = Tuple[str, Optional[str]]
 
 
-def _assignments(view: ComponentView):
+def _assignments(net: Netlist):
     """Yield ``(context, group_name, assignment)`` over groups + continuous."""
-    comp = view.comp
+    comp = net.comp
     for group in comp.groups.values():
         for assign in group.assignments:
             yield f"group {group.name!r}", group.name, assign
@@ -54,14 +55,14 @@ class DuplicatePortRule(LintRule):
     exception = ValidationError
     description = "a component declares the same port name twice"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        for name, count in view.duplicate_ports().items():
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        for name, count in net.duplicate_ports().items():
             report.add(
                 self.diag(
-                    f"component {view.comp.name!r} declares port {name!r} "
+                    f"component {net.comp.name!r} declares port {name!r} "
                     f"{count} times",
-                    component=view.comp.name,
-                    span=view.comp.span,
+                    component=net.comp.name,
+                    span=net.comp.span,
                 )
             )
 
@@ -73,11 +74,11 @@ class UnknownNameRule(LintRule):
     exception = UndefinedError
     description = "a cell, port, group, or hole reference does not resolve"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
 
         for cell in comp.cells.values():
-            failure = view.cell_failure(cell.name)
+            failure = net.cell_failure(cell.name)
             if failure is not None:
                 report.add(
                     self.diag(
@@ -92,15 +93,15 @@ class UnknownNameRule(LintRule):
         # A guard's findings depend only on the guard and on whether it sits
         # in a group, so each distinct guard is checked once per scope kind.
         guard_problems: Dict[Tuple[Guard, bool], Tuple[_Problem, ...]] = {}
-        for context, group_name, assign in _assignments(view):
+        for context, group_name, assign in _assignments(net):
             in_group = group_name is not None
             key = (assign.guard, in_group)
             in_guard = guard_problems.get(key)
             if in_guard is None:
                 in_guard = guard_problems[key] = self._problems(
-                    view, assign.guard.ports(), in_group
+                    net, assign.guard.ports(), in_group
                 )
-            problems = self._problems(view, (assign.dst, assign.src), in_group)
+            problems = self._problems(net, (assign.dst, assign.src), in_group)
             for message, cell in problems + in_guard:
                 report.add(
                     self.diag(
@@ -112,48 +113,35 @@ class UnknownNameRule(LintRule):
                     )
                 )
 
-        self._check_control(view, report)
+        self._check_control(net, report)
 
     def _problems(
-        self, view: ComponentView, refs: Iterable[PortRef], in_group: bool
+        self, net: Netlist, refs: Iterable[PortRef], in_group: bool
     ) -> Tuple[_Problem, ...]:
         """``(message, cell)`` for each reference that does not resolve."""
-        problems = (self._ref_problem(view, ref, in_group) for ref in refs)
+        problems = (self._ref_problem(net, ref, in_group) for ref in refs)
         return tuple(problem for problem in problems if problem is not None)
 
     def _ref_problem(
-        self, view: ComponentView, ref: PortRef, in_group: bool
+        self, net: Netlist, ref: PortRef, in_group: bool
     ) -> Optional[_Problem]:
-        comp = view.comp
+        comp = net.comp
         if isinstance(ref, HolePort):
             # Hole existence only matters inside groups; holes in continuous
             # assignments are categorically rejected by `continuous-hole`.
             if in_group and ref.group not in comp.groups:
                 return f"hole {ref.to_string()} names an undefined group", None
             return None
-        if isinstance(ref, ThisPort):
-            if ref.port not in view.signature():
-                return f"component {comp.name!r} has no port {ref.port!r}", None
-            return None
-        if isinstance(ref, CellPort):
-            cell = comp.cells.get(ref.cell)
-            if cell is None:
-                return (
-                    f"{ref.to_string()} names an undefined cell {ref.cell!r}",
-                    None,
-                )
-            sig = view.cell_signature(ref.cell)
-            # An unresolvable cell was already reported above.
-            if sig is not None and ref.port not in sig:
-                return (
-                    f"cell {ref.cell!r} ({cell.comp_name}) has no port "
-                    f"{ref.port!r}",
-                    ref.cell,
-                )
+        if isinstance(ref, (ThisPort, CellPort)):
+            entry = net.port(ref)
+            # A port of an unresolvable cell has no message: the cell's own
+            # failure was reported above.
+            if isinstance(entry, Unresolved) and entry.message is not None:
+                return entry.message, entry.cell
         return None
 
-    def _check_control(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def _check_control(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         for node in comp.control.walk():
             if isinstance(node, Enable):
                 if node.group not in comp.groups:
@@ -174,7 +162,7 @@ class UnknownNameRule(LintRule):
                             span=node.span,
                         )
                     )
-                if not view.resolvable(node.port):
+                if not net.resolvable(node.port):
                     report.add(
                         self.diag(
                             f"condition port {node.port.to_string()} does "
@@ -201,11 +189,11 @@ class PortDirectionRule(LintRule):
     exception = ValidationError
     description = "a port is written/read against its declared direction"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         bad_guard_ports: Dict[Guard, Tuple[PortRef, ...]] = {}
-        for context, group_name, assign in _assignments(view):
-            if view.is_writable(assign.dst) is False:
+        for context, group_name, assign in _assignments(net):
+            if net.is_writable(assign.dst) is False:
                 report.add(
                     self.diag(
                         f"{context}: {assign.dst.to_string()} is not a "
@@ -215,7 +203,7 @@ class PortDirectionRule(LintRule):
                         span=assign.span,
                     )
                 )
-            if view.is_readable(assign.src) is False:
+            if net.is_readable(assign.src) is False:
                 report.add(
                     self.diag(
                         f"{context}: {assign.src.to_string()} is not a "
@@ -229,7 +217,7 @@ class PortDirectionRule(LintRule):
             unreadable = bad_guard_ports.get(guard)
             if unreadable is None:
                 unreadable = bad_guard_ports[guard] = tuple(
-                    ref for ref in guard.ports() if view.is_readable(ref) is False
+                    ref for ref in guard.ports() if net.is_readable(ref) is False
                 )
             for ref in unreadable:
                 report.add(
@@ -243,7 +231,7 @@ class PortDirectionRule(LintRule):
                 )
         for node in comp.control.walk():
             if isinstance(node, (If, While)):
-                if view.is_readable(node.port) is False:
+                if net.is_readable(node.port) is False:
                     report.add(
                         self.diag(
                             f"condition port {node.port.to_string()} is not "
@@ -261,11 +249,11 @@ class WidthMismatchRule(LintRule):
     exception = WidthError
     description = "assignment or invoke-binding source/destination widths differ"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
-        for context, group_name, assign in _assignments(view):
-            dst_width = view.width(assign.dst)
-            src_width = view.width(assign.src)
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
+        for context, group_name, assign in _assignments(net):
+            dst_width = net.width(assign.dst)
+            src_width = net.width(assign.src)
             if dst_width is None or src_width is None:
                 continue
             if dst_width != src_width:
@@ -287,11 +275,11 @@ class GuardWidthRule(LintRule):
     exception = WidthError
     description = "guard ports must be 1 bit; comparison operands equal width"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         findings: Dict[Guard, Tuple[str, ...]] = {}
-        for context, group_name, assign in _assignments(view):
-            for finding in self._guard_findings(view, assign.guard, findings):
+        for context, group_name, assign in _assignments(net):
+            for finding in self._guard_findings(net, assign.guard, findings):
                 report.add(
                     self.diag(
                         f"{context}: {finding}",
@@ -302,7 +290,7 @@ class GuardWidthRule(LintRule):
                 )
         for node in comp.control.walk():
             if isinstance(node, (If, While)):
-                width = view.width(node.port)
+                width = net.width(node.port)
                 if width is not None and width != 1:
                     report.add(
                         self.diag(
@@ -315,7 +303,7 @@ class GuardWidthRule(LintRule):
 
     def _guard_findings(
         self,
-        view: ComponentView,
+        net: Netlist,
         guard: Guard,
         memo: Dict[Guard, Tuple[str, ...]],
     ) -> Tuple[str, ...]:
@@ -325,25 +313,25 @@ class GuardWidthRule(LintRule):
             return found
         found = ()
         if isinstance(guard, PortGuard):
-            width = view.width(guard.port)
+            width = net.width(guard.port)
             if width is not None and width != 1:
                 found = (
                     f"guard port {guard.port.to_string()} must be 1 bit, "
                     f"is {width}",
                 )
         elif isinstance(guard, CmpGuard):
-            left = view.width(guard.left)
-            right = view.width(guard.right)
+            left = net.width(guard.left)
+            right = net.width(guard.right)
             if left is not None and right is not None and left != right:
                 found = (
                     f"comparison width mismatch in {guard.to_string()} "
                     f"({left} vs {right})",
                 )
         elif isinstance(guard, NotGuard):
-            found = self._guard_findings(view, guard.inner, memo)
+            found = self._guard_findings(net, guard.inner, memo)
         elif isinstance(guard, (AndGuard, OrGuard)):
-            left_found = self._guard_findings(view, guard.left, memo)
-            found = left_found + self._guard_findings(view, guard.right, memo)
+            left_found = self._guard_findings(net, guard.left, memo)
+            found = left_found + self._guard_findings(net, guard.right, memo)
         memo[guard] = found
         return found
 
@@ -355,16 +343,15 @@ class MultipleDriversRule(LintRule):
     exception = MultipleDriverError
     description = "two unconditional drivers of one port in the same scope"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        conflicts, _ = view.driver_races()
-        for gate, prev, assign in conflicts:
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        for gate, prev, assign in net.conflicts:
             where = f"group {gate!r}" if gate else "always-active scope"
             report.add(
                 self.diag(
                     f"port {assign.dst.to_string()} has multiple "
                     f"unconditional drivers in the same {where}: "
                     f"`{prev.to_string()}` and `{assign.to_string()}`",
-                    component=view.comp.name,
+                    component=net.comp.name,
                     group=gate,
                     span=assign.span or prev.span,
                 )
@@ -378,13 +365,13 @@ class MissingDoneRule(LintRule):
     exception = ValidationError
     description = "a non-combinational group never writes its done hole"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        for group in view.comp.groups.values():
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        for group in net.comp.groups.values():
             if not group.comb and not group.done_assignments():
                 report.add(
                     self.diag(
                         f"group {group.name!r} has no done condition",
-                        component=view.comp.name,
+                        component=net.comp.name,
                         group=group.name,
                         span=group.span,
                     )
@@ -398,8 +385,8 @@ class CombGroupHoleRule(LintRule):
     exception = ValidationError
     description = "a combinational group writes go/done holes"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        for group in view.comp.groups.values():
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        for group in net.comp.groups.values():
             if not group.comb:
                 continue
             for assign in group.assignments:
@@ -408,7 +395,7 @@ class CombGroupHoleRule(LintRule):
                         self.diag(
                             f"combinational group {group.name!r} may not "
                             f"write hole {assign.dst.to_string()}",
-                            component=view.comp.name,
+                            component=net.comp.name,
                             group=group.name,
                             span=assign.span,
                         )
@@ -422,14 +409,20 @@ class ContinuousHoleRule(LintRule):
     exception = ValidationError
     description = "a continuous assignment references group holes"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        for assign in view.comp.continuous:
-            if any(isinstance(ref, HolePort) for ref in assign.ports()):
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        guard_holes: Dict[Guard, bool] = {}
+        for assign in net.comp.continuous:
+            holes = guard_holes.get(assign.guard)
+            if holes is None:
+                holes = guard_holes[assign.guard] = any(
+                    isinstance(ref, HolePort) for ref in assign.guard.ports()
+                )
+            if holes or isinstance(assign.dst, HolePort) or isinstance(assign.src, HolePort):
                 report.add(
                     self.diag(
                         f"continuous assignment {assign.to_string()} may not "
                         f"reference group holes",
-                        component=view.comp.name,
+                        component=net.comp.name,
                         span=assign.span,
                     )
                 )
@@ -442,8 +435,8 @@ class CombGroupEnabledRule(LintRule):
     exception = ValidationError
     description = "control enables a combinational group directly"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         for node in comp.control.walk():
             if isinstance(node, Enable):
                 group = comp.groups.get(node.group)
@@ -466,14 +459,14 @@ class InvokeBindingRule(LintRule):
     exception = ValidationError
     description = "invoke binds unknown ports, wrong directions, or bad widths"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        comp = view.comp
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        comp = net.comp
         for node in comp.control.walk():
             if not isinstance(node, Invoke):
                 continue
             if node.cell not in comp.cells:
                 continue  # unknown-name already covers this
-            sig = view.cell_signature(node.cell)
+            sig = net.cell_signature(node.cell)
             if sig is None:
                 continue
             go = sig.get(GO)
@@ -505,7 +498,7 @@ class InvokeBindingRule(LintRule):
                         )
                     )
                     continue
-                self._check_width(view, report, node, key, sig[key].width, src)
+                self._check_width(net, report, node, key, sig[key].width, src)
             for key, dst in node.out_binds.items():
                 if key not in sig or sig[key].direction is not Direction.OUTPUT:
                     report.add(
@@ -518,17 +511,17 @@ class InvokeBindingRule(LintRule):
                         )
                     )
                     continue
-                self._check_width(view, report, node, key, sig[key].width, dst)
+                self._check_width(net, report, node, key, sig[key].width, dst)
 
-    def _check_width(self, view, report, node, key, port_width, ref) -> None:
-        bound = view.width(ref)
+    def _check_width(self, net, report, node, key, port_width, ref) -> None:
+        bound = net.width(ref)
         if bound is not None and bound != port_width:
             report.add(
                 self.diag(
                     f"invoke binding {key!r} of cell {node.cell!r} has "
                     f"width {port_width}, bound to {ref.to_string()} of "
                     f"width {bound}",
-                    component=view.comp.name,
+                    component=net.comp.name,
                     cell=node.cell,
                     span=node.span,
                     rule="width-mismatch",
@@ -543,15 +536,14 @@ class DuplicateAssignmentRule(LintRule):
     core = True
     description = "the same connection is written twice in one scope"
 
-    def check_component(self, view: ComponentView, report: LintReport) -> None:
-        _, duplicates = view.driver_races()
-        for gate, prev, assign in duplicates:
+    def check_component(self, net: Netlist, report: LintReport) -> None:
+        for gate, prev, assign in net.duplicates:
             where = f"group {gate!r}" if gate else "always-active scope"
             report.add(
                 self.diag(
                     f"duplicate connection `{assign.to_string()}` in the "
                     f"same {where} (harmless but redundant)",
-                    component=view.comp.name,
+                    component=net.comp.name,
                     group=gate,
                     span=assign.span or prev.span,
                 )

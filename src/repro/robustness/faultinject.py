@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.netlist import Netlists
 from repro.ir.ast import CellPort, Component, Program, ThisPort
 from repro.ir.guards import NotGuard
-from repro.lint.context import ComponentView
 from repro.robustness.difftest import DifftestReport, difftest_program
 from repro.sim import ORACLE_ENGINE, ComponentInstance
 
@@ -73,8 +73,9 @@ class IRMutation:
 def _mutation_sites(program: Program) -> List[IRMutation]:
     """Every applicable mutation, in deterministic program order."""
     sites: List[IRMutation] = []
+    netlists = Netlists(program)
     for comp in program.components:
-        view = ComponentView(program, comp)
+        net = netlists.of(comp)
         scopes: List[Tuple[Optional[str], list]] = [
             (name, comp.groups[name].assignments) for name in comp.groups
         ]
@@ -106,8 +107,8 @@ def _mutation_sites(program: Program) -> List[IRMutation]:
             for i, a in enumerate(assigns):
                 for j in range(i + 1, len(assigns)):
                     b = assigns[j]
-                    width_a = view.width(a.src)
-                    width_b = view.width(b.src)
+                    width_a = net.width(a.src)
+                    width_b = net.width(b.src)
                     if width_a is None or width_b is None:
                         continue
                     if width_a == width_b and a.src != b.src:

@@ -83,9 +83,22 @@ import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from types import MethodType
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
+from repro.analysis.netlist import Netlists
 from repro.errors import (
     CombinationalLoopError,
     MultipleDriverError,
@@ -115,8 +128,7 @@ from repro.ir.guards import (
 )
 from repro.ir.ports import DONE, GO
 from repro.sim.control import ControlExecutor
-from repro.sim.structural import check_structural_drivers, static_drivers
-from repro.stdlib.behaviors import PrimitiveModel, comb_paths, port_names
+from repro.stdlib.behaviors import PrimitiveModel, port_names
 from repro.stdlib.primitives import make_model
 
 ReadFn = Callable[[PortRef], int]
@@ -637,19 +649,19 @@ class _SlotNets(MutableMapping):
 class SettleStrategy:
     """How a :class:`ComponentInstance` evaluates its netlist per phase.
 
-    ``settle(instance)`` brings one clock phase to its fixpoint;
-    ``guard_nodes`` chooses whether the netlist shares every distinct guard
-    sub-expression as a :class:`_GuardNode` whose slot the resolvers read,
-    or builds none and leaves each resolver to evaluate its drivers'
-    guards itself, through evaluators resolved to slots at build
+    ``settle(instance)`` brings one clock phase to its fixpoint.
+    ``levelized`` chooses whether the netlist is scheduled: it shares every
+    distinct guard sub-expression as a :class:`_GuardNode` whose slot the
+    resolvers read, ranks its SCCs, keeps the dirty mask the settle drains,
+    and lets a nested instance without control skip the settle before its
+    clock edge when its inputs dirtied nothing. Otherwise it builds none of
+    these, and each resolver evaluates its drivers' guards itself, through
+    evaluators resolved to slots at build
     (:meth:`ComponentInstance._compile_guards`).
-    ``skip_quiet_settle`` lets a nested instance without control skip the
-    settle before its clock edge when its inputs dirtied nothing.
     """
 
     settle: Callable[["ComponentInstance"], None]
-    guard_nodes: bool
-    skip_quiet_settle: bool
+    levelized: bool
 
 
 def _settle_levelized(inst: "ComponentInstance") -> None:
@@ -668,9 +680,30 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
 
 
 #: The scheduled strategy: guard nodes, dirty-mask drain in rank order.
-LEVELIZED = SettleStrategy(_settle_levelized, guard_nodes=True, skip_quiet_settle=True)
+LEVELIZED = SettleStrategy(_settle_levelized, levelized=True)
 #: The reference strategy: slot-compiled guards, whole-netlist sweeps.
-SWEEP = SettleStrategy(_settle_sweep, guard_nodes=False, skip_quiet_settle=False)
+SWEEP = SettleStrategy(_settle_sweep, levelized=False)
+
+
+def _unscheduled(*_args: int) -> None:
+    """The dirty-mask marks of an instance that keeps no dirty mask."""
+
+
+class _Schedule(NamedTuple):
+    """The levelized drain's order over one definition's node graph.
+
+    Node and slot indices, so every instance of the definition shares it:
+    ``writer`` maps a slot to the node writing it, ``rank_of`` a node to
+    its SCC's rank, ``rank_node`` a rank to its acyclic SCC's one node (-1
+    for a cyclic SCC), ``cyclic`` a cyclic SCC's rank to its members, and
+    ``reader_mask`` a slot to the ranks of the nodes reading it.
+    """
+
+    writer: Dict[int, int]
+    rank_of: List[int]
+    rank_node: List[int]
+    cyclic: Dict[int, List[int]]
+    reader_mask: List[int]
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +715,9 @@ class ComponentInstance:
     """A simulated instantiation of a component (primitive protocol).
 
     ``strategy`` (one of the values of :data:`repro.sim.ENGINES`) fixes
-    how every clock phase settles; nested instances share it.
+    how every clock phase settles; nested instances share it, and the
+    ``netlists`` of the build, from which each takes the static facts of
+    its component's definition.
     """
 
     #: Extra probe sweeps used to tell a limit cycle from non-convergence.
@@ -694,11 +729,13 @@ class ComponentInstance:
         comp: Component,
         strategy: SettleStrategy,
         path: str = "main",
+        netlists: Optional[Netlists] = None,
     ):
         self.program = program
         self.comp = comp
         self.path = path
         self.strategy = strategy
+        self.netlist = (netlists or Netlists(program)).of(comp)
         # Bound once: no per-phase dispatch on the strategy.
         self.settle = MethodType(strategy.settle, self)
         self.children: Dict[str, object] = {
@@ -712,31 +749,48 @@ class ComponentInstance:
         # lowered form); the executor then must not drive it.
         self._done_from_wires = any(
             isinstance(a.dst, ThisPort) and a.dst.port == DONE
-            for _, a in comp.all_assignments()
+            for _, a in self.netlist.drivers
         )
-        check_structural_drivers(comp, self.path)
+        self._reject_driver_race()
         self._extra_nets: Dict[PortRef, int] = {}
-        self._io_deps: Optional[List[str]] = None
         self._build()
         # Without control, a settle that finds nothing dirty changes nothing.
-        self._settle_every_edge = self._edge_moves_executor or not strategy.skip_quiet_settle
+        self._settle_every_edge = self._edge_moves_executor or not strategy.levelized
         self.nets = _SlotNets(self)
         self._go_was_high = False
         self._reset_dynamic()
 
     # -- construction -----------------------------------------------------
     def _make_child(self, cell) -> object:
-        name = cell.comp_name
-        program = self.program
         # Extern components have no body; they need a registered model.
-        if program.has_component(name) and not program.is_extern(name):
+        definition = self.netlist.definition(cell)
+        if definition is not None:
             return ComponentInstance(
-                program,
-                program.get_component(name),
+                self.program,
+                definition.comp,
                 self.strategy,
                 f"{self.path}.{cell.name}",
+                self.netlist.netlists,
             )
-        return make_model(name, cell.args)
+        return make_model(cell.comp_name, cell.args)
+
+    def _reject_driver_race(self) -> None:
+        """Refuse the first definite driver race of the definition.
+
+        The runtime conflict check compares *values*, so two always-active
+        drivers of one port would be silently accepted whenever their values
+        agreed, the winner depending on collection order.
+        """
+        if self.netlist.conflicts:
+            gate, prev, assign = self.netlist.conflicts[0]
+            where = f"group {gate!r}" if gate else "always-active scope"
+            raise MultipleDriverError(
+                f"{self.path}: port {assign.dst.to_string()} has two unconditional "
+                f"drivers in the same {where}:\n"
+                f"  {prev.to_string()}\n  {assign.to_string()}\n"
+                f"(a definite multiple-driver race; the winner would depend on "
+                f"assignment order)"
+            )
 
     def _slot(self, ref: PortRef) -> int:
         slot = self._slots.get(ref)
@@ -813,13 +867,13 @@ class ComponentInstance:
         driver_map: Dict[PortRef, List[_Driver]] = {}
         dep_map: Dict[PortRef, Set[int]] = {}
 
-        guards = _GuardNet(self) if self.strategy.guard_nodes else None
+        guards = _GuardNet(self) if self.strategy.levelized else None
 
         def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
             driver_map.setdefault(dst, []).append(driver)
             dep_map.setdefault(dst, set()).update(reads)
 
-        for gate, assign in static_drivers(comp):
+        for gate, assign in self.netlist.drivers:
             driver, reads = self._compile_driver(guards, gate, None, assign)
             add_driver(assign.dst, driver, reads)
 
@@ -868,14 +922,10 @@ class ComponentInstance:
 
         for cell in comp.cells.values():
             child = self.children[cell.name]
-            sig = self.program.cell_signature(cell)
-            in_ports, out_ports = port_names(sig)
+            in_ports, out_ports = port_names(self.netlist.signature_of(cell.name))
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
             out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
-            if isinstance(child, ComponentInstance):
-                dep_names = set(child.comb_input_deps())
-            else:
-                dep_names = {i for i, _ in comb_paths(child, sig)[0]}
+            dep_names = self.netlist.cell_deps(cell.name)
             dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
             node = _ChildNode(len(self._nodes), child, in_slots, dep_slots, out_slots)
             self._cell_node[cell.name] = node.index
@@ -937,29 +987,17 @@ class ComponentInstance:
             if getattr(ref, "port", None) == DONE
         ]
 
-        # -- fanout (build only), writers, SCCs, ranks, reader masks ---------
-        fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
-        self._writer: Dict[int, int] = {}
-        for node in self._nodes:
-            for slot in self._node_out_slots(node):
-                self._writer[slot] = node.index
-        for node in self._nodes:
-            for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
-                fanout[slot].append(node.index)
-        self._levelize(fanout)
-        rank_of = self._rank_of
-        self._reader_mask: List[int] = []
-        for readers in fanout:
-            mask = 0
-            for node_idx in readers:
-                mask |= 1 << rank_of[node_idx]
-            self._reader_mask.append(mask)
         # Compile the guards a strategy sweeps: every resolver's under
-        # ``sweep``; with guard nodes, only those of the cyclic SCCs.
-        self._all_guards_compiled = not self.strategy.guard_nodes
+        # ``sweep``; levelized, only those of the cyclic SCCs.
+        self._all_guards_compiled = not self.strategy.levelized
         if self._all_guards_compiled:
+            # The reference fires every node each sweep: nothing to rank and
+            # no dirty mask to keep.
+            self._writer: Dict[int, int] = {}
+            self._mark_node = self._mark_slot = self._mark_all = _unscheduled
             self._compile_guards(self._sweep_nodes)
         else:
+            self._schedule()
             self._compile_guards(
                 node for members in self._cyclic_members.values() for node in members
             )
@@ -972,7 +1010,7 @@ class ComponentInstance:
         :data:`_GUARD_NODE_OPS`. The comparison builder and the leaves are
         shared by both tables.
         """
-        ops = _GUARD_NODE_OPS if self.strategy.guard_nodes else _SLOT_GUARD_OPS
+        ops = _GUARD_NODE_OPS if self.strategy.levelized else _SLOT_GUARD_OPS
         memo: Dict[Guard, SlotGuard] = {}
         for node in nodes:
             if isinstance(node, _ResolverNode):
@@ -986,8 +1024,37 @@ class ComponentInstance:
             return node.out_slots
         return [node.slot]
 
-    def _levelize(self, fanout: List[List[int]]) -> None:
+    def _schedule(self) -> None:
+        """Writers, ranks and reader masks of the levelized drain.
+
+        Every instance of a definition builds the same node graph, so its
+        first instance in the build levelizes it and the rest share that.
+        """
+        schedule = self.netlist.schedule
+        if schedule is None:
+            schedule = self.netlist.schedule = self._levelize()
+        self._writer, self._rank_of, self._reader_mask = (
+            schedule.writer,
+            schedule.rank_of,
+            schedule.reader_mask,
+        )
+        nodes = self._nodes
+        # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
+        self._rank_node = [None if i < 0 else nodes[i] for i in schedule.rank_node]
+        self._cyclic_members = {
+            rank: [nodes[i] for i in members] for rank, members in schedule.cyclic.items()
+        }
+
+    def _levelize(self) -> "_Schedule":
         """Tarjan SCC condensation, longest-path levels, then ranks."""
+        fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
+        writer: Dict[int, int] = {}
+        for node in self._nodes:
+            for slot in self._node_out_slots(node):
+                writer[slot] = node.index
+        for node in self._nodes:
+            for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
+                fanout[slot].append(node.index)
         adj: List[List[int]] = [
             [r for slot in node.out_slots for r in fanout[slot]]
             if isinstance(node, _ChildNode)
@@ -1008,58 +1075,20 @@ class ComponentInstance:
         # Rank = position in ``(level, id)`` order: a stable sort by level.
         order = sorted(range(len(sccs)), key=levels.__getitem__)
         rank_of_scc = {scc: rank for rank, scc in enumerate(order)}
-        self._rank_of: List[int] = [rank_of_scc[scc] for scc in scc_of]
-        # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
-        self._rank_node = [None if cyclic[c] else self._nodes[sccs[c][0]] for c in order]
-        self._cyclic_members = {
-            rank: [self._nodes[i] for i in sccs[c]] for rank, c in enumerate(order) if cyclic[c]
-        }
-
-    def comb_input_deps(self) -> List[str]:
-        """Input ports with a combinational path to some output.
-
-        Used by a parent instance to wire this child into its dependency
-        graph. ``go`` is always included when the component has control or
-        groups: group activation (and thereby outputs) can follow ``go``
-        combinationally through the phase configuration, which the slot
-        graph does not model as edges.
-        """
-        if self._io_deps is not None:
-            return self._io_deps
-        out_slots = {
-            self._slots[ThisPort(p.name)]
-            for p in self.comp.outputs
-            if ThisPort(p.name) in self._slots
-        }
-        deps: List[str] = []
-        for port in self.comp.inputs:
-            start = self._slots.get(ThisPort(port.name))
-            if start is None:
-                continue
-            if self._slot_reaches(start, out_slots):
-                deps.append(port.name)
-        if GO not in deps and (self.comp.groups or not self.comp.control.is_empty()):
-            deps.append(GO)
-        self._io_deps = deps
-        return deps
-
-    def _slot_reaches(self, start: int, targets: Set[int]) -> bool:
-        """Whether ``start`` reaches a target through the reader masks."""
-        seen, frontier = 0, [start]
-        while frontier:
-            slot = frontier.pop()
-            if slot in targets:
-                return True
-            pending = self._reader_mask[slot] & ~seen
-            seen |= pending
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                rank = low.bit_length() - 1
-                node = self._rank_node[rank]
-                for member in self._cyclic_members[rank] if node is None else (node,):
-                    frontier.extend(self._node_out_slots(member))
-        return False
+        rank_of = [rank_of_scc[scc] for scc in scc_of]
+        reader_mask: List[int] = []
+        for readers in fanout:
+            mask = 0
+            for node_idx in readers:
+                mask |= 1 << rank_of[node_idx]
+            reader_mask.append(mask)
+        return _Schedule(
+            writer,
+            rank_of,
+            [-1 if cyclic[c] else sccs[c][0] for c in order],
+            {rank: sccs[c] for rank, c in enumerate(order) if cyclic[c]},
+            reader_mask,
+        )
 
     # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:

@@ -27,7 +27,8 @@ examples elide.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import UndefinedError, ValidationError
 from repro.ir.attributes import Attributes, SHARE, STATIC
@@ -79,6 +80,7 @@ class Primitive:
         self.name = name
         self.params = tuple(params)
         self.ports = list(ports)
+        self._signatures: Dict[Tuple[int, ...], Mapping[str, PortDef]] = {}
         self.attributes = Attributes(attributes or {})
         # Combinational primitives hold no state and take no clock.
         self.combinational = combinational
@@ -100,13 +102,20 @@ class Primitive:
             )
         return dict(zip(self.params, (int(a) for a in args)))
 
-    def signature(self, args: Sequence[int]) -> Dict[str, PortDef]:
-        """Port signature for a concrete instantiation."""
-        env = self.bind(args)
-        sig: Dict[str, PortDef] = {}
-        for port_name, width_spec, direction in self.ports:
-            width = env[width_spec] if isinstance(width_spec, str) else int(width_spec)
-            sig[port_name] = PortDef(port_name, width, direction)
+    def signature(self, args: Sequence[int]) -> Mapping[str, PortDef]:
+        """Port signature for a concrete instantiation, built once per ``args``.
+
+        Read-only: every cell with these arguments shares it.
+        """
+        key = tuple(args)
+        sig = self._signatures.get(key)
+        if sig is None:
+            env = self.bind(args)
+            ports: Dict[str, PortDef] = {}
+            for port_name, width_spec, direction in self.ports:
+                width = env[width_spec] if isinstance(width_spec, str) else int(width_spec)
+                ports[port_name] = PortDef(port_name, width, direction)
+            sig = self._signatures[key] = MappingProxyType(ports)
         return sig
 
     def is_shareable(self) -> bool:

@@ -62,14 +62,17 @@ class TestFig7:
         assert "paper: 4.6x" in text
 
     def test_throughput_is_the_sensitive_design_timed_alone(self, monkeypatch):
-        # Each simulation reads the clock twice: the sensitive array runs
-        # first (2 s), then the insensitive one (5 s).
-        clock = SimpleNamespace(perf_counter=iter([0.0, 2.0, 10.0, 15.0]).__next__)
+        # Each simulation reads the clock three times, around its engine
+        # build and its run: the sensitive array builds (1 s) and runs (2 s)
+        # first, then the insensitive one (3 s and 5 s).
+        clock = SimpleNamespace(perf_counter=iter([0.0, 1.0, 3.0, 10.0, 13.0, 18.0]).__next__)
         monkeypatch.setattr(common, "time", clock)
         (row,) = fig7_run(sizes=[2], simulate=True)
         entry = throughput_json({row.label: row.metrics})["systolic-2x2"]
+        assert entry["build_seconds"] == 1.0
         assert entry["sim_seconds"] == 2.0
         assert entry["cycles"] == row.systolic_cycles
+        # The engine build is not simulation: throughput is over the run alone.
         assert entry["cycles_per_second"] == round(row.systolic_cycles / 2.0, 1)
 
 
@@ -103,7 +106,13 @@ class TestEmitJson:
         data = json.loads(path.read_text())
         assert data["fig8"]["sweep"] == sweep
         entry = data["fig8"]["levelized"]["trisolv"]
-        assert sorted(entry) == ["cycles", "cycles_per_second", "engine", "sim_seconds"]
+        assert sorted(entry) == [
+            "build_seconds",
+            "cycles",
+            "cycles_per_second",
+            "engine",
+            "sim_seconds",
+        ]
         assert entry["engine"] == "levelized" and entry["cycles"] > 0
 
     def test_cli_and_benchmarks_write_the_same_json(self, tmp_path, monkeypatch):
