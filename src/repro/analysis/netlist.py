@@ -1,51 +1,39 @@
 """One netlist per component definition: the static facts its readers share.
 
-Validation, lint and the engine build each used to work out the same
-facts about a component definition for themselves. A :class:`Netlist`
-works them out once, tolerantly (a reference that does not resolve is
-recorded, never raised), and every reader takes them from it:
+Validation, lint and the engine build each used to work out the same facts
+about a component definition. A :class:`Netlist` works them out once,
+tolerantly (what does not resolve is recorded, never raised):
 
-* **the port table**: each port reference maps to its :class:`PortDef`,
-  or to why it does not resolve (:class:`Unresolved`); each cell to its
-  signature, or to the error resolving it raised, which the engine raises
-  again with its class and text;
-* **the drivers**: every wire assignment with its gate group
-  (:func:`static_drivers`), and the *driver races*: pairs of
-  unconditional drivers of one port in one scope;
-* **the combinational edges** at port level (:attr:`Netlist.refs`,
-  :attr:`Netlist.edges`), condensed into SCCs, with the cyclic ones
-  (:attr:`Netlist.cycles`) for the ``comb-cycle`` rule;
-* **the input→output pairs**: :attr:`Netlist.pairs` over those edges, the
-  edges a parent's lint graph takes for a cell of this definition, and
-  :attr:`Netlist.comb_input_deps`, the inputs the engine makes a cell of
-  this definition depend on.
+* the port table: each port reference's :class:`PortDef`, or why it does
+  not resolve (:class:`Unresolved`); each cell's signature, or the error
+  resolving it raised, which the engine raises again;
+* the drivers with their gate groups (:func:`static_drivers`), and the
+  driver races: unconditional drivers of one port in one scope;
+* the port-level combinational edges and their cyclic SCCs;
+* the input→output pairs: :attr:`Netlist.pairs` over those edges, which a
+  parent's lint takes for a cell of this definition, and
+  :attr:`Netlist.comb_input_deps`, on which the engine makes it depend.
 
-:class:`Netlists` holds the netlists of one call (one
-``validate_program``, one ``lint_program`` or one testbench build) and
-builds each definition's on first use, so the 64 processing elements of a
-systolic 8×8 array are analysed once. Passes mutate components in place
-and nothing versions them, so no netlist outlives its call.
+:class:`Netlists` holds the netlists of one call (one ``validate_program``,
+one ``lint_program`` or one testbench build) and builds each definition's
+on first use. Passes edit components in place, so none outlives its call.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple, TypeVar,
+    Union,
+)
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.errors import CalyxError
 from repro.ir.ast import (
-    Assignment,
-    Cell,
-    CellPort,
-    Component,
-    ConstPort,
-    HolePort,
-    PortRef,
-    Program,
-    ThisPort,
+    Assignment, Cell, CellPort, Component, ConstPort, HolePort, PortRef, Program, ThisPort
 )
 from repro.ir.control import Invoke
 from repro.ir.guards import Guard
@@ -56,13 +44,13 @@ from repro.stdlib.primitives import make_model
 
 #: One wire assignment and its gate group (``None`` = ungated).
 Driver = Tuple[Optional[str], Assignment]
-#: One pair of unconditional drivers of a port in one scope:
-#: ``(gate, first assignment, later assignment)``.
+#: Unconditional drivers of one port in one scope: ``(gate, first, later)``.
 DriverPair = Tuple[Optional[str], Assignment, Assignment]
 #: ``(src_vertex, dst_vertex, gate_group_or_None, definite, representative)``
 Edge = Tuple[int, int, Optional[str], bool, Optional[Assignment]]
 #: ``(input port, output port, definite)`` through one cell.
 CellPath = Tuple[str, str, bool]
+T = TypeVar("T")
 
 
 class Unresolved(NamedTuple):
@@ -97,28 +85,16 @@ def static_drivers(comp: Component) -> Iterator[Driver]:
         yield (None, assign)
 
 
-def _driver_races(drivers: List[Driver]) -> Tuple[List[DriverPair], List[DriverPair]]:
-    """``(conflicts, duplicates)``: unconditional drivers sharing a scope.
-
-    Each later unconditional driver of a destination is paired with the
-    scope's first one, in driver order: a *conflict* when the sources
-    differ, a *duplicate* when they agree.
-    """
-    first: Dict[Tuple[Optional[str], PortRef], Assignment] = {}
-    conflicts: List[DriverPair] = []
-    duplicates: List[DriverPair] = []
-    for gate, assign in drivers:
-        if not assign.is_unconditional():
-            continue
-        key = (gate, assign.dst)
-        prev = first.get(key)
-        if prev is None:
-            first[key] = assign
-        elif prev.src == assign.src:
-            duplicates.append((gate, prev, assign))
-        else:
-            conflicts.append((gate, prev, assign))
-    return conflicts, duplicates
+def _reached(start: T, successors: Callable[[T], Iterable[T]]) -> Set[T]:
+    """Every vertex reachable from ``start``, itself included."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for succ in successors(frontier.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    return seen
 
 
 class Netlists:
@@ -132,10 +108,8 @@ class Netlists:
         self.program = program
         # Weak: a netlist is held by its readers and by the netlists of the
         # definitions instantiating it, never by the table, so a call's
-        # netlists hold no reference cycle and are freed when it returns.
-        self._built: "weakref.WeakValueDictionary[int, Netlist]" = (
-            weakref.WeakValueDictionary()
-        )
+        # netlists form no reference cycle and are freed when it returns.
+        self._built: "weakref.WeakValueDictionary[int, Netlist]" = weakref.WeakValueDictionary()
         self._model_paths: Dict[Tuple[str, tuple], List[CellPath]] = {}
 
     def of(self, comp: Component) -> "Netlist":
@@ -167,37 +141,35 @@ class Netlist:
         for port in itertools.chain(comp.inputs, comp.outputs):
             self.signature.setdefault(port.name, port)
         self._ports: Dict[PortRef, Union[PortDef, Unresolved]] = {}
-        self._definitions: Dict[str, Optional[Netlist]] = {}
         self._cells: Dict[str, Union[Mapping[str, PortDef], Exception]] = {}
+        self._definitions: Dict[str, Optional[Netlist]] = {}
         self.drivers: List[Driver] = list(static_drivers(comp))
-        self.conflicts, self.duplicates = _driver_races(self.drivers)
+        # Each later unconditional driver of a port is paired with its
+        # scope's first: a conflict when the sources differ, else a duplicate.
+        self.conflicts: List[DriverPair] = []
+        self.duplicates: List[DriverPair] = []
+        first: Dict[Tuple[Optional[str], PortRef], Assignment] = {}
+        for gate, assign in self.drivers:
+            if not assign.is_unconditional():
+                continue
+            prev = first.get((gate, assign.dst))
+            if prev is None:
+                first[(gate, assign.dst)] = assign
+            else:
+                races = self.duplicates if prev.src == assign.src else self.conflicts
+                races.append((gate, prev, assign))
+        #: The control tree's nodes, in walk order.
+        self.control = list(comp.control.walk())
         self._building_edges = False
         self._pairs: Optional[Dict[str, Set[str]]] = None
-        #: The levelized engine's order over this definition's node graph,
-        #: set by the first instance of the build that levelizes it.
+        #: The levelized engine's ranks, set by the build's first instance.
         self.schedule: Optional[object] = None
 
     # -- the port table ----------------------------------------------------
     def duplicate_ports(self) -> Dict[str, int]:
         """Port names declared more than once, with their counts."""
-        counts: Dict[str, int] = {}
-        for port in itertools.chain(self.comp.inputs, self.comp.outputs):
-            counts[port.name] = counts.get(port.name, 0) + 1
+        counts = Counter(p.name for p in itertools.chain(self.comp.inputs, self.comp.outputs))
         return {name: n for name, n in counts.items() if n > 1}
-
-    def definition(self, cell: Cell) -> Optional["Netlist"]:
-        """The netlist of the user component a cell instantiates, if any.
-
-        ``None`` for primitives, externs (simulated by a model) and names
-        nothing defines.
-        """
-        name = cell.comp_name
-        if name not in self._definitions:
-            comp = self.program.find_component(name)
-            self._definitions[name] = (
-                None if comp is None or self.program.is_extern(name) else self.netlists.of(comp)
-            )
-        return self._definitions[name]
 
     def _cell(self, name: str) -> Union[Mapping[str, PortDef], Exception]:
         entry = self._cells.get(name)
@@ -211,9 +183,7 @@ class Netlist:
         return entry
 
     def cell_signature(self, name: str) -> Optional[Mapping[str, PortDef]]:
-        """A cell's signature; ``None`` if no such cell or it cannot resolve."""
-        if name not in self.comp.cells:
-            return None
+        """A cell's signature, or ``None`` if it cannot resolve."""
         entry = self._cell(name)
         return None if isinstance(entry, Exception) else entry
 
@@ -226,20 +196,17 @@ class Netlist:
 
     def cell_failure(self, name: str) -> Optional[str]:
         """Why a cell's signature does not resolve; ``None`` if it does."""
-        cell = self.comp.cells.get(name)
-        if cell is None:
-            return f"no cell named {name!r}"
         entry = self._cell(name)
         if not isinstance(entry, Exception):
             return None
         if isinstance(entry, CalyxError):
             return str(entry)
         # Malformed primitive arguments and the like.
+        cell = self.comp.cells[name]
         return f"{cell.comp_name}({', '.join(map(str, cell.args))}): {entry}"
 
     def port(self, ref: Union[ThisPort, CellPort]) -> Union[PortDef, Unresolved]:
-        """The port table's entry for a component or cell port: its
-        :class:`PortDef`, or why it does not resolve."""
+        """The port table's entry for a component or cell port."""
         entry = self._ports.get(ref)
         if entry is None:
             entry = self._ports[ref] = self._resolve_port(ref)
@@ -313,35 +280,42 @@ class Netlist:
         return port.direction is Direction.OUTPUT
 
     # -- the combinational edges -------------------------------------------
+    def definition(self, cell: Cell) -> Optional["Netlist"]:
+        """The netlist of the user component a cell instantiates; ``None``
+        for primitives, externs (simulated by a model) and unknown names."""
+        name = cell.comp_name
+        if name not in self._definitions:
+            comp = self.program.find_component(name)
+            extern = comp is None or self.program.is_extern(name)
+            self._definitions[name] = None if extern else self.netlists.of(comp)
+        return self._definitions[name]
+
     def _cell_paths(self, cell: Cell) -> List[CellPath]:
         """Combinational input→output paths through one cell."""
         child = self.definition(cell)
         if child is not None:
             # A subcomponent's activation state is unknown: never definite.
-            return [
-                (in_port, out_port, False)
-                for in_port, outs in child.pairs.items()
-                for out_port in sorted(outs)
-            ]
-        sig = self.cell_signature(cell.name)
-        if sig is None:
-            return []  # unknown-name reports it
+            return [(i, o, False) for i, outs in child.pairs.items() for o in sorted(outs)]
         try:
-            return self.netlists.model_paths(cell, sig)
+            return self.netlists.model_paths(cell, self.signature_of(cell.name))
         except Exception:
-            return []  # no model to ask: unknown-name reports it
+            return []  # no signature or no model to ask: unknown-name reports it
 
     @cached_property
-    def _graph(self) -> Tuple[List[PortRef], Dict[PortRef, int], List[Edge]]:
+    def _graph(self) -> Tuple[List[PortRef], Dict[PortRef, int], List[List[int]], list, list]:
+        """Vertices, their index and adjacency, then the edges of each driver
+        and of each cell path (see :meth:`_edges`)."""
         refs: List[PortRef] = []
         index: Dict[PortRef, int] = {}
-        edges: List[Edge] = []
+        adj: List[List[int]] = []
+        wires, paths = [], []
 
         def vertex(ref: PortRef) -> int:
             idx = index.get(ref)
             if idx is None:
                 idx = index[ref] = len(refs)
                 refs.append(ref)
+                adj.append([])
             return idx
 
         # The vertices of each distinct guard's ports, in tree order.
@@ -350,58 +324,49 @@ class Netlist:
         try:
             for gate, assign in self.drivers:
                 dst = vertex(assign.dst)
-                if not isinstance(assign.src, ConstPort):
-                    edges.append((vertex(assign.src), dst, gate, assign.is_unconditional(), assign))
+                src = None if isinstance(assign.src, ConstPort) else vertex(assign.src)
                 reads = guard_reads.get(assign.guard)
                 if reads is None:
-                    reads = guard_reads[assign.guard] = [
-                        vertex(ref) for ref in assign.guard.ports() if not isinstance(ref, ConstPort)
-                    ]
-                # A guard port feeds the driver's select combinationally, but
-                # whether the loop closes depends on the guard's value: never
-                # definite.
-                for src in reads:
-                    edges.append((src, dst, gate, False, assign))
+                    ports = [ref for ref in assign.guard.ports() if not isinstance(ref, ConstPort)]
+                    reads = guard_reads[assign.guard] = [vertex(ref) for ref in ports]
+                wires.append((gate, assign, dst, src, reads))
+                for read in reads if src is None else [src, *reads]:
+                    adj[read].append(dst)
             for cell in self.comp.cells.values():
-                for in_port, out_port, definite in self._cell_paths(cell):
-                    edges.append(
-                        (
-                            vertex(CellPort(cell.name, in_port)),
-                            vertex(CellPort(cell.name, out_port)),
-                            None,
-                            definite,
-                            None,
-                        )
-                    )
+                for i, o, definite in self._cell_paths(cell):
+                    src, dst = vertex(CellPort(cell.name, i)), vertex(CellPort(cell.name, o))
+                    adj[src].append(dst)
+                    paths.append((src, dst, definite))
         finally:
             self._building_edges = False
-        return refs, index, edges
+        return refs, index, adj, wires, paths
 
     @property
     def refs(self) -> List[PortRef]:
-        """The port behind each vertex of :attr:`edges`."""
+        """The port behind each vertex of the combinational edges."""
         return self._graph[0]
 
-    @property
-    def edges(self) -> List[Edge]:
-        """Wire edges (source and guard ports to the destination), then
-        each cell's input→output paths."""
-        return self._graph[2]
-
-    @cached_property
-    def _condensed(self) -> Tuple[List[List[int]], List[int], List[List[int]], List[bool]]:
-        adj: List[List[int]] = [[] for _ in self.refs]
-        for src, dst, _, _, _ in self.edges:
-            adj[src].append(dst)
-        scc_of, sccs = tarjan_scc(adj)
-        return adj, scc_of, sccs, cyclic_sccs(adj, scc_of, sccs)
+    def _edges(self) -> Iterator[Edge]:
+        """Source and guard ports to each driver's destination (a guard port
+        feeds the select, so whether a loop closes depends on its value:
+        never definite), then each cell's input→output paths."""
+        _, _, _, wires, paths = self._graph
+        for gate, assign, dst, src, reads in wires:
+            if src is not None:
+                yield src, dst, gate, assign.is_unconditional(), assign
+            for read in reads:
+                yield read, dst, gate, False, assign
+        for src, dst, definite in paths:
+            yield src, dst, None, definite, None
 
     @cached_property
     def cycles(self) -> List[Tuple[List[int], List[Edge]]]:
         """Each cyclic SCC's member vertices and the edges inside it."""
-        _, scc_of, sccs, cyclic = self._condensed
-        inside: Dict[int, List[Edge]] = {scc: [] for scc, is_cycle in enumerate(cyclic) if is_cycle}
-        for edge in self.edges:
+        adj = self._graph[2]
+        scc_of, sccs = tarjan_scc(adj)
+        cyclic = cyclic_sccs(adj, scc_of, sccs)
+        inside: Dict[int, List[Edge]] = {scc: [] for scc, cycle in enumerate(cyclic) if cycle}
+        for edge in self._edges() if inside else ():
             scc = scc_of[edge[0]]
             if scc == scc_of[edge[1]] and scc in inside:
                 inside[scc].append(edge)
@@ -418,32 +383,21 @@ class Netlist:
         if self._building_edges:
             return {}
         if self._pairs is None:
-            self._pairs = self._reach_outputs()
+            refs, index, adj, _, _ = self._graph
+            outputs = {p.name for p in self.comp.outputs}
+            self._pairs = {}
+            for port in self.comp.inputs:
+                start = index.get(ThisPort(port.name))
+                if start is None:
+                    continue
+                outs = {
+                    refs[v].port
+                    for v in _reached(start, adj.__getitem__)
+                    if isinstance(refs[v], ThisPort) and refs[v].port in outputs
+                }
+                if outs:
+                    self._pairs[port.name] = outs
         return self._pairs
-
-    def _reach_outputs(self) -> Dict[str, Set[str]]:
-        adj, scc_of, sccs, _ = self._condensed
-        outputs = {p.name for p in self.comp.outputs}
-        # Tarjan emits sinks first, so each SCC's successors are done.
-        reach: List[Set[str]] = []
-        for members in sccs:
-            names = {
-                self.refs[v].port
-                for v in members
-                if isinstance(self.refs[v], ThisPort) and self.refs[v].port in outputs
-            }
-            for v in members:
-                for w in adj[v]:
-                    if scc_of[w] != len(reach):
-                        names |= reach[scc_of[w]]
-            reach.append(names)
-        _, index, _ = self._graph
-        pairs: Dict[str, Set[str]] = {}
-        for port in self.comp.inputs:
-            start = index.get(ThisPort(port.name))
-            if start is not None and reach[scc_of[start]]:
-                pairs[port.name] = reach[scc_of[start]]
-        return pairs
 
     # -- what the engine wires ---------------------------------------------
     def cell_deps(self, name: str) -> Set[str]:
@@ -458,35 +412,12 @@ class Netlist:
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output in the engine.
 
-        The engine's netlist has more paths than :attr:`edges`: a gated
-        driver reads its group's ``go`` hole, a ``go`` hole reads its
-        ``done`` hole, invoke bindings are wires, and a cell node writes
-        every output when a dependency input changes. ``go`` is always
-        included when the component has control or groups: group
-        activation (and thereby outputs) can follow ``go`` combinationally
-        through the executor, which the netlist does not model as edges.
+        The engine has more paths than the lint edges: a gated driver reads
+        its ``go`` hole, a ``go`` hole its ``done`` hole, invoke bindings are
+        wires, and a cell node writes every output when a dependency input
+        changes. ``go`` is included whenever there is control or a group:
+        activation can follow it through the executor, which has no edges.
         """
-        reads = self._engine_reads()
-        targets = {ThisPort(p.name) for p in self.comp.outputs}
-        deps: List[str] = []
-        for port in self.comp.inputs:
-            seen = {ThisPort(port.name)}
-            frontier = [ThisPort(port.name)]
-            while frontier:
-                ref = frontier.pop()
-                if ref in targets:
-                    deps.append(port.name)
-                    break
-                for reader in reads.get(ref, ()):
-                    if reader not in seen:
-                        seen.add(reader)
-                        frontier.append(reader)
-        if GO not in deps and (self.comp.groups or not self.comp.control.is_empty()):
-            deps.append(GO)
-        return deps
-
-    def _engine_reads(self) -> Dict[PortRef, List[PortRef]]:
-        """Port → the ports whose engine nodes read it."""
         reads: Dict[PortRef, List[PortRef]] = {}
 
         def wire(src: PortRef, dst: PortRef) -> None:
@@ -503,7 +434,7 @@ class Netlist:
                 go_holes.add(assign.dst)
         for hole in go_holes:
             wire(HolePort(hole.group, DONE), hole)
-        for node in self.comp.control.walk():
+        for node in self.control:
             if isinstance(node, Invoke):
                 for port, src in node.in_binds.items():
                     wire(src, CellPort(node.cell, port))
@@ -513,8 +444,15 @@ class Netlist:
         for name in self.comp.cells:
             ins, outs = port_names(self.signature_of(name))
             deps = self.cell_deps(name)
-            for in_port in ins:
-                if in_port in deps:
-                    for out_port in outs:
-                        wire(CellPort(name, in_port), CellPort(name, out_port))
-        return reads
+            for i in ins:
+                for o in outs if i in deps else ():
+                    wire(CellPort(name, i), CellPort(name, o))
+        targets = {ThisPort(p.name) for p in self.comp.outputs}
+        deps = [
+            port.name
+            for port in self.comp.inputs
+            if targets & _reached(ThisPort(port.name), lambda ref: reads.get(ref, ()))
+        ]
+        if GO not in deps and (self.comp.groups or not self.comp.control.is_empty()):
+            deps.append(GO)
+        return deps

@@ -19,16 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Set, Tuple
 
-from repro.ir.ast import (
-    Assignment,
-    CellPort,
-    Component,
-    ConstPort,
-    HolePort,
-    PortRef,
-    Program,
-    ThisPort,
-)
+from repro.analysis.netlist import Netlists
+from repro.ir.ast import Assignment, Component, HolePort, PortRef, Program
 from repro.ir.guards import (
     AndGuard,
     CmpGuard,
@@ -40,29 +32,6 @@ from repro.ir.guards import (
 )
 from repro.stdlib.costs import Resources, guard_cost, mux_cost
 from repro.stdlib.primitives import get_primitive, is_primitive
-
-
-class _WidthTable:
-    """Destination-port width lookup for one component."""
-
-    def __init__(self, program: Program, comp: Component):
-        self.program = program
-        self.comp = comp
-        self.cell_sigs: Dict[str, Dict[str, int]] = {}
-        for cell in comp.cells.values():
-            sig = program.cell_signature(cell)
-            self.cell_sigs[cell.name] = {p: d.width for p, d in sig.items()}
-
-    def width(self, ref: PortRef) -> int:
-        if isinstance(ref, ConstPort):
-            return ref.width
-        if isinstance(ref, HolePort):
-            return 1
-        if isinstance(ref, ThisPort):
-            return self.comp.port_def(ref.port).width
-        if isinstance(ref, CellPort):
-            return self.cell_sigs.get(ref.cell, {}).get(ref.port, 1)
-        return 1
 
 
 def _collect_guard_nodes(guard: Guard, seen: Set[Guard]) -> None:
@@ -90,7 +59,7 @@ def component_resources(
     if comp.name in _cache:
         return _cache[comp.name]
     total = Resources()
-    widths = _WidthTable(program, comp)
+    net = Netlists(program).of(comp)
 
     # 1. Cells.
     for cell in comp.cells.values():
@@ -108,7 +77,7 @@ def component_resources(
             continue
         drivers[assign.dst] = drivers.get(assign.dst, 0) + 1
     for dst, count in drivers.items():
-        total.charge("mux", luts=mux_cost(widths.width(dst), count))
+        total.charge("mux", luts=mux_cost(net.width(dst) or 1, count))
 
     # 3. Guard logic, each distinct node once.
     guard_nodes: Set[Guard] = set()

@@ -37,8 +37,7 @@ class DesignMetrics:
     compile_seconds: float
     #: The engine that produced ``cycles`` (see ``repro.sim.ENGINES``).
     engine: str
-    #: Wall-clock time of the simulation run itself, engine build excluded
-    #: (0.0 when not simulated).
+    #: Wall-clock time of the run alone, engine build excluded (0.0 if not run).
     sim_seconds: float = 0.0
     #: Wall-clock time of the engine build and memory loading.
     build_seconds: float = 0.0
@@ -76,8 +75,7 @@ def _measure(
 ) -> DesignMetrics:
     """Compile ``program`` in place, optionally simulate it, and measure it.
 
-    The engine build and the run are timed apart, so throughput counts
-    simulated cycles against the run alone.
+    The engine build is timed apart from the run, which alone is throughput's base.
     """
     manager = make_pass_manager(pipeline)
     manager.run(program)

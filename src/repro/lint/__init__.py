@@ -22,7 +22,6 @@ from repro.lint.registry import (
     LintRule,
     all_rules,
     exception_for,
-    lint_component,
     lint_program,
     register_rule,
     rule_table,
@@ -36,7 +35,6 @@ __all__ = [
     "LintRule",
     "all_rules",
     "exception_for",
-    "lint_component",
     "lint_program",
     "register_rule",
     "rule_table",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Type
 
 from repro.errors import ValidationError
-from repro.ir.ast import Component, Program
+from repro.ir.ast import Program
 from repro.analysis.netlist import Netlist, Netlists
 from repro.lint.diagnostics import ERROR, Diagnostic, LintReport
 
@@ -125,20 +125,6 @@ def exception_for(rule_id: str):
         if rule_id in type(rule).all_ids():
             return rule.exception
     return ValidationError
-
-
-def lint_component(
-    program: Program,
-    comp: Component,
-    rules: Optional[Iterable[LintRule]] = None,
-    core_only: bool = False,
-) -> LintReport:
-    """Run component-scoped rules over one component."""
-    report = LintReport()
-    net = Netlists(program).of(comp)
-    for rule in rules if rules is not None else all_rules(core_only):
-        rule.check_component(net, report)
-    return report
 
 
 def lint_program(

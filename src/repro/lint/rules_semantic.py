@@ -301,7 +301,7 @@ class UnreachableControlRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-        for node in comp.control.walk():
+        for node in net.control:
             if isinstance(node, Repeat):
                 if node.times == 0 and not node.body.is_empty():
                     report.add(

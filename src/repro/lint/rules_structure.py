@@ -17,7 +17,7 @@ also what engine construction tolerates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.analysis.netlist import Netlist, Unresolved
 from repro.errors import (
@@ -33,10 +33,6 @@ from repro.ir.ports import DONE, GO, PortRef
 from repro.ir.types import Direction
 from repro.lint.diagnostics import WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
-
-#: One unresolvable reference: its message and the cell it names, if any.
-_Problem = Tuple[str, Optional[str]]
-
 
 def _assignments(net: Netlist):
     """Yield ``(context, group_name, assignment)`` over groups + continuous."""
@@ -92,7 +88,7 @@ class UnknownNameRule(LintRule):
 
         # A guard's findings depend only on the guard and on whether it sits
         # in a group, so each distinct guard is checked once per scope kind.
-        guard_problems: Dict[Tuple[Guard, bool], Tuple[_Problem, ...]] = {}
+        guard_problems: Dict[Tuple[Guard, bool], Tuple[Unresolved, ...]] = {}
         for context, group_name, assign in _assignments(net):
             in_group = group_name is not None
             key = (assign.guard, in_group)
@@ -117,32 +113,26 @@ class UnknownNameRule(LintRule):
 
     def _problems(
         self, net: Netlist, refs: Iterable[PortRef], in_group: bool
-    ) -> Tuple[_Problem, ...]:
-        """``(message, cell)`` for each reference that does not resolve."""
-        problems = (self._ref_problem(net, ref, in_group) for ref in refs)
-        return tuple(problem for problem in problems if problem is not None)
-
-    def _ref_problem(
-        self, net: Netlist, ref: PortRef, in_group: bool
-    ) -> Optional[_Problem]:
-        comp = net.comp
-        if isinstance(ref, HolePort):
-            # Hole existence only matters inside groups; holes in continuous
-            # assignments are categorically rejected by `continuous-hole`.
-            if in_group and ref.group not in comp.groups:
-                return f"hole {ref.to_string()} names an undefined group", None
-            return None
-        if isinstance(ref, (ThisPort, CellPort)):
-            entry = net.port(ref)
-            # A port of an unresolvable cell has no message: the cell's own
-            # failure was reported above.
-            if isinstance(entry, Unresolved) and entry.message is not None:
-                return entry.message, entry.cell
-        return None
+    ) -> Tuple[Unresolved, ...]:
+        """Why each reference does not resolve, for those with a reason."""
+        found = []
+        for ref in refs:
+            if isinstance(ref, HolePort):
+                # Hole existence only matters inside groups; holes in continuous
+                # assignments are categorically rejected by `continuous-hole`.
+                if in_group and ref.group not in net.comp.groups:
+                    found.append(Unresolved(f"hole {ref.to_string()} names an undefined group"))
+            elif isinstance(ref, (ThisPort, CellPort)):
+                entry = net.port(ref)
+                # A port of an unresolvable cell has no message: the cell's own
+                # failure was reported above.
+                if entry.__class__ is Unresolved and entry.message is not None:
+                    found.append(entry)
+        return tuple(found)
 
     def _check_control(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-        for node in comp.control.walk():
+        for node in net.control:
             if isinstance(node, Enable):
                 if node.group not in comp.groups:
                     report.add(
@@ -229,7 +219,7 @@ class PortDirectionRule(LintRule):
                         span=assign.span,
                     )
                 )
-        for node in comp.control.walk():
+        for node in net.control:
             if isinstance(node, (If, While)):
                 if net.is_readable(node.port) is False:
                     report.add(
@@ -288,7 +278,7 @@ class GuardWidthRule(LintRule):
                         span=assign.span,
                     )
                 )
-        for node in comp.control.walk():
+        for node in net.control:
             if isinstance(node, (If, While)):
                 width = net.width(node.port)
                 if width is not None and width != 1:
@@ -437,7 +427,7 @@ class CombGroupEnabledRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-        for node in comp.control.walk():
+        for node in net.control:
             if isinstance(node, Enable):
                 group = comp.groups.get(node.group)
                 if group is not None and group.comb:
@@ -461,7 +451,7 @@ class InvokeBindingRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-        for node in comp.control.walk():
+        for node in net.control:
             if not isinstance(node, Invoke):
                 continue
             if node.cell not in comp.cells:

@@ -83,19 +83,7 @@ import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from types import MethodType
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
 from repro.analysis.netlist import Netlists
@@ -689,23 +677,6 @@ def _unscheduled(*_args: int) -> None:
     """The dirty-mask marks of an instance that keeps no dirty mask."""
 
 
-class _Schedule(NamedTuple):
-    """The levelized drain's order over one definition's node graph.
-
-    Node and slot indices, so every instance of the definition shares it:
-    ``writer`` maps a slot to the node writing it, ``rank_of`` a node to
-    its SCC's rank, ``rank_node`` a rank to its acyclic SCC's one node (-1
-    for a cyclic SCC), ``cyclic`` a cyclic SCC's rank to its members, and
-    ``reader_mask`` a slot to the ranks of the nodes reading it.
-    """
-
-    writer: Dict[int, int]
-    rank_of: List[int]
-    rank_node: List[int]
-    cyclic: Dict[int, List[int]]
-    reader_mask: List[int]
-
-
 # ---------------------------------------------------------------------------
 # The instance
 # ---------------------------------------------------------------------------
@@ -775,12 +746,8 @@ class ComponentInstance:
         return make_model(cell.comp_name, cell.args)
 
     def _reject_driver_race(self) -> None:
-        """Refuse the first definite driver race of the definition.
-
-        The runtime conflict check compares *values*, so two always-active
-        drivers of one port would be silently accepted whenever their values
-        agreed, the winner depending on collection order.
-        """
+        """Refuse the definition's first definite driver race: the runtime
+        check compares values, so agreeing racers would pass unnoticed."""
         if self.netlist.conflicts:
             gate, prev, assign = self.netlist.conflicts[0]
             where = f"group {gate!r}" if gate else "always-active scope"
@@ -1019,38 +986,32 @@ class ComponentInstance:
                     if not isinstance(guard, TrueGuard):
                         d.guard = _compile_slot_guard(guard, self._slots, ops, memo)
 
-    def _node_out_slots(self, node) -> List[int]:
-        if isinstance(node, _ChildNode):
-            return node.out_slots
-        return [node.slot]
-
     def _schedule(self) -> None:
         """Writers, ranks and reader masks of the levelized drain.
 
         Every instance of a definition builds the same node graph, so its
         first instance in the build levelizes it and the rest share that.
         """
-        schedule = self.netlist.schedule
-        if schedule is None:
-            schedule = self.netlist.schedule = self._levelize()
-        self._writer, self._rank_of, self._reader_mask = (
-            schedule.writer,
-            schedule.rank_of,
-            schedule.reader_mask,
-        )
+        if self.netlist.schedule is None:
+            self.netlist.schedule = self._levelize()
+        self._writer, self._rank_of, rank_node, cyclic, self._reader_mask = self.netlist.schedule
         nodes = self._nodes
         # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
-        self._rank_node = [None if i < 0 else nodes[i] for i in schedule.rank_node]
-        self._cyclic_members = {
-            rank: [nodes[i] for i in members] for rank, members in schedule.cyclic.items()
-        }
+        self._rank_node = [None if i < 0 else nodes[i] for i in rank_node]
+        self._cyclic_members = {rank: [nodes[i] for i in scc] for rank, scc in cyclic.items()}
 
-    def _levelize(self) -> "_Schedule":
-        """Tarjan SCC condensation, longest-path levels, then ranks."""
+    def _levelize(self) -> Tuple[Dict[int, int], List[int], List[int], Dict[int, list], List[int]]:
+        """Tarjan SCC condensation, longest-path levels, then ranks.
+
+        Returns node and slot indices, which every instance of the
+        definition shares: each slot's writer node, each node's rank, each
+        rank's acyclic node (-1 for a cyclic SCC), each cyclic SCC's
+        members by rank, and each slot's reader mask over ranks.
+        """
         fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
         writer: Dict[int, int] = {}
         for node in self._nodes:
-            for slot in self._node_out_slots(node):
+            for slot in node.out_slots if isinstance(node, _ChildNode) else (node.slot,):
                 writer[slot] = node.index
         for node in self._nodes:
             for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
@@ -1082,13 +1043,9 @@ class ComponentInstance:
             for node_idx in readers:
                 mask |= 1 << rank_of[node_idx]
             reader_mask.append(mask)
-        return _Schedule(
-            writer,
-            rank_of,
-            [-1 if cyclic[c] else sccs[c][0] for c in order],
-            {rank: sccs[c] for rank, c in enumerate(order) if cyclic[c]},
-            reader_mask,
-        )
+        rank_node = [-1 if cyclic[c] else sccs[c][0] for c in order]
+        members = {rank: sccs[c] for rank, c in enumerate(order) if cyclic[c]}
+        return writer, rank_of, rank_node, members, reader_mask
 
     # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:

@@ -103,10 +103,7 @@ class Primitive:
         return dict(zip(self.params, (int(a) for a in args)))
 
     def signature(self, args: Sequence[int]) -> Mapping[str, PortDef]:
-        """Port signature for a concrete instantiation, built once per ``args``.
-
-        Read-only: every cell with these arguments shares it.
-        """
+        """Port signature for a concrete instantiation, one read-only mapping per ``args``."""
         key = tuple(args)
         sig = self._signatures.get(key)
         if sig is None:

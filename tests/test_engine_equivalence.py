@@ -140,7 +140,8 @@ def test_reference_strategy_does_not_use_compiled_guards(monkeypatch):
     """The oracle must stay independent of the guard nodes.
 
     With every guard node forced to evaluate true, the reference strategy —
-    which builds no guard nodes and interprets guards with ``eval_guard`` —
+    which builds no guard nodes and evaluates each driver's guard through
+    evaluators resolved to slots, from its own ``_SLOT_GUARD_OPS`` table —
     still computes lowered SUM_LOOP exactly, while the levelized strategy,
     whose drivers read the guard nodes, does not.
     """

@@ -224,7 +224,6 @@ class TestPortTable:
             with pytest.raises(error) as raised:
                 net.signature_of(cell)
             assert str(raised.value) == text
-        assert net.cell_failure("ghost") == "no cell named 'ghost'"
         assert net.cell_failure("r") is None
 
     def test_lint_reports_each_reason_once(self):
