@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Type
 
+from repro.analysis.netlist import Netlist, Netlists
 from repro.errors import ValidationError
 from repro.ir.ast import Program
-from repro.analysis.netlist import Netlist, Netlists
 from repro.lint.diagnostics import ERROR, Diagnostic, LintReport
 
 
