@@ -18,7 +18,9 @@ combinational path to an output is a dependency slot of the child node.
 State written outside ``tick`` is announced with
 :meth:`ComponentInstance.touch`.
 
-Construction compiles the component into that netlist once:
+Construction compiles the component into that netlist once, taking its
+definition's drivers, races, cell signatures and dependency inputs from
+:mod:`repro.analysis.netlist`:
 
 * every port reference is assigned an integer *slot* in a flat value
   array, read and written through the dict-like :attr:`~ComponentInstance.nets`
@@ -26,9 +28,10 @@ Construction compiles the component into that netlist once:
 * each destination port gets a *resolver* node over its drivers (guarded
   assignments, plus invoke bindings synthesized from the control tree),
   each cell a *child* node, and an unlowered component a *done* node;
-* a port-level dependency graph — guard and source reads plus the
-  primitive models' declared ``comb_deps`` — is condensed into strongly
-  connected components, *levelized* and *ranked* in ``(level, id)`` order.
+* for ``levelized``, a port-level dependency graph — guard and source
+  reads plus the cells' dependency inputs — is condensed into strongly
+  connected components, *levelized* and *ranked* in ``(level, id)`` order,
+  once per definition.
 
 A :class:`SettleStrategy`, chosen once at construction and shared by every
 child instance, decides how one clock phase evaluates the netlist:
@@ -637,15 +640,12 @@ class _SlotNets(MutableMapping):
 class SettleStrategy:
     """How a :class:`ComponentInstance` evaluates its netlist per phase.
 
-    ``settle(instance)`` brings one clock phase to its fixpoint.
-    ``levelized`` chooses whether the netlist is scheduled: it shares every
-    distinct guard sub-expression as a :class:`_GuardNode` whose slot the
-    resolvers read, ranks its SCCs, keeps the dirty mask the settle drains,
-    and lets a nested instance without control skip the settle before its
-    clock edge when its inputs dirtied nothing. Otherwise it builds none of
-    these, and each resolver evaluates its drivers' guards itself, through
-    evaluators resolved to slots at build
-    (:meth:`ComponentInstance._compile_guards`).
+    ``settle(instance)`` brings one clock phase to its fixpoint. A
+    ``levelized`` netlist shares each distinct guard sub-expression as a
+    :class:`_GuardNode`, ranks its SCCs, keeps the dirty mask the settle
+    drains, and skips a quiet nested instance's settle before its edge.
+    Otherwise each resolver evaluates its drivers' guards itself, resolved
+    to slots at build (:meth:`ComponentInstance._compile_guards`).
     """
 
     settle: Callable[["ComponentInstance"], None]
@@ -671,10 +671,6 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
 LEVELIZED = SettleStrategy(_settle_levelized, levelized=True)
 #: The reference strategy: slot-compiled guards, whole-netlist sweeps.
 SWEEP = SettleStrategy(_settle_sweep, levelized=False)
-
-
-def _unscheduled(*_args: int) -> None:
-    """The dirty-mask marks of an instance that keeps no dirty mask."""
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +957,7 @@ class ComponentInstance:
             # The reference fires every node each sweep: nothing to rank and
             # no dirty mask to keep.
             self._writer: Dict[int, int] = {}
-            self._mark_node = self._mark_slot = self._mark_all = _unscheduled
+            self._mark_node = self._mark_slot = self._mark_all = lambda *_: None
             self._compile_guards(self._sweep_nodes)
         else:
             self._schedule()
