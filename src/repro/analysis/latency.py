@@ -96,9 +96,8 @@ def component_latency(program: Program, comp_name: str) -> Optional[int]:
     """Static latency of a component or primitive, if declared."""
     if is_primitive(comp_name):
         return get_primitive(comp_name).attributes.get(STATIC)
-    if program.has_component(comp_name):
-        return program.get_component(comp_name).attributes.get(STATIC)
-    return None
+    comp = program.find_component(comp_name)
+    return None if comp is None else comp.attributes.get(STATIC)
 
 
 def control_latency(program: Program, comp: Component, node: Control) -> Optional[int]:

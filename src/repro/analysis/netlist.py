@@ -436,11 +436,9 @@ class Netlist:
             wire(HolePort(hole.group, DONE), hole)
         for node in self.control:
             if isinstance(node, Invoke):
-                for port, src in node.in_binds.items():
-                    wire(src, CellPort(node.cell, port))
-                for port, dst in node.out_binds.items():
-                    wire(CellPort(node.cell, port), dst)
-                wire(CellPort(node.cell, DONE), CellPort(node.cell, GO))
+                for assign in node.wires():
+                    for src in assign.reads():
+                        wire(src, assign.dst)
         for name in self.comp.cells:
             ins, outs = port_names(self.signature_of(name))
             deps = self.cell_deps(name)

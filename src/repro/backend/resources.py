@@ -17,37 +17,22 @@ ratio, which this model preserves structurally.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.netlist import Netlists
-from repro.ir.ast import Assignment, Component, HolePort, PortRef, Program
-from repro.ir.guards import (
-    AndGuard,
-    CmpGuard,
-    Guard,
-    NotGuard,
-    OrGuard,
-    PortGuard,
-    TrueGuard,
-)
+from repro.ir.ast import Component, HolePort, PortRef, Program
+from repro.ir.guards import CmpGuard, Guard, fold
 from repro.stdlib.costs import Resources, guard_cost, mux_cost
 from repro.stdlib.primitives import get_primitive, is_primitive
 
 
-def _collect_guard_nodes(guard: Guard, seen: Set[Guard]) -> None:
-    """Add each operator node (not leaves) to ``seen``, once per node."""
-    if isinstance(guard, (TrueGuard, PortGuard)):
-        return
-    if guard in seen:
-        return
-    seen.add(guard)
-    if isinstance(guard, NotGuard):
-        _collect_guard_nodes(guard.inner, seen)
-    elif isinstance(guard, (AndGuard, OrGuard)):
-        _collect_guard_nodes(guard.left, seen)
-        _collect_guard_nodes(guard.right, seen)
-    # CmpGuard has no guard children but costs a comparator-ish LUT blob,
-    # which the single node in `seen` accounts for.
+def _is_operator(guard: Guard, children: Tuple[bool, ...]) -> bool:
+    """The :func:`fold` visit: is this node charged as guard logic?
+
+    True and port guards are wires; a comparison has no guard children
+    but costs a comparator-ish LUT blob.
+    """
+    return bool(children) or isinstance(guard, CmpGuard)
 
 
 def component_resources(
@@ -65,8 +50,9 @@ def component_resources(
     for cell in comp.cells.values():
         if is_primitive(cell.comp_name):
             total = total.add(get_primitive(cell.comp_name).cost(cell.args))
-        elif program.has_component(cell.comp_name):
-            sub = program.get_component(cell.comp_name)
+            continue
+        sub = program.find_component(cell.comp_name)
+        if sub is not None:
             total = total.add(component_resources(program, sub, _cache))
         # extern cells without bodies are not charged (black-box RTL).
 
@@ -80,10 +66,10 @@ def component_resources(
         total.charge("mux", luts=mux_cost(net.width(dst) or 1, count))
 
     # 3. Guard logic, each distinct node once.
-    guard_nodes: Set[Guard] = set()
+    operators: Dict[Guard, bool] = {}
     for _, assign in comp.all_assignments():
-        _collect_guard_nodes(assign.guard, guard_nodes)
-    total.charge("guards", luts=guard_cost(len(guard_nodes)))
+        fold(assign.guard, _is_operator, operators)
+    total.charge("guards", luts=guard_cost(sum(operators.values())))
 
     _cache[comp.name] = total
     return total
@@ -97,11 +83,16 @@ def estimate_resources(program: Program, entrypoint: str = None) -> Resources:
 
 def count_register_cells(program: Program, entrypoint: str = None) -> int:
     """Number of ``std_reg`` instances in the design (Figure 9b metric)."""
-    comp = program.get_component(entrypoint or program.entrypoint)
-    count = 0
-    for cell in comp.cells.values():
-        if cell.comp_name == "std_reg":
-            count += 1
-        elif program.has_component(cell.comp_name):
-            count += count_register_cells(program, cell.comp_name)
-    return count
+
+    def count(comp: Component) -> int:
+        total = 0
+        for cell in comp.cells.values():
+            if cell.comp_name == "std_reg":
+                total += 1
+                continue
+            sub = program.find_component(cell.comp_name)
+            if sub is not None:
+                total += count(sub)
+        return total
+
+    return count(program.get_component(entrypoint or program.entrypoint))

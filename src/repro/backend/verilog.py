@@ -24,15 +24,7 @@ from repro.ir.ast import (
     Program,
     ThisPort,
 )
-from repro.ir.guards import (
-    AndGuard,
-    CmpGuard,
-    Guard,
-    NotGuard,
-    OrGuard,
-    PortGuard,
-    TrueGuard,
-)
+from repro.ir.guards import CmpGuard, Guard, NotGuard, PortGuard, TrueGuard, fold
 from repro.ir.types import Direction
 from repro.stdlib.primitives import get_primitive, is_primitive
 
@@ -55,27 +47,17 @@ def _value(ref: PortRef) -> str:
     return _wire_name(ref)
 
 
-def _guard_expr(guard: Guard, memo: Dict[Guard, str]) -> str:
-    """Verilog text of ``guard``; ``memo`` renders each shared node once."""
-    text = memo.get(guard)
-    if text is not None:
-        return text
-    if isinstance(guard, TrueGuard):
-        text = "1'd1"
-    elif isinstance(guard, PortGuard):
-        text = _value(guard.port)
-    elif isinstance(guard, NotGuard):
-        text = f"~({_guard_expr(guard.inner, memo)})"
-    elif isinstance(guard, AndGuard):
-        text = f"({_guard_expr(guard.left, memo)} & {_guard_expr(guard.right, memo)})"
-    elif isinstance(guard, OrGuard):
-        text = f"({_guard_expr(guard.left, memo)} | {_guard_expr(guard.right, memo)})"
-    elif isinstance(guard, CmpGuard):
-        text = f"({_value(guard.left)} {guard.op} {_value(guard.right)})"
-    else:
-        raise PassError(f"cannot translate guard {guard!r}")
-    memo[guard] = text
-    return text
+def _guard_expr(guard: Guard, operands: Tuple[str, ...]) -> str:
+    """The :func:`fold` visit rendering a guard node as Verilog."""
+    if isinstance(guard, NotGuard):
+        return f"~({operands[0]})"
+    if operands:
+        return f"({operands[0]} {guard.op} {operands[1]})"
+    if isinstance(guard, CmpGuard):
+        return f"({_value(guard.left)} {guard.op} {_value(guard.right)})"
+    if isinstance(guard, PortGuard):
+        return _value(guard.port)
+    return "1'd1"
 
 
 def _emit_component(
@@ -140,7 +122,7 @@ def _emit_component(
             if isinstance(assign.guard, TrueGuard):
                 chain = _value(assign.src)
                 break
-            guard = _guard_expr(assign.guard, guard_text)
+            guard = fold(assign.guard, _guard_expr, guard_text)
             chain += f"{guard} ? {_value(assign.src)} : "
         if not chain.endswith(": ") and chain:
             expr = chain

@@ -87,10 +87,12 @@ class Assignment:
         new.span = self.span
         return new
 
-    def to_string(self) -> str:
+    def to_string(self, guard_text: Optional[Dict[Guard, str]] = None) -> str:
+        """Surface syntax; ``guard_text`` is :meth:`Guard.to_string`'s memo."""
         if self.is_unconditional():
             return f"{self.dst.to_string()} = {self.src.to_string()};"
-        return f"{self.dst.to_string()} = {self.guard.to_string()} ? {self.src.to_string()};"
+        guard = self.guard.to_string(guard_text)
+        return f"{self.dst.to_string()} = {guard} ? {self.src.to_string()};"
 
     def __repr__(self) -> str:
         return f"Assignment({self.to_string()})"
@@ -408,6 +410,32 @@ class Program:
         from repro.stdlib.primitives import get_primitive
 
         return get_primitive(cell.comp_name).signature(cell.args)
+
+    def port_width(self, comp: Component, ref: PortRef) -> Optional[int]:
+        """The width of ``ref`` inside ``comp``, or ``None`` if unknown.
+
+        Tolerant, for sizing literals before validation: an undefined cell
+        or port gives ``None``, and a port declared twice the width of its
+        first declaration; validation and lint report those. A malformed
+        primitive instance raises its :class:`ValidationError`.
+        """
+        if isinstance(ref, ConstPort):
+            return ref.width
+        if isinstance(ref, HolePort):
+            return 1
+        try:
+            if isinstance(ref, ThisPort):
+                return comp.port_def(ref.port).width
+            if isinstance(ref, CellPort):
+                cell = comp.get_cell(ref.cell)
+                callee = self.find_component(cell.comp_name)
+                if callee is not None:
+                    return callee.port_def(ref.port).width
+                port = self.cell_signature(cell).get(ref.port)
+                return None if port is None else port.width
+        except UndefinedError:
+            pass
+        return None
 
     def copy(self) -> "Program":
         return Program(

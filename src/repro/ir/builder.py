@@ -305,7 +305,7 @@ class ComponentBuilder:
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, int):
-            width = self._port_width(dst)
+            width = self._builder.program.port_width(self.component, dst)
             if width is None:
                 raise ValidationError(
                     f"cannot size constant {value} for destination "
@@ -313,26 +313,6 @@ class ComponentBuilder:
                 )
             return ConstPort(width, value)
         return self._as_port(value)
-
-    def _port_width(self, ref: PortRef) -> Optional[int]:
-        if isinstance(ref, ConstPort):
-            return ref.width
-        if isinstance(ref, HolePort):
-            return 1
-        if isinstance(ref, ThisPort):
-            try:
-                return self.component.port_def(ref.port).width
-            except UndefinedError:
-                return None
-        if isinstance(ref, CellPort):
-            try:
-                cell = self.component.get_cell(ref.cell)
-                sig = self._builder.program.cell_signature(cell)
-                port = sig.get(ref.port)
-                return port.width if port else None
-            except UndefinedError:
-                return None
-        return None
 
 
 class Builder:

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.ir.ast import Assignment
 from repro.ir.attributes import Attributes
-from repro.ir.ports import PortRef
+from repro.ir.guards import NotGuard, PortGuard
+from repro.ir.ports import DONE, GO, CellPort, ConstPort, PortRef
 
 
 class Control:
@@ -257,6 +259,20 @@ class Invoke(Control):
         self.cell = cell
         self.in_binds: Dict[str, PortRef] = dict(in_binds or {})
         self.out_binds: Dict[str, PortRef] = dict(out_binds or {})
+
+    def wires(self) -> List[Assignment]:
+        """The calling convention's wires, live while the invoke runs.
+
+        Each in-binding, each out-binding, then ``go = !done ? 1``: gated
+        by ``!done`` like a compiled enable, so the callee is not started
+        again in the cycle its ``done`` is observed.
+        """
+        cell = self.cell
+        wires = [Assignment(CellPort(cell, port), src) for port, src in self.in_binds.items()]
+        wires.extend(Assignment(dst, CellPort(cell, port)) for port, dst in self.out_binds.items())
+        done = NotGuard(PortGuard(CellPort(cell, DONE)))
+        wires.append(Assignment(CellPort(cell, GO), ConstPort(1, 1), done))
+        return wires
 
     def copy(self) -> "Invoke":
         return Invoke(

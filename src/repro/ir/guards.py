@@ -8,14 +8,15 @@ Guards form one interned DAG. Every constructor looks its node up by
 ``(class, children...)`` in a weak table, so equal structures are the same
 object: equality is identity, the hash is the identity hash, and a shared
 prefix (the ``go``/FSM tests lowering folds into every guard) exists once.
-Consumers walk each distinct node once by memoizing on the node itself.
-Nodes are immutable; a node no program references any more is collected.
+Every walk over the DAG is a :func:`fold`, which visits each distinct node
+once per memo. Nodes are immutable; a node no program references any more
+is collected.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.ir.ports import PortRef
 
@@ -24,11 +25,19 @@ CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
 #: ``(class, children...)`` -> the one live node with that structure.
 _INTERNED: "weakref.WeakValueDictionary[tuple, Guard]" = weakref.WeakValueDictionary()
 
+T = TypeVar("T")
+
 
 class Guard:
-    """Abstract base class for guard expressions."""
+    """Abstract base class for guard expressions.
 
-    __slots__ = ("_ports", "__weakref__")
+    ``children`` holds the sub-guards: ``(inner,)`` for ``!``,
+    ``(left, right)`` for ``&`` and ``|``, ``()`` for the leaves (true,
+    a port, a comparison). ``op`` is the operator of every node but
+    ``true`` and a port guard.
+    """
+
+    __slots__ = ("_ports", "children", "__weakref__")
 
     # -- combinators --------------------------------------------------
     def and_(self, other: "Guard") -> "Guard":
@@ -50,6 +59,12 @@ class Guard:
             return self.inner
         return NotGuard(self)
 
+    def rebuild(self, children: Tuple["Guard", ...]) -> "Guard":
+        """This node's operator over ``children``; itself if they are its own."""
+        if children == self.children:
+            return self
+        return type(self)(*children)
+
     # -- queries -------------------------------------------------------
     def ports(self) -> Tuple[PortRef, ...]:
         """Every port referenced by this guard, in tree order with repeats."""
@@ -57,14 +72,25 @@ class Guard:
 
     def map_ports(self, fn: Callable[[PortRef], PortRef]) -> "Guard":
         """Return a copy with every port rewritten through ``fn``."""
-        raise NotImplementedError
+
+        def visit(node: Guard, children: Tuple[Guard, ...]) -> Guard:
+            if children:
+                return node.rebuild(children)
+            if isinstance(node, PortGuard):
+                return PortGuard(fn(node.port))
+            if isinstance(node, CmpGuard):
+                return CmpGuard(node.op, fn(node.left), fn(node.right))
+            return node
+
+        return fold(self, visit, {})
 
     def size(self) -> int:
         """Number of operator nodes in the tree (shared nodes count again)."""
-        return 0
+        return fold(self, _size, {})
 
-    def to_string(self) -> str:
-        raise NotImplementedError
+    def to_string(self, memo: Optional[Dict["Guard", str]] = None) -> str:
+        """Surface syntax; ``memo`` renders a node shared between calls once."""
+        return fold(self, _render, {} if memo is None else memo)
 
     def __repr__(self) -> str:
         return f"Guard({self.to_string()})"
@@ -87,15 +113,9 @@ class TrueGuard(Guard):
         node = _INTERNED.get(key)
         if node is None:
             node = object.__new__(cls)
-            node._ports = ()
+            node._ports = node.children = ()
             _INTERNED[key] = node
         return node
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return self
-
-    def to_string(self) -> str:
-        return "1"
 
 
 G_TRUE = TrueGuard()
@@ -113,20 +133,16 @@ class PortGuard(Guard):
             node = object.__new__(cls)
             node.port = port
             node._ports = (port,)
+            node.children = ()
             _INTERNED[key] = node
         return node
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return PortGuard(fn(self.port))
-
-    def to_string(self) -> str:
-        return self.port.to_string()
 
 
 class NotGuard(Guard):
     """Boolean negation: ``!g``."""
 
     __slots__ = ("inner",)
+    op = "!"
 
     def __new__(cls, inner: Guard) -> "NotGuard":
         key = (cls, inner)
@@ -135,24 +151,16 @@ class NotGuard(Guard):
             node = object.__new__(cls)
             node.inner = inner
             node._ports = inner._ports
+            node.children = (inner,)
             _INTERNED[key] = node
         return node
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return NotGuard(self.inner.map_ports(fn))
-
-    def size(self) -> int:
-        return 1 + self.inner.size()
-
-    def to_string(self) -> str:
-        return f"!{_atom(self.inner)}"
 
 
 class _BinaryGuard(Guard):
     """A boolean connective over two sub-guards."""
 
     __slots__ = ("left", "right")
-    symbol = ""
+    op = ""
 
     def __new__(cls, left: Guard, right: Guard) -> "_BinaryGuard":
         key = (cls, left, right)
@@ -162,31 +170,23 @@ class _BinaryGuard(Guard):
             node.left = left
             node.right = right
             node._ports = left._ports + right._ports
+            node.children = (left, right)
             _INTERNED[key] = node
         return node
-
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return type(self)(self.left.map_ports(fn), self.right.map_ports(fn))
-
-    def size(self) -> int:
-        return 1 + self.left.size() + self.right.size()
-
-    def to_string(self) -> str:
-        return f"{_atom(self.left)} {self.symbol} {_atom(self.right)}"
 
 
 class AndGuard(_BinaryGuard):
     """Boolean conjunction: ``a & b``."""
 
     __slots__ = ()
-    symbol = "&"
+    op = "&"
 
 
 class OrGuard(_BinaryGuard):
     """Boolean disjunction: ``a | b``."""
 
     __slots__ = ()
-    symbol = "|"
+    op = "|"
 
 
 class CmpGuard(Guard):
@@ -205,23 +205,59 @@ class CmpGuard(Guard):
             node.left = left
             node.right = right
             node._ports = (left, right)
+            node.children = ()
             _INTERNED[key] = node
         return node
 
-    def map_ports(self, fn: Callable[[PortRef], PortRef]) -> Guard:
-        return CmpGuard(self.op, fn(self.left), fn(self.right))
 
-    def size(self) -> int:
-        return 1
-
-    def to_string(self) -> str:
-        return f"{self.left.to_string()} {self.op} {self.right.to_string()}"
+_MISSING = object()
 
 
-def _atom(guard: Guard) -> str:
-    """Render a sub-guard, parenthesizing non-atomic children."""
-    text = guard.to_string()
-    if isinstance(guard, (AndGuard, OrGuard, CmpGuard)):
+def fold(guard: Guard, visit: Callable[[Guard, Tuple[T, ...]], T], memo: Dict[Guard, T]) -> T:
+    """Fold the DAG under ``guard`` bottom-up, each distinct node once.
+
+    ``visit(node, folded)`` runs for every node not yet in ``memo``, after
+    its children (left before right); ``folded`` holds the children's
+    results in ``node.children`` order. Each result, falsy ones included,
+    is stored in ``memo``, so a memo shared between calls shares the work.
+    """
+    result = memo.get(guard, _MISSING)
+    if result is _MISSING:
+        children = guard.children
+        if not children:
+            result = visit(guard, ())
+        elif len(children) == 1:
+            result = visit(guard, (fold(children[0], visit, memo),))
+        else:
+            left = fold(children[0], visit, memo)
+            result = visit(guard, (left, fold(children[1], visit, memo)))
+        memo[guard] = result
+    return result
+
+
+def _size(node: Guard, sizes: Tuple[int, ...]) -> int:
+    """:meth:`Guard.size`'s visit: one per operator node, repeats included."""
+    if sizes:
+        return 1 + sum(sizes)
+    return 1 if isinstance(node, CmpGuard) else 0
+
+
+def _render(node: Guard, texts: Tuple[str, ...]) -> str:
+    """:meth:`Guard.to_string`'s visit."""
+    if isinstance(node, NotGuard):
+        return f"!{_atom(node.inner, texts[0])}"
+    if isinstance(node, _BinaryGuard):
+        return f"{_atom(node.left, texts[0])} {node.op} {_atom(node.right, texts[1])}"
+    if isinstance(node, CmpGuard):
+        return f"{node.left.to_string()} {node.op} {node.right.to_string()}"
+    if isinstance(node, PortGuard):
+        return node.port.to_string()
+    return "1"
+
+
+def _atom(guard: Guard, text: str) -> str:
+    """A sub-guard's text, parenthesized unless it is atomic."""
+    if isinstance(guard, (_BinaryGuard, CmpGuard)):
         return f"({text})"
     return text
 

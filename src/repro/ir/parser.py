@@ -14,9 +14,9 @@ parsing, once all signatures are known.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ParseError, UndefinedError
+from repro.errors import ParseError
 from repro.ir.ast import (
     Assignment,
     Cell,
@@ -40,6 +40,7 @@ from repro.ir.guards import (
     NotGuard,
     OrGuard,
     PortGuard,
+    fold,
 )
 from repro.ir.tokens import TokenCursor, tokenize
 from repro.ir.types import Direction, PortDef, Span
@@ -423,67 +424,42 @@ class _Sizer:
     def __init__(self, program: Program, comp: Component):
         self.program = program
         self.comp = comp
+        self._guards: Dict[Guard, Guard] = {}
 
-    def width_of(self, ref: PortRef) -> Optional[int]:
-        if isinstance(ref, ConstPort):
-            return ref.width
-        if isinstance(ref, HolePort):
-            return 1
-        if isinstance(ref, ThisPort):
-            try:
-                return self.comp.port_def(ref.port).width
-            except UndefinedError:
-                return None
-        if isinstance(ref, CellPort):
-            try:
-                cell = self.comp.get_cell(ref.cell)
-                sig = self.program.cell_signature(cell)
-            except UndefinedError:
-                return None
-            port = sig.get(ref.port)
-            return port.width if port else None
-        return None
-
-    def size(self, ref: PortRef, context_width: Optional[int], where: str) -> PortRef:
+    def size(self, ref: PortRef, context: PortRef, where: str) -> PortRef:
+        """``ref``, or the literal it holds sized to ``context``'s width."""
         if not isinstance(ref, _UnsizedConst):
             return ref
-        if context_width is None:
+        width = self.program.port_width(self.comp, context)
+        if width is None:
             raise ParseError(
                 f"cannot infer width for literal {ref.value} in {where}; "
                 "write a sized constant like 32'd10",
                 ref.line,
                 ref.column,
             )
-        return ConstPort(context_width, ref.value)
+        return ConstPort(width, ref.value)
 
     def fix(self, assign: Assignment) -> Assignment:
-        dst_width = self.width_of(assign.dst)
-        src = self.size(assign.src, dst_width, "assignment source")
-        guard = self._fix_guard(assign.guard)
+        src = self.size(assign.src, assign.dst, "assignment source")
+        guard = fold(assign.guard, self._fix_guard, self._guards)
         fixed = Assignment(assign.dst, src, guard)
         fixed.span = assign.span
         return fixed
 
-    def _fix_guard(self, guard: Guard) -> Guard:
+    def _fix_guard(self, guard: Guard, children: Tuple[Guard, ...]) -> Guard:
+        """The :func:`fold` visit: ``guard`` with its literals sized."""
         if isinstance(guard, CmpGuard):
-            left_width = self.width_of(guard.left)
-            right_width = self.width_of(guard.right)
-            left = self.size(guard.left, right_width, "comparison")
-            right = self.size(guard.right, left_width, "comparison")
+            left = self.size(guard.left, guard.right, "comparison")
+            right = self.size(guard.right, guard.left, "comparison")
             return CmpGuard(guard.op, left, right)
-        if isinstance(guard, NotGuard):
-            return NotGuard(self._fix_guard(guard.inner))
-        if isinstance(guard, AndGuard):
-            return AndGuard(self._fix_guard(guard.left), self._fix_guard(guard.right))
-        if isinstance(guard, OrGuard):
-            return OrGuard(self._fix_guard(guard.left), self._fix_guard(guard.right))
         if isinstance(guard, PortGuard) and isinstance(guard.port, _UnsizedConst):
             raise ParseError(
                 "bare literals cannot be guards; use a sized constant",
                 guard.port.line,
                 guard.port.column,
             )
-        return guard
+        return guard.rebuild(children)
 
 
 def parse_program(source: str) -> Program:

@@ -6,7 +6,7 @@ property-tested.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.ir.ast import Component, ExternDef, Group, Program
 from repro.ir.control import (
@@ -20,17 +20,19 @@ from repro.ir.control import (
     Seq,
     While,
 )
+from repro.ir.guards import Guard
 
 INDENT = "  "
 
 
 def print_program(program: Program) -> str:
-    """Render a whole program."""
+    """Render a whole program, each distinct guard once."""
     parts: List[str] = []
     for extern in program.externs:
         parts.append(_print_extern(extern))
+    guard_text: Dict[Guard, str] = {}
     for comp in program.components:
-        parts.append(print_component(comp))
+        parts.append(print_component(comp, guard_text))
     return "\n".join(parts)
 
 
@@ -49,7 +51,10 @@ def _signature_line(comp: Component) -> str:
     return f"component {comp.name}{attrs}({ins}) -> ({outs})"
 
 
-def print_component(comp: Component) -> str:
+def print_component(comp: Component, guard_text: Optional[Dict[Guard, str]] = None) -> str:
+    """Render one component; ``guard_text`` is :meth:`Guard.to_string`'s memo."""
+    if guard_text is None:
+        guard_text = {}
     lines = [_signature_line(comp) + " {"]
     lines.append(INDENT + "cells {")
     for cell in comp.cells.values():
@@ -58,9 +63,9 @@ def print_component(comp: Component) -> str:
     lines.append(INDENT + "}")
     lines.append(INDENT + "wires {")
     for group in comp.groups.values():
-        lines.extend(_print_group(group, depth=2))
+        lines.extend(_print_group(group, 2, guard_text))
     for assign in comp.continuous:
-        lines.append(INDENT * 2 + assign.to_string())
+        lines.append(INDENT * 2 + assign.to_string(guard_text))
     lines.append(INDENT + "}")
     lines.append(INDENT + "control {")
     if not isinstance(comp.control, Empty):
@@ -70,12 +75,12 @@ def print_component(comp: Component) -> str:
     return "\n".join(lines)
 
 
-def _print_group(group: Group, depth: int) -> List[str]:
+def _print_group(group: Group, depth: int, guard_text: Dict[Guard, str]) -> List[str]:
     keyword = "comb group" if group.comb else "group"
     attrs = group.attributes.to_string()
     lines = [INDENT * depth + f"{keyword} {group.name}{attrs} {{"]
     for assign in group.assignments:
-        lines.append(INDENT * (depth + 1) + assign.to_string())
+        lines.append(INDENT * (depth + 1) + assign.to_string(guard_text))
     lines.append(INDENT * depth + "}")
     return lines
 

@@ -14,7 +14,7 @@ the simulator's reading: any nonzero value is true.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.analysis.latency import control_latency, structural_group_latency
 from repro.analysis.live_groups import live_group_names
@@ -30,6 +30,7 @@ from repro.ir.guards import (
     OrGuard,
     PortGuard,
     TrueGuard,
+    fold,
 )
 from repro.lint.diagnostics import ERROR, WARNING, LintReport
 from repro.lint.registry import LintRule, register_rule
@@ -77,27 +78,26 @@ def _cmp_atom(guard: CmpGuard) -> Tuple[Optional[Atom], bool, Optional[bool]]:
     return ("lt", rkey, lkey), False, None
 
 
-def _guard_atoms(guard: Guard, atoms: Set[Atom]) -> None:
-    """Add the guard's canonical atoms, visiting each distinct node once."""
-    seen: Set[Guard] = set()
-    stack = [guard]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, PortGuard):
-            if not isinstance(node.port, ConstPort):
-                atoms.add(("port", node.port.to_string()))
-        elif isinstance(node, CmpGuard):
-            atom, _, _ = _cmp_atom(node)
-            if atom is not None:
-                atoms.add(atom)
-        elif isinstance(node, NotGuard):
-            stack.append(node.inner)
-        elif isinstance(node, (AndGuard, OrGuard)):
-            stack.append(node.left)
-            stack.append(node.right)
+_NO_ATOMS: FrozenSet[Atom] = frozenset()
+
+
+def _atoms(guard: Guard, children: Tuple[FrozenSet[Atom], ...]) -> FrozenSet[Atom]:
+    """The :func:`fold` visit collecting a guard's canonical atoms."""
+    if children:
+        return children[0] | children[1] if len(children) == 2 else children[0]
+    if isinstance(guard, PortGuard):
+        if not isinstance(guard.port, ConstPort):
+            return frozenset((("port", guard.port.to_string()),))
+    elif isinstance(guard, CmpGuard):
+        atom, _, _ = _cmp_atom(guard)
+        if atom is not None:
+            return frozenset((atom,))
+    return _NO_ATOMS
+
+
+def guard_atoms(guard: Guard, memo: Dict[Guard, FrozenSet[Atom]]) -> FrozenSet[Atom]:
+    """The guard's canonical atoms; ``memo`` is the :func:`fold` memo."""
+    return fold(guard, _atoms, memo)
 
 
 def _column(k: int, full: int) -> int:
@@ -115,60 +115,48 @@ def _truth_table(
     guard: Guard,
     columns: Dict[Atom, int],
     full: int,
-    memo: Optional[Dict[Guard, int]] = None,
 ) -> int:
     """The guard's value under every valuation, one bit per valuation.
 
-    ``memo`` holds the table of each node already computed under the same
-    ``columns``, so a shared sub-guard is evaluated once.
+    One :func:`fold` under the same ``columns`` evaluates a shared
+    sub-guard once.
     """
-    if memo is None:
-        memo = {}
-    table = memo.get(guard)
-    if table is not None:
-        return table
-    if isinstance(guard, TrueGuard):
-        table = full
-    elif isinstance(guard, PortGuard):
-        if isinstance(guard.port, ConstPort):
-            table = full if guard.port.value != 0 else 0
-        else:
-            table = columns[("port", guard.port.to_string())]
-    elif isinstance(guard, CmpGuard):
-        atom, polarity, constant = _cmp_atom(guard)
-        if atom is None:
-            table = full if constant else 0
-        else:
-            column = columns[atom]
-            table = column if polarity else full ^ column
-    elif isinstance(guard, NotGuard):
-        table = full ^ _truth_table(guard.inner, columns, full, memo)
-    elif isinstance(guard, AndGuard):
-        table = _truth_table(guard.left, columns, full, memo) & _truth_table(
-            guard.right, columns, full, memo
-        )
-    elif isinstance(guard, OrGuard):
-        table = _truth_table(guard.left, columns, full, memo) | _truth_table(
-            guard.right, columns, full, memo
-        )
-    else:
-        raise TypeError(f"unknown guard kind: {guard!r}")
-    memo[guard] = table
-    return table
+
+    def visit(node: Guard, tables: Tuple[int, ...]) -> int:
+        if isinstance(node, NotGuard):
+            return full ^ tables[0]
+        if isinstance(node, AndGuard):
+            return tables[0] & tables[1]
+        if isinstance(node, OrGuard):
+            return tables[0] | tables[1]
+        if isinstance(node, CmpGuard):
+            atom, polarity, constant = _cmp_atom(node)
+            if atom is None:
+                return full if constant else 0
+            return columns[atom] if polarity else full ^ columns[atom]
+        if isinstance(node, PortGuard):
+            if isinstance(node.port, ConstPort):
+                return full if node.port.value != 0 else 0
+            return columns[("port", node.port.to_string())]
+        return full
+
+    return fold(guard, visit, {})
 
 
-def classify_guard(guard: Guard) -> Optional[str]:
+def classify_guard(
+    guard: Guard, atom_memo: Optional[Dict[Guard, FrozenSet[Atom]]] = None
+) -> Optional[str]:
     """``"tautology"``, ``"contradiction"``, or None (contingent/unknown).
 
     Unconditional (:class:`TrueGuard`) and atom-free guards are skipped:
     a bare ``1`` is normal style, and ``!1`` is the printer's deliberate
     never-guard. Guards with too many atoms are skipped rather than
-    sampled, so a verdict is always sound.
+    sampled, so a verdict is always sound. ``atom_memo`` is
+    :func:`guard_atoms`'s memo, which the guards of one component share.
     """
     if isinstance(guard, TrueGuard):
         return None
-    atoms: Set[Atom] = set()
-    _guard_atoms(guard, atoms)
+    atoms = guard_atoms(guard, {} if atom_memo is None else atom_memo)
     if not atoms or len(atoms) > MAX_GUARD_ATOMS:
         return None
     full = (1 << (1 << len(atoms))) - 1
@@ -189,10 +177,11 @@ class GuardLogicRule(LintRule):
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
         verdicts: Dict[Guard, Optional[str]] = {}
+        atom_memo: Dict[Guard, FrozenSet[Atom]] = {}
         for group, assign in comp.all_assignments():
             guard = assign.guard
             if guard not in verdicts:
-                verdicts[guard] = classify_guard(guard)
+                verdicts[guard] = classify_guard(guard, atom_memo)
             verdict = verdicts[guard]
             if verdict is None:
                 continue

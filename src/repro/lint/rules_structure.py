@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.ir.ast import CellPort, HolePort, ThisPort
 from repro.ir.control import Enable, If, Invoke, While
-from repro.ir.guards import AndGuard, CmpGuard, Guard, NotGuard, OrGuard, PortGuard
+from repro.ir.guards import CmpGuard, Guard, PortGuard, fold
 from repro.ir.ports import DONE, GO, PortRef
 from repro.ir.types import Direction
 from repro.lint.diagnostics import WARNING, LintReport
@@ -267,9 +267,28 @@ class GuardWidthRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
+
+        def visit(guard: Guard, found: Tuple[Tuple[str, ...], ...]) -> Tuple[str, ...]:
+            """One message per bad operand occurrence, in tree order."""
+            if found:
+                return found[0] + found[1] if len(found) == 2 else found[0]
+            if isinstance(guard, PortGuard):
+                width = net.width(guard.port)
+                if width is not None and width != 1:
+                    return (f"guard port {guard.port.to_string()} must be 1 bit, is {width}",)
+            elif isinstance(guard, CmpGuard):
+                left = net.width(guard.left)
+                right = net.width(guard.right)
+                if left is not None and right is not None and left != right:
+                    return (
+                        f"comparison width mismatch in {guard.to_string()} "
+                        f"({left} vs {right})",
+                    )
+            return ()
+
         findings: Dict[Guard, Tuple[str, ...]] = {}
         for context, group_name, assign in _assignments(net):
-            for finding in self._guard_findings(net, assign.guard, findings):
+            for finding in fold(assign.guard, visit, findings):
                 report.add(
                     self.diag(
                         f"{context}: {finding}",
@@ -290,40 +309,6 @@ class GuardWidthRule(LintRule):
                             span=node.span,
                         )
                     )
-
-    def _guard_findings(
-        self,
-        net: Netlist,
-        guard: Guard,
-        memo: Dict[Guard, Tuple[str, ...]],
-    ) -> Tuple[str, ...]:
-        """One message per bad operand occurrence, in tree order."""
-        found = memo.get(guard)
-        if found is not None:
-            return found
-        found = ()
-        if isinstance(guard, PortGuard):
-            width = net.width(guard.port)
-            if width is not None and width != 1:
-                found = (
-                    f"guard port {guard.port.to_string()} must be 1 bit, "
-                    f"is {width}",
-                )
-        elif isinstance(guard, CmpGuard):
-            left = net.width(guard.left)
-            right = net.width(guard.right)
-            if left is not None and right is not None and left != right:
-                found = (
-                    f"comparison width mismatch in {guard.to_string()} "
-                    f"({left} vs {right})",
-                )
-        elif isinstance(guard, NotGuard):
-            found = self._guard_findings(net, guard.inner, memo)
-        elif isinstance(guard, (AndGuard, OrGuard)):
-            left_found = self._guard_findings(net, guard.left, memo)
-            found = left_found + self._guard_findings(net, guard.right, memo)
-        memo[guard] = found
-        return found
 
 
 @register_rule

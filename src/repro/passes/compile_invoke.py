@@ -15,8 +15,8 @@ from repro.analysis.latency import component_latency
 from repro.ir.ast import Assignment, CellPort, Component, ConstPort, Group, Program
 from repro.ir.attributes import STATIC
 from repro.ir.control import Control, Enable, Invoke, map_control
-from repro.ir.guards import NotGuard, PortGuard
-from repro.ir.ports import DONE, GO
+from repro.ir.guards import PortGuard
+from repro.ir.ports import DONE
 from repro.passes.base import Pass, register_pass
 
 
@@ -24,16 +24,9 @@ def compile_invoke(program: Program, comp: Component, node: Invoke) -> Enable:
     """Synthesize the calling-convention group for one invoke."""
     name = comp.gen_name(f"invoke_{node.cell}_")
     group = Group(name)
-    cell_done = CellPort(node.cell, DONE)
-    for port, src in node.in_binds.items():
-        group.assignments.append(Assignment(CellPort(node.cell, port), src))
-    for port, dst in node.out_binds.items():
-        group.assignments.append(Assignment(dst, CellPort(node.cell, port)))
+    group.assignments.extend(node.wires())
     group.assignments.append(
-        Assignment(CellPort(node.cell, GO), ConstPort(1, 1), NotGuard(PortGuard(cell_done)))
-    )
-    group.assignments.append(
-        Assignment(group.done, ConstPort(1, 1), PortGuard(cell_done))
+        Assignment(group.done, ConstPort(1, 1), PortGuard(CellPort(node.cell, DONE)))
     )
     cell = comp.get_cell(node.cell)
     latency = component_latency(program, cell.comp_name)

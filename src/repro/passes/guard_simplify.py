@@ -7,7 +7,7 @@ guard logic the resource estimator charges for.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.ir.ast import Program
 from repro.ir.guards import (
@@ -17,49 +17,38 @@ from repro.ir.guards import (
     NotGuard,
     OrGuard,
     TrueGuard,
+    fold,
 )
 from repro.passes.base import Pass, register_pass
+
+
+def _simplify(guard: Guard, children: Tuple[Guard, ...]) -> Guard:
+    """The :func:`fold` visit: ``guard`` over its simplified ``children``."""
+    if isinstance(guard, NotGuard):
+        (inner,) = children
+        return inner.inner if isinstance(inner, NotGuard) else guard.rebuild(children)
+    if isinstance(guard, AndGuard):
+        left, right = children
+        if isinstance(left, TrueGuard):
+            return right
+        if isinstance(right, TrueGuard) or left is right:
+            return left
+    elif isinstance(guard, OrGuard):
+        left, right = children
+        if isinstance(left, TrueGuard) or isinstance(right, TrueGuard):
+            return G_TRUE
+        if left is right:
+            return left
+    return guard.rebuild(children)
 
 
 def simplify_guard(guard: Guard, memo: Optional[Dict[Guard, Guard]] = None) -> Guard:
     """Bottom-up simplification; returns a (possibly shared) new guard.
 
-    ``memo`` maps each node already simplified to its result, so a node
-    shared by many guards is simplified once per ``memo``.
+    ``memo`` is the :func:`fold` memo, so a node shared by many guards is
+    simplified once per ``memo``.
     """
-    if memo is None:
-        memo = {}
-    done = memo.get(guard)
-    if done is not None:
-        return done
-    # An unchanged node stays itself: interning would return it anyway.
-    result = guard
-    if isinstance(guard, NotGuard):
-        inner = simplify_guard(guard.inner, memo)
-        if isinstance(inner, NotGuard):
-            result = inner.inner
-        elif inner is not guard.inner:
-            result = NotGuard(inner)
-    elif isinstance(guard, AndGuard):
-        left = simplify_guard(guard.left, memo)
-        right = simplify_guard(guard.right, memo)
-        if isinstance(left, TrueGuard):
-            result = right
-        elif isinstance(right, TrueGuard) or left is right:
-            result = left
-        elif left is not guard.left or right is not guard.right:
-            result = AndGuard(left, right)
-    elif isinstance(guard, OrGuard):
-        left = simplify_guard(guard.left, memo)
-        right = simplify_guard(guard.right, memo)
-        if isinstance(left, TrueGuard) or isinstance(right, TrueGuard):
-            result = G_TRUE
-        elif left is right:
-            result = left
-        elif left is not guard.left or right is not guard.right:
-            result = OrGuard(left, right)
-    memo[guard] = result
-    return result
+    return fold(guard, _simplify, {} if memo is None else memo)
 
 
 @register_pass

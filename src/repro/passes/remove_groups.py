@@ -28,16 +28,7 @@ from repro.ir.ast import (
     ThisPort,
 )
 from repro.ir.control import Empty, Enable
-from repro.ir.guards import (
-    G_TRUE,
-    AndGuard,
-    CmpGuard,
-    Guard,
-    NotGuard,
-    OrGuard,
-    PortGuard,
-    or_all,
-)
+from repro.ir.guards import G_TRUE, CmpGuard, Guard, NotGuard, PortGuard, fold, or_all
 from repro.ir.ports import DONE, GO
 from repro.passes.base import Pass, register_pass
 
@@ -98,26 +89,17 @@ class _Inliner:
 
     def expand(self, guard: Guard) -> Guard:
         """Replace every hole reference inside ``guard`` by its definition."""
-        result = self.expanded.get(guard)
-        if result is not None:
-            return result
-        result = guard
+        return fold(guard, self._expand, self.expanded)
+
+    def _expand(self, guard: Guard, children: Tuple[Guard, ...]) -> Guard:
+        """The :func:`fold` visit: ``guard`` over its expanded ``children``."""
         if isinstance(guard, PortGuard):
             if isinstance(guard.port, HolePort):
-                result = self.define(guard.port)
+                return self.define(guard.port)
         elif isinstance(guard, CmpGuard):
             if isinstance(guard.left, HolePort) or isinstance(guard.right, HolePort):
                 raise PassError("holes may not appear in comparisons")
-        elif isinstance(guard, NotGuard):
-            inner = self.expand(guard.inner)
-            if inner is not guard.inner:
-                result = NotGuard(inner)
-        elif isinstance(guard, (AndGuard, OrGuard)):
-            left, right = self.expand(guard.left), self.expand(guard.right)
-            if left is not guard.left or right is not guard.right:
-                result = type(guard)(left, right)
-        self.expanded[guard] = result
-        return result
+        return guard.rebuild(children)
 
 
 @register_pass

@@ -32,9 +32,8 @@ from repro.stdlib.primitives import get_primitive, is_primitive
 def _is_shareable(program: Program, comp_name: str) -> bool:
     if is_primitive(comp_name):
         return get_primitive(comp_name).is_shareable()
-    if program.has_component(comp_name):
-        return bool(program.get_component(comp_name).attributes.get(SHARE, 0))
-    return False
+    comp = program.find_component(comp_name)
+    return comp is not None and bool(comp.attributes.get(SHARE, 0))
 
 
 def shareable_cells(program: Program, comp: Component) -> List[str]:

@@ -20,12 +20,11 @@ mutation escaped, i.e. was semantics-preserving).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.netlist import Netlists
-from repro.ir.ast import CellPort, Component, Program, ThisPort
-from repro.ir.guards import NotGuard
+from repro.ir.ast import CellPort, Program, ThisPort
 from repro.robustness.difftest import DifftestReport, difftest_program
 from repro.sim import ORACLE_ENGINE, ComponentInstance
 
@@ -59,10 +58,7 @@ class IRMutation:
             del assigns[self.index]
         elif self.kind == "flip-guard":
             assign = assigns[self.index]
-            guard = assign.guard
-            assign.guard = (
-                guard.inner if isinstance(guard, NotGuard) else NotGuard(guard)
-            )
+            assign.guard = assign.guard.not_()
         elif self.kind == "swap-port":
             a, b = assigns[self.index], assigns[self.partner]
             a.src, b.src = b.src, a.src

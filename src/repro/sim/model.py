@@ -116,6 +116,7 @@ from repro.ir.guards import (
     OrGuard,
     PortGuard,
     TrueGuard,
+    fold,
 )
 from repro.ir.ports import DONE, GO
 from repro.sim.control import ControlExecutor
@@ -251,36 +252,25 @@ def _compile_slot_guard(
     """``guard`` as an evaluator over a slot array, mirroring its tree.
 
     Each port becomes its slot in ``slots``, each constant a literal, and
-    each operator the evaluator ``ops`` builds for it. ``memo`` maps every
-    (interned) guard node already compiled to its evaluator, so guards and
-    sub-guards that recur share one.
+    each operator the evaluator ``ops`` builds for it. ``memo`` is the
+    :func:`fold` memo, so guards and sub-guards that recur share one.
     """
-    fn = memo.get(guard)
-    if fn is not None:
-        return fn
-    if isinstance(guard, TrueGuard):
-        fn = lambda v: True  # noqa: E731
-    elif isinstance(guard, PortGuard):
-        port = guard.port
-        if isinstance(port, ConstPort):
-            value = port.value != 0
-            fn = lambda v: value  # noqa: E731
-        else:
+
+    def visit(node: Guard, operands: Tuple[SlotGuard, ...]) -> SlotGuard:
+        if operands:
+            return ops[node.op](*operands)
+        if isinstance(node, CmpGuard):
+            return ops[node.op](_operand(node.left, slots), _operand(node.right, slots))
+        if isinstance(node, PortGuard):
+            port = node.port
+            if isinstance(port, ConstPort):
+                value = port.value != 0
+                return lambda v: value
             slot = slots[port]
-            fn = lambda v: v[slot] != 0  # noqa: E731
-    elif isinstance(guard, NotGuard):
-        fn = ops["!"](_compile_slot_guard(guard.inner, slots, ops, memo))
-    elif isinstance(guard, (AndGuard, OrGuard)):
-        fn = ops["&" if isinstance(guard, AndGuard) else "|"](
-            _compile_slot_guard(guard.left, slots, ops, memo),
-            _compile_slot_guard(guard.right, slots, ops, memo),
-        )
-    elif isinstance(guard, CmpGuard):
-        fn = ops[guard.op](_operand(guard.left, slots), _operand(guard.right, slots))
-    else:
-        raise SimulationError(f"cannot evaluate guard {guard!r}")
-    memo[guard] = fn
-    return fn
+            return lambda v: v[slot] != 0
+        return lambda v: True
+
+    return fold(guard, visit, memo)
 
 
 _EMPTY: frozenset = frozenset()
@@ -509,7 +499,7 @@ class _GuardNet:
 
     def driver_slot(self, guard: Guard) -> Optional[int]:
         """The slot a driver reads its guard from; ``None`` if always true."""
-        value = self._cons(guard)
+        value = fold(guard, self._cons, self._memo)
         if value is True:
             return None
         return self.inst._const_slot(0) if value is False else value
@@ -527,52 +517,38 @@ class _GuardNet:
             self.nodes.append(_GuardNode(slot, _GUARD_FNS[op], a, b))
         return slot
 
-    def _cons(self, guard: Guard) -> Union[bool, int]:
-        """``True``/``False`` for a constant guard, else its value's slot."""
-        known = self._memo.get(guard)
-        if known is not None:
-            return known
-        result: Union[bool, int]
-        if isinstance(guard, TrueGuard):
-            result = True
-        elif isinstance(guard, PortGuard):
-            port = guard.port
-            if isinstance(port, ConstPort):
-                result = port.value != 0
-            else:
-                result = self.inst._slot(port)
-        elif isinstance(guard, NotGuard):
-            inner = self._cons(guard.inner)
+    def _cons(self, guard: Guard, operands: Tuple[Union[bool, int], ...]) -> Union[bool, int]:
+        """The :func:`fold` visit: a constant guard's value, else its slot."""
+        if isinstance(guard, NotGuard):
+            (inner,) = operands
             if isinstance(inner, bool):
-                result = not inner
-            else:
-                result = self._node("!", inner, self.inst._const_slot(0))
-        elif isinstance(guard, AndGuard):
-            left, right = self._cons(guard.left), self._cons(guard.right)
+                return not inner
+            return self._node("!", inner, self.inst._const_slot(0))
+        if isinstance(guard, AndGuard):
+            left, right = operands
             if left is False or right is False:
-                result = False
-            elif left is True or right is True:
-                result = right if left is True else left
-            else:
-                result = self._node("&", left, right)
-        elif isinstance(guard, OrGuard):
-            left, right = self._cons(guard.left), self._cons(guard.right)
+                return False
             if left is True or right is True:
-                result = True
-            elif left is False or right is False:
-                result = right if left is False else left
-            else:
-                result = self._node("|", left, right)
-        elif isinstance(guard, CmpGuard):
+                return right if left is True else left
+            return self._node("&", left, right)
+        if isinstance(guard, OrGuard):
+            left, right = operands
+            if left is True or right is True:
+                return True
+            if left is False or right is False:
+                return right if left is False else left
+            return self._node("|", left, right)
+        if isinstance(guard, CmpGuard):
             left, right = guard.left, guard.right
             if isinstance(left, ConstPort) and isinstance(right, ConstPort):
-                result = _GUARD_FNS[guard.op](left.value, right.value)
-            else:
-                result = self._node(guard.op, self._operand(left), self._operand(right))
-        else:
-            raise SimulationError(f"cannot evaluate guard {guard!r}")
-        self._memo[guard] = result
-        return result
+                return _GUARD_FNS[guard.op](left.value, right.value)
+            return self._node(guard.op, self._operand(left), self._operand(right))
+        if isinstance(guard, PortGuard):
+            port = guard.port
+            if isinstance(port, ConstPort):
+                return port.value != 0
+            return self.inst._slot(port)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -846,21 +822,7 @@ class ComponentInstance:
             if not isinstance(node, Invoke):
                 continue
             live[id(node)] = live_slot = self._unnamed_slot()
-            synthesized: List[Assignment] = []
-            for port, src in node.in_binds.items():
-                synthesized.append(Assignment(CellPort(node.cell, port), src))
-            for port, dst in node.out_binds.items():
-                synthesized.append(Assignment(dst, CellPort(node.cell, port)))
-            # The go pulse is gated by !done, like a compiled enable, so the
-            # callee is not re-started during the done-observation cycle.
-            synthesized.append(
-                Assignment(
-                    CellPort(node.cell, GO),
-                    ConstPort(1, 1),
-                    NotGuard(PortGuard(CellPort(node.cell, DONE))),
-                )
-            )
-            for assign in synthesized:
+            for assign in node.wires():
                 driver, reads = self._compile_driver(guards, None, live_slot, assign)
                 add_driver(assign.dst, driver, reads)
 

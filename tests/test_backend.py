@@ -6,14 +6,14 @@ import os
 import pytest
 
 from repro.backend import emit_verilog, estimate_resources
-from repro.backend.resources import _collect_guard_nodes, count_register_cells
+from repro.backend.resources import _is_operator, count_register_cells
 from repro.backend.verilog import verilog_loc
 from repro.cli import main as cli_main
 from repro.errors import PassError
 from repro.frontends.dahlia import compile_dahlia
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
-from repro.ir.guards import AndGuard, NotGuard, OrGuard, PortGuard, TrueGuard
+from repro.ir.guards import AndGuard, NotGuard, OrGuard, PortGuard, TrueGuard, fold
 from repro.passes import compile_program, get_pass
 from repro.stdlib.primitives import get_primitive
 from repro.workloads.polybench import get_kernel
@@ -208,8 +208,8 @@ def test_resource_guard_count_matches_structural_reference(name):
     # interns; a path that bypassed interning would count extra nodes.
     program = compile_program(_guard_design(name), "all")
     for comp in program.components:
-        seen, keys = set(), set()
+        operators, keys = {}, set()
         for _, assign in comp.all_assignments():
-            _collect_guard_nodes(assign.guard, seen)
+            fold(assign.guard, _is_operator, operators)
             _structural_guard_nodes(assign.guard, keys)
-        assert keys and len(seen) == len(keys), (name, comp.name)
+        assert keys and sum(operators.values()) == len(keys), (name, comp.name)

@@ -212,6 +212,22 @@ component main(go: 1) -> (done: 1) {
 """
 
 
+DUPLICATE_PORT_WRITE = """
+component sub(a: 8, a: 8) -> () {
+  cells {}
+  wires {}
+  control {}
+}
+component main() -> () {
+  cells { s = sub(); }
+  wires {
+    group g { s.a = LITERAL; g[done] = s.done; }
+  }
+  control { g; }
+}
+"""
+
+
 class TestLintCli:
     """Exit codes: 0 clean (warnings allowed), 1 lint errors, 2 toolchain."""
 
@@ -235,6 +251,18 @@ class TestLintCli:
 
     def test_unreadable_file_exits_two(self, capsys):
         assert cli_main(["lint", "no/such/file.futil"]) == 2
+
+    @pytest.mark.parametrize("literal", ["8'd1", "1"])
+    def test_write_to_a_port_declared_twice_is_linted(self, tmp_path, capsys, literal):
+        # Sizing the literal must not resolve the malformed callee's
+        # signature: lint reports the defect instead of a toolchain failure.
+        path = tmp_path / "dup.futil"
+        path.write_text(DUPLICATE_PORT_WRITE.replace("LITERAL", literal))
+        assert cli_main(["lint", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "error[duplicate-port]: component 'sub' declares port 'a' 2 times" in out
+        assert "error[unknown-name]: cell 's' does not instantiate a known component" in out
+        assert "toolchain failure" not in out
 
     def test_json_format(self, bad_file, capsys):
         import json

@@ -35,9 +35,9 @@ from repro.lint.rules_semantic import (
     MAX_GUARD_ATOMS,
     _cmp_atom,
     _column,
-    _guard_atoms,
     _truth_table,
     classify_guard,
+    guard_atoms,
 )
 from repro.passes.guard_simplify import simplify_guard
 from repro.sim.model import eval_guard
@@ -128,8 +128,7 @@ def reference_classify(guard: Guard):
     """``classify_guard`` by evaluating the guard once per valuation."""
     if isinstance(guard, TrueGuard):
         return None
-    atoms = set()
-    _guard_atoms(guard, atoms)
+    atoms = guard_atoms(guard, {})
     if not atoms or len(atoms) > MAX_GUARD_ATOMS:
         return None
     rows = set(reference_rows(guard, sorted(atoms)))
@@ -185,8 +184,7 @@ def test_classify_guard_is_stable_under_simplification(guard):
 @settings(max_examples=300, deadline=None)
 def test_classify_guard_matches_per_valuation_reference(guard):
     assert classify_guard(guard) == reference_classify(guard)
-    atoms = set()
-    _guard_atoms(guard, atoms)
+    atoms = guard_atoms(guard, {})
     if len(atoms) <= MAX_GUARD_ATOMS:
         # Every row of the bit-parallel table, not only the verdict.
         ordered = sorted(atoms)

@@ -18,6 +18,7 @@ from repro.ir.guards import (
     PortGuard,
     TrueGuard,
     and_all,
+    fold,
     or_all,
 )
 from repro.ir.ports import CellPort, ConstPort, HolePort, ThisPort
@@ -277,3 +278,106 @@ class TestInterning:
         ref = unique_guard_ref()
         gc.collect()
         assert ref() is None
+
+
+class TestFold:
+    def port(self, name):
+        return PortGuard(CellPort(name, "out"))
+
+    def test_children(self):
+        a, b = self.port("a"), self.port("b")
+        cmp = CmpGuard("<", CellPort("a", "out"), ConstPort(2, 1))
+        assert G_TRUE.children == a.children == cmp.children == ()
+        assert NotGuard(a).children == (a,)
+        assert AndGuard(a, b).children == (a, b)
+        assert OrGuard(b, a).children == (b, a)
+
+    def test_rebuild_keeps_unchanged_nodes(self):
+        a, b = self.port("a"), self.port("b")
+        g = AndGuard(a, NotGuard(b))
+        assert g.rebuild(g.children) is g
+        assert g.rebuild((b, a)) is AndGuard(b, a)
+        assert NotGuard(a).rebuild((b,)) is NotGuard(b)
+        assert a.rebuild(()) is a
+
+    def test_shared_subguard_is_visited_once(self):
+        shared = AndGuard(self.port("a"), NotGuard(self.port("b")))
+        guard = shared
+        for i in range(50):
+            guard = OrGuard(guard, AndGuard(shared, self.port(f"p{i}")))
+        visits = []
+
+        def visit(node, children):
+            visits.append(node)
+            return len(visits)
+
+        fold(guard, visit, {})
+        assert visits.count(shared) == 1
+        assert len(visits) == len(set(visits))
+
+    def test_children_are_visited_before_parents(self):
+        a, b, c = self.port("a"), self.port("b"), self.port("c")
+        left = AndGuard(a, NotGuard(b))
+        guard = OrGuard(left, AndGuard(c, left))
+        order = []
+
+        def visit(node, children):
+            assert all(child in order for child in node.children)
+            order.append(node)
+            return node.to_string()
+
+        assert fold(guard, visit, {}) == guard.to_string()
+        assert order == [a, b, NotGuard(b), left, c, AndGuard(c, left), guard]
+
+    def test_folded_children_follow_children_order(self):
+        a, b = self.port("a"), self.port("b")
+        seen = {}
+
+        def visit(node, children):
+            seen[node] = children
+            return node
+
+        fold(OrGuard(a, NotGuard(b)), visit, {})
+        assert seen[OrGuard(a, NotGuard(b))] == (a, NotGuard(b))
+        assert seen[NotGuard(b)] == (b,)
+        assert seen[a] == ()
+
+    def test_shared_memo_is_reused(self):
+        a, b = self.port("a"), self.port("b")
+        first = AndGuard(a, b)
+        calls = []
+
+        def visit(node, children):
+            calls.append(node)
+            return 1 + sum(children)
+
+        memo = {}
+        assert fold(first, visit, memo) == 3
+        assert set(memo) == {a, b, first}
+        calls.clear()
+        assert fold(OrGuard(first, NotGuard(a)), visit, memo) == 6
+        assert calls == [NotGuard(a), OrGuard(first, NotGuard(a))]
+
+    @pytest.mark.parametrize("falsy", [False, 0, ()])
+    def test_falsy_results_are_memoized(self, falsy):
+        shared = NotGuard(self.port("a"))
+        guard = AndGuard(shared, OrGuard(shared, shared))
+        visits = []
+
+        def visit(node, children):
+            visits.append(node)
+            return falsy
+
+        memo = {}
+        assert fold(guard, visit, memo) is falsy
+        assert fold(guard, visit, memo) is falsy
+        assert len(visits) == 4  # a, !a, !a | !a, the conjunction
+        assert all(value is falsy for value in memo.values())
+
+    def test_to_string_memo_renders_shared_nodes_once(self):
+        shared = AndGuard(self.port("a"), self.port("b"))
+        memo = {}
+        assert OrGuard(shared, self.port("c")).to_string(memo) == "(a.out & b.out) | c.out"
+        assert memo[shared] == "a.out & b.out"
+        memo[shared] = "cached"
+        assert NotGuard(shared).to_string(memo) == "!(cached)"
