@@ -160,7 +160,6 @@ class _BinaryGuard(Guard):
     """A boolean connective over two sub-guards."""
 
     __slots__ = ("left", "right")
-    op = ""
 
     def __new__(cls, left: Guard, right: Guard) -> "_BinaryGuard":
         key = (cls, left, right)
