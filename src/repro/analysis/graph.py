@@ -29,47 +29,48 @@ def tarjan_scc(adj: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
-    counter = [0]
+    counter = 0
 
     for root in range(n):
         if index_of[root] != -1:
             continue
-        # Iterative Tarjan: (node, iterator position) work stack.
-        work = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # Iterative Tarjan: each frame is a vertex and the iterator over
+        # its successors, resumed where the descent into a child left it.
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index_of[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            v, successors = work[-1]
+            for w in successors:
                 if index_of[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if recurse:
-                continue
-            if low[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc_of[w] = len(sccs)
-                    component.append(w)
-                    if w == v:
-                        break
-                # Deterministic member order = vertex numbering order.
-                component.sort()
-                sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if low[v] == index_of[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        scc_of[w] = len(sccs)
+                        component.append(w)
+                        if w == v:
+                            break
+                    # Deterministic member order = vertex numbering order.
+                    component.sort()
+                    sccs.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
 
     return scc_of, sccs
 

@@ -12,7 +12,9 @@ tolerantly (what does not resolve is recorded, never raised):
 * the port-level combinational edges and their cyclic SCCs;
 * the input→output pairs: :attr:`Netlist.pairs` over those edges, which a
   parent's lint takes for a cell of this definition, and
-  :attr:`Netlist.comb_input_deps`, on which the engine makes it depend.
+  :attr:`Netlist.comb_input_deps`, on which the ``sweep`` engine makes a
+  nested instance's child node depend (``levelized`` stamps nested
+  instances into one netlist and needs no summary of them).
 
 :class:`Netlists` holds the netlists of one call (one ``validate_program``,
 one ``lint_program`` or one testbench build) and builds each definition's
@@ -162,8 +164,6 @@ class Netlist:
         self.control = list(comp.control.walk())
         self._building_edges = False
         self._pairs: Optional[Dict[str, Set[str]]] = None
-        #: The levelized engine's ranks, set by the build's first instance.
-        self.schedule: Optional[object] = None
 
     # -- the port table ----------------------------------------------------
     def duplicate_ports(self) -> Dict[str, int]:
@@ -412,7 +412,8 @@ class Netlist:
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output in the engine.
 
-        The engine has more paths than the lint edges: a gated driver reads
+        ``sweep`` makes a nested instance's child node depend on these. The
+        engine has more paths than the lint edges: a gated driver reads
         its ``go`` hole, a ``go`` hole its ``done`` hole, invoke bindings are
         wires, and a cell node writes every output when a dependency input
         changes. ``go`` is included whenever there is control or a group:

@@ -25,7 +25,6 @@ from repro.ir.ast import (
     ThisPort,
 )
 from repro.ir.guards import CmpGuard, Guard, NotGuard, PortGuard, TrueGuard, fold
-from repro.ir.types import Direction
 from repro.stdlib.primitives import get_primitive, is_primitive
 
 

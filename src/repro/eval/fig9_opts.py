@@ -23,7 +23,7 @@ from typing import List, Optional
 from repro.eval.common import evaluate_dahlia_kernel, geomean
 from repro.eval.report import render_table
 from repro.sim import DEFAULT_ENGINE
-from repro.workloads.polybench import Kernel, polybench_kernels
+from repro.workloads.polybench import polybench_kernels
 
 
 @dataclass

@@ -21,7 +21,6 @@ inferred (Section 5.3), the entire array compiles latency-sensitively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,8 +32,6 @@ from repro.ir.builder import (
     ComponentBuilder,
     GroupBuilder,
     const,
-    par,
-    seq,
 )
 from repro.ir.control import Control, Enable, Par, Seq
 from repro.ir.guards import NotGuard, PortGuard

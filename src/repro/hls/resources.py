@@ -22,7 +22,6 @@ from repro.frontends.dahlia.ast import (
     Expr,
     For,
     If,
-    IntLit,
     Let,
     MemRead,
     OrderedSeq,
@@ -30,7 +29,6 @@ from repro.frontends.dahlia.ast import (
     Program,
     Stmt,
     UnorderedSeq,
-    VarRef,
     While,
 )
 from repro.frontends.dahlia.to_calyx import OP_PRIMITIVES

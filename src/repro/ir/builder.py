@@ -24,10 +24,10 @@ be combined with ``&``, ``|`` and ``~`` and built from ports with
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import UndefinedError, ValidationError
-from repro.ir.attributes import Attributes, SHARE, STATIC
+from repro.ir.attributes import Attributes, STATIC
 from repro.ir.ast import (
     Assignment,
     Cell,

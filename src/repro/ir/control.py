@@ -19,7 +19,7 @@ The node kinds are:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.ir.ast import Assignment
 from repro.ir.attributes import Attributes

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ValidationError
 from repro.ir.ast import (
     Assignment,
     Cell,
@@ -430,7 +430,12 @@ class _Sizer:
         """``ref``, or the literal it holds sized to ``context``'s width."""
         if not isinstance(ref, _UnsizedConst):
             return ref
-        width = self.program.port_width(self.comp, context)
+        try:
+            width = self.program.port_width(self.comp, context)
+        except ValidationError:
+            # A malformed primitive instance, which validation and lint
+            # report; meanwhile the literal takes the width of its value.
+            width = max(1, ref.value.bit_length())
         if width is None:
             raise ParseError(
                 f"cannot infer width for literal {ref.value} in {where}; "

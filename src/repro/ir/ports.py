@@ -9,7 +9,9 @@ A port reference names a location in the design:
 * :class:`ConstPort` — a sized literal (``32'd10``).
 
 Port references are immutable value objects: they hash and compare by
-content, which passes rely on when building substitution maps.
+content, which passes rely on when building substitution maps. Each
+computes its hash once, at construction: the port table, the engine's slot
+maps and the interned guards hash the same references many times over.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ class PortRef:
 class CellPort(PortRef):
     """A port of a cell instance, written ``cell.port``."""
 
-    __slots__ = ("cell", "port")
+    __slots__ = ("cell", "port", "_hash")
 
     def __init__(self, cell: str, port: str):
         self.cell = cell
         self.port = port
+        self._hash = hash(("cell", cell, port))
 
     def to_string(self) -> str:
         return f"{self.cell}.{self.port}"
@@ -55,19 +58,20 @@ class CellPort(PortRef):
         )
 
     def __hash__(self) -> int:
-        return hash(("cell", self.cell, self.port))
+        return self._hash
 
 
 class HolePort(PortRef):
     """A group interface signal, written ``group[go]`` or ``group[done]``."""
 
-    __slots__ = ("group", "port")
+    __slots__ = ("group", "port", "_hash")
 
     def __init__(self, group: str, port: str):
         if port not in (GO, DONE):
             raise ValidationError(f"hole port must be 'go' or 'done', got {port!r}")
         self.group = group
         self.port = port
+        self._hash = hash(("hole", group, port))
 
     def to_string(self) -> str:
         return f"{self.group}[{self.port}]"
@@ -80,16 +84,17 @@ class HolePort(PortRef):
         )
 
     def __hash__(self) -> int:
-        return hash(("hole", self.group, self.port))
+        return self._hash
 
 
 class ThisPort(PortRef):
     """A port in the enclosing component's signature, written by name."""
 
-    __slots__ = ("port",)
+    __slots__ = ("port", "_hash")
 
     def __init__(self, port: str):
         self.port = port
+        self._hash = hash(("this", port))
 
     def to_string(self) -> str:
         return self.port
@@ -98,7 +103,7 @@ class ThisPort(PortRef):
         return isinstance(other, ThisPort) and self.port == other.port
 
     def __hash__(self) -> int:
-        return hash(("this", self.port))
+        return self._hash
 
 
 class ConstPort(PortRef):
@@ -108,13 +113,14 @@ class ConstPort(PortRef):
     their declared width.
     """
 
-    __slots__ = ("width", "value")
+    __slots__ = ("width", "value", "_hash")
 
     def __init__(self, width: int, value: int):
         if width <= 0:
             raise ValidationError(f"constant width must be positive, got {width}")
         self.width = int(width)
         self.value = int(value) % (1 << self.width)
+        self._hash = hash(("const", self.width, self.value))
 
     def to_string(self) -> str:
         return f"{self.width}'d{self.value}"
@@ -127,4 +133,4 @@ class ConstPort(PortRef):
         )
 
     def __hash__(self) -> int:
-        return hash(("const", self.width, self.value))
+        return self._hash

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.errors import PassError
 from repro.ir.ast import Component, Program

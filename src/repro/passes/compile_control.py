@@ -38,7 +38,6 @@ from repro.ir.ast import (
     ConstPort,
     Group,
     HolePort,
-    PortRef,
     Program,
 )
 from repro.ir.control import (

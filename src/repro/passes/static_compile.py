@@ -38,7 +38,7 @@ from repro.ir.ast import (
 )
 from repro.ir.attributes import STATIC
 from repro.ir.control import Control, Empty, Enable, If, Par, Seq, While
-from repro.ir.guards import AndGuard, CmpGuard, Guard, and_all
+from repro.ir.guards import AndGuard, CmpGuard, Guard
 from repro.ir.ports import GO
 from repro.passes.base import Pass, register_pass
 from repro.passes.compile_control import fsm_width

@@ -15,10 +15,11 @@ Differential testing between the two modes validates the compiler.
 
 One instance class, :class:`ComponentInstance`, evaluates both, under
 either of two settle strategies named in :data:`ENGINES`: ``sweep``, the
-reference (every node to fixpoint, each driver's guard evaluated over
-the slots), and
-``levelized`` (a dirty bitmask drained in level order, each distinct guard
-sub-expression one shared node of the netlist).
+reference (each nested component an instance of its own, every node to
+fixpoint, each driver's guard evaluated over the slots), and
+``levelized`` (every nested component stamped into one flat netlist, a
+dirty bitmask drained in level order, each distinct guard sub-expression
+one shared node of the netlist).
 """
 
 from repro.sim.model import ComponentInstance, eval_guard

@@ -1,57 +1,61 @@
 """The simulation model: one netlist instance class.
 
-A :class:`ComponentInstance` simulates one instantiation of a component.
-It exposes the same protocol as a primitive model — ``comb(ins) -> outs``
-(combinational outputs from inputs) and ``tick(ins)`` (clock edge), over
-port values in signature order — so hierarchy falls out naturally: a
-component's cells are primitive models or nested component instances,
-each one node of its parent's netlist, reading its input slots and
-writing its output slots.
+A :class:`ComponentInstance` simulates a component and everything it
+instantiates. Its cells are primitive models with the protocol
+``comb(ins) -> outs`` (combinational outputs from inputs) and ``tick(ins)``
+(clock edge), over port values in signature order, each one node of the
+netlist, reading its input slots and writing its output slots.
 
-The clock edge (:meth:`ComponentInstance.step_edge`) ticks every stateful
-child but marks a child's node for the next phase only when its ``tick``
-did not return ``False`` (:mod:`repro.stdlib.behaviors`). A nested
-instance's ``tick`` returns what its own edge reports: whether any of its
-stateful children moved, or always ``True`` when it has control state to
-advance. Input changes need no edge report; an input with a
-combinational path to an output is a dependency slot of the child node.
-State written outside ``tick`` is announced with
+The clock edge (:meth:`ComponentInstance.step_edge`) steps every control
+executor and ticks every stateful child, but marks a child's node for the
+next phase only when its ``tick`` did not return ``False``
+(:mod:`repro.stdlib.behaviors`). Input changes need no edge report; an
+input with a combinational path to an output is a dependency slot of the
+child node. State written outside ``tick`` is announced with
 :meth:`ComponentInstance.touch`.
 
-Construction compiles the component into that netlist once, taking its
-definition's drivers, races, cell signatures and dependency inputs from
-:mod:`repro.analysis.netlist`:
+Each component definition is compiled once per build into a
+:class:`_Template`, taking its drivers, races, cell signatures and
+dependency inputs from :mod:`repro.analysis.netlist`:
 
-* every port reference is assigned an integer *slot* in a flat value
-  array, read and written through the dict-like :attr:`~ComponentInstance.nets`
-  view by the testbench, watchdog and fault hooks;
+* every port reference is assigned an integer *slot*, numbered from 0;
 * each destination port gets a *resolver* node over its drivers (guarded
   assignments, plus invoke bindings synthesized from the control tree),
-  each cell a *child* node, and an unlowered component a *done* node;
-* for ``levelized``, a port-level dependency graph — guard and source
-  reads plus the cells' dependency inputs — is condensed into strongly
-  connected components, *levelized* and *ranked* in ``(level, id)`` order,
-  once per definition.
+  each cell a *child* node, an unlowered component a *done* node, and a
+  component with groups or invokes an *executor* node writing the slots
+  its control executor drives.
 
-A :class:`SettleStrategy`, chosen once at construction and shared by every
-child instance, decides how one clock phase evaluates the netlist:
+An instance *stamps* its template into a flat value array at a base slot,
+creating the nodes with their slots moved up by that base; the dict-like
+:attr:`~ComponentInstance.nets` view reads and writes the array for the
+testbench, watchdog and fault hooks. A :class:`SettleStrategy`, chosen
+once at construction, decides how nested instances are built and how one
+clock phase evaluates the netlist:
 
-* ``levelized`` keeps its dirty set as one integer bitmask over ranks,
-  seeded by input changes, clock edges and control-state transitions; a
-  changed slot ORs in its reader mask and the drain fires the lowest set
-  bit next. Every distinct guard sub-expression is one :class:`_GuardNode`
-  writing an unnamed slot, as the hardware shares the wire, so a driver's
-  guard test is one slot read and a shared prefix evaluates once per input
-  change. Acyclic regions evaluate at most once per phase; genuine
-  combinational cycles fall back to bounded fixpoint iteration inside their
-  SCC, where each resolver evaluates its drivers' whole guards over the
-  slots. A nested instance without control skips the settle before its
-  edge when its inputs dirtied nothing.
-* ``sweep``, the reference, fires every node in build order until no slot
-  changes, each driver evaluating its whole guard over the slot array on
-  every sweep. It walks the same unflattened hierarchy but builds no guard
-  nodes and uses none of the scheduling or skipped settles, so it stays an
-  independent oracle for both.
+* ``levelized`` stamps every nested instance into the root's one array: a
+  cell of another definition is a block of the parent's template, and its
+  port ``p`` is the block's slot of ``this.p``, so the whole design is one
+  netlist. A nested instance is then only a :class:`_Scope`, a view of the
+  array (path, base, template) that ``find``, ``read``, ``state_dump`` and
+  the watchdog's reports read. A port-level dependency graph of the whole
+  design — guard and source reads plus the cells' dependency inputs — is
+  condensed into strongly connected components, *levelized* and *ranked*
+  in ``(level, id)`` order, once per build. The dirty set is one integer
+  bitmask over ranks, seeded by input changes, clock edges and control
+  executors; a changed slot ORs in its reader mask and the drain fires the
+  lowest set bit next. Every distinct guard sub-expression of a definition
+  is one :class:`_GuardNode` writing an unnamed slot, as the hardware
+  shares the wire, so a driver's guard test is one slot read and a shared
+  prefix evaluates once per input change. Acyclic regions evaluate at most
+  once per phase; genuine combinational cycles fall back to bounded
+  fixpoint iteration inside their SCC, where each resolver evaluates its
+  drivers' whole guards over the slots.
+* ``sweep``, the reference, builds each nested instance as a
+  :class:`ComponentInstance` of its own, a child in the primitive protocol,
+  and fires every node in build order until no slot changes, each driver
+  evaluating its whole guard over the slot array on every sweep. It builds
+  no guard nodes and uses none of the stamping or the scheduling, so it
+  stays an independent oracle for both.
 
 A guard a resolver evaluates itself is resolved to slots once, at build:
 :func:`_compile_slot_guard` turns the IR guard tree into nested evaluators
@@ -76,8 +80,9 @@ assignment drives it — the latter is how programs behave after the
 drives the netlist only through unnamed slots: an *enable* and a *force*
 slot per group, read by its ``go`` resolver, a *live* slot per ``invoke``,
 gating the invoke's bindings, and one *finished* slot, read by the done
-node. Each phase writes those that changed, so both strategies see them
-as ordinary nets.
+node. Its executor node writes the first three, held low while the
+component's ``go`` is, and the edge that moves the executor writes
+finished, so both strategies see them as ordinary nets.
 """
 
 from __future__ import annotations
@@ -85,11 +90,13 @@ from __future__ import annotations
 import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from types import MethodType
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.analysis.graph import cyclic_sccs, tarjan_scc
-from repro.analysis.netlist import Netlists
+from repro.analysis.netlist import Netlist, Netlists
 from repro.errors import (
     CombinationalLoopError,
     MultipleDriverError,
@@ -284,9 +291,7 @@ class _Driver:
     active). ``guard_slot`` is the slot holding the guard's value when the
     netlist has guard nodes (``None`` when always true). ``guard`` is the
     guard compiled over the slot array for :meth:`_ResolverNode.sweep`
-    (``None`` when always true), set by
-    :meth:`ComponentInstance._compile_guards` for every resolver a
-    strategy sweeps.
+    (``None`` when always true), set for every resolver a strategy sweeps.
     """
 
     __slots__ = ("gate_slot", "guard", "guard_slot", "src_slot", "src_const", "assign")
@@ -306,6 +311,31 @@ class _Driver:
         self.src_const = src_const
         self.assign = assign
 
+    def shifted(self, base: int) -> "_Driver":
+        """This driver with every slot moved up by ``base``."""
+        gate, guard, src = self.gate_slot, self.guard_slot, self.src_slot
+        return _Driver(
+            None if gate is None else gate + base,
+            None if guard is None else guard + base,
+            None if src is None else src + base,
+            self.src_const,
+            self.assign,
+        )
+
+
+def _gather(slots: List[int]) -> Callable[[List[int]], Tuple[int, ...]]:
+    """Reads the values of ``slots`` as a tuple, in C for two or more."""
+    if len(slots) > 1:
+        return operator.itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda v: (v[slot],)
+    return lambda v: ()
+
+
+def _shift(slots: Iterable[int], base: int) -> List[int]:
+    return [slot + base for slot in slots]
+
 
 # ---------------------------------------------------------------------------
 # Evaluation nodes
@@ -324,7 +354,8 @@ class _ResolverNode:
     phase regardless of its done value, and an enabled group's ``go`` is
     high only while its done hole is low (preventing the double-commit
     hazard on registered ``done`` signals). Other destinations have no
-    such slots (``None``).
+    such slots (``None``). ``path`` names the instance the destination
+    belongs to.
     """
 
     __slots__ = (
@@ -406,8 +437,8 @@ class _GuardNode:
 
     __slots__ = ("index", "slot", "fn", "a", "b", "in_slots")
 
-    def __init__(self, slot, fn, a, b):
-        self.index = -1  # numbered after every other node of the netlist
+    def __init__(self, index, slot, fn, a, b):
+        self.index = index
         self.slot = slot
         self.fn = fn
         self.a = a
@@ -427,10 +458,11 @@ class _ChildNode:
     """One cell: reads its input slots, writes its output slots.
 
     ``in_slots`` and ``out_slots`` follow the cell signature's port order,
-    the order the child's ``comb``/``tick`` take and return values in.
+    the order the child's ``comb``/``tick`` take and return values in;
+    ``inputs(values)`` is the tuple of the input slots' values.
     """
 
-    __slots__ = ("index", "child", "in_slots", "dep_slots", "out_slots")
+    __slots__ = ("index", "child", "in_slots", "dep_slots", "out_slots", "inputs")
 
     def __init__(self, index, child, in_slots, dep_slots, out_slots):
         self.index = index
@@ -438,11 +470,12 @@ class _ChildNode:
         self.in_slots: List[int] = in_slots
         self.dep_slots: List[int] = dep_slots
         self.out_slots: List[int] = out_slots
+        self.inputs = _gather(in_slots)
 
     def fire(self, inst: "ComponentInstance") -> List[int]:
         v = inst._values
         changed: List[int] = []
-        outs = self.child.comb([v[s] for s in self.in_slots])
+        outs = self.child.comb(self.inputs(v))
         for slot, val in zip(self.out_slots, outs):
             if v[slot] != val:
                 v[slot] = val
@@ -480,8 +513,52 @@ class _DoneNode:
     sweep = fire
 
 
+class _ExecutorNode:
+    """One control executor: writes its high set, gated by its ``go``.
+
+    The enables, forces and live invokes the executor holds high, or none
+    while ``go`` is low, so an idle component's invokes do not run. Only
+    the driven slots that changed are written; ``high`` is the set as last
+    written. The executor moves only at an edge, stepped while ``go`` is
+    high and reset once it falls (``was_high``), and each move marks this
+    node and writes the ``finished`` slot
+    (:meth:`ComponentInstance._clock`).
+    """
+
+    __slots__ = (
+        "index", "executor", "in_slots", "dep_slots", "out_slots", "high", "finished", "was_high"
+    )
+
+    def __init__(self, index, executor, go, out_slots, finished):
+        self.index = index
+        self.executor: ControlExecutor = executor
+        self.in_slots = self.dep_slots = [go]
+        self.out_slots: List[int] = out_slots
+        self.high: frozenset = _EMPTY
+        self.finished = finished
+        self.was_high = False
+
+    def fire(self, inst: "ComponentInstance") -> frozenset:
+        v = inst._values
+        high = self.executor.high if v[self.in_slots[0]] else _EMPTY
+        if high == self.high:
+            return _EMPTY
+        changed = high ^ self.high
+        for slot in changed:
+            v[slot] = 1 if slot in high else 0
+        self.high = high
+        return changed
+
+    sweep = fire
+
+
+#: The node classes that write several slots (``out_slots``) and read only
+#: some of their inputs combinationally (``dep_slots``).
+_MULTI_OUT = (_ChildNode, _ExecutorNode)
+
+
 class _GuardNet:
-    """Hash-conses the guards of one netlist into shared guard nodes.
+    """Hash-conses the guards of one definition into shared guard nodes.
 
     Bottom-up, each distinct ``(op, slot, slot)`` key gets one node writing
     one unnamed slot, created after its operands, so creation order is
@@ -491,8 +568,8 @@ class _GuardNet:
     assignments and enclosing guards share it.
     """
 
-    def __init__(self, inst: "ComponentInstance"):
-        self.inst = inst
+    def __init__(self, template: "_Template"):
+        self.template = template
         self.nodes: List[_GuardNode] = []
         self._table: Dict[Tuple[str, int, int], int] = {}
         self._memo: Dict[Guard, Union[bool, int]] = {}
@@ -502,28 +579,29 @@ class _GuardNet:
         value = fold(guard, self._cons, self._memo)
         if value is True:
             return None
-        return self.inst._const_slot(0) if value is False else value
+        return self.template._const_slot(0) if value is False else value
 
     def _operand(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
-            return self.inst._const_slot(ref.value)
-        return self.inst._slot(ref)
+            return self.template._const_slot(ref.value)
+        return self.template._slot(ref)
 
     def _node(self, op: str, a: int, b: int) -> int:
         key = (op, a, b)
         slot = self._table.get(key)
         if slot is None:
-            slot = self._table[key] = self.inst._unnamed_slot()
-            self.nodes.append(_GuardNode(slot, _GUARD_FNS[op], a, b))
+            slot = self._table[key] = self.template._unnamed_slot()
+            self.nodes.append(_GuardNode(-1, slot, _GUARD_FNS[op], a, b))
         return slot
 
     def _cons(self, guard: Guard, operands: Tuple[Union[bool, int], ...]) -> Union[bool, int]:
         """The :func:`fold` visit: a constant guard's value, else its slot."""
+        template = self.template
         if isinstance(guard, NotGuard):
             (inner,) = operands
             if isinstance(inner, bool):
                 return not inner
-            return self._node("!", inner, self.inst._const_slot(0))
+            return self._node("!", inner, template._const_slot(0))
         if isinstance(guard, AndGuard):
             left, right = operands
             if left is False or right is False:
@@ -547,8 +625,210 @@ class _GuardNet:
             port = guard.port
             if isinstance(port, ConstPort):
                 return port.value != 0
-            return self.inst._slot(port)
+            return template._slot(port)
         return True
+
+
+# ---------------------------------------------------------------------------
+# The template of one definition
+# ---------------------------------------------------------------------------
+
+
+class _Template:
+    """One component definition's netlist, its slots numbered from 0.
+
+    Built once per definition per build, from the definition's
+    :class:`~repro.analysis.netlist.Netlist`: the named and unnamed slots,
+    the constants, each destination's resolver (drivers, go slots, reads),
+    each cell's port slots, the guard nodes and the executor's driven
+    slots. Nothing here belongs to one instance; an instance *stamps* the
+    template at a base slot (:meth:`ComponentInstance._stamp`), creating
+    node objects whose slots are moved up by that base.
+
+    Under ``levelized`` (``flat``) a cell of another user definition owns
+    a *block*: that definition's whole template, numbered inside this one
+    at the block's offset, and the cell's port ``p`` is the block's slot of
+    ``this.p``, so a parent's driver writes straight into the child's input
+    and reads its output. The template of a definition therefore numbers
+    every slot below it, and stamping the root's template lays out the
+    whole design in one array. Under ``sweep`` every cell is a child node,
+    a nested definition a :class:`ComponentInstance` of its own, and each
+    driver's guard is compiled over the slots here, once for every
+    instance of the definition (each of which has base 0).
+    """
+
+    def __init__(self, netlist: Netlist, flat: bool, templates: Dict[Netlist, "_Template"]):
+        comp = netlist.comp
+        self.comp = comp
+        #: The named slots; a :class:`_GuardNet`'s slots have no port.
+        self.slots: Dict[PortRef, int] = {}
+        #: Every slot: named, unnamed and the nested blocks'.
+        self.n_slots = 0
+        #: Constant value -> its unnamed slot, set at every reset.
+        self.constants: Dict[int, int] = {}
+        # The declaration order is the signature order a parent passes
+        # inputs in and reads outputs back in.
+        self.in_slots = [self._slot(ThisPort(p.name)) for p in comp.inputs]
+        self.out_slots = [self._slot(ThisPort(p.name)) for p in comp.outputs]
+        self.go_slot = self._slot(ThisPort(GO))
+        self.done_slot = self._slot(ThisPort(DONE))
+        # True when wires drive this component's done port directly (the
+        # lowered form); the executor then must not drive it.
+        self.done_from_wires = any(
+            isinstance(a.dst, ThisPort) and a.dst.port == DONE for _, a in netlist.drivers
+        )
+
+        # -- cells: a nested block, or a child node's port slots ----------
+        #: ``(name, block, in_slots, dep_slots, out_slots)``; ``block`` is
+        #: ``None`` for a child node, else the slots are.
+        self.cells: List[Tuple[str, Optional[int], list, list, list]] = []
+        for cell in comp.cells.values():
+            in_ports, out_ports = port_names(netlist.signature_of(cell.name))
+            definition = netlist.definition(cell) if flat else None
+            if definition is not None:
+                child = templates[definition]
+                block = self.n_slots
+                self.n_slots += child.n_slots
+                for port in in_ports + out_ports:
+                    local = child.slots.get(ThisPort(port))
+                    ref = CellPort(cell.name, port)
+                    if local is None:
+                        self._slot(ref)
+                    else:
+                        self.slots[ref] = block + local
+                self.cells.append((cell.name, block, (), (), ()))
+                continue
+            in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
+            out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
+            dep_names = netlist.cell_deps(cell.name)
+            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
+            self.cells.append((cell.name, None, in_slots, dep_slots, out_slots))
+
+        # -- drivers per destination (deterministic first-seen order) ------
+        driver_map: Dict[PortRef, List[_Driver]] = {}
+        dep_map: Dict[PortRef, Set[int]] = {}
+        guards = _GuardNet(self) if flat else None
+
+        def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
+            driver_map.setdefault(dst, []).append(driver)
+            dep_map.setdefault(dst, set()).update(reads)
+
+        for gate, assign in netlist.drivers:
+            driver, reads = self._compile_driver(guards, gate, None, assign)
+            add_driver(assign.dst, driver, reads)
+
+        # Invoke-synthesized bindings, gated by the invoke's live slot.
+        #: Each :class:`Invoke` node (by ``id``) -> its live slot.
+        self.live: Dict[int, int] = {}
+        for node in netlist.control:
+            if isinstance(node, Invoke):
+                self.live[id(node)] = live_slot = self._unnamed_slot()
+                for assign in node.wires():
+                    driver, reads = self._compile_driver(guards, None, live_slot, assign)
+                    add_driver(assign.dst, driver, reads)
+            elif isinstance(getattr(node, "port", None), ConstPort):
+                self._const_slot(node.port.value)  # a constant condition
+
+        # Every group's go hole resolves even with no structural driver, so
+        # deactivating groups release their assignments.
+        for name in comp.groups:
+            hole = HolePort(name, GO)
+            driver_map.setdefault(hole, [])
+            dep_map.setdefault(hole, set())
+        # The executor owns this.done unless wires drive it (lowered form).
+        if not self.done_from_wires:
+            driver_map.pop(ThisPort(DONE), None)
+
+        # The executor drives each go hole through its group's force and
+        # enable slots, and this.done through the finished slot.
+        #: ``(slot, drivers, (force, enable, done) or Nones, reads)``.
+        self.resolvers: List[Tuple[int, List[_Driver], tuple, List[int]]] = []
+        self.enable: Dict[str, int] = {}
+        self.force: Dict[str, int] = {}
+        for dst, drivers in driver_map.items():
+            slot = self._slot(dst)
+            in_slots = sorted(dep_map[dst])
+            go_slots: Tuple[Optional[int], ...] = (None, None, None)
+            if isinstance(dst, HolePort) and dst.port == GO:
+                done_slot = self._slot(HolePort(dst.group, DONE))
+                if done_slot not in in_slots:
+                    in_slots.append(done_slot)
+                self.force[dst.group] = self._unnamed_slot()
+                self.enable[dst.group] = self._unnamed_slot()
+                go_slots = (self.force[dst.group], self.enable[dst.group], done_slot)
+                in_slots += go_slots[:2]
+            self.resolvers.append((slot, drivers, go_slots, in_slots))
+        self.finished_slot = self._unnamed_slot()
+        #: The slots the executor drives, through its :class:`_ExecutorNode`.
+        self.driven = sorted({*self.enable.values(), *self.force.values(), *self.live.values()})
+        self.guards: List[_GuardNode] = guards.nodes if guards else []
+        self.done_slots = [
+            slot for ref, slot in self.slots.items() if getattr(ref, "port", None) == DONE
+        ]
+        if not flat:
+            # The reference compiles every guard once, over these slots.
+            memo: Dict[Guard, SlotGuard] = {}
+            for _, drivers, _, _ in self.resolvers:
+                for d in drivers:
+                    if not isinstance(d.assign.guard, TrueGuard):
+                        d.guard = _compile_slot_guard(d.assign.guard, self.slots, _SLOT_GUARD_OPS, memo)
+
+    def _slot(self, ref: PortRef) -> int:
+        slot = self.slots.get(ref)
+        if slot is None:
+            slot = self.slots[ref] = self._unnamed_slot()
+        return slot
+
+    def _unnamed_slot(self) -> int:
+        """A new slot; only :meth:`_slot` names it after a port."""
+        self.n_slots += 1
+        return self.n_slots - 1
+
+    def _const_slot(self, value: int) -> int:
+        """The unnamed slot every reader of constant ``value`` shares."""
+        slot = self.constants.get(value)
+        if slot is None:
+            slot = self.constants[value] = self._unnamed_slot()
+        return slot
+
+    def port_slot(self, ref: PortRef) -> int:
+        """The slot a read of ``ref`` sees; never numbers a new slot."""
+        if isinstance(ref, ConstPort):
+            return self.constants[ref.value]
+        return self.slots[ref]
+
+    def _compile_driver(
+        self,
+        guards: Optional[_GuardNet],
+        gate: Optional[str],
+        live: Optional[int],
+        assign: Assignment,
+    ) -> Tuple[_Driver, Set[int]]:
+        """``assign`` gated by group ``gate``'s go hole or an invoke's
+        ``live`` slot, and the slots it reads."""
+        if guards is None:
+            # No guard nodes: the resolver reads the guard's ports itself.
+            guard_slot = None
+            reads = {
+                self._slot(port)
+                for port in assign.guard.ports()
+                if not isinstance(port, ConstPort)
+            }
+        else:
+            guard_slot = guards.driver_slot(assign.guard)
+            reads = set() if guard_slot is None else {guard_slot}
+        if isinstance(assign.src, ConstPort):
+            src_slot, src_const = None, assign.src.value
+        else:
+            src_slot, src_const = self._slot(assign.src), 0
+            reads.add(src_slot)
+        gate_slot = live
+        if gate is not None:
+            gate_slot = self._slot(HolePort(gate, GO))
+        if gate_slot is not None:
+            reads.add(gate_slot)
+        driver = _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
+        return driver, reads
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +897,12 @@ class SettleStrategy:
     """How a :class:`ComponentInstance` evaluates its netlist per phase.
 
     ``settle(instance)`` brings one clock phase to its fixpoint. A
-    ``levelized`` netlist shares each distinct guard sub-expression as a
-    :class:`_GuardNode`, ranks its SCCs, keeps the dirty mask the settle
-    drains, and skips a quiet nested instance's settle before its edge.
-    Otherwise each resolver evaluates its drivers' guards itself, resolved
-    to slots at build (:meth:`ComponentInstance._compile_guards`).
+    ``levelized`` build stamps every nested instance into the root's one
+    slot array, shares each distinct guard sub-expression as a
+    :class:`_GuardNode`, ranks the SCCs of the whole design and keeps the
+    one dirty mask the settle drains. Otherwise each nested instance is an
+    instance of its own, and each resolver evaluates its drivers' guards
+    itself, resolved to slots at build (:class:`_Template`).
     """
 
     settle: Callable[["ComponentInstance"], None]
@@ -630,92 +911,88 @@ class SettleStrategy:
 
 def _settle_levelized(inst: "ComponentInstance") -> None:
     """Drain the dirty mask in rank order."""
-    inst._begin_phase()
     inst._drain()
 
 
 def _settle_sweep(inst: "ComponentInstance") -> None:
-    """Fire every node in build order until no slot changes."""
-    inst._begin_phase()
+    """Write the executor's slots, then fire every node in build order
+    until no slot changes."""
+    for node in inst._executor_nodes:
+        node.fire(inst)
     for _ in range(inst._max_iters):
         if not inst._sweep():
             return
     inst._diagnose_nonconvergence(inst._max_iters)
 
 
-#: The scheduled strategy: guard nodes, dirty-mask drain in rank order.
+#: The scheduled strategy: one flat design, guard nodes, dirty-mask drain.
 LEVELIZED = SettleStrategy(_settle_levelized, levelized=True)
-#: The reference strategy: slot-compiled guards, whole-netlist sweeps.
+#: The reference strategy: nested instances, slot-compiled guards, sweeps.
 SWEEP = SettleStrategy(_settle_sweep, levelized=False)
 
 
 # ---------------------------------------------------------------------------
-# The instance
+# Instances
 # ---------------------------------------------------------------------------
 
 
-class ComponentInstance:
-    """A simulated instantiation of a component (primitive protocol).
+class _Scope:
+    """One instantiation of a definition: its names over a slot array.
 
-    ``strategy`` (one of the values of :data:`repro.sim.ENGINES`) fixes
-    how every clock phase settles; nested instances share it, and the
-    ``netlists`` of the build, from which each takes the static facts of
-    its component's definition.
+    Construction makes the cells (a primitive or extern model, or a nested
+    scope, in cell order), refuses the definition's first driver race, and
+    takes the definition's :class:`_Template`, built by its first instance.
+    Stamping then sets ``_base``, the slot of the template's slot 0, and the
+    instance's control executor. Under ``levelized`` a nested instance is
+    only this — a path, a base and a template over the root's array, which
+    :meth:`find`, :meth:`read`, :meth:`state_dump` and the watchdog reports
+    read — and under ``sweep`` a :class:`ComponentInstance` of its own.
     """
 
-    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
-    OSCILLATION_PROBE_ITERS = 64
+    _base = 0
+    _extra_nets: Mapping[PortRef, int] = MappingProxyType({})
 
     def __init__(
         self,
         program: Program,
         comp: Component,
         strategy: SettleStrategy,
-        path: str = "main",
-        netlists: Optional[Netlists] = None,
+        path: str,
+        netlists: Netlists,
+        templates: Dict[Netlist, _Template],
     ):
         self.program = program
         self.comp = comp
         self.path = path
         self.strategy = strategy
-        self.netlist = (netlists or Netlists(program)).of(comp)
-        # Bound once: no per-phase dispatch on the strategy.
-        self.settle = MethodType(strategy.settle, self)
+        self.netlist = netlists.of(comp)
         self.children: Dict[str, object] = {
-            cell.name: self._make_child(cell) for cell in comp.cells.values()
+            cell.name: self._make_child(cell, templates) for cell in comp.cells.values()
         }
         #: The nested instances among the children, in cell order.
-        self._sub_instances = [
-            c for c in self.children.values() if isinstance(c, ComponentInstance)
-        ]
-        # True when wires drive this component's done port directly (the
-        # lowered form); the executor then must not drive it.
-        self._done_from_wires = any(
-            isinstance(a.dst, ThisPort) and a.dst.port == DONE
-            for _, a in self.netlist.drivers
-        )
+        self._sub_instances = [c for c in self.children.values() if isinstance(c, _Scope)]
         self._reject_driver_race()
-        self._extra_nets: Dict[PortRef, int] = {}
-        self._build()
-        # Without control, a settle that finds nothing dirty changes nothing.
-        self._settle_every_edge = self._edge_moves_executor or not strategy.levelized
-        self.nets = _SlotNets(self)
-        self._go_was_high = False
-        self._reset_dynamic()
+        template = templates.get(self.netlist)
+        if template is None:
+            template = _Template(self.netlist, strategy.levelized, templates)
+            templates[self.netlist] = template
+        self.template = template
+        self._slots = template.slots
 
-    # -- construction -----------------------------------------------------
-    def _make_child(self, cell) -> object:
+    def _make_child(self, cell, templates: Dict[Netlist, _Template]) -> object:
         # Extern components have no body; they need a registered model.
         definition = self.netlist.definition(cell)
-        if definition is not None:
-            return ComponentInstance(
-                self.program,
-                definition.comp,
-                self.strategy,
-                f"{self.path}.{cell.name}",
-                self.netlist.netlists,
-            )
-        return make_model(cell.comp_name, cell.args)
+        if definition is None:
+            return make_model(cell.comp_name, cell.args)
+        kind = _Scope if self.strategy.levelized else ComponentInstance
+        return kind(
+            self.program,
+            definition.comp,
+            self.strategy,
+            f"{self.path}.{cell.name}",
+            self.netlist.netlists,
+            templates,
+        )
 
     def _reject_driver_race(self) -> None:
         """Refuse the definition's first definite driver race: the runtime
@@ -731,228 +1008,262 @@ class ComponentInstance:
                 f"assignment order)"
             )
 
-    def _slot(self, ref: PortRef) -> int:
-        slot = self._slots.get(ref)
-        if slot is None:
-            slot = self._slots[ref] = self._unnamed_slot()
-        return slot
-
-    def _unnamed_slot(self) -> int:
-        """A new slot; only :meth:`_slot` names it after a port."""
-        self._n_slots += 1
-        return self._n_slots - 1
-
-    def _const_slot(self, value: int) -> int:
-        """The unnamed slot every reader of constant ``value`` shares."""
-        slot = self._constants.get(value)
-        if slot is None:
-            slot = self._constants[value] = self._unnamed_slot()
-        return slot
-
-    def _port_slot(self, ref: PortRef) -> int:
-        """The slot a read of ``ref`` sees; never names a new slot."""
+    # -- net access --------------------------------------------------------
+    def read(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
-            return self._const_slot(ref.value)
-        return self._slots[ref]
+            return ref.value
+        slot = self._slots.get(ref)
+        if slot is not None:
+            return self._values[self._base + slot]
+        return self._extra_nets.get(ref, 0)
 
-    def _compile_driver(
+    # -- watchdog support ----------------------------------------------------
+    def _running(self) -> bool:
+        return self._values[self._go_slot] != 0
+
+    def _active_now(self) -> List[str]:
+        """The groups the executor has active right now, sorted."""
+        if not self._running():
+            return []
+        high = self.executor.high
+        return sorted(group for group, slot in self._enable.items() if slot in high)
+
+    def state_dump(self, max_nets: int = 48) -> str:
+        """Human-readable snapshot of nets and control state for reports."""
+        lines = [f"instance {self.path}:"]
+        if self.comp.groups:
+            active = self._active_now()
+            lines.append(f"  active groups: {', '.join(active) or '(none)'}")
+        values, base = self._values, self._base
+        nets = sorted((ref.to_string(), values[base + slot]) for ref, slot in self._slots.items())
+        for name, val in nets[:max_nets]:
+            lines.append(f"  {name} = {val}")
+        if len(nets) > max_nets:
+            lines.append(f"  ... ({len(nets) - max_nets} more nets)")
+        for child in self._sub_instances:
+            lines.append(child.state_dump(max_nets=max_nets // 2))
+        return "\n".join(lines)
+
+    def stuck_groups(self) -> List[str]:
+        """Dotted names of groups active right now, recursively."""
+        out = [f"{self.path}.{name}" for name in self._active_now()]
+        for child in self._sub_instances:
+            out.extend(child.stuck_groups())
+        return out
+
+    def deadlock_report(self) -> str:
+        """Explain what each active group's done condition is waiting on."""
+        lines: List[str] = []
+        active = self._active_now()
+        for name in active:
+            group = self.comp.groups[name]
+            lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
+            done_writes = group.done_assignments()
+            if not done_writes:
+                lines.append("    (group has no done condition)")
+            for assign in done_writes:
+                guard_val = eval_guard(assign.guard, self.read)
+                src_val = self.read(assign.src)
+                lines.append(
+                    f"    {assign.to_string()}  "
+                    f"[guard={'1' if guard_val else '0'}, src={src_val}]"
+                )
+        if not active and self._running() and self.comp.groups:
+            lines.append(
+                f"{self.path}: running but no group is active "
+                f"(control executor state inconsistent?)"
+            )
+        for child in self._sub_instances:
+            sub = child.deadlock_report()
+            if sub:
+                lines.append(sub)
+        return "\n".join(lines)
+
+    # -- inspection ----------------------------------------------------------
+    def find(self, path: str) -> object:
+        """Locate a child instance by dotted cell path (e.g. ``"pe0.acc"``)."""
+        node: object = self
+        for part in path.split("."):
+            if not isinstance(node, _Scope) or part not in node.children:
+                raise UndefinedError(f"no cell at path {path!r}")
+            node = node.children[part]
+        return node
+
+    def find_model(self, path: str) -> PrimitiveModel:
+        node = self.find(path)
+        if isinstance(node, _Scope):
+            raise UndefinedError(f"cell at {path!r} is not a primitive")
+        return node
+
+
+class ComponentInstance(_Scope):
+    """A simulated instantiation of a component: the engine of one array.
+
+    ``strategy`` (one of the values of :data:`repro.sim.ENGINES`) fixes
+    how every clock phase settles and how nested instances are built: as
+    scopes stamped into this instance's slot array (``levelized``), or as
+    instances of their own, children in the primitive protocol
+    (``sweep``). Every instance takes the static facts of its component's
+    definition from the build's ``netlists``.
+    """
+
+    #: Extra probe sweeps used to tell a limit cycle from non-convergence.
+    OSCILLATION_PROBE_ITERS = 64
+
+    def __init__(
         self,
-        guards: Optional[_GuardNet],
-        gate: Optional[str],
-        live: Optional[int],
-        assign: Assignment,
-    ) -> Tuple[_Driver, Set[int]]:
-        """``assign`` gated by group ``gate``'s go hole or an invoke's
-        ``live`` slot, and the slots it reads."""
-        if guards is None:
-            # No guard nodes: the resolver reads the guard's ports itself.
-            guard_slot = None
-            reads = {
-                self._slot(port)
-                for port in assign.guard.ports()
-                if not isinstance(port, ConstPort)
-            }
-        else:
-            guard_slot = guards.driver_slot(assign.guard)
-            reads = set() if guard_slot is None else {guard_slot}
-        if isinstance(assign.src, ConstPort):
-            src_slot, src_const = None, assign.src.value
-        else:
-            src_slot, src_const = self._slot(assign.src), 0
-            reads.add(src_slot)
-        gate_slot = live
-        if gate is not None:
-            gate_slot = self._slot(HolePort(gate, GO))
-        if gate_slot is not None:
-            reads.add(gate_slot)
-        driver = _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
-        return driver, reads
-
-    def _build(self) -> None:
-        comp = self.comp
-        #: The named slots; a :class:`_GuardNet`'s slots have no port.
-        self._slots: Dict[PortRef, int] = {}
-        self._n_slots = 0
-        #: Constant value -> its unnamed slot, set at every reset.
-        self._constants: Dict[int, int] = {}
-        # The declaration order is the signature order a parent passes
-        # inputs in and reads outputs back in.
-        self._in_slots = [self._slot(ThisPort(p.name)) for p in comp.inputs]
-        self._out_slots = [self._slot(ThisPort(p.name)) for p in comp.outputs]
-        self._go_slot = self._slot(ThisPort(GO))
-        self._this_done_slot = self._slot(ThisPort(DONE))
-
-        # -- drivers per destination (deterministic first-seen order) ------
-        driver_map: Dict[PortRef, List[_Driver]] = {}
-        dep_map: Dict[PortRef, Set[int]] = {}
-
-        guards = _GuardNet(self) if self.strategy.levelized else None
-
-        def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
-            driver_map.setdefault(dst, []).append(driver)
-            dep_map.setdefault(dst, set()).update(reads)
-
-        for gate, assign in self.netlist.drivers:
-            driver, reads = self._compile_driver(guards, gate, None, assign)
-            add_driver(assign.dst, driver, reads)
-
-        # Invoke-synthesized bindings, gated by the invoke's live slot.
-        live: Dict[int, int] = {}
-        for node in comp.control.walk():
-            if not isinstance(node, Invoke):
-                continue
-            live[id(node)] = live_slot = self._unnamed_slot()
-            for assign in node.wires():
-                driver, reads = self._compile_driver(guards, None, live_slot, assign)
-                add_driver(assign.dst, driver, reads)
-
-        # Every group's go hole resolves even with no structural driver, so
-        # deactivating groups release their assignments.
-        for name in comp.groups:
-            hole = HolePort(name, GO)
-            driver_map.setdefault(hole, [])
-            dep_map.setdefault(hole, set())
-        all_dsts: List[PortRef] = list(driver_map)
-
-        # The executor owns this.done unless wires drive it (lowered form).
-        if not self._done_from_wires and ThisPort(DONE) in driver_map:
-            del driver_map[ThisPort(DONE)]
-            dep_map.pop(ThisPort(DONE), None)
-            all_dsts.remove(ThisPort(DONE))
-
-        # -- nodes, in build order (the sweep strategy's firing order) -----
+        program: Program,
+        comp: Component,
+        strategy: SettleStrategy,
+        path: str = "main",
+        netlists: Optional[Netlists] = None,
+        templates: Optional[Dict[Netlist, _Template]] = None,
+    ):
+        super().__init__(
+            program,
+            comp,
+            strategy,
+            path,
+            netlists or Netlists(program),
+            {} if templates is None else templates,
+        )
+        self._extra_nets: Dict[PortRef, int] = {}
+        self._values: List[int] = [0] * self.template.n_slots
         self._nodes: List[object] = []
         self._stateful_nodes: List[_ChildNode] = []
-        self._cell_node: Dict[str, int] = {}
-
-        for cell in comp.cells.values():
-            child = self.children[cell.name]
-            in_ports, out_ports = port_names(self.netlist.signature_of(cell.name))
-            in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
-            out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
-            dep_names = self.netlist.cell_deps(cell.name)
-            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
-            node = _ChildNode(len(self._nodes), child, in_slots, dep_slots, out_slots)
-            self._cell_node[cell.name] = node.index
-            self._nodes.append(node)
-            if type(child).tick is not PrimitiveModel.tick:
-                self._stateful_nodes.append(node)
-
-        # The executor drives each go hole through its group's force and
-        # enable slots, and this.done through the finished slot.
-        enable: Dict[str, int] = {}
-        force: Dict[str, int] = {}
-        for dst in all_dsts:
-            slot = self._slot(dst)
-            in_slots = sorted(dep_map[dst])
-            go_slots: Tuple[Optional[int], ...] = (None, None, None)
-            if isinstance(dst, HolePort) and dst.port == GO:
-                done_slot = self._slot(HolePort(dst.group, DONE))
-                if done_slot not in in_slots:
-                    in_slots.append(done_slot)
-                force[dst.group] = self._unnamed_slot()
-                enable[dst.group] = self._unnamed_slot()
-                go_slots = (force[dst.group], enable[dst.group], done_slot)
-                in_slots += go_slots[:2]
-            node = _ResolverNode(
-                len(self._nodes), slot, driver_map[dst], go_slots, in_slots, self.path
+        #: Every executor in the array, and those with control to step.
+        self._executor_nodes: List[_ExecutorNode] = []
+        self._clocked: List[_ExecutorNode] = []
+        #: Every scope stamped into this array below this instance. No
+        #: list holds the instance itself: it owns no reference cycle, so it
+        #: is freed when its last user drops it.
+        self._scopes: List[_Scope] = []
+        self._stamp(self, 0)
+        self._reset_values = list(self._values)
+        self._done_slots = list(
+            dict.fromkeys(
+                s._base + slot for s in (self, *self._scopes) for slot in s.template.done_slots
             )
-            self._nodes.append(node)
-
-        self._finished_slot = self._unnamed_slot()
-        if not self._done_from_wires:
-            self._nodes.append(
-                _DoneNode(len(self._nodes), self._this_done_slot, self._finished_slot)
-            )
-        # With control to step, executor state can move at any edge, so
-        # the instance reports every edge. Empty control is always
-        # finished: a done node then drives a constant.
-        self._edge_moves_executor = not comp.control.is_empty()
-        #: The nodes a sweep fires, in build order: all but the guard nodes.
-        self._sweep_nodes: List[object] = list(self._nodes)
-        self._max_iters = 8 * (len(self._sweep_nodes) + 8)
-        # Guard nodes are numbered last, in creation order, which is
-        # topological: a cyclic SCC evaluates its guard nodes in index order.
-        self._guard_nodes: List[_GuardNode] = guards.nodes if guards else []
-        for node in self._guard_nodes:
-            node.index = len(self._nodes)
-            self._nodes.append(node)
-
-        # The executor resolves its ports here, so every slot exists below.
-        self.executor = ControlExecutor(comp, self._port_slot, enable, force, live)
-        self._enable = enable
-
-        self._reset_values: List[int] = [0] * self._n_slots
-        for value, slot in self._constants.items():
-            self._reset_values[slot] = value
-        self._values: List[int] = list(self._reset_values)
-        self._done_slots = [
-            slot
-            for ref, slot in self._slots.items()
-            if getattr(ref, "port", None) == DONE
-        ]
-
+        )
+        #: Nested instances with an array of their own (``sweep``).
+        self._nested = [c for c in self._sub_instances if isinstance(c, ComponentInstance)]
         # Compile the guards a strategy sweeps: every resolver's under
-        # ``sweep``; levelized, only those of the cyclic SCCs.
-        self._all_guards_compiled = not self.strategy.levelized
-        if self._all_guards_compiled:
-            # The reference fires every node each sweep: nothing to rank and
-            # no dirty mask to keep.
-            self._writer: Dict[int, int] = {}
-            self._mark_node = self._mark_slot = self._mark_all = lambda *_: None
-            self._compile_guards(self._sweep_nodes)
-        else:
+        # ``sweep`` (its templates did); levelized, only those of the
+        # cyclic SCCs.
+        self._all_guards_compiled = not strategy.levelized
+        if strategy.levelized:
+            #: The nodes the non-convergence probe sweeps: all but the guard nodes.
+            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _GuardNode)]
+            self._guard_nodes = [n for n in self._nodes if isinstance(n, _GuardNode)]
             self._schedule()
             self._compile_guards(
                 node for members in self._cyclic_members.values() for node in members
             )
+        else:
+            # The reference fires every node each sweep, in build order: it
+            # ranks nothing and keeps no dirty mask.
+            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _ExecutorNode)]
+            self._guard_nodes = []
+            self._writer: Dict[int, int] = {}
+            self._mark_node = self._mark_slot = self._mark_all = lambda *_: None
+        self._max_iters = 8 * (len(self._sweep_nodes) + 8)
+        self._reset_dynamic()
+
+    def settle(self) -> None:
+        """Bring one clock phase to its fixpoint, as the strategy does."""
+        self.strategy.settle(self)
+
+    @property
+    def nets(self) -> _SlotNets:
+        """The slot array as a dict keyed by this instance's port references."""
+        return _SlotNets(self)
+
+    # -- construction -----------------------------------------------------
+    def _stamp(self, scope: _Scope, base: int) -> None:
+        """Create ``scope``'s nodes and executor with its template's slots
+        moved up by ``base``, then stamp its nested blocks the same way.
+
+        A scope's nodes are numbered together: its children, resolvers,
+        done node and executor node, then its guard nodes in creation
+        (topological) order, so a cyclic SCC evaluates them in index order.
+        """
+        t = scope.template
+        scope._base = base
+        scope._values = values = self._values
+        if scope is not self:
+            self._scopes.append(scope)
+        for value, slot in t.constants.items():
+            values[base + slot] = value
+        nodes = self._nodes
+        scope._cell_node = cell_node = {}
+        for name, block, in_slots, dep_slots, out_slots in t.cells:
+            if block is not None:
+                continue
+            child = scope.children[name]
+            cell_node[name] = len(nodes)
+            node = _ChildNode(
+                len(nodes), child, _shift(in_slots, base), _shift(dep_slots, base),
+                _shift(out_slots, base),
+            )
+            nodes.append(node)
+            if type(child).tick is not PrimitiveModel.tick:
+                self._stateful_nodes.append(node)
+        for slot, drivers, go_slots, in_slots in t.resolvers:
+            if base:
+                drivers = [d.shifted(base) for d in drivers]
+                go_slots = tuple(None if s is None else s + base for s in go_slots)
+                in_slots = _shift(in_slots, base)
+            nodes.append(
+                _ResolverNode(len(nodes), slot + base, drivers, go_slots, in_slots, scope.path)
+            )
+        finished = base + t.finished_slot
+        if not t.done_from_wires:
+            nodes.append(_DoneNode(len(nodes), base + t.done_slot, finished))
+
+        def slot_of(ref: PortRef) -> int:
+            return base + t.port_slot(ref)
+
+        scope._enable = {group: base + slot for group, slot in t.enable.items()}
+        force = {group: base + slot for group, slot in t.force.items()}
+        live = {key: base + slot for key, slot in t.live.items()}
+        scope.executor = ControlExecutor(t.comp, slot_of, scope._enable, force, live)
+        scope._go_slot = base + t.go_slot
+        node = _ExecutorNode(
+            len(nodes), scope.executor, scope._go_slot, _shift(t.driven, base), finished
+        )
+        nodes.append(node)
+        self._executor_nodes.append(node)
+        if not t.comp.control.is_empty():
+            self._clocked.append(node)
+        for g in t.guards:
+            nodes.append(_GuardNode(len(nodes), g.slot + base, g.fn, g.a + base, g.b + base))
+        for name, block, _, _, _ in t.cells:
+            if block is not None:
+                self._stamp(scope.children[name], base + block)
 
     def _compile_guards(self, nodes: Iterable[object]) -> None:
-        """Compile the guard of every driver of the resolvers in ``nodes``.
-
-        ``sweep`` takes ``!``, ``&`` and ``|`` from its own table,
-        :data:`_SLOT_GUARD_OPS`; a strategy with guard nodes from
-        :data:`_GUARD_NODE_OPS`. The comparison builder and the leaves are
-        shared by both tables.
-        """
-        ops = _GUARD_NODE_OPS if self.strategy.levelized else _SLOT_GUARD_OPS
-        memo: Dict[Guard, SlotGuard] = {}
+        """Compile the guard of every driver of the resolvers in ``nodes``,
+        over the slots of each resolver's scope, with ``!``, ``&`` and ``|``
+        from the guard nodes' table, :data:`_GUARD_NODE_OPS`."""
+        scopes = {scope.path: scope for scope in (self, *self._scopes)}
+        compiled: Dict[str, Tuple[Dict[PortRef, int], Dict[Guard, SlotGuard]]] = {}
         for node in nodes:
             if isinstance(node, _ResolverNode):
+                entry = compiled.get(node.path)
+                if entry is None:
+                    scope = scopes[node.path]
+                    slots = {ref: slot + scope._base for ref, slot in scope._slots.items()}
+                    entry = compiled[node.path] = (slots, {})
+                slots, memo = entry
                 for d in node.drivers:
                     guard = d.assign.guard
                     if not isinstance(guard, TrueGuard):
-                        d.guard = _compile_slot_guard(guard, self._slots, ops, memo)
+                        d.guard = _compile_slot_guard(guard, slots, _GUARD_NODE_OPS, memo)
 
     def _schedule(self) -> None:
-        """Writers, ranks and reader masks of the levelized drain.
-
-        Every instance of a definition builds the same node graph, so its
-        first instance in the build levelizes it and the rest share that.
-        """
-        if self.netlist.schedule is None:
-            self.netlist.schedule = self._levelize()
-        self._writer, self._rank_of, rank_node, cyclic, self._reader_mask = self.netlist.schedule
+        """Writers, ranks and reader masks of the levelized drain."""
+        writer, rank_of, rank_node, cyclic, reader_mask = self._levelize()
+        self._writer, self._rank_of, self._reader_mask = writer, rank_of, reader_mask
         nodes = self._nodes
         # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
         self._rank_node = [None if i < 0 else nodes[i] for i in rank_node]
@@ -961,24 +1272,27 @@ class ComponentInstance:
     def _levelize(self) -> Tuple[Dict[int, int], List[int], List[int], Dict[int, list], List[int]]:
         """Tarjan SCC condensation, longest-path levels, then ranks.
 
-        Returns node and slot indices, which every instance of the
-        definition shares: each slot's writer node, each node's rank, each
-        rank's acyclic node (-1 for a cyclic SCC), each cyclic SCC's
-        members by rank, and each slot's reader mask over ranks.
+        Returns node and slot indices: each slot's writer node, each node's
+        rank, each rank's acyclic node (-1 for a cyclic SCC), each cyclic
+        SCC's members by rank, and each slot's reader mask over ranks.
         """
-        fanout: List[List[int]] = [[] for _ in range(self._n_slots)]
+        nodes = self._nodes
+        fanout: List[List[int]] = [[] for _ in range(len(self._values))]
         writer: Dict[int, int] = {}
-        for node in self._nodes:
-            for slot in node.out_slots if isinstance(node, _ChildNode) else (node.slot,):
+        outs: List[Sequence[int]] = []
+        for node in nodes:
+            if isinstance(node, _MULTI_OUT):
+                written, reads = node.out_slots, node.dep_slots
+            else:
+                written, reads = (node.slot,), node.in_slots
+            outs.append(written)
+            for slot in written:
                 writer[slot] = node.index
-        for node in self._nodes:
-            for slot in node.in_slots if not isinstance(node, _ChildNode) else node.dep_slots:
+            for slot in reads:
                 fanout[slot].append(node.index)
         adj: List[List[int]] = [
-            [r for slot in node.out_slots for r in fanout[slot]]
-            if isinstance(node, _ChildNode)
-            else fanout[node.slot]
-            for node in self._nodes
+            fanout[written[0]] if len(written) == 1 else [r for slot in written for r in fanout[slot]]
+            for written in outs
         ]
 
         scc_of, sccs = tarjan_scc(adj)
@@ -986,14 +1300,17 @@ class ComponentInstance:
         # Tarjan emits SCCs in reverse topological order; walk forward.
         levels = [0] * len(sccs)
         for scc_id in range(len(sccs) - 1, -1, -1):
+            level = levels[scc_id] + 1
             for member in sccs[scc_id]:
                 for succ in adj[member]:
                     succ_scc = scc_of[succ]
-                    if succ_scc != scc_id and levels[succ_scc] <= levels[scc_id]:
-                        levels[succ_scc] = levels[scc_id] + 1
+                    if succ_scc != scc_id and levels[succ_scc] < level:
+                        levels[succ_scc] = level
         # Rank = position in ``(level, id)`` order: a stable sort by level.
         order = sorted(range(len(sccs)), key=levels.__getitem__)
-        rank_of_scc = {scc: rank for rank, scc in enumerate(order)}
+        rank_of_scc = [0] * len(sccs)
+        for rank, scc in enumerate(order):
+            rank_of_scc[scc] = rank
         rank_of = [rank_of_scc[scc] for scc in scc_of]
         reader_mask: List[int] = []
         for readers in fanout:
@@ -1007,10 +1324,12 @@ class ComponentInstance:
 
     # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:
-        self._values[:] = self._reset_values
+        values = self._values
+        values[:] = self._reset_values
         self._extra_nets.clear()
-        #: The executor's high set as last written into the slot array.
-        self._high = _EMPTY
+        for node in self._executor_nodes:
+            node.high = _EMPTY
+            values[node.finished] = 1 if node.executor.finished else 0
         self._mark_all()
 
     def _mark_node(self, node_idx: int) -> None:
@@ -1022,65 +1341,35 @@ class ComponentInstance:
     def _mark_all(self) -> None:
         self._dirty = (1 << len(self._rank_node)) - 1
 
-    # -- net access --------------------------------------------------------
-    def read(self, ref: PortRef) -> int:
-        if isinstance(ref, ConstPort):
-            return ref.value
-        slot = self._slots.get(ref)
-        if slot is not None:
-            return self._values[slot]
-        return self._extra_nets.get(ref, 0)
-
-    # -- the child protocol --------------------------------------------------
+    # -- the child protocol (``sweep``'s nested instances) -----------------
     def comb(self, ins: Sequence[int]) -> List[int]:
         self._apply_inputs(ins)
         self.settle()
         values = self._values
-        return [values[s] for s in self._out_slots]
+        return [values[s] for s in self.template.out_slots]
 
     def tick(self, ins: Sequence[int]) -> bool:
         self._apply_inputs(ins)
-        if self._settle_every_edge or self._dirty:
-            self.settle()
+        self.settle()
         return self.step_edge()
 
     def _apply_inputs(self, ins: Sequence[int]) -> None:
         values = self._values
-        for slot, value in zip(self._in_slots, ins):
+        for slot, value in zip(self.template.in_slots, ins):
             if values[slot] != value:
                 values[slot] = value
                 self._mark_slot(slot)
 
     def reset(self) -> None:
-        self.executor.reset()
-        for child in self.children.values():
-            child.reset()
-        self._go_was_high = False
+        for node in self._executor_nodes:
+            node.executor.reset()
+            node.was_high = False
+        for node in self._nodes:
+            if isinstance(node, _ChildNode):
+                node.child.reset()
         self._reset_dynamic()
 
     # -- simulation core ----------------------------------------------------
-    def _running(self) -> bool:
-        return self._values[self._go_slot] != 0
-
-    def _begin_phase(self) -> None:
-        """Write the executor's slots that changed, dirtying their readers.
-
-        The high set drives enables, forces and live invokes, all gated by
-        ``go``; ``finished`` is latched state and is not.
-        """
-        executor = self.executor
-        values = self._values
-        high = executor.high if values[self._go_slot] else _EMPTY
-        if high != self._high:
-            for slot in high ^ self._high:
-                values[slot] = 1 if slot in high else 0
-                self._mark_slot(slot)
-            self._high = high
-        finished = 1 if executor.finished else 0
-        if values[self._finished_slot] != finished:
-            values[self._finished_slot] = finished
-            self._mark_slot(self._finished_slot)
-
     def _drain(self) -> None:
         """Fire the SCC of the dirty mask's lowest set bit until none is set."""
         rank_node = self._rank_node
@@ -1138,6 +1427,16 @@ class ComponentInstance:
     def _mark_readers_outside(self, slot: int, rank: int) -> None:
         self._dirty |= self._reader_mask[slot] & ~(1 << rank)
 
+    def _net_names(self) -> Iterator[Tuple[str, int]]:
+        """Each named slot of the array and its name: this instance's
+        bare, a stamped scope's under its path below this one."""
+        for scope in (self, *self._scopes):
+            prefix = scope.path[len(self.path) + 1:]
+            base = scope._base
+            for ref, slot in scope._slots.items():
+                name = ref.to_string()
+                yield (f"{prefix}.{name}" if prefix else name), base + slot
+
     def _diagnose_nonconvergence(self, spent_iters: int) -> None:
         """Out of iterations: classify limit cycle vs. divergence.
 
@@ -1162,8 +1461,8 @@ class ComponentInstance:
                 cycle_states = history[start:]
                 first = cycle_states[0]
                 toggling = sorted(
-                    ref.to_string()
-                    for ref, slot in self._slots.items()
+                    name
+                    for name, slot in self._net_names()
                     if any(state[slot] != first[slot] for state in cycle_states)
                 )
                 raise OscillationError(
@@ -1193,120 +1492,59 @@ class ComponentInstance:
     def step_edge(self) -> bool:
         """The clock edge: advance control state, latch stateful children.
 
-        Neither step writes this instance's slots, so each child reads
+        Every executor with control steps on the settled slots while its
+        ``go`` is high, and resets once ``go`` falls (the calling
+        convention). Neither step writes a named slot, so each child reads
         the settled values of its input slots. A child's node is marked
-        unless its tick returned ``False``. True if this instance's
-        outputs may have moved: a child was marked or executor state can.
+        unless its tick returned ``False``. True if the outputs may have
+        moved: a child was marked or some executor state can move.
         """
-        if self._running():
-            self.executor.step(self._values)
-            self._go_was_high = True
-        elif self._go_was_high:
-            # The calling convention: control state resets once go falls.
-            self.executor.reset()
-            self._go_was_high = False
-        moved = self._edge_moves_executor
         values = self._values
+        for node in self._clocked:
+            self._clock(node, values)
+        moved = bool(self._clocked)
         for node in self._stateful_nodes:
-            if node.child.tick([values[s] for s in node.in_slots]) is not False:
+            if node.child.tick(node.inputs(values)) is not False:
                 self._mark_node(node.index)
                 moved = True
         return moved
+
+    def _clock(self, node: _ExecutorNode, values: List[int]) -> None:
+        """Step or reset one executor, marking what it drives."""
+        if values[node.in_slots[0]]:
+            node.executor.step(values)
+            node.was_high = True
+        elif node.was_high:
+            node.executor.reset()
+            node.was_high = False
+        else:
+            return
+        self._mark_node(node.index)
+        finished = 1 if node.executor.finished else 0
+        slot = node.finished
+        if values[slot] != finished:
+            values[slot] = finished
+            self._mark_slot(slot)
 
     def touch(self, path: str) -> None:
         """Re-evaluate the cell at dotted ``path`` at the next settle.
 
         For state written outside ``tick`` (a memory load): marks the
-        cell's node and, above it, each enclosing instance's node.
+        cell's node in the array that holds it.
         """
-        inst = self
-        for part in path.split("."):
-            if not isinstance(inst, ComponentInstance) or part not in inst._cell_node:
-                raise UndefinedError(f"no cell at path {path!r}")
-            index = inst._cell_node[part]
-            inst._mark_node(index)
-            inst = inst._nodes[index].child
-
-    # -- watchdog support ----------------------------------------------------
-    def _active_now(self) -> List[str]:
-        """The groups the executor has active right now, sorted."""
-        if not self._running():
-            return []
-        high = self.executor.high
-        return sorted(group for group, slot in self._enable.items() if slot in high)
-
-    def state_dump(self, max_nets: int = 48) -> str:
-        """Human-readable snapshot of nets and control state for reports."""
-        lines = [f"instance {self.path}:"]
-        if self.comp.groups:
-            active = self._active_now()
-            lines.append(f"  active groups: {', '.join(active) or '(none)'}")
-        nets = sorted(
-            (ref.to_string(), self._values[slot])
-            for ref, slot in self._slots.items()
-        )
-        for name, val in nets[:max_nets]:
-            lines.append(f"  {name} = {val}")
-        if len(nets) > max_nets:
-            lines.append(f"  ... ({len(nets) - max_nets} more nets)")
-        for child in self._sub_instances:
-            lines.append(child.state_dump(max_nets=max_nets // 2))
-        return "\n".join(lines)
+        *outer, name = path.split(".")
+        scope: object = self
+        for part in outer:
+            scope = scope.children.get(part) if isinstance(scope, _Scope) else None
+        if not isinstance(scope, _Scope) or name not in scope.children:
+            raise UndefinedError(f"no cell at path {path!r}")
+        index = scope._cell_node.get(name)
+        if index is not None:
+            (scope if isinstance(scope, ComponentInstance) else self)._mark_node(index)
 
     def done_signature(self) -> Tuple:
-        """Values of every ``done``-like net, recursively (watchdog food)."""
+        """Values of every ``done``-like net in the array, then each nested
+        instance's with an array of its own (watchdog food)."""
         values = self._values
         own = [values[slot] for slot in self._done_slots]
-        return tuple(own + [child.done_signature() for child in self._sub_instances])
-
-    def stuck_groups(self) -> List[str]:
-        """Dotted names of groups active right now, recursively."""
-        out = [f"{self.path}.{name}" for name in self._active_now()]
-        for child in self._sub_instances:
-            out.extend(child.stuck_groups())
-        return out
-
-    def deadlock_report(self) -> str:
-        """Explain what each active group's done condition is waiting on."""
-        lines: List[str] = []
-        active = self._active_now()
-        for name in active:
-            group = self.comp.groups[name]
-            lines.append(f"{self.path}: group {name!r} is stuck; waiting on:")
-            done_writes = group.done_assignments()
-            if not done_writes:
-                lines.append("    (group has no done condition)")
-            for assign in done_writes:
-                guard_val = eval_guard(assign.guard, self.read)
-                src_val = self.read(assign.src)
-                lines.append(
-                    f"    {assign.to_string()}  "
-                    f"[guard={'1' if guard_val else '0'}, src={src_val}]"
-                )
-        if not active and self._running() and self.comp.groups:
-            lines.append(
-                f"{self.path}: running but no group is active "
-                f"(control executor state inconsistent?)"
-            )
-        for child in self._sub_instances:
-            sub = child.deadlock_report()
-            if sub:
-                lines.append(sub)
-        return "\n".join(lines)
-
-    # -- inspection ----------------------------------------------------------
-    def find(self, path: str) -> object:
-        """Locate a child instance by dotted cell path (e.g. ``"pe0.acc"``)."""
-        parts = path.split(".")
-        node: object = self
-        for part in parts:
-            if not isinstance(node, ComponentInstance) or part not in node.children:
-                raise UndefinedError(f"no cell at path {path!r}")
-            node = node.children[part]
-        return node
-
-    def find_model(self, path: str) -> PrimitiveModel:
-        node = self.find(path)
-        if isinstance(node, ComponentInstance):
-            raise UndefinedError(f"cell at {path!r} is not a primitive")
-        return node
+        return tuple(own + [child.done_signature() for child in self._nested])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from tests.conftest import SUM_LOOP
+from tests.conftest import SUM_LOOP, TWO_WRITES
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples"
@@ -262,6 +262,23 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert "error[duplicate-port]: component 'sub' declares port 'a' 2 times" in out
         assert "error[unknown-name]: cell 's' does not instantiate a known component" in out
+        assert "toolchain failure" not in out
+
+    @pytest.mark.parametrize("literal", ["1'd1", "1"])
+    def test_write_to_a_malformed_primitive_is_linted(self, tmp_path, capsys, literal):
+        # The unsized literal cannot take the malformed register's port
+        # width; it must not turn the cell's own diagnostic into a
+        # toolchain failure.
+        src = TWO_WRITES.replace("x = std_reg(32)", "x = std_reg(32, 4)")
+        path = tmp_path / "malformed.futil"
+        path.write_text(src.replace("x.write_en = 1;", f"x.write_en = {literal};"))
+        assert cli_main(["lint", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "4:5: error[unknown-name]: cell 'x' does not instantiate a known component: "
+            "primitive 'std_reg' takes 1 parameter(s) (WIDTH), got 2" in out
+        )
+        assert "1 error(s), 0 warning(s)" in out
         assert "toolchain failure" not in out
 
     def test_json_format(self, bad_file, capsys):

@@ -56,6 +56,28 @@ class TestPorts:
         assert CellPort("a", "b") != HolePort("a", "go")
         assert len({CellPort("a", "b"), CellPort("a", "b")}) == 1
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CellPort("add", "left"),
+            lambda: HolePort("grp", "done"),
+            lambda: ThisPort("out"),
+            lambda: ConstPort(4, 3),
+        ],
+        ids=["cell", "hole", "this", "const"],
+    )
+    def test_equal_references_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert copy.deepcopy(a) == a and hash(copy.deepcopy(a)) == hash(a)
+
+    def test_normalized_constants_hash_equal(self):
+        # 19 and 3 are the same 4-bit literal once normalized modulo 2**4.
+        assert ConstPort(4, 19) == ConstPort(4, 3)
+        assert hash(ConstPort(4, 19)) == hash(ConstPort(4, 3)) == hash(ConstPort(4, -13))
+        assert len({ConstPort(4, 19), ConstPort(4, 3), ConstPort(8, 3)}) == 2
+
     def test_is_hole(self):
         assert HolePort("g", "done").is_hole()
         assert not CellPort("a", "out").is_hole()

@@ -1,5 +1,7 @@
 """Tests for the simulator: settle semantics, control execution, timing."""
 
+import collections
+
 import pytest
 
 from repro.errors import (
@@ -11,7 +13,7 @@ from repro.errors import (
 from repro.ir import parse_program
 from repro.ir.ast import ThisPort
 from repro.robustness.difftest import compare, observe
-from repro.sim import Testbench, run_program
+from repro.sim import ComponentInstance, Testbench, run_program
 from tests.conftest import SUM_LOOP, TWO_WRITES, compile_source, run_source
 
 
@@ -456,7 +458,9 @@ class TestEdgeReports:
         assert observe("levelized") == expected
 
     def test_nested_instance_reports_its_children(self):
-        holder = Testbench(parse_program(HOLDER)).instance.find("h")
+        # Only ``sweep`` keeps nested instances in the child protocol;
+        # ``levelized`` stamps them into the root's array.
+        holder = Testbench(parse_program(HOLDER), engine="sweep").instance.find("h")
         # Inputs (in, en, go); outputs (out, done).
         assert holder.tick([7, 1, 0]) is True
         assert holder.tick([7, 0, 0]) is True  # the register's done falls
@@ -522,37 +526,74 @@ def _count_edge_settles(bench, path):
     return counts
 
 
+def _count_drains(bench, monkeypatch):
+    """Count the root's settles and the drains inside them."""
+    inst = bench.instance
+    counts = {"settles": 0, "drains": 0}
+    settle, drain = inst.settle, ComponentInstance._drain
+
+    def counting_settle():
+        counts["settles"] += 1
+        settle()
+
+    def counting_drain(self):
+        counts["drains"] += 1
+        drain(self)
+
+    inst.settle = counting_settle
+    monkeypatch.setattr(ComponentInstance, "_drain", counting_drain)
+    return counts
+
+
 class TestQuietEdgeSettle:
-    """A nested instance settles before its edge unless that changes nothing."""
+    """A nested ``sweep`` instance settles before every edge. ``levelized``
+    stamps it into the root's array: it has no settle of its own, and the
+    root drains once per settle."""
 
     @pytest.mark.parametrize("pipeline", [None, "lower"])
     def test_register_only_input_latches_on_the_same_edge(self, pipeline):
-        # ``l.in`` has no combinational path to ``l.out``, so the parent
-        # never re-evaluates ``l`` when it changes: only the edge's own
-        # settle brings the new value to the register.
+        # ``l.in`` has no combinational path to ``l.out``, so a parent that
+        # re-evaluated ``l`` only when its outputs could move would miss it:
+        # the register must still latch the new value at the next edge.
         program = compile_source(LATCH, pipeline)
         sweep, levelized = (observe(program, {"mem": [0]}, e) for e in ("sweep", "levelized"))
         assert sweep.error is None and sweep.memories["mem"] == [3]
         assert compare(sweep, levelized, "levelized") is None
 
     @pytest.mark.parametrize("engine", ["sweep", "levelized"])
-    def test_quiet_instance_without_control_skips_its_edge_settle(self, engine):
+    def test_quiet_instance_without_control_skips_its_edge_settle(self, engine, monkeypatch):
         bench = Testbench(parse_program(LATCH), engine=engine)
-        counts = _count_edge_settles(bench, "l")
-        bench.run()
         if engine == "sweep":
+            counts = _count_edge_settles(bench, "l")
+            bench.run()
             assert counts["settled"] == counts["ticks"]
         else:
-            # Only the edges after ``l.in`` moved: three counts.
-            assert counts["settled"] == 3 < counts["ticks"]
+            # Stamped, the latch settles only inside the root's drains.
+            assert not hasattr(bench.instance.find("l"), "settle")
+            drains = _count_drains(bench, monkeypatch)
+            result = bench.run()
+            assert drains["drains"] == drains["settles"] == result.cycles + 1
 
     @pytest.mark.parametrize("engine", ["sweep", "levelized"])
-    def test_instance_with_control_settles_every_edge(self, engine):
+    def test_instance_with_control_settles_every_edge(self, engine, monkeypatch):
         program = parse_program(TestInvoke.SRC)
         bench = Testbench(program, engine=engine)
-        counts = _count_edge_settles(bench, "d")
-        bench.run()
-        assert counts["settled"] == counts["ticks"] > 0
+        if engine == "sweep":
+            counts = _count_edge_settles(bench, "d")
+            bench.run()
+            assert counts["settled"] == counts["ticks"] > 0
+        else:
+            # Stamped, ``d``'s executor is clocked at every edge, as ``main``'s.
+            clocked = collections.Counter()
+            clock = ComponentInstance._clock
+
+            def counting_clock(inst, node, values):
+                clocked[id(node)] += 1
+                clock(inst, node, values)
+
+            monkeypatch.setattr(ComponentInstance, "_clock", counting_clock)
+            result = bench.run()
+            assert sorted(clocked.values()) == [result.cycles] * 2 and result.cycles > 0
         sweep, levelized = (observe(program, {}, e) for e in ("sweep", "levelized"))
         assert sweep.error is None
         assert compare(sweep, levelized, "levelized") is None
