@@ -281,6 +281,9 @@ class ControlExecutor:
             raise SimulationError(f"cannot execute control node {node!r}")
 
         self.root = make(comp.control)
+        # ``make`` calls itself through its closure: clear that cell, or the
+        # cycle keeps ``slot_of`` and what it holds alive until a collection.
+        del make
         self.reset()
 
     def step(self, values: Sequence[int]) -> None:
