@@ -1104,7 +1104,8 @@ class ComponentInstance(_Scope):
     scopes stamped into this instance's slot array (``levelized``), or as
     instances of their own, children in the primitive protocol
     (``sweep``). Every instance takes the static facts of its component's
-    definition from the build's ``netlists``.
+    definition from the build's ``netlists``, and its template from the
+    build's ``templates``, which nested instances share.
     """
 
     #: Extra probe sweeps used to tell a limit cycle from non-convergence.
@@ -1428,14 +1429,18 @@ class ComponentInstance(_Scope):
         self._dirty |= self._reader_mask[slot] & ~(1 << rank)
 
     def _net_names(self) -> Iterator[Tuple[str, int]]:
-        """Each named slot of the array and its name: this instance's
-        bare, a stamped scope's under its path below this one."""
+        """Each named slot of the array once, under its outermost name:
+        this instance's bare, a stamped scope's under its path below this
+        one (a cell port and the child's own port are one slot)."""
+        seen: Set[int] = set()
         for scope in (self, *self._scopes):
             prefix = scope.path[len(self.path) + 1:]
-            base = scope._base
             for ref, slot in scope._slots.items():
-                name = ref.to_string()
-                yield (f"{prefix}.{name}" if prefix else name), base + slot
+                slot += scope._base
+                if slot not in seen:
+                    seen.add(slot)
+                    name = ref.to_string()
+                    yield (f"{prefix}.{name}" if prefix else name), slot
 
     def _diagnose_nonconvergence(self, spent_iters: int) -> None:
         """Out of iterations: classify limit cycle vs. divergence.

@@ -10,7 +10,7 @@ reference's own nested instances do.
 
 import pytest
 
-from repro.errors import DeadlockError, MultipleDriverError, UndefinedError
+from repro.errors import DeadlockError, MultipleDriverError, OscillationError, UndefinedError
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
 from repro.ir.ports import CellPort, ThisPort
@@ -162,6 +162,36 @@ def test_nested_driver_race_errors_match_sweep(race):
         errors[engine] = str(info.value)
     assert errors["levelized"] == errors["sweep"]
     assert errors["sweep"].startswith("main.a: port r.in ")
+
+
+LOOP_THROUGH_CHILD = """
+component inv(in: 1) -> (out: 1) {
+  cells { n = std_not(1); }
+  wires { n.in = in; out = n.out; }
+  control {}
+}
+component main(go: 1) -> (done: 1) {
+  cells { a = inv(); r = std_reg(1); }
+  wires {
+    a.in = a.out;
+    group g { r.in = a.out; r.write_en = 1; g[done] = r.done; }
+  }
+  control { g; }
+}
+"""
+
+
+def test_oscillation_through_a_nested_instance():
+    program = parse_program(LOOP_THROUGH_CHILD)
+    nets = {}
+    for engine in ("sweep", "levelized"):
+        with pytest.raises(OscillationError) as info:
+            Testbench(program, engine=engine).run(max_cycles=10)
+        nets[engine] = info.value.nets
+    assert nets["sweep"] == ["a.in", "a.out", "r.in"]
+    # The flat array names each slot once, a cell port by the parent's name,
+    # and sees inside the child.
+    assert nets["levelized"] == ["a.in", "a.n.in", "a.n.out", "a.out", "r.in"]
 
 
 def _count_templates(monkeypatch):
