@@ -19,7 +19,7 @@ from repro.robustness.difftest import canonical_done_nets
 from repro.sim import ComponentInstance, Testbench, Watchdog
 from repro.sim.model import _Scope, _Template
 from repro.stdlib.behaviors import MemModel, RegModel
-from tests.test_sim import HOLDER, LATCH
+from tests.test_sim import HOLDER, LATCH, _count_drains
 from tests.test_static_and_sharing import PAR_INVOKES
 
 
@@ -220,20 +220,7 @@ def test_one_drain_per_settle(monkeypatch):
     bench = Testbench(program)
     for path, values in memories.items():
         bench.write_mem(path, values)
-    inst = bench.instance
-    counts = {"settles": 0, "drains": 0}
-    settle, drain = inst.settle, ComponentInstance._drain
-
-    def counting_settle():
-        counts["settles"] += 1
-        settle()
-
-    def counting_drain(self):
-        counts["drains"] += 1
-        drain(self)
-
-    inst.settle = counting_settle
-    monkeypatch.setattr(ComponentInstance, "_drain", counting_drain)
+    counts = _count_drains(bench, monkeypatch)
     result = bench.run()
     assert counts["settles"] == result.cycles + 1
     assert counts["drains"] <= counts["settles"]
