@@ -40,10 +40,12 @@ from repro.sim.model import (
     ComponentInstance,
     _ChildNode,
     _DoneNode,
+    _ExecutorNode,
     _GuardNode,
     _ResolverNode,
     _compile_slot_guard,
 )
+from repro.stdlib.behaviors import PrimitiveModel
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
 
@@ -312,15 +314,36 @@ def test_guard_nodes_are_shared_and_invisible(build):
     assert views["levelized"] == views["sweep"]
 
 
-def _record_fires(monkeypatch, on_fire):
-    """Call ``on_fire(instance, node)`` before every levelized node fire."""
-    for cls in (_ChildNode, _DoneNode, _GuardNode, _ResolverNode):
+def _record_fires(monkeypatch, on_fire, on_tick=None):
+    """Call ``on_fire(instance, node)`` before every node evaluation, a
+    drain's fire or a cyclic SCC's sweep, and ``on_tick(model)`` before
+    every stateful model's clock edge."""
+    for cls in (_ChildNode, _DoneNode, _ExecutorNode, _GuardNode, _ResolverNode):
+        for name in ("fire", "sweep"):
+            if not hasattr(cls, name):
+                continue
 
-        def fire(node, inst, _fire=cls.fire):
-            on_fire(inst, node)
-            return _fire(node, inst)
+            def evaluate(node, inst, _evaluate=getattr(cls, name)):
+                on_fire(inst, node)
+                return _evaluate(node, inst)
 
-        monkeypatch.setattr(cls, "fire", fire)
+            monkeypatch.setattr(cls, name, evaluate)
+    if on_tick is not None:
+        for cls in _stateful_models(PrimitiveModel):
+
+            def tick(model, ins, _tick=cls.tick):
+                on_tick(model)
+                return _tick(model, ins)
+
+            monkeypatch.setattr(cls, "tick", tick)
+
+
+def _stateful_models(cls):
+    """``cls`` and its subclasses that define a ``tick`` of their own."""
+    for sub in cls.__subclasses__():
+        if "tick" in vars(sub):
+            yield sub
+        yield from _stateful_models(sub)
 
 
 def _run_levelized(build):
@@ -372,27 +395,44 @@ def test_drain_fires_in_rank_order(build, monkeypatch):
         assert checked["nested"] > 0  # the processing elements, in the root's drain
 
 
-#: Levelized node fires per node class over one whole run, every stamped
-#: instance included. The schedule is deterministic, so these only move
-#: when the netlist or its scheduling does. In the unlowered builds a done
-#: node fires only when the control executor's finished slot moves. A
-#: cyclic SCC's members iterate through ``sweep``, which is not counted.
+#: Levelized node evaluations per node class over one whole run, every
+#: stamped instance included, and the stateful models' ``tick`` calls. An
+#: evaluation is a drain's fire or, for a cyclic SCC's members, a sweep.
+#: The schedule is deterministic, so these only move when the netlist or
+#: its scheduling does. In the unlowered builds a done node fires only when
+#: the control executor's finished slot moves.
 PINNED_FIRES = {
-    "gemm": (_gemm, 1128, {"_ChildNode": 4843, "_GuardNode": 18610, "_ResolverNode": 10264}),
+    "gemm": (
+        _gemm,
+        1128,
+        {
+            "_ChildNode": 4843, "_ExecutorNode": 1, "_GuardNode": 18610,
+            "_ResolverNode": 10264, "tick": 25944,
+        },
+    ),
     "systolic-4x4": (
         _systolic_4x4,
         76,
-        {"_ChildNode": 2094, "_GuardNode": 7274, "_ResolverNode": 4426},
+        {
+            "_ChildNode": 2094, "_ExecutorNode": 145, "_GuardNode": 7274,
+            "_ResolverNode": 4426, "tick": 8816,
+        },
     ),
     "gemm-interpreted": (
         _gemm_interpreted,
         1382,
-        {"_ChildNode": 2064, "_DoneNode": 2, "_GuardNode": 195, "_ResolverNode": 8367},
+        {
+            "_ChildNode": 9179, "_DoneNode": 2, "_ExecutorNode": 1383, "_GuardNode": 195,
+            "_ResolverNode": 22597, "tick": 22112,
+        },
     ),
     "systolic-2x2-interpreted": (
         _systolic_2x2_interpreted,
         48,
-        {"_ChildNode": 150, "_DoneNode": 22, "_GuardNode": 40, "_ResolverNode": 698},
+        {
+            "_ChildNode": 181, "_DoneNode": 22, "_ExecutorNode": 125, "_GuardNode": 40,
+            "_ResolverNode": 977, "tick": 1200,
+        },
     ),
 }
 
@@ -401,6 +441,10 @@ PINNED_FIRES = {
 def test_node_fire_counts_are_pinned(name, monkeypatch):
     build, cycles, expected = PINNED_FIRES[name]
     fires = collections.Counter()
-    _record_fires(monkeypatch, lambda inst, node: fires.update([type(node).__name__]))
+    _record_fires(
+        monkeypatch,
+        lambda inst, node: fires.update([type(node).__name__]),
+        lambda model: fires.update(["tick"]),
+    )
     assert _run_levelized(build).cycles == cycles
     assert dict(fires) == expected
