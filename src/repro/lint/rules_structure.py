@@ -31,7 +31,7 @@ from repro.ir.control import Enable, If, Invoke, While
 from repro.ir.guards import CmpGuard, Guard, PortGuard, fold
 from repro.ir.ports import DONE, GO, PortRef
 from repro.ir.types import Direction
-from repro.lint.diagnostics import WARNING, LintReport
+from repro.lint.diagnostics import WARNING, Diagnostic, LintReport
 from repro.lint.registry import LintRule, register_rule
 
 def _assignments(net: Netlist):
@@ -184,15 +184,7 @@ class PortDirectionRule(LintRule):
         bad_guard_ports: Dict[Guard, Tuple[PortRef, ...]] = {}
         for context, group_name, assign in _assignments(net):
             if net.is_writable(assign.dst) is False:
-                report.add(
-                    self.diag(
-                        f"{context}: {assign.dst.to_string()} is not a "
-                        f"writable port",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
+                report.add(self._unwritable(net, context, group_name, assign))
             if net.is_readable(assign.src) is False:
                 report.add(
                     self.diag(
@@ -230,6 +222,23 @@ class PortDirectionRule(LintRule):
                             span=node.span,
                         )
                     )
+
+
+    def _unwritable(self, net: Netlist, context: str, group_name, assign) -> Diagnostic:
+        return self.diag(
+            f"{context}: {assign.dst.to_string()} is not a writable port",
+            component=net.comp.name,
+            group=group_name,
+            span=assign.span,
+        )
+
+    def unwritable_error(self, net: Netlist) -> ValidationError:
+        """The error this rule raises for ``net``'s first assignment to a
+        port that is not writable; the simulator refuses such a netlist."""
+        context, group_name, assign = next(
+            entry for entry in _assignments(net) if net.is_writable(entry[2].dst) is False
+        )
+        return self.exception(self._unwritable(net, context, group_name, assign).format())
 
 
 @register_rule

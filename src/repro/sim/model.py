@@ -705,6 +705,12 @@ class _Template:
             self.cells.append((cell.name, None, in_slots, dep_slots, out_slots))
 
         # -- drivers per destination (deterministic first-seen order) ------
+        # A driver of a cell's output (or of this component's input) would
+        # fight the cell for its slot: refused, as validation refuses it.
+        if any(netlist.is_writable(assign.dst) is False for _, assign in netlist.drivers):
+            from repro.lint.rules_structure import PortDirectionRule  # lint imports sim
+
+            raise PortDirectionRule().unwritable_error(netlist)
         driver_map: Dict[PortRef, List[_Driver]] = {}
         dep_map: Dict[PortRef, Set[int]] = {}
         guards = _GuardNet(self) if flat else None

@@ -9,10 +9,12 @@ from repro.errors import (
     MultipleDriverError,
     SimulationError,
     UndefinedError,
+    ValidationError,
 )
 from repro.ir import parse_program
 from repro.ir.ast import ThisPort
-from repro.robustness.difftest import compare, observe
+from repro.ir.validate import validate_program
+from repro.robustness.difftest import compare, difftest_program, observe
 from repro.sim import ComponentInstance, Testbench, run_program
 from tests.conftest import SUM_LOOP, TWO_WRITES, compile_source, run_source
 
@@ -326,6 +328,60 @@ component main(go: 1) -> (done: 1) {
 """
         with pytest.raises(CombinationalLoopError):
             run_source(src)
+
+    CELL_OUTPUT_DRIVERS = {
+        "component-output": """
+component seven(in: 8) -> (out: 8) {
+  cells {}
+  wires { out = 8'd5; }
+  control {}
+}
+component main() -> () {
+  cells { x = seven(); mem = std_mem_d1(8, 1, 1); }
+  wires {
+    group store {
+      x.out = 8'd7;
+      mem.addr0 = 1'd0;
+      mem.write_data = x.out;
+      mem.write_en = 1'd1;
+      store[done] = mem.done;
+    }
+  }
+  control { store; }
+}
+""",
+        "primitive-output": """
+component main() -> () {
+  cells { r = std_reg(8); mem = std_mem_d1(8, 1, 1); }
+  wires {
+    group store {
+      r.out = 1;
+      mem.addr0 = 1'd0;
+      mem.write_data = r.out;
+      mem.write_en = 1'd1;
+      store[done] = mem.done;
+    }
+  }
+  control { store; }
+}
+""",
+    }
+
+    @pytest.mark.parametrize("design", sorted(CELL_OUTPUT_DRIVERS))
+    def test_driver_of_a_cell_output_is_refused_at_build(self, design):
+        """Both engines refuse the netlist with validation's own error,
+        rather than letting the driver and the cell fight over one slot."""
+        program = parse_program(self.CELL_OUTPUT_DRIVERS[design])
+        with pytest.raises(ValidationError) as validated:
+            validate_program(program)
+        assert "error[port-direction]" in str(validated.value)
+        for engine in ("sweep", "levelized"):
+            with pytest.raises(ValidationError) as built:
+                Testbench(program, engine=engine)
+            assert str(built.value) == str(validated.value), engine
+        with pytest.raises(ValidationError) as diffed:
+            difftest_program(program, {"mem": [0]})
+        assert str(diffed.value) == str(validated.value)
 
     def test_find_model_path_errors(self):
         tb = Testbench(parse_program(TWO_WRITES))
