@@ -86,10 +86,11 @@ class LivenessAnalysis:
         """One backward sweep; returns whether any live set changed,
         including those of nested ``par`` arms."""
         live_in, live_out = self.live_in, self.live_out
+        succs = graph.succs
         changed = False
         for node in reversed(graph.nodes):
             out = exit_live if node is graph.exit else 0
-            for succ in node.succs:
+            for succ in succs.get(node.id, ()):
                 out |= live_in.get(succ.id, 0)
             if out != live_out.get(node.id, 0):
                 live_out[node.id] = out
@@ -117,9 +118,11 @@ class LivenessAnalysis:
         """
         if id(graph) not in self._must:
             must = 0
+            succs, preds = graph.succs, graph.preds
             for node in graph.nodes:
-                if node.kind in ("group", "invoke") and len(node.preds) <= 1:
-                    if all(len(p.succs) == 1 for p in node.preds):
+                into = preds.get(node.id, ())
+                if node.kind in ("group", "invoke") and len(into) <= 1:
+                    if all(len(succs[p.id]) == 1 for p in into):
                         must |= self._masks[node.id][2]
                 for child in node.children:
                     must |= self._must_writes(child)

@@ -38,16 +38,18 @@ def parallel_conflicts(comp: Component) -> ConflictGraph:
     vertices.update(dict.fromkeys(map(_vertex, comp.control.walk())))
     vertices.pop(None, None)
     graph = ConflictGraph(vertices)
-
-    def under(node: Control) -> int:
-        vertex = _vertex(node)
-        below = graph.bit[vertex] if vertex is not None else 0
-        for child in node.children():
-            arm = under(child)
-            if isinstance(node, Par):
-                graph.add_conflicts(arm, below)
-            below |= arm
-        return below
-
-    under(comp.control)
+    _conflicts_under(graph, comp.control)
     return graph
+
+
+def _conflicts_under(graph: ConflictGraph, node: Control) -> int:
+    """Add the conflicts of every ``par`` in ``node``; the mask of the
+    vertices under it."""
+    vertex = _vertex(node)
+    below = graph.bit[vertex] if vertex is not None else 0
+    for child in node.children():
+        arm = _conflicts_under(graph, child)
+        if isinstance(node, Par):
+            graph.add_conflicts(arm, below)
+        below |= arm
+    return below

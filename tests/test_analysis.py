@@ -1,6 +1,7 @@
 """Tests for the analysis package: the conflict graph, schedule conflicts,
 coloring, pCFGs, read/write sets, and liveness."""
 
+import gc
 import glob
 import os
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.coloring import ConflictGraph, greedy_coloring
 from repro.analysis.liveness import LivenessAnalysis
-from repro.analysis.pcfg import build_pcfg
+from repro.analysis.pcfg import Pcfg, PcfgNode, build_pcfg
 from repro.analysis.read_write import group_accesses, registers_of
 from repro.analysis.schedule import parallel_conflicts
 from repro.frontends.dahlia import compile_dahlia
@@ -249,18 +250,41 @@ class TestPcfg:
         graph = build_pcfg(comp_of("while lt.out with cond { a; }"))
         cond = next(n for n in graph.nodes if n.group == "cond")
         body = next(n for n in graph.nodes if n.group == "a")
-        assert cond in body.succs  # back edge
-        assert body in cond.succs
+        assert cond in graph.succs[body.id]  # back edge
+        assert body in graph.succs[cond.id]
+        assert graph.preds[cond.id].count(body) == 1
 
     def test_if_diamond(self):
         graph = build_pcfg(comp_of("if lt.out with cond { a; } else { b; }"))
         cond = next(n for n in graph.nodes if n.group == "cond")
-        assert len(cond.succs) == 2
+        assert len(graph.succs[cond.id]) == 2
 
     def test_walk_recurses_into_pnodes(self):
         graph = build_pcfg(comp_of("par { seq { a; b; } c; }"))
         names = {n.group for n in graph.walk() if n.kind == "group"}
         assert names == {"a", "b", "c"}
+
+    def test_a_compile_is_freed_by_refcount(self):
+        """No pCFG, nor anything else of a compile, waits for the cyclic
+        collector: register sharing's graphs hold their edges by id."""
+        program = generate_systolic_array(SystolicConfig.square(4))
+        enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            compile_program(program, "all")
+            gc.collect()
+            leaked = gc.garbage[kept:]
+            graphs = [obj for obj in leaked if isinstance(obj, (Pcfg, PcfgNode))]
+            kinds = sorted({type(obj).__name__ for obj in leaked})
+        finally:
+            del gc.garbage[kept:]
+            gc.set_debug(flags)
+            if enabled:
+                gc.enable()
+        assert graphs == []
+        assert kinds == []
 
 
 class TestReadWriteSets:
