@@ -7,9 +7,11 @@ instantiates. Its cells are primitive models with the protocol
 netlist, reading its input slots and writing its output slots.
 
 The clock edge (:meth:`ComponentInstance.step_edge`) steps every control
-executor and ticks every stateful child, but marks a child's node for the
+executor and ticks the stateful children, but marks a child's node for the
 next phase only when its ``tick`` did not return ``False``
-(:mod:`repro.stdlib.behaviors`). Input changes need no edge report; an
+(:mod:`repro.stdlib.behaviors`); under ``levelized`` it skips the idle
+tick of a model that declares an ``enable`` port. Input changes need no
+edge report; an
 input with a combinational path to an output is a dependency slot of the
 child node. State written outside ``tick`` is announced with
 :meth:`ComponentInstance.touch`.
@@ -42,20 +44,23 @@ clock phase evaluates the netlist:
   condensed into strongly connected components, *levelized* and *ranked*
   in ``(level, id)`` order, once per build. The dirty set is one integer
   bitmask over ranks, seeded by input changes, clock edges and control
-  executors; a changed slot ORs in its reader mask and the drain fires the
-  lowest set bit next. Every distinct guard sub-expression of a definition
-  is one :class:`_GuardNode` writing an unnamed slot, as the hardware
-  shares the wire, so a driver's guard test is one slot read and a shared
-  prefix evaluates once per input change. Acyclic regions evaluate at most
+  executors; a node's fire returns the reader mask of the slots it changed
+  and the drain fires the lowest set bit next. Every distinct guard
+  sub-expression of a definition is one :class:`_GuardNode` writing an
+  unnamed slot, as the hardware shares the wire, so a driver's guard test
+  is one slot read and a shared prefix evaluates once per input change;
+  the comparisons of one slot against several constants are one
+  :class:`_BankNode`, a state decoder. Acyclic regions evaluate at most
   once per phase; genuine combinational cycles fall back to bounded
   fixpoint iteration inside their SCC, where each resolver evaluates its
   drivers' whole guards over the slots.
 * ``sweep``, the reference, builds each nested instance as a
   :class:`ComponentInstance` of its own, a child in the primitive protocol,
   and fires every node in build order until no slot changes, each driver
-  evaluating its whole guard over the slot array on every sweep. It builds
-  no guard nodes and uses none of the stamping or the scheduling, so it
-  stays an independent oracle for both.
+  evaluating its whole guard over the slot array on every sweep, and
+  ticks every stateful child at every edge. It builds no guard nodes,
+  banks or reader masks and uses none of the stamping or the scheduling,
+  so it stays an independent oracle for both.
 
 A guard a resolver evaluates itself is resolved to slots once, at build:
 :func:`_compile_slot_guard` turns the IR guard tree into nested evaluators
@@ -359,7 +364,8 @@ class _ResolverNode:
     """
 
     __slots__ = (
-        "index", "slot", "drivers", "force_slot", "enable_slot", "done_slot", "in_slots", "path"
+        "index", "slot", "drivers", "force_slot", "enable_slot", "done_slot", "in_slots", "path",
+        "readers",
     )
 
     def __init__(self, index, slot, drivers, go_slots, in_slots, path):
@@ -369,10 +375,10 @@ class _ResolverNode:
         self.force_slot, self.enable_slot, self.done_slot = go_slots
         self.in_slots: List[int] = in_slots
         self.path = path
+        self.readers = 0
 
-    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+    def fire(self, v: List[int]) -> int:
         """Evaluate with each guard read from its guard node's slot."""
-        v = inst._values
         value = 0
         winner: Optional[_Driver] = None
         for d in self.drivers:
@@ -387,7 +393,12 @@ class _ResolverNode:
                 winner, value = d, val
             elif val != value:
                 self._conflict(winner, value, d, val)
-        return self._commit(inst, value)
+        if self.force_slot is not None:
+            value = self._go(v, value)
+        if v[self.slot] != value:
+            v[self.slot] = value
+            return self.readers
+        return 0
 
     def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
         """Evaluate with each driver's whole guard over the current slots."""
@@ -415,13 +426,18 @@ class _ResolverNode:
             f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
         )
 
+    def _go(self, v: List[int], value: int) -> int:
+        """A go hole's value: forced high, or enabled until its done rises."""
+        if v[self.force_slot]:
+            return 1
+        if v[self.enable_slot]:
+            return 0 if v[self.done_slot] else 1
+        return value
+
     def _commit(self, inst: "ComponentInstance", value: int) -> Tuple[int, ...]:
         v = inst._values
         if self.force_slot is not None:
-            if v[self.force_slot]:
-                value = 1
-            elif v[self.enable_slot]:
-                value = 0 if v[self.done_slot] else 1
+            value = self._go(v, value)
         if v[self.slot] != value:
             v[self.slot] = value
             return (self.slot,)
@@ -435,7 +451,7 @@ class _GuardNode:
     slots ``a`` and ``b``: another guard node, a port, or a constant.
     """
 
-    __slots__ = ("index", "slot", "fn", "a", "b", "in_slots")
+    __slots__ = ("index", "slot", "fn", "a", "b", "in_slots", "readers")
 
     def __init__(self, index, slot, fn, a, b):
         self.index = index
@@ -444,14 +460,69 @@ class _GuardNode:
         self.a = a
         self.b = b
         self.in_slots: List[int] = [a, b]
+        self.readers = 0
 
-    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
-        v = inst._values
+    def stamped(self, index: int, base: int) -> "_GuardNode":
+        """This template node as node ``index``, its slots moved up by ``base``."""
+        return _GuardNode(index, self.slot + base, self.fn, self.a + base, self.b + base)
+
+    def fire(self, v: List[int]) -> int:
         value = self.fn(v[self.a], v[self.b])
         if v[self.slot] != value:
             v[self.slot] = value
-            return (self.slot,)
-        return ()
+            return self.readers
+        return 0
+
+
+class _BankNode:
+    """One slot compared against several constants: a comparator bank.
+
+    A synthesized FSM state decoder reads the state register once and
+    drives one wire per compared state. The bank reads slot ``a`` once and
+    writes each comparison's own slot: ``fn(v[a], c)`` for an entry of
+    ``rhs``, ``fn(c, v[a])`` for one of ``lhs``, ``fn`` the comparison's
+    :data:`_GUARD_FNS` operator and ``c`` its constant. An entry is
+    ``(slot, fn, c, readers)``.
+    """
+
+    __slots__ = ("index", "a", "rhs", "lhs", "in_slots", "dep_slots", "out_slots")
+
+    def __init__(self, index, a, rhs, lhs):
+        self.index = index
+        self.a = a
+        self.rhs: List[tuple] = rhs
+        self.lhs: List[tuple] = lhs
+        self.in_slots = self.dep_slots = [a]
+        self.out_slots: List[int] = [entry[0] for entry in rhs + lhs]
+
+    def stamped(self, index: int, base: int) -> "_BankNode":
+        """This template bank as node ``index``, its slots moved up by ``base``."""
+        return _BankNode(
+            index,
+            self.a + base,
+            [(slot + base, fn, c, 0) for slot, fn, c, _ in self.rhs],
+            [(slot + base, fn, c, 0) for slot, fn, c, _ in self.lhs],
+        )
+
+    def set_readers(self, readers: List[int]) -> None:
+        """Take each entry's reader mask, in ``out_slots`` order."""
+        rows = [(slot, fn, c, mask) for (slot, fn, c, _), mask in zip(self.rhs + self.lhs, readers)]
+        self.rhs, self.lhs = rows[: len(self.rhs)], rows[len(self.rhs) :]
+
+    def fire(self, v: List[int]) -> int:
+        x = v[self.a]
+        changed = 0
+        for slot, fn, c, readers in self.rhs:
+            value = fn(x, c)
+            if v[slot] != value:
+                v[slot] = value
+                changed |= readers
+        for slot, fn, c, readers in self.lhs:
+            value = fn(c, x)
+            if v[slot] != value:
+                v[slot] = value
+                changed |= readers
+        return changed
 
 
 class _ChildNode:
@@ -459,10 +530,16 @@ class _ChildNode:
 
     ``in_slots`` and ``out_slots`` follow the cell signature's port order,
     the order the child's ``comb``/``tick`` take and return values in;
-    ``inputs(values)`` is the tuple of the input slots' values.
+    ``inputs(values)`` is the tuple of the input slots' values. A stateful
+    child whose model declares an ``enable`` port has that port's slot as
+    ``enable_slot``, and ``idle`` is true while its last tick saw the port
+    low and returned ``False`` (:meth:`ComponentInstance.step_edge`).
     """
 
-    __slots__ = ("index", "child", "in_slots", "dep_slots", "out_slots", "inputs")
+    __slots__ = (
+        "index", "child", "in_slots", "dep_slots", "out_slots", "inputs", "outs", "enable_slot",
+        "idle",
+    )
 
     def __init__(self, index, child, in_slots, dep_slots, out_slots):
         self.index = index
@@ -471,8 +548,23 @@ class _ChildNode:
         self.dep_slots: List[int] = dep_slots
         self.out_slots: List[int] = out_slots
         self.inputs = _gather(in_slots)
+        #: ``(slot, reader mask)`` per output, set by the levelized schedule.
+        self.outs: Tuple[Tuple[int, int], ...] = ()
+        self.enable_slot: Optional[int] = None
+        self.idle = False
 
-    def fire(self, inst: "ComponentInstance") -> List[int]:
+    def set_readers(self, readers: List[int]) -> None:
+        self.outs = tuple(zip(self.out_slots, readers))
+
+    def fire(self, v: List[int]) -> int:
+        changed = 0
+        for (slot, readers), val in zip(self.outs, self.child.comb(self.inputs(v))):
+            if v[slot] != val:
+                v[slot] = val
+                changed |= readers
+        return changed
+
+    def sweep(self, inst: "ComponentInstance") -> List[int]:
         v = inst._values
         changed: List[int] = []
         outs = self.child.comb(self.inputs(v))
@@ -481,8 +573,6 @@ class _ChildNode:
                 v[slot] = val
                 changed.append(slot)
         return changed
-
-    sweep = fire
 
 
 class _DoneNode:
@@ -494,23 +584,29 @@ class _DoneNode:
     falls.
     """
 
-    __slots__ = ("index", "slot", "finished", "in_slots")
+    __slots__ = ("index", "slot", "finished", "in_slots", "readers")
 
     def __init__(self, index, slot, finished):
         self.index = index
         self.slot = slot
         self.finished = finished
         self.in_slots: List[int] = [finished]
+        self.readers = 0
 
-    def fire(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+    def fire(self, v: List[int]) -> int:
+        value = v[self.finished]
+        if v[self.slot] != value:
+            v[self.slot] = value
+            return self.readers
+        return 0
+
+    def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
         v = inst._values
         value = v[self.finished]
         if v[self.slot] != value:
             v[self.slot] = value
             return (self.slot,)
         return ()
-
-    sweep = fire
 
 
 class _ExecutorNode:
@@ -526,7 +622,8 @@ class _ExecutorNode:
     """
 
     __slots__ = (
-        "index", "executor", "in_slots", "dep_slots", "out_slots", "high", "finished", "was_high"
+        "index", "executor", "in_slots", "dep_slots", "out_slots", "high", "finished", "was_high",
+        "readers",
     )
 
     def __init__(self, index, executor, go, out_slots, finished):
@@ -537,9 +634,14 @@ class _ExecutorNode:
         self.high: frozenset = _EMPTY
         self.finished = finished
         self.was_high = False
+        #: Driven slot -> its reader mask, set by the levelized schedule.
+        self.readers: Dict[int, int] = {}
 
-    def fire(self, inst: "ComponentInstance") -> frozenset:
-        v = inst._values
+    def set_readers(self, readers: List[int]) -> None:
+        self.readers = dict(zip(self.out_slots, readers))
+
+    def _write(self, v: List[int]) -> frozenset:
+        """Write the driven slots that changed; returns them."""
         high = self.executor.high if v[self.in_slots[0]] else _EMPTY
         if high == self.high:
             return _EMPTY
@@ -549,12 +651,23 @@ class _ExecutorNode:
         self.high = high
         return changed
 
-    sweep = fire
+    def fire(self, v: List[int]) -> int:
+        readers = self.readers
+        mask = 0
+        for slot in self._write(v):
+            mask |= readers[slot]
+        return mask
+
+    def sweep(self, inst: "ComponentInstance") -> frozenset:
+        return self._write(inst._values)
 
 
 #: The node classes that write several slots (``out_slots``) and read only
 #: some of their inputs combinationally (``dep_slots``).
-_MULTI_OUT = (_ChildNode, _ExecutorNode)
+_MULTI_OUT = (_ChildNode, _ExecutorNode, _BankNode)
+
+#: The nodes that evaluate guards: no fixpoint members of a cyclic SCC.
+_GUARD_KINDS = (_GuardNode, _BankNode)
 
 
 class _GuardNet:
@@ -565,7 +678,9 @@ class _GuardNet:
     topological. A port guard is its port's slot, a constant operand gets
     a constant slot, and constant sub-guards fold (``a & true`` is ``a``).
     Each distinct (interned) guard node is consed once, however many
-    assignments and enclosing guards share it.
+    assignments and enclosing guards share it. :meth:`finish` then merges
+    the comparisons of one slot against two or more constants into one
+    :class:`_BankNode`.
     """
 
     def __init__(self, template: "_Template"):
@@ -573,6 +688,8 @@ class _GuardNet:
         self.nodes: List[_GuardNode] = []
         self._table: Dict[Tuple[str, int, int], int] = {}
         self._memo: Dict[Guard, Union[bool, int]] = {}
+        #: A comparison's slot -> ``(compared slot, constant, constant on the left)``.
+        self._against_const: Dict[int, Tuple[int, int, bool]] = {}
 
     def driver_slot(self, guard: Guard) -> Optional[int]:
         """The slot a driver reads its guard from; ``None`` if always true."""
@@ -580,6 +697,30 @@ class _GuardNet:
         if value is True:
             return None
         return self.template._const_slot(0) if value is False else value
+
+    def finish(self) -> List[Union[_GuardNode, _BankNode]]:
+        """The guard nodes in creation order, each slot compared against two
+        or more constants as one bank at its first comparison's place (its
+        one input is a port, so the bank precedes every reader of its
+        entries, a cyclic SCC's guard nodes included)."""
+        compared: Dict[int, List[_GuardNode]] = {}
+        for node in self.nodes:
+            entry = self._against_const.get(node.slot)
+            if entry is not None:
+                compared.setdefault(entry[0], []).append(node)
+        out: List[Union[_GuardNode, _BankNode]] = []
+        for node in self.nodes:
+            entry = self._against_const.get(node.slot)
+            members = compared[entry[0]] if entry is not None else ()
+            if len(members) < 2:
+                out.append(node)
+            elif node is members[0]:
+                rhs, lhs = [], []
+                for member in members:
+                    _, c, left = self._against_const[member.slot]
+                    (lhs if left else rhs).append((member.slot, member.fn, c, 0))
+                out.append(_BankNode(-1, entry[0], rhs, lhs))
+        return out
 
     def _operand(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
@@ -618,9 +759,14 @@ class _GuardNet:
             return self._node("|", left, right)
         if isinstance(guard, CmpGuard):
             left, right = guard.left, guard.right
-            if isinstance(left, ConstPort) and isinstance(right, ConstPort):
+            left_const, right_const = isinstance(left, ConstPort), isinstance(right, ConstPort)
+            if left_const and right_const:
                 return _GUARD_FNS[guard.op](left.value, right.value)
-            return self._node(guard.op, self._operand(left), self._operand(right))
+            slot = self._node(guard.op, self._operand(left), self._operand(right))
+            if left_const or right_const:
+                port, const = (right, left) if left_const else (left, right)
+                self._against_const[slot] = (template._slot(port), const.value, left_const)
+            return slot
         if isinstance(guard, PortGuard):
             port = guard.port
             if isinstance(port, ConstPort):
@@ -767,7 +913,8 @@ class _Template:
         self.finished_slot = self._unnamed_slot()
         #: The slots the executor drives, through its :class:`_ExecutorNode`.
         self.driven = sorted({*self.enable.values(), *self.force.values(), *self.live.values()})
-        self.guards: List[_GuardNode] = guards.nodes if guards else []
+        #: The guard nodes and banks, in creation order.
+        self.guards: List[Union[_GuardNode, _BankNode]] = guards.finish() if guards else []
         self.done_slots = [
             slot for ref, slot in self.slots.items() if getattr(ref, "port", None) == DONE
         ]
@@ -924,7 +1071,7 @@ def _settle_sweep(inst: "ComponentInstance") -> None:
     """Write the executor's slots, then fire every node in build order
     until no slot changes."""
     for node in inst._executor_nodes:
-        node.fire(inst)
+        node.sweep(inst)
     for _ in range(inst._max_iters):
         if not inst._sweep():
             return
@@ -1137,7 +1284,10 @@ class ComponentInstance(_Scope):
         self._extra_nets: Dict[PortRef, int] = {}
         self._values: List[int] = [0] * self.template.n_slots
         self._nodes: List[object] = []
+        #: The stateful children ticked at every edge, and (``levelized``)
+        #: those whose model declares an ``enable`` port.
         self._stateful_nodes: List[_ChildNode] = []
+        self._gated: List[_ChildNode] = []
         #: Every executor in the array, and those with control to step.
         self._executor_nodes: List[_ExecutorNode] = []
         self._clocked: List[_ExecutorNode] = []
@@ -1147,9 +1297,11 @@ class ComponentInstance(_Scope):
         self._scopes: List[_Scope] = []
         self._stamp(self, 0)
         self._reset_values = list(self._values)
-        self._done_slots = list(
-            dict.fromkeys(
-                s._base + slot for s in (self, *self._scopes) for slot in s.template.done_slots
+        self._done_values = _gather(
+            list(
+                dict.fromkeys(
+                    s._base + slot for s in (self, *self._scopes) for slot in s.template.done_slots
+                )
             )
         )
         #: Nested instances with an array of their own (``sweep``).
@@ -1160,11 +1312,11 @@ class ComponentInstance(_Scope):
         self._all_guards_compiled = not strategy.levelized
         if strategy.levelized:
             #: The nodes the non-convergence probe sweeps: all but the guard nodes.
-            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _GuardNode)]
-            self._guard_nodes = [n for n in self._nodes if isinstance(n, _GuardNode)]
+            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _GUARD_KINDS)]
+            self._guard_nodes = [n for n in self._nodes if isinstance(n, _GUARD_KINDS)]
             self._schedule()
             self._compile_guards(
-                node for members in self._cyclic_members.values() for node in members
+                node for members, _ in self._cyclic.values() for node in members
             )
         else:
             # The reference fires every node each sweep, in build order: it
@@ -1214,7 +1366,13 @@ class ComponentInstance(_Scope):
             )
             nodes.append(node)
             if type(child).tick is not PrimitiveModel.tick:
-                self._stateful_nodes.append(node)
+                enable = getattr(child, "enable", None) if self.strategy.levelized else None
+                enable_slot = t.slots.get(CellPort(name, enable)) if enable else None
+                if enable_slot is None:
+                    self._stateful_nodes.append(node)
+                else:
+                    node.enable_slot = base + enable_slot
+                    self._gated.append(node)
         for slot, drivers, go_slots, in_slots in t.resolvers:
             if base:
                 drivers = [d.shifted(base) for d in drivers]
@@ -1243,7 +1401,7 @@ class ComponentInstance(_Scope):
         if not t.comp.control.is_empty():
             self._clocked.append(node)
         for g in t.guards:
-            nodes.append(_GuardNode(len(nodes), g.slot + base, g.fn, g.a + base, g.b + base))
+            nodes.append(g.stamped(len(nodes), base))
         for name, block, _, _, _ in t.cells:
             if block is not None:
                 self._stamp(scope.children[name], base + block)
@@ -1268,13 +1426,30 @@ class ComponentInstance(_Scope):
                         d.guard = _compile_slot_guard(guard, slots, _GUARD_NODE_OPS, memo)
 
     def _schedule(self) -> None:
-        """Writers, ranks and reader masks of the levelized drain."""
+        """Writers, ranks and reader masks of the levelized drain.
+
+        Each node takes the reader masks of the slots it writes, so a fire
+        returns the ranks its changes dirty.
+        """
         writer, rank_of, rank_node, cyclic, reader_mask = self._levelize()
         self._writer, self._rank_of, self._reader_mask = writer, rank_of, reader_mask
         nodes = self._nodes
-        # Per rank: an acyclic SCC's one node, or None for a cyclic SCC.
-        self._rank_node = [None if i < 0 else nodes[i] for i in rank_node]
-        self._cyclic_members = {rank: [nodes[i] for i in scc] for rank, scc in cyclic.items()}
+        for node in nodes:
+            if isinstance(node, _MULTI_OUT):
+                node.set_readers([reader_mask[slot] for slot in node.out_slots])
+            else:
+                node.readers = reader_mask[node.slot]
+        #: Per rank: an acyclic SCC's one node's ``fire``, or None for a cyclic SCC.
+        self._rank_fire = [None if i < 0 else nodes[i].fire for i in rank_node]
+        #: Per cyclic SCC's rank: its fixpoint members and its guard nodes,
+        #: each in index order.
+        self._cyclic: Dict[int, Tuple[list, list]] = {}
+        for rank, scc in cyclic.items():
+            members = [nodes[i] for i in scc]
+            self._cyclic[rank] = (
+                [n for n in members if not isinstance(n, _GUARD_KINDS)],
+                [n for n in members if isinstance(n, _GUARD_KINDS)],
+            )
 
     def _levelize(self) -> Tuple[Dict[int, int], List[int], List[int], Dict[int, list], List[int]]:
         """Tarjan SCC condensation, longest-path levels, then ranks.
@@ -1346,7 +1521,7 @@ class ComponentInstance(_Scope):
         self._dirty |= self._reader_mask[slot]
 
     def _mark_all(self) -> None:
-        self._dirty = (1 << len(self._rank_node)) - 1
+        self._dirty = (1 << len(self._rank_fire)) - 1
 
     # -- the child protocol (``sweep``'s nested instances) -----------------
     def comb(self, ins: Sequence[int]) -> List[int]:
@@ -1374,26 +1549,28 @@ class ComponentInstance(_Scope):
         for node in self._nodes:
             if isinstance(node, _ChildNode):
                 node.child.reset()
+                node.idle = False
         self._reset_dynamic()
 
     # -- simulation core ----------------------------------------------------
     def _drain(self) -> None:
-        """Fire the SCC of the dirty mask's lowest set bit until none is set."""
-        rank_node = self._rank_node
-        reader_mask = self._reader_mask
+        """Fire the SCC of the dirty mask's lowest set bit until none is set.
+
+        An acyclic SCC's fire returns the reader mask of what it changed.
+        """
+        rank_fire = self._rank_fire
+        values = self._values
         d = self._dirty
         while d:
             low = d & -d
             d ^= low
-            rank = low.bit_length() - 1
-            node = rank_node[rank]
-            if node is None:
+            fire = rank_fire[low.bit_length() - 1]
+            if fire is None:
                 self._dirty = d
-                self._run_cyclic_scc(rank)
+                self._run_cyclic_scc(low.bit_length() - 1)
                 d = self._dirty
             else:
-                for slot in node.fire(self):
-                    d |= reader_mask[slot]
+                d |= fire(values)
         self._dirty = 0
 
     def _sweep(self) -> bool:
@@ -1414,25 +1591,22 @@ class ComponentInstance(_Scope):
         are no fixpoint members but evaluate once, in creation order, after
         the cycle converges.
         """
-        members = self._cyclic_members[rank]
-        guards = [node for node in members if isinstance(node, _GuardNode)]
-        members = [node for node in members if not isinstance(node, _GuardNode)]
+        members, guards = self._cyclic[rank]
+        reader_mask = self._reader_mask
+        outside = ~(1 << rank)
         limit = 8 * (len(members) + 8)
         for _ in range(limit):
             any_change = False
             for node in members:
                 for slot in node.sweep(self):
                     any_change = True
-                    self._mark_readers_outside(slot, rank)
+                    self._dirty |= reader_mask[slot] & outside
             if not any_change:
+                values = self._values
                 for node in guards:
-                    for slot in node.fire(self):
-                        self._mark_readers_outside(slot, rank)
+                    self._dirty |= node.fire(values) & outside
                 return
         self._diagnose_nonconvergence(limit)
-
-    def _mark_readers_outside(self, slot: int, rank: int) -> None:
-        self._dirty |= self._reader_mask[slot] & ~(1 << rank)
 
     def _net_names(self) -> Iterator[Tuple[str, int]]:
         """Each named slot of the array once, under its outermost name:
@@ -1491,7 +1665,7 @@ class ComponentInstance(_Scope):
                 # nodes, so those refresh and the dirty mask is satisfied
                 # wholesale.
                 for node in self._guard_nodes:
-                    node.fire(self)
+                    node.fire(self._values)
                 self._dirty = 0
                 return
         raise CombinationalLoopError(
@@ -1509,6 +1683,12 @@ class ComponentInstance(_Scope):
         the settled values of its input slots. A child's node is marked
         unless its tick returned ``False``. True if the outputs may have
         moved: a child was marked or some executor state can move.
+
+        A child whose model declares an ``enable`` port (``levelized``
+        only) is not ticked while that port is low and its last tick saw
+        it low and returned ``False``: by the model's contract that tick
+        would do nothing and return ``False`` again
+        (:class:`~repro.stdlib.behaviors.PrimitiveModel`).
         """
         values = self._values
         for node in self._clocked:
@@ -1518,6 +1698,16 @@ class ComponentInstance(_Scope):
             if node.child.tick(node.inputs(values)) is not False:
                 self._mark_node(node.index)
                 moved = True
+        for node in self._gated:
+            enabled = values[node.enable_slot]
+            if node.idle and not enabled:
+                continue
+            if node.child.tick(node.inputs(values)) is not False:
+                node.idle = False
+                self._mark_node(node.index)
+                moved = True
+            else:
+                node.idle = not enabled
         return moved
 
     def _clock(self, node: _ExecutorNode, values: List[int]) -> None:
@@ -1551,11 +1741,14 @@ class ComponentInstance(_Scope):
             raise UndefinedError(f"no cell at path {path!r}")
         index = scope._cell_node.get(name)
         if index is not None:
-            (scope if isinstance(scope, ComponentInstance) else self)._mark_node(index)
+            owner = scope if isinstance(scope, ComponentInstance) else self
+            owner._mark_node(index)
+            owner._nodes[index].idle = False
 
     def done_signature(self) -> Tuple:
         """Values of every ``done``-like net in the array, then each nested
         instance's with an array of its own (watchdog food)."""
-        values = self._values
-        own = [values[slot] for slot in self._done_slots]
-        return tuple(own + [child.done_signature() for child in self._nested])
+        own = self._done_values(self._values)
+        if self._nested:
+            return own + tuple(child.done_signature() for child in self._nested)
+        return own

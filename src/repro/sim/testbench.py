@@ -20,7 +20,7 @@ from repro.errors import (
     WallClockTimeoutError,
 )
 from repro.ir.ast import Program, ThisPort
-from repro.ir.ports import DONE, GO
+from repro.ir.ports import GO
 from repro.sim.model import LEVELIZED, SWEEP, ComponentInstance, SettleStrategy
 from repro.stdlib.behaviors import MemModel, RegModel
 
@@ -188,11 +188,13 @@ class Testbench:
         )
         last_signature = None
         stalled_cycles = 0
+        # ``main``'s done, read by slot: the array is written in place.
+        values, done = inst._values, inst.template.done_slot
         while True:
             inst.settle()
             if dog.fault_hook is not None:
                 dog.fault_hook(cycles, inst)
-            if inst.read(ThisPort(DONE)):
+            if values[done]:
                 break
             if cycles >= dog.max_cycles:
                 raise CycleLimitError(

@@ -58,11 +58,19 @@ class PrimitiveModel:
     * ``tick(ins)`` — state update at the clock edge, returning ``False``
       only when no ``comb`` output can differ from before the edge,
     * ``comb_deps`` — dict mapping each output port name to the input port
-      names it reads combinationally (empty list for registered outputs).
+      names it reads combinationally (empty list for registered outputs),
+    * optionally ``enable`` — the name of an input port that arms ``tick``.
+
+    A model that declares ``enable`` promises: after a tick that saw
+    ``enable`` low and returned ``False``, a further tick with ``enable``
+    low, whatever its other inputs, changes no state and returns ``False``
+    again. The levelized simulator skips such ticks.
     """
 
     #: class-level default overridden where a model's outputs are known
     comb_deps: Dict[str, List[str]] = {}
+    #: the input port without which a tick is idle; ``None``: ticked every edge
+    enable: Optional[str] = None
 
     def __init__(self, args: Sequence[int]):
         self.args = tuple(int(a) for a in args)
@@ -164,6 +172,7 @@ class RegModel(PrimitiveModel):
     """
 
     comb_deps = {"out": [], "done": []}
+    enable = "write_en"
 
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
@@ -198,6 +207,8 @@ class MemModel(PrimitiveModel):
     width per dimension; the inputs are one address per dimension, then
     ``write_data`` and ``write_en``.
     """
+
+    enable = "write_en"
 
     def __init__(self, args: Sequence[int]):
         super().__init__(args)
@@ -265,6 +276,7 @@ class PipelinedOpModel(PrimitiveModel):
     """
 
     comb_deps = {"out": [], "done": []}
+    enable = "go"
 
     def __init__(self, args: Sequence[int], latency: Optional[int] = None):
         super().__init__(args)

@@ -38,6 +38,7 @@ from repro.sim.model import (
     _GUARD_NODE_OPS,
     _SLOT_GUARD_OPS,
     ComponentInstance,
+    _BankNode,
     _ChildNode,
     _DoneNode,
     _ExecutorNode,
@@ -283,11 +284,12 @@ def _systolic_2x2_interpreted():
     ids=["gemm-unrolled", "systolic-4x4", "systolic-2x2-interpreted"],
 )
 def test_guard_nodes_are_shared_and_invisible(build):
-    """One guard node per distinct sub-guard; no trace of them in the nets.
+    """One slot per distinct sub-guard; no trace of them in the nets.
 
     ``main``'s guards repeat their enclosing control's prefix in every
     assignment, but the levelized netlist holds each distinct operator or
-    comparison sub-guard once, as the hardware does. Its unnamed slots,
+    comparison sub-guard once, as the hardware does: one slot, written by
+    a guard node or by an entry of a comparator bank. Its unnamed slots,
     and the control executor's in an unlowered build, stay out of every
     view the testbench, watchdog and reports read.
     """
@@ -303,7 +305,12 @@ def test_guard_nodes_are_shared_and_invisible(build):
                 distinct = set()
                 for _, assign in scope.comp.all_assignments():
                     _operator_subguards(assign.guard, distinct)
-                assert len(scope.template.guards) == len(distinct), scope.path
+                written = [
+                    slot
+                    for g in scope.template.guards
+                    for slot in (g.out_slots if isinstance(g, _BankNode) else [g.slot])
+                ]
+                assert len(set(written)) == len(written) == len(distinct), scope.path
             assert len(inst._guard_nodes) == sum(len(s.template.guards) for s in scopes)
         else:
             assert inst._guard_nodes == []
@@ -315,17 +322,17 @@ def test_guard_nodes_are_shared_and_invisible(build):
 
 
 def _record_fires(monkeypatch, on_fire, on_tick=None):
-    """Call ``on_fire(instance, node)`` before every node evaluation, a
-    drain's fire or a cyclic SCC's sweep, and ``on_tick(model)`` before
-    every stateful model's clock edge."""
-    for cls in (_ChildNode, _DoneNode, _ExecutorNode, _GuardNode, _ResolverNode):
+    """Call ``on_fire(node)`` before every node evaluation, a drain's fire
+    or a cyclic SCC's sweep, and ``on_tick(model)`` before every stateful
+    model's clock edge."""
+    for cls in (_BankNode, _ChildNode, _DoneNode, _ExecutorNode, _GuardNode, _ResolverNode):
         for name in ("fire", "sweep"):
             if not hasattr(cls, name):
                 continue
 
-            def evaluate(node, inst, _evaluate=getattr(cls, name)):
-                on_fire(inst, node)
-                return _evaluate(node, inst)
+            def evaluate(node, arg, _evaluate=getattr(cls, name)):
+                on_fire(node)
+                return _evaluate(node, arg)
 
             monkeypatch.setattr(cls, name, evaluate)
     if on_tick is not None:
@@ -362,35 +369,35 @@ def test_drain_fires_in_rank_order(build, monkeypatch):
     in the same drain fire before it. The nested instances are stamped
     into the root's array, so their nodes fire in the root's one drain.
     """
-    open_drains = {}
+    fired = []
     checked = collections.Counter()
 
-    def on_fire(inst, node):
-        open_drains[id(inst)].append(node)
-
     def drain(inst, _drain=ComponentInstance._drain):
-        fired = open_drains[id(inst)] = []
+        fired.clear()
         _drain(inst)
-        del open_drains[id(inst)]
-        # A cyclic SCC's guard nodes share its rank; only acyclic ones count.
-        fired = [n for n in fired if inst._rank_node[inst._rank_of[n.index]] is n]
-        ranks = [inst._rank_of[n.index] for n in fired]
+        # A cyclic SCC's members and guard nodes share its rank; only
+        # acyclic ones count.
+        acyclic = [n for n in fired if inst._rank_of[n.index] not in inst._cyclic]
+        ranks = [inst._rank_of[n.index] for n in acyclic]
         assert all(a < b for a, b in zip(ranks, ranks[1:])), inst.path
-        position = {n.index: i for i, n in enumerate(fired)}
-        for i, node in enumerate(fired):
+        position = {n.index: i for i, n in enumerate(acyclic)}
+        for i, node in enumerate(acyclic):
             reads = node.dep_slots if isinstance(node, _ChildNode) else node.in_slots
             for slot in reads:
                 writer = inst._writer.get(slot)
                 assert position.get(writer, -1) < i, (inst.path, node.index, writer)
-        checked["all"] += len(fired)
+        checked["all"] += len(acyclic)
+        checked["banks"] += sum(1 for n in acyclic if isinstance(n, _BankNode))
         checked["nested"] += sum(
-            1 for n in fired if isinstance(n, _ResolverNode) and n.path != inst.path
+            1 for n in acyclic if isinstance(n, _ResolverNode) and n.path != inst.path
         )
 
-    _record_fires(monkeypatch, on_fire)
+    _record_fires(monkeypatch, fired.append)
     monkeypatch.setattr(ComponentInstance, "_drain", drain)
     _run_levelized(build)
     assert checked["all"] > 0
+    if build is _gemm:
+        assert checked["banks"] > 0  # the FSM state decoders
     if build is _systolic_4x4:
         assert checked["nested"] > 0  # the processing elements, in the root's drain
 
@@ -406,16 +413,16 @@ PINNED_FIRES = {
         _gemm,
         1128,
         {
-            "_ChildNode": 4843, "_ExecutorNode": 1, "_GuardNode": 18610,
-            "_ResolverNode": 10264, "tick": 25944,
+            "_BankNode": 1123, "_ChildNode": 4843, "_ExecutorNode": 1, "_GuardNode": 11344,
+            "_ResolverNode": 10264, "tick": 3415,
         },
     ),
     "systolic-4x4": (
         _systolic_4x4,
         76,
         {
-            "_ChildNode": 2094, "_ExecutorNode": 145, "_GuardNode": 7274,
-            "_ResolverNode": 4426, "tick": 8816,
+            "_BankNode": 563, "_ChildNode": 2094, "_ExecutorNode": 145, "_GuardNode": 1776,
+            "_ResolverNode": 4426, "tick": 1778,
         },
     ),
     "gemm-interpreted": (
@@ -423,7 +430,7 @@ PINNED_FIRES = {
         1382,
         {
             "_ChildNode": 9179, "_DoneNode": 2, "_ExecutorNode": 1383, "_GuardNode": 195,
-            "_ResolverNode": 22597, "tick": 22112,
+            "_ResolverNode": 22597, "tick": 1749,
         },
     ),
     "systolic-2x2-interpreted": (
@@ -431,7 +438,7 @@ PINNED_FIRES = {
         48,
         {
             "_ChildNode": 181, "_DoneNode": 22, "_ExecutorNode": 125, "_GuardNode": 40,
-            "_ResolverNode": 977, "tick": 1200,
+            "_ResolverNode": 977, "tick": 173,
         },
     ),
 }
@@ -443,7 +450,7 @@ def test_node_fire_counts_are_pinned(name, monkeypatch):
     fires = collections.Counter()
     _record_fires(
         monkeypatch,
-        lambda inst, node: fires.update([type(node).__name__]),
+        lambda node: fires.update([type(node).__name__]),
         lambda model: fires.update(["tick"]),
     )
     assert _run_levelized(build).cycles == cycles
