@@ -6,6 +6,8 @@ data-dependent-latency sqrt mixes latency-insensitive compilation with
 static neighbors (the paper's headline compositionality claim).
 """
 
+import collections
+
 import pytest
 
 from repro.backend import emit_verilog
@@ -13,7 +15,7 @@ from repro.ir import parse_program
 from repro.ir.attributes import STATIC
 from repro.passes import compile_program, get_pass
 from repro.robustness.difftest import compare, observe
-from repro.sim import run_program
+from repro.sim import Testbench, run_program
 from repro.lint import lint_program
 from repro.stdlib.behaviors import EXTERN_MODELS, PrimitiveModel, SqrtModel
 from tests.conftest import compile_source
@@ -216,3 +218,20 @@ class TestOldProtocolTick:
         sweep, levelized = (observe(prog, engine=e) for e in ("sweep", "levelized"))
         assert sweep.memories["mem"][0] > 0
         assert compare(sweep, levelized) is None
+
+    def test_model_without_enable_is_ticked_every_edge(self):
+        """Only a model that declares ``enable`` may skip an idle edge."""
+        bench = Testbench(compile_source(COUNTER_PROGRAM, None), engine="levelized")
+        ticks = collections.Counter()
+        for path in ("c", "r"):
+            model = bench.instance.find_model(path)
+
+            def tick(ins, _tick=model.tick, _path=path):
+                ticks[_path] += 1
+                return _tick(ins)
+
+            model.tick = tick
+        result = bench.run()
+        assert CounterModel.enable is None
+        assert ticks["c"] == result.cycles
+        assert 0 < ticks["r"] < result.cycles  # std_reg's write_en arms its edge

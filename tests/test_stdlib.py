@@ -1,5 +1,6 @@
 """Tests for primitive signatures, behaviors, and the cost model."""
 
+import copy
 import itertools
 import random
 
@@ -189,6 +190,47 @@ class TestTickReport:
                     # A hidden step still counts, so latencies stay put.
                     assert model.counter == counter + 1
         assert True in reports and False in reports
+
+
+class TestTickContract:
+    """A model that declares ``enable``: once a tick saw it low and
+    returned ``False``, a further tick with it low is a no-op returning
+    ``False``, so the levelized engine may skip it."""
+
+    def test_every_stateful_model_declares_its_enable(self):
+        for name, args in STATEFUL.items():
+            ins, _ = port_names(get_primitive(name).signature(args))
+            assert make_model(name, args).enable in ins, name
+
+    @pytest.mark.parametrize("name", sorted(STATEFUL))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        enables=st.lists(st.sampled_from([0, 0, 1]), min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_idle_tick_is_a_no_op(self, name, enables, seed):
+        args = STATEFUL[name]
+        rng = random.Random(seed)
+        model = make_model(name, args)
+        sig = get_primitive(name).signature(args)
+        ins, _ = port_names(sig)
+        position = ins.index(model.enable)
+        dims = args[1 : 1 + (len(args) - 1) // 2] if name.startswith("std_mem") else ()
+
+        def inputs(enable):
+            vector = [rng.randrange(1 << sig[port].width) for port in ins]
+            for i, size in enumerate(dims):
+                vector[i] = rng.randrange(size)  # a write in bounds
+            vector[position] = enable
+            return vector
+
+        for enable in enables:
+            if model.tick(inputs(enable)) is not False or enable:
+                continue
+            probes = [inputs(rng.randrange(2)) for _ in range(4)]
+            before = [tuple(model.comb(p)) for p in probes], copy.deepcopy(vars(model))
+            assert model.tick(inputs(0)) is False
+            assert ([tuple(model.comb(p)) for p in probes], vars(model)) == before
 
 
 class TestRegModel:
