@@ -394,7 +394,10 @@ class _ResolverNode:
             elif val != value:
                 self._conflict(winner, value, d, val)
         if self.force_slot is not None:
-            value = self._go(v, value)
+            if v[self.force_slot]:
+                value = 1
+            elif v[self.enable_slot]:
+                value = 0 if v[self.done_slot] else 1
         if v[self.slot] != value:
             v[self.slot] = value
             return self.readers
@@ -426,18 +429,13 @@ class _ResolverNode:
             f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
         )
 
-    def _go(self, v: List[int], value: int) -> int:
-        """A go hole's value: forced high, or enabled until its done rises."""
-        if v[self.force_slot]:
-            return 1
-        if v[self.enable_slot]:
-            return 0 if v[self.done_slot] else 1
-        return value
-
     def _commit(self, inst: "ComponentInstance", value: int) -> Tuple[int, ...]:
         v = inst._values
         if self.force_slot is not None:
-            value = self._go(v, value)
+            if v[self.force_slot]:
+                value = 1
+            elif v[self.enable_slot]:
+                value = 0 if v[self.done_slot] else 1
         if v[self.slot] != value:
             v[self.slot] = value
             return (self.slot,)
@@ -703,24 +701,26 @@ class _GuardNet:
         or more constants as one bank at its first comparison's place (its
         one input is a port, so the bank precedes every reader of its
         entries, a cyclic SCC's guard nodes included)."""
-        compared: Dict[int, List[_GuardNode]] = {}
-        for node in self.nodes:
-            entry = self._against_const.get(node.slot)
-            if entry is not None:
-                compared.setdefault(entry[0], []).append(node)
-        out: List[Union[_GuardNode, _BankNode]] = []
-        for node in self.nodes:
-            entry = self._against_const.get(node.slot)
-            members = compared[entry[0]] if entry is not None else ()
+        nodes = {node.slot: node for node in self.nodes}
+        # Each compared port's comparisons, in creation order.
+        compared: Dict[int, List[int]] = {}
+        for slot, (port, _, _) in self._against_const.items():
+            compared.setdefault(port, []).append(slot)
+        # The first comparison of each bank -> the bank; its other comparisons.
+        banks: Dict[int, _BankNode] = {}
+        merged: Set[int] = set()
+        for port, members in compared.items():
             if len(members) < 2:
-                out.append(node)
-            elif node is members[0]:
-                rhs, lhs = [], []
-                for member in members:
-                    _, c, left = self._against_const[member.slot]
-                    (lhs if left else rhs).append((member.slot, member.fn, c, 0))
-                out.append(_BankNode(-1, entry[0], rhs, lhs))
-        return out
+                continue
+            rhs, lhs = [], []
+            for slot in members:
+                _, c, left = self._against_const[slot]
+                (lhs if left else rhs).append((slot, nodes[slot].fn, c, 0))
+            banks[members[0]] = _BankNode(-1, port, rhs, lhs)
+            merged.update(members[1:])
+        if not banks:
+            return self.nodes
+        return [banks.get(n.slot, n) for n in self.nodes if n.slot not in merged]
 
     def _operand(self, ref: PortRef) -> int:
         if isinstance(ref, ConstPort):
@@ -828,6 +828,9 @@ class _Template:
         #: ``(name, block, in_slots, dep_slots, out_slots)``; ``block`` is
         #: ``None`` for a child node, else the slots are.
         self.cells: List[Tuple[str, Optional[int], list, list, list]] = []
+        # The slots of this component's inputs and its cells' outputs: a
+        # driver of one would fight its writer (:meth:`_refuse_driver`).
+        read_only = set(self.in_slots)
         for cell in comp.cells.values():
             in_ports, out_ports = port_names(netlist.signature_of(cell.name))
             definition = netlist.definition(cell) if flat else None
@@ -842,6 +845,7 @@ class _Template:
                         self._slot(ref)
                     else:
                         self.slots[ref] = block + local
+                read_only.update(self.slots[CellPort(cell.name, p)] for p in out_ports)
                 self.cells.append((cell.name, block, (), (), ()))
                 continue
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
@@ -849,14 +853,9 @@ class _Template:
             dep_names = netlist.cell_deps(cell.name)
             dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
             self.cells.append((cell.name, None, in_slots, dep_slots, out_slots))
+            read_only.update(out_slots)
 
         # -- drivers per destination (deterministic first-seen order) ------
-        # A driver of a cell's output (or of this component's input) would
-        # fight the cell for its slot: refused, as validation refuses it.
-        if any(netlist.is_writable(assign.dst) is False for _, assign in netlist.drivers):
-            from repro.lint.rules_structure import PortDirectionRule  # lint imports sim
-
-            raise PortDirectionRule().unwritable_error(netlist)
         driver_map: Dict[PortRef, List[_Driver]] = {}
         dep_map: Dict[PortRef, Set[int]] = {}
         guards = _GuardNet(self) if flat else None
@@ -899,6 +898,8 @@ class _Template:
         self.force: Dict[str, int] = {}
         for dst, drivers in driver_map.items():
             slot = self._slot(dst)
+            if slot in read_only:
+                self._refuse_driver(netlist, dst)
             in_slots = sorted(dep_map[dst])
             go_slots: Tuple[Optional[int], ...] = (None, None, None)
             if isinstance(dst, HolePort) and dst.port == GO:
@@ -925,6 +926,15 @@ class _Template:
                 for d in drivers:
                     if not isinstance(d.assign.guard, TrueGuard):
                         d.guard = _compile_slot_guard(d.assign.guard, self.slots, _SLOT_GUARD_OPS, memo)
+
+    @staticmethod
+    def _refuse_driver(netlist: Netlist, dst: PortRef) -> None:
+        """Refuse a wire driving ``dst``, a port that is not writable (a
+        cell's output, say), with the error validation raises for it."""
+        if netlist.is_writable(dst) is False and any(a.dst == dst for _, a in netlist.drivers):
+            from repro.lint.rules_structure import PortDirectionRule  # lint imports sim
+
+            raise PortDirectionRule().unwritable_error(netlist)
 
     def _slot(self, ref: PortRef) -> int:
         slot = self.slots.get(ref)

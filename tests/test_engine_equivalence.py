@@ -346,7 +346,7 @@ def _record_fires(monkeypatch, on_fire, on_tick=None):
 
 
 def _stateful_models(cls):
-    """``cls`` and its subclasses that define a ``tick`` of their own."""
+    """The subclasses of ``cls`` that define a ``tick`` of their own."""
     for sub in cls.__subclasses__():
         if "tick" in vars(sub):
             yield sub
