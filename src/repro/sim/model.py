@@ -460,10 +460,6 @@ class _GuardNode:
         self.in_slots: List[int] = [a, b]
         self.readers = 0
 
-    def stamped(self, index: int, base: int) -> "_GuardNode":
-        """This template node as node ``index``, its slots moved up by ``base``."""
-        return _GuardNode(index, self.slot + base, self.fn, self.a + base, self.b + base)
-
     def fire(self, v: List[int]) -> int:
         value = self.fn(v[self.a], v[self.b])
         if v[self.slot] != value:
@@ -502,10 +498,10 @@ class _BankNode:
             [(slot + base, fn, c, 0) for slot, fn, c, _ in self.lhs],
         )
 
-    def set_readers(self, readers: List[int]) -> None:
-        """Take each entry's reader mask, in ``out_slots`` order."""
-        rows = [(slot, fn, c, mask) for (slot, fn, c, _), mask in zip(self.rhs + self.lhs, readers)]
-        self.rhs, self.lhs = rows[: len(self.rhs)], rows[len(self.rhs) :]
+    def set_readers(self, reader_mask: List[int]) -> None:
+        """Take each entry's reader mask from the slots' ``reader_mask``."""
+        self.rhs = [(slot, fn, c, reader_mask[slot]) for slot, fn, c, _ in self.rhs]
+        self.lhs = [(slot, fn, c, reader_mask[slot]) for slot, fn, c, _ in self.lhs]
 
     def fire(self, v: List[int]) -> int:
         x = v[self.a]
@@ -551,8 +547,9 @@ class _ChildNode:
         self.enable_slot: Optional[int] = None
         self.idle = False
 
-    def set_readers(self, readers: List[int]) -> None:
-        self.outs = tuple(zip(self.out_slots, readers))
+    def set_readers(self, reader_mask: List[int]) -> None:
+        slots = self.out_slots
+        self.outs = tuple(zip(slots, map(reader_mask.__getitem__, slots)))
 
     def fire(self, v: List[int]) -> int:
         changed = 0
@@ -635,8 +632,9 @@ class _ExecutorNode:
         #: Driven slot -> its reader mask, set by the levelized schedule.
         self.readers: Dict[int, int] = {}
 
-    def set_readers(self, readers: List[int]) -> None:
-        self.readers = dict(zip(self.out_slots, readers))
+    def set_readers(self, reader_mask: List[int]) -> None:
+        slots = self.out_slots
+        self.readers = dict(zip(slots, map(reader_mask.__getitem__, slots)))
 
     def _write(self, v: List[int]) -> frozenset:
         """Write the driven slots that changed; returns them."""
@@ -667,6 +665,9 @@ _MULTI_OUT = (_ChildNode, _ExecutorNode, _BankNode)
 #: The nodes that evaluate guards: no fixpoint members of a cyclic SCC.
 _GUARD_KINDS = (_GuardNode, _BankNode)
 
+#: The guard operators a comparator bank takes.
+_COMPARISONS = frozenset(("==", "!=", "<", ">", "<=", ">="))
+
 
 class _GuardNet:
     """Hash-conses the guards of one definition into shared guard nodes.
@@ -686,8 +687,8 @@ class _GuardNet:
         self.nodes: List[_GuardNode] = []
         self._table: Dict[Tuple[str, int, int], int] = {}
         self._memo: Dict[Guard, Union[bool, int]] = {}
-        #: A comparison's slot -> ``(compared slot, constant, constant on the left)``.
-        self._against_const: Dict[int, Tuple[int, int, bool]] = {}
+        #: The comparison nodes' keys and slots, in creation order.
+        self._comparisons: List[Tuple[str, int, int, int]] = []
 
     def driver_slot(self, guard: Guard) -> Optional[int]:
         """The slot a driver reads its guard from; ``None`` if always true."""
@@ -701,23 +702,26 @@ class _GuardNet:
         or more constants as one bank at its first comparison's place (its
         one input is a port, so the bank precedes every reader of its
         entries, a cyclic SCC's guard nodes included)."""
-        nodes = {node.slot: node for node in self.nodes}
-        # Each compared port's comparisons, in creation order.
-        compared: Dict[int, List[int]] = {}
-        for slot, (port, _, _) in self._against_const.items():
-            compared.setdefault(port, []).append(slot)
+        consts = {slot: value for value, slot in self.template.constants.items()}
+        # Each compared port's slot -> its comparisons against a constant,
+        # in creation order: ``(slot, fn, constant, constant on the left)``.
+        compared: Dict[int, List[Tuple[int, Callable, int, bool]]] = {}
+        for op, a, b, slot in self._comparisons:
+            if (a in consts) != (b in consts):
+                port, left = (b, True) if a in consts else (a, False)
+                compared.setdefault(port, []).append(
+                    (slot, _GUARD_FNS[op], consts[a if left else b], left)
+                )
         # The first comparison of each bank -> the bank; its other comparisons.
         banks: Dict[int, _BankNode] = {}
         merged: Set[int] = set()
-        for port, members in compared.items():
-            if len(members) < 2:
+        for port, entries in compared.items():
+            if len(entries) < 2:
                 continue
-            rhs, lhs = [], []
-            for slot in members:
-                _, c, left = self._against_const[slot]
-                (lhs if left else rhs).append((slot, nodes[slot].fn, c, 0))
-            banks[members[0]] = _BankNode(-1, port, rhs, lhs)
-            merged.update(members[1:])
+            rhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if not left]
+            lhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if left]
+            banks[entries[0][0]] = _BankNode(-1, port, rhs, lhs)
+            merged.update(entry[0] for entry in entries[1:])
         if not banks:
             return self.nodes
         return [banks.get(n.slot, n) for n in self.nodes if n.slot not in merged]
@@ -733,6 +737,8 @@ class _GuardNet:
         if slot is None:
             slot = self._table[key] = self.template._unnamed_slot()
             self.nodes.append(_GuardNode(-1, slot, _GUARD_FNS[op], a, b))
+            if op in _COMPARISONS:
+                self._comparisons.append((op, a, b, slot))
         return slot
 
     def _cons(self, guard: Guard, operands: Tuple[Union[bool, int], ...]) -> Union[bool, int]:
@@ -759,14 +765,9 @@ class _GuardNet:
             return self._node("|", left, right)
         if isinstance(guard, CmpGuard):
             left, right = guard.left, guard.right
-            left_const, right_const = isinstance(left, ConstPort), isinstance(right, ConstPort)
-            if left_const and right_const:
+            if isinstance(left, ConstPort) and isinstance(right, ConstPort):
                 return _GUARD_FNS[guard.op](left.value, right.value)
-            slot = self._node(guard.op, self._operand(left), self._operand(right))
-            if left_const or right_const:
-                port, const = (right, left) if left_const else (left, right)
-                self._against_const[slot] = (template._slot(port), const.value, left_const)
-            return slot
+            return self._node(guard.op, self._operand(left), self._operand(right))
         if isinstance(guard, PortGuard):
             port = guard.port
             if isinstance(port, ConstPort):
@@ -825,9 +826,9 @@ class _Template:
         )
 
         # -- cells: a nested block, or a child node's port slots ----------
-        #: ``(name, block, in_slots, dep_slots, out_slots)``; ``block`` is
-        #: ``None`` for a child node, else the slots are.
-        self.cells: List[Tuple[str, Optional[int], list, list, list]] = []
+        #: ``(name, block, in_slots, dep_slots, out_slots, in_ports)``;
+        #: ``block`` is ``None`` for a child node, else the others are empty.
+        self.cells: List[Tuple[str, Optional[int], list, list, list, list]] = []
         # The slots of this component's inputs and its cells' outputs: a
         # driver of one would fight its writer (:meth:`_refuse_driver`).
         read_only = set(self.in_slots)
@@ -846,13 +847,13 @@ class _Template:
                     else:
                         self.slots[ref] = block + local
                 read_only.update(self.slots[CellPort(cell.name, p)] for p in out_ports)
-                self.cells.append((cell.name, block, (), (), ()))
+                self.cells.append((cell.name, block, (), (), (), ()))
                 continue
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
             out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
             dep_names = netlist.cell_deps(cell.name)
             dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
-            self.cells.append((cell.name, None, in_slots, dep_slots, out_slots))
+            self.cells.append((cell.name, None, in_slots, dep_slots, out_slots, in_ports))
             read_only.update(out_slots)
 
         # -- drivers per destination (deterministic first-seen order) ------
@@ -1365,7 +1366,7 @@ class ComponentInstance(_Scope):
             values[base + slot] = value
         nodes = self._nodes
         scope._cell_node = cell_node = {}
-        for name, block, in_slots, dep_slots, out_slots in t.cells:
+        for name, block, in_slots, dep_slots, out_slots, in_ports in t.cells:
             if block is not None:
                 continue
             child = scope.children[name]
@@ -1377,12 +1378,11 @@ class ComponentInstance(_Scope):
             nodes.append(node)
             if type(child).tick is not PrimitiveModel.tick:
                 enable = getattr(child, "enable", None) if self.strategy.levelized else None
-                enable_slot = t.slots.get(CellPort(name, enable)) if enable else None
-                if enable_slot is None:
-                    self._stateful_nodes.append(node)
-                else:
-                    node.enable_slot = base + enable_slot
+                if enable in in_ports:
+                    node.enable_slot = node.in_slots[in_ports.index(enable)]
                     self._gated.append(node)
+                else:
+                    self._stateful_nodes.append(node)
         for slot, drivers, go_slots, in_slots in t.resolvers:
             if base:
                 drivers = [d.shifted(base) for d in drivers]
@@ -1411,8 +1411,11 @@ class ComponentInstance(_Scope):
         if not t.comp.control.is_empty():
             self._clocked.append(node)
         for g in t.guards:
-            nodes.append(g.stamped(len(nodes), base))
-        for name, block, _, _, _ in t.cells:
+            if type(g) is _GuardNode:
+                nodes.append(_GuardNode(len(nodes), g.slot + base, g.fn, g.a + base, g.b + base))
+            else:
+                nodes.append(g.stamped(len(nodes), base))
+        for name, block, *_ in t.cells:
             if block is not None:
                 self._stamp(scope.children[name], base + block)
 
@@ -1446,7 +1449,7 @@ class ComponentInstance(_Scope):
         nodes = self._nodes
         for node in nodes:
             if isinstance(node, _MULTI_OUT):
-                node.set_readers([reader_mask[slot] for slot in node.out_slots])
+                node.set_readers(reader_mask)
             else:
                 node.readers = reader_mask[node.slot]
         #: Per rank: an acyclic SCC's one node's ``fire``, or None for a cyclic SCC.
