@@ -67,7 +67,9 @@ class Pcfg:
     graph holds no reference cycle and is freed by refcount.
     """
 
-    def __init__(self, entry: PcfgNode, exit_: PcfgNode, nodes: List[PcfgNode], succs: Edges, preds: Edges):
+    def __init__(
+        self, entry: PcfgNode, exit_: PcfgNode, nodes: List[PcfgNode], succs: Edges, preds: Edges
+    ):
         self.entry = entry
         self.exit = exit_
         self.nodes = nodes
