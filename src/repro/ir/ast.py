@@ -218,7 +218,9 @@ class Component:
         self.continuous: List[Assignment] = []
         self.control: Control = Empty()
         self.span = None
-        self._name_counter = itertools.count()
+        #: Suffix :meth:`gen_name` tries next; a copy carries it on, so a
+        #: copy taken mid-pipeline names new cells as the original would.
+        self._next_name = 0
 
         if add_interface:
             if not any(p.name == GO for p in self.inputs):
@@ -293,7 +295,8 @@ class Component:
     def gen_name(self, prefix: str) -> str:
         """Generate a fresh name that collides with no cell or group."""
         while True:
-            candidate = f"{prefix}{next(self._name_counter)}"
+            candidate = f"{prefix}{self._next_name}"
+            self._next_name += 1
             if candidate not in self.cells and candidate not in self.groups:
                 return candidate
 
@@ -323,6 +326,7 @@ class Component:
         clone.continuous = [a.copy() for a in self.continuous]
         clone.control = self.control.copy()
         clone.span = self.span
+        clone._next_name = self._next_name
         return clone
 
     def __repr__(self) -> str:

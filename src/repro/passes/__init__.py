@@ -9,6 +9,7 @@ and ablation variants used by the evaluation).
 from repro.passes.base import Pass, PassManager, get_pass, register_pass, all_pass_names
 from repro.passes.pipeline import (
     PIPELINES,
+    compile_pipelines,
     compile_program,
     make_pass_manager,
     resolve_pipeline,
@@ -21,6 +22,7 @@ __all__ = [
     "register_pass",
     "all_pass_names",
     "PIPELINES",
+    "compile_pipelines",
     "compile_program",
     "make_pass_manager",
     "resolve_pipeline",

@@ -66,12 +66,14 @@ class PassManager:
         self.pass_names = list(pass_names)
         self.timings: List[tuple] = []
 
-    def run(self, program: Program) -> Program:
-        for index, name in enumerate(self.pass_names):
+    def run(self, program: Program, start: int = 0) -> Program:
+        """Run the passes from index ``start`` on; earlier ones already ran."""
+        for index in range(start, len(self.pass_names)):
+            name = self.pass_names[index]
             pass_ = get_pass(name)
-            start = time.perf_counter()
+            began = time.perf_counter()
             self._run_one(index, name, pass_, program)
-            self.timings.append((name, time.perf_counter() - start))
+            self.timings.append((name, time.perf_counter() - began))
         return program
 
     def _run_one(

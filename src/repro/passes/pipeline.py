@@ -7,9 +7,9 @@ ablations toggle individual optimizations for Figures 7 and 9.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.errors import PassError
+from repro.errors import CalyxError, PassError
 from repro.ir.ast import Program
 from repro.passes.base import PassManager
 
@@ -108,3 +108,62 @@ def compile_program(
     """
     make_pass_manager(pipeline, passes, checked, keep_going, lint).run(program)
     return program
+
+
+def compile_pipelines(
+    program: Program, names: Sequence[str], checked: bool = False
+) -> Dict[str, Union[Program, CalyxError]]:
+    """Each named pipeline's result on ``program``, in ``names`` order.
+
+    The pipelines form a trie over their pass lists: each distinct prefix
+    runs once, and the program is copied only where pipelines part, so
+    there are no more copies than pipelines. Like :func:`compile_program`
+    this works in place: ``program`` itself becomes one pipeline's result.
+    Every pass runs through :meth:`PassManager.run` at its index in its
+    own pipeline, so a result prints as :func:`compile_program` would
+    print it, and a checked failure's
+    :class:`~repro.errors.PassDiagnostic` is the one it would raise. A
+    pipeline that fails maps to its error: an unknown name's, or the
+    failing pass's, which every pipeline through that prefix shares.
+    """
+    passes: Dict[str, List[str]] = {}
+    results: Dict[str, Union[Program, CalyxError]] = {}
+    for name in names:
+        try:
+            passes[name] = resolve_pipeline(name)
+        except PassError as exc:
+            results[name] = exc
+
+    def grow(program: Program, members: List[str], depth: int) -> None:
+        # ``members`` have run the passes before ``depth``, which they share.
+        first = passes[members[0]]
+        stop = depth
+        while stop < len(first) and all(
+            passes[name][stop : stop + 1] == [first[stop]] for name in members
+        ):
+            stop += 1
+        if stop > depth:
+            try:
+                make_pass_manager(passes=first[:stop], checked=checked).run(
+                    program, start=depth
+                )
+            except CalyxError as exc:
+                results.update(dict.fromkeys(members, exc))
+                return
+        # Where the pipelines part: each one that ends here, then each branch.
+        parts = [[name] for name in members if len(passes[name]) == stop]
+        branches: Dict[str, List[str]] = {}
+        for name in members:
+            if len(passes[name]) > stop:
+                branches.setdefault(passes[name][stop], []).append(name)
+        parts += branches.values()
+        for i, part in enumerate(parts):
+            target = program if i == len(parts) - 1 else program.copy()
+            if len(passes[part[0]]) == stop:
+                results[part[0]] = target
+            else:
+                grow(target, part, stop)
+
+    if passes:
+        grow(program, list(passes), 0)
+    return {name: results[name] for name in names}

@@ -23,11 +23,13 @@ from repro.ir.ast import CellPort, HolePort, Program, ThisPort
 from repro.ir.attributes import STATIC
 from repro.ir.ports import DONE
 from repro.ir.validate import validate_program
-from repro.passes import PIPELINES, compile_program
+from repro.ir.printer import print_program
+from repro.passes import PIPELINES, compile_pipelines, compile_program
 from repro.sim import (
     DEFAULT_ENGINE, DEFAULT_MAX_CYCLES, ORACLE_ENGINE, Testbench, Watchdog
 )
-from repro.stdlib.behaviors import RegModel
+from repro.stdlib.behaviors import MemModel, RegModel
+from repro.stdlib.primitives import make_model
 from repro.workloads.common import Lcg
 
 
@@ -257,14 +259,18 @@ def default_memories(program: Program) -> Dict[str, List[int]]:
     Each memory gets LCG data seeded by its name, so runs are reproducible
     and independent of memory enumeration order. Both executions receive
     identical copies, so even memories the design treats as outputs are
-    safely pre-filled.
+    safely pre-filled. Sizes come from each cell's simulation model, in
+    cell order, so no engine is built.
     """
-    bench = Testbench(program, engine=ORACLE_ENGINE)
     memories: Dict[str, List[int]] = {}
-    for path in bench.memory_paths():
-        model = bench._memory(path)
-        seed = sum(ord(c) * 31**i for i, c in enumerate(path)) or 1
-        memories[path] = Lcg(seed).ints(len(model.data))
+    for cell in program.main.cells.values():
+        name = cell.comp_name
+        if program.has_component(name) and not program.is_extern(name):
+            continue  # an instance of a user component
+        model = make_model(name, cell.args)
+        if isinstance(model, MemModel):
+            seed = sum(ord(c) * 31**i for i, c in enumerate(cell.name)) or 1
+            memories[cell.name] = Lcg(seed).ints(len(model.data))
     return memories
 
 
@@ -281,14 +287,25 @@ def difftest_program(
 ) -> DifftestReport:
     """Run the differential oracle over ``program``.
 
-    The input program is never mutated: every execution works on a deep
-    copy. With ``checked_passes`` each pipeline runs under the
+    The input program is never mutated: the executions work on deep
+    copies. With ``checked_passes`` each pipeline runs under the
     :class:`~repro.robustness.checked.CheckedPassManager`, so a pass-level
     failure is localized to its pass instead of surfacing as a divergence.
 
-    ``compiled_transform`` mutates the copy handed to each pipeline (the
-    reference stays pristine) — this is how the fault-injection harness
-    models a miscompile the oracle must catch.
+    Each distinct piece of work is done once. The pipelines compile as a
+    trie over their pass lists (:func:`~repro.passes.compile_pipelines`),
+    so a prefix they share runs once. Pipelines whose results print
+    identically share one simulation: the oracle's watchdog has no fault
+    hook and no wall-clock budget, so a run depends only on the design,
+    the memories and the engine. Every pipeline still gets its own
+    outcome, latency check and comparison.
+
+    ``compiled_transform`` mutates the one copy every pipeline compiles
+    from (the reference stays pristine) — this is how the fault-injection
+    harness models a miscompile the oracle must catch. It runs once, so it
+    must be a deterministic function of the program, as
+    :func:`~repro.robustness.faultinject.inject_ir_fault` with a fixed seed
+    is; a :class:`CalyxError` it raises is every pipeline's outcome.
 
     ``engine`` selects the settle strategy for *both* executions, so the
     oracle (and the fault-injection self-test built on it) exercises the
@@ -304,16 +321,25 @@ def difftest_program(
     report = DifftestReport(
         name, PipelineOutcome("interpret", reference.cycles, reference.memories)
     )
-    for pipeline in pipelines if pipelines is not None else default_pipelines():
-        compiled = program.copy()
-        try:
-            if compiled_transform is not None:
-                compiled_transform(compiled)
-            compile_program(compiled, pipeline, checked=checked_passes)
-        except CalyxError as exc:
-            observed = Observation(error=exc)
+    names = pipelines if pipelines is not None else default_pipelines()
+    root = program.copy()
+    try:
+        if compiled_transform is not None:
+            compiled_transform(root)
+        results = compile_pipelines(root, names, checked=checked_passes)
+    except CalyxError as exc:  # raised by the transform
+        results = dict.fromkeys(names, exc)
+    observations: Dict[str, Observation] = {}  # by printed design
+    for pipeline in names:
+        compiled = results[pipeline]
+        if isinstance(compiled, CalyxError):
+            observed = Observation(error=compiled)
         else:
-            observed = observe(compiled, memories, engine, watchdog)
+            design = print_program(compiled)
+            observed = observations.get(design)
+            if observed is None:
+                observed = observe(compiled, memories, engine, watchdog)
+                observations[design] = observed
         error = observed.error and _error_detail(observed.error)
         declared = None if error else compiled.main.attributes.get(STATIC)
         report.outcomes.append(
