@@ -18,7 +18,10 @@ tolerantly (what does not resolve is recorded, never raised):
 
 :class:`Netlists` holds the netlists of one call (one ``validate_program``,
 one ``lint_program`` or one testbench build) and builds each definition's
-on first use. Passes edit components in place, so none outlives its call.
+on first use. It also keeps the facts of each distinct ``(comp_name,
+args)`` (:meth:`Netlists.cell_facts`), so the cells of one kind share one
+signature and one model query. Passes edit components in place, so none outlives its
+call.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import weakref
 from collections import Counter
 from functools import cached_property
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple, TypeVar,
-    Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple,
+    TypeVar, Union,
 )
 
-from repro.analysis.graph import cyclic_sccs, tarjan_scc
+from repro.analysis.graph import levelize
 from repro.errors import CalyxError
 from repro.ir.ast import (
     Assignment, Cell, CellPort, Component, ConstPort, HolePort, PortRef, Program, ThisPort
@@ -99,12 +102,39 @@ def _reached(start: T, successors: Callable[[T], Iterable[T]]) -> Set[T]:
     return seen
 
 
-class Netlists:
-    """The netlists of one call, one per component definition.
+class CellFacts:
+    """What every cell of one ``(comp_name, args)`` shares, by port name.
 
-    Also keeps, per ``(primitive or extern, args)``, the combinational
-    paths of its simulation model, so each is instantiated once per call.
+    ``ins`` and ``outs`` are the signature's port names in protocol
+    order, ``deps`` the inputs on some combinational path to an output
+    and ``registered`` the outputs on none. A primitive or extern cell is
+    simulated by a model: ``paths`` are its combinational paths, definite
+    if the model declares them. A cell of a user definition takes
+    ``deps`` from the definition's :attr:`Netlist.comb_input_deps`, has
+    ``paths`` ``None`` and nothing registered.
     """
+
+    __slots__ = ("ins", "outs", "paths", "deps", "registered")
+
+    def __init__(
+        self,
+        ins: List[str],
+        outs: List[str],
+        paths: Optional[List[CellPath]],
+        deps: FrozenSet[str],
+        registered: FrozenSet[str],
+    ):
+        self.ins = ins
+        self.outs = outs
+        self.paths = paths
+        self.deps = deps
+        self.registered = registered
+
+
+class Netlists:
+    """The netlists of one call, one per component definition, and the
+    facts of each distinct cell kind, so each signature is resolved and
+    each model instantiated once per call."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -112,7 +142,8 @@ class Netlists:
         # definitions instantiating it, never by the table, so a call's
         # netlists form no reference cycle and are freed when it returns.
         self._built: "weakref.WeakValueDictionary[int, Netlist]" = weakref.WeakValueDictionary()
-        self._model_paths: Dict[Tuple[str, tuple], List[CellPath]] = {}
+        # Names only, no netlist: a cell kind's facts hold no reference back.
+        self._cells: Dict[Tuple[str, tuple], CellFacts] = {}
 
     def of(self, comp: Component) -> "Netlist":
         """``comp``'s netlist, built on first use."""
@@ -121,14 +152,31 @@ class Netlists:
             netlist = self._built[id(comp)] = Netlist(self, comp)
         return netlist
 
-    def model_paths(self, cell: Cell, sig: Mapping[str, PortDef]) -> List[CellPath]:
-        """A primitive or extern cell's model paths, definite if declared."""
-        key = (cell.comp_name, tuple(cell.args))
-        paths = self._model_paths.get(key)
-        if paths is None:
-            pairs, declared = comb_paths(make_model(cell.comp_name, cell.args), sig)
-            paths = self._model_paths[key] = [(i, o, declared) for i, o in pairs]
-        return paths
+    def cell_facts(self, cell: Cell) -> CellFacts:
+        """The facts of ``cell``'s ``(comp_name, args)``, raising what
+        resolving its signature or instantiating its model raises."""
+        key = (cell.comp_name, cell.args)
+        facts = self._cells.get(key)
+        if facts is None:
+            program = self.program
+            sig = program.cell_signature(cell)
+            ins, outs = port_names(sig)
+            comp = program.find_component(cell.comp_name)
+            if comp is None or program.is_extern(cell.comp_name):
+                pairs, declared = comb_paths(make_model(cell.comp_name, cell.args), sig)
+                reached = {o for _, o in pairs}
+                facts = CellFacts(
+                    ins,
+                    outs,
+                    [(i, o, declared) for i, o in pairs],
+                    frozenset(i for i, _ in pairs),
+                    frozenset(o for o in outs if o not in reached),
+                )
+            else:
+                deps = frozenset(self.of(comp).comb_input_deps)
+                facts = CellFacts(ins, outs, None, deps, frozenset())
+            self._cells[key] = facts
+        return facts
 
 
 class Netlist:
@@ -186,13 +234,6 @@ class Netlist:
         """A cell's signature, or ``None`` if it cannot resolve."""
         entry = self._cell(name)
         return None if isinstance(entry, Exception) else entry
-
-    def signature_of(self, name: str) -> Mapping[str, PortDef]:
-        """A cell's signature, raising the error resolving it raised."""
-        entry = self._cell(name)
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
 
     def cell_failure(self, name: str) -> Optional[str]:
         """Why a cell's signature does not resolve; ``None`` if it does."""
@@ -297,7 +338,7 @@ class Netlist:
             # A subcomponent's activation state is unknown: never definite.
             return [(i, o, False) for i, outs in child.pairs.items() for o in sorted(outs)]
         try:
-            return self.netlists.model_paths(cell, self.signature_of(cell.name))
+            return self.netlists.cell_facts(cell).paths
         except Exception:
             return []  # no signature or no model to ask: unknown-name reports it
 
@@ -362,15 +403,13 @@ class Netlist:
     @cached_property
     def cycles(self) -> List[Tuple[List[int], List[Edge]]]:
         """Each cyclic SCC's member vertices and the edges inside it."""
-        adj = self._graph[2]
-        scc_of, sccs = tarjan_scc(adj)
-        cyclic = cyclic_sccs(adj, scc_of, sccs)
-        inside: Dict[int, List[Edge]] = {scc: [] for scc, cycle in enumerate(cyclic) if cycle}
+        scc_of, _, cycles, _ = levelize(self._graph[2])
+        inside: Dict[int, List[Edge]] = {scc: [] for scc in cycles}
         for edge in self._edges() if inside else ():
             scc = scc_of[edge[0]]
             if scc == scc_of[edge[1]] and scc in inside:
                 inside[scc].append(edge)
-        return [(sccs[scc], scc_edges) for scc, scc_edges in inside.items()]
+        return [(cycles[scc], scc_edges) for scc, scc_edges in inside.items()]
 
     @property
     def pairs(self) -> Dict[str, Set[str]]:
@@ -400,14 +439,6 @@ class Netlist:
         return self._pairs
 
     # -- what the engine wires ---------------------------------------------
-    def cell_deps(self, name: str) -> Set[str]:
-        """The inputs of a cell the engine makes its node depend on."""
-        cell = self.comp.cells[name]
-        child = self.definition(cell)
-        if child is not None:
-            return set(child.comb_input_deps)
-        return {i for i, _, _ in self.netlists.model_paths(cell, self.signature_of(name))}
-
     @cached_property
     def comb_input_deps(self) -> List[str]:
         """Input ports with a combinational path to some output in the engine.
@@ -440,11 +471,10 @@ class Netlist:
                 for assign in node.wires():
                     for src in assign.reads():
                         wire(src, assign.dst)
-        for name in self.comp.cells:
-            ins, outs = port_names(self.signature_of(name))
-            deps = self.cell_deps(name)
-            for i in ins:
-                for o in outs if i in deps else ():
+        for name, cell in self.comp.cells.items():
+            facts = self.netlists.cell_facts(cell)
+            for i in facts.ins:
+                for o in facts.outs if i in facts.deps else ():
                     wire(CellPort(name, i), CellPort(name, o))
         targets = {ThisPort(p.name) for p in self.comp.outputs}
         deps = [

@@ -4,8 +4,11 @@ Reads the port-level combinational edges of the component's
 :class:`~repro.analysis.netlist.Netlist`, built from the same two sources
 the engines use (its drivers for wires, and
 :func:`~repro.stdlib.behaviors.comb_paths` for the internals of primitive
-and extern models), and their cyclic SCCs, condensed with the shared
-Tarjan implementation from :mod:`repro.analysis.graph`.
+and extern models), and their cyclic SCCs, found by the engine's own
+:func:`~repro.analysis.graph.levelize`: a Kahn peel proves most
+components acyclic, and only a graph with a cycle is condensed by the
+shared Tarjan (:func:`~repro.analysis.graph.tarjan_scc`), which also
+decides whether an activation scope's part of a cycle is one.
 A cyclic SCC becomes:
 
 * ``comb-cycle`` (error) when some single activation scope (continuous,

@@ -7,8 +7,8 @@ instantiates. Its cells are primitive models with the protocol
 netlist, reading its input slots and writing its output slots.
 
 The clock edge (:meth:`ComponentInstance.step_edge`) steps every control
-executor and ticks the stateful children, but marks a child's node for the
-next phase only when its ``tick`` did not return ``False``
+executor and ticks the stateful children, but schedules a child's node for
+the next phase only when its ``tick`` did not return ``False``
 (:mod:`repro.stdlib.behaviors`); under ``levelized`` it skips the idle
 tick of a model that declares an ``enable`` port. Input changes need no
 edge report; an
@@ -40,20 +40,22 @@ clock phase evaluates the netlist:
   netlist. A nested instance is then only a :class:`_Scope`, a view of the
   array (path, base, template) that ``find``, ``read``, ``state_dump`` and
   the watchdog's reports read. A port-level dependency graph of the whole
-  design — guard and source reads plus the cells' dependency inputs — is
-  condensed into strongly connected components, *levelized* and *ranked*
-  in ``(level, id)`` order, once per build. The dirty set is one integer
-  bitmask over ranks, seeded by input changes, clock edges and control
-  executors; a node's fire returns the reader mask of the slots it changed
-  and the drain fires the lowest set bit next. Every distinct guard
-  sub-expression of a definition is one :class:`_GuardNode` writing an
-  unnamed slot, as the hardware shares the wire, so a driver's guard test
-  is one slot read and a shared prefix evaluates once per input change;
-  the comparisons of one slot against several constants are one
-  :class:`_BankNode`, a state decoder. Acyclic regions evaluate at most
-  once per phase; genuine combinational cycles fall back to bounded
-  fixpoint iteration inside their SCC, where each resolver evaluates its
-  drivers' whole guards over the slots.
+  design — guard and source reads plus the cells' dependency inputs, a
+  registered output adding no edge — is *levelized* and *ranked* in level
+  order once per build (:func:`~repro.analysis.graph.levelize`). The
+  dirty set is one integer bitmask over ranks, seeded by input changes,
+  clock edges and control executors; a node's fire returns the reader
+  mask of the slots it changed and the drain fires the lowest set bit
+  next. Every distinct guard sub-expression of a definition is one
+  :class:`_GuardNode` writing an unnamed slot, as the hardware shares the
+  wire, so a driver's guard test is one slot read and a shared prefix
+  evaluates once per input change; the comparisons of one slot against
+  several constants are one :class:`_BankNode`, a state decoder. A cell
+  with a registered output read below its rank fires at the edge, before
+  the drain, so an acyclic node fires at most once per drain; genuine
+  combinational cycles fall back to
+  bounded fixpoint iteration inside their SCC, where each resolver
+  evaluates its drivers' whole guards over the slots.
 * ``sweep``, the reference, builds each nested instance as a
   :class:`ComponentInstance` of its own, a child in the primitive protocol,
   and fires every node in build order until no slot changes, each driver
@@ -95,12 +97,13 @@ from __future__ import annotations
 import operator
 from collections.abc import MutableMapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
 )
 
-from repro.analysis.graph import cyclic_sccs, tarjan_scc
+from repro.analysis.graph import levelize
 from repro.analysis.netlist import Netlist, Netlists
 from repro.errors import (
     CombinationalLoopError,
@@ -132,7 +135,7 @@ from repro.ir.guards import (
 )
 from repro.ir.ports import DONE, GO
 from repro.sim.control import ControlExecutor
-from repro.stdlib.behaviors import PrimitiveModel, port_names
+from repro.stdlib.behaviors import PrimitiveModel
 from repro.stdlib.primitives import make_model
 
 ReadFn = Callable[[PortRef], int]
@@ -338,8 +341,9 @@ def _gather(slots: List[int]) -> Callable[[List[int]], Tuple[int, ...]]:
     return lambda v: ()
 
 
-def _shift(slots: Iterable[int], base: int) -> List[int]:
-    return [slot + base for slot in slots]
+def _shift(slots: List[int], base: int) -> List[int]:
+    """``slots`` moved up by ``base``: the template's own list at base 0."""
+    return [slot + base for slot in slots] if base else slots
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +483,7 @@ class _BankNode:
     ``(slot, fn, c, readers)``.
     """
 
-    __slots__ = ("index", "a", "rhs", "lhs", "in_slots", "dep_slots", "out_slots")
+    __slots__ = ("index", "a", "rhs", "lhs", "in_slots", "dep_slots", "out_slots", "comb_slots")
 
     def __init__(self, index, a, rhs, lhs):
         self.index = index
@@ -487,7 +491,7 @@ class _BankNode:
         self.rhs: List[tuple] = rhs
         self.lhs: List[tuple] = lhs
         self.in_slots = self.dep_slots = [a]
-        self.out_slots: List[int] = [entry[0] for entry in rhs + lhs]
+        self.out_slots = self.comb_slots = [entry[0] for entry in rhs + lhs]
 
     def stamped(self, index: int, base: int) -> "_BankNode":
         """This template bank as node ``index``, its slots moved up by ``base``."""
@@ -524,26 +528,32 @@ class _ChildNode:
 
     ``in_slots`` and ``out_slots`` follow the cell signature's port order,
     the order the child's ``comb``/``tick`` take and return values in;
-    ``inputs(values)`` is the tuple of the input slots' values. A stateful
+    ``inputs(values)`` is the tuple of the input slots' values; outputs
+    outside ``comb_slots`` are registered. ``early`` is true when some
+    node ranked below this one reads a registered output (levelized
+    schedule): its state moves are then fired at once, not at its rank
+    (:meth:`ComponentInstance._refresh`). A stateful
     child whose model declares an ``enable`` port has that port's slot as
     ``enable_slot``, and ``idle`` is true while its last tick saw the port
     low and returned ``False`` (:meth:`ComponentInstance.step_edge`).
     """
 
     __slots__ = (
-        "index", "child", "in_slots", "dep_slots", "out_slots", "inputs", "outs", "enable_slot",
-        "idle",
+        "index", "child", "in_slots", "dep_slots", "out_slots", "comb_slots", "inputs", "outs",
+        "early", "enable_slot", "idle",
     )
 
-    def __init__(self, index, child, in_slots, dep_slots, out_slots):
+    def __init__(self, index, child, in_slots, dep_slots, out_slots, comb_slots):
         self.index = index
         self.child = child
         self.in_slots: List[int] = in_slots
         self.dep_slots: List[int] = dep_slots
         self.out_slots: List[int] = out_slots
+        self.comb_slots: List[int] = comb_slots
         self.inputs = _gather(in_slots)
         #: ``(slot, reader mask)`` per output, set by the levelized schedule.
         self.outs: Tuple[Tuple[int, int], ...] = ()
+        self.early = False
         self.enable_slot: Optional[int] = None
         self.idle = False
 
@@ -617,15 +627,15 @@ class _ExecutorNode:
     """
 
     __slots__ = (
-        "index", "executor", "in_slots", "dep_slots", "out_slots", "high", "finished", "was_high",
-        "readers",
+        "index", "executor", "in_slots", "dep_slots", "out_slots", "comb_slots", "high", "finished",
+        "was_high", "readers",
     )
 
     def __init__(self, index, executor, go, out_slots, finished):
         self.index = index
         self.executor: ControlExecutor = executor
         self.in_slots = self.dep_slots = [go]
-        self.out_slots: List[int] = out_slots
+        self.out_slots = self.comb_slots = out_slots
         self.high: frozenset = _EMPTY
         self.finished = finished
         self.was_high = False
@@ -658,8 +668,8 @@ class _ExecutorNode:
         return self._write(inst._values)
 
 
-#: The node classes that write several slots (``out_slots``) and read only
-#: some of their inputs combinationally (``dep_slots``).
+#: The node classes that write several slots (``out_slots``), some of them
+#: (``comb_slots``) from some of their inputs (``dep_slots``).
 _MULTI_OUT = (_ChildNode, _ExecutorNode, _BankNode)
 
 #: The nodes that evaluate guards: no fixpoint members of a cyclic SCC.
@@ -826,16 +836,20 @@ class _Template:
         )
 
         # -- cells: a nested block, or a child node's port slots ----------
-        #: ``(name, block, in_slots, dep_slots, out_slots, in_ports)``;
-        #: ``block`` is ``None`` for a child node, else the others are empty.
-        self.cells: List[Tuple[str, Optional[int], list, list, list, list]] = []
+        #: Each child node's ``(name, in_slots, dep_slots, out_slots, comb_slots,
+        #: in_ports)``; the outputs outside ``comb_slots`` are registered.
+        self.cells: List[Tuple[str, list, list, list, list, list]] = []
+        #: Each nested block's cell name and offset (``levelized``).
+        self.blocks: List[Tuple[str, int]] = []
         # The slots of this component's inputs and its cells' outputs: a
         # driver of one would fight its writer (:meth:`_refuse_driver`).
         read_only = set(self.in_slots)
+        cell_facts = netlist.netlists.cell_facts
         for cell in comp.cells.values():
-            in_ports, out_ports = port_names(netlist.signature_of(cell.name))
-            definition = netlist.definition(cell) if flat else None
-            if definition is not None:
+            facts = cell_facts(cell)
+            in_ports, out_ports = facts.ins, facts.outs
+            definition = netlist.definition(cell)
+            if definition is not None and flat:
                 child = templates[definition]
                 block = self.n_slots
                 self.n_slots += child.n_slots
@@ -847,27 +861,31 @@ class _Template:
                     else:
                         self.slots[ref] = block + local
                 read_only.update(self.slots[CellPort(cell.name, p)] for p in out_ports)
-                self.cells.append((cell.name, block, (), (), (), ()))
+                self.blocks.append((cell.name, block))
                 continue
             in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
             out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
-            dep_names = netlist.cell_deps(cell.name)
-            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in dep_names]
-            self.cells.append((cell.name, None, in_slots, dep_slots, out_slots, in_ports))
+            deps, registered = facts.deps, facts.registered
+            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in deps]
+            comb_slots = out_slots
+            if registered:
+                comb_slots = [s for p, s in zip(out_ports, out_slots) if p not in registered]
+            self.cells.append((cell.name, in_slots, dep_slots, out_slots, comb_slots, in_ports))
             read_only.update(out_slots)
 
         # -- drivers per destination (deterministic first-seen order) ------
-        driver_map: Dict[PortRef, List[_Driver]] = {}
-        dep_map: Dict[PortRef, Set[int]] = {}
+        #: Each destination's drivers and the slots they read.
+        driver_map: Dict[PortRef, Tuple[List[_Driver], Set[int]]] = {}
         guards = _GuardNet(self) if flat else None
 
-        def add_driver(dst: PortRef, driver: _Driver, reads: Set[int]) -> None:
-            driver_map.setdefault(dst, []).append(driver)
-            dep_map.setdefault(dst, set()).update(reads)
+        def add_driver(gate: Optional[str], live: Optional[int], assign: Assignment) -> None:
+            entry = driver_map.get(assign.dst)
+            if entry is None:
+                entry = driver_map[assign.dst] = ([], set())
+            entry[0].append(self._compile_driver(guards, gate, live, assign, entry[1]))
 
         for gate, assign in netlist.drivers:
-            driver, reads = self._compile_driver(guards, gate, None, assign)
-            add_driver(assign.dst, driver, reads)
+            add_driver(gate, None, assign)
 
         # Invoke-synthesized bindings, gated by the invoke's live slot.
         #: Each :class:`Invoke` node (by ``id``) -> its live slot.
@@ -876,8 +894,7 @@ class _Template:
             if isinstance(node, Invoke):
                 self.live[id(node)] = live_slot = self._unnamed_slot()
                 for assign in node.wires():
-                    driver, reads = self._compile_driver(guards, None, live_slot, assign)
-                    add_driver(assign.dst, driver, reads)
+                    add_driver(None, live_slot, assign)
             elif isinstance(getattr(node, "port", None), ConstPort):
                 self._const_slot(node.port.value)  # a constant condition
 
@@ -885,8 +902,8 @@ class _Template:
         # deactivating groups release their assignments.
         for name in comp.groups:
             hole = HolePort(name, GO)
-            driver_map.setdefault(hole, [])
-            dep_map.setdefault(hole, set())
+            if hole not in driver_map:
+                driver_map[hole] = ([], set())
         # The executor owns this.done unless wires drive it (lowered form).
         if not self.done_from_wires:
             driver_map.pop(ThisPort(DONE), None)
@@ -897,11 +914,11 @@ class _Template:
         self.resolvers: List[Tuple[int, List[_Driver], tuple, List[int]]] = []
         self.enable: Dict[str, int] = {}
         self.force: Dict[str, int] = {}
-        for dst, drivers in driver_map.items():
+        for dst, (drivers, reads) in driver_map.items():
             slot = self._slot(dst)
             if slot in read_only:
                 self._refuse_driver(netlist, dst)
-            in_slots = sorted(dep_map[dst])
+            in_slots = sorted(reads)
             go_slots: Tuple[Optional[int], ...] = (None, None, None)
             if isinstance(dst, HolePort) and dst.port == GO:
                 done_slot = self._slot(HolePort(dst.group, DONE))
@@ -967,32 +984,32 @@ class _Template:
         gate: Optional[str],
         live: Optional[int],
         assign: Assignment,
-    ) -> Tuple[_Driver, Set[int]]:
+        reads: Set[int],
+    ) -> _Driver:
         """``assign`` gated by group ``gate``'s go hole or an invoke's
-        ``live`` slot, and the slots it reads."""
+        ``live`` slot; adds the slots it reads to ``reads``."""
         if guards is None:
             # No guard nodes: the resolver reads the guard's ports itself.
             guard_slot = None
-            reads = {
-                self._slot(port)
-                for port in assign.guard.ports()
-                if not isinstance(port, ConstPort)
-            }
+            reads.update(
+                self._slot(port) for port in assign.guard.ports() if not isinstance(port, ConstPort)
+            )
         else:
             guard_slot = guards.driver_slot(assign.guard)
-            reads = set() if guard_slot is None else {guard_slot}
-        if isinstance(assign.src, ConstPort):
-            src_slot, src_const = None, assign.src.value
+            if guard_slot is not None:
+                reads.add(guard_slot)
+        src = assign.src
+        if isinstance(src, ConstPort):
+            src_slot, src_const = None, src.value
         else:
-            src_slot, src_const = self._slot(assign.src), 0
+            src_slot, src_const = self._slot(src), 0
             reads.add(src_slot)
         gate_slot = live
         if gate is not None:
             gate_slot = self._slot(HolePort(gate, GO))
         if gate_slot is not None:
             reads.add(gate_slot)
-        driver = _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
-        return driver, reads
+        return _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,10 +1080,10 @@ class SettleStrategy:
     ``settle(instance)`` brings one clock phase to its fixpoint. A
     ``levelized`` build stamps every nested instance into the root's one
     slot array, shares each distinct guard sub-expression as a
-    :class:`_GuardNode`, ranks the SCCs of the whole design and keeps the
-    one dirty mask the settle drains. Otherwise each nested instance is an
-    instance of its own, and each resolver evaluates its drivers' guards
-    itself, resolved to slots at build (:class:`_Template`).
+    :class:`_GuardNode`, ranks the nodes of the whole design by level and
+    keeps the one dirty mask the settle drains. Otherwise each nested
+    instance is an instance of its own, and each resolver evaluates its
+    drivers' guards itself, resolved to slots at build (:class:`_Template`).
     """
 
     settle: Callable[["ComponentInstance"], None]
@@ -1306,6 +1323,8 @@ class ComponentInstance(_Scope):
         #: list holds the instance itself: it owns no reference cycle, so it
         #: is freed when its last user drops it.
         self._scopes: List[_Scope] = []
+        #: The ``early`` children (``levelized``), fired at every reset.
+        self._early: List[_ChildNode] = []
         self._stamp(self, 0)
         self._reset_values = list(self._values)
         self._done_values = _gather(
@@ -1322,9 +1341,6 @@ class ComponentInstance(_Scope):
         # cyclic SCCs.
         self._all_guards_compiled = not strategy.levelized
         if strategy.levelized:
-            #: The nodes the non-convergence probe sweeps: all but the guard nodes.
-            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _GUARD_KINDS)]
-            self._guard_nodes = [n for n in self._nodes if isinstance(n, _GUARD_KINDS)]
             self._schedule()
             self._compile_guards(
                 node for members, _ in self._cyclic.values() for node in members
@@ -1332,12 +1348,21 @@ class ComponentInstance(_Scope):
         else:
             # The reference fires every node each sweep, in build order: it
             # ranks nothing and keeps no dirty mask.
-            self._sweep_nodes = [n for n in self._nodes if not isinstance(n, _ExecutorNode)]
-            self._guard_nodes = []
             self._writer: Dict[int, int] = {}
             self._mark_node = self._mark_slot = self._mark_all = lambda *_: None
-        self._max_iters = 8 * (len(self._sweep_nodes) + 8)
+            self._max_iters = 8 * (len(self._sweep_nodes) + 8)
         self._reset_dynamic()
+
+    @cached_property
+    def _sweep_nodes(self) -> List[object]:
+        """What a sweep fires: all but the executors, or under ``levelized``
+        (the non-convergence probe) all but the guard nodes."""
+        skip = _GUARD_KINDS if self.strategy.levelized else _ExecutorNode
+        return [n for n in self._nodes if not isinstance(n, skip)]
+
+    @cached_property
+    def _guard_nodes(self) -> List[object]:
+        return [n for n in self._nodes if isinstance(n, _GUARD_KINDS)]
 
     def settle(self) -> None:
         """Bring one clock phase to its fixpoint, as the strategy does."""
@@ -1366,14 +1391,13 @@ class ComponentInstance(_Scope):
             values[base + slot] = value
         nodes = self._nodes
         scope._cell_node = cell_node = {}
-        for name, block, in_slots, dep_slots, out_slots, in_ports in t.cells:
-            if block is not None:
-                continue
+        for name, in_slots, dep_slots, out_slots, comb_slots, in_ports in t.cells:
             child = scope.children[name]
             cell_node[name] = len(nodes)
+            outs = _shift(out_slots, base)
             node = _ChildNode(
-                len(nodes), child, _shift(in_slots, base), _shift(dep_slots, base),
-                _shift(out_slots, base),
+                len(nodes), child, _shift(in_slots, base), _shift(dep_slots, base), outs,
+                outs if comb_slots is out_slots else _shift(comb_slots, base),
             )
             nodes.append(node)
             if type(child).tick is not PrimitiveModel.tick:
@@ -1383,14 +1407,15 @@ class ComponentInstance(_Scope):
                     self._gated.append(node)
                 else:
                     self._stateful_nodes.append(node)
+        path = scope.path
         for slot, drivers, go_slots, in_slots in t.resolvers:
             if base:
                 drivers = [d.shifted(base) for d in drivers]
-                go_slots = tuple(None if s is None else s + base for s in go_slots)
-                in_slots = _shift(in_slots, base)
-            nodes.append(
-                _ResolverNode(len(nodes), slot + base, drivers, go_slots, in_slots, scope.path)
-            )
+                if go_slots[0] is not None:
+                    force, enable, done = go_slots
+                    go_slots = (force + base, enable + base, done + base)
+                in_slots = [s + base for s in in_slots]
+            nodes.append(_ResolverNode(len(nodes), slot + base, drivers, go_slots, in_slots, path))
         finished = base + t.finished_slot
         if not t.done_from_wires:
             nodes.append(_DoneNode(len(nodes), base + t.done_slot, finished))
@@ -1415,9 +1440,8 @@ class ComponentInstance(_Scope):
                 nodes.append(_GuardNode(len(nodes), g.slot + base, g.fn, g.a + base, g.b + base))
             else:
                 nodes.append(g.stamped(len(nodes), base))
-        for name, block, *_ in t.cells:
-            if block is not None:
-                self._stamp(scope.children[name], base + block)
+        for name, block in t.blocks:
+            self._stamp(scope.children[name], base + block)
 
     def _compile_guards(self, nodes: Iterable[object]) -> None:
         """Compile the guard of every driver of the resolvers in ``nodes``,
@@ -1439,83 +1463,73 @@ class ComponentInstance(_Scope):
                         d.guard = _compile_slot_guard(guard, slots, _GUARD_NODE_OPS, memo)
 
     def _schedule(self) -> None:
-        """Writers, ranks and reader masks of the levelized drain.
+        """Levels (:func:`~repro.analysis.graph.levelize`), ranks and reader
+        masks of the levelized drain.
 
-        Each node takes the reader masks of the slots it writes, so a fire
-        returns the ranks its changes dirty.
-        """
-        writer, rank_of, rank_node, cyclic, reader_mask = self._levelize()
-        self._writer, self._rank_of, self._reader_mask = writer, rank_of, reader_mask
-        nodes = self._nodes
-        for node in nodes:
-            if isinstance(node, _MULTI_OUT):
-                node.set_readers(reader_mask)
-            else:
-                node.readers = reader_mask[node.slot]
-        #: Per rank: an acyclic SCC's one node's ``fire``, or None for a cyclic SCC.
-        self._rank_fire = [None if i < 0 else nodes[i].fire for i in rank_node]
-        #: Per cyclic SCC's rank: its fixpoint members and its guard nodes,
-        #: each in index order.
-        self._cyclic: Dict[int, Tuple[list, list]] = {}
-        for rank, scc in cyclic.items():
-            members = [nodes[i] for i in scc]
-            self._cyclic[rank] = (
-                [n for n in members if not isinstance(n, _GUARD_KINDS)],
-                [n for n in members if isinstance(n, _GUARD_KINDS)],
-            )
-
-    def _levelize(self) -> Tuple[Dict[int, int], List[int], List[int], Dict[int, list], List[int]]:
-        """Tarjan SCC condensation, longest-path levels, then ranks.
-
-        Returns node and slot indices: each slot's writer node, each node's
-        rank, each rank's acyclic node (-1 for a cyclic SCC), each cyclic
-        SCC's members by rank, and each slot's reader mask over ranks.
+        A node's edges run from the writers of the slots it reads
+        combinationally to it, and from it to the readers of the slots it
+        writes combinationally: a registered output adds none. Each node
+        takes the reader masks of the slots it writes, registered or not,
+        so a fire returns the ranks its changes dirty.
         """
         nodes = self._nodes
         fanout: List[List[int]] = [[] for _ in range(len(self._values))]
-        writer: Dict[int, int] = {}
-        outs: List[Sequence[int]] = []
+        #: Each slot's writer node, for a write from outside (:class:`_SlotNets`).
+        self._writer = writer = {}
+        # A node's successors: the readers of its one output (that slot's
+        # fanout list, filled as the loop goes), or of its combinational ones.
+        adj: List[List[int]] = []
+        multi: List[object] = []
         for node in nodes:
+            index = node.index
             if isinstance(node, _MULTI_OUT):
-                written, reads = node.out_slots, node.dep_slots
+                for slot in node.out_slots:
+                    writer[slot] = index
+                multi.append(node)
+                adj.append([])
+                reads = node.dep_slots
             else:
-                written, reads = (node.slot,), node.in_slots
-            outs.append(written)
-            for slot in written:
-                writer[slot] = node.index
+                writer[node.slot] = index
+                adj.append(fanout[node.slot])
+                reads = node.in_slots
             for slot in reads:
-                fanout[slot].append(node.index)
-        adj: List[List[int]] = [
-            fanout[written[0]] if len(written) == 1 else [r for slot in written for r in fanout[slot]]
-            for written in outs
-        ]
-
-        scc_of, sccs = tarjan_scc(adj)
-        cyclic = cyclic_sccs(adj, scc_of, sccs)
-        # Tarjan emits SCCs in reverse topological order; walk forward.
-        levels = [0] * len(sccs)
-        for scc_id in range(len(sccs) - 1, -1, -1):
-            level = levels[scc_id] + 1
-            for member in sccs[scc_id]:
-                for succ in adj[member]:
-                    succ_scc = scc_of[succ]
-                    if succ_scc != scc_id and levels[succ_scc] < level:
-                        levels[succ_scc] = level
-        # Rank = position in ``(level, id)`` order: a stable sort by level.
-        order = sorted(range(len(sccs)), key=levels.__getitem__)
-        rank_of_scc = [0] * len(sccs)
-        for rank, scc in enumerate(order):
-            rank_of_scc[scc] = rank
-        rank_of = [rank_of_scc[scc] for scc in scc_of]
-        reader_mask: List[int] = []
+                fanout[slot].append(index)
+        for node in multi:
+            adj[node.index] = [r for slot in node.comb_slots for r in fanout[slot]]
+        rank_of, heads, cycles, levels = levelize(adj)
+        self._rank_of = rank_of
+        #: The number of levels, a deterministic counter of the schedule.
+        self._level_count = levels[-1] + 1 if levels else 0
+        self._reader_mask = reader_mask = []
         for readers in fanout:
             mask = 0
             for node_idx in readers:
                 mask |= 1 << rank_of[node_idx]
             reader_mask.append(mask)
-        rank_node = [-1 if cyclic[c] else sccs[c][0] for c in order]
-        members = {rank: sccs[c] for rank, c in enumerate(order) if cyclic[c]}
-        return writer, rank_of, rank_node, members, reader_mask
+        for node in nodes:
+            if isinstance(node, _MULTI_OUT):
+                node.set_readers(reader_mask)
+            else:
+                node.readers = reader_mask[node.slot]
+        for node in multi:
+            comb = node.comb_slots
+            if comb is not node.out_slots:
+                below = (1 << rank_of[node.index]) - 1
+                node.early = any(reader_mask[s] & below for s in node.out_slots if s not in comb)
+                if node.early:
+                    self._early.append(node)
+        #: Per rank: an acyclic SCC's one node's ``fire``, or None for a cyclic SCC.
+        self._rank_fire = [nodes[i].fire for i in heads]
+        #: Per cyclic SCC's rank: its fixpoint members and its guard nodes,
+        #: each in index order.
+        self._cyclic: Dict[int, Tuple[list, list]] = {}
+        for rank, scc in cycles.items():
+            self._rank_fire[rank] = None
+            members = [nodes[i] for i in scc]
+            self._cyclic[rank] = (
+                [n for n in members if not isinstance(n, _GUARD_KINDS)],
+                [n for n in members if isinstance(n, _GUARD_KINDS)],
+            )
 
     # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:
@@ -1526,6 +1540,8 @@ class ComponentInstance(_Scope):
             node.high = _EMPTY
             values[node.finished] = 1 if node.executor.finished else 0
         self._mark_all()
+        for node in self._early:
+            node.fire(values)
 
     def _mark_node(self, node_idx: int) -> None:
         self._dirty |= 1 << self._rank_of[node_idx]
@@ -1693,9 +1709,10 @@ class ComponentInstance(_Scope):
         Every executor with control steps on the settled slots while its
         ``go`` is high, and resets once ``go`` falls (the calling
         convention). Neither step writes a named slot, so each child reads
-        the settled values of its input slots. A child's node is marked
-        unless its tick returned ``False``. True if the outputs may have
-        moved: a child was marked or some executor state can move.
+        the settled values of its input slots. Once every child has
+        ticked, each whose tick did not return ``False`` is scheduled
+        (:meth:`_refresh`). True if the outputs may have moved: a child
+        was scheduled or some executor state can move.
 
         A child whose model declares an ``enable`` port (``levelized``
         only) is not ticked while that port is low and its last tick saw
@@ -1706,22 +1723,31 @@ class ComponentInstance(_Scope):
         values = self._values
         for node in self._clocked:
             self._clock(node, values)
-        moved = bool(self._clocked)
-        for node in self._stateful_nodes:
-            if node.child.tick(node.inputs(values)) is not False:
-                self._mark_node(node.index)
-                moved = True
+        ticked = [
+            node for node in self._stateful_nodes if node.child.tick(node.inputs(values)) is not False
+        ]
         for node in self._gated:
             enabled = values[node.enable_slot]
             if node.idle and not enabled:
                 continue
             if node.child.tick(node.inputs(values)) is not False:
                 node.idle = False
-                self._mark_node(node.index)
-                moved = True
+                ticked.append(node)
             else:
                 node.idle = not enabled
-        return moved
+        # Every tick has read the settled slots: now outputs may move.
+        for node in ticked:
+            self._refresh(node)
+        return bool(self._clocked or ticked)
+
+    def _refresh(self, node: _ChildNode) -> None:
+        """Schedule a child whose state moved. An ``early`` one fires now,
+        so no node ranked below it reads its old registered outputs; its
+        combinational outputs fire again when their inputs move."""
+        if node.early:
+            self._dirty |= node.fire(self._values)
+        else:
+            self._mark_node(node.index)
 
     def _clock(self, node: _ExecutorNode, values: List[int]) -> None:
         """Step or reset one executor, marking what it drives."""
@@ -1755,8 +1781,9 @@ class ComponentInstance(_Scope):
         index = scope._cell_node.get(name)
         if index is not None:
             owner = scope if isinstance(scope, ComponentInstance) else self
-            owner._mark_node(index)
-            owner._nodes[index].idle = False
+            node = owner._nodes[index]
+            node.idle = False
+            owner._refresh(node)
 
     def done_signature(self) -> Tuple:
         """Values of every ``done``-like net in the array, then each nested

@@ -339,7 +339,7 @@ def make_model(comp_name: str, args: Sequence[int]) -> PrimitiveModel:
     """Instantiate the simulation model for a primitive or extern."""
     prim = _PRIMITIVES.get(comp_name)
     if prim is not None:
-        prim.bind(args)  # arity check against the declared signature
+        prim.signature(args)  # arity check, once per distinct ``args``
         return prim.model(args)
     factory = EXTERN_MODELS.get(comp_name)
     if factory is None:

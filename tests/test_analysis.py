@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.coloring import ConflictGraph, greedy_coloring
+from repro.analysis.graph import cyclic_sccs, levelize, tarjan_scc
 from repro.analysis.liveness import LivenessAnalysis
 from repro.analysis.pcfg import Pcfg, PcfgNode, build_pcfg
 from repro.analysis.read_write import group_accesses, registers_of
@@ -285,6 +286,67 @@ class TestPcfg:
                 gc.enable()
         assert graphs == []
         assert kinds == []
+
+
+@st.composite
+def digraphs(draw):
+    """Adjacency lists of up to 60 vertices: forward edges, so a DAG, plus
+    sometimes back edges and self-loops, which close SCCs. Duplicates
+    are kept."""
+    n = draw(st.integers(0, 60))
+    adj = [[] for _ in range(n)]
+    if n:
+        vertex = st.integers(0, n - 1)
+        forward = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]).map(sorted)
+        for u, v in draw(st.lists(forward, max_size=3 * n)):
+            adj[u].append(v)
+        back = draw(st.sampled_from([0, 0, 1, 3, 10]))
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=back)):
+            adj[max(u, v)].append(min(u, v))
+    return adj
+
+
+def _tarjan_levels(adj):
+    """The reference: Tarjan's SCCs, then each one's longest-path level."""
+    scc_of, sccs = tarjan_scc(adj)
+    levels = [0] * len(sccs)
+    for scc in range(len(sccs) - 1, -1, -1):
+        for member in sccs[scc]:
+            for succ in adj[member]:
+                if scc_of[succ] != scc:
+                    levels[scc_of[succ]] = max(levels[scc_of[succ]], levels[scc] + 1)
+    return scc_of, sccs, cyclic_sccs(adj, scc_of, sccs), levels
+
+
+class TestLevelize:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_matches_tarjan_and_the_level_walk(self, adj):
+        rank_of, heads, cycles, levels = levelize(adj)
+        ref_of, ref_sccs, ref_cyclic, ref_levels = _tarjan_levels(adj)
+        members = [[] for _ in heads]
+        for v, rank in enumerate(rank_of):
+            members[rank].append(v)
+        assert sorted(members) == sorted(ref_sccs)
+        assert heads == [m[0] for m in members]
+        # The cyclic components, in Tarjan's emission order.
+        assert list(cycles.values()) == [m for m, c in zip(ref_sccs, ref_cyclic) if c]
+        for v in range(len(adj)):
+            assert members[rank_of[v]] == ref_sccs[ref_of[v]]
+            assert (rank_of[v] in cycles) == ref_cyclic[ref_of[v]]
+            assert levels[rank_of[v]] == ref_levels[ref_of[v]]
+        assert levels == sorted(levels)
+        for u, successors in enumerate(adj):
+            for v in successors:
+                if rank_of[u] != rank_of[v]:
+                    assert levels[rank_of[u]] < levels[rank_of[v]]
+        if not cycles:
+            # Proven acyclic by the peel: each level in vertex order.
+            assert heads == sorted(heads, key=lambda v: (levels[rank_of[v]], v))
+
+    def test_a_cycle_falls_back_to_the_condensation(self):
+        adj = [[1], [2], [1, 3], [3]]
+        assert levelize(adj) == ([0, 1, 1, 2], [0, 1, 3], {1: [1, 2], 2: [3]}, [0, 1, 2])
 
 
 class TestReadWriteSets:

@@ -30,6 +30,7 @@ from repro.ir import parse_program
 from repro.ir.printer import print_program
 from repro.ir.guards import G_TRUE, AndGuard, CmpGuard, NotGuard, OrGuard, PortGuard
 from repro.ir.ports import CellPort, ConstPort
+from repro.lint import lint_program
 from repro.passes import PIPELINES, compile_program
 from repro.robustness.difftest import compare, observe
 from repro.sim import Testbench, Watchdog, eval_guard
@@ -278,6 +279,73 @@ def _systolic_2x2_interpreted():
     return _systolic(2, None)
 
 
+#: A genuine guard-dependent loop: ``x`` and ``y`` feed each other through
+#: wires, and ``sel`` picks which of the two breaks the loop with a constant.
+GUARD_LOOP = """
+component main(go: 1) -> (done: 1) {
+  cells {
+    sel = std_reg(1);
+    x = std_wire(8);
+    y = std_wire(8);
+    r = std_reg(8);
+  }
+  wires {
+    group set_sel {
+      sel.in = 1'd1; sel.write_en = 1'd1;
+      set_sel[done] = sel.done;
+    }
+    group settle {
+      x.in = sel.out ? 8'd5;
+      x.in = !sel.out ? y.out;
+      y.in = sel.out ? x.out;
+      y.in = !sel.out ? 8'd7;
+      r.in = y.out; r.write_en = 1'd1;
+      settle[done] = r.done;
+    }
+  }
+  control { seq { set_sel; settle; } }
+}
+"""
+
+
+def _guard_loop_interpreted():
+    return parse_program(GUARD_LOOP), {}
+
+
+#: A registered output read below its cell's rank: ``M.done`` reads no
+#: input, so the continuous ``x.in`` driver that reads it ranks below
+#: ``M``, whose address is reached through ``wr``'s go. At the edge that
+#: moves the executor to ``other``, ``M.done`` falls as ``other``'s go
+#: rises; a reader that saw the old done with the new go would find two
+#: drivers of ``x.in``.
+REGISTERED_READER = """
+component main(go: 1) -> (done: 1) {
+  cells {
+    @external M = std_mem_d1(8, 1, 1);
+    x = std_wire(8);
+    o = std_reg(8);
+  }
+  wires {
+    group wr {
+      M.addr0 = 1'd0; M.write_data = 8'd3; M.write_en = 1'd1;
+      wr[done] = M.done;
+    }
+    group other {
+      x.in = 8'd2;
+      o.in = x.out; o.write_en = 1'd1;
+      other[done] = o.done;
+    }
+    x.in = M.done ? 8'd1;
+  }
+  control { seq { wr; other; } }
+}
+"""
+
+
+def _registered_reader_interpreted():
+    return parse_program(REGISTERED_READER), {}
+
+
 @pytest.mark.parametrize(
     "build",
     [_gemm_unrolled, _systolic_4x4, _systolic_2x2_interpreted],
@@ -361,13 +429,19 @@ def _run_levelized(build):
     return bench.run()
 
 
-@pytest.mark.parametrize("build", [_gemm, _systolic_4x4], ids=["gemm", "systolic-4x4"])
+@pytest.mark.parametrize(
+    "build",
+    [_gemm, _systolic_4x4, _gemm_interpreted, _registered_reader_interpreted],
+    ids=["gemm", "systolic-4x4", "gemm-interpreted", "registered-reader-interpreted"],
+)
 def test_drain_fires_in_rank_order(build, monkeypatch):
     """Within one drain, the acyclic SCCs fire once each, in rank order.
 
-    Ranks follow ``(level, SCC id)``, so a node's predecessors that fire
-    in the same drain fire before it. The nested instances are stamped
-    into the root's array, so their nodes fire in the root's one drain.
+    Ranks follow levels, so a node's predecessors that fire in the same
+    drain fire before it. The nested instances are stamped into the
+    root's array, so their nodes fire in the root's one drain. A cell
+    whose registered output is read below its rank fires at the edge,
+    before the drain, so no drain goes back down for it.
     """
     fired = []
     checked = collections.Counter()
@@ -385,7 +459,11 @@ def test_drain_fires_in_rank_order(build, monkeypatch):
             reads = node.dep_slots if isinstance(node, _ChildNode) else node.in_slots
             for slot in reads:
                 writer = inst._writer.get(slot)
-                assert position.get(writer, -1) < i, (inst.path, node.index, writer)
+                if writer is None:
+                    continue
+                # A registered output adds no edge: its writer may rank above.
+                if slot in getattr(inst._nodes[writer], "comb_slots", (slot,)):
+                    assert position.get(writer, -1) < i, (inst.path, node.index, writer)
         checked["all"] += len(acyclic)
         checked["banks"] += sum(1 for n in acyclic if isinstance(n, _BankNode))
         checked["nested"] += sum(
@@ -429,17 +507,30 @@ PINNED_FIRES = {
         _gemm_interpreted,
         1382,
         {
-            "_ChildNode": 9179, "_DoneNode": 2, "_ExecutorNode": 1383, "_GuardNode": 195,
-            "_ResolverNode": 22597, "tick": 1749,
+            "_ChildNode": 2771, "_DoneNode": 2, "_ExecutorNode": 1383, "_GuardNode": 195,
+            "_ResolverNode": 10163, "tick": 1749,
         },
     ),
     "systolic-2x2-interpreted": (
         _systolic_2x2_interpreted,
         48,
         {
-            "_ChildNode": 181, "_DoneNode": 22, "_ExecutorNode": 125, "_GuardNode": 40,
-            "_ResolverNode": 977, "tick": 173,
+            "_ChildNode": 166, "_DoneNode": 22, "_ExecutorNode": 125, "_GuardNode": 40,
+            "_ResolverNode": 780, "tick": 173,
         },
+    ),
+    "guard-loop-interpreted": (
+        _guard_loop_interpreted,
+        4,
+        {
+            "_ChildNode": 24, "_DoneNode": 2, "_ExecutorNode": 5, "_GuardNode": 2,
+            "_ResolverNode": 41, "tick": 6,
+        },
+    ),
+    "registered-reader-interpreted": (
+        _registered_reader_interpreted,
+        4,
+        {"_ChildNode": 11, "_DoneNode": 2, "_ExecutorNode": 5, "_ResolverNode": 30, "tick": 6},
     ),
 }
 
@@ -455,3 +546,84 @@ def test_node_fire_counts_are_pinned(name, monkeypatch):
     )
     assert _run_levelized(build).cycles == cycles
     assert dict(fires) == expected
+
+
+def test_a_guard_dependent_loop_converges_in_its_scc(monkeypatch):
+    """A loop only the guards can close is the levelized schedule's one
+    cyclic SCC: the two wires and their input resolvers. Its fixpoint
+    converges every time the drain reaches it, over guards compiled for
+    its members, and agrees with the reference; lint warns of the loop."""
+    converged = []
+
+    def run_cyclic_scc(inst, rank, _run=ComponentInstance._run_cyclic_scc):
+        _run(inst, rank)
+        converged.append(rank)
+
+    monkeypatch.setattr(ComponentInstance, "_run_cyclic_scc", run_cyclic_scc)
+    results = {}
+    for engine in ("sweep", "levelized"):
+        bench = Testbench(parse_program(GUARD_LOOP), engine=engine)
+        results[engine] = (bench.run().cycles, bench.instance.find_model("r").value)
+    assert results == {"sweep": (4, 5), "levelized": (4, 5)}
+    inst = bench.instance
+    ((members, guards),) = inst._cyclic.values()
+    assert sorted(type(n).__name__ for n in members) == ["_ChildNode"] * 2 + ["_ResolverNode"] * 2
+    assert guards == []
+    assert all(
+        d.guard is not None for n in members if isinstance(n, _ResolverNode) for d in n.drivers
+    )
+    assert converged and set(converged) == set(inst._cyclic)
+    report = lint_program(parse_program(GUARD_LOOP))
+    assert [d.rule for d in report.diagnostics] == ["comb-cycle-maybe"]
+
+
+def test_a_registered_output_read_below_its_cell_is_fresh():
+    """``M`` ranks above the resolver of ``x.in``, which reads ``M.done``;
+    ``M`` fires at the edge, so the resolver never pairs the old done with
+    the new go, and both engines agree."""
+    results = {}
+    for engine in ("sweep", "levelized"):
+        bench = Testbench(parse_program(REGISTERED_READER), engine=engine)
+        results[engine] = (bench.run().cycles, bench.instance.find_model("o").value)
+    assert results == {"sweep": (4, 2), "levelized": (4, 2)}
+    inst = bench.instance
+    memory = inst._nodes[inst._cell_node["M"]]
+    (x_in,) = [
+        n for n in inst._nodes
+        if isinstance(n, _ResolverNode) and n.slot == inst._slots[CellPort("x", "in")]
+    ]
+    assert inst._rank_of[x_in.index] < inst._rank_of[memory.index]
+    assert inst._early == [memory]
+
+
+def _kernel(name, unrolled):
+    kernel = get_kernel(name, n=4)
+    design = compile_dahlia(kernel.unrolled_source if unrolled else kernel.source)
+    compile_program(design.program, "all")
+    return design.program
+
+
+#: The levelized schedule of each perfbench design under ``all`` — the
+#: systolic arrays and the Fig. 8 fast subset at n=4, plain and unrolled:
+#: its nodes, its levels and its cyclic SCCs. Deterministic, so they move
+#: only when the netlist or its scheduling does; no design has a cycle.
+SCHEDULE_COUNTERS = {
+    "systolic-4x4": (lambda: _systolic(4, "all")[0], (894, 13, 0)),
+    "systolic-8x8": (lambda: _systolic(8, "all")[0], (3138, 17, 0)),
+    "atax": (lambda: _kernel("atax", False), (265, 13, 0)),
+    "gemm": (lambda: _kernel("gemm", False), (269, 15, 0)),
+    "gesummv": (lambda: _kernel("gesummv", False), (212, 15, 0)),
+    "mvt": (lambda: _kernel("mvt", False), (243, 13, 0)),
+    "trisolv": (lambda: _kernel("trisolv", False), (185, 15, 0)),
+    "atax-unrolled": (lambda: _kernel("atax", True), (350, 15, 0)),
+    "gemm-unrolled": (lambda: _kernel("gemm", True), (384, 17, 0)),
+    "gesummv-unrolled": (lambda: _kernel("gesummv", True), (418, 17, 0)),
+    "mvt-unrolled": (lambda: _kernel("mvt", True), (483, 15, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_COUNTERS))
+def test_schedule_counters_are_pinned(name):
+    build, expected = SCHEDULE_COUNTERS[name]
+    inst = Testbench(build(), engine="levelized").instance
+    assert (len(inst._nodes), inst._level_count, len(inst._cyclic)) == expected

@@ -7,15 +7,20 @@
   source and after ``all``, as the engine computed them per instance
   before the netlist existed;
 * one call builds one netlist per definition, however many cells
-  instantiate it;
+  instantiate it, and resolves each cell kind once;
+* a build, a lint and the backends leave nothing for the cyclic collector;
 * a primitive's signature mapping, shared by every cell, is read-only.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.analysis.netlist import Netlist, Netlists, Unresolved
+from repro.backend import emit_verilog, estimate_resources
+from repro.frontends.dahlia import compile_dahlia
 from repro.errors import UndefinedError, ValidationError
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
@@ -25,6 +30,7 @@ from repro.lint import lint_program
 from repro.passes import compile_program
 from repro.sim import Testbench
 from repro.stdlib.primitives import get_primitive
+from repro.workloads.polybench import get_kernel
 from tests.test_sim import HOLDER, LATCH
 from tests.test_static_and_sharing import PAR_INVOKES
 
@@ -222,7 +228,7 @@ class TestPortTable:
             assert net.cell_failure(cell) == text
             assert net.cell_signature(cell) is None
             with pytest.raises(error) as raised:
-                net.signature_of(cell)
+                net.netlists.cell_facts(net.comp.cells[cell])
             assert str(raised.value) == text
         assert net.cell_failure("r") is None
 
@@ -291,6 +297,73 @@ def test_one_netlist_per_definition_per_call(engine, monkeypatch):
     built.clear()
     lint_program(program)
     assert sorted(built) == ["mac_pe", "main"]
+
+
+@pytest.mark.parametrize("engine", ["levelized", "sweep"])
+def test_one_cell_table_entry_per_kind_per_call(engine, monkeypatch):
+    """A build resolves each distinct ``(comp_name, args)`` once, however
+    many cells share it: 111 cells of 12 kinds in the 4x4 array's main."""
+    program = generate_systolic_array(SystolicConfig.square(4))
+    compile_program(program, "all")
+    resolved = []
+    original = Program.cell_signature
+
+    def counting(self, cell):
+        resolved.append((cell.comp_name, cell.args))
+        return original(self, cell)
+
+    monkeypatch.setattr(Program, "cell_signature", counting)
+    Testbench(program, engine=engine)
+    assert len(resolved) == len(set(resolved))
+    main = program.get_component("main")
+    kinds = {(cell.comp_name, cell.args) for cell in main.cells.values()}
+    assert (len(main.cells), len(kinds)) == (111, 12)
+    assert kinds <= set(resolved)
+
+
+def _atax_all():
+    kernel = get_kernel("atax", n=4)
+    design = compile_dahlia(kernel.source)
+    compile_program(design.program, "all")
+    return design.program, design.split_memories(kernel.memories_for(False))
+
+
+def _systolic_4x4_all():
+    program = generate_systolic_array(SystolicConfig.square(4))
+    compile_program(program, "all")
+    memories = {f"l{r}": [r + 1] * 4 for r in range(4)}
+    memories.update({f"t{c}": [c + 1] * 4 for c in range(4)})
+    return program, memories
+
+
+@pytest.mark.parametrize("build", [_systolic_4x4_all, _atax_all], ids=["systolic-4x4", "atax"])
+def test_a_build_is_freed_by_refcount(build):
+    """Nothing of an engine build and run (either engine), a lint or the
+    backends waits for the cyclic collector: the cell table holds names,
+    never a netlist, and a netlist's table holds it weakly."""
+    program, memories = build()
+    enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for engine in ("levelized", "sweep"):
+            bench = Testbench(program, engine=engine)
+            for path, values in memories.items():
+                bench.write_mem(path, values)
+            bench.run()
+            del bench
+        lint_program(program)
+        estimate_resources(program)
+        emit_verilog(program)
+        gc.collect()
+        kinds = sorted({type(obj).__name__ for obj in gc.garbage[kept:]})
+    finally:
+        del gc.garbage[kept:]
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert kinds == []
 
 
 def test_primitive_signatures_are_shared_and_read_only():
