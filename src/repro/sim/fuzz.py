@@ -86,12 +86,16 @@ class ProgramSpec:
     seed: int
     cells: List[CellSpec]
     root: Node
+    #: continuous assignments, rendered after the groups; empty for
+    #: generated programs, set by the lint-oracle mutators.
+    continuous: List[str] = field(default_factory=list)
 
     def render(self) -> str:
         groups: List[str] = []
         for node in self.root.walk():
             for group in node.groups:
                 groups.extend(group.render())
+        groups.extend(f"    {line}" for line in self.continuous)
         cells = "".join(f"    {c.name} = {c.decl};\n" for c in self.cells)
         wires = "\n".join(groups)
         control = _render_control(self.root, indent="    ")
@@ -417,6 +421,10 @@ LINT_MUTATIONS: Dict[str, str] = {
     "dup-driver": "multiple-drivers",
     "width-corrupt": "width-mismatch",
     "bogus-static": "static-latency-mismatch",
+    "undefined-port": "unknown-name",
+    "write-output": "port-direction",
+    "wide-guard": "guard-width",
+    "hole-in-continuous": "continuous-hole",
 }
 
 #: an unconditional constant register write, e.g. ``r1.in = 8'd42;``.
@@ -443,6 +451,13 @@ def mutate_spec(spec: ProgramSpec, mutation: str) -> Optional[ProgramSpec]:
       assignment's width agreement.
     * ``bogus-static`` — claim ``<"static"=4>`` on a single-register write
       group whose structural latency is provably 1.
+    * ``undefined-port`` — write the constant to a port the register does
+      not have.
+    * ``write-output`` — write the constant to the register's ``out``.
+    * ``wide-guard`` — guard the write by the register's 8-bit ``out``, as
+      if it were a 1-bit condition.
+    * ``hole-in-continuous`` — drive the register's ``write_en`` from the
+      group's ``go`` hole in a continuous assignment.
     """
     if mutation not in LINT_MUTATIONS:
         raise ValueError(
@@ -474,8 +489,16 @@ def mutate_spec(spec: ProgramSpec, mutation: str) -> Optional[ProgramSpec]:
                 group.lines.insert(
                     i + 1, f"{target}.in = {width}'d{value ^ 1};"
                 )
-            else:  # width-corrupt
+            elif mutation == "width-corrupt":
                 group.lines[i] = f"{target}.in = {width + 1}'d{value};"
+            elif mutation == "undefined-port":
+                group.lines[i] = f"{target}.data = {width}'d{value};"
+            elif mutation == "write-output":
+                group.lines[i] = f"{target}.out = {width}'d{value};"
+            elif mutation == "wide-guard":
+                group.lines[i] = f"{target}.in = {target}.out ? {width}'d{value};"
+            else:  # hole-in-continuous
+                mutated.continuous.append(f"{target}.write_en = {group.name}[go];")
             return mutated
     return None
 

@@ -213,3 +213,43 @@ def test_resource_guard_count_matches_structural_reference(name):
             fold(assign.guard, _is_operator, operators)
             _structural_guard_nodes(assign.guard, keys)
         assert keys and sum(operators.values()) == len(keys), (name, comp.name)
+
+
+#: ``estimate_resources`` after ``all``: (LUTs, registers, DSPs, BRAMs,
+#: LUTs by category). A change to how the estimate reads the netlists
+#: must leave every figure unchanged.
+RESOURCE_TOTALS = {
+    "branch_max.futil": (102.0, 76, 0, 0, {"cmp": 17.0, "guards": 43.0, "lutram": 2.0, "mux": 40.0}),
+    "dot_product.futil": (
+        181.0, 111, 4, 0,
+        {"arith": 34.0, "cmp": 17.0, "dsp": 20.0, "guards": 42.0, "lutram": 5.0, "mux": 63.0},
+    ),
+    "par_reduce.futil": (175.0, 81, 0, 0, {"arith": 72.0, "guards": 24.0, "lutram": 3.0, "mux": 76.0}),
+    "sum_loop.futil": (
+        157.0, 76, 0, 0, {"arith": 34.0, "cmp": 17.0, "guards": 40.0, "lutram": 2.0, "mux": 64.0}
+    ),
+    "systolic-2x2": (
+        440.0, 715, 16, 0,
+        {"arith": 159.0, "dsp": 80.0, "guards": 111.0, "lutram": 6.0, "mux": 84.0},
+    ),
+    "systolic-3x3": (
+        995.0, 1596, 36, 0,
+        {"arith": 355.0, "dsp": 180.0, "guards": 231.0, "lutram": 17.0, "mux": 212.0},
+    ),
+    "systolic-4x4": (
+        1728.0, 2813, 64, 0,
+        {"arith": 617.0, "dsp": 320.0, "guards": 385.0, "lutram": 24.0, "mux": 382.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOURCE_TOTALS))
+def test_resource_totals_are_pinned(name):
+    if name.startswith("systolic-"):
+        n = int(name.rsplit("x", 1)[1])
+        program = generate_systolic_array(SystolicConfig.square(n))
+    else:
+        with open(os.path.join(EXAMPLES, name)) as handle:
+            program = parse_program(handle.read())
+    res = estimate_resources(compile_program(program, "all"))
+    assert (res.luts, res.registers, res.dsps, res.brams, res.detail) == RESOURCE_TOTALS[name]

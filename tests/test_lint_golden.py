@@ -8,12 +8,18 @@ what :func:`validate_program` raises (exception class and message, or
 * every :data:`~repro.sim.fuzz.LINT_MUTATIONS` mutant of fuzz seeds 0–11
   that has a mutation site;
 * the two combinational-loop programs the engines reject;
+* the hand-written programs in ``tests/lint_programs/``: guards that are
+  tautologies, contradictions (conjunctions among them, some wider than
+  ``MAX_GUARD_ATOMS`` atoms, some spelling one comparison two ways) or
+  neither, and references that the core rules reject inside guards;
 * each ``examples/*.futil`` at the source and after every ``all`` stage;
 * the systolic arrays of sizes 2–4 after ``all``.
 
 A refactor of the rules, their shared analyses or the validator must leave
 every entry unchanged, in text, span and order; a differing key names the
-program and the stage.
+program and the stage. Over the same corpus, each rule run alone reports
+exactly what it contributes to the full report, in the same order, so no
+rule's output depends on which rules ran before it.
 
 Run ``pytest tests/test_lint_golden.py --update-goldens`` after an
 *intentional* change to rewrite the file, then review its diff.
@@ -23,13 +29,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.frontends.systolic import SystolicConfig, generate_systolic_array
 from repro.ir import parse_program
 from repro.ir.ast import Program
 from repro.ir.validate import validate_program
-from repro.lint import lint_program
+from repro.lint import all_rules, lint_program
+from repro.lint.registry import LintRule
 from repro.passes import compile_program, make_pass_manager
 from repro.passes.pipeline import resolve_pipeline
 from repro.sim.fuzz import LINT_MUTATIONS, generate_spec, mutate_spec
@@ -38,6 +45,7 @@ from tests.test_robustness import ADDER_FEEDBACK, OSCILLATOR
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "lint_diagnostics.json"
 EXAMPLES = sorted((REPO / "examples").glob("*.futil"))
+HAND_WRITTEN = sorted((Path(__file__).resolve().parent / "lint_programs").glob("*.futil"))
 SEEDS = range(12)
 SYSTOLIC_SIZES = (2, 3, 4)
 
@@ -51,6 +59,8 @@ def _programs() -> Iterator[Tuple[str, Program]]:
                 yield f"mutant/{mutation}/seed={seed}", parse_program(mutated.render())
     yield "loop/oscillator", parse_program(OSCILLATOR)
     yield "loop/adder-feedback", parse_program(ADDER_FEEDBACK)
+    for path in HAND_WRITTEN:
+        yield f"program/{path.stem}", parse_program(path.read_text())
     for path in EXAMPLES:
         program = parse_program(path.read_text())
         yield f"example/{path.stem}/00-source", program
@@ -63,11 +73,12 @@ def _programs() -> Iterator[Tuple[str, Program]]:
         yield f"systolic/{n}x{n}/all", program
 
 
+def _pinned(diagnostics) -> List[List[object]]:
+    return [[d.format(), d.span.to_string() if d.span else None] for d in diagnostics]
+
+
 def _entry(program: Program) -> Dict[str, object]:
-    diagnostics = [
-        [d.format(), d.span.to_string() if d.span else None]
-        for d in lint_program(program)
-    ]
+    diagnostics = _pinned(lint_program(program))
     try:
         validate_program(program)
         raised = None
@@ -92,3 +103,30 @@ def test_lint_and_validation_match_golden(request):
         f"{', '.join(differing)}; if the change is intentional, run "
         "`pytest tests/test_lint_golden.py --update-goldens` and review the diff"
     )
+
+
+def _rule_by_rule(program: Program) -> List[List[object]]:
+    """The full report rebuilt from one ``lint_program`` call per rule: per
+    component, each rule's findings there in rule order, then each
+    program-level rule's findings."""
+    rules = all_rules()
+    alone = {id(rule): list(lint_program(program, rules=[rule])) for rule in rules}
+    by_component = [rule for rule in rules if type(rule).check_program is LintRule.check_program]
+    rebuilt = [
+        d
+        for comp in program.components
+        for rule in by_component
+        for d in alone[id(rule)]
+        if d.component == comp.name
+    ]
+    rebuilt += [d for rule in rules if rule not in by_component for d in alone[id(rule)]]
+    return _pinned(rebuilt)
+
+
+def test_each_rule_alone_reports_its_part_of_the_full_report():
+    differing = [
+        key
+        for key, program in _programs()
+        if _rule_by_rule(program) != _pinned(lint_program(program))
+    ]
+    assert not differing, f"a rule run alone reports differently at: {', '.join(differing)}"
