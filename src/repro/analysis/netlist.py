@@ -4,9 +4,12 @@ Validation, lint and the engine build each used to work out the same facts
 about a component definition. A :class:`Netlist` works them out once,
 tolerantly (what does not resolve is recorded, never raised):
 
-* the port table: each port reference's :class:`PortDef`, or why it does
-  not resolve (:class:`Unresolved`); each cell's signature, or the error
-  resolving it raised, which the engine raises again;
+* the fact table: each distinct port reference's :class:`PortFacts` (its
+  :class:`PortDef` or why it does not resolve, its width, whether it may
+  be read or written), each assignment's record (:attr:`Netlist.wires`)
+  and each distinct guard's :class:`GuardFacts`, so the rules look a port
+  up once; each cell's signature, or the error resolving it raised,
+  which the engine raises again;
 * the drivers with their gate groups (:func:`static_drivers`), and the
   driver races: unconditional drivers of one port in one scope;
 * the port-level combinational edges and their cyclic SCCs;
@@ -41,7 +44,7 @@ from repro.ir.ast import (
     Assignment, Cell, CellPort, Component, ConstPort, HolePort, PortRef, Program, ThisPort
 )
 from repro.ir.control import Invoke
-from repro.ir.guards import Guard
+from repro.ir.guards import CmpGuard, Guard, PortGuard, fold
 from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction, PortDef
 from repro.stdlib.behaviors import comb_paths, port_names
@@ -56,6 +59,44 @@ Edge = Tuple[int, int, Optional[str], bool, Optional[Assignment]]
 #: ``(input port, output port, definite)`` through one cell.
 CellPath = Tuple[str, str, bool]
 T = TypeVar("T")
+
+
+class PortFacts:
+    """What the rules ask of one port reference, worked out once per netlist:
+    ``ref`` as first looked up, its declaration ``port`` (``None`` for a
+    constant, a hole, or what does not resolve), why it does not resolve
+    (``unresolved``, ``None`` if it does), and ``width``, ``readable`` and
+    ``writable`` (``None`` where unknown). :meth:`Netlist._graph` numbers
+    its ``vertex``."""
+
+    __slots__ = ("ref", "port", "unresolved", "width", "readable", "writable", "vertex")
+
+    def __init__(self, ref, port, unresolved, width, readable, writable):
+        self.ref = ref
+        self.vertex: Optional[int] = None
+        self.port = port
+        self.unresolved = unresolved
+        self.width = width
+        self.readable = readable
+        self.writable = writable
+
+
+class GuardFacts:
+    """What the rules ask of one distinct guard. ``reads``, ``unresolved``
+    and ``unreadable`` list, in tree order with repeats, the
+    :class:`PortFacts` of its operands that are not constants, that do not
+    resolve for a reason of their own, and that may not be read;
+    ``widths`` are its ``guard-width`` findings, ``holes`` whether it
+    reads a group hole."""
+
+    __slots__ = ("reads", "unresolved", "unreadable", "widths", "holes")
+
+    def __init__(self, reads, unresolved, unreadable, widths, holes):
+        self.reads = reads
+        self.unresolved = unresolved
+        self.unreadable = unreadable
+        self.widths = widths
+        self.holes = holes
 
 
 class Unresolved(NamedTuple):
@@ -190,7 +231,8 @@ class Netlist:
         self.signature: Dict[str, PortDef] = {}
         for port in itertools.chain(comp.inputs, comp.outputs):
             self.signature.setdefault(port.name, port)
-        self._ports: Dict[PortRef, Union[PortDef, Unresolved]] = {}
+        #: The port table: each distinct reference's facts, on first use.
+        self._ports: Dict[PortRef, PortFacts] = {}
         self._cells: Dict[str, Union[Mapping[str, PortDef], Exception]] = {}
         self._definitions: Dict[str, Optional[Netlist]] = {}
         self.drivers: List[Driver] = list(static_drivers(comp))
@@ -246,79 +288,114 @@ class Netlist:
         cell = self.comp.cells[name]
         return f"{cell.comp_name}({', '.join(map(str, cell.args))}): {entry}"
 
-    def port(self, ref: Union[ThisPort, CellPort]) -> Union[PortDef, Unresolved]:
-        """The port table's entry for a component or cell port."""
+    @cached_property
+    def wires(self) -> List[tuple]:
+        """Each assignment's record, in :attr:`drivers` order: ``(group,
+        assign, dst, src, guard)``, its group (``None`` if continuous), its
+        destination's and source's :class:`PortFacts` and its guard's
+        :class:`GuardFacts`. Each distinct guard node is summarized once."""
+        facts = self.facts
+        guards: Dict[Guard, GuardFacts] = {}
+        folded: Dict[Guard, tuple] = {}
+
+        def visit(node: Guard, found: tuple) -> tuple:
+            """A node's :class:`GuardFacts` fields, its operands' in tree order."""
+            if found:
+                if len(found) == 1:
+                    return found[0]
+                left, right = found
+                return (
+                    left[0] + right[0], left[1] + right[1], left[2] + right[2],
+                    left[3] + right[3], left[4] or right[4],
+                )
+            if node.__class__ is PortGuard:
+                operands = (facts(node.port),)
+            elif node.__class__ is CmpGuard:
+                operands = (facts(node.left), facts(node.right))
+            else:
+                return ((), (), (), (), False)
+            reads = tuple(f for f in operands if f.ref.__class__ is not ConstPort)
+            unresolved = tuple(
+                f for f in operands
+                if f.unresolved is not None and f.unresolved.message is not None
+            )
+            unreadable = tuple(f for f in operands if f.readable is False)
+            holes = any(f.ref.__class__ is HolePort for f in operands)
+            widths = [f.width for f in operands]
+            finding = ()
+            if len(widths) == 1 and widths[0] not in (None, 1):
+                finding = (f"guard port {node.port.to_string()} must be 1 bit, is {widths[0]}",)
+            elif len(widths) == 2 and None not in widths and widths[0] != widths[1]:
+                finding = (
+                    f"comparison width mismatch in {node.to_string()} "
+                    f"({widths[0]} vs {widths[1]})",
+                )
+            return reads, unresolved, unreadable, finding, holes
+
+        wires = []
+        # The order of :func:`static_drivers`, so each record is its driver's.
+        scopes = [(g.name, g.assignments) for g in self.comp.groups.values()]
+        for group, assignments in scopes + [(None, self.comp.continuous)]:
+            for assign in assignments:
+                guard = guards.get(assign.guard)
+                if guard is None:
+                    guard = guards[assign.guard] = GuardFacts(*fold(assign.guard, visit, folded))
+                wires.append((group, assign, facts(assign.dst), facts(assign.src), guard))
+        return wires
+
+    def facts(self, ref: PortRef) -> PortFacts:
+        """The port table's record for ``ref``, worked out on first use."""
         entry = self._ports.get(ref)
         if entry is None:
-            entry = self._ports[ref] = self._resolve_port(ref)
+            entry = self._ports[ref] = self._facts(ref)
         return entry
 
-    def _resolve_port(self, ref: Union[ThisPort, CellPort]) -> Union[PortDef, Unresolved]:
-        if isinstance(ref, ThisPort):
+    def _facts(self, ref: PortRef) -> PortFacts:
+        cls = ref.__class__
+        if cls is ConstPort:
+            return PortFacts(ref, None, None, ref.width, True, False)
+        if cls is HolePort:
+            missing = None
+            if ref.group not in self.comp.groups:
+                missing = Unresolved(f"hole {ref.to_string()} names an undefined group")
+            return PortFacts(ref, None, missing, 1, True, True)
+        if cls is ThisPort:
             port = self.signature.get(ref.port)
             if port is None:
-                return Unresolved(f"component {self.comp.name!r} has no port {ref.port!r}")
-            return port
-        cell = self.comp.cells.get(ref.cell)
-        if cell is None:
-            return Unresolved(f"{ref.to_string()} names an undefined cell {ref.cell!r}")
-        sig = self.cell_signature(ref.cell)
-        if sig is None:
-            return Unresolved(None, ref.cell)
-        port = sig.get(ref.port)
-        if port is None:
-            return Unresolved(
-                f"cell {ref.cell!r} ({cell.comp_name}) has no port {ref.port!r}", ref.cell
-            )
-        return port
+                missing = Unresolved(f"component {self.comp.name!r} has no port {ref.port!r}")
+                return PortFacts(ref, None, missing, None, None, None)
+            readable = port.direction is Direction.INPUT
+        else:
+            cell = self.comp.cells.get(ref.cell)
+            if cell is None:
+                missing = Unresolved(f"{ref.to_string()} names an undefined cell {ref.cell!r}")
+                return PortFacts(ref, None, missing, None, None, None)
+            sig = self.cell_signature(ref.cell)
+            port = None if sig is None else sig.get(ref.port)
+            if port is None:
+                missing = Unresolved(
+                    None if sig is None else
+                    f"cell {ref.cell!r} ({cell.comp_name}) has no port {ref.port!r}",
+                    ref.cell,
+                )
+                return PortFacts(ref, None, missing, None, None, None)
+            readable = port.direction is Direction.OUTPUT
+        return PortFacts(ref, port, None, port.width, readable, not readable)
 
-    def resolve(self, ref: PortRef) -> Optional[PortDef]:
-        """PortDef for a reference; None for holes/constants/unresolvable."""
-        if isinstance(ref, (ThisPort, CellPort)):
-            entry = self.port(ref)
-            if entry.__class__ is not Unresolved:
-                return entry
-        return None
-
-    def resolvable(self, ref: PortRef) -> bool:
-        """Does this reference name something that exists?"""
-        if isinstance(ref, ConstPort):
-            return True
-        if isinstance(ref, HolePort):
-            return ref.group in self.comp.groups
-        return self.resolve(ref) is not None
+    def port(self, ref: Union[ThisPort, CellPort]) -> Union[PortDef, Unresolved]:
+        """A component or cell port's declaration, or why it does not resolve."""
+        return self.facts(ref).unresolved or self.facts(ref).port
 
     def width(self, ref: PortRef) -> Optional[int]:
-        if isinstance(ref, ConstPort):
-            return ref.width
-        if isinstance(ref, HolePort):
-            return 1
-        port = self.resolve(ref)
-        return None if port is None else port.width
+        return self.facts(ref).width
 
     def is_writable(self, ref: PortRef) -> Optional[bool]:
         """May this reference be an assignment destination? None = unknown."""
-        if isinstance(ref, ConstPort):
-            return False
-        if isinstance(ref, HolePort):
-            return True
-        port = self.resolve(ref)
-        if port is None:
-            return None
-        if isinstance(ref, ThisPort):
-            return port.direction is Direction.OUTPUT
-        return port.direction is Direction.INPUT
+        return self.facts(ref).writable
 
     def is_readable(self, ref: PortRef) -> Optional[bool]:
         """May this reference be a source or guard operand? None = unknown."""
-        if isinstance(ref, (ConstPort, HolePort)):
-            return True
-        port = self.resolve(ref)
-        if port is None:
-            return None
-        if isinstance(ref, ThisPort):
-            return port.direction is Direction.INPUT
-        return port.direction is Direction.OUTPUT
+        return self.facts(ref).readable
 
     # -- the combinational edges -------------------------------------------
     def definition(self, cell: Cell) -> Optional["Netlist"]:
@@ -345,37 +422,43 @@ class Netlist:
     @cached_property
     def _graph(self) -> Tuple[List[PortRef], Dict[PortRef, int], List[List[int]], list, list]:
         """Vertices, their index and adjacency, then the edges of each driver
-        and of each cell path (see :meth:`_edges`)."""
+        and of each cell path (see :meth:`_edges`).
+
+        A driver's destination, its source unless a constant, then its
+        guard's operands if the guard is new, are numbered in driver order
+        on their first sight, in their :class:`PortFacts`; then a cell
+        path's ports.
+        """
         refs: List[PortRef] = []
         index: Dict[PortRef, int] = {}
         adj: List[List[int]] = []
         wires, paths = [], []
 
-        def vertex(ref: PortRef) -> int:
-            idx = index.get(ref)
-            if idx is None:
-                idx = index[ref] = len(refs)
-                refs.append(ref)
+        def vertex(facts: PortFacts) -> int:
+            """The port's vertex, numbered on first sight."""
+            if facts.vertex is None:
+                facts.vertex = index[facts.ref] = len(refs)
+                refs.append(facts.ref)
                 adj.append([])
-            return idx
+            return facts.vertex
 
-        # The vertices of each distinct guard's ports, in tree order.
-        guard_reads: Dict[Guard, List[int]] = {}
+        guard_reads: Dict[GuardFacts, List[int]] = {}
+        for (gate, assign), (_, _, dst, src, guard) in zip(self.drivers, self.wires):
+            dst = vertex(dst)
+            src = None if assign.src.__class__ is ConstPort else vertex(src)
+            reads = guard_reads.get(guard)
+            if reads is None:
+                reads = guard_reads[guard] = [vertex(f) for f in guard.reads]
+            wires.append((gate, assign, dst, src, reads))
+            for read in reads if src is None else [src, *reads]:
+                adj[read].append(dst)
+
         self._building_edges = True
         try:
-            for gate, assign in self.drivers:
-                dst = vertex(assign.dst)
-                src = None if isinstance(assign.src, ConstPort) else vertex(assign.src)
-                reads = guard_reads.get(assign.guard)
-                if reads is None:
-                    ports = [ref for ref in assign.guard.ports() if not isinstance(ref, ConstPort)]
-                    reads = guard_reads[assign.guard] = [vertex(ref) for ref in ports]
-                wires.append((gate, assign, dst, src, reads))
-                for read in reads if src is None else [src, *reads]:
-                    adj[read].append(dst)
             for cell in self.comp.cells.values():
                 for i, o, definite in self._cell_paths(cell):
-                    src, dst = vertex(CellPort(cell.name, i)), vertex(CellPort(cell.name, o))
+                    src = vertex(self.facts(CellPort(cell.name, i)))
+                    dst = vertex(self.facts(CellPort(cell.name, o)))
                     adj[src].append(dst)
                     paths.append((src, dst, definite))
         finally:

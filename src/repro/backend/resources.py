@@ -36,15 +36,17 @@ def _is_operator(guard: Guard, children: Tuple[bool, ...]) -> bool:
 
 
 def component_resources(
-    program: Program,
+    netlists: Netlists,
     comp: Component,
     _cache: Dict[str, Resources],
 ) -> Resources:
-    """Resources of one component including its subcomponents."""
+    """Resources of one component including its subcomponents; the
+    components of one estimate share ``netlists``."""
     if comp.name in _cache:
         return _cache[comp.name]
+    program = netlists.program
     total = Resources()
-    net = Netlists(program).of(comp)
+    net = netlists.of(comp)
 
     # 1. Cells.
     for cell in comp.cells.values():
@@ -53,7 +55,7 @@ def component_resources(
             continue
         sub = program.find_component(cell.comp_name)
         if sub is not None:
-            total = total.add(component_resources(program, sub, _cache))
+            total = total.add(component_resources(netlists, sub, _cache))
         # extern cells without bodies are not charged (black-box RTL).
 
     # 2. Multiplexing: every port with >1 driver pays (n-1) 2:1 muxes.
@@ -78,7 +80,7 @@ def component_resources(
 def estimate_resources(program: Program, entrypoint: str = None) -> Resources:
     """Estimate resources of the design rooted at the entry component."""
     comp = program.get_component(entrypoint or program.entrypoint)
-    return component_resources(program, comp, {})
+    return component_resources(Netlists(program), comp, {})
 
 
 def count_register_cells(program: Program, entrypoint: str = None) -> int:

@@ -6,15 +6,16 @@ reason over every valuation of the guard's atomic predicates treated as
 independent booleans; since the feasible valuations are a subset of all
 independent valuations, a "always true"/"never true" verdict is sound
 (though incomplete — correlated atoms like ``x == 1`` and ``x == 2`` may
-hide additional contradictions). The valuations are evaluated together:
-bit ``k`` of an int is the guard's value under valuation ``k``, so one
-walk of the guard DAG computes its whole truth table. Constants follow
-the simulator's reading: any nonzero value is true.
+hide additional contradictions). A conjunction of literals is decided by
+its atoms' polarities. Any other guard's valuations are evaluated
+together: bit ``k`` of an int is the guard's value under valuation
+``k``, so one walk of the guard DAG computes its whole truth table.
+Constants follow the simulator's reading: any nonzero value is true.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.analysis.latency import control_latency, structural_group_latency
 from repro.analysis.live_groups import live_group_names
@@ -78,26 +79,22 @@ def _cmp_atom(guard: CmpGuard) -> Tuple[Optional[Atom], bool, Optional[bool]]:
     return ("lt", rkey, lkey), False, None
 
 
+#: A literal: ``(atom, polarity)``; a constant is ``(None, its value)``.
+Literal = Tuple[Optional[Atom], bool]
+
 _NO_ATOMS: FrozenSet[Atom] = frozenset()
 
 
-def _atoms(guard: Guard, children: Tuple[FrozenSet[Atom], ...]) -> FrozenSet[Atom]:
-    """The :func:`fold` visit collecting a guard's canonical atoms."""
-    if children:
-        return children[0] | children[1] if len(children) == 2 else children[0]
-    if isinstance(guard, PortGuard):
-        if not isinstance(guard.port, ConstPort):
-            return frozenset((("port", guard.port.to_string()),))
-    elif isinstance(guard, CmpGuard):
-        atom, _, _ = _cmp_atom(guard)
-        if atom is not None:
-            return frozenset((atom,))
-    return _NO_ATOMS
-
-
-def guard_atoms(guard: Guard, memo: Dict[Guard, FrozenSet[Atom]]) -> FrozenSet[Atom]:
-    """The guard's canonical atoms; ``memo`` is the :func:`fold` memo."""
-    return fold(guard, _atoms, memo)
+def _literal(leaf: Guard) -> Literal:
+    """A leaf guard (true, a port, a comparison) as a literal."""
+    if isinstance(leaf, CmpGuard):
+        atom, polarity, constant = _cmp_atom(leaf)
+        return (atom, polarity) if atom is not None else (None, constant)
+    if isinstance(leaf, PortGuard):
+        if isinstance(leaf.port, ConstPort):
+            return None, leaf.port.value != 0
+        return ("port", leaf.port.to_string()), True
+    return None, True
 
 
 def _column(k: int, full: int) -> int:
@@ -115,11 +112,12 @@ def _truth_table(
     guard: Guard,
     columns: Dict[Atom, int],
     full: int,
+    literal: Callable[[Guard], Literal] = _literal,
 ) -> int:
     """The guard's value under every valuation, one bit per valuation.
 
     One :func:`fold` under the same ``columns`` evaluates a shared
-    sub-guard once.
+    sub-guard once; ``literal`` reads a leaf.
     """
 
     def visit(node: Guard, tables: Tuple[int, ...]) -> int:
@@ -129,42 +127,79 @@ def _truth_table(
             return tables[0] & tables[1]
         if isinstance(node, OrGuard):
             return tables[0] | tables[1]
-        if isinstance(node, CmpGuard):
-            atom, polarity, constant = _cmp_atom(node)
-            if atom is None:
-                return full if constant else 0
-            return columns[atom] if polarity else full ^ columns[atom]
-        if isinstance(node, PortGuard):
-            if isinstance(node.port, ConstPort):
-                return full if node.port.value != 0 else 0
-            return columns[("port", node.port.to_string())]
-        return full
+        atom, polarity = literal(node)
+        if atom is None:
+            return full if polarity else 0
+        return columns[atom] if polarity else full ^ columns[atom]
 
     return fold(guard, visit, {})
 
 
-def classify_guard(
-    guard: Guard, atom_memo: Optional[Dict[Guard, FrozenSet[Atom]]] = None
-) -> Optional[str]:
+class GuardLogic:
+    """Classifies guards, sharing the work between the guards of one
+    component: each leaf is read as a literal once, and each node's atoms
+    and, for a conjunction of literals, its literals are folded once."""
+
+    __slots__ = ("_literals", "_folded")
+
+    def __init__(self) -> None:
+        #: Each leaf's literal, read when the fold first meets it.
+        self._literals: Dict[Guard, Literal] = {}
+        #: Each node's ``(atoms, literals)``; the literals are ``None``
+        #: unless the node is a conjunction of literals.
+        self._folded: Dict[Guard, Tuple[FrozenSet[Atom], Optional[FrozenSet[Literal]]]] = {}
+
+    def _visit(self, node: Guard, children: tuple):
+        """The :func:`fold` visit: a node's atoms and conjunction literals."""
+        if not children:
+            lit = self._literals[node] = _literal(node)
+            return (_NO_ATOMS if lit[0] is None else frozenset((lit[0],))), frozenset((lit,))
+        if len(children) == 1:  # a negation, a literal only over a leaf
+            atoms, lits = children[0]
+            if node.inner.children:
+                return atoms, None
+            ((atom, polarity),) = lits
+            return atoms, frozenset(((atom, not polarity),))
+        (left, left_lits), (right, right_lits) = children
+        if isinstance(node, AndGuard) and left_lits is not None and right_lits is not None:
+            return left | right, left_lits | right_lits
+        return left | right, None
+
+    def atoms(self, guard: Guard) -> FrozenSet[Atom]:
+        """The guard's canonical atoms."""
+        return fold(guard, self._visit, self._folded)[0]
+
+    def classify(self, guard: Guard) -> Optional[str]:
+        """See :func:`classify_guard`."""
+        if isinstance(guard, TrueGuard):
+            return None
+        atoms, lits = fold(guard, self._visit, self._folded)
+        if not atoms or len(atoms) > MAX_GUARD_ATOMS:
+            return None
+        if lits is not None:
+            # A conjunction of literals is never true under every valuation.
+            # It is false under every one exactly when, a true literal aside,
+            # it has more literals than atoms: some atom occurs with both
+            # polarities, or some literal folds to false.
+            return "contradiction" if len(lits) - ((None, True) in lits) > len(atoms) else None
+        full = (1 << (1 << len(atoms))) - 1
+        columns = {atom: _column(k, full) for k, atom in enumerate(atoms)}
+        table = _truth_table(guard, columns, full, self._literals.__getitem__)
+        if table == full:
+            return "tautology"
+        return "contradiction" if table == 0 else None
+
+
+def classify_guard(guard: Guard, logic: Optional[GuardLogic] = None) -> Optional[str]:
     """``"tautology"``, ``"contradiction"``, or None (contingent/unknown).
 
     Unconditional (:class:`TrueGuard`) and atom-free guards are skipped:
     a bare ``1`` is normal style, and ``!1`` is the printer's deliberate
     never-guard. Guards with too many atoms are skipped rather than
-    sampled, so a verdict is always sound. ``atom_memo`` is
-    :func:`guard_atoms`'s memo, which the guards of one component share.
+    sampled, so a verdict is always sound. ``logic`` holds the work
+    shared with other guards, those of one component.
     """
-    if isinstance(guard, TrueGuard):
-        return None
-    atoms = guard_atoms(guard, {} if atom_memo is None else atom_memo)
-    if not atoms or len(atoms) > MAX_GUARD_ATOMS:
-        return None
-    full = (1 << (1 << len(atoms))) - 1
-    columns = {atom: _column(k, full) for k, atom in enumerate(atoms)}
-    table = _truth_table(guard, columns, full)
-    if table == full:
-        return "tautology"
-    return "contradiction" if table == 0 else None
+    return (logic or GuardLogic()).classify(guard)
 
 
 @register_rule
@@ -175,39 +210,29 @@ class GuardLogicRule(LintRule):
     description = "a guard is always true (redundant) or never true (dead)"
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
-        comp = net.comp
         verdicts: Dict[Guard, Optional[str]] = {}
-        atom_memo: Dict[Guard, FrozenSet[Atom]] = {}
-        for group, assign in comp.all_assignments():
+        logic = GuardLogic()
+        for group, assign, _, _, _ in net.wires:
             guard = assign.guard
             if guard not in verdicts:
-                verdicts[guard] = classify_guard(guard, atom_memo)
+                verdicts[guard] = logic.classify(guard)
             verdict = verdicts[guard]
             if verdict is None:
                 continue
-            group_name = group.name if group is not None else None
-            if verdict == "tautology":
-                report.add(
-                    self.diag(
-                        f"guard `{assign.guard.to_string()}` is always "
-                        f"true; write an unconditional assignment",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                        rule="guard-tautology",
-                    )
+            message = f"guard `{guard.to_string()}` " + (
+                "is always true; write an unconditional assignment"
+                if verdict == "tautology"
+                else f"can never be true; assignment {assign.to_string()} is dead"
+            )
+            report.add(
+                self.diag(
+                    message,
+                    component=net.comp.name,
+                    group=group,
+                    span=assign.span,
+                    rule=f"guard-{verdict}",
                 )
-            else:
-                report.add(
-                    self.diag(
-                        f"guard `{assign.guard.to_string()}` can never be "
-                        f"true; assignment {assign.to_string()} is dead",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                        rule="guard-contradiction",
-                    )
-                )
+            )
 
 
 # -- latency claims --------------------------------------------------------

@@ -7,7 +7,8 @@ class, so registration order below mirrors the validator's historical
 check order — signature, cells, groups, continuous assignments, control.
 
 Every rule reads the component's :class:`~repro.analysis.netlist.Netlist`:
-its port table resolves references, and multiple-driver checking reads
+the assignment rules loop over its records (``net.wires``), which carry
+each port's and each guard's facts, worked out once; multiple-driver checking reads
 its driver races, which engine construction checks as well: two
 unconditional drivers of one port conflict when they live in the same
 activation scope — the same group, or both always-active. Identical duplicate connections are
@@ -17,31 +18,29 @@ also what engine construction tolerates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Optional
 
-from repro.analysis.netlist import Netlist, Unresolved
+from repro.analysis.netlist import Netlist
 from repro.errors import (
     MultipleDriverError,
     UndefinedError,
     ValidationError,
     WidthError,
 )
-from repro.ir.ast import CellPort, HolePort, ThisPort
+from repro.ir.ast import HolePort
 from repro.ir.control import Enable, If, Invoke, While
-from repro.ir.guards import CmpGuard, Guard, PortGuard, fold
-from repro.ir.ports import DONE, GO, PortRef
+from repro.ir.ports import DONE, GO
 from repro.ir.types import Direction
 from repro.lint.diagnostics import WARNING, Diagnostic, LintReport
 from repro.lint.registry import LintRule, register_rule
 
-def _assignments(net: Netlist):
-    """Yield ``(context, group_name, assignment)`` over groups + continuous."""
-    comp = net.comp
-    for group in comp.groups.values():
-        for assign in group.assignments:
-            yield f"group {group.name!r}", group.name, assign
-    for assign in comp.continuous:
-        yield "continuous assignments", None, assign
+
+def _at(rule: LintRule, net: Netlist, group: Optional[str], assign, message: str, cell=None):
+    """``rule``'s finding at an assignment of ``group`` (``None``: continuous)."""
+    where = "continuous assignments" if group is None else f"group {group!r}"
+    return rule.diag(
+        f"{where}: {message}", component=net.comp.name, group=group, cell=cell, span=assign.span
+    )
 
 
 @register_rule
@@ -86,49 +85,22 @@ class UnknownNameRule(LintRule):
                     )
                 )
 
-        # A guard's findings depend only on the guard and on whether it sits
-        # in a group, so each distinct guard is checked once per scope kind.
-        guard_problems: Dict[Tuple[Guard, bool], Tuple[Unresolved, ...]] = {}
-        for context, group_name, assign in _assignments(net):
-            in_group = group_name is not None
-            key = (assign.guard, in_group)
-            in_guard = guard_problems.get(key)
-            if in_guard is None:
-                in_guard = guard_problems[key] = self._problems(
-                    net, assign.guard.ports(), in_group
-                )
-            problems = self._problems(net, (assign.dst, assign.src), in_group)
-            for message, cell in problems + in_guard:
-                report.add(
-                    self.diag(
-                        f"{context}: {message}",
-                        component=comp.name,
-                        group=group_name,
-                        cell=cell,
-                        span=assign.span,
-                    )
-                )
+        for group, assign, dst, src, guard in net.wires:
+            if dst.unresolved is None and src.unresolved is None and not guard.unresolved:
+                continue
+            for port in (dst, src, *guard.unresolved):
+                # A port of an unresolvable cell has no message: the cell's own
+                # failure was reported above. Hole existence only matters inside
+                # groups; holes in continuous assignments are categorically
+                # rejected by `continuous-hole`.
+                reason = port.unresolved
+                if reason is None or reason.message is None:
+                    continue
+                if group is None and port.ref.__class__ is HolePort:
+                    continue
+                report.add(_at(self, net, group, assign, reason.message, reason.cell))
 
         self._check_control(net, report)
-
-    def _problems(
-        self, net: Netlist, refs: Iterable[PortRef], in_group: bool
-    ) -> Tuple[Unresolved, ...]:
-        """Why each reference does not resolve, for those with a reason."""
-        found = []
-        for ref in refs:
-            if isinstance(ref, HolePort):
-                # Hole existence only matters inside groups; holes in continuous
-                # assignments are categorically rejected by `continuous-hole`.
-                if in_group and ref.group not in net.comp.groups:
-                    found.append(Unresolved(f"hole {ref.to_string()} names an undefined group"))
-            elif isinstance(ref, (ThisPort, CellPort)):
-                entry = net.port(ref)
-                # A port of an unresolvable cell has no message: the cell's own
-                # failure was reported above.
-                if entry.__class__ is Unresolved and entry.message is not None:
-                    found.append(entry)
-        return tuple(found)
 
     def _check_control(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
@@ -152,7 +124,7 @@ class UnknownNameRule(LintRule):
                             span=node.span,
                         )
                     )
-                if not net.resolvable(node.port):
+                if net.facts(node.port).unresolved is not None:
                     report.add(
                         self.diag(
                             f"condition port {node.port.to_string()} does "
@@ -181,36 +153,15 @@ class PortDirectionRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-        bad_guard_ports: Dict[Guard, Tuple[PortRef, ...]] = {}
-        for context, group_name, assign in _assignments(net):
-            if net.is_writable(assign.dst) is False:
-                report.add(self._unwritable(net, context, group_name, assign))
-            if net.is_readable(assign.src) is False:
-                report.add(
-                    self.diag(
-                        f"{context}: {assign.src.to_string()} is not a "
-                        f"readable port",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
-            guard = assign.guard
-            unreadable = bad_guard_ports.get(guard)
-            if unreadable is None:
-                unreadable = bad_guard_ports[guard] = tuple(
-                    ref for ref in guard.ports() if net.is_readable(ref) is False
-                )
-            for ref in unreadable:
-                report.add(
-                    self.diag(
-                        f"{context}: guard operand {ref.to_string()} is "
-                        f"not a readable port",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
+        for group, assign, dst, src, guard in net.wires:
+            if dst.writable is False:
+                report.add(self._unwritable(net, group, assign))
+            if src.readable is False:
+                message = f"{assign.src.to_string()} is not a readable port"
+                report.add(_at(self, net, group, assign, message))
+            for port in guard.unreadable:
+                message = f"guard operand {port.ref.to_string()} is not a readable port"
+                report.add(_at(self, net, group, assign, message))
         for node in net.control:
             if isinstance(node, (If, While)):
                 if net.is_readable(node.port) is False:
@@ -223,22 +174,16 @@ class PortDirectionRule(LintRule):
                         )
                     )
 
-
-    def _unwritable(self, net: Netlist, context: str, group_name, assign) -> Diagnostic:
-        return self.diag(
-            f"{context}: {assign.dst.to_string()} is not a writable port",
-            component=net.comp.name,
-            group=group_name,
-            span=assign.span,
-        )
+    def _unwritable(self, net: Netlist, group: Optional[str], assign) -> Diagnostic:
+        return _at(self, net, group, assign, f"{assign.dst.to_string()} is not a writable port")
 
     def unwritable_error(self, net: Netlist) -> ValidationError:
         """The error this rule raises for ``net``'s first assignment to a
         port that is not writable; the simulator refuses such a netlist."""
-        context, group_name, assign = next(
-            entry for entry in _assignments(net) if net.is_writable(entry[2].dst) is False
+        group, assign = next(
+            (group, assign) for group, assign, dst, _, _ in net.wires if dst.writable is False
         )
-        return self.exception(self._unwritable(net, context, group_name, assign).format())
+        return self.exception(self._unwritable(net, group, assign).format())
 
 
 @register_rule
@@ -249,22 +194,10 @@ class WidthMismatchRule(LintRule):
     description = "assignment or invoke-binding source/destination widths differ"
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
-        comp = net.comp
-        for context, group_name, assign in _assignments(net):
-            dst_width = net.width(assign.dst)
-            src_width = net.width(assign.src)
-            if dst_width is None or src_width is None:
-                continue
-            if dst_width != src_width:
-                report.add(
-                    self.diag(
-                        f"{context}: width mismatch in {assign.to_string()} "
-                        f"({dst_width} vs {src_width})",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
+        for group, assign, dst, src, _ in net.wires:
+            if dst.width is not None and src.width is not None and dst.width != src.width:
+                message = f"width mismatch in {assign.to_string()} ({dst.width} vs {src.width})"
+                report.add(_at(self, net, group, assign, message))
 
 
 @register_rule
@@ -276,36 +209,9 @@ class GuardWidthRule(LintRule):
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
         comp = net.comp
-
-        def visit(guard: Guard, found: Tuple[Tuple[str, ...], ...]) -> Tuple[str, ...]:
-            """One message per bad operand occurrence, in tree order."""
-            if found:
-                return found[0] + found[1] if len(found) == 2 else found[0]
-            if isinstance(guard, PortGuard):
-                width = net.width(guard.port)
-                if width is not None and width != 1:
-                    return (f"guard port {guard.port.to_string()} must be 1 bit, is {width}",)
-            elif isinstance(guard, CmpGuard):
-                left = net.width(guard.left)
-                right = net.width(guard.right)
-                if left is not None and right is not None and left != right:
-                    return (
-                        f"comparison width mismatch in {guard.to_string()} "
-                        f"({left} vs {right})",
-                    )
-            return ()
-
-        findings: Dict[Guard, Tuple[str, ...]] = {}
-        for context, group_name, assign in _assignments(net):
-            for finding in fold(assign.guard, visit, findings):
-                report.add(
-                    self.diag(
-                        f"{context}: {finding}",
-                        component=comp.name,
-                        group=group_name,
-                        span=assign.span,
-                    )
-                )
+        for group, assign, _, _, guard in net.wires:
+            for finding in guard.widths:
+                report.add(_at(self, net, group, assign, finding))
         for node in net.control:
             if isinstance(node, (If, While)):
                 width = net.width(node.port)
@@ -394,14 +300,10 @@ class ContinuousHoleRule(LintRule):
     description = "a continuous assignment references group holes"
 
     def check_component(self, net: Netlist, report: LintReport) -> None:
-        guard_holes: Dict[Guard, bool] = {}
-        for assign in net.comp.continuous:
-            holes = guard_holes.get(assign.guard)
-            if holes is None:
-                holes = guard_holes[assign.guard] = any(
-                    isinstance(ref, HolePort) for ref in assign.guard.ports()
-                )
-            if holes or isinstance(assign.dst, HolePort) or isinstance(assign.src, HolePort):
+        for group, assign, _, _, guard in net.wires:
+            if group is not None:
+                continue
+            if guard.holes or isinstance(assign.dst, HolePort) or isinstance(assign.src, HolePort):
                 report.add(
                     self.diag(
                         f"continuous assignment {assign.to_string()} may not "
@@ -470,47 +372,35 @@ class InvokeBindingRule(LintRule):
                         span=node.span,
                     )
                 )
-            for key, src in node.in_binds.items():
-                if key not in sig or sig[key].direction is not Direction.INPUT:
-                    report.add(
-                        self.diag(
-                            f"invoke binds unknown input {key!r} of cell "
-                            f"{node.cell!r}",
-                            component=comp.name,
-                            cell=node.cell,
-                            span=node.span,
+            for kind, direction, binds in (
+                ("input", Direction.INPUT, node.in_binds),
+                ("output", Direction.OUTPUT, node.out_binds),
+            ):
+                for key, ref in binds.items():
+                    port = sig.get(key)
+                    if port is None or port.direction is not direction:
+                        report.add(
+                            self.diag(
+                                f"invoke binds unknown {kind} {key!r} of cell {node.cell!r}",
+                                component=comp.name,
+                                cell=node.cell,
+                                span=node.span,
+                            )
                         )
-                    )
-                    continue
-                self._check_width(net, report, node, key, sig[key].width, src)
-            for key, dst in node.out_binds.items():
-                if key not in sig or sig[key].direction is not Direction.OUTPUT:
-                    report.add(
-                        self.diag(
-                            f"invoke binds unknown output {key!r} of cell "
-                            f"{node.cell!r}",
-                            component=comp.name,
-                            cell=node.cell,
-                            span=node.span,
+                        continue
+                    width = net.width(ref)
+                    if width is not None and width != port.width:
+                        report.add(
+                            self.diag(
+                                f"invoke binding {key!r} of cell {node.cell!r} has "
+                                f"width {port.width}, bound to {ref.to_string()} of "
+                                f"width {width}",
+                                component=comp.name,
+                                cell=node.cell,
+                                span=node.span,
+                                rule="width-mismatch",
+                            )
                         )
-                    )
-                    continue
-                self._check_width(net, report, node, key, sig[key].width, dst)
-
-    def _check_width(self, net, report, node, key, port_width, ref) -> None:
-        bound = net.width(ref)
-        if bound is not None and bound != port_width:
-            report.add(
-                self.diag(
-                    f"invoke binding {key!r} of cell {node.cell!r} has "
-                    f"width {port_width}, bound to {ref.to_string()} of "
-                    f"width {bound}",
-                    component=net.comp.name,
-                    cell=node.cell,
-                    span=node.span,
-                    rule="width-mismatch",
-                )
-            )
 
 
 @register_rule

@@ -7,7 +7,7 @@ ablations toggle individual optimizations for Figures 7 and 9.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CalyxError, PassError
 from repro.ir.ast import Program
@@ -134,8 +134,19 @@ def compile_pipelines(
         except PassError as exc:
             results[name] = exc
 
-    def grow(program: Program, members: List[str], depth: int) -> None:
-        # ``members`` have run the passes before ``depth``, which they share.
+    # Each entry: the program a part of the trie starts from, whether it runs
+    # on a copy, the pipelines it holds and how many passes they share. A
+    # stack, not recursion, whose nested function would refer to itself and
+    # leave every program of the trie to the cyclic collector.
+    work: List[Tuple[Program, bool, List[str], int]] = []
+    if passes:
+        work.append((program, False, list(passes), 0))
+    while work:
+        source, copy, members, depth = work.pop()
+        program = source.copy() if copy else source
+        if len(members) == 1 and len(passes[members[0]]) == depth:
+            results[members[0]] = program
+            continue
         first = passes[members[0]]
         stop = depth
         while stop < len(first) and all(
@@ -148,8 +159,9 @@ def compile_pipelines(
                     program, start=depth
                 )
             except CalyxError as exc:
-                results.update(dict.fromkeys(members, exc))
-                return
+                # Without its traceback, whose frames hold the program.
+                results.update(dict.fromkeys(members, exc.with_traceback(None)))
+                continue
         # Where the pipelines part: each one that ends here, then each branch.
         parts = [[name] for name in members if len(passes[name]) == stop]
         branches: Dict[str, List[str]] = {}
@@ -157,13 +169,8 @@ def compile_pipelines(
             if len(passes[name]) > stop:
                 branches.setdefault(passes[name][stop], []).append(name)
         parts += branches.values()
-        for i, part in enumerate(parts):
-            target = program if i == len(parts) - 1 else program.copy()
-            if len(passes[part[0]]) == stop:
-                results[part[0]] = target
-            else:
-                grow(target, part, stop)
-
-    if passes:
-        grow(program, list(passes), 0)
+        # Popped in order, so each copy is taken before the last part, which
+        # runs on the program itself, changes it.
+        for i in reversed(range(len(parts))):
+            work.append((program, i < len(parts) - 1, parts[i], stop))
     return {name: results[name] for name in names}

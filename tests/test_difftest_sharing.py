@@ -15,6 +15,7 @@ widen it.
 
 from __future__ import annotations
 
+import gc
 import os
 from pathlib import Path
 
@@ -292,3 +293,39 @@ def test_work_counters(example, monkeypatch):
     program = parse_program((EXAMPLES / example).read_text())
     assert difftest_program(program).ok
     assert (counts["builds"], counts["passes"]) == WORK[example]
+
+
+def _cyclic_garbage(run):
+    """The kinds of object ``run()`` leaves for the cyclic collector."""
+    enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return sorted({type(obj).__name__ for obj in gc.garbage[kept:]})
+    finally:
+        del gc.garbage[kept:]
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+
+
+def test_an_oracle_run_is_freed_by_refcount():
+    """No program of the pass trie, nor anything else of one oracle call,
+    waits for the cyclic collector."""
+    program, memories = _example("dot_product.futil")
+    assert _cyclic_garbage(lambda: difftest_program(program, memories)) == []
+
+
+def test_a_failing_pipeline_is_freed_by_refcount(monkeypatch):
+    """A failing pass's error is kept without the frames that raised it."""
+    for name, passes in BROKEN_PIPELINES.items():
+        monkeypatch.setitem(PIPELINES, name, passes)
+    program, _ = _example("sum_loop.futil")
+    names = list(BROKEN_PIPELINES)
+    results = {}
+    run = lambda: results.update(compile_pipelines(program, names, checked=True))  # noqa: E731
+    assert _cyclic_garbage(run) == []
+    assert isinstance(results["test-break-late"], PassDiagnostic)

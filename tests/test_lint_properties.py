@@ -33,11 +33,11 @@ from repro.ir.guards import (
 from repro.ir.ports import CellPort, ConstPort
 from repro.lint.rules_semantic import (
     MAX_GUARD_ATOMS,
+    GuardLogic,
     _cmp_atom,
     _column,
     _truth_table,
     classify_guard,
-    guard_atoms,
 )
 from repro.passes.guard_simplify import simplify_guard
 from repro.sim.model import eval_guard
@@ -128,7 +128,7 @@ def reference_classify(guard: Guard):
     """``classify_guard`` by evaluating the guard once per valuation."""
     if isinstance(guard, TrueGuard):
         return None
-    atoms = guard_atoms(guard, {})
+    atoms = GuardLogic().atoms(guard)
     if not atoms or len(atoms) > MAX_GUARD_ATOMS:
         return None
     rows = set(reference_rows(guard, sorted(atoms)))
@@ -184,7 +184,7 @@ def test_classify_guard_is_stable_under_simplification(guard):
 @settings(max_examples=300, deadline=None)
 def test_classify_guard_matches_per_valuation_reference(guard):
     assert classify_guard(guard) == reference_classify(guard)
-    atoms = guard_atoms(guard, {})
+    atoms = GuardLogic().atoms(guard)
     if len(atoms) <= MAX_GUARD_ATOMS:
         # Every row of the bit-parallel table, not only the verdict.
         ordered = sorted(atoms)
@@ -237,3 +237,41 @@ def test_known_verdicts():
     ge = CmpGuard(">=", _PORTS[0], _PORTS[1])
     assert classify_guard(OrGuard(lt, ge)) == "tautology"
     assert classify_guard(AndGuard(lt, ge)) == "contradiction"
+
+
+@st.composite
+def conjunctions(draw) -> Guard:
+    """Conjunctions of literals: leaves (constants among them) and negated
+    leaves over a pool small enough that an atom recurs, with either
+    polarity and in either comparison spelling, and sometimes wider than
+    the atom cap."""
+    pool = _WIDE_PORTS[: draw(st.sampled_from([2, 4, 12]))]
+
+    def leaf(draw_one) -> Guard:
+        kind = draw_one(st.sampled_from(["port", "cmp", "const-cmp", "const", "true"]))
+        if kind == "port":
+            return PortGuard(draw_one(st.sampled_from(pool)))
+        if kind == "cmp":
+            op = draw_one(st.sampled_from(["==", "!=", "<", ">", "<=", ">="]))
+            left, right = draw_one(st.permutations(pool))[:2]
+            return CmpGuard(op, left, right)
+        if kind == "const-cmp":
+            op = draw_one(st.sampled_from(["==", "!=", "<", ">", "<=", ">="]))
+            return CmpGuard(op, ConstPort(2, draw_one(st.integers(0, 2))), ConstPort(2, 1))
+        if kind == "const":
+            return PortGuard(ConstPort(1, draw_one(st.integers(0, 1))))
+        return G_TRUE
+
+    parts = []
+    for _ in range(draw(st.integers(1, 14))):
+        part = leaf(draw)
+        parts.append(NotGuard(part) if draw(st.booleans()) else part)
+    return _conjunction(parts)
+
+
+@given(conjunctions())
+@settings(max_examples=400, deadline=None)
+def test_conjunction_verdicts_match_the_per_valuation_reference(guard):
+    """A conjunction of literals is classified by atom polarity, without a
+    truth table; its verdict is the one the rows give."""
+    assert classify_guard(guard) == reference_classify(guard)
