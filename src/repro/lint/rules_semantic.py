@@ -190,16 +190,16 @@ class GuardLogic:
         return "contradiction" if table == 0 else None
 
 
-def classify_guard(guard: Guard, logic: Optional[GuardLogic] = None) -> Optional[str]:
+def classify_guard(guard: Guard) -> Optional[str]:
     """``"tautology"``, ``"contradiction"``, or None (contingent/unknown).
 
     Unconditional (:class:`TrueGuard`) and atom-free guards are skipped:
     a bare ``1`` is normal style, and ``!1`` is the printer's deliberate
     never-guard. Guards with too many atoms are skipped rather than
-    sampled, so a verdict is always sound. ``logic`` holds the work
-    shared with other guards, those of one component.
+    sampled, so a verdict is always sound. A :class:`GuardLogic` shares
+    the work between the guards of one component.
     """
-    return (logic or GuardLogic()).classify(guard)
+    return GuardLogic().classify(guard)
 
 
 @register_rule

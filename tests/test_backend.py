@@ -219,12 +219,16 @@ def test_resource_guard_count_matches_structural_reference(name):
 #: LUTs by category). A change to how the estimate reads the netlists
 #: must leave every figure unchanged.
 RESOURCE_TOTALS = {
-    "branch_max.futil": (102.0, 76, 0, 0, {"cmp": 17.0, "guards": 43.0, "lutram": 2.0, "mux": 40.0}),
+    "branch_max.futil": (
+        102.0, 76, 0, 0, {"cmp": 17.0, "guards": 43.0, "lutram": 2.0, "mux": 40.0}
+    ),
     "dot_product.futil": (
         181.0, 111, 4, 0,
         {"arith": 34.0, "cmp": 17.0, "dsp": 20.0, "guards": 42.0, "lutram": 5.0, "mux": 63.0},
     ),
-    "par_reduce.futil": (175.0, 81, 0, 0, {"arith": 72.0, "guards": 24.0, "lutram": 3.0, "mux": 76.0}),
+    "par_reduce.futil": (
+        175.0, 81, 0, 0, {"arith": 72.0, "guards": 24.0, "lutram": 3.0, "mux": 76.0}
+    ),
     "sum_loop.futil": (
         157.0, 76, 0, 0, {"arith": 34.0, "cmp": 17.0, "guards": 40.0, "lutram": 2.0, "mux": 64.0}
     ),
