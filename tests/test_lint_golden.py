@@ -105,28 +105,39 @@ def test_lint_and_validation_match_golden(request):
     )
 
 
-def _rule_by_rule(program: Program) -> List[List[object]]:
-    """The full report rebuilt from one ``lint_program`` call per rule: per
+def _rule_by_rule(program: Program) -> Tuple[List[List[object]], List[List[object]]]:
+    """The full report rebuilt twice: from one ``lint_program`` call per
+    rule, and from one call running the rules in reverse order, cut into
+    each rule's part by the sizes the lone calls give. A report lists, per
     component, each rule's findings there in rule order, then each
     program-level rule's findings."""
     rules = all_rules()
     alone = {id(rule): list(lint_program(program, rules=[rule])) for rule in rules}
     by_component = [rule for rule in rules if type(rule).check_program is LintRule.check_program]
-    rebuilt = [
-        d
+    blocks = [
+        [[d for d in alone[id(rule)] if d.component == comp.name] for rule in by_component]
         for comp in program.components
-        for rule in by_component
-        for d in alone[id(rule)]
-        if d.component == comp.name
     ]
-    rebuilt += [d for rule in rules if rule not in by_component for d in alone[id(rule)]]
-    return _pinned(rebuilt)
+    blocks.append([alone[id(rule)] for rule in rules if rule not in by_component])
+    # The reversed call reports each block's parts in reverse order.
+    backward = iter(lint_program(program, rules=rules[::-1]))
+    undone = []
+    for block in blocks:
+        undone += reversed([[next(backward) for _ in part] for part in reversed(block)])
+    undone.append(list(backward))
+    return (
+        _pinned(d for block in blocks for part in block for d in part),
+        _pinned(d for part in undone for d in part),
+    )
 
 
-def test_each_rule_alone_reports_its_part_of_the_full_report():
-    differing = [
-        key
-        for key, program in _programs()
-        if _rule_by_rule(program) != _pinned(lint_program(program))
-    ]
-    assert not differing, f"a rule run alone reports differently at: {', '.join(differing)}"
+def test_each_rule_reports_its_part_whatever_ran_before_it():
+    """Each rule run alone, and all of them in reverse order, report what
+    each contributes to the full report, in the same order."""
+    differing = []
+    for key, program in _programs():
+        full = _pinned(lint_program(program))
+        alone, backward = _rule_by_rule(program)
+        if alone != full or backward != full:
+            differing.append(key)
+    assert not differing, f"a rule's report depends on the rules before it at: {differing}"
