@@ -307,9 +307,9 @@ def difftest_program(
     :func:`~repro.robustness.faultinject.inject_ir_fault` with a fixed seed
     is; a :class:`CalyxError` it raises is every pipeline's outcome.
 
-    ``engine`` selects the settle strategy for *both* executions, so the
+    ``engine`` selects the simulation engine for *both* executions, so the
     oracle (and the fault-injection self-test built on it) exercises the
-    levelized strategy's error detection exactly as it does the sweep's.
+    levelized engine's error detection exactly as it does the sweep's.
     """
     validate_program(program)
     if memories is None:

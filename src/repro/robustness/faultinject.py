@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.netlist import Netlists
 from repro.ir.ast import CellPort, Program, ThisPort
 from repro.robustness.difftest import DifftestReport, difftest_program
-from repro.sim import ORACLE_ENGINE, ComponentInstance
+from repro.sim import ORACLE_ENGINE, EngineInstance
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +166,10 @@ class NetFault:
             return CellPort(cell, port)
         return ThisPort(self.net)
 
-    def hook(self) -> Callable[[int, ComponentInstance], None]:
+    def hook(self) -> Callable[[int, EngineInstance], None]:
         ref = self._ref()
 
-        def fault_hook(cycle: int, inst: ComponentInstance) -> None:
+        def fault_hook(cycle: int, inst: EngineInstance) -> None:
             if not (self.start <= cycle < self.end):
                 return
             value = inst.nets.get(ref, 0)
@@ -238,8 +238,8 @@ def run_selftest(
     Every fault must be caught by *some* layer; "escaped" records are
     expected only for semantics-preserving mutations (e.g. in dead code)
     and are reported so callers can eyeball the escape rate. ``engine``
-    selects the settle strategy under test, so the classification can be
-    asserted to hold for the levelized strategy as well as the sweep.
+    selects the simulation engine under test, so the classification can be
+    asserted to hold for the levelized engine as well as the sweep.
     """
     records: List[SelfTestRecord] = []
     for seed in seeds:

@@ -13,16 +13,18 @@ fixpoint (the *settle* phase), then stateful primitives latch their inputs
 
 Differential testing between the two modes validates the compiler.
 
-One instance class, :class:`ComponentInstance`, evaluates both, under
-either of two settle strategies named in :data:`ENGINES`: ``sweep``, the
-reference (each nested component an instance of its own, every node to
-fixpoint, each driver's guard evaluated over the slots), and
-``levelized`` (every nested component stamped into one flat netlist, a
-dirty bitmask drained in level order, each distinct guard sub-expression
-one shared node of the netlist).
+Each engine named in :data:`ENGINES` is an instance class over one
+template layer (:mod:`repro.sim.model`): ``sweep``, the reference
+(:class:`~repro.sim.reference.ReferenceInstance`: each nested
+component an instance of its own, every node to fixpoint, each driver's
+guard evaluated over the slots), and ``levelized``
+(:class:`ComponentInstance`: every nested component stamped into one flat
+netlist, a dirty bitmask drained in level order, each distinct guard
+sub-expression one shared node of the netlist). Both derive from
+:class:`EngineInstance`.
 """
 
-from repro.sim.model import ComponentInstance, eval_guard
+from repro.sim.model import ComponentInstance, EngineInstance, eval_guard
 from repro.sim.testbench import (
     Testbench,
     SimulationResult,
@@ -38,6 +40,7 @@ from repro.sim.testbench import (
 
 __all__ = [
     "ComponentInstance",
+    "EngineInstance",
     "eval_guard",
     "Testbench",
     "SimulationResult",

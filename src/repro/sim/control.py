@@ -2,7 +2,7 @@
 
 A :class:`ControlExecutor` runs a component's control tree cycle by
 cycle. It reaches the netlist of its
-:class:`~repro.sim.model.ComponentInstance` only through slots, as
+:class:`~repro.sim.model.EngineInstance` only through slots, as
 control reaches a group only through its ``go`` hole in the paper: each
 state is built with the slot indices it reads (a ``done`` hole, an
 invoked cell's ``done``, a condition port) and the slot it drives (a

@@ -1,8 +1,8 @@
-"""Property-based cross-checking of the two settle strategies.
+"""Property-based cross-checking of the two simulation engines.
 
 A seeded generator of small, well-formed Calyx components — registers,
 adders, comparators, and ``seq``/``par``/``if``/``while`` control — whose
-behavior under the sweep and levelized strategies is compared by the
+behavior under the sweep and levelized engines is compared by the
 differential harness (:mod:`repro.robustness.difftest`): cycle count,
 final register values, and the structural done-net valuation.
 

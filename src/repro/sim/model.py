@@ -1,20 +1,16 @@
-"""The simulation model: one netlist instance class.
+"""The simulation model: the template layer and the flat engine.
 
-A :class:`ComponentInstance` simulates a component and everything it
+An :class:`EngineInstance` simulates a component and everything it
 instantiates. Its cells are primitive models with the protocol
 ``comb(ins) -> outs`` (combinational outputs from inputs) and ``tick(ins)``
 (clock edge), over port values in signature order, each one node of the
 netlist, reading its input slots and writing its output slots.
 
-The clock edge (:meth:`ComponentInstance.step_edge`) steps every control
-executor and ticks the stateful children, but schedules a child's node for
-the next phase only when its ``tick`` did not return ``False``
-(:mod:`repro.stdlib.behaviors`); under ``levelized`` it skips the idle
-tick of a model that declares an ``enable`` port. Input changes need no
-edge report; an
-input with a combinational path to an output is a dependency slot of the
-child node. State written outside ``tick`` is announced with
-:meth:`ComponentInstance.touch`.
+The clock edge (``step_edge``) steps every control executor and ticks the
+stateful children. Input changes need no edge report; an input with a
+combinational path to an output is a dependency slot of the child node.
+State written outside ``tick`` is announced with
+:meth:`EngineInstance.touch`.
 
 Each component definition is compiled once per build into a
 :class:`_Template`, taking its drivers, races, cell signatures and
@@ -29,47 +25,42 @@ dependency inputs from :mod:`repro.analysis.netlist`:
 
 An instance *stamps* its template into a flat value array at a base slot,
 creating the nodes with their slots moved up by that base; the dict-like
-:attr:`~ComponentInstance.nets` view reads and writes the array for the
-testbench, watchdog and fault hooks. A :class:`SettleStrategy`, chosen
-once at construction, decides how nested instances are built and how one
-clock phase evaluates the netlist:
+:attr:`~EngineInstance.nets` view reads and writes the array for the
+testbench, watchdog and fault hooks. Each engine is a subclass of
+:class:`EngineInstance`, with a template class of its own; this module
+holds the flat one, :class:`ComponentInstance` (``levelized``), and
+:mod:`repro.sim.reference` the reference (``sweep``).
 
-* ``levelized`` stamps every nested instance into the root's one array: a
-  cell of another definition is a block of the parent's template, and its
-  port ``p`` is the block's slot of ``this.p``, so the whole design is one
-  netlist. A nested instance is then only a :class:`_Scope`, a view of the
-  array (path, base, template) that ``find``, ``read``, ``state_dump`` and
-  the watchdog's reports read. A port-level dependency graph of the whole
-  design — guard and source reads plus the cells' dependency inputs, a
-  registered output adding no edge — is *levelized* and *ranked* in level
-  order once per build (:func:`~repro.analysis.graph.levelize`). The
-  dirty set is one integer bitmask over ranks, seeded by input changes,
-  clock edges and control executors; a node's fire returns the reader
-  mask of the slots it changed and the drain fires the lowest set bit
-  next. Every distinct guard sub-expression of a definition is one
-  :class:`_GuardNode` writing an unnamed slot, as the hardware shares the
-  wire, so a driver's guard test is one slot read and a shared prefix
-  evaluates once per input change; the comparisons of one slot against
-  several constants are one :class:`_BankNode`, a state decoder. A cell
-  with a registered output read below its rank fires at the edge, before
-  the drain, so an acyclic node fires at most once per drain; genuine
-  combinational cycles fall back to
-  bounded fixpoint iteration inside their SCC, where each resolver
-  evaluates its drivers' whole guards over the slots.
-* ``sweep``, the reference, builds each nested instance as a
-  :class:`ComponentInstance` of its own, a child in the primitive protocol,
-  and fires every node in build order until no slot changes, each driver
-  evaluating its whole guard over the slot array on every sweep, and
-  ticks every stateful child at every edge. It builds no guard nodes,
-  banks or reader masks and uses none of the stamping or the scheduling,
-  so it stays an independent oracle for both.
+:class:`ComponentInstance` stamps every nested instance into the root's
+one array: a cell of another definition is a block of the parent's
+:class:`_FlatTemplate`, and its port ``p`` is the block's slot of
+``this.p``, so the whole design is one netlist. A nested instance is then
+only a :class:`_Scope`, a view of the array (path, base, template) that
+``find``, ``read``, ``state_dump`` and the watchdog's reports read. A
+port-level dependency graph of the whole design — guard and source reads
+plus the cells' dependency inputs, a registered output adding no edge — is
+*levelized* and *ranked* in level order once per build
+(:func:`~repro.analysis.graph.levelize`). The dirty set is one integer
+bitmask over ranks, seeded by input changes, clock edges and control
+executors; a node's fire returns the reader mask of the slots it changed
+and the drain fires the lowest set bit next. Every distinct guard
+sub-expression of a definition is one :class:`_GuardNode` writing an
+unnamed slot, as the hardware shares the wire, so a driver's guard test is
+one slot read and a shared prefix evaluates once per input change; the
+comparisons of one slot against several constants are one
+:class:`_BankNode`, a state decoder. A cell with a registered output read
+below its rank fires at the edge, before the drain, so an acyclic node
+fires at most once per drain, and the edge skips the idle tick of a model
+that declares an ``enable`` port. Genuine combinational cycles fall back
+to bounded fixpoint iteration inside their SCC, where each resolver
+evaluates its drivers' whole guards over the slots.
 
 A guard a resolver evaluates itself is resolved to slots once, at build:
 :func:`_compile_slot_guard` turns the IR guard tree into nested evaluators
 over the slot array, each port a slot index and each constant a literal.
-The strategies take ``!``, ``&`` and ``|`` from separate operator tables,
-``sweep`` from :data:`_SLOT_GUARD_OPS` and ``levelized`` (cyclic SCCs
-only) from :data:`_GUARD_NODE_OPS`, built at import from the guard nodes'
+The engines take ``!``, ``&`` and ``|`` from separate operator tables,
+the reference from its own and the flat engine (cyclic SCCs only) from
+:data:`_GUARD_NODE_OPS`, built at import from the guard nodes'
 :data:`_GUARD_FNS`. The tree walk, the leaves and the comparison builder
 are shared; ``tests/test_engine_equivalence.py`` checks both tables
 against :func:`eval_guard`, which interprets a guard on cold paths only.
@@ -89,18 +80,17 @@ slot per group, read by its ``go`` resolver, a *live* slot per ``invoke``,
 gating the invoke's bindings, and one *finished* slot, read by the done
 node. Its executor node writes the first three, held low while the
 component's ``go`` is, and the edge that moves the executor writes
-finished, so both strategies see them as ordinary nets.
+finished, so both engines see them as ordinary nets.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import MutableMapping
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union,
 )
 
 from repro.analysis.graph import levelize
@@ -219,23 +209,6 @@ def _comparison(fn: Callable[[int, int], bool]) -> Callable[[_Operand, _Operand]
     return build
 
 
-#: The ``sweep`` reference's guard operators: a table of its own, not
-#: :data:`_GUARD_FNS`, so a change to the guard nodes' operators does not
-#: reach the reference. The comparisons share :func:`_comparison`, and
-#: the tree walk :func:`_compile_slot_guard`, with :data:`_GUARD_NODE_OPS`.
-_SLOT_GUARD_OPS: SlotGuardOps = {
-    "!": lambda x: lambda v: not x(v),
-    "&": lambda x, y: lambda v: x(v) and y(v),
-    "|": lambda x, y: lambda v: x(v) or y(v),
-    "==": _comparison(operator.eq),
-    "!=": _comparison(operator.ne),
-    "<": _comparison(operator.lt),
-    ">": _comparison(operator.gt),
-    "<=": _comparison(operator.le),
-    ">=": _comparison(operator.ge),
-}
-
-
 def _guard_node_ops() -> SlotGuardOps:
     """The guard nodes' operators, :data:`_GUARD_FNS`, as slot-guard builders."""
     ops: SlotGuardOps = {op: _comparison(fn) for op, fn in _GUARD_FNS.items()}
@@ -246,9 +219,9 @@ def _guard_node_ops() -> SlotGuardOps:
     return ops
 
 
-#: The levelized strategy compiles the guards of its cyclic SCCs with
-#: these. They hold the :data:`_GUARD_FNS` entries as of import, so a later
-#: change to that dict reaches the guard nodes but not these evaluators.
+#: The flat engine compiles the guards of its cyclic SCCs with these. They
+#: hold the :data:`_GUARD_FNS` entries as of import, so a later change to
+#: that dict reaches the guard nodes but not these evaluators.
 _GUARD_NODE_OPS = _guard_node_ops()
 
 
@@ -299,7 +272,7 @@ class _Driver:
     active). ``guard_slot`` is the slot holding the guard's value when the
     netlist has guard nodes (``None`` when always true). ``guard`` is the
     guard compiled over the slot array for :meth:`_ResolverNode.sweep`
-    (``None`` when always true), set for every resolver a strategy sweeps.
+    (``None`` when always true), set for every resolver an engine sweeps.
     """
 
     __slots__ = ("gate_slot", "guard", "guard_slot", "src_slot", "src_const", "assign")
@@ -407,7 +380,7 @@ class _ResolverNode:
             return self.readers
         return 0
 
-    def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+    def sweep(self, inst: "EngineInstance") -> Tuple[int, ...]:
         """Evaluate with each driver's whole guard over the current slots."""
         v = inst._values
         value = 0
@@ -424,17 +397,6 @@ class _ResolverNode:
                 winner, value = d, val
             elif val != value:
                 self._conflict(winner, value, d, val)
-        return self._commit(inst, value)
-
-    def _conflict(self, winner: _Driver, value: int, d: _Driver, val: int) -> None:
-        raise MultipleDriverError(
-            f"{self.path}: port {d.assign.dst.to_string()} driven "
-            f"to both {value} and {val} by\n  "
-            f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
-        )
-
-    def _commit(self, inst: "ComponentInstance", value: int) -> Tuple[int, ...]:
-        v = inst._values
         if self.force_slot is not None:
             if v[self.force_slot]:
                 value = 1
@@ -444,6 +406,13 @@ class _ResolverNode:
             v[self.slot] = value
             return (self.slot,)
         return ()
+
+    def _conflict(self, winner: _Driver, value: int, d: _Driver, val: int) -> None:
+        raise MultipleDriverError(
+            f"{self.path}: port {d.assign.dst.to_string()} driven "
+            f"to both {value} and {val} by\n  "
+            f"{winner.assign.to_string()}\n  {d.assign.to_string()}"
+        )
 
 
 class _GuardNode:
@@ -569,7 +538,7 @@ class _ChildNode:
                 changed |= readers
         return changed
 
-    def sweep(self, inst: "ComponentInstance") -> List[int]:
+    def sweep(self, inst: "EngineInstance") -> List[int]:
         v = inst._values
         changed: List[int] = []
         outs = self.child.comb(self.inputs(v))
@@ -605,7 +574,7 @@ class _DoneNode:
             return self.readers
         return 0
 
-    def sweep(self, inst: "ComponentInstance") -> Tuple[int, ...]:
+    def sweep(self, inst: "EngineInstance") -> Tuple[int, ...]:
         v = inst._values
         value = v[self.finished]
         if v[self.slot] != value:
@@ -621,9 +590,8 @@ class _ExecutorNode:
     while ``go`` is low, so an idle component's invokes do not run. Only
     the driven slots that changed are written; ``high`` is the set as last
     written. The executor moves only at an edge, stepped while ``go`` is
-    high and reset once it falls (``was_high``), and each move marks this
-    node and writes the ``finished`` slot
-    (:meth:`ComponentInstance._clock`).
+    high and reset once it falls (``was_high``), and each move writes the
+    ``finished`` slot (:meth:`EngineInstance._clock`).
     """
 
     __slots__ = (
@@ -664,7 +632,7 @@ class _ExecutorNode:
             mask |= readers[slot]
         return mask
 
-    def sweep(self, inst: "ComponentInstance") -> frozenset:
+    def sweep(self, inst: "EngineInstance") -> frozenset:
         return self._write(inst._values)
 
 
@@ -679,113 +647,6 @@ _GUARD_KINDS = (_GuardNode, _BankNode)
 _COMPARISONS = frozenset(("==", "!=", "<", ">", "<=", ">="))
 
 
-class _GuardNet:
-    """Hash-conses the guards of one definition into shared guard nodes.
-
-    Bottom-up, each distinct ``(op, slot, slot)`` key gets one node writing
-    one unnamed slot, created after its operands, so creation order is
-    topological. A port guard is its port's slot, a constant operand gets
-    a constant slot, and constant sub-guards fold (``a & true`` is ``a``).
-    Each distinct (interned) guard node is consed once, however many
-    assignments and enclosing guards share it. :meth:`finish` then merges
-    the comparisons of one slot against two or more constants into one
-    :class:`_BankNode`.
-    """
-
-    def __init__(self, template: "_Template"):
-        self.template = template
-        self.nodes: List[_GuardNode] = []
-        self._table: Dict[Tuple[str, int, int], int] = {}
-        self._memo: Dict[Guard, Union[bool, int]] = {}
-        #: The comparison nodes' keys and slots, in creation order.
-        self._comparisons: List[Tuple[str, int, int, int]] = []
-
-    def driver_slot(self, guard: Guard) -> Optional[int]:
-        """The slot a driver reads its guard from; ``None`` if always true."""
-        value = fold(guard, self._cons, self._memo)
-        if value is True:
-            return None
-        return self.template._const_slot(0) if value is False else value
-
-    def finish(self) -> List[Union[_GuardNode, _BankNode]]:
-        """The guard nodes in creation order, each slot compared against two
-        or more constants as one bank at its first comparison's place (its
-        one input is a port, so the bank precedes every reader of its
-        entries, a cyclic SCC's guard nodes included)."""
-        consts = {slot: value for value, slot in self.template.constants.items()}
-        # Each compared port's slot -> its comparisons against a constant,
-        # in creation order: ``(slot, fn, constant, constant on the left)``.
-        compared: Dict[int, List[Tuple[int, Callable, int, bool]]] = {}
-        for op, a, b, slot in self._comparisons:
-            if (a in consts) != (b in consts):
-                port, left = (b, True) if a in consts else (a, False)
-                compared.setdefault(port, []).append(
-                    (slot, _GUARD_FNS[op], consts[a if left else b], left)
-                )
-        # The first comparison of each bank -> the bank; its other comparisons.
-        banks: Dict[int, _BankNode] = {}
-        merged: Set[int] = set()
-        for port, entries in compared.items():
-            if len(entries) < 2:
-                continue
-            rhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if not left]
-            lhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if left]
-            banks[entries[0][0]] = _BankNode(-1, port, rhs, lhs)
-            merged.update(entry[0] for entry in entries[1:])
-        if not banks:
-            return self.nodes
-        return [banks.get(n.slot, n) for n in self.nodes if n.slot not in merged]
-
-    def _operand(self, ref: PortRef) -> int:
-        if isinstance(ref, ConstPort):
-            return self.template._const_slot(ref.value)
-        return self.template._slot(ref)
-
-    def _node(self, op: str, a: int, b: int) -> int:
-        key = (op, a, b)
-        slot = self._table.get(key)
-        if slot is None:
-            slot = self._table[key] = self.template._unnamed_slot()
-            self.nodes.append(_GuardNode(-1, slot, _GUARD_FNS[op], a, b))
-            if op in _COMPARISONS:
-                self._comparisons.append((op, a, b, slot))
-        return slot
-
-    def _cons(self, guard: Guard, operands: Tuple[Union[bool, int], ...]) -> Union[bool, int]:
-        """The :func:`fold` visit: a constant guard's value, else its slot."""
-        template = self.template
-        if isinstance(guard, NotGuard):
-            (inner,) = operands
-            if isinstance(inner, bool):
-                return not inner
-            return self._node("!", inner, template._const_slot(0))
-        if isinstance(guard, AndGuard):
-            left, right = operands
-            if left is False or right is False:
-                return False
-            if left is True or right is True:
-                return right if left is True else left
-            return self._node("&", left, right)
-        if isinstance(guard, OrGuard):
-            left, right = operands
-            if left is True or right is True:
-                return True
-            if left is False or right is False:
-                return right if left is False else left
-            return self._node("|", left, right)
-        if isinstance(guard, CmpGuard):
-            left, right = guard.left, guard.right
-            if isinstance(left, ConstPort) and isinstance(right, ConstPort):
-                return _GUARD_FNS[guard.op](left.value, right.value)
-            return self._node(guard.op, self._operand(left), self._operand(right))
-        if isinstance(guard, PortGuard):
-            port = guard.port
-            if isinstance(port, ConstPort):
-                return port.value != 0
-            return template._slot(port)
-        return True
-
-
 # ---------------------------------------------------------------------------
 # The template of one definition
 # ---------------------------------------------------------------------------
@@ -797,27 +658,22 @@ class _Template:
     Built once per definition per build, from the definition's
     :class:`~repro.analysis.netlist.Netlist`: the named and unnamed slots,
     the constants, each destination's resolver (drivers, go slots, reads),
-    each cell's port slots, the guard nodes and the executor's driven
-    slots. Nothing here belongs to one instance; an instance *stamps* the
-    template at a base slot (:meth:`ComponentInstance._stamp`), creating
-    node objects whose slots are moved up by that base.
+    each cell's port slots and the executor's driven slots. Nothing here
+    belongs to one instance; an instance *stamps* the template at a base
+    slot (:meth:`EngineInstance._stamp`), creating node objects whose slots
+    are moved up by that base.
 
-    Under ``levelized`` (``flat``) a cell of another user definition owns
-    a *block*: that definition's whole template, numbered inside this one
-    at the block's offset, and the cell's port ``p`` is the block's slot of
-    ``this.p``, so a parent's driver writes straight into the child's input
-    and reads its output. The template of a definition therefore numbers
-    every slot below it, and stamping the root's template lays out the
-    whole design in one array. Under ``sweep`` every cell is a child node,
-    a nested definition a :class:`ComponentInstance` of its own, and each
-    driver's guard is compiled over the slots here, once for every
-    instance of the definition (each of which has base 0).
+    Each engine subclasses it, and may change how :meth:`_cell` numbers a
+    cell's ports and where :meth:`_guard_slot` says a driver's guard value
+    comes from.
+    ``templates`` holds the templates of the definitions this one
+    instantiates, built first.
     """
 
-    def __init__(self, netlist: Netlist, flat: bool, templates: Dict[Netlist, "_Template"]):
+    def __init__(self, netlist: Netlist, templates: Dict[Netlist, "_Template"]):
         comp = netlist.comp
         self.comp = comp
-        #: The named slots; a :class:`_GuardNet`'s slots have no port.
+        #: The named slots; a guard node's slot has no port.
         self.slots: Dict[PortRef, int] = {}
         #: Every slot: named, unnamed and the nested blocks'.
         self.n_slots = 0
@@ -835,54 +691,26 @@ class _Template:
             isinstance(a.dst, ThisPort) and a.dst.port == DONE for _, a in netlist.drivers
         )
 
-        # -- cells: a nested block, or a child node's port slots ----------
         #: Each child node's ``(name, in_slots, dep_slots, out_slots, comb_slots,
         #: in_ports)``; the outputs outside ``comb_slots`` are registered.
         self.cells: List[Tuple[str, list, list, list, list, list]] = []
-        #: Each nested block's cell name and offset (``levelized``).
-        self.blocks: List[Tuple[str, int]] = []
         # The slots of this component's inputs and its cells' outputs: a
         # driver of one would fight its writer (:meth:`_refuse_driver`).
         read_only = set(self.in_slots)
         cell_facts = netlist.netlists.cell_facts
         for cell in comp.cells.values():
-            facts = cell_facts(cell)
-            in_ports, out_ports = facts.ins, facts.outs
-            definition = netlist.definition(cell)
-            if definition is not None and flat:
-                child = templates[definition]
-                block = self.n_slots
-                self.n_slots += child.n_slots
-                for port in in_ports + out_ports:
-                    local = child.slots.get(ThisPort(port))
-                    ref = CellPort(cell.name, port)
-                    if local is None:
-                        self._slot(ref)
-                    else:
-                        self.slots[ref] = block + local
-                read_only.update(self.slots[CellPort(cell.name, p)] for p in out_ports)
-                self.blocks.append((cell.name, block))
-                continue
-            in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
-            out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
-            deps, registered = facts.deps, facts.registered
-            dep_slots = [s for p, s in zip(in_ports, in_slots) if p in deps]
-            comb_slots = out_slots
-            if registered:
-                comb_slots = [s for p, s in zip(out_ports, out_slots) if p not in registered]
-            self.cells.append((cell.name, in_slots, dep_slots, out_slots, comb_slots, in_ports))
-            read_only.update(out_slots)
+            child = templates.get(netlist.definition(cell))
+            read_only.update(self._cell(cell, cell_facts(cell), child))
 
         # -- drivers per destination (deterministic first-seen order) ------
         #: Each destination's drivers and the slots they read.
         driver_map: Dict[PortRef, Tuple[List[_Driver], Set[int]]] = {}
-        guards = _GuardNet(self) if flat else None
 
         def add_driver(gate: Optional[str], live: Optional[int], assign: Assignment) -> None:
             entry = driver_map.get(assign.dst)
             if entry is None:
                 entry = driver_map[assign.dst] = ([], set())
-            entry[0].append(self._compile_driver(guards, gate, live, assign, entry[1]))
+            entry[0].append(self._compile_driver(gate, live, assign, entry[1]))
 
         for gate, assign in netlist.drivers:
             add_driver(gate, None, assign)
@@ -932,18 +760,32 @@ class _Template:
         self.finished_slot = self._unnamed_slot()
         #: The slots the executor drives, through its :class:`_ExecutorNode`.
         self.driven = sorted({*self.enable.values(), *self.force.values(), *self.live.values()})
-        #: The guard nodes and banks, in creation order.
-        self.guards: List[Union[_GuardNode, _BankNode]] = guards.finish() if guards else []
         self.done_slots = [
             slot for ref, slot in self.slots.items() if getattr(ref, "port", None) == DONE
         ]
-        if not flat:
-            # The reference compiles every guard once, over these slots.
-            memo: Dict[Guard, SlotGuard] = {}
-            for _, drivers, _, _ in self.resolvers:
-                for d in drivers:
-                    if not isinstance(d.assign.guard, TrueGuard):
-                        d.guard = _compile_slot_guard(d.assign.guard, self.slots, _SLOT_GUARD_OPS, memo)
+
+    def _cell(self, cell, facts, child: Optional["_Template"]) -> List[int]:
+        """Number ``cell``'s ports as one child node's, given its
+        :class:`~repro.analysis.netlist.CellFacts` and ``child``, the
+        template of its definition (``None`` for a primitive); returns the
+        slots only the cell writes."""
+        in_ports, out_ports = facts.ins, facts.outs
+        in_slots = [self._slot(CellPort(cell.name, p)) for p in in_ports]
+        out_slots = [self._slot(CellPort(cell.name, p)) for p in out_ports]
+        deps, registered = facts.deps, facts.registered
+        dep_slots = [s for p, s in zip(in_ports, in_slots) if p in deps]
+        comb_slots = out_slots
+        if registered:
+            comb_slots = [s for p, s in zip(out_ports, out_slots) if p not in registered]
+        self.cells.append((cell.name, in_slots, dep_slots, out_slots, comb_slots, in_ports))
+        return out_slots
+
+    def _guard_slot(self, guard: Guard, reads: Set[int]) -> Optional[int]:
+        """The slot a driver reads ``guard``'s value from; adds the slots it
+        reads to ``reads``. ``None`` here: the resolver evaluates the guard
+        itself, over the slots of its ports."""
+        reads.update(self._slot(port) for port in guard.ports() if not isinstance(port, ConstPort))
+        return None
 
     @staticmethod
     def _refuse_driver(netlist: Netlist, dst: PortRef) -> None:
@@ -980,7 +822,6 @@ class _Template:
 
     def _compile_driver(
         self,
-        guards: Optional[_GuardNet],
         gate: Optional[str],
         live: Optional[int],
         assign: Assignment,
@@ -988,16 +829,7 @@ class _Template:
     ) -> _Driver:
         """``assign`` gated by group ``gate``'s go hole or an invoke's
         ``live`` slot; adds the slots it reads to ``reads``."""
-        if guards is None:
-            # No guard nodes: the resolver reads the guard's ports itself.
-            guard_slot = None
-            reads.update(
-                self._slot(port) for port in assign.guard.ports() if not isinstance(port, ConstPort)
-            )
-        else:
-            guard_slot = guards.driver_slot(assign.guard)
-            if guard_slot is not None:
-                reads.add(guard_slot)
+        guard_slot = self._guard_slot(assign.guard, reads)
         src = assign.src
         if isinstance(src, ConstPort):
             src_slot, src_const = None, src.value
@@ -1012,6 +844,137 @@ class _Template:
         return _Driver(gate_slot, guard_slot, src_slot, src_const, assign)
 
 
+class _FlatTemplate(_Template):
+    """A definition's template for the flat engine.
+
+    A cell of another user definition owns a *block*: that definition's
+    whole template, numbered inside this one at the block's offset, and the
+    cell's port ``p`` is the block's slot of ``this.p``, so a parent's
+    driver writes straight into the child's input and reads its output. The
+    template of a definition therefore numbers every slot below it, and
+    stamping the root's template lays out the whole design in one array.
+
+    The guards are hash-consed into shared guard nodes. Bottom-up, each
+    distinct ``(op, slot, slot)`` key gets one node writing one unnamed
+    slot, created after its operands, so creation order is topological. A
+    port guard is its port's slot, a constant operand gets a constant slot,
+    and constant sub-guards fold (``a & true`` is ``a``). Each distinct
+    (interned) guard node is consed once, however many assignments and
+    enclosing guards share it. :meth:`_banked` then merges the comparisons
+    of one slot against two or more constants into one :class:`_BankNode`.
+    """
+
+    def __init__(self, netlist: Netlist, templates: Dict[Netlist, _Template]):
+        #: Each nested block's cell name and offset.
+        self.blocks: List[Tuple[str, int]] = []
+        #: Each guard node's ``(op, slot, slot)`` key -> its slot, in creation order.
+        self._table: Dict[Tuple[str, int, int], int] = {}
+        self._memo: Dict[Guard, Union[bool, int]] = {}
+        super().__init__(netlist, templates)
+        #: The guard nodes and banks, in creation order.
+        self.guards: List[Union[_GuardNode, _BankNode]] = self._banked()
+
+    def _cell(self, cell, facts, child: Optional[_Template]) -> List[int]:
+        if child is None:
+            return super()._cell(cell, facts, child)
+        block = self.n_slots
+        self.n_slots += child.n_slots
+        for port in facts.ins + facts.outs:
+            local = child.slots.get(ThisPort(port))
+            ref = CellPort(cell.name, port)
+            if local is None:
+                self._slot(ref)
+            else:
+                self.slots[ref] = block + local
+        self.blocks.append((cell.name, block))
+        return [self.slots[CellPort(cell.name, p)] for p in facts.outs]
+
+    def _guard_slot(self, guard: Guard, reads: Set[int]) -> Optional[int]:
+        value = fold(guard, self._cons, self._memo)
+        if value is True:
+            return None
+        slot = self._const_slot(0) if value is False else value
+        reads.add(slot)
+        return slot
+
+    def _banked(self) -> List[Union[_GuardNode, _BankNode]]:
+        """The guard nodes in creation order, each slot compared against two
+        or more constants as one bank at its first comparison's place (its
+        one input is a port, so the bank precedes every reader of its
+        entries, a cyclic SCC's guard nodes included)."""
+        consts = {slot: value for value, slot in self.constants.items()}
+        # Each compared port's slot -> its comparisons against a constant,
+        # in creation order: ``(slot, fn, constant, constant on the left)``.
+        compared: Dict[int, List[Tuple[int, Callable, int, bool]]] = {}
+        for (op, a, b), slot in self._table.items():
+            if op in _COMPARISONS and (a in consts) != (b in consts):
+                port, left = (b, True) if a in consts else (a, False)
+                compared.setdefault(port, []).append(
+                    (slot, _GUARD_FNS[op], consts[a if left else b], left)
+                )
+        # The first comparison of each bank -> the bank; its other comparisons.
+        banks: Dict[int, _BankNode] = {}
+        merged: Set[int] = set()
+        for port, entries in compared.items():
+            if len(entries) < 2:
+                continue
+            rhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if not left]
+            lhs = [(slot, fn, c, 0) for slot, fn, c, left in entries if left]
+            banks[entries[0][0]] = _BankNode(-1, port, rhs, lhs)
+            merged.update(entry[0] for entry in entries[1:])
+        nodes = [
+            _GuardNode(-1, slot, _GUARD_FNS[op], a, b) for (op, a, b), slot in self._table.items()
+        ]
+        if not banks:
+            return nodes
+        return [banks.get(n.slot, n) for n in nodes if n.slot not in merged]
+
+    def _guard_operand(self, ref: PortRef) -> int:
+        if isinstance(ref, ConstPort):
+            return self._const_slot(ref.value)
+        return self._slot(ref)
+
+    def _node(self, op: str, a: int, b: int) -> int:
+        key = (op, a, b)
+        slot = self._table.get(key)
+        if slot is None:
+            slot = self._table[key] = self._unnamed_slot()
+        return slot
+
+    def _cons(self, guard: Guard, operands: Tuple[Union[bool, int], ...]) -> Union[bool, int]:
+        """The :func:`fold` visit: a constant guard's value, else its slot."""
+        if isinstance(guard, NotGuard):
+            (inner,) = operands
+            if isinstance(inner, bool):
+                return not inner
+            return self._node("!", inner, self._const_slot(0))
+        if isinstance(guard, AndGuard):
+            left, right = operands
+            if left is False or right is False:
+                return False
+            if left is True or right is True:
+                return right if left is True else left
+            return self._node("&", left, right)
+        if isinstance(guard, OrGuard):
+            left, right = operands
+            if left is True or right is True:
+                return True
+            if left is False or right is False:
+                return right if left is False else left
+            return self._node("|", left, right)
+        if isinstance(guard, CmpGuard):
+            left, right = guard.left, guard.right
+            if isinstance(left, ConstPort) and isinstance(right, ConstPort):
+                return _GUARD_FNS[guard.op](left.value, right.value)
+            return self._node(guard.op, self._guard_operand(left), self._guard_operand(right))
+        if isinstance(guard, PortGuard):
+            port = guard.port
+            if isinstance(port, ConstPort):
+                return port.value != 0
+            return self._slot(port)
+        return True
+
+
 # ---------------------------------------------------------------------------
 # The nets view (watchdog / fault-injection access)
 # ---------------------------------------------------------------------------
@@ -1021,13 +984,14 @@ class _SlotNets(MutableMapping):
     """Dict-like view of the slot array, keyed by :class:`PortRef`.
 
     External pokes — the testbench raises ``go`` and the fault-injection
-    hook writes ``inst.nets[ref] = value`` — land in the slot array and
-    dirty both the slot's fanout (so downstream logic sees the fault) and
-    its own producer (so the next settle recomputes the clean value).
-    Unknown refs are stored inertly: a write to a net nothing reads.
+    hook writes ``inst.nets[ref] = value`` — land in the slot array, and
+    the engine learns of them (:meth:`EngineInstance._poked`), so
+    downstream logic sees the fault and the next settle recomputes the
+    clean value. Unknown refs are stored inertly: a write to a net nothing
+    reads.
     """
 
-    def __init__(self, inst: "ComponentInstance"):
+    def __init__(self, inst: "EngineInstance"):
         self._inst = inst
 
     def __getitem__(self, ref: PortRef) -> int:
@@ -1044,10 +1008,7 @@ class _SlotNets(MutableMapping):
             return
         if inst._values[slot] != value:
             inst._values[slot] = value
-            inst._mark_slot(slot)
-            writer = inst._writer.get(slot)
-            if writer is not None:
-                inst._mark_node(writer)
+            inst._poked(slot)
 
     def __delitem__(self, ref: PortRef) -> None:
         inst = self._inst
@@ -1069,50 +1030,6 @@ class _SlotNets(MutableMapping):
 
 
 # ---------------------------------------------------------------------------
-# Settle strategies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SettleStrategy:
-    """How a :class:`ComponentInstance` evaluates its netlist per phase.
-
-    ``settle(instance)`` brings one clock phase to its fixpoint. A
-    ``levelized`` build stamps every nested instance into the root's one
-    slot array, shares each distinct guard sub-expression as a
-    :class:`_GuardNode`, ranks the nodes of the whole design by level and
-    keeps the one dirty mask the settle drains. Otherwise each nested
-    instance is an instance of its own, and each resolver evaluates its
-    drivers' guards itself, resolved to slots at build (:class:`_Template`).
-    """
-
-    settle: Callable[["ComponentInstance"], None]
-    levelized: bool
-
-
-def _settle_levelized(inst: "ComponentInstance") -> None:
-    """Drain the dirty mask in rank order."""
-    inst._drain()
-
-
-def _settle_sweep(inst: "ComponentInstance") -> None:
-    """Write the executor's slots, then fire every node in build order
-    until no slot changes."""
-    for node in inst._executor_nodes:
-        node.sweep(inst)
-    for _ in range(inst._max_iters):
-        if not inst._sweep():
-            return
-    inst._diagnose_nonconvergence(inst._max_iters)
-
-
-#: The scheduled strategy: one flat design, guard nodes, dirty-mask drain.
-LEVELIZED = SettleStrategy(_settle_levelized, levelized=True)
-#: The reference strategy: nested instances, slot-compiled guards, sweeps.
-SWEEP = SettleStrategy(_settle_sweep, levelized=False)
-
-
-# ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
 
@@ -1121,32 +1038,35 @@ class _Scope:
     """One instantiation of a definition: its names over a slot array.
 
     Construction makes the cells (a primitive or extern model, or a nested
-    scope, in cell order), refuses the definition's first driver race, and
-    takes the definition's :class:`_Template`, built by its first instance.
+    instance, in cell order), refuses the definition's first driver race,
+    and takes the definition's template, built by its first instance.
     Stamping then sets ``_base``, the slot of the template's slot 0, and the
-    instance's control executor. Under ``levelized`` a nested instance is
-    only this — a path, a base and a template over the root's array, which
-    :meth:`find`, :meth:`read`, :meth:`state_dump` and the watchdog reports
-    read — and under ``sweep`` a :class:`ComponentInstance` of its own.
+    instance's control executor. A nested instance of the flat engine is
+    only this — a path, a base and a :class:`_FlatTemplate` over the root's
+    array, which :meth:`find`, :meth:`read`, :meth:`state_dump` and the
+    watchdog reports read. Each engine's root class derives from it and
+    may change ``_template_class`` and :meth:`_nested`.
     """
 
     _base = 0
     _extra_nets: Mapping[PortRef, int] = MappingProxyType({})
+    #: The class of this engine's templates.
+    _template_class: type = _FlatTemplate
 
     def __init__(
         self,
         program: Program,
         comp: Component,
-        strategy: SettleStrategy,
-        path: str,
-        netlists: Netlists,
-        templates: Dict[Netlist, _Template],
+        path: str = "main",
+        netlists: Optional[Netlists] = None,
+        templates: Optional[Dict[Netlist, _Template]] = None,
     ):
         self.program = program
         self.comp = comp
         self.path = path
-        self.strategy = strategy
-        self.netlist = netlists.of(comp)
+        self.netlist = (netlists or Netlists(program)).of(comp)
+        if templates is None:
+            templates = {}
         self.children: Dict[str, object] = {
             cell.name: self._make_child(cell, templates) for cell in comp.cells.values()
         }
@@ -1155,8 +1075,7 @@ class _Scope:
         self._reject_driver_race()
         template = templates.get(self.netlist)
         if template is None:
-            template = _Template(self.netlist, strategy.levelized, templates)
-            templates[self.netlist] = template
+            template = templates[self.netlist] = self._template_class(self.netlist, templates)
         self.template = template
         self._slots = template.slots
 
@@ -1165,15 +1084,11 @@ class _Scope:
         definition = self.netlist.definition(cell)
         if definition is None:
             return make_model(cell.comp_name, cell.args)
-        kind = _Scope if self.strategy.levelized else ComponentInstance
-        return kind(
-            self.program,
-            definition.comp,
-            self.strategy,
-            f"{self.path}.{cell.name}",
-            self.netlist.netlists,
-            templates,
-        )
+        return self._nested(definition.comp, f"{self.path}.{cell.name}", templates)
+
+    def _nested(self, comp: Component, path: str, templates: Dict[Netlist, _Template]) -> "_Scope":
+        """A nested instance of ``comp``: a view, stamped into the root's array."""
+        return _Scope(self.program, comp, path, self.netlist.netlists, templates)
 
     def _reject_driver_race(self) -> None:
         """Refuse the definition's first definite driver race: the runtime
@@ -1277,16 +1192,17 @@ class _Scope:
         return node
 
 
-class ComponentInstance(_Scope):
-    """A simulated instantiation of a component: the engine of one array.
+class EngineInstance(_Scope):
+    """The root of one simulation: a slot array, its nodes and the clock.
 
-    ``strategy`` (one of the values of :data:`repro.sim.ENGINES`) fixes
-    how every clock phase settles and how nested instances are built: as
-    scopes stamped into this instance's slot array (``levelized``), or as
-    instances of their own, children in the primitive protocol
-    (``sweep``). Every instance takes the static facts of its component's
-    definition from the build's ``netlists``, and its template from the
-    build's ``templates``, which nested instances share.
+    Each engine is a subclass, named in :data:`repro.sim.ENGINES`: it fixes
+    how a clock phase settles (:meth:`settle`), what the clock edge does
+    (:meth:`step_edge`) and how nested instances are built. Every instance
+    takes the static facts of its component's definition from the build's
+    ``netlists``, and its template from the build's ``templates``, which
+    nested instances share. What is here is structure, which both engines
+    run: the stamping of one scope's nodes, the nets view, the reset, the
+    non-convergence diagnosis and the watchdog's readings.
     """
 
     #: Extra probe sweeps used to tell a limit cycle from non-convergence.
@@ -1296,26 +1212,16 @@ class ComponentInstance(_Scope):
         self,
         program: Program,
         comp: Component,
-        strategy: SettleStrategy,
         path: str = "main",
         netlists: Optional[Netlists] = None,
         templates: Optional[Dict[Netlist, _Template]] = None,
     ):
-        super().__init__(
-            program,
-            comp,
-            strategy,
-            path,
-            netlists or Netlists(program),
-            {} if templates is None else templates,
-        )
+        super().__init__(program, comp, path, netlists, templates)
         self._extra_nets: Dict[PortRef, int] = {}
         self._values: List[int] = [0] * self.template.n_slots
         self._nodes: List[object] = []
-        #: The stateful children ticked at every edge, and (``levelized``)
-        #: those whose model declares an ``enable`` port.
+        #: The stateful children, ticked at the clock edge.
         self._stateful_nodes: List[_ChildNode] = []
-        self._gated: List[_ChildNode] = []
         #: Every executor in the array, and those with control to step.
         self._executor_nodes: List[_ExecutorNode] = []
         self._clocked: List[_ExecutorNode] = []
@@ -1323,8 +1229,6 @@ class ComponentInstance(_Scope):
         #: list holds the instance itself: it owns no reference cycle, so it
         #: is freed when its last user drops it.
         self._scopes: List[_Scope] = []
-        #: The ``early`` children (``levelized``), fired at every reset.
-        self._early: List[_ChildNode] = []
         self._stamp(self, 0)
         self._reset_values = list(self._values)
         self._done_values = _gather(
@@ -1334,39 +1238,23 @@ class ComponentInstance(_Scope):
                 )
             )
         )
-        #: Nested instances with an array of their own (``sweep``).
-        self._nested = [c for c in self._sub_instances if isinstance(c, ComponentInstance)]
-        # Compile the guards a strategy sweeps: every resolver's under
-        # ``sweep`` (its templates did); levelized, only those of the
-        # cyclic SCCs.
-        self._all_guards_compiled = not strategy.levelized
-        if strategy.levelized:
-            self._schedule()
-            self._compile_guards(
-                node for members, _ in self._cyclic.values() for node in members
-            )
-        else:
-            # The reference fires every node each sweep, in build order: it
-            # ranks nothing and keeps no dirty mask.
-            self._writer: Dict[int, int] = {}
-            self._mark_node = self._mark_slot = self._mark_all = lambda *_: None
-            self._max_iters = 8 * (len(self._sweep_nodes) + 8)
-        self._reset_dynamic()
-
-    @cached_property
-    def _sweep_nodes(self) -> List[object]:
-        """What a sweep fires: all but the executors, or under ``levelized``
-        (the non-convergence probe) all but the guard nodes."""
-        skip = _GUARD_KINDS if self.strategy.levelized else _ExecutorNode
-        return [n for n in self._nodes if not isinstance(n, skip)]
-
-    @cached_property
-    def _guard_nodes(self) -> List[object]:
-        return [n for n in self._nodes if isinstance(n, _GUARD_KINDS)]
 
     def settle(self) -> None:
-        """Bring one clock phase to its fixpoint, as the strategy does."""
-        self.strategy.settle(self)
+        """Bring one clock phase to its fixpoint."""
+        raise NotImplementedError
+
+    def step_edge(self) -> bool:
+        """The clock edge: every executor with control steps or resets
+        (:meth:`_clock`) and every stateful child ticks, whatever its
+        model's ``enable``. True if the outputs may have moved: some child
+        reported a change, or some executor state can move."""
+        values = self._values
+        for node in self._clocked:
+            self._clock(node, values)
+        ticked = [
+            node for node in self._stateful_nodes if node.child.tick(node.inputs(values)) is not False
+        ]
+        return bool(self._clocked or ticked)
 
     @property
     def nets(self) -> _SlotNets:
@@ -1376,17 +1264,11 @@ class ComponentInstance(_Scope):
     # -- construction -----------------------------------------------------
     def _stamp(self, scope: _Scope, base: int) -> None:
         """Create ``scope``'s nodes and executor with its template's slots
-        moved up by ``base``, then stamp its nested blocks the same way.
-
-        A scope's nodes are numbered together: its children, resolvers,
-        done node and executor node, then its guard nodes in creation
-        (topological) order, so a cyclic SCC evaluates them in index order.
-        """
+        moved up by ``base``: its children, resolvers, done node and
+        executor node, numbered together."""
         t = scope.template
         scope._base = base
         scope._values = values = self._values
-        if scope is not self:
-            self._scopes.append(scope)
         for value, slot in t.constants.items():
             values[base + slot] = value
         nodes = self._nodes
@@ -1401,12 +1283,10 @@ class ComponentInstance(_Scope):
             )
             nodes.append(node)
             if type(child).tick is not PrimitiveModel.tick:
-                enable = getattr(child, "enable", None) if self.strategy.levelized else None
+                enable = getattr(child, "enable", None)
                 if enable in in_ports:
                     node.enable_slot = node.in_slots[in_ports.index(enable)]
-                    self._gated.append(node)
-                else:
-                    self._stateful_nodes.append(node)
+                self._stateful_nodes.append(node)
         path = scope.path
         for slot, drivers, go_slots, in_slots in t.resolvers:
             if base:
@@ -1428,6 +1308,7 @@ class ComponentInstance(_Scope):
         live = {key: base + slot for key, slot in t.live.items()}
         scope.executor = ControlExecutor(t.comp, slot_of, scope._enable, force, live)
         scope._go_slot = base + t.go_slot
+        values[finished] = 1 if scope.executor.finished else 0
         node = _ExecutorNode(
             len(nodes), scope.executor, scope._go_slot, _shift(t.driven, base), finished
         )
@@ -1435,12 +1316,172 @@ class ComponentInstance(_Scope):
         self._executor_nodes.append(node)
         if not t.comp.control.is_empty():
             self._clocked.append(node)
-        for g in t.guards:
+
+    # -- reset and writes from outside --------------------------------------
+    def _reset_dynamic(self) -> None:
+        values = self._values
+        values[:] = self._reset_values
+        self._extra_nets.clear()
+        for node in self._executor_nodes:
+            node.high = _EMPTY
+            values[node.finished] = 1 if node.executor.finished else 0
+
+    def _poked(self, slot: int) -> None:
+        """A write from outside changed ``slot``. An engine that schedules
+        its nodes marks what must see it; one that sweeps them all need not."""
+
+    def reset(self) -> None:
+        for node in self._executor_nodes:
+            node.executor.reset()
+            node.was_high = False
+        for node in self._nodes:
+            if isinstance(node, _ChildNode):
+                node.child.reset()
+                node.idle = False
+        self._reset_dynamic()
+
+    # -- sweeps and the non-convergence diagnosis -------------------------------
+    def _sweep(self) -> bool:
+        """Fire every node of :attr:`_sweep_nodes` once, in build order.
+
+        Resolvers evaluate their compiled guards. True if any slot changed.
+        """
+        changed = False
+        for node in self._sweep_nodes:
+            if node.sweep(self):
+                changed = True
+        return changed
+
+    def _net_names(self) -> Iterator[Tuple[str, int]]:
+        """Each named slot of the array once, under its outermost name:
+        this instance's bare, a stamped scope's under its path below this
+        one (a cell port and the child's own port are one slot)."""
+        seen: Set[int] = set()
+        for scope in (self, *self._scopes):
+            prefix = scope.path[len(self.path) + 1:]
+            for ref, slot in scope._slots.items():
+                slot += scope._base
+                if slot not in seen:
+                    seen.add(slot)
+                    name = ref.to_string()
+                    yield (f"{prefix}.{name}" if prefix else name), slot
+
+    def _diagnose_nonconvergence(self, spent_iters: int) -> None:
+        """Out of iterations: classify limit cycle vs. divergence.
+
+        Keeps sweeping the netlist for a bounded number of extra iterations
+        while fingerprinting the slot array. A repeated fingerprint proves a
+        true combinational limit cycle (:class:`OscillationError`, reporting
+        the named nets that toggle and the period); no repeat within the
+        probe means generic non-convergence
+        (:class:`CombinationalLoopError`). Returns if a sweep changes
+        nothing: the netlist converged late.
+        """
+        seen: Dict[Tuple[int, ...], int] = {}
+        history: List[List[int]] = []
+        for i in range(self.OSCILLATION_PROBE_ITERS):
+            fingerprint = tuple(self._values)
+            if fingerprint in seen:
+                start = seen[fingerprint]
+                period = i - start
+                cycle_states = history[start:]
+                first = cycle_states[0]
+                toggling = sorted(
+                    name
+                    for name, slot in self._net_names()
+                    if any(state[slot] != first[slot] for state in cycle_states)
+                )
+                raise OscillationError(
+                    f"{self.path}: combinational limit cycle with period "
+                    f"{period}: nets oscillate forever: "
+                    + ", ".join(toggling[:12])
+                    + ("..." if len(toggling) > 12 else ""),
+                    nets=toggling,
+                    period=period,
+                ).with_state(self.state_dump())
+            seen[fingerprint] = i
+            history.append(list(self._values))
+            if not self._sweep():
+                return
+        raise CombinationalLoopError(
+            f"{self.path}: combinational logic did not converge after "
+            f"{spent_iters + self.OSCILLATION_PROBE_ITERS} iterations "
+            f"(values still changing; not a finite limit cycle)"
+        ).with_state(self.state_dump())
+
+    # -- the clock edge, watchdog and testbench support ---------------------
+    def _clock(self, node: _ExecutorNode, values: List[int]) -> bool:
+        """Step an executor on the settled slots while its ``go`` is high,
+        or reset it at the first edge after ``go`` falls, and write its
+        finished slot; True if it moved."""
+        if values[node.in_slots[0]]:
+            node.executor.step(values)
+            node.was_high = True
+        elif node.was_high:
+            node.executor.reset()
+            node.was_high = False
+        else:
+            return False
+        values[node.finished] = 1 if node.executor.finished else 0
+        return True
+
+    def touch(self, path: str) -> None:
+        """Re-evaluate the cell at dotted ``path`` at the next settle, for
+        state written outside ``tick`` (a memory load). An engine that
+        sweeps every node at every settle only checks the path."""
+        self.find(path)
+
+    def done_signature(self) -> Tuple:
+        """Values of every ``done``-like net in the array (watchdog food)."""
+        return self._done_values(self._values)
+
+
+class ComponentInstance(EngineInstance):
+    """The flat engine (``levelized``): the whole design in one array.
+
+    Every nested instance is a :class:`_Scope` stamped into this
+    instance's slot array, with its guard nodes and banks. One schedule
+    ranks the nodes of the whole design, and each settle drains one dirty
+    mask in rank order (:meth:`_drain`).
+    """
+
+    def __init__(self, program: Program, comp: Component):
+        super().__init__(program, comp)
+        #: The stateful children whose model declares an ``enable`` port,
+        #: ticked only while armed, and those ticked at every edge.
+        self._gated = [node for node in self._stateful_nodes if node.enable_slot is not None]
+        self._stateful_nodes = [node for node in self._stateful_nodes if node.enable_slot is None]
+        self._schedule()
+        self._compile_guards(node for members, _ in self._cyclic.values() for node in members)
+        self._reset_dynamic()
+
+    @cached_property
+    def _sweep_nodes(self) -> List[object]:
+        """What the non-convergence probe sweeps: all but the guard nodes,
+        each resolver's guards compiled for it on first use."""
+        nodes = [n for n in self._nodes if not isinstance(n, _GUARD_KINDS)]
+        self._compile_guards(nodes)
+        return nodes
+
+    def settle(self) -> None:
+        """Drain the dirty mask in rank order."""
+        self._drain()
+
+    # -- construction -----------------------------------------------------
+    def _stamp(self, scope: _Scope, base: int) -> None:
+        """Stamp ``scope``'s nodes, then its guard nodes in creation
+        (topological) order, so a cyclic SCC evaluates them in index
+        order, then its nested blocks the same way."""
+        if scope is not self:
+            self._scopes.append(scope)
+        super()._stamp(scope, base)
+        nodes = self._nodes
+        for g in scope.template.guards:
             if type(g) is _GuardNode:
                 nodes.append(_GuardNode(len(nodes), g.slot + base, g.fn, g.a + base, g.b + base))
             else:
                 nodes.append(g.stamped(len(nodes), base))
-        for name, block in t.blocks:
+        for name, block in scope.template.blocks:
             self._stamp(scope.children[name], base + block)
 
     def _compile_guards(self, nodes: Iterable[object]) -> None:
@@ -1511,6 +1552,8 @@ class ComponentInstance(_Scope):
                 node.set_readers(reader_mask)
             else:
                 node.readers = reader_mask[node.slot]
+        #: The ``early`` children, fired at every reset.
+        self._early: List[_ChildNode] = []
         for node in multi:
             comb = node.comb_slots
             if comb is not node.out_slots:
@@ -1533,53 +1576,18 @@ class ComponentInstance(_Scope):
 
     # -- dirty-mask bookkeeping -------------------------------------------
     def _reset_dynamic(self) -> None:
-        values = self._values
-        values[:] = self._reset_values
-        self._extra_nets.clear()
-        for node in self._executor_nodes:
-            node.high = _EMPTY
-            values[node.finished] = 1 if node.executor.finished else 0
-        self._mark_all()
-        for node in self._early:
-            node.fire(values)
-
-    def _mark_node(self, node_idx: int) -> None:
-        self._dirty |= 1 << self._rank_of[node_idx]
-
-    def _mark_slot(self, slot: int) -> None:
-        self._dirty |= self._reader_mask[slot]
-
-    def _mark_all(self) -> None:
+        super()._reset_dynamic()
         self._dirty = (1 << len(self._rank_fire)) - 1
+        for node in self._early:
+            node.fire(self._values)
 
-    # -- the child protocol (``sweep``'s nested instances) -----------------
-    def comb(self, ins: Sequence[int]) -> List[int]:
-        self._apply_inputs(ins)
-        self.settle()
-        values = self._values
-        return [values[s] for s in self.template.out_slots]
-
-    def tick(self, ins: Sequence[int]) -> bool:
-        self._apply_inputs(ins)
-        self.settle()
-        return self.step_edge()
-
-    def _apply_inputs(self, ins: Sequence[int]) -> None:
-        values = self._values
-        for slot, value in zip(self.template.in_slots, ins):
-            if values[slot] != value:
-                values[slot] = value
-                self._mark_slot(slot)
-
-    def reset(self) -> None:
-        for node in self._executor_nodes:
-            node.executor.reset()
-            node.was_high = False
-        for node in self._nodes:
-            if isinstance(node, _ChildNode):
-                node.child.reset()
-                node.idle = False
-        self._reset_dynamic()
+    def _poked(self, slot: int) -> None:
+        """Dirty the slot's fanout, so downstream logic sees the write, and
+        its own producer, so the next settle recomputes the clean value."""
+        self._dirty |= self._reader_mask[slot]
+        writer = self._writer.get(slot)
+        if writer is not None:
+            self._dirty |= 1 << self._rank_of[writer]
 
     # -- simulation core ----------------------------------------------------
     def _drain(self) -> None:
@@ -1601,17 +1609,6 @@ class ComponentInstance(_Scope):
             else:
                 d |= fire(values)
         self._dirty = 0
-
-    def _sweep(self) -> bool:
-        """Fire every node but the guard nodes once, in build order.
-
-        Resolvers evaluate their compiled guards. True if any slot changed.
-        """
-        changed = False
-        for node in self._sweep_nodes:
-            if node.sweep(self):
-                changed = True
-        return changed
 
     def _run_cyclic_scc(self, rank: int) -> None:
         """Bounded fixpoint iteration inside one combinational cycle.
@@ -1637,71 +1634,14 @@ class ComponentInstance(_Scope):
                 return
         self._diagnose_nonconvergence(limit)
 
-    def _net_names(self) -> Iterator[Tuple[str, int]]:
-        """Each named slot of the array once, under its outermost name:
-        this instance's bare, a stamped scope's under its path below this
-        one (a cell port and the child's own port are one slot)."""
-        seen: Set[int] = set()
-        for scope in (self, *self._scopes):
-            prefix = scope.path[len(self.path) + 1:]
-            for ref, slot in scope._slots.items():
-                slot += scope._base
-                if slot not in seen:
-                    seen.add(slot)
-                    name = ref.to_string()
-                    yield (f"{prefix}.{name}" if prefix else name), slot
-
     def _diagnose_nonconvergence(self, spent_iters: int) -> None:
-        """Out of iterations: classify limit cycle vs. divergence.
-
-        Keeps sweeping the netlist, guard nodes aside, for a bounded number
-        of extra iterations while fingerprinting the slot array. A repeated
-        fingerprint proves a true combinational limit cycle
-        (:class:`OscillationError`, reporting the named nets that toggle and
-        the period); no repeat within the probe means generic
-        non-convergence (:class:`CombinationalLoopError`).
-        """
-        if not self._all_guards_compiled:
-            # The probe sweeps every resolver, not only the cyclic ones.
-            self._compile_guards(self._sweep_nodes)
-            self._all_guards_compiled = True
-        seen: Dict[Tuple[int, ...], int] = {}
-        history: List[List[int]] = []
-        for i in range(self.OSCILLATION_PROBE_ITERS):
-            fingerprint = tuple(self._values)
-            if fingerprint in seen:
-                start = seen[fingerprint]
-                period = i - start
-                cycle_states = history[start:]
-                first = cycle_states[0]
-                toggling = sorted(
-                    name
-                    for name, slot in self._net_names()
-                    if any(state[slot] != first[slot] for state in cycle_states)
-                )
-                raise OscillationError(
-                    f"{self.path}: combinational limit cycle with period "
-                    f"{period}: nets oscillate forever: "
-                    + ", ".join(toggling[:12])
-                    + ("..." if len(toggling) > 12 else ""),
-                    nets=toggling,
-                    period=period,
-                ).with_state(self.state_dump())
-            seen[fingerprint] = i
-            history.append(list(self._values))
-            if not self._sweep():
-                # Converged late: the probe visited every node but the guard
-                # nodes, so those refresh and the dirty mask is satisfied
-                # wholesale.
-                for node in self._guard_nodes:
-                    node.fire(self._values)
-                self._dirty = 0
-                return
-        raise CombinationalLoopError(
-            f"{self.path}: combinational logic did not converge after "
-            f"{spent_iters + self.OSCILLATION_PROBE_ITERS} iterations "
-            f"(values still changing; not a finite limit cycle)"
-        ).with_state(self.state_dump())
+        """The probe sweeps every node but the guard nodes. Converged late,
+        those refresh and the dirty mask is satisfied wholesale."""
+        super()._diagnose_nonconvergence(spent_iters)
+        for node in self._nodes:
+            if isinstance(node, _GUARD_KINDS):
+                node.fire(self._values)
+        self._dirty = 0
 
     def step_edge(self) -> bool:
         """The clock edge: advance control state, latch stateful children.
@@ -1714,11 +1654,10 @@ class ComponentInstance(_Scope):
         (:meth:`_refresh`). True if the outputs may have moved: a child
         was scheduled or some executor state can move.
 
-        A child whose model declares an ``enable`` port (``levelized``
-        only) is not ticked while that port is low and its last tick saw
-        it low and returned ``False``: by the model's contract that tick
-        would do nothing and return ``False`` again
-        (:class:`~repro.stdlib.behaviors.PrimitiveModel`).
+        A child whose model declares an ``enable`` port is not ticked while
+        that port is low and its last tick saw it low and returned
+        ``False``: by the model's contract that tick would do nothing and
+        return ``False`` again (:class:`~repro.stdlib.behaviors.PrimitiveModel`).
         """
         values = self._values
         for node in self._clocked:
@@ -1747,48 +1686,29 @@ class ComponentInstance(_Scope):
         if node.early:
             self._dirty |= node.fire(self._values)
         else:
-            self._mark_node(node.index)
+            self._dirty |= 1 << self._rank_of[node.index]
 
-    def _clock(self, node: _ExecutorNode, values: List[int]) -> None:
+    def _clock(self, node: _ExecutorNode, values: List[int]) -> bool:
         """Step or reset one executor, marking what it drives."""
-        if values[node.in_slots[0]]:
-            node.executor.step(values)
-            node.was_high = True
-        elif node.was_high:
-            node.executor.reset()
-            node.was_high = False
-        else:
-            return
-        self._mark_node(node.index)
-        finished = 1 if node.executor.finished else 0
-        slot = node.finished
-        if values[slot] != finished:
-            values[slot] = finished
-            self._mark_slot(slot)
+        finished = values[node.finished]
+        if not super()._clock(node, values):
+            return False
+        self._dirty |= 1 << self._rank_of[node.index]
+        if values[node.finished] != finished:
+            self._dirty |= self._reader_mask[node.finished]
+        return True
 
     def touch(self, path: str) -> None:
         """Re-evaluate the cell at dotted ``path`` at the next settle.
 
         For state written outside ``tick`` (a memory load): marks the
-        cell's node in the array that holds it.
+        cell's node, or fires it now if it is ``early``, and re-arms its tick.
         """
-        *outer, name = path.split(".")
-        scope: object = self
-        for part in outer:
-            scope = scope.children.get(part) if isinstance(scope, _Scope) else None
-        if not isinstance(scope, _Scope) or name not in scope.children:
-            raise UndefinedError(f"no cell at path {path!r}")
+        super().touch(path)
+        outer, _, name = path.rpartition(".")
+        scope = self.find(outer) if outer else self
         index = scope._cell_node.get(name)
         if index is not None:
-            owner = scope if isinstance(scope, ComponentInstance) else self
-            node = owner._nodes[index]
+            node = self._nodes[index]
             node.idle = False
-            owner._refresh(node)
-
-    def done_signature(self) -> Tuple:
-        """Values of every ``done``-like net in the array, then each nested
-        instance's with an array of its own (watchdog food)."""
-        own = self._done_values(self._values)
-        if self._nested:
-            return own + tuple(child.done_signature() for child in self._nested)
-        return own
+            self._refresh(node)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from repro.errors import (
     CycleLimitError,
@@ -21,22 +21,25 @@ from repro.errors import (
 )
 from repro.ir.ast import Program, ThisPort
 from repro.ir.ports import GO
-from repro.sim.model import LEVELIZED, SWEEP, ComponentInstance, SettleStrategy
+from repro.sim.model import ComponentInstance, EngineInstance
+from repro.sim.reference import ReferenceInstance
 from repro.stdlib.behaviors import MemModel, RegModel
 
 DEFAULT_MAX_CYCLES = 5_000_000
 
-#: The selectable simulation engines: settle strategies of the one
-#: :class:`~repro.sim.model.ComponentInstance` netlist. ``sweep`` is the
-#: reference (every node to fixpoint, guards interpreted); ``levelized``
-#: drains a dirty bitmask in level order, its guards shared netlist nodes.
-#: ``tests/test_engine_equivalence.py`` holds them bit-identical.
-ENGINES: Dict[str, SettleStrategy] = {
-    "sweep": SWEEP,
-    "levelized": LEVELIZED,
+#: The selectable simulation engines, each an instance class over the
+#: templates of :mod:`repro.sim.model`. ``sweep`` is the reference
+#: (:mod:`repro.sim.reference`: nested instances, every node to fixpoint,
+#: each guard compiled over the slots from its own operator table);
+#: ``levelized`` is the flat engine, one array drained in level order, its
+#: guards shared netlist nodes. ``tests/test_engine_equivalence.py`` holds
+#: them bit-identical.
+ENGINES: Dict[str, Type[EngineInstance]] = {
+    "sweep": ReferenceInstance,
+    "levelized": ComponentInstance,
 }
 
-#: What a simulation runs on unless it asks for another strategy.
+#: What a simulation runs on unless it asks for another engine.
 DEFAULT_ENGINE = "levelized"
 
 #: The reference the differential oracles (difftest and the fault-injection
@@ -44,8 +47,8 @@ DEFAULT_ENGINE = "levelized"
 ORACLE_ENGINE = "sweep"
 
 
-def resolve_engine(name: str) -> SettleStrategy:
-    """Look up an engine's settle strategy by name (raising a helpful error)."""
+def resolve_engine(name: str) -> Type[EngineInstance]:
+    """Look up an engine's instance class by name (raising a helpful error)."""
     try:
         return ENGINES[name]
     except KeyError:
@@ -76,7 +79,7 @@ class Watchdog:
     max_cycles: int = DEFAULT_MAX_CYCLES
     wall_clock_seconds: Optional[float] = None
     deadlock_window: int = DEFAULT_DEADLOCK_WINDOW
-    fault_hook: Optional[Callable[[int, ComponentInstance], None]] = None
+    fault_hook: Optional[Callable[[int, EngineInstance], None]] = None
 
 
 @dataclass
@@ -115,9 +118,7 @@ class Testbench:
         self.program = program
         self.engine = engine
         name = entrypoint or program.entrypoint
-        self.instance = ComponentInstance(
-            program, program.get_component(name), resolve_engine(engine)
-        )
+        self.instance = resolve_engine(engine)(program, program.get_component(name))
 
     @staticmethod
     def _preflight(program: Program) -> None:

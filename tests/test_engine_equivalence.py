@@ -1,14 +1,14 @@
-"""The contract between the two settle strategies of the simulator.
+"""The contract between the two engines of the simulator.
 
 Every design the repo can produce — each ``examples/*.futil`` program and
 each PolyBench kernel, compiled through every registered pipeline plus the
 unlowered interpreter — must behave *bit-identically* under the reference
-``sweep`` strategy and the ``levelized`` strategy: the differential
+``sweep`` engine and the ``levelized`` engine: the differential
 harness (:mod:`repro.robustness.difftest`) must find the same final
 memories, cycle count, registers and done-net valuation. Any divergence
-here means the levelized strategy's scheduling (levelization, dirty-set
+here means the levelized engine's scheduling (levelization, dirty-set
 propagation, cycle fallback) or its shared guard nodes changed observable
-semantics, and it is the levelized strategy that is wrong.
+semantics, and it is the levelized engine that is wrong.
 
 Each distinct lowered program is simulated once: pipelines that print the
 same IL for the same memories share one run (``_SIMULATED``), while every
@@ -37,7 +37,6 @@ from repro.sim import Testbench, Watchdog, eval_guard
 from repro.sim.model import (
     _GUARD_FNS,
     _GUARD_NODE_OPS,
-    _SLOT_GUARD_OPS,
     ComponentInstance,
     _BankNode,
     _ChildNode,
@@ -47,6 +46,7 @@ from repro.sim.model import (
     _ResolverNode,
     _compile_slot_guard,
 )
+from repro.sim.reference import _SLOT_GUARD_OPS
 from repro.stdlib.behaviors import PrimitiveModel
 from repro.workloads.polybench import ALL_KERNELS, get_kernel
 from tests.conftest import SUM_LOOP
@@ -215,7 +215,7 @@ def _guards(draw, depth=0):
     values=st.lists(st.integers(0, 3), min_size=len(_PORTS), max_size=len(_PORTS)),
 )
 def test_slot_guard_matches_eval_guard(guards, values):
-    """A guard compiled over slots, with either strategy's operators,
+    """A guard compiled over slots, with either engine's operators,
     evaluates as ``eval_guard`` does."""
     # Slot 0 is left unread, so a port never lands on its list index.
     slots = {port: i + 1 for i, port in enumerate(_PORTS)}
@@ -366,6 +366,7 @@ def test_guard_nodes_are_shared_and_invisible(build):
     for engine in ("sweep", "levelized"):
         bench = Testbench(program, engine=engine)
         inst = bench.instance
+        guard_nodes = [n for n in inst._nodes if isinstance(n, (_GuardNode, _BankNode))]
         if engine == "levelized":
             # Each definition's template holds them; each instance stamps its copy.
             scopes = (inst, *inst._scopes)
@@ -379,9 +380,9 @@ def test_guard_nodes_are_shared_and_invisible(build):
                     for slot in (g.out_slots if isinstance(g, _BankNode) else [g.slot])
                 ]
                 assert len(set(written)) == len(written) == len(distinct), scope.path
-            assert len(inst._guard_nodes) == sum(len(s.template.guards) for s in scopes)
+            assert len(guard_nodes) == sum(len(s.template.guards) for s in scopes)
         else:
-            assert inst._guard_nodes == []
+            assert guard_nodes == []
         for path, values in memories.items():
             bench.write_mem(path, values)
         bench.run()

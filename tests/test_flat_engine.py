@@ -198,21 +198,32 @@ def _count_templates(monkeypatch):
     built = []
     original = _Template.__init__
 
-    def counting(self, netlist, flat, templates):
+    def counting(self, netlist, templates):
         built.append(netlist.comp.name)
-        original(self, netlist, flat, templates)
+        original(self, netlist, templates)
 
     monkeypatch.setattr(_Template, "__init__", counting)
     return built
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_one_template_per_definition(n, monkeypatch):
+@pytest.mark.parametrize(
+    "n, engine",
+    [pytest.param(n, engine, id=f"{n}-sweep" if engine == "sweep" else str(n))
+     for engine in ("levelized", "sweep") for n in (4, 8)],
+)
+def test_one_template_per_definition(n, engine, monkeypatch):
+    """Both engines build each definition's template once: ``levelized``
+    stamps it for every processing element, and ``sweep``'s nested
+    instances share it."""
     program, _ = _systolic(n, "all")
     built = _count_templates(monkeypatch)
-    bench = Testbench(program)
+    inst = Testbench(program, engine=engine).instance
     assert sorted(built) == ["mac_pe", "main"]
-    assert len(bench.instance._scopes) == n * n
+    if engine == "levelized":
+        assert len(inst._scopes) == n * n
+    else:
+        pes = inst._sub_instances
+        assert len(pes) == n * n and all(pe.template is pes[0].template for pe in pes)
 
 
 def test_one_drain_per_settle(monkeypatch):

@@ -1,7 +1,7 @@
 """Tests for the robustness layer: checked passes, watchdog, oracle, faults.
 
 The watchdog, error-detector, net-fault and selftest tests run under every
-settle strategy in ``ENGINES``: the levelized strategy's scheduling and
+engine in ``ENGINES``: the levelized engine's scheduling and
 dirty set are exactly the kind of change that could silently weaken a
 detector — an oscillation that never re-enters the worklist is never
 reported, and a net fault written to a slot nobody re-reads escapes.
