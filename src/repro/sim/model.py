@@ -873,6 +873,7 @@ class _FlatTemplate(_Template):
         super().__init__(netlist, templates)
         #: The guard nodes and banks, in creation order.
         self.guards: List[Union[_GuardNode, _BankNode]] = self._banked()
+        del self._table, self._memo  # needed only while the guards are consed
 
     def _cell(self, cell, facts, child: Optional[_Template]) -> List[int]:
         if child is None:
